@@ -72,6 +72,7 @@ from .gabor import (
     HermiteSignal,
     bargmann,
     bargmann_grid,
+    fock_gram,
     fock_inner_quad,
     fock_symmetry_check,
     gabor_transform,

@@ -146,42 +146,41 @@ def kernel(alpha: float, z: complex, w: complex) -> complex:
     return np.exp(alpha * np.asarray(z, dtype=complex) * np.conj(w))
 
 
-def dist(alpha: float, z, w) -> float | np.ndarray:
-    """Kernel distance ``||k_z - k_w||`` at weight ``alpha``.
+def _dist_squared(a: float, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``||k_z - k_w||^2`` at weight ``a``, coordinates along the last axis.
 
-    The radicand ``e^{a|z|^2} - 2 Re e^{a z conj(w)} + e^{a|w|^2}`` is
-    nonnegative up to rounding; negative values beyond -1e-12 (relative
-    to the diagonal terms) indicate an internal inconsistency and raise.
+    With ``delta = z - w``, ``s = a|delta|^2/2``,
+    ``d = a Re(delta . conj(z+w))/2`` and ``theta = a Im(z . conj(w-z))``
+    the radicand ``e^{a|z|^2} - 2 Re e^{a z.conj(w)} + e^{a|w|^2}`` equals
+    ``e^{a Re(z.conj(w))} [2 expm1(s) cosh d + 4 sinh^2(d/2) + 4 sin^2(theta/2)]``,
+    a sum of nonnegative terms that keeps full relative accuracy for
+    close pairs and vanishes exactly on the diagonal.
     """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    # one arithmetic route (complex exp throughout) for diagonal and cross
-    # terms keeps dist(z, z) == 0 exactly
-    ezz = np.exp(alpha * z * np.conj(z)).real
-    eww = np.exp(alpha * w * np.conj(w)).real
-    cross = np.exp(alpha * z * np.conj(w)).real
-    rad = ezz - 2.0 * cross + eww
-    scale = np.maximum(ezz, eww)
-    bad = rad < -1e-12 * scale
-    if np.any(bad):
-        raise ArithmeticError(f"kernel distance radicand {np.min(rad)} below tolerance")
-    out = np.sqrt(np.maximum(rad, 0.0))
+    delta = z - w
+    s = 0.5 * a * np.sum(np.abs(delta) ** 2, axis=-1)
+    d = 0.5 * a * np.sum((delta * np.conj(z + w)).real, axis=-1)
+    theta = a * np.sum((z * np.conj(w - z)).imag, axis=-1)
+    bracket = (
+        2.0 * np.expm1(s) * np.cosh(d)
+        + 4.0 * np.sinh(0.5 * d) ** 2
+        + 4.0 * np.sin(0.5 * theta) ** 2
+    )
+    return np.exp(a * np.sum((z * np.conj(w)).real, axis=-1)) * bracket
+
+
+def dist(alpha: float, z, w) -> float | np.ndarray:
+    """Kernel distance ``||k_z - k_w||`` at weight ``alpha``."""
+    z = np.asarray(z, dtype=complex)[..., None]
+    w = np.asarray(w, dtype=complex)[..., None]
+    out = np.sqrt(_dist_squared(alpha, z, w))
     return out if out.shape else float(out)
 
 
 def dist2(beta: float, zeta, zeta_prime) -> float:
     """Kernel distance in the two-variable space at weight ``beta``."""
-    z1, z2 = complex(zeta[0]), complex(zeta[1])
-    w1, w2 = complex(zeta_prime[0]), complex(zeta_prime[1])
-    # complex exp throughout so the radicand vanishes exactly on the diagonal
-    ezz = (np.exp(beta * (z1 * np.conj(z1) + z2 * np.conj(z2)))).real
-    eww = (np.exp(beta * (w1 * np.conj(w1) + w2 * np.conj(w2)))).real
-    cross = (np.exp(beta * (z1 * np.conj(w1) + z2 * np.conj(w2)))).real
-    rad = ezz - 2.0 * cross + eww
-    scale = max(ezz, eww)
-    if rad < -1e-12 * scale:
-        raise ArithmeticError(f"kernel distance radicand {rad} below tolerance")
-    return math.sqrt(max(rad, 0.0))
+    z = np.array([complex(zeta[0]), complex(zeta[1])])
+    w = np.array([complex(zeta_prime[0]), complex(zeta_prime[1])])
+    return math.sqrt(_dist_squared(beta, z, w))
 
 
 def close_pair_bound_check(alpha: float, z, w) -> np.ndarray:

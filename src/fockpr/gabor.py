@@ -41,6 +41,7 @@ __all__ = [
     "hardy_check",
     "symmetry_class",
     "fock_symmetry_check",
+    "fock_gram",
     "fock_inner_quad",
 ]
 
@@ -278,17 +279,19 @@ def fock_symmetry_check(F: FockPoly, tol: float = 1e-12) -> str:
     return "none"
 
 
-def fock_inner_quad(
-    F: Callable[[np.ndarray], np.ndarray],
-    G: Callable[[np.ndarray], np.ndarray],
+def fock_gram(
+    funcs: Sequence[Callable[[np.ndarray], np.ndarray]],
     alpha: float,
     rmax: float = 6.0,
     radial_order: int = 96,
     angular_points: int = 256,
-) -> complex:
-    """Polar-quadrature inner product <F, G> with Gaussian weight alpha.
+) -> np.ndarray:
+    """Gram matrix ``G[m, n] = <funcs[m], funcs[n]>`` with Gaussian weight alpha.
 
-    Radial Gauss-Legendre on [0, rmax] and trapezoid in angle.  Accurate
+    Polar quadrature: radial Gauss-Legendre on [0, rmax] and trapezoid in
+    angle.  Each function is evaluated once on the grid and all entries
+    come from one weighted product, so ``G[m, n]`` equals
+    ``fock_inner_quad(funcs[m], funcs[n], ...)`` bit for bit.  Accurate
     for functions of order-two growth strictly below the weight, e.g.
     Bargmann lifts of finite Hermite signals at alpha = pi.
     """
@@ -297,6 +300,20 @@ def fock_inner_quad(
     wr = 0.5 * rmax * weights
     angles = 2.0 * math.pi * np.arange(angular_points) / angular_points
     grid = r[:, None] * np.exp(1j * angles)[None, :]
-    vals = np.asarray(F(grid)) * np.conj(np.asarray(G(grid)))
-    radial = vals.mean(axis=1) * np.exp(-alpha * r * r) * r
-    return complex(2.0 * alpha * np.sum(wr * radial))
+    vals = np.stack([np.broadcast_to(F(grid), grid.shape) for F in funcs])
+    products = vals[:, None] * np.conj(vals)[None, :]
+    radial = products.mean(axis=-1) * np.exp(-alpha * r * r) * r
+    return 2.0 * alpha * np.sum(wr * radial, axis=-1)
+
+
+def fock_inner_quad(
+    F: Callable[[np.ndarray], np.ndarray],
+    G: Callable[[np.ndarray], np.ndarray],
+    alpha: float,
+    rmax: float = 6.0,
+    radial_order: int = 96,
+    angular_points: int = 256,
+) -> complex:
+    """Polar-quadrature inner product <F, G>: the two-function ``fock_gram``."""
+    gram = fock_gram((F, G), alpha, rmax, radial_order, angular_points)
+    return complex(gram[0, 1])

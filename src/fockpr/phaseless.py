@@ -319,29 +319,49 @@ def zero_perturbation_bound_check(
     )
 
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _hermitian_coords(x: np.ndarray) -> np.ndarray:
+    """Coordinates Re sum(conj(B) * x) of x over the ``hermitian_basis`` B.
+
+    Works on the last two axes.  Each off-diagonal coordinate is formed
+    term by term, rounding exactly as the trace inner product does.
+    """
+    dim = x.shape[-1]
+    j, k = np.triu_indices(dim, 1)
+    upper, lower = x[..., j, k], x[..., k, j]
+    out = np.empty(x.shape[:-2] + (dim * dim,))
+    out[..., :dim] = np.diagonal(x, axis1=-2, axis2=-1).real
+    out[..., dim::2] = upper.real * _INV_SQRT2 + lower.real * _INV_SQRT2
+    out[..., dim + 1 :: 2] = upper.imag * _INV_SQRT2 - lower.imag * _INV_SQRT2
+    return out
+
+
+def _hermitian_from_coords(coords: np.ndarray) -> np.ndarray:
+    """Hermitian matrix sum(coords * B) over the ``hermitian_basis`` B.
+
+    Inverse of ``_hermitian_coords``; works on the last axis.
+    """
+    dim = math.isqrt(coords.shape[-1])
+    j, k = np.triu_indices(dim, 1)
+    x = np.zeros(coords.shape[:-1] + (dim, dim), dtype=complex)
+    x[..., range(dim), range(dim)] = coords[..., :dim]
+    x[..., j, k] = (coords[..., dim::2] + 1j * coords[..., dim + 1 :: 2]) * _INV_SQRT2
+    x[..., k, j] = np.conj(x[..., j, k])
+    return x
+
+
 def hermitian_basis(dim: int) -> list[np.ndarray]:
     """Orthonormal real basis of dim x dim Hermitian matrices.
 
-    Diagonal units first, then symmetric and antisymmetric off-diagonal
-    pairs scaled by 1/sqrt(2); orthonormal for the trace inner product.
+    Diagonal units first, then for each pair j < k (row-major) the
+    symmetric and antisymmetric off-diagonal elements scaled by
+    1/sqrt(2); orthonormal for the trace inner product.  These are the
+    matrices whose coordinates ``lifted_rows`` and the witness search
+    work in.
     """
-    basis: list[np.ndarray] = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[j, k] = inv_sqrt2
-            e[k, j] = inv_sqrt2
-            basis.append(e)
-            e = np.zeros((dim, dim), dtype=complex)
-            e[j, k] = 1j * inv_sqrt2
-            e[k, j] = -1j * inv_sqrt2
-            basis.append(e)
-    return basis
+    return list(_hermitian_from_coords(np.eye(dim * dim)))
 
 
 def _moment_vectors(points: np.ndarray, dim: int, alpha: float) -> np.ndarray:
@@ -364,13 +384,9 @@ def lifted_rows(points: Sequence[complex], N: int, alpha: float) -> np.ndarray:
     dim = N + 1
     v = _moment_vectors(pts, dim, alpha)
     weights = np.exp(-alpha * np.abs(pts) ** 2)
-    basis = hermitian_basis(dim)
-    rows = np.empty((pts.size, dim * dim))
-    # v* B v = sum_{j,k} conj(v_j) B_{jk} v_k, batched over points
-    outer = np.conj(v)[:, :, None] * v[:, None, :]
-    for b_idx, b in enumerate(basis):
-        rows[:, b_idx] = np.real(np.sum(outer * b[None, :, :], axis=(1, 2))) * weights
-    return rows
+    # v* X v = <X, v v^H>: each row holds the coordinates of the rank-one lift
+    lift = v[:, :, None] * np.conj(v)[:, None, :]
+    return _hermitian_coords(lift) * weights[:, None]
 
 
 @dataclass(frozen=True)
@@ -424,19 +440,11 @@ def lifted_injectivity(
     if kernel_dim > 0:
         _u, _s, vt = np.linalg.svd(rows, full_matrices=True)
         kernel_vecs = vt[rank:, :]
-        basis = hermitian_basis(dim)
         rng = np.random.default_rng(seed)
         row_scale = max(float(np.abs(rows).max()), 1e-300)
-
-        def assemble(coords: np.ndarray) -> np.ndarray:
-            x_mat = np.zeros((dim, dim), dtype=complex)
-            for c, vec in zip(coords, basis):
-                x_mat += c * vec
-            return x_mat
-
         for _ in range(witness_attempts):
-            coords = combo = rng.standard_normal(kernel_vecs.shape[0]) @ kernel_vecs
-            x_mat = assemble(coords)
+            coords = rng.standard_normal(kernel_vecs.shape[0]) @ kernel_vecs
+            x_mat = _hermitian_from_coords(coords)
             # alternate between the kernel subspace and rank-2 matrices of
             # signature (1,1): a generic kernel element has full rank, and a
             # plain eigenvalue truncation would leave the kernel again
@@ -448,12 +456,10 @@ def lifted_injectivity(
                     eigvals[-1] * np.outer(eigvecs[:, -1], np.conj(eigvecs[:, -1]))
                     + eigvals[0] * np.outer(eigvecs[:, 0], np.conj(eigvecs[:, 0]))
                 )
-                t_coords = np.array(
-                    [np.real(np.sum(np.conj(b) * trunc)) for b in basis]
-                )
+                t_coords = _hermitian_coords(trunc)
                 coords = (t_coords @ kernel_vecs.T) @ kernel_vecs
                 drift = float(np.linalg.norm(coords - t_coords))
-                x_mat = assemble(coords)
+                x_mat = _hermitian_from_coords(coords)
                 if drift <= 1e-14 * max(float(np.linalg.norm(coords)), 1e-300):
                     break
             eigvals, eigvecs = np.linalg.eigh(x_mat)
@@ -466,7 +472,7 @@ def lifted_injectivity(
             # polynomial coefficients are the conjugated eigenvectors
             x_vec = np.conj(x_vec)
             y_vec = np.conj(y_vec)
-            coords = np.array([np.real(np.sum(np.conj(b) * pair)) for b in basis])
+            coords = _hermitian_coords(pair)
             gap = float(np.max(np.abs(rows @ coords)))
             wron = wronskian(FockPoly(alpha, x_vec), FockPoly(alpha, y_vec))
             if gap <= 1e-8 * row_scale and float(np.linalg.norm(wron.coeffs)) > 1e-6:

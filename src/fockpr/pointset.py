@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .lattice import Lattice, LatticeIndex
 
@@ -431,6 +430,8 @@ def separation(obj: IndexedPointSet | np.ndarray) -> SeparationReport:
     pts = _as_points(obj)
     if len(pts) < 2:
         raise ValueError("separation needs at least two points")
+    from scipy.spatial import cKDTree  # deferred: scipy loads only for certificates
+
     xy = np.stack([pts.real, pts.imag], axis=1)
     tree = cKDTree(xy)
     dists, nbrs = tree.query(xy, k=2)
@@ -511,6 +512,8 @@ def relative_separation_bound(obj: IndexedPointSet | np.ndarray) -> int:
     pts = _as_points(obj)
     if len(pts) == 0:
         return 0
+    from scipy.spatial import cKDTree
+
     xy = np.stack([pts.real, pts.imag], axis=1)
     tree = cKDTree(xy)
     pitch = 0.25

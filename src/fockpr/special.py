@@ -35,17 +35,11 @@ from .pointset import IndexedPointSet, DensityReport, density_estimate
 
 __all__ = [
     "SigmaEvaluator",
-    "sigma",
-    "quasi_periods",
-    "a_lambda",
-    "sigma_mod",
     "tail_coefficients",
     "CriticalQ",
     "critical_counterexample",
     "fock_annulus_increments",
     "GGammaEvaluator",
-    "g_gamma",
-    "g_gamma_derivative",
     "DerivativeBoundProbe",
     "LagrangeResult",
     "lagrange_interpolate",
@@ -352,22 +346,6 @@ class SigmaEvaluator:
         k = self.kmax + 2
         lead = (2.0 * math.pi / self.lattice.area) * self.truncation_radius ** 2
         return lead * t ** k / (k * (k - 2)) / (1.0 - t * t)
-
-
-def sigma(ev: SigmaEvaluator, z):
-    return ev(z)
-
-
-def quasi_periods(ev: SigmaEvaluator) -> tuple[complex, complex]:
-    return ev.eta1, ev.eta2
-
-
-def a_lambda(ev: SigmaEvaluator) -> complex:
-    return ev.a_const
-
-
-def sigma_mod(ev: SigmaEvaluator, z):
-    return ev.sigma_mod(z)
 
 
 class CriticalQ:
@@ -706,14 +684,6 @@ class DerivativeBoundProbe:
     min_log_margin: float
     count: int
     passed: bool
-
-
-def g_gamma(ev: GGammaEvaluator, z):
-    return ev(z)
-
-
-def g_gamma_derivative(ev: GGammaEvaluator, gamma_pt: complex) -> complex:
-    return ev.g_derivative(gamma_pt)
 
 
 @dataclass(frozen=True)

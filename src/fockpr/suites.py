@@ -328,15 +328,11 @@ def verify_gabor(seed: int = 0) -> list[CheckResult]:
     out.append(_below("quadrature-order stability of the lift", float(stab), 1e-12))
 
     nmax = 3
-    gram = np.empty((nmax + 1, nmax + 1), dtype=complex)
-    for m in range(nmax + 1):
-        fm = gabor.HermiteSignal(tuple(1.0 if k == m else 0.0 for k in range(m + 1)))
-        bm = partial(gabor.bargmann_grid, fm)
-        for n in range(m + 1):
-            fn = gabor.HermiteSignal(tuple(1.0 if k == n else 0.0 for k in range(n + 1)))
-            bn = partial(gabor.bargmann_grid, fn)
-            gram[m, n] = gabor.fock_inner_quad(bm, bn, math.pi, rmax=5.0, radial_order=64, angular_points=128)
-            gram[n, m] = np.conj(gram[m, n])
+    lifts = [
+        partial(gabor.bargmann_grid, gabor.HermiteSignal((0.0,) * n + (1.0,)))
+        for n in range(nmax + 1)
+    ]
+    gram = gabor.fock_gram(lifts, math.pi, rmax=5.0, radial_order=64, angular_points=128)
     diag = np.real(np.diag(gram))
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     spread = float(np.max(np.abs(diag - diag.mean())))

@@ -23,7 +23,7 @@ from fockpr.fock import (
 from fockpr.gabor import (
     HermiteSignal,
     bargmann_grid,
-    fock_inner_quad,
+    fock_gram,
     hardy_check,
 )
 from fockpr.lattice import Lattice, window_arrays
@@ -331,17 +331,10 @@ def test_12_lift_constant_and_gram():
     pts = rng.normal(size=20) + 1j * rng.normal(size=20)
     lift = np.abs(bargmann_grid(HermiteSignal.gaussian(), pts))
     const_dev = float(lift.max() - lift.min()) / float(lift.mean())
-    signals = [HermiteSignal((0.0,) * n + (1.0,)) for n in range(5)]
-    gram = np.empty((5, 5))
-    for m, fm in enumerate(signals):
-        for n, fn in enumerate(signals):
-            gram[m, n] = abs(
-                fock_inner_quad(
-                    lambda z, f=fm: bargmann_grid(f, z),
-                    lambda z, f=fn: bargmann_grid(f, z),
-                    PI,
-                )
-            )
+    lifts = [
+        lambda z, f=HermiteSignal((0.0,) * n + (1.0,)): bargmann_grid(f, z) for n in range(5)
+    ]
+    gram = np.abs(fock_gram(lifts, PI))
     diag = np.diag(gram)
     diag_dev = float(diag.max() - diag.min()) / float(diag.mean())
     off = gram - np.diag(diag)

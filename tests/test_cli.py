@@ -1,10 +1,15 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fockpr
 from fockpr import cli, jsonio
 from fockpr.pointset import IndexedPointSet
 
@@ -22,6 +27,13 @@ def det3_set(tmp_path):
              "--radius", 4, "--out", path)
     assert rc == 0
     return path
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(fockpr.__file__).resolve().parents[1])
+    code = "import sys, fockpr.cli; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # -- generate ----------------------------------------------------------------------

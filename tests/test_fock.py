@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fockpr.fock import (
     FockPoly,
@@ -155,6 +155,7 @@ def series_dist(alpha, z, w, n_max=140):
 
 
 @given(st.floats(min_value=0.3, max_value=2.0), cpx, cpx)
+@example(1.0, 0j, 1e-8j)
 @settings(max_examples=60)
 def test_distance_matches_the_series_oracle(alpha, z, w):
     closed = dist(alpha, z, w)

@@ -14,6 +14,7 @@ from fockpr.gabor import (
     HermiteSignal,
     bargmann,
     bargmann_grid,
+    fock_gram,
     fock_inner_quad,
     fock_symmetry_check,
     gabor_transform,
@@ -187,14 +188,20 @@ def test_lift_is_linear(coeff_list):
 
 
 def test_lift_gram_is_scaled_identity():
-    signals = [basis_signal(n) for n in range(5)]
-    gram = np.empty((5, 5), dtype=complex)
-    for m, fm in enumerate(signals):
-        for n, fn in enumerate(signals):
-            gram[m, n] = fock_inner_quad(
-                partial(bargmann_grid, fm), partial(bargmann_grid, fn), math.pi
-            )
+    gram = fock_gram([partial(bargmann_grid, basis_signal(n)) for n in range(5)], math.pi)
     assert gram == pytest.approx(2.0**-0.5 * np.eye(5), abs=1e-10)
+
+
+def test_fock_gram_entries_are_pairwise_inner_products():
+    funcs = [
+        FockPoly(math.pi, (1.0, -2.0j, 0.5)),
+        partial(bargmann_grid, HermiteSignal((0.3, 1.0j, -0.5))),
+        partial(bargmann_grid, basis_signal(2)),
+    ]
+    rule = dict(rmax=5.0, radial_order=32, angular_points=64)
+    gram = fock_gram(funcs, math.pi, **rule)
+    for (m, n), entry in np.ndenumerate(gram):
+        assert entry == fock_inner_quad(funcs[m], funcs[n], math.pi, **rule)
 
 
 def test_lift_parseval_up_to_constant():

@@ -10,6 +10,9 @@ import pytest
 from fockpr.fock import FockPoly, wronskian
 from fockpr.phaseless import (
     PhaseDecision,
+    _hermitian_coords,
+    _hermitian_from_coords,
+    _moment_vectors,
     combine_directionals,
     directional_derivative,
     hermitian_basis,
@@ -290,6 +293,25 @@ def test_hermitian_basis_is_orthonormal_and_complete(dim):
         [[np.real(np.sum(np.conj(p) * q)) for q in basis] for p in basis]
     )
     assert gram == pytest.approx(np.eye(dim * dim), abs=1e-14)
+
+
+@pytest.mark.parametrize("N", [0, 1, 6, 8])
+def test_coordinates_match_the_trace_inner_product_route(N):
+    dim = N + 1
+    rng = np.random.default_rng(N)
+    pts = rng.normal(size=12) + 1j * rng.normal(size=12)
+    v = _moment_vectors(pts, dim, ALPHA)
+    lifts = v[:, :, None] * np.conj(v)[:, None, :]
+    weights = np.exp(-ALPHA * np.abs(pts) ** 2)
+    expected = np.array([coords_of(P) for P in lifts]) * weights[:, None]
+    assert np.array_equal(lifted_rows(pts, N, ALPHA), expected)
+    X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))  # not Hermitian
+    coords = _hermitian_coords(X)
+    assert np.array_equal(coords, coords_of(X))
+    assembled = np.zeros((dim, dim), dtype=complex)
+    for c, b in zip(coords, hermitian_basis(dim)):
+        assembled += c * b
+    assert np.array_equal(_hermitian_from_coords(coords), assembled)
 
 
 def test_lifted_rows_hand_check_single_point():
