@@ -10,6 +10,11 @@ identical files.
 Non-finite floats use the ``Infinity`` / ``-Infinity`` / ``NaN`` tokens
 that :func:`json.loads` accepts, so reports carrying an infinite
 certificate constant still round-trip.
+
+Large uniform record lists (one record per point of a set) are handed to
+:func:`dumps` as a :class:`Table` of columns.  It renders them in bulk,
+with :func:`format_floats` formatting each float column at once, and
+writes exactly the bytes the list of dicts would give.
 """
 
 from __future__ import annotations
@@ -17,9 +22,11 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
-__all__ = ["format_float", "dumps", "loads", "dump_path", "load_path"]
+import numpy as np
+
+__all__ = ["format_float", "format_floats", "Table", "dumps", "loads", "dump_path", "load_path"]
 
 
 def format_float(x: float) -> str:
@@ -33,6 +40,101 @@ def format_float(x: float) -> str:
     if not any(ch in s for ch in ".eE"):
         s += ".0"
     return s
+
+
+def format_floats(values) -> list[str]:
+    """:func:`format_float` of every element of a float array, formatted in bulk.
+
+    Each distinct value (by bit pattern, so ``-0.0`` stays apart from
+    ``0.0``) is formatted once with ``%.17g``.  The values that token
+    leaves looking like an int are exactly the finite integral ones below
+    ``1e17`` in magnitude; they gain the ``.0`` that :func:`format_float`
+    appends.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if x.size == 0:
+        return []
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    text = "%.17g\n" * distinct.size % tuple(distinct.tolist())
+    tokens = np.array(text.split("\n")[:-1], dtype=object)
+    finite = np.isfinite(distinct)
+    bare = finite & (np.floor(distinct) == distinct) & (np.abs(distinct) < 1e17)
+    tokens[bare] += ".0"
+    for i in np.flatnonzero(~finite).tolist():
+        tokens[i] = format_float(float(distinct[i]))
+    return tokens[inverse.ravel()].tolist()
+
+
+class Table:
+    """A list of records of one shape, stored by column.
+
+    ``columns`` maps each key to an array with one row per record: a 1-D
+    int, float or str array gives a scalar value, a 2-D int or float
+    array (at least one column wide) a list.  ``present`` optionally maps
+    a key to a boolean mask; records where it is False lack that key.
+    :func:`dumps` renders a table in bulk, byte-identical to the
+    recursive writer on the equivalent list of dicts.
+    """
+
+    def __init__(self, columns: Mapping[str, Any], present: Mapping[str, Any] | None = None):
+        self.columns = {key: np.asarray(col) for key, col in columns.items()}
+        self.present = {key: np.asarray(mask, dtype=bool) for key, mask in (present or {}).items()}
+        lengths = {len(a) for a in (*self.columns.values(), *self.present.values())}
+        if len(lengths) > 1:
+            raise ValueError(f"columns and masks differ in length: {sorted(lengths)}")
+        self.length = lengths.pop() if lengths else 0
+
+    def __len__(self) -> int:
+        return self.length
+
+
+def _tokens(col: np.ndarray) -> np.ndarray:
+    """Tokens of a column as an object array of shape (rows, values per row)."""
+    flat = col.reshape(len(col), -1)
+    if col.dtype.kind == "f":
+        toks = format_floats(flat)
+    elif col.dtype.kind in "iu":
+        toks = list(map(str, flat.ravel().tolist()))
+    elif col.dtype.kind == "U":
+        distinct, inverse = np.unique(flat.ravel(), return_inverse=True)
+        quoted = np.array([json.dumps(s, ensure_ascii=True) for s in distinct.tolist()], object)
+        toks = quoted[inverse.ravel()].tolist()
+    else:
+        raise TypeError(f"cannot serialize a {col.dtype} column into an artifact")
+    return np.array(toks, dtype=object).reshape(flat.shape)
+
+
+def _write_table(table: Table, out: list[str], indent: int) -> None:
+    """Render ``table`` as the list of its records, one template per presence pattern."""
+    if len(table) == 0:
+        out.append("[]")
+        return
+    rec_pad = "  " * (indent + 1)
+    key_pad = rec_pad + "  "
+    keys = sorted(table.columns)
+    tokens = [_tokens(table.columns[key]) for key in keys]
+    fragments = []
+    for key, toks in zip(keys, tokens):
+        head = f"{key_pad}{json.dumps(key, ensure_ascii=True)}: "
+        if table.columns[key].ndim == 1:
+            fragments.append(head + "%s")
+        else:
+            items = ",\n".join([key_pad + "  %s"] * toks.shape[1])
+            fragments.append(f"{head}[\n{items}\n{key_pad}]")
+    # rows lacking the same keys share one record template
+    always = np.ones(len(table), dtype=bool)
+    has = np.stack([table.present.get(key, always) for key in keys], axis=1)
+    patterns, which = np.unique(has, axis=0, return_inverse=True)
+    records = np.empty(len(table), dtype=object)
+    for p, pattern in enumerate(patterns):
+        rows = np.flatnonzero(which.ravel() == p)
+        cols = np.flatnonzero(pattern).tolist()
+        template = rec_pad + "{\n" + ",\n".join(fragments[j] for j in cols) + "\n" + rec_pad + "}"
+        args = np.concatenate([tokens[j][rows] for j in cols], axis=1)
+        text = "\0".join([template] * len(rows)) % tuple(args.ravel().tolist())
+        records[rows] = text.split("\0")
+    out.append("[\n" + ",\n".join(records.tolist()) + "\n" + "  " * indent + "]")
 
 
 def _write(obj: Any, out: list[str], indent: int) -> None:
@@ -58,6 +160,8 @@ def _write(obj: Any, out: list[str], indent: int) -> None:
             _write(obj[key], out, indent + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "}")
+    elif isinstance(obj, Table):
+        _write_table(obj, out, indent)
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.append("[]")

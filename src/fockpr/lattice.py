@@ -74,11 +74,21 @@ class Lattice:
         return abs(z - self.point((m, n))) <= tol
 
     def index_of(self, z: complex, tol: float = 1e-9) -> LatticeIndex:
-        x, y = self.coords(z)
-        m, n = round(x), round(y)
-        if abs(z - self.point((m, n))) > tol:
-            raise ValueError(f"{z} is not a lattice point (tol={tol})")
+        m, n = self.indices_of([z], tol)[0].tolist()
         return LatticeIndex(m, n)
+
+    def indices_of(self, z, tol: float = 1e-9) -> np.ndarray:
+        """Indices of the lattice points ``z`` as a (k, 2) int array.
+
+        Raises when any point is farther than ``tol`` from the lattice.
+        """
+        z = np.asarray(z, dtype=complex).ravel()
+        x, y = self.coords(z)
+        m, n = np.rint(x).astype(np.int64), np.rint(y).astype(np.int64)
+        off = np.flatnonzero(np.abs(z - self.point((m, n))) > tol)
+        if off.size:
+            raise ValueError(f"{complex(z[off[0]])} is not a lattice point (tol={tol})")
+        return np.stack([m, n], axis=1)
 
     def is_liouville(self, alpha: float) -> bool:
         """Strict growth domination: cell area below ``pi/alpha``."""

@@ -24,10 +24,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import jsonio
 from .lattice import Lattice, LatticeIndex
 
 __all__ = [
@@ -68,8 +69,38 @@ class PointEntry:
     unit: complex | None = None
 
 
+class _Columns(NamedTuple):
+    """One array per field, one row per sample."""
+
+    m: np.ndarray
+    n: np.ndarray
+    tag: np.ndarray
+    pos: np.ndarray
+    delta: np.ndarray
+    has_delta: np.ndarray
+    unit: np.ndarray
+    has_unit: np.ndarray
+
+
+_NO_ROWS = _Columns(
+    *(
+        np.empty(0, dtype=t)
+        for t in (np.int64, np.int64, str, complex, complex, bool, complex, bool)
+    )
+)
+
+
 class IndexedPointSet:
-    """Samples keyed by (lattice index, tag)."""
+    """Samples keyed by (lattice index, tag), stored as columns.
+
+    One row per sample, in insertion order: the lattice index ``(m, n)``,
+    the ``tag``, the absolute position ``pos``, and the optional ``delta``
+    and ``unit`` offsets with their presence masks.  A dict from key to
+    row number backs the duplicate check, :meth:`get` and ``in``.  Rows
+    inserted by :meth:`add` wait in a buffer that the next column read
+    appends in one step.  Outputs (``points``, ``to_json``, ``to_csv``)
+    list rows in the canonical (m, n, tag) order.
+    """
 
     def __init__(self, lattice: Lattice, window_radius: float, meta: dict | None = None):
         if window_radius <= 0:
@@ -77,7 +108,9 @@ class IndexedPointSet:
         self.lattice = lattice
         self.window_radius = float(window_radius)
         self.meta: dict = dict(meta or {})
-        self._entries: dict[tuple[LatticeIndex, str], PointEntry] = {}
+        self._cols = _NO_ROWS
+        self._buffer: list[tuple] = []
+        self._row_of: dict[tuple[int, int, str], int] = {}
 
     # -- container ---------------------------------------------------------
 
@@ -89,63 +122,136 @@ class IndexedPointSet:
         delta: complex | None = None,
         unit: complex | None = None,
     ) -> None:
-        """Insert a sample; give ``pos``, ``delta``, or both (consistent)."""
-        idx = LatticeIndex(int(index[0]), int(index[1]))
-        home = self.lattice.point(idx)
+        """Insert a sample; give ``pos``, ``delta``, or both (consistent).
+
+        Costs O(1); :meth:`add_many` checks and appends a whole batch at once.
+        """
+        m, n = int(index[0]), int(index[1])
+        home = self.lattice.point((m, n))
         if abs(home) > self.window_radius + 1e-9:
-            raise ValueError(f"home point {home} of index {tuple(idx)} outside window")
+            raise ValueError(f"home point {home} of index {(m, n)} outside window")
         if pos is None:
             if delta is None:
                 raise ValueError("need pos or delta")
             pos = home + delta
-        key = (idx, tag)
-        if key in self._entries:
-            raise ValueError(f"duplicate entry for index {tuple(idx)} tag {tag!r}")
-        self._entries[key] = PointEntry(
-            complex(pos),
-            None if delta is None else complex(delta),
-            None if unit is None else complex(unit),
+        key = (m, n, tag)
+        if key in self._row_of:
+            raise ValueError(f"duplicate entry for index {(m, n)} tag {tag!r}")
+        self._row_of[key] = len(self._row_of)
+        self._buffer.append((m, n, tag, complex(pos), delta, unit))
+
+    def add_many(self, indices, tag: str, pos=None, delta=None, unit=None) -> None:
+        """Insert one ``tag`` sample at each lattice index of ``indices`` (shape (k, 2)).
+
+        ``pos``, ``delta`` and ``unit`` are complex arrays broadcast
+        against the k indices, or None, with the meaning they have in
+        :meth:`add`.  Nothing is inserted when a home point lies outside
+        the window or a key (index, tag) is already present or repeated
+        within the batch.
+        """
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1, 2)
+        k = len(idx)
+        m, n = idx[:, 0], idx[:, 1]
+        if pos is None:
+            if delta is None:
+                raise ValueError("need pos or delta")
+            pos = self.lattice.point((m, n)) + np.asarray(delta, dtype=complex)
+        self._append(
+            _Columns(
+                m, n, np.full(k, tag), _broadcast(pos, k), *_optional(delta, k), *_optional(unit, k)
+            )
+        )
+
+    def _append(self, new: _Columns) -> None:
+        """Check whole columns of new rows, then append them after every earlier row."""
+        homes = self.lattice.point((new.m, new.n))
+        outside = np.flatnonzero(np.abs(homes) > self.window_radius + 1e-9)
+        if outside.size:
+            i = outside[0]
+            index = (int(new.m[i]), int(new.n[i]))
+            raise ValueError(f"home point {complex(homes[i])} of index {index} outside window")
+        keys = list(zip(new.m.tolist(), new.n.tolist(), new.tag.tolist()))
+        seen: set = set()
+        for key in keys:
+            if key in seen or key in self._row_of:
+                raise ValueError(f"duplicate entry for index {key[:2]} tag {key[2]!r}")
+            seen.add(key)
+        start = len(self._columns().m)
+        self._cols = _joined(self._cols, new)
+        self._row_of.update(zip(keys, range(start, start + len(keys))))
+
+    def _columns(self) -> _Columns:
+        """The columns, with the rows buffered by :meth:`add` appended first."""
+        if self._buffer:
+            m, n, tag, pos, delta, unit = zip(*self._buffer)
+            self._buffer = []
+            delta, has_delta = _fill_absent(delta, 0j)
+            unit, has_unit = _fill_absent(unit, 0j)
+            buffered = _Columns(
+                np.array(m, dtype=np.int64),
+                np.array(n, dtype=np.int64),
+                np.array(tag, dtype=str),
+                np.array(pos, dtype=complex),
+                np.array(delta, dtype=complex),
+                has_delta,
+                np.array(unit, dtype=complex),
+                has_unit,
+            )
+            self._cols = _joined(self._cols, buffered)
+        return self._cols
+
+    def _rows(self, tags: Sequence[str] | None = None) -> np.ndarray:
+        """Rows carrying one of ``tags`` (all rows for None) in canonical (m, n, tag) order."""
+        c = self._columns()
+        rows = np.arange(len(c.m)) if tags is None else np.flatnonzero(np.isin(c.tag, list(tags)))
+        return rows[np.lexsort((c.tag[rows], c.n[rows], c.m[rows]))]
+
+    def _row(self, index: tuple[int, int], tag: str) -> int:
+        row = self._row_of.get((int(index[0]), int(index[1]), tag))
+        if row is None:
+            raise KeyError((LatticeIndex(int(index[0]), int(index[1])), tag))
+        return row
+
+    def _entry(self, row: int) -> PointEntry:
+        c = self._columns()
+        return PointEntry(
+            complex(c.pos[row]),
+            complex(c.delta[row]) if c.has_delta[row] else None,
+            complex(c.unit[row]) if c.has_unit[row] else None,
         )
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._row_of)
 
     def __contains__(self, key: tuple[tuple[int, int], str]) -> bool:
         (m, n), tag = key
-        return (LatticeIndex(int(m), int(n)), tag) in self._entries
+        return (int(m), int(n), tag) in self._row_of
 
     def get(self, index: tuple[int, int], tag: str) -> PointEntry:
-        return self._entries[(LatticeIndex(int(index[0]), int(index[1])), tag)]
+        return self._entry(self._row(index, tag))
 
-    def items(self) -> Iterable[tuple[tuple[LatticeIndex, str], PointEntry]]:
-        return self._entries.items()
+    def items(self) -> list[tuple[tuple[LatticeIndex, str], PointEntry]]:
+        """``((index, tag), entry)`` for every row, in insertion order."""
+        return [
+            ((LatticeIndex(m, n), t), self._entry(row)) for (m, n, t), row in self._row_of.items()
+        ]
 
     def tags(self) -> list[str]:
-        return sorted({tag for (_, tag) in self._entries})
+        return sorted(set(self._columns().tag.tolist()))
 
     def indices(self, tags: Sequence[str] | None = None) -> list[LatticeIndex]:
-        """Distinct indices carrying at least one entry (of the given tags)."""
-        seen: dict[LatticeIndex, None] = {}
-        for (idx, tag) in self._entries:
-            if tags is None or tag in tags:
-                seen.setdefault(idx, None)
-        return sorted(seen, key=lambda i: (i.m, i.n))
+        """Distinct indices carrying at least one entry (of the given tags), sorted."""
+        rows, c = self._rows(tags), self._columns()
+        pairs = np.unique(np.stack([c.m[rows], c.n[rows]], axis=1), axis=0)
+        return [LatticeIndex(m, n) for m, n in pairs.tolist()]
 
     def points(self, tags: Sequence[str] | None = None) -> np.ndarray:
         """Positions as a complex array, canonically ordered by (m, n, tag)."""
-        keys = sorted(
-            (k for k in self._entries if tags is None or k[1] in tags),
-            key=lambda k: (k[0].m, k[0].n, k[1]),
-        )
-        return np.array([self._entries[k].pos for k in keys], dtype=complex)
+        return self._columns().pos[self._rows(tags)]
 
     def offset(self, index: tuple[int, int], tag: str) -> complex:
         """Offset from home: stored delta when present, positional difference otherwise."""
-        idx = LatticeIndex(int(index[0]), int(index[1]))
-        e = self._entries[(idx, tag)]
-        if e.delta is not None:
-            return e.delta
-        return e.pos - self.lattice.point(idx)
+        return complex(self._offsets(np.array([self._row(index, tag)]))[0])
 
     def log_offset_magnitude(self, index: tuple[int, int], tag: str) -> float:
         """Natural log of the offset magnitude, exact in the underflow regime.
@@ -155,35 +261,56 @@ class IndexedPointSet:
         ``kappa_cap * |unit| * exp(-gamma*|home|^2)`` evaluated in the log
         domain; otherwise it falls back to the float offset.
         """
-        idx = LatticeIndex(int(index[0]), int(index[1]))
-        e = self._entries[(idx, tag)]
+        return float(self._log_offsets(np.array([self._row(index, tag)]))[0])
+
+    def _homes(self, rows: np.ndarray) -> np.ndarray:
+        """Home lattice points of ``rows``."""
+        c = self._columns()
+        return self.lattice.point((c.m[rows], c.n[rows]))
+
+    def _offsets(self, rows: np.ndarray) -> np.ndarray:
+        c = self._columns()
+        return np.where(c.has_delta[rows], c.delta[rows], c.pos[rows] - self._homes(rows))
+
+    def _log_offsets(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`log_offset_magnitude` of each of ``rows``.
+
+        Magnitudes and logs are taken with Python's ``abs`` and
+        ``math.log``: numpy's vector ``abs`` and ``log`` differ from them
+        in the last bit on some inputs, and certificate reports must not
+        move.
+        """
+        c = self._columns()
         gamma = self.meta.get("gamma")
         kappa_cap = self.meta.get("kappa_cap")
-        if e.unit is not None and gamma is not None and kappa_cap is not None:
-            au = abs(e.unit)
-            if au == 0.0 or kappa_cap == 0.0:
-                return -math.inf
-            home = self.lattice.point(idx)
-            return math.log(kappa_cap) + math.log(au) - gamma * abs(home) ** 2
-        d = abs(self.offset(index, tag))
-        return -math.inf if d == 0.0 else math.log(d)
+        scaled = c.has_unit[rows] & (gamma is not None and kappa_cap is not None)
+        values = np.where(scaled, c.unit[rows], self._offsets(rows))
+        logs = np.array([math.log(abs(z)) if z != 0 else -math.inf for z in values.tolist()])
+        if scaled.any():
+            log_cap = math.log(kappa_cap) if kappa_cap != 0.0 else -math.inf
+            sq = _abs_squared(self._homes(rows[scaled]))
+            logs[scaled] = (log_cap + logs[scaled]) - gamma * sq
+        return logs
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        points = []
-        for (idx, tag) in sorted(self._entries, key=lambda k: (k[0].m, k[0].n, k[1])):
-            e = self._entries[(idx, tag)]
-            rec: dict = {
-                "index": [idx.m, idx.n],
-                "tag": tag,
-                "pos": [e.pos.real, e.pos.imag],
-            }
-            if e.delta is not None:
-                rec["delta"] = [e.delta.real, e.delta.imag]
-            if e.unit is not None:
-                rec["unit"] = [e.unit.real, e.unit.imag]
-            points.append(rec)
+        """The artifact document; its ``points`` are a :class:`jsonio.Table` in canonical order.
+
+        :meth:`from_json` reads it back as it is or after a round trip
+        through :func:`jsonio.dumps` and :func:`jsonio.loads`.
+        """
+        rows, c = self._rows(), self._columns()
+        points = jsonio.Table(
+            {
+                "index": np.stack([c.m[rows], c.n[rows]], axis=1),
+                "tag": c.tag[rows],
+                "pos": _pairs(c.pos[rows]),
+                "delta": _pairs(c.delta[rows]),
+                "unit": _pairs(c.unit[rows]),
+            },
+            present={"delta": c.has_delta[rows], "unit": c.has_unit[rows]},
+        )
         out: dict = {
             "lattice": self.lattice.to_json(),
             "window_radius": self.window_radius,
@@ -195,30 +322,97 @@ class IndexedPointSet:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "IndexedPointSet":
+        """Set from an artifact document, parsed or as :meth:`to_json` returns it.
+
+        The points are read into columns in one pass and checked like a
+        batch of :meth:`add_many`; every ``index``, ``pos``, ``delta`` and
+        ``unit`` must be a pair.
+        """
         lat = Lattice.from_json(data["lattice"])
         ps = cls(lat, float(data["window_radius"]), meta=data.get("meta"))
-        for rec in data["points"]:
-            delta = rec.get("delta")
-            unit = rec.get("unit")
-            ps.add(
-                tuple(rec["index"]),
-                rec["tag"],
-                pos=complex(rec["pos"][0], rec["pos"][1]),
-                delta=None if delta is None else complex(delta[0], delta[1]),
-                unit=None if unit is None else complex(unit[0], unit[1]),
+        points = data["points"]
+        if isinstance(points, jsonio.Table):
+            cols, present = points.columns, points.present
+            index, tag, pos = cols["index"], cols["tag"], cols["pos"]
+            delta, has_delta = cols["delta"], present["delta"]
+            unit, has_unit = cols["unit"], present["unit"]
+        else:
+            records = [
+                (r["index"], r["tag"], r["pos"], r.get("delta"), r.get("unit")) for r in points
+            ]
+            index, tag, pos, delta, unit = zip(*records) if records else ((),) * 5
+            delta, has_delta = _fill_absent(delta, (0.0, 0.0))
+            unit, has_unit = _fill_absent(unit, (0.0, 0.0))
+        idx = _pair_array(index, np.int64, "index")
+        ps._append(
+            _Columns(
+                idx[:, 0],
+                idx[:, 1],
+                np.array(tag, dtype=str),
+                _complex(pos, "pos"),
+                _complex(delta, "delta"),
+                has_delta,
+                _complex(unit, "unit"),
+                has_unit,
             )
+        )
         return ps
 
     def to_csv(self, path) -> None:
         """Rows ``m,n,tag,re,im`` with 17-significant-digit floats."""
+        rows, c = self._rows(), self._columns()
+        xy = _pairs(c.pos[rows]).ravel().tolist()
+        g17 = ("%.17g\n" * len(xy) % tuple(xy)).split("\n")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["m", "n", "tag", "re", "im"])
-            for (idx, tag) in sorted(self._entries, key=lambda k: (k[0].m, k[0].n, k[1])):
-                e = self._entries[(idx, tag)]
-                writer.writerow(
-                    [idx.m, idx.n, tag, format(e.pos.real, ".17g"), format(e.pos.imag, ".17g")]
-                )
+            writer.writerows(
+                zip(c.m[rows].tolist(), c.n[rows].tolist(), c.tag[rows].tolist(),
+                    g17[0:-1:2], g17[1::2])
+            )
+
+
+def _joined(first: _Columns, second: _Columns) -> _Columns:
+    return _Columns(*(np.concatenate(pair) for pair in zip(first, second)))
+
+
+def _broadcast(values, k: int) -> np.ndarray:
+    return np.broadcast_to(np.asarray(values, dtype=complex), (k,))
+
+
+def _optional(values, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column and presence mask of an optional per-row value (None: absent everywhere)."""
+    if values is None:
+        return np.zeros(k, dtype=complex), np.zeros(k, dtype=bool)
+    return _broadcast(values, k), np.ones(k, dtype=bool)
+
+
+def _pairs(z: np.ndarray) -> np.ndarray:
+    return np.stack([z.real, z.imag], axis=1)
+
+
+def _pair_array(pairs, dtype, field: str) -> np.ndarray:
+    """``[x, y]`` pairs as a (k, 2) array; any other shape is an error."""
+    arr = np.array(pairs, dtype=dtype)
+    if arr.shape != (len(pairs), 2) and len(pairs):
+        raise ValueError(f"point field {field!r} must hold [x, y] pairs, got shape {arr.shape}")
+    return arr.reshape(-1, 2)
+
+
+def _complex(pairs, field: str) -> np.ndarray:
+    """Complex column from ``[re, im]`` pairs, bit-exact (signed zeros included)."""
+    return np.ascontiguousarray(_pair_array(pairs, float, field)).view(complex).ravel()
+
+
+def _fill_absent(values, fill) -> tuple[list, np.ndarray]:
+    """``values`` with ``fill`` in place of each None, and the mask of the given ones."""
+    present = np.array([v is not None for v in values], dtype=bool)
+    return [fill if v is None else v for v in values], present
+
+
+def _abs_squared(z: np.ndarray) -> np.ndarray:
+    """``abs(z) ** 2`` per element in Python floats (see ``_log_offsets``)."""
+    return np.array([abs(v) ** 2 for v in z.tolist()], dtype=float)
 
 
 # -- triangle angles ---------------------------------------------------------
@@ -290,21 +484,18 @@ def certify_f_closeness(
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    keys = [k for k in ps._entries if k[1] == tag]
-    if not keys:
+    c = ps._columns()
+    rows = np.flatnonzero(c.tag == tag)
+    if not rows.size:
         raise ValueError(f"no entries with tag {tag!r}")
-    log_terms = np.empty(len(keys))
-    for i, key in enumerate(keys):
-        idx, _ = key
-        home = ps.lattice.point(idx)
-        log_terms[i] = ps.log_offset_magnitude(idx, tag) + gamma * abs(home) ** 2
+    log_terms = ps._log_offsets(rows) + gamma * _abs_squared(ps._homes(rows))
     best = int(np.argmax(log_terms))
     log_kappa = float(log_terms[best])
     kappa = math.exp(log_kappa) if log_kappa < 709.0 else math.inf
     if log_kappa == -math.inf:
         kappa, worst = 0.0, None
     else:
-        worst = (keys[best][0].m, keys[best][0].n)
+        worst = (int(c.m[rows[best]]), int(c.n[rows[best]]))
     passed = math.isfinite(kappa)
     if kappa_cap is not None:
         passed = passed and kappa <= kappa_cap * (1.0 + 1e-12)
@@ -314,7 +505,7 @@ def certify_f_closeness(
         kappa=kappa,
         log_kappa=log_kappa,
         worst_index=worst,
-        count=len(keys),
+        count=len(rows),
         window_radius=ps.window_radius,
         passed=passed,
     )
@@ -365,36 +556,42 @@ def angle_condition(ps: IndexedPointSet, beta: float) -> AngleReport:
         raise ValueError(
             f"window radius {ps.window_radius} below 4/sqrt(beta) = {4.0 / math.sqrt(beta)}"
         )
-    indices = ps.indices(tags=TRIPLE_TAGS)
-    if not indices:
+    c = ps._columns()
+    rows = np.flatnonzero(np.isin(c.tag, TRIPLE_TAGS))
+    if not rows.size:
         raise ValueError("set has no A/B/C entries")
-    theta_min = math.inf
-    sup_ratio = 0.0
-    worst: tuple[int, int] | None = None
-    for idx in indices:
-        missing = [t for t in TRIPLE_TAGS if (idx, t) not in ps._entries]
-        if missing:
-            raise ValueError(f"index {tuple(idx)} is missing triple tags {missing}")
-        home = ps.lattice.point(idx)
-        entries = [ps.get(idx, t) for t in TRIPLE_TAGS]
-        if all(e.unit is not None for e in entries):
-            verts = [e.unit for e in entries]
-        elif all(e.delta is not None for e in entries):
-            verts = [e.delta for e in entries]
-        else:
-            verts = [e.pos for e in entries]
-        theta = median_angle(*verts)
-        theta_min = min(theta_min, theta)
-        r = abs(home)
-        if r == 0.0:
-            ratio = 0.0
-        elif theta == 0.0:
-            ratio = math.inf
-        else:
-            ratio = r * math.exp(-beta * r * r) / theta
-        if ratio > sup_ratio or worst is None:
-            sup_ratio = ratio
-            worst = (idx.m, idx.n)
+    indices, slot = np.unique(
+        np.stack([c.m[rows], c.n[rows]], axis=1), axis=0, return_inverse=True
+    )
+    # triple[i, t]: row of index i with tag TRIPLE_TAGS[t], or -1
+    triple = np.full((len(indices), len(TRIPLE_TAGS)), -1)
+    for t, tag in enumerate(TRIPLE_TAGS):
+        mine = c.tag[rows] == tag
+        triple[slot.ravel()[mine], t] = rows[mine]
+    incomplete = np.flatnonzero((triple < 0).any(axis=1))
+    if incomplete.size:
+        i = incomplete[0]
+        missing = [tag for t, tag in enumerate(TRIPLE_TAGS) if triple[i, t] < 0]
+        raise ValueError(f"index {tuple(indices[i].tolist())} is missing triple tags {missing}")
+    # vertices: unit offsets where all three carry them, else deltas, else positions
+    use_unit = c.has_unit[triple].all(axis=1, keepdims=True)
+    use_delta = c.has_delta[triple].all(axis=1, keepdims=True)
+    verts = np.where(
+        use_unit, c.unit[triple], np.where(use_delta, c.delta[triple], c.pos[triple])
+    )
+    thetas = median_angles(verts[:, 0], verts[:, 1], verts[:, 2])
+    radii = [abs(h) for h in ps.lattice.point((indices[:, 0], indices[:, 1])).tolist()]
+    ratios = np.array(
+        [
+            0.0 if r == 0.0 else (math.inf if theta == 0.0 else r * math.exp(-beta * r * r) / theta)
+            for r, theta in zip(radii, thetas.tolist())
+        ]
+    )
+    # first maximum in (m, n) order
+    best = int(np.argmax(ratios))
+    theta_min = float(np.min(thetas))
+    sup_ratio = float(ratios[best])
+    worst = (int(indices[best, 0]), int(indices[best, 1]))
     return AngleReport(
         beta=beta,
         theta_min=theta_min,
@@ -546,9 +743,7 @@ def uniform_closeness_delta(
     square-lattice spacing at weight ``beta``:
     ``delta + sqrt(pi/(2*beta))``.
     """
-    delta = 0.0
-    for (idx, tag), _ in ps.items():
-        delta = max(delta, abs(ps.offset(idx, tag)))
+    delta = max([0.0] + [abs(z) for z in ps._offsets(np.arange(len(ps))).tolist()])
     if beta is None:
         return delta
     if beta <= 0:

@@ -111,9 +111,8 @@ def deterministic_triple(cfg: GeneratorConfig) -> IndexedPointSet:
     scale = _budgets(cfg, pts)
     ps = IndexedPointSet(cfg.lattice, cfg.window_radius, meta=cfg._meta("det3", list(TRIPLE_TAGS)))
     for tag, root in zip(TRIPLE_TAGS, _CUBE_ROOTS):
-        for (m, n), lam, s in zip(idx, pts, scale):
-            d = s * root
-            ps.add((int(m), int(n)), tag, pos=lam + d, delta=d, unit=root)
+        d = scale * root
+        _add_each(ps, idx, tag, pts + d, d, root)
     return ps
 
 
@@ -129,8 +128,7 @@ def random_triple(cfg: GeneratorConfig) -> IndexedPointSet:
     for label, tag in zip((1, 2, 3), TRIPLE_TAGS):
         units = keyed_disk(cfg.seed, m, n, label)
         deltas = scale * units
-        for (mm, nn), lam, d, u in zip(idx, pts, deltas, units):
-            ps.add((int(mm), int(nn)), tag, pos=lam + d, delta=d, unit=u)
+        _add_each(ps, idx, tag, pts + deltas, deltas, units)
     return ps
 
 
@@ -160,22 +158,17 @@ def real_pair(cfg: GeneratorConfig) -> IndexedPointSet:
     scale = _budgets(cfg, pts)
     m, n = idx[:, 0], idx[:, 1]
     ps = IndexedPointSet(cfg.lattice, cfg.window_radius, meta=cfg._meta("real2", ["1", "2"]))
-    for label, tag in ((1, "1"), (2, "2")):
+    draws = []
+    for label in (1, 2):
         units = keyed_disk(cfg.seed, m, n, label)
         deltas = scale * units
-        for (mm, nn), lam, d, u in zip(idx, pts, deltas, units):
-            ps.add((int(mm), int(nn)), tag, pos=lam + d, delta=d, unit=u)
-    for (mm, nn), lam in zip(idx, pts):
-        if lam.imag < -1e-9 * max(1.0, abs(lam)):
-            continue
-        here = (int(mm), int(nn))
-        bar = cfg.lattice.index_of(np.conj(lam))
-        a = ps.get(here, "1")
-        b = ps.get(here, "2")
-        c = ps.get(tuple(bar), "1")
-        ps.add(here, "A", pos=a.pos, delta=a.delta, unit=a.unit)
-        ps.add(here, "B", pos=b.pos, delta=b.delta, unit=b.unit)
-        ps.add(here, "C", pos=np.conj(c.pos), delta=np.conj(c.delta), unit=np.conj(c.unit))
+        draws.append((pts + deltas, deltas, units))
+        _add_each(ps, idx, str(label), *draws[-1])
+    here = np.flatnonzero(pts.imag >= -1e-9 * np.maximum(1.0, np.abs(pts)))
+    bar = _window_rows(idx, cfg.lattice.indices_of(np.conj(pts[here])))
+    for tag, (pos, delta, unit) in zip("AB", draws):
+        _add_each(ps, idx[here], tag, pos[here], delta[here], unit[here])
+    _add_each(ps, idx[here], "C", *(np.conj(col[bar]) for col in draws[0]))
     return ps
 
 
@@ -200,26 +193,43 @@ def even_single(cfg: GeneratorConfig) -> IndexedPointSet:
     ps = IndexedPointSet(cfg.lattice, cfg.window_radius, meta=cfg._meta("even1", ["1"]))
     units = keyed_disk(cfg.seed, m, n, 1)
     deltas = scale * units
-    for (mm, nn), lam, d, u in zip(idx, pts, deltas, units):
-        if (int(mm), int(nn)) == (0, 0):
-            continue
-        ps.add((int(mm), int(nn)), "1", pos=lam + d, delta=d, unit=u)
-    for (mm, nn), lam in zip(idx, pts):
-        here = (int(mm), int(nn))
-        if here == (0, 0):
-            continue
-        tol = 1e-9 * max(1.0, abs(lam))
-        if lam.real < -tol or lam.imag < -tol:
-            continue
-        bar = tuple(cfg.lattice.index_of(np.conj(lam)))
-        neg = tuple(cfg.lattice.index_of(-lam))
-        a = ps.get(here, "1")
-        b = ps.get(bar, "1")
-        c = ps.get(neg, "1")
-        ps.add(here, "A", pos=a.pos, delta=a.delta, unit=a.unit)
-        ps.add(here, "B", pos=np.conj(b.pos), delta=np.conj(b.delta), unit=np.conj(b.unit))
-        ps.add(here, "C", pos=-c.pos, delta=-c.delta, unit=-c.unit)
+    pos = pts + deltas
+    nonzero = (m != 0) | (n != 0)
+    _add_each(ps, idx[nonzero], "1", pos[nonzero], deltas[nonzero], units[nonzero])
+    tol = 1e-9 * np.maximum(1.0, np.abs(pts))
+    here = np.flatnonzero(nonzero & (pts.real >= -tol) & (pts.imag >= -tol))
+    bar = _window_rows(idx, cfg.lattice.indices_of(np.conj(pts[here])))
+    neg = _window_rows(idx, cfg.lattice.indices_of(-pts[here]))
+    _add_each(ps, idx[here], "A", pos[here], deltas[here], units[here])
+    _add_each(ps, idx[here], "B", np.conj(pos[bar]), np.conj(deltas[bar]), np.conj(units[bar]))
+    _add_each(ps, idx[here], "C", -pos[neg], -deltas[neg], -units[neg])
     return ps
+
+
+def _add_each(ps: IndexedPointSet, idx: np.ndarray, tag: str, pos, delta, unit) -> None:
+    """One ``ps.add`` per row of ``idx`` (shape (k, 2)), values taken row by row.
+
+    ``unit`` may be one value for all rows, and a None ``pos`` means
+    home + delta.  Each sample is its own O(1) :meth:`IndexedPointSet.add`
+    call, the per-sample step that ``perfbench`` traces tally.
+    """
+    k = len(idx)
+    pos = [None] * k if pos is None else pos.tolist()
+    unit = np.broadcast_to(unit, k).tolist()
+    for index, p, d, u in zip(idx.tolist(), pos, delta.tolist(), unit):
+        ps.add(index, tag, pos=p, delta=d, unit=u)
+
+
+def _window_rows(idx: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Row of each wanted lattice index (shape (k, 2)) in a window's index array."""
+    pairs, inverse = np.unique(np.concatenate([idx, wanted]), axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    row_of = np.full(len(pairs), -1)
+    row_of[inverse[: len(idx)]] = np.arange(len(idx))
+    rows = row_of[inverse[len(idx):]]
+    if (rows < 0).any():
+        raise KeyError(f"index {tuple(wanted[np.argmin(rows)].tolist())} is outside the window")
+    return rows
 
 
 # -- density-optimal variants -------------------------------------------------
@@ -327,18 +337,14 @@ def density_opt_even(
         else:
             raise ValueError(f"unknown mode {mode!r}")
         draws.append(units)
-    for i, ((mm, nn), lam) in enumerate(zip(idx, pts)):
-        mm, nn = int(mm), int(nn)
-        s = scale[i]
-        ua, ub, uc = draws[0][i], draws[1][i], draws[2][i]
-        emits = (
-            ((mm, -nn - 1), "A", np.conj(s * ua), np.conj(ua)),
-            ((-mm - 1, -nn - 1), "B", -(s * ub), -ub),
-            ((-mm - 1, nn), "C", -np.conj(s * uc), -np.conj(uc)),
-        )
-        for out_idx, tag, d, u in emits:
-            home = lat.point(out_idx)
-            ps.add(out_idx, tag, pos=home + d, delta=d, unit=u)
+    ua, ub, uc = draws
+    emits = (
+        (m, -n - 1, "A", np.conj(scale * ua), np.conj(ua)),
+        (-m - 1, -n - 1, "B", -(scale * ub), -ub),
+        (-m - 1, n, "C", -np.conj(scale * uc), -np.conj(uc)),
+    )
+    for out_m, out_n, tag, d, u in emits:
+        _add_each(ps, np.stack([out_m, out_n], axis=1), tag, None, d, u)
     return ps
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import Lattice, LatticeIndex, window_arrays
+from .lattice import Lattice, window_arrays
 from .pointset import IndexedPointSet, DensityReport, density_estimate
 
 __all__ = [
@@ -546,8 +546,7 @@ class GGammaEvaluator:
         lat = Lattice(step, step * 1j)
         ps = IndexedPointSet(lat, window_radius=sample_radius, meta={"beta": beta})
         idx, pts = window_arrays(lat, sample_radius)
-        for (mm, nn), pt in zip(idx.tolist(), pts.tolist()):
-            ps.add(LatticeIndex(mm, nn), "G", pos=pt)
+        ps.add_many(idx, "G", pos=pts)
         return cls(ps, tag="G", product_radius=product_radius, kmax=kmax)
 
     # -- log-domain evaluation -------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -50,6 +51,39 @@ def test_generate_writes_a_loadable_set_and_csv(det3_set, tmp_path):
     rows = csv_path.read_text().strip().splitlines()
     assert len(rows) == 148  # header + one row per entry
     assert rows[0].split(",")[:3] == ["m", "n", "tag"]
+
+
+# sha256 of each output written with --seed 1 by the dict-per-entry code
+# this package had before its point sets became columnar; the radii reach
+# the regime where Gaussian budgets underflow and offsets collapse to +-0.0
+GOLDEN_GENERATE = {
+    "rand3": (["--alpha", PI, "--radius", 12], {
+        "rand3.json": "9319173b413fa7056f8729466a0a6539b1a8440fefff9daafdb97c8937170af5"}),
+    "det3": (["--alpha", PI, "--radius", 12], {
+        "det3.json": "3ed3e2620447960c275f6cf620314019b3ef0c6bda5125e7db6a169c3a12c7f3"}),
+    "real2": (["--v", 0.5, "--radius", 11, "--csv", "real2.csv"], {
+        "real2.json": "6782c6959f78376d4a434f1be74612fbd92ddb4de90359626bc7a876dcd8adfc",
+        "real2.csv": "b122d5870d42ff1ef0808c8464e9f5ebea7ffc5d807c1a532aa3829c266dff30"}),
+    "even1": (["--v", 0.5, "--radius", 11], {
+        "even1.json": "d6bfdacb512afafa329aa38ee3b1036c8dfa7c527c17a5d55020558d46ec3af9"}),
+    "optreal": (["--v", 0.45, "--radius", 11], {
+        "optreal.json": "435df3dba1fc62a40bd30d42221ba8629ccea924149042cf168fa7a39e07221a"}),
+    "opteven": (["--v", 0.45, "--radius", 11], {
+        "opteven.json": "b8d19e7167259ef574e8285c6f873740384717330daf8acaf398de54c12b53b0"}),
+}
+
+
+def test_generate_bytes_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got, want = {}, {}
+    for construction, (args, digests) in GOLDEN_GENERATE.items():
+        rc = run("generate", "--construction", construction, *args, "--seed", 1,
+                 "--out", f"{construction}.json")
+        assert rc == 0
+        for name, digest in digests.items():
+            got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            want[name] = digest
+    assert got == want
 
 
 def test_generate_is_deterministic_bytes(tmp_path):

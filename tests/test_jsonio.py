@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fockpr import jsonio
 
@@ -93,3 +94,77 @@ def test_file_round_trip(tmp_path):
     text = path.read_text(encoding="ascii")
     assert text.endswith("\n")
     assert jsonio.load_path(path) == doc
+
+
+# -- bulk formatting and the table path -------------------------------------------
+
+
+@given(st.lists(st.floats(), max_size=40))
+@example([-0.0])
+@example([5e-324])
+@example([float(2**53)])
+@example([1e16])
+@example([1e17])
+@example([math.inf])
+@example([-math.inf])
+@example([math.nan])
+def test_format_floats_matches_format_float(xs):
+    assert jsonio.format_floats(np.array(xs, dtype=float)) == [jsonio.format_float(x) for x in xs]
+
+
+def _table(columns, present):
+    """A table of the given columns and its list of dicts, built by hand as the oracle."""
+    arrays = {
+        key: np.array(col, dtype=np.int64 if key == "index" else (str if key == "tag" else float))
+        for key, col in columns.items()
+    }
+    rows = {key: col.tolist() for key, col in arrays.items()}
+    n = len(columns["tag"])
+    records = [
+        {key: col[i] for key, col in rows.items() if present.get(key, [True] * n)[i]}
+        for i in range(n)
+    ]
+    return jsonio.Table(arrays, present=present), records
+
+
+floats_with_edges = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 3.0, -25.0, 1e17, 5e-324]),
+)
+
+
+@given(st.data())
+def test_table_path_matches_the_recursive_writer(data):
+    n = data.draw(st.integers(0, 8))
+    pairs = st.lists(st.lists(floats_with_edges, min_size=2, max_size=2), min_size=n, max_size=n)
+    masks = st.lists(st.booleans(), min_size=n, max_size=n)
+    columns = {
+        "index": data.draw(st.lists(st.lists(st.integers(-99, 99), min_size=2, max_size=2),
+                                    min_size=n, max_size=n)),
+        "tag": data.draw(st.lists(st.text(max_size=3), min_size=n, max_size=n)),
+        "pos": data.draw(pairs),
+        "delta": data.draw(pairs),
+        "unit": data.draw(pairs),
+        "w": data.draw(st.lists(floats_with_edges, min_size=n, max_size=n)),
+    }
+    present = {"delta": data.draw(masks), "unit": data.draw(masks)}
+    table, records = _table(columns, present)
+    assert jsonio.dumps({"points": table, "n": n}) == jsonio.dumps({"points": records, "n": n})
+
+
+def test_table_path_on_point_records():
+    columns = {
+        "index": [[0, 0], [1, 0], [1, 0], [2, -1]],
+        "tag": ["A", "A", "B", "1"],
+        "pos": [[0.0, 0.0], [1.0, -0.0], [1.5, 0.25], [2.0, -1.0]],
+        "delta": [[-0.0, 0.0], [0.0, -0.0], [0.5, 0.25], [1e-300, -5e-324]],
+        "unit": [[0.5, -0.5], [0.0, 1.0], [-1.0, 0.0], [0.3, 0.4]],
+    }
+    present = {"delta": [True, True, False, True], "unit": [False, True, True, False]}
+    table, records = _table(columns, present)
+    text = jsonio.dumps({"points": table})
+    assert text == jsonio.dumps({"points": records})
+    assert jsonio.dumps(table) == jsonio.dumps(records)  # at the top level too
+    assert '"delta": [\n        -0.0,\n        0.0\n      ]' in text
+    empty = jsonio.Table({"tag": np.array([], dtype=str), "pos": np.empty((0, 2))})
+    assert jsonio.dumps({"points": empty}) == jsonio.dumps({"points": []})

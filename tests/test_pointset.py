@@ -108,6 +108,43 @@ def test_add_rejects_bad_entries():
         IndexedPointSet(Lattice(1.0, 1.0j), window_radius=0.0)
 
 
+def test_add_many_matches_single_adds_and_rejects_whole_batches():
+    ps, one_by_one = make_set(), make_set()
+    idx = [(0, 0), (1, 0), (0, 1)]
+    deltas = [0.01, 0.02j, -0.0]
+    ps.add_many(idx, "A", delta=deltas, unit=0.5)
+    for index, d in zip(idx, deltas):
+        one_by_one.add(index, "A", delta=d, unit=0.5)
+    assert ps.items() == one_by_one.items()
+    rejected = [
+        ([(2, 0), (3, 0), (2, 0)], "A", {"pos": [2.0, 3.0, 2.0]}),  # duplicate within the batch
+        ([(2, 0), (1, 0)], "A", {"pos": [2.0, 1.0]}),  # duplicate of an existing row
+        ([(2, 0), (40, 0)], "B", {"pos": [2.0, 40.0]}),  # home outside the window
+        ([(2, 0), (3, 0)], "B", {"unit": [0.1, 0.2]}),  # neither pos nor delta
+    ]
+    for indices, tag, values in rejected:
+        with pytest.raises(ValueError):
+            ps.add_many(indices, tag, **values)
+        assert len(ps) == 3  # nothing of a rejected batch is inserted
+    with pytest.raises(ValueError, match=r"duplicate entry for index \(2, 0\) tag 'A'"):
+        ps.add_many([(2, 0), (3, 0), (2, 0)], "A", pos=[2.0, 3.0, 2.0])
+
+
+def test_single_adds_and_batches_share_one_row_order():
+    ps = make_set()
+    ps.add((1, 0), "A", pos=1.0)
+    ps.add_many([(2, 0), (3, 0)], "A", pos=[2.0, 3.0])
+    ps.add((0, 0), "B", delta=0.5j)
+    assert ps.get((0, 0), "B").pos == 0.5j
+    keys = [key for key, _ in ps.items()]
+    assert keys == [((1, 0), "A"), ((2, 0), "A"), ((3, 0), "A"), ((0, 0), "B")]
+    with pytest.raises(ValueError, match="duplicate"):
+        ps.add_many([(4, 0), (0, 0)], "B", pos=[4.0, 0.0])  # repeats a row not yet appended
+    assert len(ps) == 4
+    assert ps.get((3, 0), "A").pos == 3.0
+    assert ((4, 0), "B") not in ps
+
+
 def test_points_are_canonically_ordered():
     ps = make_set()
     ps.add((1, 0), "B", pos=1.0)
@@ -321,16 +358,60 @@ def test_json_round_trip_preserves_everything():
     ps.add((25, 0), "A", pos=25.0, unit=0.6 - 0.1j)
     ps.add((1, 2), "A", delta=1e-3 + 2e-3j, unit=0.2j)
     ps.add((0, 0), "B", pos=0.05)
-    back = IndexedPointSet.from_json(ps.to_json())
-    assert back.lattice == ps.lattice
-    assert back.window_radius == ps.window_radius
-    assert back.meta == ps.meta
-    assert dict(back.items()) == dict(ps.items())
-    # canonical text form is a fixed point
+    ps.add((0, 1), "C", pos=complex(-0.0, 1.0), delta=complex(-0.0, 0.0))  # signed zeros
     text = jsonio.dumps(ps.to_json())
-    assert jsonio.dumps(back.to_json()) == text
-    # log-domain information survives the round trip
-    assert back.log_offset_magnitude((25, 0), "A") == ps.log_offset_magnitude((25, 0), "A")
+    # in memory, and through the canonical text
+    for doc in (ps.to_json(), jsonio.loads(text)):
+        back = IndexedPointSet.from_json(doc)
+        assert back.lattice == ps.lattice
+        assert back.window_radius == ps.window_radius
+        assert back.meta == ps.meta
+        assert dict(back.items()) == dict(ps.items())
+        # canonical text form is a fixed point
+        assert jsonio.dumps(back.to_json()) == text
+        # log-domain information survives the round trip
+        assert back.log_offset_magnitude((25, 0), "A") == ps.log_offset_magnitude((25, 0), "A")
+
+
+def test_from_json_rejects_fields_that_are_not_pairs():
+    doc = jsonio.loads(jsonio.dumps(make_set().to_json()))
+    good = {"index": [1, 0], "tag": "A", "pos": [1.0, 0.0], "delta": [0.0, 0.0]}
+    for field, bad in (
+        ("index", [2, 0, 0]),
+        ("pos", [2.0, 0.0, 0.0]),
+        ("delta", [0.1, 0.2, 0.3]),
+        ("unit", [0.5]),
+    ):
+        with pytest.raises(ValueError, match="pairs"):
+            IndexedPointSet.from_json({**doc, "points": [{**good, field: bad}]})
+        with pytest.raises(ValueError):  # ragged against a well-formed record
+            points = [good, {**good, "index": [2, 0], field: bad}]
+            IndexedPointSet.from_json({**doc, "points": points})
+
+
+def _entry_dicts(ps):
+    """The point records built one dict per entry, as the artifact writer once did."""
+    out = []
+    for (idx, tag), e in sorted(ps.items(), key=lambda kv: (kv[0][0].m, kv[0][0].n, kv[0][1])):
+        rec = {"index": [idx.m, idx.n], "tag": tag, "pos": [e.pos.real, e.pos.imag]}
+        if e.delta is not None:
+            rec["delta"] = [e.delta.real, e.delta.imag]
+        if e.unit is not None:
+            rec["unit"] = [e.unit.real, e.unit.imag]
+        out.append(rec)
+    return out
+
+
+def test_json_table_matches_the_dict_per_entry_writer():
+    ps = make_set(gamma=7.0, kappa_cap=0.3)
+    ps.add((1, 0), "B", pos=1.0, delta=-0.0, unit=0.25)
+    ps.add((1, 0), "A", pos=1.0 + 0.5j)
+    ps.add((-2, 3), "A", delta=complex(-0.0, 1e-300), unit=-0.6j)
+    ps.add_many([(25, 0), (0, 0)], "C", pos=[25.0, 0.0], unit=[0.6 - 0.1j, 0.0])
+    doc = ps.to_json()
+    assert jsonio.dumps(doc) == jsonio.dumps({**doc, "points": _entry_dicts(ps)})
+    empty = make_set().to_json()
+    assert jsonio.dumps(empty) == jsonio.dumps({**empty, "points": []})
 
 
 def test_csv_export(tmp_path):
