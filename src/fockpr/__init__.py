@@ -61,7 +61,6 @@ from .special import (
     CriticalQ,
     GGammaEvaluator,
     SigmaEvaluator,
-    critical_counterexample,
     fock_annulus_increments,
     lagrange_interpolate,
     tail_coefficients,

@@ -2,11 +2,13 @@
 
 This module builds numerically validated evaluators for:
 
-* the Weierstrass sigma function of a lattice, truncated to a finite
-  window with a compensated tail so that evaluation stays accurate on a
-  documented disk,
-* its quasi-periods ``eta1, eta2`` (solved from the functional equation,
-  cross-checked against the Legendre relation),
+* the Weierstrass sigma function of a lattice, from the Jacobi theta
+  series of a reduced basis after reducing ``z`` into the fundamental
+  cell (DLMF 23.6.9 and 20.2.1), with no domain limit but the range of
+  floating point,
+* its quasi-periods ``eta1, eta2`` (each reduced generator from
+  theta_1'''(0) / theta_1'(0) of its own period ratio, cross-checked
+  against the Legendre relation and the translation equation),
 * the growth-corrected variant ``sigma_mod(z) = sigma(z) * exp(a z^2)``
   whose modulus grows like ``exp(pi |z|^2 / (2 s))`` with ``s`` the
   lattice cell area,
@@ -37,7 +39,6 @@ __all__ = [
     "SigmaEvaluator",
     "tail_coefficients",
     "CriticalQ",
-    "critical_counterexample",
     "fock_annulus_increments",
     "GGammaEvaluator",
     "DerivativeBoundProbe",
@@ -47,6 +48,8 @@ __all__ = [
 ]
 
 _EVAL_CHUNK = 2048
+# Bound on the eager sigma residuals; breaching it is an internal fault.
+_CHECK_TOL = 1e-6
 
 
 def _reduce_tau(w1: complex, w2: complex) -> tuple[complex, complex, complex]:
@@ -102,8 +105,8 @@ def _annulus(lat: Lattice, r_lo: float, r_hi: float) -> np.ndarray:
 def tail_coefficients(
     lat: Lattice,
     radius: float,
+    zmax: float,
     kmax: int = 24,
-    zmax: float | None = None,
     eps_log: float = 1e-9,
 ) -> dict[int, complex]:
     """Power sums S_k = sum over |lam| > radius of lam^(-k), even k in [4, kmax].
@@ -120,8 +123,6 @@ def tail_coefficients(
     instead taken directly over a finite annulus sized so the analytic
     remainder meets the target.
     """
-    if zmax is None:
-        zmax = radius / 3.0
     if kmax < 6 or kmax % 2:
         raise ValueError("kmax must be an even integer >= 6")
     area = lat.area
@@ -147,88 +148,78 @@ def tail_coefficients(
     return coeffs
 
 
-def _branch_solve(
-    values: Callable[[np.ndarray], np.ndarray], omega: complex
-) -> complex:
-    """Solve sigma(z+omega) = -sigma(z) exp(eta (z + omega/2)) for eta.
+def _theta1_coefficients(tau: complex) -> np.ndarray:
+    """Coefficients c_n = 2 (-1)^n q^((n + 1/2)^2) with q = exp(i pi tau).
 
-    The principal log leaves an unknown multiple of 2*pi*i per probe
-    point; the multiple is fixed by demanding agreement between two
-    generic probes (the reconciled pair with the smallest mismatch wins).
+    Then ``theta_1(v) = sum_n c_n sin((2n+1) v)`` (DLMF 20.2.1).  The
+    count keeps the dropped terms below 1e-17 of the sum while
+    ``|Im v| <= 3 pi Im(tau) / 2``, i.e. up to one period outside the
+    centred cell.
     """
-    probes = np.array([0.3131 + 0.2213j, -0.1709 + 0.4471j])
-    num = values(probes + omega)
-    den = values(probes)
-    if np.any(np.abs(num) < 1e-12) or np.any(np.abs(den) < 1e-12):
-        probes = probes + (0.101 + 0.0733j)
-        num = values(probes + omega)
-        den = values(probes)
-    raw = np.log(-num / den)
-    half = probes + omega / 2.0
-    best: tuple[float, complex] | None = None
-    for k0 in range(-4, 5):
-        eta0 = (raw[0] + 2j * math.pi * k0) / half[0]
-        for k1 in range(-4, 5):
-            eta1 = (raw[1] + 2j * math.pi * k1) / half[1]
-            mismatch = abs(eta0 - eta1)
-            if best is None or mismatch < best[0]:
-                best = (mismatch, (eta0 + eta1) / 2.0)
-    assert best is not None
-    if best[0] > 1e-6 * max(1.0, abs(best[1])):
-        raise RuntimeError(
-            f"quasi-period branch reconciliation failed (mismatch {best[0]:.3e})"
-        )
-    return best[1]
+    count = int(math.ceil(2.0 + math.sqrt(40.0 / (math.pi * tau.imag))))
+    n = np.arange(count + 1)
+    return 2.0 * (-1.0) ** n * np.exp(1j * math.pi * tau * (n + 0.5) ** 2)
+
+
+def _theta_eta(coeffs: np.ndarray, w: complex) -> complex:
+    """Quasi-period of the generator ``w``: -pi^2 theta_1'''(0) / (3 w theta_1'(0)).
+
+    ``coeffs`` belong to the ratio (other generator) / ``w`` (DLMF 23.6.8).
+    """
+    odd = 2.0 * np.arange(coeffs.size) + 1.0
+    d1 = complex(np.sum(coeffs * odd))
+    d3 = -complex(np.sum(coeffs * odd ** 3))
+    return -(math.pi ** 2) * d3 / (3.0 * w * d1)
+
+
+def _finite(values, what: str) -> None:
+    """Raise ValueError when any of ``values`` is inf or nan."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} is not finite here (overflow or non-finite input)")
 
 
 class SigmaEvaluator:
-    """Windowed Weierstrass sigma with compensated truncation tail.
+    """Weierstrass sigma of an unshifted lattice from the Jacobi theta series.
 
-    The product runs over lattice points with 0 < |lam| <= truncation_radius;
-    the discarded tail is restored through the power sums of
-    :func:`tail_coefficients`, keeping relative accuracy around 1e-9 on
-    the disk |z| <= truncation_radius / 3 (the accuracy domain).
+    With the reduced basis ``(r1, r2)``, ``tau = r2 / r1`` and
+    ``q = exp(i pi tau)`` (``|q| <= exp(-pi sqrt(3) / 2)``), DLMF 23.6.9
+    reads, for full periods,
 
-    Quasi-periods, the Legendre relation, the growth-correction constant
-    ``a_const`` and a functional-equation residual are computed eagerly;
-    construction fails if validation exceeds ``tol``.
+        sigma(z) = (r1 / pi) exp(eta_r1 z^2 / (2 r1)) theta_1(pi z / r1) / theta_1'(0).
+
+    A point ``z = z0 + lam`` with ``lam = m r1 + n r2`` is reduced into
+    the centred cell first and brought back by quasi-periodicity,
+    ``sigma(z0 + lam) = (-1)^(m+n+mn) sigma(z0) exp(eta(lam) (z0 + lam/2))``,
+    so the series only ever runs at ``|Im v| <= pi Im(tau) / 2``.  Each
+    reduced generator takes its quasi-period from its own theta series
+    (``r2`` from the ratio ``-r1 / r2``); ``eta1, eta2`` are the additive
+    combinations for the lattice's own generators.  The Legendre relation,
+    the growth constant ``a_const`` and a translation residual are
+    validated eagerly.  Values that overflow (past ``|z|`` of about 21 on
+    ``Z + iZ``) raise ValueError.
     """
 
-    def __init__(
-        self,
-        lat: Lattice,
-        truncation_radius: float = 30.0,
-        kmax: int = 24,
-        tol: float = 1e-6,
-    ) -> None:
+    def __init__(self, lat: Lattice) -> None:
         if lat.shift != 0:
             raise ValueError("sigma evaluators require an unshifted lattice")
-        gen_reach = max(abs(lat.omega1), abs(lat.omega2))
-        if truncation_radius < 3.0 * (gen_reach + 1.0):
-            raise ValueError(
-                "truncation_radius must be at least 3*(max generator length + 1) "
-                f"(got {truncation_radius}, need {3.0 * (gen_reach + 1.0):.3g})"
-            )
         self.lattice = lat
-        self.truncation_radius = float(truncation_radius)
-        self.kmax = int(kmax)
-        self.tol = float(tol)
-        _idx, pts = window_arrays(lat, truncation_radius)
-        self._points = pts[np.abs(pts) > 0.0]
-        self._tail = tail_coefficients(
-            lat, truncation_radius, kmax=kmax, zmax=self.accuracy_radius
+        r1, r2, tau = _reduce_tau(complex(lat.omega1), complex(lat.omega2))
+        self._r1, self._r2, self._tau = r1, r2, tau
+        self._coeffs = _theta1_coefficients(tau)
+        self._odd = 2.0 * np.arange(self._coeffs.size) + 1.0
+        self._scale = r1 / (math.pi * complex(np.sum(self._coeffs * self._odd)))
+        self._eta_r = (
+            _theta_eta(self._coeffs, r1),
+            _theta_eta(_theta1_coefficients(-r1 / r2), r2),
         )
-        self._tail_ks = np.array(sorted(self._tail), dtype=float)
-        self._tail_vals = np.array([self._tail[int(k)] for k in self._tail_ks])
+        self.eta1, self.eta2 = (self._eta_of(w) for w in (lat.omega1, lat.omega2))
 
-        self.eta1 = _branch_solve(self._eval, complex(lat.omega1))
-        self.eta2 = _branch_solve(self._eval, complex(lat.omega2))
         self.legendre_residual = abs(
             self.eta1 * lat.omega2 - self.eta2 * lat.omega1 - 2j * math.pi
         )
-        if self.legendre_residual > tol:
+        if self.legendre_residual > _CHECK_TOL:
             raise RuntimeError(
-                f"Legendre residual {self.legendre_residual:.3e} exceeds {tol:.1e}"
+                f"Legendre residual {self.legendre_residual:.3e} exceeds {_CHECK_TOL:.1e}"
             )
         w1b, w2b = np.conj(lat.omega1), np.conj(lat.omega2)
         self.a_const = 0.5 * (self.eta2 * w1b - self.eta1 * w2b) / (
@@ -241,56 +232,49 @@ class SigmaEvaluator:
             for w, eta in ((lat.omega1, self.eta1), (lat.omega2, self.eta2))
         ]
         self.a_consistency_residual = abs(per_gen[0] - per_gen[1])
-        if self.a_consistency_residual > tol:
+        if self.a_consistency_residual > _CHECK_TOL:
             raise RuntimeError(
                 "growth-correction constant disagrees between generators "
                 f"({self.a_consistency_residual:.3e})"
             )
         self.quasi_period_residual = self._functional_residual()
-        if self.quasi_period_residual > tol:
+        if self.quasi_period_residual > _CHECK_TOL:
             raise RuntimeError(
                 f"quasi-periodicity residual {self.quasi_period_residual:.3e} "
-                f"exceeds {tol:.1e}"
+                f"exceeds {_CHECK_TOL:.1e}"
             )
 
     # -- evaluation -----------------------------------------------------
 
-    @property
-    def accuracy_radius(self) -> float:
-        return self.truncation_radius / 3.0
+    def _reduce(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Integer coordinates (m, n) of the lattice point whose cell holds z."""
+        t = z / self._r1
+        n = np.rint(t.imag / self._tau.imag)
+        return np.rint(t.real - n * self._tau.real), n
 
-    def _eval(self, z: np.ndarray) -> np.ndarray:
-        flat = np.asarray(z, dtype=complex).ravel()
-        out = np.empty_like(flat)
-        lam = self._points[None, :]
-        for i in range(0, flat.size, _EVAL_CHUNK):
-            zz = flat[i : i + _EVAL_CHUNK]
-            x = zz[:, None] / lam
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_sum = np.sum(np.log1p(-x) + x + 0.5 * x * x, axis=1)
-            correction = -np.sum(
-                self._tail_vals[None, :]
-                * zz[:, None] ** self._tail_ks[None, :]
-                / self._tail_ks[None, :],
-                axis=1,
-            )
-            with np.errstate(over="ignore", invalid="ignore"):
-                out[i : i + _EVAL_CHUNK] = zz * np.exp(log_sum + correction)
-        return out
+    def _eta_of(self, w: complex) -> complex:
+        """Quasi-period of a lattice vector, additive over the reduced pair."""
+        m, n = self._reduce(np.asarray(w, dtype=complex))
+        return complex(m * self._eta_r[0] + n * self._eta_r[1])
 
-    def _guard(self, z: np.ndarray) -> None:
-        limit = self.accuracy_radius * (1.0 + 1e-9) + 1e-9
-        worst = float(np.max(np.abs(z))) if np.asarray(z).size else 0.0
-        if worst > limit:
-            raise ValueError(
-                f"|z| = {worst:.6g} outside the accuracy domain "
-                f"(radius {self.accuracy_radius:.6g})"
-            )
+    def _series(self, z: np.ndarray) -> np.ndarray:
+        """The theta formula at z itself, with no reduction into the cell."""
+        v = (math.pi / self._r1) * z
+        theta = np.zeros_like(v)
+        for c, k in zip(self._coeffs, self._odd):
+            theta += c * np.sin(k * v)
+        return self._scale * theta * np.exp(self._eta_r[0] * z * z / (2.0 * self._r1))
 
     def __call__(self, z):
         arr = np.asarray(z, dtype=complex)
-        self._guard(arr)
-        res = self._eval(arr).reshape(arr.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m, n = self._reduce(arr)
+            lam = m * self._r1 + n * self._r2
+            z0 = arr - lam
+            eta = m * self._eta_r[0] + n * self._eta_r[1]
+            sign = np.where(np.mod(m + n + m * n, 2.0) == 0.0, 1.0, -1.0)
+            res = sign * self._series(z0) * np.exp(eta * (z0 + 0.5 * lam))
+        _finite(res, "sigma")
         if arr.ndim == 0:
             return complex(res)
         return res
@@ -298,7 +282,9 @@ class SigmaEvaluator:
     def sigma_mod(self, z):
         """sigma(z) * exp(a_const z^2): modulus grows like exp(pi|z|^2/(2 area))."""
         arr = np.asarray(z, dtype=complex)
-        res = np.asarray(self(arr)) * np.exp(self.a_const * arr ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = np.asarray(self(arr)) * np.exp(self.a_const * arr ** 2)
+        _finite(res, "sigma_mod")
         if arr.ndim == 0:
             return complex(res)
         return res
@@ -311,41 +297,33 @@ class SigmaEvaluator:
         Contour sampling keeps full accuracy at lattice zeros, where
         direct finite differences would divide cancellation noise.
         """
-        if abs(center) + radius > self.accuracy_radius * (1.0 + 1e-9):
-            raise ValueError("derivative circle leaves the accuracy domain")
         angles = 2.0 * math.pi * np.arange(points) / points
         ring = center + radius * np.exp(1j * angles)
-        coeffs = np.fft.fft(self._eval(ring)) / points
-        return [
+        coeffs = np.fft.fft(self(ring)) / points
+        out = [
             complex(coeffs[k] * math.factorial(k) / radius ** k)
             for k in range(1, count + 1)
         ]
+        _finite(out, "sigma derivative")
+        return out
 
     # -- validation helpers ---------------------------------------------
 
     def _functional_residual(self) -> float:
-        """Max relative residual of the translation equation at held-out points."""
-        zs = np.array([0.41 - 0.27j, -0.33 + 0.18j, 0.22 + 0.39j])
+        """Max relative residual of the translation equation at held-out points.
+
+        The left side runs the series at ``z + r`` directly; the right side
+        reduces ``z`` into the cell and applies the quasi-period of ``r``.
+        """
+        r1, r2 = self._r1, self._r2
+        zs = np.array([0.31, -0.17, 0.41]) * r1 + np.array([0.22, 0.45, -0.38]) * r2
         worst = 0.0
-        for omega, eta in ((self.lattice.omega1, self.eta1), (self.lattice.omega2, self.eta2)):
-            lhs = self._eval(zs + omega)
-            rhs = -self._eval(zs) * np.exp(eta * (zs + omega / 2.0))
+        for omega, eta in zip((r1, r2), self._eta_r):
+            lhs = self._series(zs + omega)
+            rhs = -np.asarray(self(zs)) * np.exp(eta * (zs + omega / 2.0))
             scale = np.maximum(np.abs(lhs), 1e-300)
             worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
         return worst
-
-    def raw_tail_estimate(self, r: float) -> float:
-        """Uncompensated log-tail scale: count * (r/R)^3 heuristic."""
-        return float(self._points.size) * (r / self.truncation_radius) ** 3
-
-    def compensated_tail_estimate(self, r: float) -> float:
-        """Log-domain bound on the remainder left after compensation."""
-        t = r / self.truncation_radius
-        if t >= 1.0:
-            return math.inf
-        k = self.kmax + 2
-        lead = (2.0 * math.pi / self.lattice.area) * self.truncation_radius ** 2
-        return lead * t ** k / (k * (k - 2)) / (1.0 - t * t)
 
 
 class CriticalQ:
@@ -372,8 +350,6 @@ class CriticalQ:
         for point in (lam, lam_prime):
             if not ev.lattice.contains(point):
                 raise ValueError(f"{point} is not a lattice point")
-            if abs(point) + 0.35 > ev.accuracy_radius:
-                raise ValueError("removed zeros sit too close to the domain edge")
         self.ev = ev
         self.lam = lam
         self.lam_prime = lam_prime
@@ -381,10 +357,12 @@ class CriticalQ:
         self._expansions = {}
         for point in (lam, lam_prime):
             d1, d2 = ev.derivatives_at(point, count=2)
-            scale = cmath.exp(ev.a_const * point ** 2)
-            # sigma vanishes at the point, so the chain rule collapses.
-            mod_d1 = d1 * scale
-            mod_d2 = (d2 + 4.0 * ev.a_const * point * d1) * scale
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = np.exp(ev.a_const * point ** 2)
+                # sigma vanishes at the point, so the chain rule collapses.
+                mod_d1 = complex(d1 * scale)
+                mod_d2 = complex((d2 + 4.0 * ev.a_const * point * d1) * scale)
+            _finite([mod_d1, mod_d2], "sigma_mod derivative")
             self._expansions[point] = (mod_d1, mod_d2)
 
     def value_at_removed(self, point: complex) -> complex:
@@ -419,12 +397,6 @@ class CriticalQ:
         if arr.ndim == 0:
             return complex(res)
         return res
-
-
-def critical_counterexample(
-    ev: SigmaEvaluator, lam: complex, lam_prime: complex
-) -> CriticalQ:
-    return CriticalQ(ev, lam, lam_prime)
 
 
 def fock_annulus_increments(
@@ -478,9 +450,11 @@ class GGammaEvaluator:
     ``gamma00`` is the stored node of smallest modulus (ties broken by
     smallest principal argument).  Beyond the stored node window the
     product continues over unperturbed lattice points up to
-    ``product_radius``, and the remaining tail is compensated exactly as
-    in :class:`SigmaEvaluator`.  Values are reliable for
-    ``|z| <= product_radius / 3``.
+    ``product_radius``, and the factors beyond it are restored through the
+    power sums of :func:`tail_coefficients`.  Values are reliable for
+    ``|z| <= product_radius / 3``.  The product shares nothing with the
+    theta series of :class:`SigmaEvaluator`, so on unperturbed nodes the
+    two routes cross-check each other.
     """
 
     def __init__(
@@ -488,7 +462,6 @@ class GGammaEvaluator:
         gamma_set: IndexedPointSet,
         tag: str | None = None,
         product_radius: float | None = None,
-        kmax: int = 24,
     ) -> None:
         lat = gamma_set.lattice
         if lat.shift != 0 or not _is_square_lattice(lat):
@@ -522,9 +495,7 @@ class GGammaEvaluator:
         _idx, ring = window_arrays(lat, self.truncation_radius)
         mod = np.abs(ring)
         self._ring = ring[mod > gamma_set.window_radius + 1e-9]
-        tail = tail_coefficients(
-            lat, self.truncation_radius, kmax=kmax, zmax=self.accuracy_radius
-        )
+        tail = tail_coefficients(lat, self.truncation_radius, zmax=self.accuracy_radius)
         self._tail_ks = np.array(sorted(tail), dtype=float)
         self._tail_vals = np.array([tail[int(k)] for k in self._tail_ks])
         self._node_log_derivatives: np.ndarray | None = None
@@ -539,7 +510,6 @@ class GGammaEvaluator:
         beta: float,
         sample_radius: float,
         product_radius: float | None = None,
-        kmax: int = 24,
     ) -> "GGammaEvaluator":
         """Unperturbed instance: nodes are exactly the square lattice of area pi/beta."""
         step = math.sqrt(math.pi / beta)
@@ -547,7 +517,7 @@ class GGammaEvaluator:
         ps = IndexedPointSet(lat, window_radius=sample_radius, meta={"beta": beta})
         idx, pts = window_arrays(lat, sample_radius)
         ps.add_many(idx, "G", pos=pts)
-        return cls(ps, tag="G", product_radius=product_radius, kmax=kmax)
+        return cls(ps, tag="G", product_radius=product_radius)
 
     # -- log-domain evaluation -------------------------------------------
 

@@ -198,7 +198,7 @@ def verify_special(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out: list[CheckResult] = []
     lat = Lattice(1.0, 1.0j)
-    ev = special.SigmaEvaluator(lat, truncation_radius=18.0)
+    ev = special.SigmaEvaluator(lat)
 
     out.append(_below("quasi-period residual", ev.quasi_period_residual, 1e-6))
     out.append(_below("Legendre relation residual", ev.legendre_residual, 1e-6))
@@ -239,7 +239,7 @@ def verify_special(seed: int = 0) -> list[CheckResult]:
         )
     )
 
-    q = special.critical_counterexample(ev, 0.0, 1.0)
+    q = special.CriticalQ(ev, 0.0, 1.0)
     _, zeros = window_arrays(lat, 4.5)
     zeros = np.array([p for p in zeros if abs(p) > 1e-9 and abs(p - 1.0) > 1e-9])
     qz = q(zeros)

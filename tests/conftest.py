@@ -1,7 +1,7 @@
 """Shared fixtures.
 
-The sigma-function evaluators dominate test start-up cost, so the two
-windows used across files are built once per session.
+The sigma evaluator of the unit square lattice is used across files;
+one session-wide instance keeps every test on the same object.
 """
 
 import pytest
@@ -12,11 +12,5 @@ from fockpr.special import SigmaEvaluator
 
 @pytest.fixture(scope="session")
 def sigma_unit() -> SigmaEvaluator:
-    """Evaluator on Z + iZ accurate for |z| <= 6."""
-    return SigmaEvaluator(Lattice(1.0, 1.0j), truncation_radius=18.0)
-
-
-@pytest.fixture(scope="session")
-def sigma_unit_wide() -> SigmaEvaluator:
-    """Evaluator on Z + iZ accurate for |z| <= 10 (shared by the slow checks)."""
-    return SigmaEvaluator(Lattice(1.0, 1.0j), truncation_radius=30.0)
+    """Evaluator on Z + iZ."""
+    return SigmaEvaluator(Lattice(1.0, 1.0j))

@@ -43,7 +43,7 @@ from fockpr.sampler import (
     random_triple,
 )
 from fockpr.special import (
-    critical_counterexample,
+    CriticalQ,
     fock_annulus_increments,
     GGammaEvaluator,
     lagrange_interpolate,
@@ -234,9 +234,9 @@ def test_07_extension_norm_bound():
 # -- 8: sigma machinery: residuals, growth constant, growth ratio ----------------------
 
 
-def test_08_sigma_residuals_and_growth(sigma_unit_wide):
+def test_08_sigma_residuals_and_growth(sigma_unit):
     t0 = time.time()
-    ev = sigma_unit_wide
+    ev = sigma_unit
     res_ok = (
         ev.quasi_period_residual <= 1e-6
         and ev.legendre_residual <= 1e-6
@@ -262,9 +262,9 @@ def test_08_sigma_residuals_and_growth(sigma_unit_wide):
 # -- 9: bounded nonconstant counterexample at the critical density --------------------
 
 
-def test_09_critical_counterexample(sigma_unit_wide):
+def test_09_critical_counterexample(sigma_unit):
     t0 = time.time()
-    Q = critical_counterexample(sigma_unit_wide, 0.0, 1.0)
+    Q = CriticalQ(sigma_unit, 0.0, 1.0)
     _idx, pts = window_arrays(Lattice(1.0, 1.0j), 8.0)
     rest = pts[(np.abs(pts) > 1e-12) & (np.abs(pts - 1.0) > 1e-12)]
     g = np.linspace(-8.0, 8.0, 33)

@@ -7,6 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+# pointset.separation imports scipy.spatial lazily; importing it here keeps
+# that 0.3 s import out of the first Hypothesis example's deadline when this
+# file runs on its own.
+import scipy.spatial  # noqa: F401
+
 from fockpr import jsonio
 from fockpr.lattice import Lattice, window_arrays
 from fockpr.pointset import (

@@ -13,7 +13,6 @@ from fockpr.special import (
     CriticalQ,
     GGammaEvaluator,
     SigmaEvaluator,
-    critical_counterexample,
     fock_annulus_increments,
     lagrange_interpolate,
     tail_coefficients,
@@ -21,29 +20,67 @@ from fockpr.special import (
 )
 
 
-# -- sigma on the unit square lattice ----------------------------------------------
+# -- sigma against the mpmath theta oracle ------------------------------------------
 
 
-def theta_sigma(z: complex) -> complex:
-    """Independent theta-series route for the unit square lattice."""
-    with mp.workdps(30):
-        q = mp.exp(-mp.pi)
+UNIT = Lattice(1.0, 1.0j)
+
+
+def oracle_eta(w: complex, other: complex) -> mp.mpc:
+    """Quasi-period of ``w`` from mpmath's theta_1 at the ratio other / w."""
+    q = mp.exp(1j * mp.pi * mp.mpc(other) / mp.mpc(w))
+    return -(mp.pi**2) * mp.jtheta(1, 0, q, 3) / (3 * mp.mpc(w) * mp.jtheta(1, 0, q, 1))
+
+
+def theta_sigma(z: complex, lat: Lattice = UNIT) -> complex:
+    """DLMF 23.6.9 in mpmath, on the lattice's own (unreduced) period ratio."""
+    with mp.workdps(40):
+        w1 = mp.mpc(lat.omega1)
+        q = mp.exp(1j * mp.pi * mp.mpc(lat.omega2) / w1)
         zz = mp.mpc(z)
         val = (
-            mp.exp(mp.pi * zz**2 / 2)
-            * mp.jtheta(1, mp.pi * zz, q)
-            / (mp.pi * mp.jtheta(1, 0, q, 1))
+            w1 / mp.pi
+            * mp.exp(oracle_eta(lat.omega1, lat.omega2) * zz**2 / (2 * w1))
+            * mp.jtheta(1, mp.pi * zz / w1, q)
+            / mp.jtheta(1, 0, q, 1)
         )
         return complex(val)
 
 
 PROBES = [0.37 + 0.21j, -1.4 + 0.8j, 2.6 - 1.9j, -3.3 - 2.2j, 4.4 + 1.1j, 0.1 + 5.3j]
 
+# Lattices with the radius each is probed to.  On the v = 0.45 square
+# lattice |sigma| passes the float64 range near |z| = 9.6.
+ORACLE_LATTICES = [
+    (UNIT, 10.0),
+    (Lattice(1.0, 1.3j), 10.0),
+    (Lattice(0.45, 0.45j), 9.0),
+    (Lattice(1.0, 0.3 + 1.0j), 10.0),
+]
 
-def test_sigma_matches_the_theta_oracle(sigma_unit):
-    for z in PROBES:
-        expect = theta_sigma(z)
-        assert abs(complex(sigma_unit(z)) - expect) <= 1e-8 * abs(expect)
+
+def spiral(radius: float, count: int = 16) -> np.ndarray:
+    """Points filling the disk |z| <= radius, out to its edge."""
+    k = np.arange(count)
+    return radius * np.sqrt((k + 1.0) / count) * np.exp(1j * (2.399963 * k + 0.3))
+
+
+def test_sigma_matches_the_theta_oracle():
+    for lat, radius in ORACLE_LATTICES:
+        ev = SigmaEvaluator(lat)
+        for z in spiral(radius):
+            expect = theta_sigma(z, lat)
+            assert abs(complex(ev(z)) - expect) <= 1e-12 * abs(expect), (lat, z)
+
+
+def test_quasi_periods_match_the_theta_oracle():
+    for lat, _radius in ORACLE_LATTICES:
+        ev = SigmaEvaluator(lat)
+        with mp.workdps(40):
+            eta1 = complex(oracle_eta(lat.omega1, lat.omega2))
+            eta2 = complex(oracle_eta(lat.omega2, -lat.omega1))
+        assert abs(ev.eta1 - eta1) <= 1e-13 * abs(eta1), lat
+        assert abs(ev.eta2 - eta2) <= 1e-13 * abs(eta2), lat
 
 
 def test_sigma_normalization_and_oddness(sigma_unit):
@@ -79,14 +116,14 @@ def test_translation_functional_equation(sigma_unit):
 
 
 def test_sigma_scaling_homogeneity(sigma_unit):
-    doubled = SigmaEvaluator(Lattice(2.0, 2.0j), truncation_radius=36.0)
+    doubled = SigmaEvaluator(Lattice(2.0, 2.0j))
     assert abs(doubled.eta1 - sigma_unit.eta1 / 2.0) < 1e-8
     for z in (0.3 + 0.4j, -1.1 + 0.6j, 2.2 - 1.3j):
         assert complex(doubled(2 * z)) == pytest.approx(2 * complex(sigma_unit(z)), rel=1e-8)
 
 
 def test_rectangular_lattice_needs_a_growth_correction():
-    ev = SigmaEvaluator(Lattice(1.0, 1.3j), truncation_radius=18.0)
+    ev = SigmaEvaluator(Lattice(1.0, 1.3j))
     assert abs(ev.a_const) > 1e-3  # only fourfold symmetry kills the correction
     assert ev.legendre_residual < 1e-9
     z = 0.7 + 0.9j
@@ -96,14 +133,19 @@ def test_rectangular_lattice_needs_a_growth_correction():
 
 
 def test_sigma_domain_guard(sigma_unit):
+    # |sigma| ~ exp(pi |z|^2 / 2) leaves the float64 range near |z| = 21.2
+    assert np.isfinite(complex(sigma_unit(20.5 + 0.5j)))
+    for z in (30.0, 21.7, 15.0 + 16.0j, complex(math.inf, 0.0), complex(math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            sigma_unit(z)
     with pytest.raises(ValueError):
-        sigma_unit(6.5)
+        sigma_unit(np.array([0.5, 30.0]))  # one bad entry spoils the batch
     with pytest.raises(ValueError):
-        sigma_unit.derivatives_at(5.9, count=1)
+        sigma_unit.sigma_mod(30.0)
     with pytest.raises(ValueError):
-        SigmaEvaluator(Lattice(1.0, 1.0j), truncation_radius=4.0)  # window too tight
+        sigma_unit.derivatives_at(30.0, count=1)
     with pytest.raises(ValueError):
-        SigmaEvaluator(Lattice(1.0, 1.0j, shift=0.3), truncation_radius=18.0)
+        SigmaEvaluator(Lattice(1.0, 1.0j, shift=0.3))
 
 
 def test_derivatives_via_contour(sigma_unit):
@@ -139,19 +181,26 @@ def test_tail_coefficients_window_consistency():
         assert inner[k] - outer[k] == pytest.approx(annulus, rel=1e-9, abs=budget)
 
 
-def test_evaluators_agree_across_truncation_radii(sigma_unit):
-    wider = SigmaEvaluator(Lattice(1.0, 1.0j), truncation_radius=24.0)
-    pts = np.asarray(PROBES)
-    a = np.asarray(sigma_unit(pts))
-    b = np.asarray(wider(pts))
-    assert np.max(np.abs(a - b) / np.abs(b)) < 1e-8
+def test_sigma_is_independent_of_the_basis(sigma_unit):
+    # Z + iZ from bases that the period reduction must bring back to (1, i)
+    # or (i, -1).  Unreduced, the last one has Im(tau) = 1/26, whose theta
+    # series loses digits to cancellation.
+    pts = spiral(10.0)
+    ref = np.asarray(sigma_unit(pts))
+    bases = ((1.0, 1.0 + 1.0j), (1.0j, -1.0), (2.0 + 1.0j, 1.0 + 1.0j), (5.0 + 1.0j, 4.0 + 1.0j))
+    for w1, w2 in bases:
+        ev = SigmaEvaluator(Lattice(w1, w2))
+        assert np.max(np.abs(np.asarray(ev(pts)) - ref) / np.abs(ref)) < 1e-12
+        # on the square lattice eta(omega) = pi * conj(omega), whatever the basis
+        assert abs(ev.eta1 - math.pi * np.conj(w1)) < 1e-13
+        assert abs(ev.eta2 - math.pi * np.conj(w2)) < 1e-13
 
 
 # -- bounded nonconstant quotients ---------------------------------------------------
 
 
 def test_critical_quotient_structure(sigma_unit):
-    Q = critical_counterexample(sigma_unit, 0.0, 1.0)
+    Q = CriticalQ(sigma_unit, 0.0, 1.0)
     # value at the removed origin: sigma'(0) / (0 - 1) = -1
     assert abs(Q.value_at_removed(0.0) + 1.0) < 1e-9
     assert abs(Q.value_at_removed(1.0)) > 1e-6
@@ -180,7 +229,7 @@ def test_critical_quotient_validation(sigma_unit):
     with pytest.raises(ValueError):
         CriticalQ(sigma_unit, 0.3 + 0.3j, 1.0)  # not a lattice point
     with pytest.raises(ValueError):
-        CriticalQ(sigma_unit, 0.0, 5.0 + 3.0j)  # too close to the domain edge
+        CriticalQ(sigma_unit, 0.0, 30.0)  # sigma overflows around the removed zero
 
 
 # -- annulus quadrature ---------------------------------------------------------------
