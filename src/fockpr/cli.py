@@ -30,6 +30,7 @@ from .pointset import (
     IndexedPointSet,
     angle_condition,
     certify_f_closeness,
+    complex_column,
     density_estimate,
     sample_points,
     separation,
@@ -137,7 +138,7 @@ def _load_set(path: str) -> IndexedPointSet | np.ndarray:
     if isinstance(data, dict) and "lattice" in data:
         return IndexedPointSet.from_json(data)
     if isinstance(data, dict) and "points" in data:
-        return np.array([complex(r, i) for r, i in data["points"]], dtype=complex)
+        return complex_column(data["points"], "points")
     raise ValueError(f"{path} is not a recognized point-set artifact")
 
 
@@ -152,7 +153,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             "angles": angles,
             "pitch": args.pitch,
             "radius": args.radius,
-            "points": [[z.real, z.imag] for z in pts],
+            "points": np.stack([pts.real, pts.imag], 1),
         }
         jsonio.dump_path(artifact, args.out)
         print(f"wrote {args.out}: {len(pts)} points on three concurrent lines")

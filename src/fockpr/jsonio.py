@@ -12,9 +12,10 @@ that :func:`json.loads` accepts, so reports carrying an infinite
 certificate constant still round-trip.
 
 Large uniform record lists (one record per point of a set) are handed to
-:func:`dumps` as a :class:`Table` of columns.  It renders them in bulk,
-with :func:`format_floats` formatting each float column at once, and
-writes exactly the bytes the list of dicts would give.
+:func:`dumps` as a :class:`Table` of columns, and a list of equally long
+number lists as a 2-D array.  It renders both in bulk, with
+:func:`format_floats` formatting each float column at once, and writes
+exactly the bytes the list of dicts or of lists would give.
 """
 
 from __future__ import annotations
@@ -137,6 +138,18 @@ def _write_table(table: Table, out: list[str], indent: int) -> None:
     out.append("[\n" + ",\n".join(records.tolist()) + "\n" + "  " * indent + "]")
 
 
+def _write_rows(arr: np.ndarray, out: list[str], indent: int) -> None:
+    """Render a 2-D array as the list of its rows, each a list, in one template."""
+    if len(arr) == 0:
+        out.append("[]")
+        return
+    row_pad = "  " * (indent + 1)
+    items = ",\n".join([row_pad + "  %s"] * arr.shape[1])
+    row = row_pad + (f"[\n{items}\n{row_pad}]" if items else "[]")
+    text = ",\n".join([row] * len(arr)) % tuple(_tokens(arr).ravel().tolist())
+    out.append("[\n" + text + "\n" + "  " * indent + "]")
+
+
 def _write(obj: Any, out: list[str], indent: int) -> None:
     pad = "  " * indent
     if obj is None or isinstance(obj, bool):
@@ -162,6 +175,8 @@ def _write(obj: Any, out: list[str], indent: int) -> None:
         out.append(pad + "}")
     elif isinstance(obj, Table):
         _write_table(obj, out, indent)
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2:
+        _write_rows(obj, out, indent)
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.append("[]")

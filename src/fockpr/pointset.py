@@ -13,7 +13,8 @@ Certificates:
   ``|p - home| <= kappa * exp(-gamma*|home|^2)`` for a tag family;
 * ``angle_condition`` -- median triangle angle of each (A, B, C) triple
   against the weighted ratio ``|home| * exp(-beta*|home|^2) / angle``;
-* ``separation`` -- minimal pairwise distance;
+* ``separation`` -- minimal pairwise distance, found exactly by a
+  sort-and-sweep along the axis of larger spread (numpy only);
 * ``density_estimate`` -- disk-count density with residuals;
 * ``relative_separation_bound`` -- certified upper bound on points per
   unit disk.
@@ -47,6 +48,7 @@ __all__ = [
     "relative_separation_bound",
     "uniform_closeness_delta",
     "sample_points",
+    "complex_column",
 ]
 
 TRIPLE_TAGS = ("A", "B", "C")
@@ -349,10 +351,10 @@ class IndexedPointSet:
                 idx[:, 0],
                 idx[:, 1],
                 np.array(tag, dtype=str),
-                _complex(pos, "pos"),
-                _complex(delta, "delta"),
+                complex_column(pos, "pos"),
+                complex_column(delta, "delta"),
                 has_delta,
-                _complex(unit, "unit"),
+                complex_column(unit, "unit"),
                 has_unit,
             )
         )
@@ -399,7 +401,7 @@ def _pair_array(pairs, dtype, field: str) -> np.ndarray:
     return arr.reshape(-1, 2)
 
 
-def _complex(pairs, field: str) -> np.ndarray:
+def complex_column(pairs, field: str) -> np.ndarray:
     """Complex column from ``[re, im]`` pairs, bit-exact (signed zeros included)."""
     return np.ascontiguousarray(_pair_array(pairs, float, field)).view(complex).ravel()
 
@@ -623,20 +625,51 @@ def _as_points(obj) -> np.ndarray:
 
 
 def separation(obj: IndexedPointSet | np.ndarray) -> SeparationReport:
-    """Minimal pairwise distance over all positions (coincidences give 0)."""
+    """Minimal pairwise distance over all positions (coincidences give 0).
+
+    An exact sort-and-sweep: the points are sorted along the axis of
+    larger spread (then across it), and sorted row ``r`` is compared with
+    row ``r + k`` for ``k = 1, 2, ...`` until no later row can come closer
+    than the smallest distance so far.  Later rows lie at least the gap
+    along the axis away, and, while they share the row's value along it,
+    at least the gap across it.  Distances are ``sqrt(dx*dx + dy*dy)``,
+    the sum a k-d tree forms, so ``delta`` is exact.  The pair is the
+    first row (in the order of the input) that has a partner at
+    ``delta``, and its lowest-row partner there.
+    """
     pts = _as_points(obj)
     if len(pts) < 2:
         raise ValueError("separation needs at least two points")
-    from scipy.spatial import cKDTree  # deferred: scipy loads only for certificates
-
-    xy = np.stack([pts.real, pts.imag], axis=1)
-    tree = cKDTree(xy)
-    dists, nbrs = tree.query(xy, k=2)
-    i = int(np.argmin(dists[:, 1]))
-    j = int(nbrs[i, 1])
-    return SeparationReport(
-        delta=float(dists[i, 1]), pair=(complex(pts[i]), complex(pts[j])), count=len(pts)
-    )
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("separation needs finite positions")
+    u, v = pts.real, pts.imag
+    if np.ptp(v) > np.ptp(u):
+        u, v = v, u
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    # gap from each row to the next larger value along the sort axis
+    run_gap = np.append(u, math.inf)[np.searchsorted(u, u, side="right")] - u
+    best = math.inf
+    near: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    rows, k = np.arange(len(pts) - 1), 1
+    while rows.size:
+        du, dv = u[rows + k] - u[rows], v[rows + k] - v[rows]
+        dist = np.sqrt(du * du + dv * dv)
+        best = min(best, float(dist.min()))
+        close = dist <= best
+        near.append((rows[close], rows[close] + k, dist[close]))
+        # later partners lie at least the gap along the sort axis away; while
+        # they share the row's value along it, at least the gap across it or,
+        # past that run, the gap to the next value.  The bound is rounded the
+        # way a distance is, so it never exceeds a distance it bounds.
+        reach = np.where(du == 0.0, np.minimum(np.abs(dv), run_gap[rows]), du)
+        rows = rows[(np.sqrt(reach * reach) <= best) & (rows + k + 1 < len(pts))]
+        k += 1
+    a, b, dist = (np.concatenate(col) for col in zip(*near))
+    a, b = order[a[dist == best]], order[b[dist == best]]
+    i = int(min(a.min(), b.min()))
+    j = int(np.concatenate([b[a == i], a[b == i]]).min())
+    return SeparationReport(delta=best, pair=(complex(pts[i]), complex(pts[j])), count=len(pts))
 
 
 @dataclass(frozen=True)

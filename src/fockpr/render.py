@@ -10,7 +10,6 @@ bytes.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -40,15 +39,25 @@ def _fmt(x: float) -> str:
 
 
 class _Mapper:
+    """Window coordinates to canvas coordinates, for a complex scalar or array."""
+
     def __init__(self, radius: float):
         self.radius = radius
         self.scale = (CANVAS - 2.0 * MARGIN) / (2.0 * radius)
 
-    def __call__(self, z: complex) -> tuple[float, float]:
+    def __call__(self, z):
         return (
             MARGIN + (z.real + self.radius) * self.scale,
             CANVAS - MARGIN - (z.imag + self.radius) * self.scale,
         )
+
+
+def _fill(template: str, *columns: np.ndarray) -> list[str]:
+    """``template % row`` for each row of the equally long ``columns``, in bulk."""
+    if not len(columns[0]):
+        return []
+    values = np.stack(columns, axis=1).ravel().tolist()
+    return ("\0".join([template] * len(columns[0])) % tuple(values)).split("\0")
 
 
 def _mesh_lines(lat: Lattice, radius: float, to: _Mapper) -> list[str]:
@@ -58,18 +67,15 @@ def _mesh_lines(lat: Lattice, radius: float, to: _Mapper) -> list[str]:
     for direction in (lat.omega1, lat.omega2):
         unit = direction / abs(direction)
         half = 0.75 * abs(direction)
-        seen: set[tuple[float, float, float, float]] = set()
-        for p in pts:
-            a, b = complex(p) - half * unit, complex(p) + half * unit
-            (x1, y1), (x2, y2) = to(a), to(b)
-            key = (round(x1, 2), round(y1, 2), round(x2, 2), round(y2, 2))
-            if key in seen:
-                continue
-            seen.add(key)
-            lines.append(
-                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-                f'stroke="#dddddd" stroke-width="0.5"/>'
-            )
+        (x1, y1), (x2, y2) = to(pts - half * unit), to(pts + half * unit)
+        texts = _fill(
+            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#dddddd" stroke-width="0.5"/>',
+            x1, y1, x2, y2,
+        )
+        # segments that print alike are drawn once, the first as it printed;
+        # a coordinate printing as -0.00 counts as 0.00
+        keys = [t.replace('"-0.00"', '"0.00"') for t in texts]
+        lines.extend(dict(zip(reversed(keys), reversed(texts))).values())
     return sorted(lines)
 
 
@@ -115,15 +121,16 @@ def render_points_svg(
     legend_y = MARGIN
     for tag in sorted(groups):
         color = _color_for(tag, assigned)
-        for z in groups[tag]:
-            z = complex(z)
-            if abs(z.real) > radius or abs(z.imag) > radius:
-                continue
-            x, y = to(z)
-            body.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(point_radius)}" '
-                f'fill="{color}" fill-opacity="0.85"/>'
+        z = groups[tag]
+        z = np.asarray(z if isinstance(z, np.ndarray) else list(z), dtype=complex).ravel()
+        z = z[~((np.abs(z.real) > radius) | (np.abs(z.imag) > radius))]
+        body.extend(
+            _fill(
+                f'<circle cx="%.2f" cy="%.2f" r="{_fmt(point_radius)}" '
+                f'fill="{color}" fill-opacity="0.85"/>',
+                *to(z),
             )
+        )
         body.append(
             f'<circle cx="{_fmt(CANVAS - 3 * MARGIN)}" cy="{_fmt(legend_y)}" r="5.00" fill="{color}"/>'
         )

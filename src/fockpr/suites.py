@@ -213,9 +213,20 @@ def verify_special(seed: int = 0) -> list[CheckResult]:
         )
     )
 
+    # sigma(-z) = -sigma(z): the reduced route at -z against the series at z
+    # itself, on the points where the series holds (|Im(pi z / r1)| <= 3 pi Im(tau) / 2)
     pts = _random_points(rng, 200, 5.0)
-    odd = np.max(np.abs(ev(pts) + ev(-pts))) / max(float(np.max(np.abs(ev(pts)))), 1e-300)
-    out.append(_below("oddness of sigma", float(odd), 1e-8, "200 points, |z| <= 5"))
+    pts = pts[np.abs((pts / ev._r1).imag) <= 1.5 * ev._tau.imag]
+    direct = ev._series(pts)
+    odd = np.max(np.abs(ev(-pts) + direct)) / max(float(np.max(np.abs(direct))), 1e-300)
+    out.append(
+        _below(
+            "oddness of sigma",
+            float(odd),
+            1e-8,
+            f"{pts.size} of 200 points with |z| <= 5 inside the series' range",
+        )
+    )
 
     d1 = ev.derivatives_at(0.0, count=1)[0]
     out.append(
@@ -242,14 +253,19 @@ def verify_special(seed: int = 0) -> list[CheckResult]:
     q = special.CriticalQ(ev, 0.0, 1.0)
     _, zeros = window_arrays(lat, 4.5)
     zeros = np.array([p for p in zeros if abs(p) > 1e-9 and abs(p - 1.0) > 1e-9])
-    qz = q(zeros)
-    scale = float(np.max(np.abs(q(_random_points(rng, 100, 4.5)))))
+    # At a zero lam of Q, Q(lam + h) = h Q'(lam) (1 + O(h)), with
+    # Q'(lam) = sigma'(lam) exp(a lam^2) / (lam (lam - 1)) from contour
+    # derivatives; the offsets h are random and recovered exactly.
+    near = zeros + 2.0 ** -40 * _random_points(rng, 100, 4.5)[: zeros.size]
+    h = near - zeros
+    slopes = np.array([ev.derivatives_at(lam, count=1)[0] for lam in zeros.tolist()])
+    slopes *= np.exp(ev.a_const * zeros ** 2) / (zeros * (zeros - 1.0))
     out.append(
         _below(
             "critical ratio vanishes on the remaining lattice",
-            float(np.max(np.abs(qz))) / scale,
+            float(np.max(np.abs(q(near) - h * slopes) / np.abs(h * slopes))),
             1e-8,
-            "relative to the sampled sup",
+            f"Q(lam + h) against h Q'(lam) at {zeros.size} lattice points, |h| <= 4.5 * 2^-40",
         )
     )
     out.append(

@@ -174,6 +174,21 @@ def test_certify_rejects_plain_point_files(tmp_path):
                "--out", tmp_path / "r.json") == 2
 
 
+def test_certify_leaves_scipy_unloaded(det3_set, tmp_path):
+    # certify and render run on numpy alone; scipy serves relative_separation_bound only
+    src = str(Path(fockpr.__file__).resolve().parents[1])
+    code = (
+        "import sys; from fockpr import cli; "
+        "rc = cli.main(['certify', '--in', sys.argv[1], '--beta', '3.0', '--out', sys.argv[2]]); "
+        "rc = rc or cli.main(['render', '--in', sys.argv[1], '--mesh', '--out', sys.argv[3]]); "
+        "sys.exit(rc or 3 * ('scipy' in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-c", code, det3_set, tmp_path / "r.json", tmp_path / "r.svg"]
+    assert subprocess.run([str(a) for a in argv], env=env).returncode == 0
+    assert jsonio.load_path(tmp_path / "r.json")["separation_report"]["count"] == 147
+
+
 def test_certify_missing_input_exits_2(tmp_path):
     assert run("certify", "--in", tmp_path / "absent.json", "--beta", PI,
                "--out", tmp_path / "r.json") == 2
@@ -275,6 +290,39 @@ def test_render_lines_artifact_array_route(tmp_path):
     out = tmp_path / "pic.svg"
     assert run("render", "--in", lines, "--out", out) == 0
     assert out.read_text(encoding="ascii").count("<circle") == (6 * 4 + 1) + 1
+
+
+# sha256 of each SVG written by the per-point render loops this package had
+# before it formatted coordinates in bulk, for sets generated with --seed 1
+GOLDEN_RENDER = {
+    "rand3": (["--construction", "rand3", "--alpha", PI, "--radius", 4], ["--mesh"],
+              "4dde9a588ebf5a27f2ba34282133a5ac81a31d60ccbc406603bbfb2b8bc0a06b"),
+    "opteven": (["--construction", "opteven", "--v", 0.45, "--radius", 6], ["--mesh"],
+                "b8cd0f888ce7a7071a5053b35837bf2bea8cb0a81f298d65226df0b8c7eda02c"),
+    "optreal": (["--construction", "optreal", "--v", 0.45, "--radius", 6], ["--mesh"],
+                "ab598ebdb35fd8c21af948bc116911d33440ff6665e6d7ec6c7176d65fbb35e8"),
+    "lines": (["--construction", "lines", "--angles", "0,1,2", "--pitch", 0.1,
+               "--radius", 3], [],
+              "c1d6675aff8dbc015780a9669409055b1e9bc2aced5c0e246b7d621739e4cac6"),
+}
+
+
+def test_render_bytes_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got, want = {}, {}
+    for name, (generate_args, render_args, digest) in GOLDEN_RENDER.items():
+        assert run("generate", *generate_args, "--seed", 1, "--out", f"{name}.json") == 0
+        assert run("render", "--in", f"{name}.json", *render_args, "--out", f"{name}.svg") == 0
+        got[name] = hashlib.sha256((tmp_path / f"{name}.svg").read_bytes()).hexdigest()
+        want[name] = digest
+    assert got == want
+
+
+@pytest.mark.parametrize("points", [[[0.0, 1.0], [2.0]], [[0.0, 1.0, 2.0]], [1.0, 2.0]])
+def test_render_rejects_point_records_that_are_not_pairs(tmp_path, points):
+    path = tmp_path / "pts.json"
+    jsonio.dump_path({"points": points}, path)
+    assert run("render", "--in", path, "--out", tmp_path / "p.svg") == 2
 
 
 def test_render_missing_input_exits_2(tmp_path):

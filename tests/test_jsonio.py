@@ -168,3 +168,25 @@ def test_table_path_on_point_records():
     assert '"delta": [\n        -0.0,\n        0.0\n      ]' in text
     empty = jsonio.Table({"tag": np.array([], dtype=str), "pos": np.empty((0, 2))})
     assert jsonio.dumps({"points": empty}) == jsonio.dumps({"points": []})
+
+
+@given(st.data())
+def test_array_path_matches_the_list_of_lists_writer(data):
+    shape = (data.draw(st.integers(0, 6)), data.draw(st.integers(0, 3)))
+    values = st.one_of(floats_with_edges, st.sampled_from([math.inf, -math.inf, math.nan]))
+    if data.draw(st.booleans()):
+        values = st.integers(-(2**53), 2**53)
+    rows = data.draw(st.lists(st.lists(values, min_size=shape[1], max_size=shape[1]),
+                              min_size=shape[0], max_size=shape[0]))
+    arr = np.array(rows).reshape(shape)
+    assert jsonio.dumps({"points": arr, "n": 1}) == jsonio.dumps({"points": rows, "n": 1})
+    assert jsonio.dumps([arr]) == jsonio.dumps([rows])
+
+
+def test_array_path_examples():
+    arr = np.array([[-0.0, 3.0], [math.inf, math.nan], [1e17, 0.5]])
+    assert jsonio.dumps({"p": arr}) == jsonio.dumps({"p": arr.tolist()})
+    assert jsonio.dumps(np.empty((0, 2))) == "[]"
+    assert jsonio.dumps(np.empty((2, 0))) == "[\n  [],\n  []\n]"
+    with pytest.raises(TypeError):
+        jsonio.dumps(np.zeros(3))  # only 2-D arrays stand for lists of lists

@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-# pointset.separation imports scipy.spatial lazily; importing it here keeps
-# that 0.3 s import out of the first Hypothesis example's deadline when this
-# file runs on its own.
-import scipy.spatial  # noqa: F401
+# scipy.spatial.cKDTree is the independent oracle for pointset.separation
+# (the package computes it with numpy alone) and backs
+# relative_separation_bound.
+import scipy.spatial
 
 from fockpr import jsonio
 from fockpr.lattice import Lattice, window_arrays
@@ -289,6 +289,62 @@ def test_separation_matches_brute_force(raw):
     assert math.isclose(rep.delta, brute, rel_tol=0, abs_tol=1e-12)
     assert rep.count == len(pts)
     assert math.isclose(abs(rep.pair[0] - rep.pair[1]), rep.delta, abs_tol=1e-12)
+
+
+def _ckdtree_separation(pts):
+    """delta, first point and its partner as a k-d tree nearest-neighbour query finds them."""
+    xy = np.stack([pts.real, pts.imag], axis=1)
+    dists, nbrs = scipy.spatial.cKDTree(xy).query(xy, k=2)
+    i = int(np.argmin(dists[:, 1]))
+    return float(dists[i, 1]), i, complex(pts[nbrs[i, 1]])
+
+
+# half-steps give exact ties along and across lines; free floats break them
+_tie_coord = st.one_of(
+    st.integers(-6, 6).map(lambda k: 0.5 * k),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+)
+
+
+@given(
+    st.lists(st.tuples(_tie_coord, _tie_coord), min_size=2, max_size=50),
+    st.sampled_from(["scattered", "vertical", "horizontal"]),
+    st.integers(0, 4),
+)
+@example([(0.0, 0.0), (0.0, 6.444966693583573e-183)], "scattered", 0)  # dy * dy underflows
+def test_separation_matches_ckdtree(raw, layout, repeats):
+    xy = np.array(raw, dtype=float)
+    if layout == "vertical":
+        xy[:, 0] = xy[0, 0]
+    elif layout == "horizontal":
+        xy[:, 1] = xy[0, 1]
+    xy = np.concatenate([xy, xy[:repeats]])  # duplicates of the first points
+    pts = xy[:, 0] + 1j * xy[:, 1]
+    rep = separation(pts)
+    delta, i, partner = _ckdtree_separation(pts)
+    assert rep.delta.hex() == delta.hex()
+    assert rep.count == len(pts)
+    assert rep.pair[0] == pts[i]
+    # the tree picks among equidistant partners by its traversal (at delta 0
+    # possibly the point itself), the sweep the lowest other row: both lie at
+    # delta, and where one value does they agree
+    d = np.sqrt((xy[:, 0] - xy[i, 0]) ** 2 + (xy[:, 1] - xy[i, 1]) ** 2)
+    ties = {complex(p) for k, p in enumerate(pts) if d[k] == delta and (k != i or delta == 0)}
+    assert {rep.pair[1], partner} <= ties
+
+
+def test_separation_pair_is_the_first_row_and_its_lowest_partner():
+    rep = separation(np.array([5.0, 1j, 0.0, 1.0, 5.0 + 1j]))
+    assert rep.delta == 1.0
+    assert rep.pair == (5.0, 5.0 + 1j)
+    # 0 has two partners at delta: the lower row wins, whichever it is
+    assert separation(np.array([0.0, 1j, 1.0])).pair == (0.0, 1j)
+    assert separation(np.array([0.0, 1.0, 1j])).pair == (0.0, 1.0)
+
+
+def test_separation_rejects_non_finite_positions():
+    with pytest.raises(ValueError, match="finite"):
+        separation(np.array([0.0, 1.0, complex(math.nan, 0.0)]))
 
 
 def test_separation_of_coincident_points_is_zero():

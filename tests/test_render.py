@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fockpr import render
 from fockpr.lattice import Lattice
 from fockpr.pointset import IndexedPointSet
 from fockpr.render import TAG_COLORS, render_points_svg, render_svg
@@ -79,3 +80,63 @@ def test_point_set_route_with_mesh_and_file(tmp_path):
     assert circle_count(text) == 2 + 2
     assert TAG_COLORS["1"] in text and TAG_COLORS["2"] in text
     assert text.count('stroke="#dddddd"') > 10
+
+
+def _mesh_lines_loop(lat, radius, to):
+    """The per-point mesh loop render used before it formatted in bulk (the oracle)."""
+    lines = []
+    _, pts = render.window_arrays(lat, radius * 1.5)
+    for direction in (lat.omega1, lat.omega2):
+        unit = direction / abs(direction)
+        half = 0.75 * abs(direction)
+        seen = set()
+        for p in pts:
+            a, b = complex(p) - half * unit, complex(p) + half * unit
+            (x1, y1), (x2, y2) = to(a), to(b)
+            key = (round(x1, 2), round(y1, 2), round(x2, 2), round(y2, 2))
+            if key in seen:
+                continue
+            seen.add(key)
+            lines.append(
+                f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+                f'stroke="#dddddd" stroke-width="0.5"/>'
+            )
+    return sorted(lines)
+
+
+def test_mesh_lines_match_the_per_point_loop():
+    # at radius 4.6 the lattice row at Im = 5 maps to y = 960 - (5 + 4.6) * 100,
+    # just below 0 in floating point
+    lat = Lattice(1.0, 0.3 + 1.0j)
+    to = render._Mapper(4.6)
+    lines = render._mesh_lines(lat, 4.6, to)
+    assert any('y1="-0.00"' in line for line in lines)
+    assert lines == _mesh_lines_loop(lat, 4.6, to)
+
+
+def test_mesh_lines_merge_minus_zero_with_zero_like_the_loop(monkeypatch):
+    # two window points whose segments print alike but for -0.00 against 0.00:
+    # canvas y = 0 lies at imag = 960 / 460 - 1 on the window of radius 1
+    top = 960.0 / 460.0 - 1.0
+    pts = np.array([0.3 + (top + 1e-6) * 1j, 0.3 + (top - 1e-6) * 1j, -0.2 + 0.1j])
+    monkeypatch.setattr(render, "window_arrays", lambda lat, radius: (None, pts))
+    lat = Lattice(1.0, 1.0j)
+    to = render._Mapper(1.0)
+    lines = render._mesh_lines(lat, 1.0, to)
+    assert sum('y1="-0.00"' in line for line in lines) == 1
+    assert not any('y1="0.00"' in line for line in lines)
+    assert lines == _mesh_lines_loop(lat, 1.0, to)
+
+
+def test_circles_match_the_per_point_route():
+    pts = [0.5, -1.0 + 0.25j, 2.5 + 0.1j, complex(-2.0, 2.0), 1e-9 - 2.0j]
+    svg = render_points_svg({"A": pts, "B": iter(pts[:2])}, radius=2.0)
+    to = render._Mapper(2.0)
+    for tag, group in (("A", pts), ("B", pts[:2])):
+        for z in group:
+            x, y = to(complex(z))
+            circle = (
+                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.00" '
+                f'fill="{TAG_COLORS[tag]}" fill-opacity="0.85"/>'
+            )
+            assert (circle in svg) == (abs(z.real) <= 2.0 and abs(z.imag) <= 2.0)
