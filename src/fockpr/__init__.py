@@ -25,6 +25,7 @@ from .pointset import (
     relative_separation_bound,
     sample_points,
     separation,
+    triple_vertices,
     uniform_closeness_delta,
 )
 from .sampler import (
@@ -63,7 +64,6 @@ from .special import (
     SigmaEvaluator,
     fock_annulus_increments,
     lagrange_interpolate,
-    tail_coefficients,
     three_lines_liouville_note,
 )
 from .gabor import (

@@ -43,6 +43,7 @@ __all__ = [
     "DensityReport",
     "certify_f_closeness",
     "angle_condition",
+    "triple_vertices",
     "separation",
     "density_estimate",
     "relative_separation_bound",
@@ -538,10 +539,55 @@ class AngleReport:
         }
 
 
+# Maps named by a set's ``triple_fold`` metadata; each is its own inverse.
+_FOLDS = {"conj": np.conj, "neg": np.negative, "negconj": lambda z: -np.conj(z)}
+
+
+def triple_vertices(ps: IndexedPointSet) -> tuple[np.ndarray, np.ndarray]:
+    """The (A, B, C) triples of the set as ``(indices, vertices)``.
+
+    ``indices`` is the (k, 2) array of the triples' lattice indices in
+    (m, n) order; ``vertices[i]`` holds the A, B and C vertex of triple
+    ``i``: unit offsets where all three carry them, else deltas, else
+    positions.  A set whose tags are emitted at symmetric images of one
+    frame point names in ``meta["triple_fold"]`` the map of each tag
+    (see ``_FOLDS``); that map is applied to the home, ``pos``, ``delta``
+    and ``unit`` of the tag's samples alike before they are grouped.  An
+    index carrying only part of the triple is an error.
+    """
+    c = ps._columns()
+    rows = np.flatnonzero(np.isin(c.tag, TRIPLE_TAGS))
+    if not rows.size:
+        raise ValueError("set has no A/B/C entries")
+    tag, m, n = c.tag[rows], c.m[rows], c.n[rows]
+    pos, delta, unit = c.pos[rows], c.delta[rows], c.unit[rows]
+    for t, name in ps.meta.get("triple_fold", {}).items():
+        if name not in _FOLDS:
+            raise ValueError(f"unknown triple fold {name!r} for tag {t!r}")
+        fold, mine = _FOLDS[name], tag == t
+        home = fold(ps.lattice.point((m[mine], n[mine])))
+        m[mine], n[mine] = ps.lattice.indices_of(home).T
+        pos[mine], delta[mine], unit[mine] = fold(pos[mine]), fold(delta[mine]), fold(unit[mine])
+    indices, slot = np.unique(np.stack([m, n], axis=1), axis=0, return_inverse=True)
+    # triple[i, t]: sample of index i with tag TRIPLE_TAGS[t], or -1
+    triple = np.full((len(indices), len(TRIPLE_TAGS)), -1)
+    for t, name in enumerate(TRIPLE_TAGS):
+        mine = np.flatnonzero(tag == name)
+        triple[slot.ravel()[mine], t] = mine
+    incomplete = np.flatnonzero((triple < 0).any(axis=1))
+    if incomplete.size:
+        i = incomplete[0]
+        missing = [name for t, name in enumerate(TRIPLE_TAGS) if triple[i, t] < 0]
+        raise ValueError(f"index {tuple(indices[i].tolist())} is missing triple tags {missing}")
+    use_unit = c.has_unit[rows][triple].all(axis=1, keepdims=True)
+    use_delta = c.has_delta[rows][triple].all(axis=1, keepdims=True)
+    return indices, np.where(use_unit, unit[triple], np.where(use_delta, delta[triple], pos[triple]))
+
+
 def angle_condition(ps: IndexedPointSet, beta: float) -> AngleReport:
     """Median-angle condition over all (A, B, C) triples of the set.
 
-    For each index carrying the triple tags, the median interior angle
+    For each triple of :func:`triple_vertices` the median interior angle
     ``theta`` of the triangle is computed from stored offsets (exact even
     when positions collapse in floating point: unit-disk offsets span a
     triangle similar to the true one, so the angles agree) and compared
@@ -558,29 +604,7 @@ def angle_condition(ps: IndexedPointSet, beta: float) -> AngleReport:
         raise ValueError(
             f"window radius {ps.window_radius} below 4/sqrt(beta) = {4.0 / math.sqrt(beta)}"
         )
-    c = ps._columns()
-    rows = np.flatnonzero(np.isin(c.tag, TRIPLE_TAGS))
-    if not rows.size:
-        raise ValueError("set has no A/B/C entries")
-    indices, slot = np.unique(
-        np.stack([c.m[rows], c.n[rows]], axis=1), axis=0, return_inverse=True
-    )
-    # triple[i, t]: row of index i with tag TRIPLE_TAGS[t], or -1
-    triple = np.full((len(indices), len(TRIPLE_TAGS)), -1)
-    for t, tag in enumerate(TRIPLE_TAGS):
-        mine = c.tag[rows] == tag
-        triple[slot.ravel()[mine], t] = rows[mine]
-    incomplete = np.flatnonzero((triple < 0).any(axis=1))
-    if incomplete.size:
-        i = incomplete[0]
-        missing = [tag for t, tag in enumerate(TRIPLE_TAGS) if triple[i, t] < 0]
-        raise ValueError(f"index {tuple(indices[i].tolist())} is missing triple tags {missing}")
-    # vertices: unit offsets where all three carry them, else deltas, else positions
-    use_unit = c.has_unit[triple].all(axis=1, keepdims=True)
-    use_delta = c.has_delta[triple].all(axis=1, keepdims=True)
-    verts = np.where(
-        use_unit, c.unit[triple], np.where(use_delta, c.delta[triple], c.pos[triple])
-    )
+    indices, verts = triple_vertices(ps)
     thetas = median_angles(verts[:, 0], verts[:, 1], verts[:, 2])
     radii = [abs(h) for h in ps.lattice.point((indices[:, 0], indices[:, 1])).tolist()]
     ratios = np.array(

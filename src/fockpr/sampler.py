@@ -309,9 +309,11 @@ def density_opt_even(
 
     For every frame point ``lam`` in the subfamily, draws a, b, c close
     to ``lam`` are emitted as ``conj(a)``, ``-b``, ``-conj(c)`` homed at
-    ``conj(lam)``, ``-lam``, ``-conj(lam)`` respectively.  With
-    ``kappa_cap <= v/4`` (the default v/4) distinct home points stay at
-    least ``v - 2*kappa_cap >= v/2`` apart, giving the separation floor.
+    ``conj(lam)``, ``-lam``, ``-conj(lam)`` respectively.  The set's
+    ``triple_fold`` metadata names those maps (each its own inverse), so
+    certificates can regroup the triple at ``lam``.  With ``kappa_cap <=
+    v/4`` (the default v/4) distinct home points stay at least ``v -
+    2*kappa_cap >= v/2`` apart, giving the separation floor.
     """
     lat = opt_even_lattice(v)
     if kappa_cap is None:
@@ -327,6 +329,7 @@ def density_opt_even(
     m, n = idx[:, 0], idx[:, 1]
     meta = cfg._meta("opteven", list(TRIPLE_TAGS))
     meta["v"] = v
+    meta["triple_fold"] = {"A": "conj", "B": "neg", "C": "negconj"}
     ps = IndexedPointSet(lat, window_radius, meta=meta)
     draws = []
     for label in (1, 2, 3):

@@ -15,7 +15,10 @@ This module builds numerically validated evaluators for:
 * a bounded-but-nonconstant quotient with two lattice zeros removed
   (the critical-density counterexample),
 * an interpolation kernel ``g`` built from a perturbed square lattice,
-  its derivative on the node set, and Lagrange-type reconstruction,
+  as sigma times a finite correction over the nodes that moved off the
+  lattice (anchored at the node homed at 0, no truncation, no domain
+  radius but sigma's overflow), its derivative on the node set in closed
+  form, and Lagrange-type reconstruction,
 * a small report describing union-of-lines witness sets whose planar
   density vanishes.
 
@@ -33,11 +36,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .lattice import Lattice, window_arrays
-from .pointset import IndexedPointSet, DensityReport, density_estimate
+from .pointset import IndexedPointSet
 
 __all__ = [
     "SigmaEvaluator",
-    "tail_coefficients",
     "CriticalQ",
     "fock_annulus_increments",
     "GGammaEvaluator",
@@ -47,7 +49,6 @@ __all__ = [
     "three_lines_liouville_note",
 ]
 
-_EVAL_CHUNK = 2048
 # Bound on the eager sigma residuals; breaching it is an internal fault.
 _CHECK_TOL = 1e-6
 
@@ -65,87 +66,6 @@ def _reduce_tau(w1: complex, w2: complex) -> tuple[complex, complex, complex]:
             continue
         return w1, w2, tau
     raise ArithmeticError("period reduction did not converge")
-
-
-def _eisenstein_g4_g6(w1: complex, w2: complex) -> tuple[complex, complex]:
-    """Absolutely convergent lattice sums sum(lam^-4), sum(lam^-6).
-
-    Computed through the weight-4 and weight-6 modular q-expansions on a
-    reduced period pair, where |q| <= exp(-pi*sqrt(3)) makes a 60-term
-    series accurate to machine precision.
-    """
-    r1, _r2, tau = _reduce_tau(complex(w1), complex(w2))
-    q = cmath.exp(2j * math.pi * tau)
-    e4 = 1.0 + 0j
-    e6 = 1.0 + 0j
-    qn = 1.0 + 0j
-    for n in range(1, 60):
-        qn *= q
-        common = qn / (1.0 - qn)
-        e4 += 240.0 * (n ** 3) * common
-        e6 -= 504.0 * (n ** 5) * common
-    g4 = (math.pi ** 4 / 45.0) * e4 / r1 ** 4
-    g6 = (2.0 * math.pi ** 6 / 945.0) * e6 / r1 ** 6
-    return g4, g6
-
-
-def _annulus(lat: Lattice, r_lo: float, r_hi: float) -> np.ndarray:
-    """Unsorted lattice points with r_lo < |point| <= r_hi (shift ignored)."""
-    w1, w2 = complex(lat.omega1), complex(lat.omega2)
-    inv = np.linalg.inv(np.array([[w1.real, w2.real], [w1.imag, w2.imag]]))
-    reach = r_hi * float(np.abs(inv).sum(axis=1).max()) + 2.0
-    bound = int(math.ceil(reach))
-    ms = np.arange(-bound, bound + 1)
-    m, n = np.meshgrid(ms, ms, indexing="ij")
-    pts = (m * w1 + n * w2).ravel()
-    mod = np.abs(pts)
-    return pts[(mod > r_lo) & (mod <= r_hi)]
-
-
-def tail_coefficients(
-    lat: Lattice,
-    radius: float,
-    zmax: float,
-    kmax: int = 24,
-    eps_log: float = 1e-9,
-) -> dict[int, complex]:
-    """Power sums S_k = sum over |lam| > radius of lam^(-k), even k in [4, kmax].
-
-    Used to compensate the truncation of Hadamard products: the discarded
-    factors contribute ``exp(-sum_k S_k z^k / k)``.  Accuracy target: the
-    error of each S_k stays below ``eps_log * k / zmax**k`` so that the
-    compensated log-error at ``|z| <= zmax`` is about ``eps_log`` per term.
-
-    The slowly decaying k = 4, 6 sums come from closed-form full-lattice
-    sums minus the in-window part (the difference is large relative to
-    rounding noise).  For k >= 8 the same subtraction would be pure
-    cancellation noise, which ``z**k`` then amplifies; those sums are
-    instead taken directly over a finite annulus sized so the analytic
-    remainder meets the target.
-    """
-    if kmax < 6 or kmax % 2:
-        raise ValueError("kmax must be an even integer >= 6")
-    area = lat.area
-    g4, g6 = _eisenstein_g4_g6(lat.omega1, lat.omega2)
-    window = _annulus(lat, 0.0, radius)
-    coeffs: dict[int, complex] = {
-        4: g4 - complex(np.sum(window ** -4.0)),
-        6: g6 - complex(np.sum(window ** -6.0)),
-    }
-    if kmax >= 8:
-        cut: dict[int, float] = {}
-        for k in range(8, kmax + 1, 2):
-            need = eps_log * k / zmax ** k
-            raw = ((2.0 * math.pi / area) / ((k - 2) * need)) ** (1.0 / (k - 2))
-            cut[k] = max(1.5 * radius, raw)
-        ring = _annulus(lat, radius, max(cut.values()))
-        mod = np.abs(ring)
-        inv2 = ring ** -2.0
-        power = inv2 ** 3
-        for k in range(8, kmax + 1, 2):
-            power = power * inv2
-            coeffs[k] = complex(np.sum(np.where(mod <= cut[k], power, 0.0)))
-    return coeffs
 
 
 def _theta1_coefficients(tau: complex) -> np.ndarray:
@@ -288,6 +208,20 @@ class SigmaEvaluator:
         if arr.ndim == 0:
             return complex(res)
         return res
+
+    def log_derivative_on_lattice(self, lam) -> np.ndarray:
+        """log sigma'(lam) at lattice points ``lam``, in closed form.
+
+        Differentiating the translation rule at ``z0 = 0`` gives
+        ``sigma'(lam) = (-1)^(m+n+mn) exp(eta(lam) lam / 2)`` with
+        ``sigma'(0) = 1``; the sign is +1 exactly on ``2 * lattice``, so
+        the reduced coordinates give it as well as any others.
+        """
+        lam = np.asarray(lam, dtype=complex)
+        m, n = self._reduce(lam)
+        eta = m * self._eta_r[0] + n * self._eta_r[1]
+        odd = np.mod(m + n + m * n, 2.0) != 0.0
+        return 0.5 * eta * lam + 1j * math.pi * odd
 
     def derivatives_at(
         self, center: complex, count: int = 2, radius: float = 0.3, points: int = 64
@@ -439,30 +373,32 @@ def _is_square_lattice(lat: Lattice) -> bool:
 class GGammaEvaluator:
     """Interpolation kernel built from a (possibly perturbed) square lattice.
 
-    Given nodes ``gamma`` close to the square lattice of cell area
-    ``pi/beta``, the kernel is the Hadamard-type product
+    The node set holds one node ``gamma`` for each point ``lam`` of the
+    square lattice of cell area ``pi/beta`` in its window.  The kernel is
+    the Hadamard-type product
 
-        g(z) = (z - gamma00) * prod over other nodes of
+        g(z) = (z - gamma00) * prod over the other nodes of
                (1 - z/gamma) exp(z/gamma + z^2 / (2 lam^2)),
 
-    where ``lam`` is the home lattice point of each node (the quadratic
-    convergence factor intentionally uses the unperturbed point) and
-    ``gamma00`` is the stored node of smallest modulus (ties broken by
-    smallest principal argument).  Beyond the stored node window the
-    product continues over unperturbed lattice points up to
-    ``product_radius``, and the factors beyond it are restored through the
-    power sums of :func:`tail_coefficients`.  Values are reliable for
-    ``|z| <= product_radius / 3``.  The product shares nothing with the
-    theta series of :class:`SigmaEvaluator`, so on unperturbed nodes the
-    two routes cross-check each other.
+    continued over the unperturbed lattice beyond the window, where the
+    anchor ``gamma00`` is the node homed at 0.  The quadratic convergence
+    factor uses the home ``lam``, so it cancels against the same factor
+    of sigma's product, and what is left is sigma times a finite
+    correction:
+
+        g(z) = sigma(z) * (z - gamma00)/z * prod over moved nodes of
+               (1 - z/gamma) e^(z/gamma) / ((1 - z/lam) e^(z/lam)).
+
+    A node has moved when its stored position differs from its home as
+    floats; every other factor, including every lattice point beyond the
+    window, is exactly 1.  Sigma is :class:`SigmaEvaluator`'s theta
+    series, so there is no truncation and no domain radius: evaluation
+    raises ValueError only where sigma overflows.  The node set must hold
+    a node at every lattice point of its window, since sigma supplies a
+    zero at each of them.
     """
 
-    def __init__(
-        self,
-        gamma_set: IndexedPointSet,
-        tag: str | None = None,
-        product_radius: float | None = None,
-    ) -> None:
+    def __init__(self, gamma_set: IndexedPointSet, tag: str | None = None) -> None:
         lat = gamma_set.lattice
         if lat.shift != 0 or not _is_square_lattice(lat):
             raise ValueError("node sets must live over an unshifted square lattice")
@@ -476,84 +412,64 @@ class GGammaEvaluator:
         self.gamma_set = gamma_set
         self.tag = tag
         self.beta = math.pi / lat.area
-        self.truncation_radius = float(
-            product_radius if product_radius is not None else 3.0 * gamma_set.window_radius
-        )
-        if self.truncation_radius < gamma_set.window_radius:
-            raise ValueError("product_radius cannot be smaller than the node window")
 
-        indices = gamma_set.indices((tag,))
-        self._gam = np.asarray(gamma_set.points((tag,)), dtype=complex)
-        self._lam = np.array([lat.point(ix) for ix in indices], dtype=complex)
-        order = np.lexsort((np.angle(self._gam), np.round(np.abs(self._gam), 12)))
-        self._gam = self._gam[order]
-        self._lam = self._lam[order]
-        self._indices = [indices[i] for i in order]
-        self.gamma00 = complex(self._gam[0])
-        self.gamma00_index = self._indices[0]
+        # sorted (m, n) homes, aligned with the canonically ordered points
+        idx = np.array(gamma_set.indices((tag,)))
+        gam = np.asarray(gamma_set.points((tag,)), dtype=complex)
+        anchor = np.flatnonzero((idx[:, 0] == 0) & (idx[:, 1] == 0))
+        if not anchor.size:
+            raise ValueError(f"tag {tag!r} has no node homed at (0, 0) to anchor the kernel")
+        window, _ = window_arrays(lat, gamma_set.window_radius)
+        if not np.array_equal(idx, np.unique(window, axis=0)):
+            raise ValueError(
+                f"tag {tag!r} has {len(idx)} homes, not the {len(window)} lattice points "
+                f"of the window: sigma puts a zero at every one of them"
+            )
+        self.sigma = SigmaEvaluator(lat)
+        self.gamma00 = complex(gam[anchor[0]])
+        order = np.lexsort((np.angle(gam), np.round(np.abs(gam), 12)))
+        self._gam, self._lam = gam[order], lat.point((idx[:, 0], idx[:, 1]))[order]
+        self._moved = self._gam != self._lam
 
-        _idx, ring = window_arrays(lat, self.truncation_radius)
-        mod = np.abs(ring)
-        self._ring = ring[mod > gamma_set.window_radius + 1e-9]
-        tail = tail_coefficients(lat, self.truncation_radius, zmax=self.accuracy_radius)
-        self._tail_ks = np.array(sorted(tail), dtype=float)
-        self._tail_vals = np.array([tail[int(k)] for k in self._tail_ks])
+        # Each moved factor as (z - gamma)/(z - lam) * c * exp(z * rate),
+        # with c = lam/gamma and rate = 1/gamma - 1/lam; the anchor, homed
+        # at 0, has no convergence factor (c = 1, rate = 0).
+        gm, lm = self._gam[self._moved], self._lam[self._moved]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._log_c = np.where(lm != 0, np.log(lm / gm), 0.0)
+            self._rate = np.where(lm != 0, 1.0 / gm - 1.0 / lm, 0.0)
+        self._log_dsigma_at_moved_homes = self.sigma.log_derivative_on_lattice(lm)
         self._node_log_derivatives: np.ndarray | None = None
 
-    @property
-    def accuracy_radius(self) -> float:
-        return self.truncation_radius / 3.0
-
     @classmethod
-    def from_lattice(
-        cls,
-        beta: float,
-        sample_radius: float,
-        product_radius: float | None = None,
-    ) -> "GGammaEvaluator":
+    def from_lattice(cls, beta: float, sample_radius: float) -> "GGammaEvaluator":
         """Unperturbed instance: nodes are exactly the square lattice of area pi/beta."""
         step = math.sqrt(math.pi / beta)
         lat = Lattice(step, step * 1j)
         ps = IndexedPointSet(lat, window_radius=sample_radius, meta={"beta": beta})
         idx, pts = window_arrays(lat, sample_radius)
         ps.add_many(idx, "G", pos=pts)
-        return cls(ps, tag="G", product_radius=product_radius)
+        return cls(ps, tag="G")
 
     # -- log-domain evaluation -------------------------------------------
 
-    def _guard(self, z: np.ndarray) -> None:
-        limit = self.accuracy_radius * (1.0 + 1e-9) + 1e-9
-        worst = float(np.max(np.abs(z))) if np.asarray(z).size else 0.0
-        if worst > limit:
-            raise ValueError(
-                f"|z| = {worst:.6g} outside the accuracy domain "
-                f"(radius {self.accuracy_radius:.6g})"
-            )
+    def _correction_terms(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log of every moved factor at each z, as a (len(z), moved) matrix.
 
-    def _log_factors(self, zz: np.ndarray, skip: int | None) -> np.ndarray:
-        """Sum of log factors over nodes (minus anchor, minus ``skip``), ring, tail."""
-        gam = self._gam[1:][None, :]
-        lam = self._lam[1:][None, :]
-        x = zz[:, None] / gam
-        # division rounding can miss the exact zero at a node; force it
-        hit = zz[:, None] == gam
-        if skip is not None and skip > 0:
-            hit[:, skip - 1] = False
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.log1p(-x) + x + zz[:, None] ** 2 / (2.0 * lam ** 2)
-            if skip is not None and skip > 0:
-                terms[:, skip - 1] = 0.0
-            total = np.sum(terms, axis=1)
-            total = np.where(hit.any(axis=1), complex(-math.inf, 0.0), total)
-            y = zz[:, None] / self._ring[None, :]
-            total += np.sum(np.log1p(-y) + y + 0.5 * y * y, axis=1)
-        total -= np.sum(
-            self._tail_vals[None, :]
-            * zz[:, None] ** self._tail_ks[None, :]
-            / self._tail_ks[None, :],
-            axis=1,
-        )
-        return total
+        Where z sits exactly on a moved home the factor's pole is left
+        out; the second array marks those entries.
+        """
+        d = z[:, None]
+        rel = d - self._lam[self._moved]
+        at_home = rel == 0
+        with np.errstate(divide="ignore"):
+            terms = (
+                np.log(d - self._gam[self._moved])
+                - np.log(np.where(at_home, 1.0, rel))
+                + self._log_c
+                + d * self._rate
+            )
+        return terms, at_home
 
     def log_g(self, z) -> np.ndarray:
         """Complex log of the kernel (imaginary part meaningful mod 2*pi).
@@ -561,16 +477,14 @@ class GGammaEvaluator:
         Returns -inf real part at the nodes themselves.
         """
         arr = np.asarray(z, dtype=complex)
-        self._guard(arr)
         flat = arr.ravel()
-        out = np.empty_like(flat)
-        for i in range(0, flat.size, _EVAL_CHUNK):
-            zz = flat[i : i + _EVAL_CHUNK]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[i : i + _EVAL_CHUNK] = self._log_factors(zz, skip=None) + np.log(
-                    zz - self.gamma00
-                )
-        res = out.reshape(arr.shape)
+        terms, at_home = self._correction_terms(flat)
+        with np.errstate(divide="ignore"):
+            log_sigma = np.log(np.asarray(self.sigma(flat)))
+        # on a moved home sigma's zero cancels the pole: sigma(z)/(z - lam) -> sigma'(lam)
+        row, col = np.nonzero(at_home)
+        log_sigma[row] = self._log_dsigma_at_moved_homes[col]
+        res = (log_sigma + terms.sum(axis=1)).reshape(arr.shape)
         if arr.ndim == 0:
             return complex(res)
         return res
@@ -592,34 +506,33 @@ class GGammaEvaluator:
         return j
 
     def log_g_derivative(self, gamma_pt: complex) -> complex:
-        """Complex log of g'(gamma) at a stored node.
-
-        At a simple zero the derivative equals the product of all other
-        factors times the local factor's own slope; every piece is
-        available in closed form, so no differencing is involved.
-        """
-        j = self._locate(gamma_pt)
-        gj = complex(self._gam[j])
-        zz = np.array([gj])
-        if j == 0:
-            total = complex(self._log_factors(zz, skip=None)[0])
-        else:
-            total = complex(self._log_factors(zz, skip=j)[0])
-            total += cmath.log(gj - self.gamma00)
-            # slope of (1 - z/gamma) exp(z/gamma + z^2/(2 lam^2)) at z = gamma
-            lamj = complex(self._lam[j])
-            total += cmath.log(-1.0 / gj) + gj / gj + gj ** 2 / (2.0 * lamj ** 2)
-        return total
+        """Complex log of g'(gamma) at a stored node."""
+        return complex(self.node_log_derivatives()[self._locate(gamma_pt)])
 
     def g_derivative(self, gamma_pt: complex) -> complex:
         return cmath.exp(self.log_g_derivative(gamma_pt))
 
     def node_log_derivatives(self) -> np.ndarray:
-        """log g' at every stored node, in the (modulus, argument) node order."""
+        """log g' at every stored node, in the (modulus, argument) node order.
+
+        At a simple zero the derivative is the slope of the vanishing
+        factor times all the others, each in closed form.  At an unmoved
+        node ``lam`` the vanishing factor is sigma's, whose slope
+        :meth:`SigmaEvaluator.log_derivative_on_lattice` gives; at a moved
+        node ``gamma`` it is the node's own factor, whose slope
+        ``c exp(gamma * rate) / (gamma - lam)`` multiplies ``sigma(gamma)``.
+        """
         if self._node_log_derivatives is None:
-            self._node_log_derivatives = np.array(
-                [self.log_g_derivative(g) for g in self._gam]
+            moved = self._moved
+            terms, _ = self._correction_terms(self._gam)
+            gm, lm = self._gam[moved], self._lam[moved]
+            terms[np.flatnonzero(moved), np.arange(gm.size)] = (
+                self._log_c + gm * self._rate - np.log(gm - lm)
             )
+            out = np.empty_like(self._gam)
+            out[~moved] = self.sigma.log_derivative_on_lattice(self._lam[~moved])
+            out[moved] = np.log(np.asarray(self.sigma(gm)))
+            self._node_log_derivatives = out + terms.sum(axis=1)
         return self._node_log_derivatives
 
     def derivative_lower_probe(self) -> "DerivativeBoundProbe":
@@ -663,6 +576,21 @@ class LagrangeResult:
     increments: tuple[float, ...] | None = None
 
 
+def _sample_values(samples: Mapping[complex, complex], nodes: np.ndarray) -> np.ndarray:
+    """``samples[node]`` for every node, matched in one sorted search."""
+    keys = np.fromiter(samples, dtype=complex, count=len(samples))
+    vals = np.fromiter(samples.values(), dtype=complex, count=len(samples))
+    found = np.zeros(nodes.size, dtype=bool)
+    slot = np.zeros(nodes.size, dtype=np.int64)
+    if keys.size:
+        order = np.argsort(keys)
+        slot = order[np.minimum(np.searchsorted(keys, nodes, sorter=order), keys.size - 1)]
+        found = keys[slot] == nodes
+    if not found.all():
+        raise ValueError(f"{int(np.count_nonzero(~found))} stored nodes have no sample value")
+    return vals[slot]
+
+
 def lagrange_interpolate(
     ev: GGammaEvaluator,
     samples: Mapping[complex, complex],
@@ -679,33 +607,24 @@ def lagrange_interpolate(
     """
     if not alpha < ev.beta:
         raise ValueError(f"alpha must be below beta = {ev.beta:.6g}")
-    missing = sum(1 for g in ev._gam if complex(g) not in samples)
-    if missing:
-        raise ValueError(f"{missing} stored nodes have no sample value")
+    nodes = ev._gam
+    vals = _sample_values(samples, nodes)
     z = complex(z)
-    for g in ev._gam:
-        if abs(z - g) <= 1e-12 * max(1.0, abs(g)):
-            return LagrangeResult(
-                value=complex(samples[complex(g)]),
-                last_increment=0.0,
-                terms=0,
-                increments=() if return_trace else None,
-            )
-    log_gz = complex(np.asarray(ev.log_g(z)))
-    log_dg = ev.node_log_derivatives()
-    total = 0.0 + 0.0j
-    increments: list[float] = []
-    for j, g in enumerate(ev._gam):
-        term = samples[complex(g)] * cmath.exp(
-            log_gz - complex(log_dg[j]) - cmath.log(z - complex(g))
+    hit = np.flatnonzero(np.abs(z - nodes) <= 1e-12 * np.maximum(1.0, np.abs(nodes)))
+    if hit.size:
+        return LagrangeResult(
+            value=complex(vals[hit[0]]),
+            last_increment=0.0,
+            terms=0,
+            increments=() if return_trace else None,
         )
-        total += term
-        increments.append(abs(term))
+    terms = vals * np.exp(ev.log_g(z) - ev.node_log_derivatives() - np.log(z - nodes))
+    increments = np.abs(terms)
     return LagrangeResult(
-        value=total,
-        last_increment=increments[-1] if increments else 0.0,
-        terms=len(increments),
-        increments=tuple(increments) if return_trace else None,
+        value=complex(np.sum(terms)),
+        last_increment=float(increments[-1]),
+        terms=int(terms.size),
+        increments=tuple(increments.tolist()) if return_trace else None,
     )
 
 

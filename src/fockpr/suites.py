@@ -18,6 +18,8 @@ import numpy as np
 from . import fock, gabor, phaseless, special
 from .fock import FockPoly
 from .lattice import Lattice, window_arrays
+from .pointset import IndexedPointSet
+from .rng import keyed_disk
 from .sampler import GeneratorConfig, random_triple
 
 __all__ = [
@@ -276,19 +278,28 @@ def verify_special(seed: int = 0) -> list[CheckResult]:
         )
     )
 
-    g = special.GGammaEvaluator.from_lattice(math.pi, sample_radius=5.0, product_radius=15.0)
-    probes = _random_points(rng, 60, 4.5)
-    gv = g(probes)
-    sv = ev(probes)
+    # Nodes with even m move by a keyed draw, the anchor among them; the
+    # others stay on the lattice.  At a zero, g(gamma + h) = h g'(gamma)
+    # (1 + O(h)), which tests both closed forms of the node derivative.
+    idx, homes = window_arrays(lat, 3.0)
+    m, n = idx[:, 0], idx[:, 1]
+    nodes = IndexedPointSet(lat, window_radius=3.0)
+    moved = m % 2 == 0
+    nodes.add_many(idx, "G", pos=homes + np.where(moved, 0.2 * keyed_disk(seed, m, n, 1), 0.0))
+    kernel = special.GGammaEvaluator(nodes, tag="G")
+    near = kernel._gam + 2.0 ** -40 * _random_points(rng, 60, 4.5)[: kernel._gam.size]
+    slopes = (near - kernel._gam) * np.exp(kernel.node_log_derivatives())
     out.append(
         _below(
-            "unperturbed interpolation kernel matches sigma",
-            float(np.max(np.abs(gv - sv)) / max(float(np.max(np.abs(sv))), 1e-300)),
-            1e-10,
-            "independent product route vs theta-grade evaluator",
+            "interpolation kernel vanishes to first order at its nodes",
+            float(np.max(np.abs(kernel(near) - slopes) / np.abs(slopes))),
+            1e-8,
+            f"g(gamma + h) against h g'(gamma) at {kernel._gam.size} nodes, "
+            f"{np.count_nonzero(moved)} moved, |h| <= 4.5 * 2^-40",
         )
     )
 
+    g = special.GGammaEvaluator.from_lattice(math.pi, sample_radius=5.0)
     probe = g.derivative_lower_probe()
     out.append(
         _flag(
@@ -299,7 +310,7 @@ def verify_special(seed: int = 0) -> list[CheckResult]:
         )
     )
 
-    g2 = special.GGammaEvaluator.from_lattice(2.0, sample_radius=6.0, product_radius=18.0)
+    g2 = special.GGammaEvaluator.from_lattice(2.0, sample_radius=6.0)
     samples = {complex(gm): 1.0 + 0.0j for gm in g2._gam}
     err = max(
         abs(special.lagrange_interpolate(g2, samples, complex(zz), alpha=1.0).value - 1.0)

@@ -288,7 +288,7 @@ def test_09_critical_counterexample(sigma_unit):
 def test_10_lagrange_reconstruction():
     t0 = time.time()
     alpha = PI
-    ev = GGammaEvaluator.from_lattice(2.0 * PI, 12.0, 36.0)
+    ev = GGammaEvaluator.from_lattice(2.0 * PI, 12.0)
     nodes = [complex(g) for g in sample_points(ev.gamma_set)]
     rng = np.random.default_rng(5)
     probes = rng.normal(scale=1.2, size=20) + 1j * rng.normal(scale=1.2, size=20)

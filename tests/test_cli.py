@@ -55,7 +55,9 @@ def test_generate_writes_a_loadable_set_and_csv(det3_set, tmp_path):
 
 # sha256 of each output written with --seed 1 by the dict-per-entry code
 # this package had before its point sets became columnar; the radii reach
-# the regime where Gaussian budgets underflow and offsets collapse to +-0.0
+# the regime where Gaussian budgets underflow and offsets collapse to +-0.0.
+# opteven.json was re-pinned when its meta gained the triple_fold field,
+# the only bytes that changed.
 GOLDEN_GENERATE = {
     "rand3": (["--alpha", PI, "--radius", 12], {
         "rand3.json": "9319173b413fa7056f8729466a0a6539b1a8440fefff9daafdb97c8937170af5"}),
@@ -69,7 +71,7 @@ GOLDEN_GENERATE = {
     "optreal": (["--v", 0.45, "--radius", 11], {
         "optreal.json": "435df3dba1fc62a40bd30d42221ba8629ccea924149042cf168fa7a39e07221a"}),
     "opteven": (["--v", 0.45, "--radius", 11], {
-        "opteven.json": "b8d19e7167259ef574e8285c6f873740384717330daf8acaf398de54c12b53b0"}),
+        "opteven.json": "fdb336affa82a97ec436783d1bb695b087469bb7da2cbcdda79cb732f1f09ee7"}),
 }
 
 
@@ -187,6 +189,19 @@ def test_certify_leaves_scipy_unloaded(det3_set, tmp_path):
     argv = [sys.executable, "-c", code, det3_set, tmp_path / "r.json", tmp_path / "r.svg"]
     assert subprocess.run([str(a) for a in argv], env=env).returncode == 0
     assert jsonio.load_path(tmp_path / "r.json")["separation_report"]["count"] == 147
+
+
+def test_certify_opteven_at_bench_size(tmp_path):
+    # opteven keys its B and C samples at images of the frame point; the
+    # set's triple_fold metadata lets certify regroup each triple there
+    path = tmp_path / "opteven.json"
+    assert run("generate", "--construction", "opteven", "--v", 0.45, "--radius", 30,
+               "--seed", 1, "--out", path) == 0
+    assert run("certify", "--in", path, "--beta", "12.566", "--out", tmp_path / "r.json") == 0
+    report = jsonio.load_path(tmp_path / "r.json")
+    assert report["passed"] is True
+    assert report["angle"]["count"] == 3493
+    assert report["sup_ratio"] == pytest.approx(1.3994, abs=1e-4)
 
 
 def test_certify_missing_input_exits_2(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fockpr.lattice import Lattice, window_arrays
-from fockpr.pointset import angle_condition, sample_points, separation
+from fockpr.pointset import angle_condition, sample_points, separation, triple_vertices
 from fockpr.rng import keyed_disk
 from fockpr.sampler import (
     GeneratorConfig,
@@ -204,6 +204,22 @@ def test_density_opt_even_emits_the_orbit_of_the_masked_draws():
     for (mm, nn), u in list(zip(idx[keep], ua))[:20]:
         entry = ps.get((int(mm), int(-nn - 1)), "A")
         assert entry.unit == np.conj(u)
+
+
+def test_opteven_triples_fold_back_to_the_generator_draws():
+    v = 0.45
+    ps = density_opt_even(v, window_radius=8.0, seed=3)
+    indices, verts = triple_vertices(ps)
+    m, n = indices[:, 0], indices[:, 1]
+    assert opt_even_sublattice_mask(m, n).all()
+    idx, _ = window_arrays(opt_even_lattice(v), 8.0)
+    assert len(indices) == np.count_nonzero(opt_even_sublattice_mask(idx[:, 0], idx[:, 1]))
+    for t, label in enumerate((1, 2, 3)):
+        assert np.array_equal(verts[:, t], keyed_disk(3, m, n, label))
+    # a fold the set cannot name is refused, not skipped
+    ps.meta["triple_fold"] = {"A": "rotate"}
+    with pytest.raises(ValueError, match="fold"):
+        triple_vertices(ps)
 
 
 # -- line families ------------------------------------------------------------------

@@ -42,3 +42,13 @@ def test_density_scan_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("triple") == 2
     assert "even-optimal" in proc.stdout
+
+
+def test_angle_margin_sweep_runs(tmp_path):
+    proc = run_script("angle_margin_sweep.py", "--trials", 2000, "--eps", 0.05, 0.1,
+                      cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split()[:2] for line in proc.stdout.splitlines()[2:] if line.strip()]
+    assert rows[:4] == [["triple", "0.050"], ["mirror", "0.050"],
+                        ["triple", "0.100"], ["mirror", "0.100"]]
+    assert proc.stdout.splitlines()[-1].startswith("smallest margin: ")

@@ -15,7 +15,6 @@ from fockpr.special import (
     SigmaEvaluator,
     fock_annulus_increments,
     lagrange_interpolate,
-    tail_coefficients,
     three_lines_liouville_note,
 )
 
@@ -162,23 +161,15 @@ def test_derivatives_via_contour(sigma_unit):
     assert d2 == pytest.approx(-2.0 * math.pi * math.exp(math.pi / 2), rel=1e-6)
 
 
-# -- truncation tails -----------------------------------------------------------------
-
-
-def test_tail_coefficients_window_consistency():
-    lat = Lattice(1.0, 1.0j)
-    inner = tail_coefficients(lat, 18.0, zmax=6.0)
-    outer = tail_coefficients(lat, 25.0, zmax=6.0)
-    _, pts = window_arrays(lat, 25.0)
-    ring = pts[np.abs(pts) > 18.0 + 1e-9]
-    for k in (4, 6, 8, 12, 16, 24):
-        annulus = complex(np.sum(ring ** (-float(k))))
-        # Each window's S_k carries its own truncation budget eps_log*k/zmax**k
-        # (the cut radii differ because they are floored at 1.5x the window
-        # radius), plus rounding noise from sums whose partial magnitudes
-        # reach O(1) on the closed-form route.
-        budget = 2.0 * 1e-9 * k / 6.0**k + 5e-15
-        assert inner[k] - outer[k] == pytest.approx(annulus, rel=1e-9, abs=budget)
+def test_lattice_derivatives_in_closed_form_match_the_contour():
+    # (1, 1) carries the mn term of the sign; (2 + i, 1 + i) needs reducing
+    for lat, _radius in ORACLE_LATTICES + [(Lattice(2.0 + 1.0j, 1.0 + 1.0j), 0.0)]:
+        ev = SigmaEvaluator(lat)
+        for m, n in ((0, 0), (1, 0), (0, 1), (1, 1), (-2, 1), (3, -2)):
+            lam = lat.point((m, n))
+            contour = ev.derivatives_at(lam, count=1)[0]
+            closed = cmath.exp(complex(ev.log_derivative_on_lattice(lam)))
+            assert abs(closed - contour) <= 1e-9 * abs(contour), (lat, m, n)
 
 
 def test_sigma_is_independent_of_the_basis(sigma_unit):
@@ -247,12 +238,123 @@ def test_annulus_increments_match_the_gaussian_closed_form():
         fock_annulus_increments(lambda z: z, 1.0, [1.0, 0.5])
 
 
+# -- the Hadamard product route, kept as an independent oracle for the kernel ----------
+
+
+def eisenstein_g4_g6(lat: Lattice) -> tuple[complex, complex]:
+    """sum(lam^-4) and sum(lam^-6) over the nonzero lattice, from the modular
+    q-expansions; the basis must already be reduced (|q| <= exp(-pi sqrt(3)))."""
+    w1 = complex(lat.omega1)
+    q = cmath.exp(2j * math.pi * complex(lat.omega2) / w1)
+    assert abs(q) <= math.exp(-math.pi * math.sqrt(3.0)) + 1e-15
+    n = np.arange(1, 60)
+    common = q**n / (1.0 - q**n)
+    e4 = 1.0 + 240.0 * np.sum(n**3 * common)
+    e6 = 1.0 - 504.0 * np.sum(n**5 * common)
+    return (math.pi**4 / 45.0) * e4 / w1**4, (2.0 * math.pi**6 / 945.0) * e6 / w1**6
+
+
+def annulus(lat: Lattice, r_lo: float, r_hi: float) -> np.ndarray:
+    """Lattice points with r_lo < |lam| <= r_hi under window_arrays' inclusion rule.
+
+    The ring of unperturbed factors and the tail sums must split the
+    lattice by one rule; the 1e-9 slack of window_arrays on one side and
+    a strict comparison on the other counted the points that round to
+    just above the product radius twice.
+    """
+    _, pts = window_arrays(lat, r_hi)
+    return pts[np.abs(pts) > r_lo + 1e-9]
+
+
+def tail_coefficients(lat: Lattice, radius: float, zmax: float) -> dict[int, complex]:
+    """S_k = sum over |lam| > radius of lam^-k, even k in [4, 24].
+
+    The discarded factors of a product truncated at ``radius`` contribute
+    ``exp(-sum_k S_k z^k / k)``.  S_4 and S_6 are the closed-form lattice
+    sums minus the window; for k >= 8 that subtraction would be
+    cancellation noise, so those sums run directly over an annulus wide
+    enough that each S_k errs by less than ``1e-9 * k / zmax**k``.
+    """
+    g4, g6 = eisenstein_g4_g6(lat)
+    window = annulus(lat, 0.0, radius)
+    coeffs = {4: g4 - complex(np.sum(window**-4.0)), 6: g6 - complex(np.sum(window**-6.0))}
+    cut = {}
+    for k in range(8, 25, 2):
+        need = 1e-9 * k / zmax**k
+        raw = ((2.0 * math.pi / lat.area) / ((k - 2) * need)) ** (1.0 / (k - 2))
+        cut[k] = max(1.5 * radius, raw)
+    ring = annulus(lat, radius, max(cut.values()))
+    for k in cut:
+        coeffs[k] = complex(np.sum(np.where(np.abs(ring) <= cut[k], ring ** -float(k), 0.0)))
+    return coeffs
+
+
+def product_log_g(ps: IndexedPointSet, z, product_radius: float, tag: str = "G") -> np.ndarray:
+    """log g as the Hadamard product over the nodes, then the unperturbed
+    lattice out to ``product_radius``, then the tail sums beyond it.
+
+    Reliable for |z| <= product_radius / 3; shares nothing with the theta
+    series behind GGammaEvaluator.
+    """
+    lat = ps.lattice
+    idx = np.array(ps.indices((tag,)))
+    gam = np.asarray(ps.points((tag,)), dtype=complex)
+    lam = lat.point((idx[:, 0], idx[:, 1]))
+    anchor = lam == 0
+    zz = np.asarray(z, dtype=complex).ravel()[:, None]
+    x = zz / gam[~anchor]
+    y = zz / annulus(lat, ps.window_radius, product_radius)
+    tail = tail_coefficients(lat, product_radius, zmax=product_radius / 3.0)
+    ks = np.array(sorted(tail), dtype=float)
+    s = np.array([tail[int(k)] for k in ks])
+    with np.errstate(divide="ignore"):
+        return (
+            np.log(zz[:, 0] - gam[anchor][0])
+            + np.sum(np.log1p(-x) + x + zz**2 / (2.0 * lam[~anchor] ** 2), axis=1)
+            + np.sum(np.log1p(-y) + y + 0.5 * y * y, axis=1)
+            - np.sum(s * zz**ks / ks, axis=1)
+        )
+
+
+def log_gap(a, b) -> float:
+    """Largest relative gap between two arrays of complex logs."""
+    return float(np.max(np.abs(np.expm1(np.asarray(a) - np.asarray(b)))))
+
+
+def test_tail_coefficients_window_consistency():
+    lat = Lattice(1.0, 1.0j)
+    inner = tail_coefficients(lat, 18.0, zmax=6.0)
+    outer = tail_coefficients(lat, 25.0, zmax=6.0)
+    _, pts = window_arrays(lat, 25.0)
+    ring = pts[np.abs(pts) > 18.0 + 1e-9]
+    for k in (4, 6, 8, 12, 16, 24):
+        annulus = complex(np.sum(ring ** (-float(k))))
+        # Each window's S_k carries its own truncation budget 1e-9*k/zmax**k
+        # (the cut radii differ because they are floored at 1.5x the window
+        # radius), plus rounding noise from sums whose partial magnitudes
+        # reach O(1) on the closed-form route.
+        budget = 2.0 * 1e-9 * k / 6.0**k + 5e-15
+        assert inner[k] - outer[k] == pytest.approx(annulus, rel=1e-9, abs=budget)
+
+
+def test_oracle_ring_and_tail_split_the_lattice_by_one_rule():
+    # test_10's lattice: four points sit at |lam| = 36 + 7.1e-15, inside the
+    # product radius under window_arrays' slack
+    lat = Lattice(math.sqrt(0.5), math.sqrt(0.5) * 1j)
+    _, pts = window_arrays(lat, 36.0)
+    edge = pts[np.abs(pts) > 36.0]
+    assert edge.size == 4
+    ring, beyond = annulus(lat, 12.0, 36.0), annulus(lat, 36.0, 48.0)
+    assert np.isin(edge, ring).all() and not np.isin(edge, beyond).any()
+    assert ring.size + beyond.size == annulus(lat, 12.0, 48.0).size
+
+
 # -- perturbed-node kernels -----------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def g_plain() -> GGammaEvaluator:
-    return GGammaEvaluator.from_lattice(math.pi, 5.0, product_radius=15.0)
+    return GGammaEvaluator.from_lattice(math.pi, 5.0)
 
 
 def perturbed_nodes(seed=0, radius=4.0, spread=0.1) -> IndexedPointSet:
@@ -273,11 +375,73 @@ def test_unperturbed_kernel_reduces_to_sigma(g_plain, sigma_unit):
     gv = np.asarray(g_plain(zs))
     sv = np.asarray(sigma_unit(zs))
     assert np.max(np.abs(gv - sv) / np.abs(sv)) < 1e-9
+    assert log_gap(g_plain.log_g(zs), product_log_g(g_plain.gamma_set, zs, 15.0)) < 1e-10
+
+
+def test_kernel_on_the_acceptance_lattice_matches_the_theta_oracle():
+    # The product route with its ring and tail split by two rules was off by
+    # 1.2e-2 here; the closed form carries only sigma's rounding.
+    ev = GGammaEvaluator.from_lattice(2.0 * math.pi, 12.0)
+    lat = ev.gamma_set.lattice
+    zs = spiral(11.9, count=24)
+    expect = np.array([theta_sigma(z, lat) for z in zs])
+    assert np.max(np.abs(np.asarray(ev(zs)) - expect) / np.abs(expect)) <= 1e-11
+
+
+def test_perturbed_kernel_matches_the_product_oracle():
+    ps = perturbed_nodes(seed=3)
+    ev = GGammaEvaluator(ps, tag="G")
+    assert np.count_nonzero(ev._gam != ev._lam) == len(ev._gam)
+    # the disk |z| <= 5, and every node's home, where its pole meets sigma's zero
+    zs = np.concatenate([spiral(5.0, count=200), ev._lam])
+    assert log_gap(ev.log_g(zs), product_log_g(ps, zs, 15.0)) <= 1e-10
+
+
+def test_moved_anchor_value_at_the_origin():
+    ps = perturbed_nodes()
+    ev = GGammaEvaluator(ps, tag="G")
+    assert ev.gamma00 == ps.get((0, 0), "G").pos != 0.0
+    # sigma(z)/z -> sigma'(0) = 1, so g(0) = -gamma00
+    assert complex(ev(0.0)) == pytest.approx(-ev.gamma00, rel=1e-13)
+    assert complex(ev(1e-14 + 1e-14j)) == pytest.approx(-ev.gamma00, rel=1e-11)
+
+
+def test_anchor_is_the_node_homed_at_the_origin():
+    # the (1, 0) node has the smallest modulus, but the anchor stays at home 0
+    ps = IndexedPointSet(UNIT, window_radius=4.0)
+    idx, pts = window_arrays(UNIT, 4.0)
+    shift = {(0, 0): 0.45 + 0.45j, (1, 0): -0.45}
+    for (mm, nn), pt in zip(idx.tolist(), pts.tolist()):
+        ps.add((mm, nn), "G", pos=pt + shift.get((mm, nn), 0.0))
+    ev = GGammaEvaluator(ps, tag="G")
+    assert ev.gamma00 == 0.45 + 0.45j
+    assert abs(ev._gam[0]) < abs(ev.gamma00)
+    z = 0.3 + 0.2j
+    value = complex(ev(z))
+    assert cmath.isfinite(value) and value != 0.0
+    assert log_gap(ev.log_g([z]), product_log_g(ps, [z], 15.0)) <= 1e-10
+    assert ev.derivative_lower_probe().passed
+
+
+def test_kernel_needs_a_node_homed_at_the_origin():
+    ps = IndexedPointSet(UNIT, window_radius=3.0)
+    idx, pts = window_arrays(UNIT, 3.0)
+    ps.add_many(idx[1:], "G", pos=pts[1:])
+    with pytest.raises(ValueError, match="homed at"):
+        GGammaEvaluator(ps, tag="G")
+
+
+def test_kernel_needs_a_node_at_every_window_point():
+    ps = IndexedPointSet(UNIT, window_radius=3.0)
+    idx, pts = window_arrays(UNIT, 3.0)
+    ps.add_many(idx[:-1], "G", pos=pts[:-1])
+    with pytest.raises(ValueError, match="window"):
+        GGammaEvaluator(ps, tag="G")
 
 
 def test_kernel_zeros_are_node_exact(g_plain):
     ps = perturbed_nodes()
-    ev = GGammaEvaluator(ps, tag="G", product_radius=15.0)
+    ev = GGammaEvaluator(ps, tag="G")
     for node in (ev.gamma00, complex(ev._gam[5]), complex(ev._gam[-1])):
         assert complex(ev(node)) == 0.0
     assert complex(ev(0.4 + 0.3j)) != 0.0
@@ -285,7 +449,7 @@ def test_kernel_zeros_are_node_exact(g_plain):
 
 
 def test_node_derivative_matches_finite_differences():
-    ev = GGammaEvaluator(perturbed_nodes(seed=3), tag="G", product_radius=15.0)
+    ev = GGammaEvaluator(perturbed_nodes(seed=3), tag="G")
     h = 1e-5
     for node in (complex(ev._gam[1]), complex(ev._gam[7])):
         exact = ev.g_derivative(node)
@@ -298,8 +462,6 @@ def test_node_location_validation(g_plain):
         g_plain.g_derivative(0.5 + 0.5j)
     with pytest.raises(ValueError):
         GGammaEvaluator(perturbed_nodes(), tag="H")
-    with pytest.raises(ValueError):
-        GGammaEvaluator.from_lattice(math.pi, 5.0, product_radius=3.0)
     oblique = IndexedPointSet(Lattice(1.0, 0.3 + 1.0j), 4.0)
     oblique.add((0, 0), "G", pos=0.0)
     with pytest.raises(ValueError):
@@ -319,7 +481,7 @@ def test_derivative_lower_probe(g_plain):
 @pytest.fixture(scope="module")
 def g_sparse() -> GGammaEvaluator:
     # node weight beta = 2 leaves room to interpolate functions at alpha = 1
-    return GGammaEvaluator.from_lattice(2.0, 6.0, product_radius=18.0)
+    return GGammaEvaluator.from_lattice(2.0, 6.0)
 
 
 def test_lagrange_reconstructs_a_constant(g_sparse):
@@ -353,6 +515,25 @@ def test_lagrange_validation(g_sparse):
     hit = lagrange_interpolate(g_sparse, samples, node, alpha=1.0)
     assert hit.value == samples[node]
     assert hit.terms == 0
+
+
+def test_lagrange_matches_the_per_node_sum():
+    # perturbed nodes, sample keys in another order, plus keys that are no node
+    ev = GGammaEvaluator(perturbed_nodes(seed=3), tag="G")
+    nodes = [complex(g) for g in ev._gam]
+    samples = {g: complex(math.cos(3.0 * g.real), g.imag) for g in reversed(nodes)}
+    samples.update({0.5 + 0.5j: 7.0, -9.0: 1.0})
+    z = 0.61 - 0.27j
+    log_dg = ev.node_log_derivatives()
+    terms = [
+        samples[g] * cmath.exp(complex(ev.log_g(z)) - complex(log_dg[j]) - cmath.log(z - g))
+        for j, g in enumerate(nodes)
+    ]
+    res = lagrange_interpolate(ev, samples, z, alpha=1.0, return_trace=True)
+    assert res.value == pytest.approx(sum(terms), rel=1e-13)
+    assert res.increments == pytest.approx([abs(t) for t in terms], rel=1e-13)
+    with pytest.raises(ValueError, match=f"{len(nodes)} stored nodes"):
+        lagrange_interpolate(ev, {}, z, alpha=1.0)
 
 
 # -- vanishing-density line families ---------------------------------------------------
