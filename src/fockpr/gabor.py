@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +47,9 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _QUARTER = 2.0 ** 0.25
+# (point, Gauss-Hermite node) pairs per block of ``bargmann_grid``: 1 MB
+# per complex temporary, 512 points at the default 128 nodes
+_LIFT_BLOCK = 1 << 16
 
 
 @functools.lru_cache(maxsize=8)
@@ -57,24 +60,35 @@ def _hermgauss(points: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _normalized_polys(nmax: int, u: np.ndarray) -> np.ndarray:
-    """P_n(u) = H_n(u)/sqrt(2^n n!) for n = 0..nmax, shape (nmax+1, len(u)).
+def _hermite_rows(nmax: int, u: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield P_n(u) = H_n(u)/sqrt(2^n n!) for n = 0..nmax, one row at a time.
 
     Three-term recurrence in the normalized scaling, which keeps values
-    O(exp(u^2/2)) instead of the raw Hermite overflow.  Accepts real or
-    complex arguments (complex nodes arise from the shifted contour in
+    O(exp(u^2/2)) instead of the raw Hermite overflow.  Only the last two
+    rows are held, so memory does not grow with the degree.  Accepts real
+    or complex arguments (complex nodes arise from the shifted contour in
     the transform quadrature).
     """
-    out = np.empty((nmax + 1, u.size), dtype=np.result_type(u.dtype, float))
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = math.sqrt(2.0) * u
+    dtype = np.result_type(u.dtype, float)
+    prev = np.ones(u.size, dtype=dtype)
+    yield prev
+    if nmax < 1:
+        return
+    cur = (math.sqrt(2.0) * u).astype(dtype, copy=False)
+    yield cur
     for n in range(1, nmax):
-        out[n + 1] = (
-            math.sqrt(2.0 / (n + 1.0)) * u * out[n]
-            - math.sqrt(n / (n + 1.0)) * out[n - 1]
+        prev, cur = cur, (
+            math.sqrt(2.0 / (n + 1.0)) * u * cur - math.sqrt(n / (n + 1.0)) * prev
         )
-    return out
+        yield cur
+
+
+def _hermite_series(coeffs: Sequence[complex], u: np.ndarray) -> np.ndarray:
+    """sum coeffs[n] * P_n(u), adding each term as its row is formed."""
+    acc = np.zeros(u.size, dtype=complex)
+    for c, row in zip(coeffs, _hermite_rows(len(coeffs) - 1, u)):
+        acc += c * row
+    return acc
 
 
 def hermite_function(n: int, t) -> np.ndarray:
@@ -83,7 +97,9 @@ def hermite_function(n: int, t) -> np.ndarray:
         raise ValueError("order must be nonnegative")
     tt = np.asarray(t, dtype=float)
     u = _SQRT_2PI * tt.ravel()
-    vals = _QUARTER * _normalized_polys(n, u)[n] * np.exp(-0.5 * u * u)
+    for row in _hermite_rows(n, u):
+        pass
+    vals = _QUARTER * row * np.exp(-0.5 * u * u)
     res = vals.reshape(tt.shape)
     if tt.ndim == 0:
         return float(res)
@@ -92,7 +108,12 @@ def hermite_function(n: int, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermiteSignal:
-    """Finite expansion sum coeffs[n] * h_n in normalized Hermite functions."""
+    """Finite expansion sum coeffs[n] * h_n in normalized Hermite functions.
+
+    Evaluation runs the normalized Hermite recurrence over the flattened
+    argument and adds each term as its row is formed, so the working set
+    is two recurrence rows and one accumulator, whatever the degree.
+    """
 
     coeffs: tuple[complex, ...]
 
@@ -113,11 +134,7 @@ class HermiteSignal:
     def __call__(self, t) -> np.ndarray:
         tt = np.asarray(t, dtype=float)
         u = _SQRT_2PI * tt.ravel()
-        polys = _normalized_polys(self.degree, u)
-        acc = np.zeros(u.size, dtype=complex)
-        for c, row in zip(self.coeffs, polys):
-            acc += c * row
-        vals = _QUARTER * acc * np.exp(-0.5 * u * u)
+        vals = _QUARTER * _hermite_series(self.coeffs, u) * np.exp(-0.5 * u * u)
         res = vals.reshape(tt.shape)
         if tt.ndim == 0:
             return complex(res)
@@ -127,11 +144,7 @@ class HermiteSignal:
         """f(t) * exp(pi t^2): the polynomial factor, safe at any real or complex t."""
         tt = np.asarray(t)
         u = (_SQRT_2PI * tt).ravel()
-        polys = _normalized_polys(self.degree, u)
-        acc = np.zeros(u.size, dtype=complex)
-        for c, row in zip(self.coeffs, polys):
-            acc += c * row
-        vals = _QUARTER * acc
+        vals = _QUARTER * _hermite_series(self.coeffs, u)
         if tt.ndim == 0:
             return complex(vals[0])
         return vals.reshape(tt.shape)
@@ -179,11 +192,21 @@ def bargmann_grid(
     the growth factor exactly and the two phases are opposite, so what
     survives is the bare contour integral of the signal polynomial
     centered at z/2.  Agrees pointwise with the scalar route.
+
+    The points are taken in blocks of about ``_LIFT_BLOCK`` (point, node)
+    pairs, so the working set is fixed whatever the size of ``z``; each
+    value is still the quadrature sum over its own row of nodes.
     """
     z = np.asarray(z, dtype=complex)
     nodes, weights = _hermgauss(quad_points)
-    t = 0.5 * z[..., None] + nodes / _SQRT_2PI
-    return np.sum(weights * f.poly_part(t), axis=-1) / _SQRT_2PI
+    shift = nodes / _SQRT_2PI
+    flat = z.ravel()
+    out = np.empty(flat.size, dtype=complex)
+    step = max(1, _LIFT_BLOCK // quad_points)
+    for start in range(0, flat.size, step):
+        t = 0.5 * flat[start : start + step, None] + shift
+        out[start : start + step] = np.sum(weights * f.poly_part(t), axis=-1) / _SQRT_2PI
+    return out.reshape(z.shape) if z.ndim else out[0]
 
 
 @dataclass(frozen=True)

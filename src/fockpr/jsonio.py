@@ -75,12 +75,16 @@ class Table:
     array (at least one column wide) a list.  ``present`` optionally maps
     a key to a boolean mask; records where it is False lack that key.
     :func:`dumps` renders a table in bulk, byte-identical to the
-    recursive writer on the equivalent list of dicts.
+    recursive writer on the equivalent list of dicts; it encodes which
+    keys a record has as the bits of one int64, so a table has at most
+    63 columns.
     """
 
     def __init__(self, columns: Mapping[str, Any], present: Mapping[str, Any] | None = None):
         self.columns = {key: np.asarray(col) for key, col in columns.items()}
         self.present = {key: np.asarray(mask, dtype=bool) for key, mask in (present or {}).items()}
+        if len(self.columns) > 63:
+            raise ValueError(f"a table has at most 63 columns, not {len(self.columns)}")
         lengths = {len(a) for a in (*self.columns.values(), *self.present.values())}
         if len(lengths) > 1:
             raise ValueError(f"columns and masks differ in length: {sorted(lengths)}")
@@ -123,19 +127,29 @@ def _write_table(table: Table, out: list[str], indent: int) -> None:
         else:
             items = ",\n".join([key_pad + "  %s"] * toks.shape[1])
             fragments.append(f"{head}[\n{items}\n{key_pad}]")
-    # rows lacking the same keys share one record template
-    always = np.ones(len(table), dtype=bool)
-    has = np.stack([table.present.get(key, always) for key in keys], axis=1)
-    patterns, which = np.unique(has, axis=0, return_inverse=True)
-    records = np.empty(len(table), dtype=object)
-    for p, pattern in enumerate(patterns):
-        rows = np.flatnonzero(which.ravel() == p)
-        cols = np.flatnonzero(pattern).tolist()
+    # rows lacking the same keys share one record template; a row's
+    # presence pattern is one int, bit j set when it has keys[j]
+    codes = np.zeros(len(table), dtype=np.int64)
+    for j, key in enumerate(keys):
+        mask = table.present.get(key)
+        codes |= (1 << j) if mask is None else mask.astype(np.int64) << j
+    patterns, which = np.unique(codes, return_inverse=True)
+
+    def fill(code: int, rows, sep: str) -> str:
+        cols = [j for j in range(len(keys)) if code >> j & 1]
         template = rec_pad + "{\n" + ",\n".join(fragments[j] for j in cols) + "\n" + rec_pad + "}"
         args = np.concatenate([tokens[j][rows] for j in cols], axis=1)
-        text = "\0".join([template] * len(rows)) % tuple(args.ravel().tolist())
-        records[rows] = text.split("\0")
-    out.append("[\n" + ",\n".join(records.tolist()) + "\n" + "  " * indent + "]")
+        return sep.join([template] * len(args)) % tuple(args.ravel().tolist())
+
+    if len(patterns) == 1:
+        body = fill(int(patterns[0]), slice(None), ",\n")
+    else:
+        records = np.empty(len(table), dtype=object)
+        for p, code in enumerate(patterns.tolist()):
+            rows = np.flatnonzero(which == p)
+            records[rows] = fill(code, rows, "\0").split("\0")
+        body = ",\n".join(records.tolist())
+    out.append("[\n" + body + "\n" + "  " * indent + "]")
 
 
 def _write_rows(arr: np.ndarray, out: list[str], indent: int) -> None:

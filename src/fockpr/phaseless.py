@@ -18,6 +18,7 @@ evidence they do not:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -322,6 +323,15 @@ def zero_perturbation_bound_check(
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(dim, 1)``: the (j, k) pairs with j < k."""
+    j, k = np.triu_indices(dim, 1)
+    j.setflags(write=False)
+    k.setflags(write=False)
+    return j, k
+
+
 def _hermitian_coords(x: np.ndarray) -> np.ndarray:
     """Coordinates Re sum(conj(B) * x) of x over the ``hermitian_basis`` B.
 
@@ -329,7 +339,7 @@ def _hermitian_coords(x: np.ndarray) -> np.ndarray:
     term by term, rounding exactly as the trace inner product does.
     """
     dim = x.shape[-1]
-    j, k = np.triu_indices(dim, 1)
+    j, k = _upper_pairs(dim)
     upper, lower = x[..., j, k], x[..., k, j]
     out = np.empty(x.shape[:-2] + (dim * dim,))
     out[..., :dim] = np.diagonal(x, axis1=-2, axis2=-1).real
@@ -344,7 +354,7 @@ def _hermitian_from_coords(coords: np.ndarray) -> np.ndarray:
     Inverse of ``_hermitian_coords``; works on the last axis.
     """
     dim = math.isqrt(coords.shape[-1])
-    j, k = np.triu_indices(dim, 1)
+    j, k = _upper_pairs(dim)
     x = np.zeros(coords.shape[:-1] + (dim, dim), dtype=complex)
     x[..., range(dim), range(dim)] = coords[..., :dim]
     x[..., j, k] = (coords[..., dim::2] + 1j * coords[..., dim + 1 :: 2]) * _INV_SQRT2

@@ -403,7 +403,10 @@ def reflection_closure(obj, mode: str) -> np.ndarray:
 
 # -- Monte Carlo small-angle experiments --------------------------------------
 
-_MC_BATCH = 1 << 18
+# Trials drawn per batch.  ``Generator.random`` fills rows in order from
+# one Philox stream, so the draws and the hit count do not depend on it;
+# it only bounds the working set.
+_MC_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Windowed transform, entire lift, decay check, and symmetry classification."""
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockpr import gabor
 from fockpr.fock import FockPoly
 from fockpr.gabor import (
     HardyReport,
@@ -107,6 +109,51 @@ def test_gabor_transform_quadrature_converged():
     assert a == pytest.approx(b, rel=1e-13)
 
 
+def materialized_rows(nmax: int, u: np.ndarray) -> np.ndarray:
+    """Every normalized Hermite row P_0..P_nmax at once: the recurrence kept in full."""
+    out = np.empty((nmax + 1, u.size), dtype=np.result_type(u.dtype, float))
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = math.sqrt(2.0) * u
+    for n in range(1, nmax):
+        out[n + 1] = (
+            math.sqrt(2.0 / (n + 1.0)) * u * out[n]
+            - math.sqrt(n / (n + 1.0)) * out[n - 1]
+        )
+    return out
+
+
+def materialized_poly_part(f: HermiteSignal, t) -> np.ndarray:
+    tt = np.asarray(t)
+    u = (SQRT_2PI * tt).ravel()
+    acc = np.zeros(u.size, dtype=complex)
+    for c, row in zip(f.coeffs, materialized_rows(f.degree, u)):
+        acc += c * row
+    return (2.0**0.25 * acc).reshape(tt.shape)
+
+
+def bits_equal(a, b) -> bool:
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.int64), b.view(np.int64)
+    )
+
+
+@pytest.mark.parametrize("degree", range(13))
+def test_two_row_recurrence_is_bit_equal_to_materialized_rows(degree):
+    rng = np.random.default_rng(degree)
+    f = HermiteSignal(tuple(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)))
+    t = np.concatenate([rng.normal(scale=2.0, size=(5, 8)).ravel(), [0.0, -0.0]]).reshape(6, 7)
+    tc = t + 1j * rng.normal(size=t.shape)
+    for arg in (t, tc):
+        assert bits_equal(f.poly_part(arg), materialized_poly_part(f, arg))
+    u = SQRT_2PI * t.ravel()
+    expected = (materialized_poly_part(f, t).ravel() * np.exp(-0.5 * u * u)).reshape(t.shape)
+    assert bits_equal(f(t), expected)
+    row = materialized_rows(degree, u)[degree]
+    assert bits_equal(hermite_function(degree, t), (2.0**0.25 * row * np.exp(-0.5 * u * u)).reshape(t.shape))
+
+
 # -- entire lift -------------------------------------------------------------------
 
 
@@ -125,6 +172,48 @@ def test_bargmann_grid_shapes():
     out = bargmann_grid(f, z)
     assert out.shape == z.shape
     assert out[0, 1] == pytest.approx(bargmann(f, 1.0), rel=1e-12)
+
+
+def one_shot_bargmann_grid(f: HermiteSignal, z, quad_points: int = 128):
+    """Every (point, node) pair at once: the unblocked lift."""
+    z = np.asarray(z, dtype=complex)
+    nodes, weights = np.polynomial.hermite.hermgauss(quad_points)
+    t = 0.5 * z[..., None] + nodes / SQRT_2PI
+    return np.sum(weights * f.poly_part(t), axis=-1) / SQRT_2PI
+
+
+def polar_grid(rmax: float, radial_order: int, angular_points: int) -> np.ndarray:
+    r = 0.5 * rmax * (np.polynomial.legendre.leggauss(radial_order)[0] + 1.0)
+    return r[:, None] * np.exp(2j * math.pi * np.arange(angular_points) / angular_points)
+
+
+@pytest.mark.parametrize("quad_points", [128, 100])
+def test_blocked_lift_is_bit_equal_to_the_one_shot_formula(quad_points):
+    rng = np.random.default_rng(5)
+    f = HermiteSignal((0.3, 1.0j, -0.5, 0.25))
+    block = gabor._LIFT_BLOCK // quad_points
+    shapes = [(), (0,), (7,), (block + 1,), (64, 128)]
+    for shape in shapes:
+        z = rng.normal(scale=2.0, size=shape) + 1j * rng.normal(scale=2.0, size=shape)
+        got = bargmann_grid(f, z, quad_points=quad_points)
+        want = one_shot_bargmann_grid(f, z, quad_points=quad_points)
+        assert type(got) is type(want)
+        assert bits_equal(got, want), shape
+
+
+def test_lift_working_set_does_not_grow_with_the_grid():
+    # the 64 x 128 polar grid of the lifted Gram check in ``verify gabor``;
+    # materialized all at once it peaks at 134 MB
+    grid = polar_grid(5.0, 64, 128)
+    f = basis_signal(3)
+    bargmann_grid(f, grid[:1])  # Gauss-Hermite nodes cached outside the trace
+    tracemalloc.start()
+    try:
+        bargmann_grid(f, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_lift_of_gaussian_is_constant():

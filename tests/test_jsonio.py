@@ -170,6 +170,18 @@ def test_table_path_on_point_records():
     assert jsonio.dumps({"points": empty}) == jsonio.dumps({"points": []})
 
 
+def test_table_presence_bits_reach_the_last_of_63_columns():
+    columns = {f"k{j:02d}": np.array([float(j), -float(j)]) for j in range(63)}
+    present = {"k00": [False, True], "k62": [True, False]}
+    records = [
+        {key: float(col[i]) for key, col in columns.items() if present.get(key, [True, True])[i]}
+        for i in range(2)
+    ]
+    assert jsonio.dumps(jsonio.Table(columns, present)) == jsonio.dumps(records)
+    with pytest.raises(ValueError, match="at most 63 columns"):
+        jsonio.Table({f"k{j:02d}": np.zeros(2) for j in range(64)})
+
+
 @given(st.data())
 def test_array_path_matches_the_list_of_lists_writer(data):
     shape = (data.draw(st.integers(0, 6)), data.draw(st.integers(0, 3)))

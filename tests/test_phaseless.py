@@ -13,6 +13,7 @@ from fockpr.phaseless import (
     _hermitian_coords,
     _hermitian_from_coords,
     _moment_vectors,
+    _upper_pairs,
     combine_directionals,
     directional_derivative,
     hermitian_basis,
@@ -293,6 +294,14 @@ def test_hermitian_basis_is_orthonormal_and_complete(dim):
         [[np.real(np.sum(np.conj(p) * q)) for q in basis] for p in basis]
     )
     assert gram == pytest.approx(np.eye(dim * dim), abs=1e-14)
+
+
+def test_upper_pairs_are_cached_read_only_triu_indices():
+    j, k = _upper_pairs(5)
+    assert _upper_pairs(5)[0] is j
+    assert not j.flags.writeable and not k.flags.writeable
+    want_j, want_k = np.triu_indices(5, 1)
+    assert np.array_equal(j, want_j) and np.array_equal(k, want_k)
 
 
 @pytest.mark.parametrize("N", [0, 1, 6, 8])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fockpr import sampler
 from fockpr.lattice import Lattice, window_arrays
 from fockpr.pointset import angle_condition, sample_points, separation, triple_vertices
 from fockpr.rng import keyed_disk
@@ -272,6 +273,15 @@ def test_mc_reports_are_deterministic_and_consistent():
         mc_angle_bound(0, 0.05)
     with pytest.raises(ValueError):
         mc_angle_bound(100, -0.1)
+
+
+@pytest.mark.parametrize("run", [mc_angle_bound, mc_mirror_angle_bound])
+def test_mc_report_does_not_depend_on_the_batch_size(run, monkeypatch):
+    reports = []
+    for batch in (1000, 1 << 14, 1 << 18):
+        monkeypatch.setattr(sampler, "_MC_BATCH", batch)
+        reports.append(run(50_001, 0.05, seed=3))
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_mc_bound_is_vacuous_for_large_epsilon():
