@@ -51,6 +51,7 @@ from .fock import (
     dist,
     dist2,
     extension_norm_bound_check,
+    fock_gram,
     growth_check,
     kernel,
     polyanalytic_residual,
@@ -71,7 +72,6 @@ from .gabor import (
     HermiteSignal,
     bargmann,
     bargmann_grid,
-    fock_gram,
     fock_inner_quad,
     fock_symmetry_check,
     gabor_transform,

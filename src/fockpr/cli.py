@@ -48,7 +48,7 @@ from .sampler import (
     real_pair,
     three_lines,
 )
-from .suites import run_suite
+from .suites import pinned_injectivity_points, run_suite
 from .phaseless import lifted_injectivity
 
 __all__ = ["main", "build_parser"]
@@ -59,6 +59,17 @@ _LATTICE_CONSTRUCTIONS = {
     "real2": real_pair,
     "even1": even_single,
 }
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,22 +85,22 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=sorted(_LATTICE_CONSTRUCTIONS) + ["optreal", "opteven", "lines"],
     )
-    g.add_argument("--alpha", type=float, help="weight; lattice is the square one of cell area pi/alpha")
-    g.add_argument("--v", type=float, help="side length; lattice is v*(Z+iZ) (constructions pick their own frame for optreal/opteven)")
-    g.add_argument("--radius", type=float, required=True, help="window radius")
-    g.add_argument("--gamma", type=float, default=7.0, help="closeness decay rate (default 7)")
-    g.add_argument("--kappa", type=float, default=None, help="closeness budget cap (default 1, or v/4 for opteven)")
+    g.add_argument("--alpha", type=_finite_float, help="weight; lattice is the square one of cell area pi/alpha")
+    g.add_argument("--v", type=_finite_float, help="side length; lattice is v*(Z+iZ) (constructions pick their own frame for optreal/opteven)")
+    g.add_argument("--radius", type=_finite_float, required=True, help="window radius")
+    g.add_argument("--gamma", type=_finite_float, default=7.0, help="closeness decay rate (default 7)")
+    g.add_argument("--kappa", type=_finite_float, default=None, help="closeness budget cap (default 1, or v/4 for opteven)")
     g.add_argument("--mode", choices=["random", "det"], default="random", help="offset mode for optreal/opteven")
-    g.add_argument("--angles", type=str, default=None, help="three line angles in radians, comma separated (lines only)")
-    g.add_argument("--pitch", type=float, default=0.1, help="sample spacing along lines (lines only)")
+    g.add_argument("--angles", type=lambda text: [_finite_float(a) for a in text.split(",")], default=None, help="three line angles in radians, comma separated (lines only)")
+    g.add_argument("--pitch", type=_finite_float, default=0.1, help="sample spacing along lines (lines only)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", type=str, default="set.json")
     g.add_argument("--csv", type=str, default=None, help="also write rows m,n,tag,re,im")
 
     c = sub.add_parser("certify", help="geometric certificates for a stored set")
     c.add_argument("--in", dest="inp", required=True)
-    c.add_argument("--beta", type=float, required=True, help="weight of the median-angle condition")
-    c.add_argument("--gamma", type=float, default=None, help="closeness rate (default: the set's own)")
+    c.add_argument("--beta", type=_finite_float, required=True, help="weight of the median-angle condition")
+    c.add_argument("--gamma", type=_finite_float, default=None, help="closeness rate (default: the set's own)")
     c.add_argument("--seed", type=int, default=0, help="unused; accepted for uniform invocation")
     c.add_argument("--out", type=str, default="report.json")
 
@@ -101,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("injectivity", help="nested-rank analysis of modulus measurements")
     i.add_argument("--in", dest="inp", default=None, help="point set JSON; omitted: a pinned scattered-triple instance")
     i.add_argument("--dim", type=int, default=6, help="polynomial degree truncation N")
-    i.add_argument("--alpha", type=float, default=math.pi)
+    i.add_argument("--alpha", type=_finite_float, default=math.pi)
     i.add_argument("--subsets", type=str, default=None, help="comma-separated prefix sizes (default 30,45,49,60 or the full set)")
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--out", type=str, default="injectivity.json")
@@ -109,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("montecarlo", help="small-angle probability vs the linear bound")
     m.add_argument("variant", choices=["angles", "mirror"])
     m.add_argument("--trials", type=int, required=True)
-    m.add_argument("--eps", type=float, required=True)
+    m.add_argument("--eps", type=_finite_float, required=True)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", type=str, default="mc.json")
 
@@ -146,11 +157,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.construction == "lines":
         if args.angles is None:
             raise ValueError("lines needs --angles a,b,c")
-        angles = [float(a) for a in args.angles.split(",")]
-        pts = three_lines(angles, radius=args.radius, pitch=args.pitch)
+        pts = three_lines(args.angles, radius=args.radius, pitch=args.pitch)
         artifact = {
             "kind": "lines",
-            "angles": angles,
+            "angles": args.angles,
             "pitch": args.pitch,
             "radius": args.radius,
             "points": np.stack([pts.real, pts.imag], 1),
@@ -261,25 +271,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def _pinned_injectivity_points(seed: int) -> np.ndarray:
-    """Scattered triple on the unit square lattice: 63 points, well inside
-    general position for degree-6 truncation."""
-    cfg = GeneratorConfig(
-        Lattice(1.0, 1.0j), window_radius=2.4, gamma=0.05, kappa_cap=0.45, seed=seed
-    )
-    return np.asarray(random_triple(cfg).points(), dtype=complex)
-
-
 def _cmd_injectivity(args: argparse.Namespace) -> int:
     if args.inp is None:
-        pts = _pinned_injectivity_points(args.seed)
+        pts = pinned_injectivity_points(args.seed)
         source = "pinned-rand3"
     else:
         obj = _load_set(args.inp)
         pts = sample_points(obj) if isinstance(obj, IndexedPointSet) else obj
+        pts = pts[np.lexsort((np.angle(pts), np.round(np.abs(pts), 12)))]
         source = str(args.inp)
-    order = np.lexsort((np.angle(pts), np.round(np.abs(pts), 12)))
-    pts = pts[order]
 
     if args.subsets is not None:
         subsets = sorted({int(s) for s in args.subsets.split(",")})

@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .fock import FockPoly
+from . import fock
 from .lattice import Lattice, window_arrays
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "hardy_check",
     "symmetry_class",
     "fock_symmetry_check",
-    "fock_gram",
     "fock_inner_quad",
 ]
 
@@ -281,7 +280,7 @@ def symmetry_class(f: HermiteSignal, tol: float = 1e-12) -> str:
     return "none"
 
 
-def fock_symmetry_check(F: FockPoly, tol: float = 1e-12) -> str:
+def fock_symmetry_check(F: fock.FockPoly, tol: float = 1e-12) -> str:
     """Classify a Fock-space polynomial by its reflection symmetries.
 
     ``conjugation`` means F(conj z) = conj(F(z)) (all basis coefficients
@@ -302,33 +301,6 @@ def fock_symmetry_check(F: FockPoly, tol: float = 1e-12) -> str:
     return "none"
 
 
-def fock_gram(
-    funcs: Sequence[Callable[[np.ndarray], np.ndarray]],
-    alpha: float,
-    rmax: float = 6.0,
-    radial_order: int = 96,
-    angular_points: int = 256,
-) -> np.ndarray:
-    """Gram matrix ``G[m, n] = <funcs[m], funcs[n]>`` with Gaussian weight alpha.
-
-    Polar quadrature: radial Gauss-Legendre on [0, rmax] and trapezoid in
-    angle.  Each function is evaluated once on the grid and all entries
-    come from one weighted product, so ``G[m, n]`` equals
-    ``fock_inner_quad(funcs[m], funcs[n], ...)`` bit for bit.  Accurate
-    for functions of order-two growth strictly below the weight, e.g.
-    Bargmann lifts of finite Hermite signals at alpha = pi.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(radial_order)
-    r = 0.5 * rmax * (nodes + 1.0)
-    wr = 0.5 * rmax * weights
-    angles = 2.0 * math.pi * np.arange(angular_points) / angular_points
-    grid = r[:, None] * np.exp(1j * angles)[None, :]
-    vals = np.stack([np.broadcast_to(F(grid), grid.shape) for F in funcs])
-    products = vals[:, None] * np.conj(vals)[None, :]
-    radial = products.mean(axis=-1) * np.exp(-alpha * r * r) * r
-    return 2.0 * alpha * np.sum(wr * radial, axis=-1)
-
-
 def fock_inner_quad(
     F: Callable[[np.ndarray], np.ndarray],
     G: Callable[[np.ndarray], np.ndarray],
@@ -337,6 +309,6 @@ def fock_inner_quad(
     radial_order: int = 96,
     angular_points: int = 256,
 ) -> complex:
-    """Polar-quadrature inner product <F, G>: the two-function ``fock_gram``."""
-    gram = fock_gram((F, G), alpha, rmax, radial_order, angular_points)
+    """Polar-quadrature inner product <F, G>: the two-function ``fock.fock_gram``."""
+    gram = fock.fock_gram((F, G), alpha, rmax, radial_order, angular_points)
     return complex(gram[0, 1])

@@ -76,12 +76,12 @@ class GeneratorConfig:
         space weight for the perturbed set to inherit the lattice's
         uniqueness behaviour; generators themselves only need positivity.
         """
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         if not (0.0 < self.kappa_cap <= 1.0):
             raise ValueError("kappa_cap must lie in (0, 1]")
-        if self.window_radius <= 0:
-            raise ValueError("window_radius must be positive")
+        if not 0.0 < self.window_radius < math.inf:
+            raise ValueError("window_radius must be positive and finite")
         if alpha is not None and self.gamma <= 2.0 * alpha:
             raise ValueError(
                 f"gamma = {self.gamma} must exceed twice the weight 2*alpha = {2 * alpha}"

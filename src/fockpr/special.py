@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .fock import fock_gram
 from .lattice import Lattice, window_arrays
 from .pointset import IndexedPointSet
 
@@ -343,26 +344,16 @@ def fock_annulus_increments(
     """Gaussian-weighted squared-mass increments over concentric annuli.
 
     Returns, for each consecutive pair of radii, the integral of
-    ``|func|^2 exp(-alpha |z|^2) (alpha/pi)`` over the annulus, using
-    Gauss-Legendre in radius and the trapezoid rule in angle (exact for
-    trigonometric polynomials on a periodic interval).
+    ``|func|^2 exp(-alpha |z|^2) (alpha/pi)`` over the annulus, each the
+    one-function ``fock.fock_gram`` with ``rmin`` and ``rmax`` its radii.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing with >= 2 entries")
-    nodes, weights = np.polynomial.legendre.leggauss(radial_order)
-    angles = 2.0 * math.pi * np.arange(angular_points) / angular_points
-    phase = np.exp(1j * angles)
-    increments = np.empty(radii.size - 1)
-    for j in range(radii.size - 1):
-        lo, hi = radii[j], radii[j + 1]
-        r = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        wr = 0.5 * (hi - lo) * weights
-        grid = r[:, None] * phase[None, :]
-        vals = np.abs(np.asarray(func(grid))) ** 2
-        radial = vals.mean(axis=1) * np.exp(-alpha * r * r) * r
-        increments[j] = 2.0 * alpha * float(np.sum(wr * radial))
-    return increments
+    return np.array([
+        fock_gram([func], alpha, hi, radial_order, angular_points, rmin=lo)[0, 0].real
+        for lo, hi in zip(radii[:-1], radii[1:])
+    ])
 
 
 def _is_square_lattice(lat: Lattice) -> bool:

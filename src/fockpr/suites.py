@@ -28,6 +28,7 @@ __all__ = [
     "verify_special",
     "verify_gabor",
     "verify_phaseless",
+    "pinned_injectivity_points",
     "SUITES",
     "run_suite",
 ]
@@ -359,7 +360,7 @@ def verify_gabor(seed: int = 0) -> list[CheckResult]:
         partial(gabor.bargmann_grid, gabor.HermiteSignal((0.0,) * n + (1.0,)))
         for n in range(nmax + 1)
     ]
-    gram = gabor.fock_gram(lifts, math.pi, rmax=5.0, radial_order=64, angular_points=128)
+    gram = fock.fock_gram(lifts, math.pi, rmax=5.0, radial_order=64, angular_points=128)
     diag = np.real(np.diag(gram))
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     spread = float(np.max(np.abs(diag - diag.mean())))
@@ -433,6 +434,17 @@ def verify_gabor(seed: int = 0) -> list[CheckResult]:
 
 
 # -- phaseless ----------------------------------------------------------------
+
+
+def pinned_injectivity_points(seed: int) -> np.ndarray:
+    """Scattered triple on the unit square lattice: 63 points, well inside
+    general position for degree-6 truncation, ordered by rounded modulus
+    and then by angle."""
+    cfg = GeneratorConfig(
+        Lattice(1.0, 1.0j), window_radius=2.4, gamma=0.05, kappa_cap=0.45, seed=seed
+    )
+    pts = np.asarray(random_triple(cfg).points(), dtype=complex)
+    return pts[np.lexsort((np.angle(pts), np.round(np.abs(pts), 12)))]
 
 
 def verify_phaseless(seed: int = 0) -> list[CheckResult]:
@@ -512,11 +524,7 @@ def verify_phaseless(seed: int = 0) -> list[CheckResult]:
         _below("two directional samples determine the complex derivative", abs(rec - wtrue), 1e-12)
     )
 
-    lat = Lattice(1.0, 1.0j)
-    cfg = GeneratorConfig(lat, window_radius=2.4, gamma=0.05, kappa_cap=0.45, seed=seed)
-    pts = np.asarray(random_triple(cfg).points(), dtype=complex)
-    order = np.lexsort((np.angle(pts), np.round(np.abs(pts), 12)))
-    pts = pts[order]
+    pts = pinned_injectivity_points(seed)
     rep_full = phaseless.lifted_injectivity(pts, N=2, alpha=1.0)
     rep_small = phaseless.lifted_injectivity(pts[:2], N=1, alpha=1.0)
     out.append(

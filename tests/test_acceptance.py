@@ -18,12 +18,12 @@ from fockpr.fock import (
     close_pair_bound_check,
     dist,
     extension_norm_bound_check,
+    fock_gram,
     polyanalytic_residual,
 )
 from fockpr.gabor import (
     HermiteSignal,
     bargmann_grid,
-    fock_gram,
     hardy_check,
 )
 from fockpr.lattice import Lattice, window_arrays

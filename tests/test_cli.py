@@ -145,6 +145,39 @@ def test_generate_usage_errors_exit_2(tmp_path, argv):
     assert run(*argv, "--out", tmp_path / "x.json") == 2
 
 
+# every float flag, with the bad value in place of {}; SET is a stored det3 set
+_FLOAT_FLAGS = {
+    "generate --alpha": ("generate", "--construction", "det3", "--alpha={}", "--radius", 3),
+    "generate --v": ("generate", "--construction", "det3", "--v={}", "--radius", 3),
+    "generate --radius": ("generate", "--construction", "rand3", "--alpha", 3.14159,
+                          "--radius={}"),
+    "generate --gamma": ("generate", "--construction", "rand3", "--alpha", 3.14159,
+                         "--radius", 2, "--gamma={}"),
+    "generate --kappa": ("generate", "--construction", "det3", "--alpha", PI, "--radius", 3,
+                         "--kappa={}"),
+    "generate --pitch": ("generate", "--construction", "lines", "--angles", "0,1,2",
+                         "--radius", 3, "--pitch={}"),
+    "generate --angles": ("generate", "--construction", "lines", "--angles=1,{},2",
+                          "--radius", 3),
+    "certify --beta": ("certify", "--in", "SET", "--beta={}"),
+    "certify --gamma": ("certify", "--in", "SET", "--beta", PI, "--gamma={}"),
+    "injectivity --alpha": ("injectivity", "--dim", 2, "--subsets", 9, "--alpha={}"),
+    "montecarlo --eps": ("montecarlo", "angles", "--trials", 100, "--eps={}"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", sorted(_FLOAT_FLAGS))
+def test_non_finite_float_flags_exit_2_and_write_nothing(flag, value, det3_set, tmp_path):
+    out = tmp_path / "out.json"
+    argv = [str(a).replace("{}", value) for a in _FLOAT_FLAGS[flag]]
+    argv = [str(det3_set) if a == "SET" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out", out)
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 # -- certify -----------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Weighted polynomial space: evaluation, norms, growth, and extensions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fockpr.fock import (
     dist,
     dist2,
     extension_norm_bound_check,
+    fock_gram,
     growth_check,
     kernel,
     polyanalytic_residual,
@@ -128,6 +130,59 @@ def test_norm_against_quadrature():
     for alpha in (0.7, 1.0, 2.5):
         F = rand_poly(rng, alpha, 8)
         assert math.isclose(F.norm(), quad_norm(F), rel_tol=1e-9)
+
+
+def one_shot_gram(funcs, alpha, rmax=6.0, radial_order=96, angular_points=256):
+    """The whole polar grid at once: the unblocked rule, kept as the oracle."""
+    nodes, weights = np.polynomial.legendre.leggauss(radial_order)
+    r = 0.5 * rmax * (nodes + 1.0)
+    wr = 0.5 * rmax * weights
+    angles = 2.0 * math.pi * np.arange(angular_points) / angular_points
+    grid = r[:, None] * np.exp(1j * angles)[None, :]
+    vals = np.stack([np.broadcast_to(F(grid), grid.shape) for F in funcs])
+    products = vals[:, None] * np.conj(vals)[None, :]
+    radial = products.mean(axis=-1) * np.exp(-alpha * r * r) * r
+    return 2.0 * alpha * np.sum(wr * radial, axis=-1)
+
+
+# one block: (7, 3) and (64, 128); several: the rest
+@pytest.mark.parametrize(
+    "radial_order, angular_points", [(96, 256), (400, 400), (64, 128), (33, 1000), (7, 3)]
+)
+def test_blocked_gram_is_bit_equal_to_the_one_shot_rule(radial_order, angular_points):
+    rng = np.random.default_rng(3)
+    funcs = [rand_poly(rng, 1.0, 6), rand_poly(rng, 1.0, 3), lambda z: 2.0 - 1.0j]
+    rule = dict(rmax=7.5, radial_order=radial_order, angular_points=angular_points)
+    got = fock_gram(funcs, 1.0, **rule)
+    want = one_shot_gram(funcs, 1.0, **rule)
+    assert got.dtype == want.dtype and got.shape == want.shape == (3, 3)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def test_quad_norm_is_the_one_function_gram():
+    F = rand_poly(np.random.default_rng(4), 1.3, 5)
+    gram = fock_gram([F], F.alpha, 6.0 + F.degree, 400, 400)
+    assert quad_norm(F) == math.sqrt(gram[0, 0].real)
+
+
+def test_quad_norm_working_set_is_fixed():
+    # the whole 400 x 400 grid at once peaks at 10.3 MB
+    F = rand_poly(np.random.default_rng(5), 1.0, 4)
+    np.polynomial.legendre.leggauss(400)  # numpy's lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        quad_norm(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("rmin, rmax", [(-1.0, 2.0), (2.0, 2.0), (3.0, 2.0), (0.0, math.inf),
+                                        (math.nan, 2.0), (0.0, math.nan)])
+def test_gram_rejects_a_bad_annulus(rmin, rmax):
+    with pytest.raises(ValueError):
+        fock_gram([lambda z: z], 1.0, rmax, rmin=rmin)
 
 
 def test_inner_product_against_quadrature():

@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockpr import gabor
-from fockpr.fock import FockPoly
+from fockpr.fock import FockPoly, fock_gram
 from fockpr.gabor import (
     HardyReport,
     HermiteSignal,
     bargmann,
     bargmann_grid,
-    fock_gram,
     fock_inner_quad,
     fock_symmetry_check,
     gabor_transform,

@@ -50,6 +50,11 @@ def test_config_validation():
         GeneratorConfig(UNIT, -1.0).validate()
     with pytest.raises(ValueError):
         cfg(gamma=7.0).validate(alpha=3.5)  # gamma must exceed 2*alpha
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            cfg(gamma=bad).validate()
+        with pytest.raises(ValueError):
+            cfg(radius=bad).validate()
 
 
 # -- triple generators --------------------------------------------------------------

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fockpr.fock import fock_gram
 from fockpr.lattice import Lattice, LatticeIndex, window_arrays
 from fockpr.pointset import IndexedPointSet
 from fockpr.special import (
@@ -234,8 +235,22 @@ def test_annulus_increments_match_the_gaussian_closed_form():
         for j in range(len(radii) - 1)
     ]
     assert np.allclose(inc, expect, rtol=1e-10)
-    with pytest.raises(ValueError):
-        fock_annulus_increments(lambda z: z, 1.0, [1.0, 0.5])
+    for bad in ([1.0, 0.5], [-2.0, 1.0]):
+        with pytest.raises(ValueError):
+            fock_annulus_increments(lambda z: z, 1.0, bad)
+
+
+def test_annulus_increments_are_per_annulus_grams():
+    def func(z):
+        return 1.0 + z * z - 0.5j * z
+
+    radii = [0.0, 0.75, 2.0, 4.5]
+    inc = fock_annulus_increments(func, 1.5, radii, radial_order=20, angular_points=48)
+    grams = [
+        fock_gram([func], 1.5, hi, 20, 48, rmin=lo)[0, 0].real
+        for lo, hi in zip(radii[:-1], radii[1:])
+    ]
+    assert inc.tolist() == grams
 
 
 # -- the Hadamard product route, kept as an independent oracle for the kernel ----------
