@@ -13,9 +13,13 @@ certificate constant still round-trip.
 
 Large uniform record lists (one record per point of a set) are handed to
 :func:`dumps` as a :class:`Table` of columns, and a list of equally long
-number lists as a 2-D array.  It renders both in bulk, with
-:func:`format_floats` formatting each float column at once, and writes
-exactly the bytes the list of dicts or of lists would give.
+number lists as a 2-D array.  It renders both in bulk, in row blocks of
+``_ROW_BLOCK`` records: each block formats the tokens of its own rows
+(:func:`format_floats` takes a float column slice at once) and fills one
+template per presence pattern, so the working set stays that of one block
+whatever the length of the list.  A token depends only on its value, so
+the blocks write exactly the bytes the list of dicts or of lists would
+give.  :func:`dump_path` hands the text to the file in slices.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ from typing import Any, Mapping
 import numpy as np
 
 __all__ = ["format_float", "format_floats", "Table", "dumps", "loads", "dump_path", "load_path"]
+
+# records (or array rows) rendered together; bounds the tokens alive at once
+_ROW_BLOCK = 1 << 12
+# characters handed to the file per write in dump_path
+_WRITE_SLICE = 1 << 20
 
 
 def format_float(x: float) -> str:
@@ -73,7 +82,8 @@ class Table:
     ``columns`` maps each key to an array with one row per record: a 1-D
     int, float or str array gives a scalar value, a 2-D int or float
     array (at least one column wide) a list.  ``present`` optionally maps
-    a key to a boolean mask; records where it is False lack that key.
+    a key of ``columns`` to a boolean mask; records where it is False lack
+    that key, and a record lacking every key is written as ``{}``.
     :func:`dumps` renders a table in bulk, byte-identical to the
     recursive writer on the equivalent list of dicts; it encodes which
     keys a record has as the bits of one int64, so a table has at most
@@ -85,6 +95,15 @@ class Table:
         self.present = {key: np.asarray(mask, dtype=bool) for key, mask in (present or {}).items()}
         if len(self.columns) > 63:
             raise ValueError(f"a table has at most 63 columns, not {len(self.columns)}")
+        for key, col in self.columns.items():
+            if col.ndim not in (1, 2) or col.ndim == 2 and col.shape[1] == 0:
+                raise ValueError(
+                    f"column {key!r} has shape {col.shape}; a column is 1-D,"
+                    " or 2-D and at least one column wide"
+                )
+        orphans = sorted(set(self.present) - set(self.columns))
+        if orphans:
+            raise ValueError(f"presence masks without a column: {orphans}")
         lengths = {len(a) for a in (*self.columns.values(), *self.present.values())}
         if len(lengths) > 1:
             raise ValueError(f"columns and masks differ in length: {sorted(lengths)}")
@@ -110,22 +129,37 @@ def _tokens(col: np.ndarray) -> np.ndarray:
     return np.array(toks, dtype=object).reshape(flat.shape)
 
 
-def _write_table(table: Table, out: list[str], indent: int) -> None:
-    """Render ``table`` as the list of its records, one template per presence pattern."""
-    if len(table) == 0:
+def _write_blocks(n: int, render, out: list[str], indent: int) -> None:
+    """Render a list of ``n`` rows, ``_ROW_BLOCK`` at a time.
+
+    ``render(block)`` gives the text of the rows in the slice ``block``,
+    joined by ``",\n"``; only one block's tokens are alive at a time.
+    """
+    if n == 0:
         out.append("[]")
         return
+    out.append("[\n")
+    for start in range(0, n, _ROW_BLOCK):
+        if start:
+            out.append(",\n")
+        out.append(render(slice(start, start + _ROW_BLOCK)))
+    out.append("\n" + "  " * indent + "]")
+
+
+def _write_table(table: Table, out: list[str], indent: int) -> None:
+    """Render ``table`` as the list of its records, one template per presence pattern."""
     rec_pad = "  " * (indent + 1)
     key_pad = rec_pad + "  "
     keys = sorted(table.columns)
-    tokens = [_tokens(table.columns[key]) for key in keys]
     fragments = []
-    for key, toks in zip(keys, tokens):
-        head = f"{key_pad}{json.dumps(key, ensure_ascii=True)}: "
-        if table.columns[key].ndim == 1:
+    for key in keys:
+        # the head goes into a %-template, so a '%' in the key is doubled
+        head = f"{key_pad}{json.dumps(key, ensure_ascii=True)}: ".replace("%", "%%")
+        col = table.columns[key]
+        if col.ndim == 1:
             fragments.append(head + "%s")
         else:
-            items = ",\n".join([key_pad + "  %s"] * toks.shape[1])
+            items = ",\n".join([key_pad + "  %s"] * col.shape[1])
             fragments.append(f"{head}[\n{items}\n{key_pad}]")
     # rows lacking the same keys share one record template; a row's
     # presence pattern is one int, bit j set when it has keys[j]
@@ -133,35 +167,45 @@ def _write_table(table: Table, out: list[str], indent: int) -> None:
     for j, key in enumerate(keys):
         mask = table.present.get(key)
         codes |= (1 << j) if mask is None else mask.astype(np.int64) << j
-    patterns, which = np.unique(codes, return_inverse=True)
+    templates: dict[int, tuple[str, list[int]]] = {}
 
-    def fill(code: int, rows, sep: str) -> str:
-        cols = [j for j in range(len(keys)) if code >> j & 1]
-        template = rec_pad + "{\n" + ",\n".join(fragments[j] for j in cols) + "\n" + rec_pad + "}"
-        args = np.concatenate([tokens[j][rows] for j in cols], axis=1)
-        return sep.join([template] * len(args)) % tuple(args.ravel().tolist())
+    def fill(code: int, tokens: list[np.ndarray], sep: str) -> str:
+        if code not in templates:
+            cols = [j for j in range(len(keys)) if code >> j & 1]
+            body = "{\n" + ",\n".join(fragments[j] for j in cols) + "\n" + rec_pad + "}"
+            templates[code] = (rec_pad + (body if cols else "{}"), cols)
+        template, cols = templates[code]
+        text = sep.join([template] * len(tokens[0]))
+        if not cols:
+            return text
+        args = np.concatenate([tokens[j] for j in cols], axis=1)
+        return text % tuple(args.ravel().tolist())
 
-    if len(patterns) == 1:
-        body = fill(int(patterns[0]), slice(None), ",\n")
-    else:
-        records = np.empty(len(table), dtype=object)
+    def render(block: slice) -> str:
+        tokens = [_tokens(table.columns[key][block]) for key in keys]
+        patterns, which = np.unique(codes[block], return_inverse=True)
+        if len(patterns) == 1:
+            return fill(int(patterns[0]), tokens, ",\n")
+        records = np.empty(len(which), dtype=object)
         for p, code in enumerate(patterns.tolist()):
             rows = np.flatnonzero(which == p)
-            records[rows] = fill(code, rows, "\0").split("\0")
-        body = ",\n".join(records.tolist())
-    out.append("[\n" + body + "\n" + "  " * indent + "]")
+            records[rows] = fill(code, [toks[rows] for toks in tokens], "\0").split("\0")
+        return ",\n".join(records.tolist())
+
+    _write_blocks(len(table), render, out, indent)
 
 
 def _write_rows(arr: np.ndarray, out: list[str], indent: int) -> None:
     """Render a 2-D array as the list of its rows, each a list, in one template."""
-    if len(arr) == 0:
-        out.append("[]")
-        return
     row_pad = "  " * (indent + 1)
     items = ",\n".join([row_pad + "  %s"] * arr.shape[1])
     row = row_pad + (f"[\n{items}\n{row_pad}]" if items else "[]")
-    text = ",\n".join([row] * len(arr)) % tuple(_tokens(arr).ravel().tolist())
-    out.append("[\n" + text + "\n" + "  " * indent + "]")
+
+    def render(block: slice) -> str:
+        tokens = _tokens(arr[block])
+        return ",\n".join([row] * len(tokens)) % tuple(tokens.ravel().tolist())
+
+    _write_blocks(len(arr), render, out, indent)
 
 
 def _write(obj: Any, out: list[str], indent: int) -> None:
@@ -218,7 +262,12 @@ def loads(text: str) -> Any:
 
 
 def dump_path(obj: Any, path: str | Path) -> None:
-    Path(path).write_text(dumps(obj) + "\n", encoding="ascii")
+    """Write ``dumps(obj)`` and a newline, in slices, without copying the text whole."""
+    text = dumps(obj)
+    with open(path, "w", encoding="ascii") as fh:
+        for start in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[start : start + _WRITE_SLICE])
+        fh.write("\n")
 
 
 def load_path(path: str | Path) -> Any:

@@ -12,8 +12,8 @@ a *uniqueness threshold* case when ``s <= pi/alpha``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 

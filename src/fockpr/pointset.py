@@ -54,6 +54,9 @@ __all__ = [
 
 TRIPLE_TAGS = ("A", "B", "C")
 
+# rows IndexedPointSet.add holds as tuples before packing them into columns
+_ADD_BLOCK = 1 << 12
+
 
 @dataclass(frozen=True)
 class PointEntry:
@@ -100,8 +103,9 @@ class IndexedPointSet:
     the ``tag``, the absolute position ``pos``, and the optional ``delta``
     and ``unit`` offsets with their presence masks.  A dict from key to
     row number backs the duplicate check, :meth:`get` and ``in``.  Rows
-    inserted by :meth:`add` wait in a buffer that the next column read
-    appends in one step.  Outputs (``points``, ``to_json``, ``to_csv``)
+    inserted by :meth:`add` wait in a buffer, packed into one block of
+    columns every ``_ADD_BLOCK`` rows; the next column read appends the
+    blocks in one step.  Outputs (``points``, ``to_json``, ``to_csv``)
     list rows in the canonical (m, n, tag) order.
     """
 
@@ -112,6 +116,7 @@ class IndexedPointSet:
         self.window_radius = float(window_radius)
         self.meta: dict = dict(meta or {})
         self._cols = _NO_ROWS
+        self._blocks: list[_Columns] = []
         self._buffer: list[tuple] = []
         self._row_of: dict[tuple[int, int, str], int] = {}
 
@@ -127,7 +132,10 @@ class IndexedPointSet:
     ) -> None:
         """Insert a sample; give ``pos``, ``delta``, or both (consistent).
 
-        Costs O(1); :meth:`add_many` checks and appends a whole batch at once.
+        Costs amortized O(1): the row waits as a tuple until ``_ADD_BLOCK``
+        rows have gathered, which are then packed into one block of columns,
+        so the rows held as tuples stay few however large the set grows.
+        :meth:`add_many` checks and appends a whole batch at once.
         """
         m, n = int(index[0]), int(index[1])
         home = self.lattice.point((m, n))
@@ -142,6 +150,8 @@ class IndexedPointSet:
             raise ValueError(f"duplicate entry for index {(m, n)} tag {tag!r}")
         self._row_of[key] = len(self._row_of)
         self._buffer.append((m, n, tag, complex(pos), delta, unit))
+        if len(self._buffer) >= _ADD_BLOCK:
+            self._pack()
 
     def add_many(self, indices, tag: str, pos=None, delta=None, unit=None) -> None:
         """Insert one ``tag`` sample at each lattice index of ``indices`` (shape (k, 2)).
@@ -183,14 +193,16 @@ class IndexedPointSet:
         self._cols = _joined(self._cols, new)
         self._row_of.update(zip(keys, range(start, start + len(keys))))
 
-    def _columns(self) -> _Columns:
-        """The columns, with the rows buffered by :meth:`add` appended first."""
-        if self._buffer:
-            m, n, tag, pos, delta, unit = zip(*self._buffer)
-            self._buffer = []
-            delta, has_delta = _fill_absent(delta, 0j)
-            unit, has_unit = _fill_absent(unit, 0j)
-            buffered = _Columns(
+    def _pack(self) -> None:
+        """Move the rows buffered by :meth:`add` into one block of columns."""
+        if not self._buffer:
+            return
+        m, n, tag, pos, delta, unit = zip(*self._buffer)
+        self._buffer = []
+        delta, has_delta = _fill_absent(delta, 0j)
+        unit, has_unit = _fill_absent(unit, 0j)
+        self._blocks.append(
+            _Columns(
                 np.array(m, dtype=np.int64),
                 np.array(n, dtype=np.int64),
                 np.array(tag, dtype=str),
@@ -200,7 +212,14 @@ class IndexedPointSet:
                 np.array(unit, dtype=complex),
                 has_unit,
             )
-            self._cols = _joined(self._cols, buffered)
+        )
+
+    def _columns(self) -> _Columns:
+        """The columns, with the rows added since the last read appended in one step."""
+        self._pack()
+        if self._blocks:
+            self._cols = _joined(self._cols, *self._blocks)
+            self._blocks = []
         return self._cols
 
     def _rows(self, tags: Sequence[str] | None = None) -> np.ndarray:
@@ -375,8 +394,8 @@ class IndexedPointSet:
             )
 
 
-def _joined(first: _Columns, second: _Columns) -> _Columns:
-    return _Columns(*(np.concatenate(pair) for pair in zip(first, second)))
+def _joined(*parts: _Columns) -> _Columns:
+    return _Columns(*map(np.concatenate, zip(*parts)))
 
 
 def _broadcast(values, k: int) -> np.ndarray:

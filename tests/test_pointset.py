@@ -12,10 +12,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 # relative_separation_bound.
 import scipy.spatial
 
-from fockpr import jsonio
+from fockpr import jsonio, pointset
 from fockpr.lattice import Lattice, window_arrays
 from fockpr.pointset import (
     IndexedPointSet,
+    PointEntry,
     angle_condition,
     certify_f_closeness,
     density_estimate,
@@ -148,6 +149,38 @@ def test_single_adds_and_batches_share_one_row_order():
     assert len(ps) == 4
     assert ps.get((3, 0), "A").pos == 3.0
     assert ((4, 0), "B") not in ps
+
+
+def test_rows_added_across_packed_blocks(monkeypatch):
+    monkeypatch.setattr(pointset, "_ADD_BLOCK", 3)
+    monkeypatch.setattr(jsonio, "_ROW_BLOCK", 3)
+    ps, entries = make_set(gamma=7.0, kappa_cap=0.3), {}
+    for k in range(4):
+        unit = 0.25 * k if k % 2 else None
+        ps.add((k, 0), "A", pos=k + 0.5j, unit=unit)
+        entries[((k, 0), "A")] = PointEntry(k + 0.5j, None, unit)
+    ps.add_many([(0, 0), (1, 0)], "B", delta=[0.1j, -0.0])
+    entries[((0, 0), "B")] = PointEntry(0.1j, 0.1j, None)
+    entries[((1, 0), "B")] = PointEntry(1.0, -0.0, None)
+    for k in range(7):  # 2 * 3 + 1 rows: two packed blocks and one buffered row
+        delta, unit = complex(-0.0, 0.1 * k), 0.1j if k % 3 else None
+        ps.add((k, 1), "C", delta=delta, unit=unit)
+        entries[((k, 1), "C")] = PointEntry(complex(k, 1) + delta, delta, unit)
+    assert len(ps._blocks) == 2 and len(ps._buffer) == 1
+    with pytest.raises(ValueError, match="duplicate"):
+        ps.add((0, 1), "C", pos=1.0j)  # the first row of the first packed block
+    with pytest.raises(ValueError, match="duplicate"):
+        ps.add((1, 0), "B", pos=1.0)  # a row of the add_many batch
+    assert len(ps) == len(entries) == 13
+    assert all(key in ps for key in entries) and ((7, 1), "C") not in ps
+    assert all(ps.get(*key) == entry for key, entry in entries.items())
+    assert [(tuple(index), tag) for (index, tag), _ in ps.items()] == list(entries)
+    doc = ps.to_json()
+    text = jsonio.dumps(doc)
+    assert text == jsonio.dumps({**doc, "points": _entry_dicts(ps)})
+    back = IndexedPointSet.from_json(jsonio.loads(text))
+    assert dict(back.items()) == dict(ps.items())
+    assert jsonio.dumps(back.to_json()) == text
 
 
 def test_points_are_canonically_ordered():
