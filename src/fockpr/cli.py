@@ -148,7 +148,7 @@ def _load_set(path: str) -> IndexedPointSet | np.ndarray:
     data = jsonio.load_path(path)
     if isinstance(data, dict) and "lattice" in data:
         return IndexedPointSet.from_json(data)
-    if isinstance(data, dict) and "points" in data:
+    if isinstance(data, dict) and isinstance(data.get("points"), list):
         return complex_column(data["points"], "points")
     raise ValueError(f"{path} is not a recognized point-set artifact")
 

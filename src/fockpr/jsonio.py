@@ -20,20 +20,37 @@ template per presence pattern, so the working set stays that of one block
 whatever the length of the list.  A token depends only on its value, so
 the blocks write exactly the bytes the list of dicts or of lists would
 give.  :func:`dump_path` hands the text to the file in slices.
+
+:func:`load_path` reads the same way round: a top-level ``points`` list of
+objects is decoded one record at a time with the stdlib decoder and
+packed into a :class:`Table` every ``_ROW_BLOCK`` records, so only one
+block of records is held as Python objects.  Every other member comes
+back as :func:`json.loads` gives it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
 
-__all__ = ["format_float", "format_floats", "Table", "dumps", "loads", "dump_path", "load_path"]
+__all__ = [
+    "format_float",
+    "format_floats",
+    "Table",
+    "dumps",
+    "loads",
+    "write_text",
+    "dump_path",
+    "load_path",
+]
 
-# records (or array rows) rendered together; bounds the tokens alive at once
+# records (or array rows) rendered or read together; bounds the tokens
+# or decoded records alive at once
 _ROW_BLOCK = 1 << 12
 # characters handed to the file per write in dump_path
 _WRITE_SLICE = 1 << 20
@@ -111,6 +128,84 @@ class Table:
 
     def __len__(self) -> int:
         return self.length
+
+    @classmethod
+    def from_records(cls, records) -> "Table":
+        """The table of a list of JSON objects, packed ``_ROW_BLOCK`` records at a time.
+
+        A key becomes a column when every record that has it holds a
+        string, or a number, or a list of numbers of one length there; a
+        record where the key is absent or ``null`` lacks it.  Anything else
+        (a record that is not an object, ragged lists, mixed kinds) is a
+        ``ValueError`` naming the record.
+        """
+        records = list(records)
+        return _joined(
+            [_packed(records[s : s + _ROW_BLOCK], s) for s in range(0, len(records), _ROW_BLOCK)]
+        )
+
+
+def _column(key: str, values: list, rows: list[int]) -> np.ndarray:
+    """The column of the given ``values`` of ``key``, held by records ``rows``."""
+    try:
+        col = np.array(values)
+    except (ValueError, TypeError, OverflowError):
+        col = None
+    if col is not None and (
+        col.dtype.kind == "U" and col.ndim == 1 and all(type(v) is str for v in values)
+        or col.dtype.kind in "if" and (col.ndim == 1 or col.ndim == 2 and col.shape[1] > 0)
+    ):
+        return col
+    raise ValueError(
+        f"records {rows[0]} to {rows[-1]}: field {key!r} does not hold strings throughout,"
+        " numbers throughout, or lists of numbers of one length throughout"
+    )
+
+
+def _packed(records: list, first: int) -> Table:
+    """The table of ``records``, the first of which is record number ``first``."""
+    for row, record in enumerate(records, first):
+        if not isinstance(record, dict):
+            raise ValueError(f"record {row} is not an object: {json.dumps(record)[:60]}")
+    columns, present = {}, {}
+    for key in sorted(set().union(*records)):
+        values = [record.get(key) for record in records]
+        rows = [row for row, v in enumerate(values, first) if v is not None]
+        col = _column(key, [v for v in values if v is not None], rows) if rows else np.zeros(0)
+        if len(rows) < len(records):
+            present[key] = np.array([v is not None for v in values])
+            full = np.zeros((len(records),) + col.shape[1:], col.dtype)
+            full[present[key]] = col
+            col = full
+        columns[key] = col
+    return Table(columns, present)
+
+
+def _joined(tables: list[Table]) -> Table:
+    """The records of ``tables`` one after the other, as one table."""
+    if len(tables) == 1:
+        return tables[0]
+    starts = np.cumsum([0] + [len(t) for t in tables]).tolist()
+    columns, present = {}, {}
+    for key in sorted(set().union(*(t.columns for t in tables))):
+        masks = [t.present.get(key, np.full(len(t), key in t.columns)) for t in tables]
+        given = [(t.columns[key], start) for t, mask, start in zip(tables, masks, starts) if mask.any()]
+        like = given[0][0] if given else np.zeros(0)
+        for col, start in given:
+            # ints and floats join as floats; strings join only with strings
+            if col.shape[1:] != like.shape[1:] or (col.dtype.kind == "U") != (like.dtype.kind == "U"):
+                raise ValueError(f"records from {start} on: field {key!r} changes kind")
+        dtype = np.result_type(*(c for c, _ in given)) if given else like.dtype
+        columns[key] = np.concatenate(
+            [
+                t.columns[key] if mask.any() else np.zeros((len(t),) + like.shape[1:], dtype)
+                for t, mask in zip(tables, masks)
+            ]
+        )
+        mask = np.concatenate(masks)
+        if not mask.all():
+            present[key] = mask
+    return Table(columns, present)
 
 
 def _tokens(col: np.ndarray) -> np.ndarray:
@@ -261,14 +356,94 @@ def loads(text: str) -> Any:
     return json.loads(text)
 
 
+def _write_slices(fh, text: str) -> None:
+    for start in range(0, len(text), _WRITE_SLICE):
+        fh.write(text[start : start + _WRITE_SLICE])
+
+
+def write_text(text: str, path: str | Path) -> None:
+    """Write ``text`` to ``path`` in slices, without an encoded copy of it whole."""
+    with open(path, "w", encoding="ascii") as fh:
+        _write_slices(fh, text)
+
+
 def dump_path(obj: Any, path: str | Path) -> None:
     """Write ``dumps(obj)`` and a newline, in slices, without copying the text whole."""
     text = dumps(obj)
     with open(path, "w", encoding="ascii") as fh:
-        for start in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[start : start + _WRITE_SLICE])
+        _write_slices(fh, text)
         fh.write("\n")
 
 
+_DECODER = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE.match
+_COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
+
+
+def _records(text: str, at: int) -> tuple[Any, int]:
+    """The JSON list at ``text[at]``, a :class:`Table` when it holds objects, and its end.
+
+    The records are decoded one at a time; every ``_ROW_BLOCK`` of them are
+    packed into a table, and the tables are joined at the end.  A list
+    that is empty or starts with a non-object is decoded whole.
+    """
+    i = _SPACE(text, at + 1).end()
+    if not text.startswith("{", i):
+        return _DECODER.raw_decode(text, at)
+    scan = _DECODER.scan_once
+    blocks, block = [], []
+    while True:
+        try:
+            record, i = scan(text, i)
+        except StopIteration as exc:
+            raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+        block.append(record)
+        if len(block) == _ROW_BLOCK:
+            blocks.append(_packed(block, len(blocks) * _ROW_BLOCK))
+            block = []
+        comma = _COMMA(text, i)
+        if comma is not None:
+            i = comma.end()
+            continue
+        i = _SPACE(text, i).end()
+        if not text.startswith("]", i):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+        break
+    if block:
+        blocks.append(_packed(block, len(blocks) * _ROW_BLOCK))
+    return _joined(blocks), i + 1
+
+
+def _document(text: str) -> Any:
+    """``json.loads(text)``, but with a top-level ``points`` list of objects as a :class:`Table`."""
+    i = _SPACE(text, 0).end()
+    if not text.startswith("{", i) or text.startswith("}", _SPACE(text, i + 1).end()):
+        return json.loads(text)
+    doc: dict = {}
+    i = _SPACE(text, i + 1).end()
+    while True:
+        if not text.startswith('"', i):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, i)
+        key, i = _DECODER.raw_decode(text, i)
+        i = _SPACE(text, i).end()
+        if not text.startswith(":", i):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+        i = _SPACE(text, i + 1).end()
+        if key == "points" and text.startswith("[", i):
+            doc[key], i = _records(text, i)
+        else:
+            doc[key], i = _DECODER.raw_decode(text, i)
+        i = _SPACE(text, i).end()
+        if text.startswith("}", i):
+            break
+        if not text.startswith(",", i):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+        i = _SPACE(text, i + 1).end()
+    if _SPACE(text, i + 1).end() != len(text):
+        raise json.JSONDecodeError("Extra data", text, _SPACE(text, i + 1).end())
+    return doc
+
+
 def load_path(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="ascii"))
+    """The JSON document at ``path``; a top-level ``points`` list of objects is a :class:`Table`."""
+    return _document(Path(path).read_text(encoding="ascii"))

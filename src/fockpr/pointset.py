@@ -53,9 +53,13 @@ __all__ = [
 ]
 
 TRIPLE_TAGS = ("A", "B", "C")
+# fields every point record of an artifact carries
+_REQUIRED_FIELDS = ("index", "tag", "pos")
 
 # rows IndexedPointSet.add holds as tuples before packing them into columns
 _ADD_BLOCK = 1 << 12
+# points relative_separation_bound buckets together
+_STENCIL_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -346,36 +350,33 @@ class IndexedPointSet:
     def from_json(cls, data: Mapping) -> "IndexedPointSet":
         """Set from an artifact document, parsed or as :meth:`to_json` returns it.
 
-        The points are read into columns in one pass and checked like a
-        batch of :meth:`add_many`; every ``index``, ``pos``, ``delta`` and
-        ``unit`` must be a pair.
+        The points are a :class:`jsonio.Table` (as :func:`jsonio.load_path`
+        and :meth:`to_json` give them) or a list of records, which is packed
+        into one.  They are checked like a batch of :meth:`add_many`; every
+        record has an ``index``, a ``tag`` and a ``pos``, and every
+        ``index``, ``pos``, ``delta`` and ``unit`` is a pair.
         """
         lat = Lattice.from_json(data["lattice"])
         ps = cls(lat, float(data["window_radius"]), meta=data.get("meta"))
         points = data["points"]
-        if isinstance(points, jsonio.Table):
-            cols, present = points.columns, points.present
-            index, tag, pos = cols["index"], cols["tag"], cols["pos"]
-            delta, has_delta = cols["delta"], present["delta"]
-            unit, has_unit = cols["unit"], present["unit"]
-        else:
-            records = [
-                (r["index"], r["tag"], r["pos"], r.get("delta"), r.get("unit")) for r in points
-            ]
-            index, tag, pos, delta, unit = zip(*records) if records else ((),) * 5
-            delta, has_delta = _fill_absent(delta, (0.0, 0.0))
-            unit, has_unit = _fill_absent(unit, (0.0, 0.0))
-        idx = _pair_array(index, np.int64, "index")
+        if not isinstance(points, jsonio.Table):
+            points = jsonio.Table.from_records(points)
+        if not len(points):
+            return ps
+        cols = points.columns
+        for key in _REQUIRED_FIELDS:
+            lacking = np.flatnonzero(~_presence(points, key))
+            if lacking.size:
+                raise ValueError(f"point record {lacking[0]} lacks the field {key!r}")
+        idx = _pair_array(cols["index"], np.int64, "index")
         ps._append(
             _Columns(
                 idx[:, 0],
                 idx[:, 1],
-                np.array(tag, dtype=str),
-                complex_column(pos, "pos"),
-                complex_column(delta, "delta"),
-                has_delta,
-                complex_column(unit, "unit"),
-                has_unit,
+                np.array(cols["tag"], dtype=str),
+                complex_column(cols["pos"], "pos"),
+                *_optional_pairs(points, "delta"),
+                *_optional_pairs(points, "unit"),
             )
         )
         return ps
@@ -411,6 +412,19 @@ def _optional(values, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _pairs(z: np.ndarray) -> np.ndarray:
     return np.stack([z.real, z.imag], axis=1)
+
+
+def _presence(table: jsonio.Table, key: str) -> np.ndarray:
+    """Which records of ``table`` have ``key``."""
+    return table.present.get(key, np.full(len(table), key in table.columns))
+
+
+def _optional_pairs(table: jsonio.Table, key: str) -> tuple[np.ndarray, np.ndarray]:
+    """Complex column of an optional pair field of ``table`` and its presence mask."""
+    has = _presence(table, key)
+    if not has.any():
+        return np.zeros(len(table), dtype=complex), has
+    return complex_column(table.columns[key], key), has
 
 
 def _pair_array(pairs, dtype, field: str) -> np.ndarray:
@@ -780,22 +794,29 @@ def relative_separation_bound(obj: IndexedPointSet | np.ndarray) -> int:
     Checks disks of radius 1.25 on a pitch-0.25 grid covering the points;
     any unit disk is contained in one of them, so the grid maximum bounds
     the true supremum (coarsely: for the integer grid the bound is at
-    most 9 while the exact supremum is 5).
+    most 9 while the exact supremum is 5).  Each point is bucketed into
+    the grid cell it falls in, and counted at every center of the fixed
+    stencil of cells around it that lies within the disk radius.
     """
     pts = _as_points(obj)
     if len(pts) == 0:
         return 0
-    from scipy.spatial import cKDTree
-
-    xy = np.stack([pts.real, pts.imag], axis=1)
-    tree = cKDTree(xy)
-    pitch = 0.25
-    xs = np.arange(xy[:, 0].min() - 1.0, xy[:, 0].max() + 1.0 + pitch, pitch)
-    ys = np.arange(xy[:, 1].min() - 1.0, xy[:, 1].max() + 1.0 + pitch, pitch)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    counts = tree.query_ball_point(centers, r=1.25, return_length=True)
-    return int(np.max(counts))
+    pitch, reach = 0.25, 1.25
+    xs = np.arange(pts.real.min() - 1.0, pts.real.max() + 1.0 + pitch, pitch)
+    ys = np.arange(pts.imag.min() - 1.0, pts.imag.max() + 1.0 + pitch, pitch)
+    # one cell more than the reach on each side, against rounding of the grid
+    stencil = np.arange(-int(reach / pitch) - 1, int(reach / pitch) + 2)
+    counts = np.zeros(len(xs) * len(ys), dtype=np.int64)
+    for start in range(0, len(pts), _STENCIL_BLOCK):
+        z = pts[start : start + _STENCIL_BLOCK, None, None]
+        i = np.floor((z.real - xs[0]) / pitch).astype(np.int64) + stencil[:, None]
+        j = np.floor((z.imag - ys[0]) / pitch).astype(np.int64) + stencil
+        inside = (i >= 0) & (i < len(xs)) & (j >= 0) & (j < len(ys))
+        i, j = np.clip(i, 0, len(xs) - 1), np.clip(j, 0, len(ys) - 1)
+        dx, dy = xs[i] - z.real, ys[j] - z.imag
+        hit = inside & (dx * dx + dy * dy <= reach * reach)
+        counts += np.bincount((i * len(ys) + j)[hit], minlength=counts.size)
+    return int(counts.max())
 
 
 def sample_points(ps: IndexedPointSet) -> np.ndarray:

@@ -5,7 +5,9 @@ onto it with the imaginary axis pointing up.  Entries are colored by
 tag; the underlying lattice can be drawn as a mesh of basis-direction
 lines.  Output is a pure function of the inputs (coordinates are
 formatted to fixed precision), so identical runs produce identical
-bytes.
+bytes.  Circles and mesh segments are formatted into one string per
+block of ``_BLOCK`` elements, the document is joined once, and the file
+is written in slices.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import jsonio
 from .lattice import Lattice, window_arrays
 from .pointset import IndexedPointSet
 
@@ -32,10 +35,18 @@ TAG_COLORS: dict[str, str] = {
     "3": "#e377c2",
 }
 _FALLBACK_COLORS = ("#ff7f0e", "#17becf", "#bcbd22", "#7f7f7f")
+_MESH_LINE = b'<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#dddddd" stroke-width="0.5"/>'
+# circles or mesh segments formatted into one string together
+_BLOCK = 1 << 12
 
 
 def _fmt(x: float) -> str:
     return format(x, ".2f")
+
+
+def _escape(text: str) -> str:
+    """``text`` as SVG character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class _Mapper:
@@ -52,31 +63,59 @@ class _Mapper:
         )
 
 
+def _chunks(values: np.ndarray, size: int = _BLOCK):
+    return (values[s : s + size] for s in range(0, len(values), size))
+
+
 def _fill(template: str, *columns: np.ndarray) -> list[str]:
-    """``template % row`` for each row of the equally long ``columns``, in bulk."""
-    if not len(columns[0]):
-        return []
-    values = np.stack(columns, axis=1).ravel().tolist()
-    return ("\0".join([template] * len(columns[0])) % tuple(values)).split("\0")
+    """``template % row`` for each row of the equally long ``columns``, in blocks.
+
+    Each block of ``_BLOCK`` rows is one string, its rows joined by ``"\n"``.
+    """
+    return [
+        "\n".join([template] * len(chunk)) % tuple(chunk.ravel().tolist())
+        for chunk in _chunks(np.stack(columns, axis=1))
+    ]
+
+
+def _tokens(values: np.ndarray) -> np.ndarray:
+    """``%.2f`` tokens of a float array, as a bytes array of its shape.
+
+    A block of tokens is formatted at once, each padded to the width of
+    the longest; the padding becomes the NUL bytes a bytes array pads with.
+    """
+    finite = np.abs(values[np.isfinite(values)])
+    # the longest token: a sign, the digits of the largest magnitude, two decimals
+    width = len("%.2f" % -finite.max(initial=0.0))
+    text = b"".join(
+        (f"%-{width}.2f" * len(chunk) % tuple(chunk.tolist())).encode("ascii").replace(b" ", b"\0")
+        for chunk in _chunks(values.ravel(), 4 * _BLOCK)
+    )
+    return np.frombuffer(text, dtype=f"S{width}").reshape(values.shape)
 
 
 def _mesh_lines(lat: Lattice, radius: float, to: _Mapper) -> list[str]:
-    """Segments through every window point along both basis directions."""
-    lines: list[str] = []
+    """Segments through every window point along both basis directions, sorted, in blocks."""
+    kept = []
     _, pts = window_arrays(lat, radius * 1.5)
     for direction in (lat.omega1, lat.omega2):
         unit = direction / abs(direction)
         half = 0.75 * abs(direction)
         (x1, y1), (x2, y2) = to(pts - half * unit), to(pts + half * unit)
-        texts = _fill(
-            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#dddddd" stroke-width="0.5"/>',
-            x1, y1, x2, y2,
-        )
+        tokens = _tokens(np.stack([x1, y1, x2, y2], axis=1))
         # segments that print alike are drawn once, the first as it printed;
         # a coordinate printing as -0.00 counts as 0.00
-        keys = [t.replace('"-0.00"', '"0.00"') for t in texts]
-        lines.extend(dict(zip(reversed(keys), reversed(texts))).values())
-    return sorted(lines)
+        keys = np.where(tokens == b"-0.00", b"0.00", tokens)
+        _, first = np.unique(keys, axis=0, return_index=True)
+        kept.append(tokens[first])
+    tokens = np.concatenate(kept)
+    # a token ends in exactly two decimals, so none is a prefix of another
+    # and the order of the token rows is the order of the lines
+    tokens = tokens[np.lexsort(tokens.T[::-1])]
+    return [
+        (b"\n".join([_MESH_LINE] * len(chunk)) % tuple(chunk.ravel().tolist())).decode("ascii")
+        for chunk in _chunks(tokens)
+    ]
 
 
 def _color_for(tag: str, assigned: dict[str, str]) -> str:
@@ -97,8 +136,11 @@ def render_points_svg(
     if radius <= 0:
         raise ValueError("radius must be positive")
     to = _Mapper(radius)
+    # the document is joined once from its lines and line blocks
     body: list[str] = [
-        f'<rect x="0" y="0" width="{_fmt(CANVAS)}" height="{_fmt(CANVAS)}" fill="#ffffff"/>'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(CANVAS)}" '
+        f'height="{_fmt(CANVAS)}" viewBox="0 0 {_fmt(CANVAS)} {_fmt(CANVAS)}">',
+        f'<rect x="0" y="0" width="{_fmt(CANVAS)}" height="{_fmt(CANVAS)}" fill="#ffffff"/>',
     ]
     if mesh_lattice is not None:
         body.extend(_mesh_lines(mesh_lattice, radius, to))
@@ -136,19 +178,16 @@ def render_points_svg(
         )
         body.append(
             f'<text x="{_fmt(CANVAS - 3 * MARGIN + 12)}" y="{_fmt(legend_y + 4)}" '
-            f'font-family="monospace" font-size="14">{tag}</text>'
+            f'font-family="monospace" font-size="14">{_escape(tag)}</text>'
         )
         legend_y += 22.0
     if title:
         body.append(
             f'<text x="{_fmt(MARGIN)}" y="{_fmt(MARGIN - 14)}" '
-            f'font-family="monospace" font-size="16">{title}</text>'
+            f'font-family="monospace" font-size="16">{_escape(title)}</text>'
         )
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(CANVAS)}" '
-        f'height="{_fmt(CANVAS)}" viewBox="0 0 {_fmt(CANVAS)} {_fmt(CANVAS)}">'
-    )
-    return head + "\n" + "\n".join(body) + "\n</svg>\n"
+    body.append("</svg>\n")
+    return "\n".join(body)
 
 
 def render_svg(
@@ -172,5 +211,5 @@ def render_svg(
         mesh_lat = None
     text = render_points_svg(groups, radius, mesh_lattice=mesh_lat, title=title)
     if path is not None:
-        Path(path).write_text(text, encoding="ascii")
+        jsonio.write_text(text, path)
     return text

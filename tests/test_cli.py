@@ -1,11 +1,13 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
 import hashlib
+import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -210,7 +212,7 @@ def test_certify_rejects_plain_point_files(tmp_path):
 
 
 def test_certify_leaves_scipy_unloaded(det3_set, tmp_path):
-    # certify and render run on numpy alone; scipy serves relative_separation_bound only
+    # certify and render run on numpy alone
     src = str(Path(fockpr.__file__).resolve().parents[1])
     code = (
         "import sys; from fockpr import cli; "
@@ -240,6 +242,43 @@ def test_certify_opteven_at_bench_size(tmp_path):
 def test_certify_missing_input_exits_2(tmp_path):
     assert run("certify", "--in", tmp_path / "absent.json", "--beta", PI,
                "--out", tmp_path / "r.json") == 2
+
+
+# sha256 of the certify report of each set of GOLDEN_GENERATE, written with
+# --seed 1 by the code that read a set with json.loads and one dict per record
+GOLDEN_CERTIFY = {
+    "rand3": "51365413e2a63cb5226567975c6ac77863976f74f806b303a03e4ba3de00b5b0",
+    "det3": "228e7dcd954a7502f5c4b5da6ff7ccefc70450e23438afc7d20f0d658354541a",
+    "real2": "a523698d888bc5a0dbd8fbfec2031bee256acc4c19762a9999c26aba1a2d8648",
+    "even1": "5c5b45da2f2521f4917bfdce1c60afd3a395ff37391f1032c46e06d0e18469c4",
+    "optreal": "eb04518d22af750f5752b51358be68a049dd4fc1cba33ee7ea0e5df0f91d4b44",
+    "opteven": "555b907a932ae714f0e821af8bedec0ed96593b429e73f5388d9b19d007eeefd",
+}
+
+
+def test_certify_bytes_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for construction in GOLDEN_CERTIFY:
+        args = GOLDEN_GENERATE[construction][0]
+        assert run("generate", "--construction", construction, *args, "--seed", 1,
+                   "--out", f"{construction}.json") == 0
+        assert run("certify", "--in", f"{construction}.json", "--beta", "12.566",
+                   "--seed", 1, "--out", f"certify_{construction}.json") == 0
+        report = (tmp_path / f"certify_{construction}.json").read_bytes()
+        got[construction] = hashlib.sha256(report).hexdigest()
+    assert got == GOLDEN_CERTIFY
+
+
+@pytest.mark.parametrize("command", ["certify", "render"])
+def test_a_point_record_without_pos_exits_2_and_names_it(det3_set, tmp_path, capsys, command):
+    doc = json.loads(det3_set.read_text(encoding="ascii"))
+    del doc["points"][5]["pos"]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    extra = ["--beta", PI] if command == "certify" else []
+    assert run(command, "--in", path, *extra, "--out", tmp_path / "out") == 2
+    assert "point record 5 lacks the field 'pos'" in capsys.readouterr().err
 
 
 # -- verify ------------------------------------------------------------------------
@@ -371,6 +410,13 @@ def test_render_rejects_point_records_that_are_not_pairs(tmp_path, points):
     path = tmp_path / "pts.json"
     jsonio.dump_path({"points": points}, path)
     assert run("render", "--in", path, "--out", tmp_path / "p.svg") == 2
+
+
+def test_render_escapes_the_title(det3_set, tmp_path):
+    out = tmp_path / "titled.svg"
+    assert run("render", "--in", det3_set, "--title", "A<B & C", "--out", out) == 0
+    root = ElementTree.parse(out).getroot()
+    assert "A<B & C" in [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
 
 
 def test_render_missing_input_exits_2(tmp_path):

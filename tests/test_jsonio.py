@@ -290,3 +290,36 @@ def test_dumps_of_a_large_table_peaks_near_twice_its_text():
     finally:
         tracemalloc.stop()
     assert peak < 2.3 * len(text)
+
+
+# -- the read path -----------------------------------------------------------------
+
+
+def test_load_of_a_large_point_set_peaks_near_twice_its_text(tmp_path):
+    # the file's bytes and their decoded text are both alive while it is read;
+    # json.loads with one dict per record, then from_json, peaked at 4.2 times
+    from fockpr.lattice import Lattice
+    from fockpr.pointset import IndexedPointSet
+
+    n, rng = 50_001, np.random.default_rng(5)
+    k = np.arange(n) // 3
+    lattice = Lattice(1.0, 1.0j)
+    table = _point_table(n, rng)
+    table.columns["index"] = np.stack([k % 130 - 65, k // 130 - 65], axis=1)
+    table.columns["tag"] = np.array(["A", "B", "C"] * (n // 3))
+    path = tmp_path / "set.json"
+    jsonio.dump_path({"lattice": lattice.to_json(), "window_radius": 100.0, "points": table}, path)
+    size = path.stat().st_size
+    small = tmp_path / "small.json"
+    head = jsonio.Table({key: col[:3] for key, col in table.columns.items()},
+                        {key: mask[:3] for key, mask in table.present.items()})
+    jsonio.dump_path({"lattice": lattice.to_json(), "window_radius": 100.0, "points": head}, small)
+    IndexedPointSet.from_json(jsonio.load_path(small))  # lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        ps = IndexedPointSet.from_json(jsonio.load_path(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ps) == n
+    assert peak < 2.3 * size

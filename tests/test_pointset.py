@@ -1,15 +1,18 @@
 """Triangle angles, geometric certificates, and the indexed container."""
 
 import cmath
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 # scipy.spatial.cKDTree is the independent oracle for pointset.separation
-# (the package computes it with numpy alone) and backs
-# relative_separation_bound.
+# and pointset.relative_separation_bound (the package computes both with
+# numpy alone).
 import scipy.spatial
 
 from fockpr import jsonio, pointset
@@ -415,7 +418,43 @@ def test_unit_disk_occupancy_bound_on_the_integer_grid():
     _, pts = window_arrays(Lattice(1.0, 1.0j), 6.0)
     bound = relative_separation_bound(pts)
     assert 5 <= bound <= 9  # exact supremum is 5; covering slack allows up to 9
+    assert bound == _occupancy_bound_by_kdtree(pts)
     assert relative_separation_bound(np.empty(0, dtype=complex)) == 0
+
+
+def _occupancy_bound_by_kdtree(pts: np.ndarray) -> int:
+    """The radius-1.25 disk counts on the pitch-0.25 grid, by k-d tree ball queries."""
+    xy = np.stack([pts.real, pts.imag], axis=1)
+    pitch = 0.25
+    xs = np.arange(xy[:, 0].min() - 1.0, xy[:, 0].max() + 1.0 + pitch, pitch)
+    ys = np.arange(xy[:, 1].min() - 1.0, xy[:, 1].max() + 1.0 + pitch, pitch)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    tree = scipy.spatial.cKDTree(xy)
+    return int(np.max(tree.query_ball_point(centers, r=1.25, return_length=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(coord, coord), min_size=1, max_size=80),
+    st.sampled_from(["scattered", "quarter grid", "integer grid"]),
+)
+def test_unit_disk_occupancy_bound_matches_ckdtree(raw, layout):
+    pts = np.array([complex(x, y) for x, y in raw])
+    if layout == "quarter grid":  # distances hit the disk radius exactly
+        pts = np.round(pts * 4.0) / 4.0
+    elif layout == "integer grid":
+        pts = np.round(pts) * (1.0 + 0.0j)
+    assert relative_separation_bound(pts) == _occupancy_bound_by_kdtree(pts)
+
+
+@pytest.mark.parametrize(
+    "lattice", [Lattice(1.0, 1.0j), Lattice(0.5, 0.5j), Lattice(1.0, 0.5 + 1.0j)]
+)
+def test_unit_disk_occupancy_bound_on_lattice_windows(lattice):
+    for radius in (1.0, 4.0, 9.0):
+        _, pts = window_arrays(lattice, radius)
+        assert relative_separation_bound(pts) == _occupancy_bound_by_kdtree(pts)
 
 
 # -- aggregation helpers ---------------------------------------------------------
@@ -481,6 +520,142 @@ def test_from_json_rejects_fields_that_are_not_pairs():
         with pytest.raises(ValueError):  # ragged against a well-formed record
             points = [good, {**good, "index": [2, 0], field: bad}]
             IndexedPointSet.from_json({**doc, "points": points})
+
+
+def test_from_json_names_a_record_that_lacks_a_required_field(tmp_path, monkeypatch):
+    monkeypatch.setattr(jsonio, "_ROW_BLOCK", 3)
+    ps = make_set()
+    for k in range(7):
+        ps.add((k, 0), "A", pos=k + 0.1j)
+    doc = jsonio.loads(jsonio.dumps(ps.to_json()))
+    for row in (0, 4):
+        for field in ("index", "tag", "pos"):
+            points = [dict(r) for r in doc["points"]]
+            del points[row][field]
+            path = tmp_path / "set.json"
+            path.write_text(json.dumps({**doc, "points": points}), encoding="ascii")
+            message = f"point record {row} lacks the field {field!r}"
+            with pytest.raises(ValueError, match=message):
+                IndexedPointSet.from_json({**doc, "points": points})  # parsed
+            with pytest.raises(ValueError, match=message):
+                IndexedPointSet.from_json(jsonio.load_path(path))  # streamed
+            points[row][field] = None  # null stands for an absent field
+            with pytest.raises(ValueError, match=message):
+                IndexedPointSet.from_json({**doc, "points": points})
+
+
+def _load_text(text: str):
+    """``jsonio.load_path`` of a file holding ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "set.json"
+        path.write_text(text, encoding="ascii")
+        return jsonio.load_path(path)
+
+
+def _column_bits(ps: IndexedPointSet) -> dict:
+    """The columns of ``ps``, floats by bit pattern so that signed zeros count."""
+    c = ps._columns()
+    return {
+        "m": c.m.tolist(),
+        "n": c.n.tolist(),
+        "tag": c.tag.tolist(),
+        **{
+            key: np.asarray(getattr(c, key)).view(np.int64).tolist()
+            for key in ("pos", "delta", "unit")
+        },
+        "has_delta": c.has_delta.tolist(),
+        "has_unit": c.has_unit.tolist(),
+    }
+
+
+signed_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 3.0, 1e17, 5e-324, -1e-300]),
+)
+pair_values = st.lists(signed_floats, min_size=2, max_size=2)
+point_records = st.lists(
+    st.fixed_dictionaries(
+        {
+            "index": st.lists(st.integers(-20, 20), min_size=2, max_size=2),
+            "tag": st.sampled_from(["A", "B", "C", "1", "x%y"]),
+            "pos": pair_values,
+        },
+        optional={"delta": pair_values, "unit": pair_values},
+    ),
+    max_size=14,
+    unique_by=lambda r: (tuple(r["index"]), r["tag"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_records, st.randoms(use_true_random=False))
+def test_streamed_points_load_like_parsed_points(records, rnd):
+    # blocks of 3 records, so a set of up to 14 spans several of them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonio, "_ROW_BLOCK", 3)
+        doc = {
+            "lattice": Lattice(1.0, 1.0j).to_json(),
+            "window_radius": 30.0,
+            "points": records,
+            "meta": {"gamma": 7.0},
+        }
+        # the same records through add, one at a time: the oracle for the columns
+        ps = make_set(gamma=7.0)
+        for r in records:
+            delta, unit = (complex(*r[k]) if k in r else None for k in ("delta", "unit"))
+            ps.add(tuple(r["index"]), r["tag"], pos=complex(*r["pos"]), delta=delta, unit=unit)
+        want = _column_bits(ps)
+
+        def shuffled(obj):
+            if isinstance(obj, dict):
+                keys = list(obj)
+                rnd.shuffle(keys)
+                return {k: shuffled(obj[k]) for k in keys}
+            return [shuffled(v) for v in obj] if isinstance(obj, list) else obj
+
+        texts = {
+            "canonical": jsonio.dumps(doc),
+            "compact": json.dumps(doc, separators=(",", ":")),
+            "shuffled": json.dumps(shuffled(doc), indent=rnd.choice([None, 1, 3])),
+        }
+        for layout, text in texts.items():
+            loaded = _load_text(text)
+            assert jsonio.dumps(loaded) == texts["canonical"], layout  # the table is faithful
+            streamed = IndexedPointSet.from_json(loaded)
+            parsed = IndexedPointSet.from_json(json.loads(text))
+            assert _column_bits(streamed) == _column_bits(parsed) == want, layout
+            assert streamed.meta == {"gamma": 7.0} and streamed.window_radius == 30.0
+            assert jsonio.dumps(streamed.to_json()) == jsonio.dumps(ps.to_json())
+
+
+def test_streamed_points_reject_malformed_records(monkeypatch):
+    monkeypatch.setattr(jsonio, "_ROW_BLOCK", 3)
+    good = [{"index": [k, 0], "tag": "A", "pos": [float(k), 0.5]} for k in range(8)]
+    doc = {"lattice": Lattice(1.0, 1.0j).to_json(), "window_radius": 30.0}
+    for row in (1, 6):  # in the first block and in a later one
+        for field, bad, match in (
+            ("pos", [1.0, 2.0, 3.0], "record|pairs"),  # not a pair, ragged against the rest
+            ("index", [1], "record|pairs"),
+            ("delta", [0.5], "pairs"),  # the only delta: a column, but not of pairs
+            ("pos", 2.5, "record"),  # a number among pairs
+            ("pos", [1.0, "a"], "record"),
+            ("tag", True, "record"),
+        ):
+            points = [dict(r) for r in good]
+            points[row][field] = bad
+            text = json.dumps({**doc, "points": points})
+            for load in (_load_text, json.loads):
+                with pytest.raises(ValueError, match=match):
+                    IndexedPointSet.from_json(load(text))
+        for bad in (3, [1.0, 0.0], "A", None):  # a record that is not an object
+            text = json.dumps({**doc, "points": good[:row] + [bad] + good[row:]})
+            for load in (_load_text, json.loads):
+                with pytest.raises(ValueError, match=f"record {row} is not an object"):
+                    IndexedPointSet.from_json(load(text))
+    text = jsonio.dumps({**doc, "points": good, "meta": {"gamma": 7.0}})
+    for cut in range(len(text)):  # every proper prefix is truncated JSON
+        with pytest.raises(ValueError):
+            _load_text(text[:cut])
 
 
 def _entry_dicts(ps):

@@ -1,5 +1,8 @@
 """SVG rendering: structure, determinism, filtering, and file output."""
 
+import tracemalloc
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,12 @@ def test_mesh_lines_present_only_when_requested():
     without = render_points_svg({"1": [0.2]}, 2.0)
     assert with_mesh.count('stroke="#dddddd"') > 10
     assert without.count('stroke="#dddddd"') == 0
+
+
+def test_tags_and_titles_are_escaped():
+    svg = render_points_svg({"a&b": [0.1j], "<c>": [0.2]}, 1.0, title="x < y & z > w")
+    texts = [el.text for el in ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == ["<c>", "a&b", "x < y & z > w"]
 
 
 def test_unknown_tags_get_fallback_colors():
@@ -109,7 +118,8 @@ def test_mesh_lines_match_the_per_point_loop():
     # just below 0 in floating point
     lat = Lattice(1.0, 0.3 + 1.0j)
     to = render._Mapper(4.6)
-    lines = render._mesh_lines(lat, 4.6, to)
+    # _mesh_lines gives blocks of lines joined by newlines
+    lines = "\n".join(render._mesh_lines(lat, 4.6, to)).split("\n")
     assert any('y1="-0.00"' in line for line in lines)
     assert lines == _mesh_lines_loop(lat, 4.6, to)
 
@@ -122,7 +132,8 @@ def test_mesh_lines_merge_minus_zero_with_zero_like_the_loop(monkeypatch):
     monkeypatch.setattr(render, "window_arrays", lambda lat, radius: (None, pts))
     lat = Lattice(1.0, 1.0j)
     to = render._Mapper(1.0)
-    lines = render._mesh_lines(lat, 1.0, to)
+    # _mesh_lines gives blocks of lines joined by newlines
+    lines = "\n".join(render._mesh_lines(lat, 1.0, to)).split("\n")
     assert sum('y1="-0.00"' in line for line in lines) == 1
     assert not any('y1="0.00"' in line for line in lines)
     assert lines == _mesh_lines_loop(lat, 1.0, to)
@@ -140,3 +151,24 @@ def test_circles_match_the_per_point_route():
                 f'fill="{TAG_COLORS[tag]}" fill-opacity="0.85"/>'
             )
             assert (circle in svg) == (abs(z.real) <= 2.0 and abs(z.imag) <= 2.0)
+
+
+def test_render_with_mesh_peaks_near_twice_its_text():
+    # the text and the blocks it is joined from are both alive at the end;
+    # one string per circle and per segment, then two copies of the text,
+    # peaked at 3.7 times the text
+    lat = Lattice(0.45, 0.45j)
+    ps = IndexedPointSet(lat, window_radius=25.0)
+    idx, pts = render.window_arrays(lat, 25.0)
+    for k, tag in enumerate("ABC"):
+        ps.add_many(idx, tag, pos=pts + 0.1 * k * (1 + 1j))
+    render_svg(ps.points()[:3])  # numpy's lazy imports outside the trace
+    ps.points()  # the columns are packed before the trace starts
+    tracemalloc.start()
+    try:
+        text = render_svg(ps, mesh=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("<line") > 40_000
+    assert peak < 2.5 * len(text)
