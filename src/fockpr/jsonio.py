@@ -21,11 +21,12 @@ whatever the length of the list.  A token depends only on its value, so
 the blocks write exactly the bytes the list of dicts or of lists would
 give.  :func:`dump_path` hands the text to the file in slices.
 
-:func:`load_path` reads the same way round: a top-level ``points`` list of
-objects is decoded one record at a time with the stdlib decoder and
-packed into a :class:`Table` every ``_ROW_BLOCK`` records, so only one
-block of records is held as Python objects.  Every other member comes
-back as :func:`json.loads` gives it.
+:func:`load_path` reads the same way round: the file is read in slices of
+``_READ_SLICE`` characters, and only the unread tail of the text is held.
+A top-level ``points`` list of objects is decoded one record at a time
+with the stdlib decoder and packed into a :class:`Table` every
+``_ROW_BLOCK`` records, so only one block of records is held as Python
+objects.  Every other member comes back as :func:`json.loads` gives it.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ __all__ = [
 _ROW_BLOCK = 1 << 12
 # characters handed to the file per write in dump_path
 _WRITE_SLICE = 1 << 20
+# characters read from the file at a time in load_path
+_READ_SLICE = 1 << 20
 
 
 def format_float(x: float) -> str:
@@ -380,70 +383,149 @@ _SPACE = json.decoder.WHITESPACE.match
 _COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
 
 
-def _records(text: str, at: int) -> tuple[Any, int]:
-    """The JSON list at ``text[at]``, a :class:`Table` when it holds objects, and its end.
+class _Reader:
+    """The JSON text of a file, read ``_READ_SLICE`` characters at a time.
 
-    The records are decoded one at a time; every ``_ROW_BLOCK`` of them are
-    packed into a table, and the tables are joined at the end.  A list
-    that is empty or starts with a non-object is decoded whole.
+    Only the unread tail of what was read is held: :meth:`_more` drops the
+    text before the read position whenever it reads on.  Values are decoded
+    with the stdlib scanner; the punctuation of the top-level object and of
+    its ``points`` list is stepped over here.
     """
-    i = _SPACE(text, at + 1).end()
-    if not text.startswith("{", i):
-        return _DECODER.raw_decode(text, at)
-    scan = _DECODER.scan_once
-    blocks, block = [], []
-    while True:
-        try:
-            record, i = scan(text, i)
-        except StopIteration as exc:
-            raise json.JSONDecodeError("Expecting value", text, exc.value) from None
-        block.append(record)
-        if len(block) == _ROW_BLOCK:
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.text = ""
+        self.at = 0  # read position in text
+        self.base = 0  # file offset of text[0]
+        self.eof = False
+
+    def _more(self, size: int = 0) -> None:
+        """Drop the text before the read position and append at least a slice more."""
+        size = max(size, _READ_SLICE)
+        chunk = self.fh.read(size)
+        self.eof = len(chunk) < size
+        self.base += self.at
+        self.text = self.text[self.at :] + chunk
+        self.at = 0
+
+    def _skip(self, i: int) -> int:
+        """Position of the first non-space character from ``i`` on (the end of the text at EOF)."""
+        i = _SPACE(self.text, i).end()
+        while i == len(self.text) and not self.eof:
+            i -= self.at
+            self._more()
+            i = _SPACE(self.text, i).end()
+        return i
+
+    def peek(self) -> str:
+        """The next non-space character, moved up to; ``""`` at the end of the file."""
+        self.at = self._skip(self.at)
+        return self.text[self.at : self.at + 1]
+
+    def step(self, char: str, expecting: str) -> None:
+        """Step over ``char`` at the next non-space character."""
+        if self.peek() != char:
+            raise self.error(f"Expecting {expecting}", self.at)
+        self.at += 1
+
+    def error(self, message: str, pos: int) -> ValueError:
+        return ValueError(f"{message} at character {self.base + pos} of the file")
+
+    def value(self) -> Any:
+        """The value at the next non-space character.
+
+        A value is taken only when at least 3 characters of held text
+        follow it, or the file is read to its end: the scanner ends a number
+        cut at a slice boundary early (``1e-5`` cut after ``1e`` at the
+        ``e``, ``1.5`` cut after ``1.`` at the ``.``), and 3 characters are
+        enough to show that it goes on.  A value that fails to decode
+        before the end of the file is retried on twice the held text, so a
+        value longer than a slice costs linear copying.
+        """
+        self.peek()
+        while True:
+            try:
+                value, end = _DECODER.scan_once(self.text, self.at)
+            except StopIteration as exc:
+                failure = ("Expecting value", exc.value)
+            except json.JSONDecodeError as exc:
+                failure = (exc.msg, exc.pos)
+            else:
+                if end + 3 <= len(self.text) or self.eof:
+                    self.at = end
+                    return value
+            if self.eof:
+                raise self.error(*failure)
+            self._more(len(self.text) - self.at)
+
+    def points(self) -> Any:
+        """The list at the read position, a :class:`Table` when its first item is an object.
+
+        The records are decoded one at a time; every ``_ROW_BLOCK`` of them
+        are packed into a table, and the tables are joined at the end.  A
+        record that may be cut by the end of the held text goes through
+        :meth:`value`.  A list that is empty or starts with a non-object is
+        decoded whole, from the rest of the file read at once.
+        """
+        first = self._skip(self.at + 1)
+        if not self.text.startswith("{", first):
+            while not self.eof:
+                self._more(len(self.text))
+            return self.value()
+        scan = _DECODER.scan_once
+        blocks, block = [], []
+        text, i = self.text, first
+        while True:
+            try:
+                record, end = scan(text, i)
+            except (StopIteration, ValueError):
+                end = len(text)
+            if end + 3 > len(text):
+                self.at = i
+                record = self.value()
+                text, end = self.text, self.at
+            block.append(record)
+            if len(block) == _ROW_BLOCK:
+                blocks.append(_packed(block, len(blocks) * _ROW_BLOCK))
+                block = []
+            comma = _COMMA(text, end)
+            if comma is not None:
+                i = comma.end()
+                continue
+            self.at = end
+            if self.peek() == "]":
+                break
+            self.step(",", "',' delimiter")
+            text, i = self.text, self.at
+        self.at += 1
+        if block:
             blocks.append(_packed(block, len(blocks) * _ROW_BLOCK))
-            block = []
-        comma = _COMMA(text, i)
-        if comma is not None:
-            i = comma.end()
-            continue
-        i = _SPACE(text, i).end()
-        if not text.startswith("]", i):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
-        break
-    if block:
-        blocks.append(_packed(block, len(blocks) * _ROW_BLOCK))
-    return _joined(blocks), i + 1
+        return _joined(blocks)
 
-
-def _document(text: str) -> Any:
-    """``json.loads(text)``, but with a top-level ``points`` list of objects as a :class:`Table`."""
-    i = _SPACE(text, 0).end()
-    if not text.startswith("{", i) or text.startswith("}", _SPACE(text, i + 1).end()):
-        return json.loads(text)
-    doc: dict = {}
-    i = _SPACE(text, i + 1).end()
-    while True:
-        if not text.startswith('"', i):
-            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, i)
-        key, i = _DECODER.raw_decode(text, i)
-        i = _SPACE(text, i).end()
-        if not text.startswith(":", i):
-            raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
-        i = _SPACE(text, i + 1).end()
-        if key == "points" and text.startswith("[", i):
-            doc[key], i = _records(text, i)
+    def document(self) -> Any:
+        """The JSON document, with a top-level ``points`` list of objects as a :class:`Table`."""
+        if self.peek() != "{":
+            doc = self.value()
         else:
-            doc[key], i = _DECODER.raw_decode(text, i)
-        i = _SPACE(text, i).end()
-        if text.startswith("}", i):
-            break
-        if not text.startswith(",", i):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
-        i = _SPACE(text, i + 1).end()
-    if _SPACE(text, i + 1).end() != len(text):
-        raise json.JSONDecodeError("Extra data", text, _SPACE(text, i + 1).end())
-    return doc
+            doc = {}
+            self.at += 1
+            if self.peek() != "}":
+                while True:
+                    if self.peek() != '"':
+                        raise self.error("Expecting property name enclosed in double quotes", self.at)
+                    key = self.value()
+                    self.step(":", "':' delimiter")
+                    doc[key] = self.points() if key == "points" and self.peek() == "[" else self.value()
+                    if self.peek() != ",":
+                        break
+                    self.at += 1
+            self.step("}", "',' delimiter")
+        if self.peek():
+            raise self.error("Extra data", self.at)
+        return doc
 
 
 def load_path(path: str | Path) -> Any:
     """The JSON document at ``path``; a top-level ``points`` list of objects is a :class:`Table`."""
-    return _document(Path(path).read_text(encoding="ascii"))
+    with open(path, encoding="ascii") as fh:
+        return _Reader(fh).document()

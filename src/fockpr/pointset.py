@@ -105,12 +105,15 @@ class IndexedPointSet:
 
     One row per sample, in insertion order: the lattice index ``(m, n)``,
     the ``tag``, the absolute position ``pos``, and the optional ``delta``
-    and ``unit`` offsets with their presence masks.  A dict from key to
-    row number backs the duplicate check, :meth:`get` and ``in``.  Rows
-    inserted by :meth:`add` wait in a buffer, packed into one block of
-    columns every ``_ADD_BLOCK`` rows; the next column read appends the
-    blocks in one step.  Outputs (``points``, ``to_json``, ``to_csv``)
-    list rows in the canonical (m, n, tag) order.
+    and ``unit`` offsets with their presence masks.  Rows inserted by
+    :meth:`add` wait in a buffer, packed into one block of columns every
+    ``_ADD_BLOCK`` rows; the next column read appends the blocks in one
+    step.  A dict from key to row number backs :meth:`add`, :meth:`get`
+    and ``in``; it is built from the columns on the first such lookup, so
+    a set that is only read in bulk never holds it.  Batches
+    (:meth:`add_many`, :meth:`from_json`) are checked for duplicates by
+    sorting the key columns.  Outputs (``points``, ``to_json``,
+    ``to_csv``) list rows in the canonical (m, n, tag) order.
     """
 
     def __init__(self, lattice: Lattice, window_radius: float, meta: dict | None = None):
@@ -122,7 +125,7 @@ class IndexedPointSet:
         self._cols = _NO_ROWS
         self._blocks: list[_Columns] = []
         self._buffer: list[tuple] = []
-        self._row_of: dict[tuple[int, int, str], int] = {}
+        self._row_of: dict[tuple[int, int, str], int] | None = None
 
     # -- container ---------------------------------------------------------
 
@@ -149,10 +152,10 @@ class IndexedPointSet:
             if delta is None:
                 raise ValueError("need pos or delta")
             pos = home + delta
-        key = (m, n, tag)
-        if key in self._row_of:
+        key, row_of = (m, n, tag), self._index()
+        if key in row_of:
             raise ValueError(f"duplicate entry for index {(m, n)} tag {tag!r}")
-        self._row_of[key] = len(self._row_of)
+        row_of[key] = len(row_of)
         self._buffer.append((m, n, tag, complex(pos), delta, unit))
         if len(self._buffer) >= _ADD_BLOCK:
             self._pack()
@@ -166,7 +169,7 @@ class IndexedPointSet:
         the window or a key (index, tag) is already present or repeated
         within the batch.
         """
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1, 2)
+        idx = np.array(indices, dtype=np.int64).reshape(-1, 2)
         k = len(idx)
         m, n = idx[:, 0], idx[:, 1]
         if pos is None:
@@ -187,15 +190,18 @@ class IndexedPointSet:
             i = outside[0]
             index = (int(new.m[i]), int(new.n[i]))
             raise ValueError(f"home point {complex(homes[i])} of index {index} outside window")
-        keys = list(zip(new.m.tolist(), new.n.tolist(), new.tag.tolist()))
-        seen: set = set()
-        for key in keys:
-            if key in seen or key in self._row_of:
-                raise ValueError(f"duplicate entry for index {key[:2]} tag {key[2]!r}")
-            seen.add(key)
-        start = len(self._columns().m)
-        self._cols = _joined(self._cols, new)
-        self._row_of.update(zip(keys, range(start, start + len(keys))))
+        old = self._columns()
+        row = _first_repeat(*(np.concatenate([a, b]) for a, b in zip(old[:3], new[:3])))
+        if row is not None:
+            i = row - len(old.m)
+            index = (int(new.m[i]), int(new.n[i]))
+            raise ValueError(f"duplicate entry for index {index} tag {str(new.tag[i])!r}")
+        if self._row_of is not None:
+            keys = zip(new.m.tolist(), new.n.tolist(), new.tag.tolist())
+            self._row_of.update(zip(keys, range(len(old.m), len(old.m) + len(new.m))))
+        # the first batch is taken as it is: its arrays belong to the caller
+        # (add_many, from_json), which hands them over
+        self._cols = _joined(old, new) if len(old.m) else new
 
     def _pack(self) -> None:
         """Move the rows buffered by :meth:`add` into one block of columns."""
@@ -232,8 +238,16 @@ class IndexedPointSet:
         rows = np.arange(len(c.m)) if tags is None else np.flatnonzero(np.isin(c.tag, list(tags)))
         return rows[np.lexsort((c.tag[rows], c.n[rows], c.m[rows]))]
 
+    def _index(self) -> dict[tuple[int, int, str], int]:
+        """The dict from key (m, n, tag) to row number, built on first use."""
+        if self._row_of is None:
+            c = self._columns()
+            keys = zip(c.m.tolist(), c.n.tolist(), c.tag.tolist())
+            self._row_of = dict(zip(keys, range(len(c.m))))
+        return self._row_of
+
     def _row(self, index: tuple[int, int], tag: str) -> int:
-        row = self._row_of.get((int(index[0]), int(index[1]), tag))
+        row = self._index().get((int(index[0]), int(index[1]), tag))
         if row is None:
             raise KeyError((LatticeIndex(int(index[0]), int(index[1])), tag))
         return row
@@ -247,20 +261,20 @@ class IndexedPointSet:
         )
 
     def __len__(self) -> int:
-        return len(self._row_of)
+        return len(self._cols.m) + sum(len(b.m) for b in self._blocks) + len(self._buffer)
 
     def __contains__(self, key: tuple[tuple[int, int], str]) -> bool:
         (m, n), tag = key
-        return (int(m), int(n), tag) in self._row_of
+        return (int(m), int(n), tag) in self._index()
 
     def get(self, index: tuple[int, int], tag: str) -> PointEntry:
         return self._entry(self._row(index, tag))
 
     def items(self) -> list[tuple[tuple[LatticeIndex, str], PointEntry]]:
         """``((index, tag), entry)`` for every row, in insertion order."""
-        return [
-            ((LatticeIndex(m, n), t), self._entry(row)) for (m, n, t), row in self._row_of.items()
-        ]
+        c = self._columns()
+        keys = zip(c.m.tolist(), c.n.tolist(), c.tag.tolist())
+        return [((LatticeIndex(m, n), t), self._entry(row)) for row, (m, n, t) in enumerate(keys)]
 
     def tags(self) -> list[str]:
         return sorted(set(self._columns().tag.tolist()))
@@ -353,8 +367,9 @@ class IndexedPointSet:
         The points are a :class:`jsonio.Table` (as :func:`jsonio.load_path`
         and :meth:`to_json` give them) or a list of records, which is packed
         into one.  They are checked like a batch of :meth:`add_many`; every
-        record has an ``index``, a ``tag`` and a ``pos``, and every
-        ``index``, ``pos``, ``delta`` and ``unit`` is a pair.
+        record has an ``index``, a ``tag`` and a ``pos``, every ``index``
+        is a pair of integers and every ``pos``, ``delta`` and ``unit`` a
+        pair of finite numbers.
         """
         lat = Lattice.from_json(data["lattice"])
         ps = cls(lat, float(data["window_radius"]), meta=data.get("meta"))
@@ -368,7 +383,7 @@ class IndexedPointSet:
             lacking = np.flatnonzero(~_presence(points, key))
             if lacking.size:
                 raise ValueError(f"point record {lacking[0]} lacks the field {key!r}")
-        idx = _pair_array(cols["index"], np.int64, "index")
+        idx = _index_pairs(cols["index"])
         ps._append(
             _Columns(
                 idx[:, 0],
@@ -399,8 +414,21 @@ def _joined(*parts: _Columns) -> _Columns:
     return _Columns(*map(np.concatenate, zip(*parts)))
 
 
+def _first_repeat(m: np.ndarray, n: np.ndarray, tag: np.ndarray) -> int | None:
+    """The first row whose key (m, n, tag) an earlier row has, or None.
+
+    One stable lexsort brings equal keys together in row order; every row
+    of a run of equal keys but the first repeats an earlier one.
+    """
+    order = np.lexsort((tag, n, m))
+    m, n, tag = m[order], n[order], tag[order]
+    repeats = (m[1:] == m[:-1]) & (n[1:] == n[:-1]) & (tag[1:] == tag[:-1])
+    return int(order[1:][repeats].min()) if repeats.any() else None
+
+
 def _broadcast(values, k: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(values, dtype=complex), (k,))
+    """``values`` as a complex array of length ``k``, never a view of the caller's array."""
+    return np.broadcast_to(np.asarray(values, dtype=complex), (k,)).copy()
 
 
 def _optional(values, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -420,8 +448,8 @@ def _presence(table: jsonio.Table, key: str) -> np.ndarray:
 
 
 def _optional_pairs(table: jsonio.Table, key: str) -> tuple[np.ndarray, np.ndarray]:
-    """Complex column of an optional pair field of ``table`` and its presence mask."""
-    has = _presence(table, key)
+    """Complex column of an optional pair field of ``table`` and its presence mask, both new."""
+    has = np.array(_presence(table, key))
     if not has.any():
         return np.zeros(len(table), dtype=complex), has
     return complex_column(table.columns[key], key), has
@@ -435,9 +463,36 @@ def _pair_array(pairs, dtype, field: str) -> np.ndarray:
     return arr.reshape(-1, 2)
 
 
+def _first_bad_row(ok: np.ndarray) -> int | None:
+    """The first row of a (k, 2) mask with a False in it, or None."""
+    bad = np.flatnonzero(~ok.all(axis=1))
+    return int(bad[0]) if bad.size else None
+
+
+def _index_pairs(pairs) -> np.ndarray:
+    """``index`` pairs as a (k, 2) int64 array; a value that is no int64 integer is an error."""
+    arr = _pair_array(pairs, None, "index")
+    if arr.dtype.kind == "f":
+        row = _first_bad_row((np.floor(arr) == arr) & (np.abs(arr) < 2.0**63))
+        if row is not None:
+            raise ValueError(
+                f"point record {row}: field 'index' must hold integers, got {arr[row].tolist()}"
+            )
+    return arr.astype(np.int64)
+
+
 def complex_column(pairs, field: str) -> np.ndarray:
-    """Complex column from ``[re, im]`` pairs, bit-exact (signed zeros included)."""
-    return np.ascontiguousarray(_pair_array(pairs, float, field)).view(complex).ravel()
+    """Complex column from ``[re, im]`` pairs, bit-exact (signed zeros included).
+
+    A pair holding an infinity or NaN is an error naming its row.
+    """
+    arr = _pair_array(pairs, float, field)
+    row = _first_bad_row(np.isfinite(arr))
+    if row is not None:
+        raise ValueError(
+            f"point record {row}: field {field!r} must hold finite numbers, got {arr[row].tolist()}"
+        )
+    return np.ascontiguousarray(arr).view(complex).ravel()
 
 
 def _fill_absent(values, fill) -> tuple[list, np.ndarray]:

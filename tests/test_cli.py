@@ -281,6 +281,38 @@ def test_a_point_record_without_pos_exits_2_and_names_it(det3_set, tmp_path, cap
     assert "point record 5 lacks the field 'pos'" in capsys.readouterr().err
 
 
+def test_a_fractional_index_exits_2_and_names_it(det3_set, tmp_path, capsys):
+    # a cast to int64 alone would load [0.7, 0] as index (0, 0)
+    doc = json.loads(det3_set.read_text(encoding="ascii"))
+    doc["points"][3]["index"] = [0.7, 0]
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    assert run("certify", "--in", path, "--beta", PI, "--out", tmp_path / "r.json") == 2
+    assert "point record 3: field 'index' must hold integers" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_nan_position_exits_2_and_names_it(det3_set, tmp_path, capsys):
+    # unchecked, a NaN position renders as cx="nan"
+    doc = json.loads(det3_set.read_text(encoding="ascii"))
+    doc["points"][4]["pos"] = [math.nan, 0.1]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    assert run("render", "--in", path, "--out", tmp_path / "p.svg") == 2
+    assert "point record 4: field 'pos' must hold finite numbers" in capsys.readouterr().err
+    assert not (tmp_path / "p.svg").exists()
+
+
+@pytest.mark.parametrize("flag", ["--in", "--out"])
+def test_a_directory_for_a_file_exits_2(det3_set, tmp_path, capsys, flag):
+    paths = {"--in": det3_set, "--out": tmp_path / "r.json", flag: tmp_path}
+    assert run("certify", "--in", paths["--in"], "--beta", PI, "--out", paths["--out"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    if flag == "--out":
+        assert run("generate", "--construction", "det3", "--alpha", PI, "--radius", 2,
+                   "--out", tmp_path) == 2
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -410,6 +442,14 @@ def test_render_rejects_point_records_that_are_not_pairs(tmp_path, points):
     path = tmp_path / "pts.json"
     jsonio.dump_path({"points": points}, path)
     assert run("render", "--in", path, "--out", tmp_path / "p.svg") == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_render_rejects_plain_points_that_are_not_finite(tmp_path, capsys, bad):
+    path = tmp_path / "pts.json"
+    jsonio.dump_path({"points": [[0.0, 1.0], [2.0, 3.0], [1.0, bad]]}, path)
+    assert run("render", "--in", path, "--out", tmp_path / "p.svg") == 2
+    assert "point record 2: field 'points' must hold finite numbers" in capsys.readouterr().err
 
 
 def test_render_escapes_the_title(det3_set, tmp_path):

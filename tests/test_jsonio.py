@@ -1,6 +1,8 @@
 """Round-trip and canonical-form tests for the JSON reader/writer."""
 
+import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -295,9 +297,116 @@ def test_dumps_of_a_large_table_peaks_near_twice_its_text():
 # -- the read path -----------------------------------------------------------------
 
 
-def test_load_of_a_large_point_set_peaks_near_twice_its_text(tmp_path):
-    # the file's bytes and their decoded text are both alive while it is read;
-    # json.loads with one dict per record, then from_json, peaked at 4.2 times
+def _bits(obj):
+    """``obj`` with floats by their hex form and tables by their arrays' bytes.
+
+    Two loads are equal bit for bit when their ``_bits`` are equal: signed
+    zeros differ in hex, and ``True`` stays apart from ``1``.
+    """
+    if isinstance(obj, float):
+        return ("float", obj.hex())
+    if isinstance(obj, dict):
+        return ("dict", [(key, _bits(value)) for key, value in obj.items()])
+    if isinstance(obj, list):
+        return ("list", [_bits(value) for value in obj])
+    if isinstance(obj, jsonio.Table):
+        arrays = lambda d: sorted((k, a.dtype.str, a.shape, a.tobytes()) for k, a in d.items())
+        return ("table", arrays(obj.columns), arrays(obj.present))
+    return (type(obj).__name__, obj)
+
+
+def _parsed(text: str):
+    """The load of ``text`` built from ``json.loads``: the oracle for ``load_path``."""
+    doc = json.loads(text)
+    points = doc.get("points") if isinstance(doc, dict) else None
+    if points and isinstance(points[0], dict):
+        doc["points"] = jsonio.Table.from_records(points)
+    return doc
+
+
+def _documents() -> dict[str, str]:
+    """Small documents in four layouts, with values cut by some slice boundary at every size."""
+    records = [
+        {"index": [0, -1], "tag": "A", "pos": [1e-05, -0.0], "delta": [-0.0, 2.5e-300]},
+        {"index": [12, 3], "tag": "b\"\\\n\u00e9", "pos": [1.5, -12000000000.0],
+         "unit": [0.125, -1e20]},
+        {"index": [-7, 0], "tag": "A", "pos": [-3.0, 1e-5], "delta": [1.0, -2.0]},
+    ]
+    docs = {
+        "records": {
+            "lattice": {"w1": [1.0, 0.0], "w2": [0.0, 1.0]},
+            "meta": {"flags": [True, False, None], "note": "tab\t \"q\" \ud83d\ude00",
+                     "rate": -1.5e-7, "n": 12},
+            "points": records,
+            "window_radius": 1e-5,
+        },
+        "plain": {"kind": "lines", "points": [[1e-05, -0.0], [2.5, 1e22]], "pitch": 0.5},
+        "empty": {"points": [], "radius": -0.0, "ok": True},
+    }
+    rnd = random.Random(11)
+
+    def shuffled(obj):
+        if isinstance(obj, dict):
+            keys = list(obj)
+            rnd.shuffle(keys)
+            return {k: shuffled(obj[k]) for k in keys}
+        return [shuffled(v) for v in obj] if isinstance(obj, list) else obj
+
+    texts = {}
+    for name, doc in docs.items():
+        texts[f"{name}-canonical"] = jsonio.dumps(doc)
+        texts[f"{name}-compact"] = json.dumps(doc, separators=(",", ":"))
+        texts[f"{name}-indent"] = json.dumps(doc, indent=2)
+        texts[f"{name}-shuffled"] = json.dumps(shuffled(doc))
+    # hand-written exponent forms json.dumps never writes
+    texts["exponents"] = (
+        '{"points": [{"index": [1, 2], "tag": "A", "pos": [1E+2, -2.5e-3]},'
+        '{"index": [0, 0], "tag": "A", "pos": [12e0, -0e0]}], "x": 1.0e-1}'
+    )
+    return texts
+
+
+def test_load_path_is_the_same_at_every_read_slice(tmp_path, monkeypatch):
+    for name, text in _documents().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text + "\n", encoding="ascii")
+        want = _bits(jsonio.load_path(path))
+        assert want == _bits(_parsed(text)), name
+        for size in range(1, len(text) + 2):
+            monkeypatch.setattr(jsonio, "_READ_SLICE", size)
+            assert _bits(jsonio.load_path(path)) == want, (name, size)
+        monkeypatch.undo()
+
+
+def test_load_path_rejects_bad_text_at_every_read_slice(tmp_path, monkeypatch):
+    good = _documents()["records-canonical"]
+    bad = [
+        good[:-1],  # no closing brace
+        good[: good.index("1.0000000000000001e-05") + 4],  # inside a number
+        good[: good.index('"tag"') + 3],  # inside a key
+        good[: good.index("}", good.index('"points"')) + 1],  # after a record
+        good.replace("},\n    {", "}\n    {", 1),  # records without a comma
+        good.replace("\n    }\n  ]", "\n    },\n  ]"),  # a comma before the end of the list
+        good.replace('"meta":', '"meta"', 1),  # a key without a colon
+        good + " 1",  # extra data
+        good.replace("true", "ture"),
+        "",
+        "[1.5",
+    ]
+    compact = json.dumps(json.loads(good), separators=(",", ":"))
+    bad += [compact[:cut] for cut in range(0, len(compact), 7)]
+    for k, text in enumerate(bad):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(text, encoding="ascii")
+        for size in range(1, len(text) + 2):
+            monkeypatch.setattr(jsonio, "_READ_SLICE", size)
+            with pytest.raises(ValueError):
+                jsonio.load_path(path)
+
+
+def test_load_of_a_large_point_set_peaks_below_its_text(tmp_path):
+    # the file is read in slices and never held whole; reading it whole as
+    # bytes and as text, then decoding, peaked at 2.0 times the file
     from fockpr.lattice import Lattice
     from fockpr.pointset import IndexedPointSet
 
@@ -322,4 +431,4 @@ def test_load_of_a_large_point_set_peaks_near_twice_its_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(ps) == n
-    assert peak < 2.3 * size
+    assert peak < 1.0 * size

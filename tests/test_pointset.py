@@ -544,6 +544,30 @@ def test_from_json_names_a_record_that_lacks_a_required_field(tmp_path, monkeypa
                 IndexedPointSet.from_json({**doc, "points": points})
 
 
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("index", [0.7, 0], "field 'index' must hold integers"),
+        ("index", [1e19, 0], "field 'index' must hold integers"),  # beyond int64
+        ("index", [math.inf, 0], "field 'index' must hold integers"),
+        ("pos", [math.nan, 0.1], "field 'pos' must hold finite numbers"),
+        ("delta", [0.0, -math.inf], "field 'delta' must hold finite numbers"),
+        ("unit", [math.inf, 0.5], "field 'unit' must hold finite numbers"),
+    ],
+)
+def test_from_json_rejects_values_outside_the_fields_domain(field, bad, message):
+    ps = make_set()
+    for k in range(5):
+        ps.add((k, 0), "A", pos=k + 0.1j, delta=0.1j, unit=0.5)
+    doc = jsonio.loads(jsonio.dumps(ps.to_json()))
+    doc["points"][3][field] = bad
+    for load in (json.loads, _load_text):  # parsed, and streamed into a table
+        with pytest.raises(ValueError, match=f"point record 3: {message}"):
+            IndexedPointSet.from_json(load(json.dumps(doc)))
+    doc["points"][3][field] = [3.0, -0.0] if field == "index" else [0.5, 0.0]
+    assert ((3, 0), "A") in IndexedPointSet.from_json(doc)  # integral floats are indices
+
+
 def _load_text(text: str):
     """``jsonio.load_path`` of a file holding ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -656,6 +680,79 @@ def test_streamed_points_reject_malformed_records(monkeypatch):
     for cut in range(len(text)):  # every proper prefix is truncated JSON
         with pytest.raises(ValueError):
             _load_text(text[:cut])
+
+
+def test_a_loaded_set_builds_its_key_index_on_the_first_lookup(tmp_path):
+    ps = make_set(gamma=7.0, kappa_cap=0.3, sample_tags=["A"])
+    for k in range(6):
+        ps.add((k, 0), "A", delta=0.01j * k, unit=0.5)
+        ps.add((k, 1), "B", pos=complex(k, 1.1))
+    path = tmp_path / "set.json"
+    jsonio.dump_path(ps.to_json(), path)
+    back = IndexedPointSet.from_json(jsonio.load_path(path))
+    # the bulk reads of certify and render need no index
+    assert len(back) == 12 and back.tags() == ["A", "B"]
+    certify_f_closeness(back, 7.0, "A", kappa_cap=0.3)
+    separation(sample_points(back))
+    back.points(["B"]), back.indices(), back.to_json(), back.items()
+    assert back._row_of is None
+    assert back.get((2, 0), "A") == ps.get((2, 0), "A")
+    assert back._row_of is not None
+    assert ((5, 1), "B") in back and ((5, 1), "A") not in back
+    with pytest.raises(ValueError, match=r"duplicate entry for index \(5, 1\) tag 'B'"):
+        back.add((5, 1), "B", pos=5.0)
+    with pytest.raises(ValueError, match=r"duplicate entry for index \(0, 0\) tag 'A'"):
+        back.add_many([(7, 0), (0, 0)], "A", pos=[7.0, 0.0])
+    back.add((6, 0), "A", pos=6.0)
+    back.add_many([(7, 0), (8, 0)], "A", pos=[7.0, 8.0])
+    assert len(back) == 15 and back.get((8, 0), "A").pos == 8.0
+    with pytest.raises(ValueError, match="duplicate"):
+        back.add((7, 0), "A", pos=7.0)  # a batch row, entered into the built index
+    assert [key for key, _ in back.items()][-3:] == [((6, 0), "A"), ((7, 0), "A"), ((8, 0), "A")]
+
+
+def _first_duplicate_by_loop(existing, batch):
+    """The duplicate check batches had before the sort: the oracle for ``_append``."""
+    seen: set = set()
+    for key in batch:
+        if key in seen or key in existing:
+            return key
+        seen.add(key)
+    return None
+
+
+point_keys = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.sampled_from(["A", "B", "AB"]))
+
+
+def _key_columns(keys) -> pointset._Columns:
+    """Columns of one row per (m, n, tag) key, at its home point."""
+    k = len(keys)
+    m = np.array([key[0] for key in keys], dtype=np.int64)
+    n = np.array([key[1] for key in keys], dtype=np.int64)
+    tag = np.array([key[2] for key in keys], dtype=str)
+    return pointset._Columns(m, n, tag, m + 1j * n, np.zeros(k, complex), np.zeros(k, bool),
+                             np.zeros(k, complex), np.zeros(k, bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(point_keys, unique=True, max_size=12), st.lists(point_keys, max_size=12),
+       st.booleans())
+def test_batch_duplicate_check_matches_the_loop(existing, batch, indexed):
+    ps = make_set()
+    ps._append(_key_columns(existing))
+    if indexed:
+        assert ((9, 9), "A") not in ps  # the lookup builds the key index before the batch
+    assert (ps._row_of is not None) == indexed
+    want = _first_duplicate_by_loop(set(existing), batch)
+    if want is None:
+        ps._append(_key_columns(batch))
+        assert len(ps) == len(existing) + len(batch)
+        assert all(ps.get(key[:2], key[2]).pos == complex(*key[:2]) for key in existing + batch)
+    else:
+        with pytest.raises(ValueError) as info:
+            ps._append(_key_columns(batch))
+        assert str(info.value) == f"duplicate entry for index {want[:2]} tag {want[2]!r}"
+        assert len(ps) == len(existing)
 
 
 def _entry_dicts(ps):
