@@ -73,7 +73,6 @@ from .gabor import (
     bargmann,
     bargmann_grid,
     fock_inner_quad,
-    fock_symmetry_check,
     gabor_transform,
     hardy_check,
     hermite_function,

@@ -163,7 +163,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             "angles": args.angles,
             "pitch": args.pitch,
             "radius": args.radius,
-            "points": np.stack([pts.real, pts.imag], 1),
+            "points": pts,
         }
         jsonio.dump_path(artifact, args.out)
         print(f"wrote {args.out}: {len(pts)} points on three concurrent lines")
@@ -238,10 +238,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "density": dens.fitted_density,
         "delta": sep.delta,
         "passed": passed,
-        "closeness": {tag: rep.to_json() for tag, rep in closeness.items()},
-        "angle": None if angle_rep is None else angle_rep.to_json(),
-        "density_report": dens.to_json(),
-        "separation_report": sep.to_json(),
+        "closeness": closeness,
+        "angle": angle_rep,
+        "density_report": dens,
+        "separation_report": sep,
     }
     jsonio.dump_path(report, args.out)
     print(
@@ -307,9 +307,7 @@ def _cmd_injectivity(args: argparse.Namespace) -> int:
         }
         if rep.witness is not None:
             row["witness_gap"] = rep.witness_gap
-            row["witness"] = [
-                [[c.real, c.imag] for c in side] for side in rep.witness
-            ]
+            row["witness"] = rep.witness
         rows.append(row)
         print(
             f"M={m_count}: kernel_dim={rep.kernel_dim} (expected {expected}) "
@@ -332,7 +330,7 @@ def _cmd_injectivity(args: argparse.Namespace) -> int:
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
     runner = mc_angle_bound if args.variant == "angles" else mc_mirror_angle_bound
     rep = runner(args.trials, args.eps, seed=args.seed)
-    jsonio.dump_path(rep.to_json(), args.out)
+    jsonio.dump_path(rep, args.out)
     print(
         f"wrote {args.out}: p_hat={rep.p_hat:.6g} (+3se {rep.p_hat + 3 * rep.stderr:.6g}) "
         f"bound={rep.bound:.6g} passed={rep.passed}"

@@ -128,12 +128,6 @@ class FockPoly:
         mono = np.atleast_1d(np.asarray(mono, dtype=complex))
         return cls(alpha, mono / basis_scales(alpha, len(mono) - 1))
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "FockPoly":
         return cls(float(data["alpha"]), [complex(r, i) for r, i in data["coeffs"]])
@@ -215,13 +209,6 @@ class GrowthReport:
     passed: bool
     max_ratio: float
     worst_point: complex
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_ratio": self.max_ratio,
-            "worst_point": [self.worst_point.real, self.worst_point.imag],
-        }
 
 
 def growth_check(F: FockPoly, points, norm_value: float | None = None) -> GrowthReport:

@@ -40,7 +40,6 @@ __all__ = [
     "HardyReport",
     "hardy_check",
     "symmetry_class",
-    "fock_symmetry_check",
     "fock_inner_quad",
 ]
 
@@ -260,43 +259,25 @@ def hardy_check(
     )
 
 
-def symmetry_class(f: HermiteSignal, tol: float = 1e-12) -> str:
-    """Classify a signal: real-valued, even, both, or neither.
+def symmetry_class(f: HermiteSignal | fock.FockPoly, tol: float = 1e-12) -> str:
+    """Classify by the coefficients: ``even_real``, ``real``, ``even`` or ``none``.
 
-    Real-valued on the line iff every Hermite coefficient is real (the
-    h_n are real); even iff every odd-index coefficient vanishes.
+    A :class:`HermiteSignal` is real-valued on the line iff every Hermite
+    coefficient is real (the h_n are real), and even iff every odd-index
+    coefficient vanishes.  For a :class:`fock.FockPoly` the same two tests
+    mean ``F(conj z) = conj(F(z))`` and ``F(-z) = F(z)``: the Fock-side
+    images of the two signal classes under the Bargmann lift, so one
+    vocabulary names both.
     """
-    scale = max(f.norm(), 1e-300)
-    is_real = all(abs(c.imag) <= tol * scale for c in f.coeffs)
-    is_even = all(
-        abs(c) <= tol * scale for i, c in enumerate(f.coeffs) if i % 2 == 1
-    )
+    coeffs = np.asarray(f.coeffs, dtype=complex)
+    scale = max(float(np.linalg.norm(coeffs)), 1e-300)
+    is_real = bool(np.all(np.abs(coeffs.imag) <= tol * scale))
+    is_even = bool(np.all(np.abs(coeffs[1::2]) <= tol * scale))
     if is_real and is_even:
         return "even_real"
     if is_real:
         return "real"
     if is_even:
-        return "even"
-    return "none"
-
-
-def fock_symmetry_check(F: fock.FockPoly, tol: float = 1e-12) -> str:
-    """Classify a Fock-space polynomial by its reflection symmetries.
-
-    ``conjugation`` means F(conj z) = conj(F(z)) (all basis coefficients
-    real); ``even`` means F(-z) = F(z) (odd coefficients vanish);
-    ``both``/``none`` accordingly.  These are the Fock-side images of the
-    real-valued and even signal classes.
-    """
-    coeffs = np.asarray(F.coeffs)
-    scale = max(float(np.linalg.norm(coeffs)), 1e-300)
-    conj_sym = bool(np.all(np.abs(coeffs.imag) <= tol * scale))
-    even_sym = bool(np.all(np.abs(coeffs[1::2]) <= tol * scale))
-    if conj_sym and even_sym:
-        return "both"
-    if conj_sym:
-        return "conjugation"
-    if even_sym:
         return "even"
     return "none"
 

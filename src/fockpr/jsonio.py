@@ -11,6 +11,11 @@ Non-finite floats use the ``Infinity`` / ``-Infinity`` / ``NaN`` tokens
 that :func:`json.loads` accepts, so reports carrying an infinite
 certificate constant still round-trip.
 
+Two encoding rules hold for every artifact, so no caller spells them out:
+a complex number (a ``complex`` scalar, an element of a 1-D complex array
+or of a complex :class:`Table` column) is written as its ``[re, im]``
+pair, and a dataclass instance as the object of its fields by name.
+
 Large uniform record lists (one record per point of a set) are handed to
 :func:`dumps` as a :class:`Table` of columns, and a list of equally long
 number lists as a 2-D array.  It renders both in bulk, in row blocks of
@@ -31,6 +36,7 @@ objects.  Every other member comes back as :func:`json.loads` gives it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -101,9 +107,11 @@ class Table:
 
     ``columns`` maps each key to an array with one row per record: a 1-D
     int, float or str array gives a scalar value, a 2-D int or float
-    array (at least one column wide) a list.  ``present`` optionally maps
-    a key of ``columns`` to a boolean mask; records where it is False lack
-    that key, and a record lacking every key is written as ``{}``.
+    array (at least one column wide) a list, and a 1-D complex array the
+    ``[re, im]`` pair of each value (it is held as that (k, 2) float
+    array).  ``present`` optionally maps a key of ``columns`` to a boolean
+    mask; records where it is False lack that key, and a record lacking
+    every key is written as ``{}``.
     :func:`dumps` renders a table in bulk, byte-identical to the
     recursive writer on the equivalent list of dicts; it encodes which
     keys a record has as the bits of one int64, so a table has at most
@@ -111,7 +119,7 @@ class Table:
     """
 
     def __init__(self, columns: Mapping[str, Any], present: Mapping[str, Any] | None = None):
-        self.columns = {key: np.asarray(col) for key, col in columns.items()}
+        self.columns = {key: _pairs_of(np.asarray(col)) for key, col in columns.items()}
         self.present = {key: np.asarray(mask, dtype=bool) for key, mask in (present or {}).items()}
         if len(self.columns) > 63:
             raise ValueError(f"a table has at most 63 columns, not {len(self.columns)}")
@@ -146,6 +154,13 @@ class Table:
         return _joined(
             [_packed(records[s : s + _ROW_BLOCK], s) for s in range(0, len(records), _ROW_BLOCK)]
         )
+
+
+def _pairs_of(col: np.ndarray) -> np.ndarray:
+    """A 1-D complex array as the (k, 2) float array of its ``[re, im]`` pairs; else ``col``."""
+    if col.dtype.kind != "c" or col.ndim != 1:
+        return col
+    return np.ascontiguousarray(col, dtype=complex).view(np.float64).reshape(len(col), 2)
 
 
 def _column(key: str, values: list, rows: list[int]) -> np.ndarray:
@@ -314,8 +329,12 @@ def _write(obj: Any, out: list[str], indent: int) -> None:
         out.append(str(obj))
     elif isinstance(obj, float):
         out.append(format_float(obj))
+    elif isinstance(obj, complex):
+        _write([obj.real, obj.imag], out, indent)
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _write({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out, indent)
     elif isinstance(obj, dict):
         if any(not isinstance(k, str) for k in obj):
             raise TypeError("artifact keys must be strings")
@@ -333,6 +352,8 @@ def _write(obj: Any, out: list[str], indent: int) -> None:
         _write_table(obj, out, indent)
     elif isinstance(obj, np.ndarray) and obj.ndim == 2:
         _write_rows(obj, out, indent)
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "c":
+        _write_rows(_pairs_of(obj), out, indent)
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.append("[]")

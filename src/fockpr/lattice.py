@@ -33,13 +33,15 @@ class LatticeIndex(NamedTuple):
 
 @dataclass(frozen=True)
 class Lattice:
-    """Oriented lattice ``omega1*Z + omega2*Z + shift``."""
+    """Oriented lattice ``omega1*Z + omega2*Z + shift``; the three are stored as ``complex``."""
 
     omega1: complex
     omega2: complex
     shift: complex = 0j
 
     def __post_init__(self) -> None:
+        for name in ("omega1", "omega2", "shift"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
         if not (self.area > 0.0):
             raise ValueError(
                 f"basis must be positively oriented: Im(conj(omega1)*omega2) = {self.area}"
@@ -48,7 +50,7 @@ class Lattice:
     @property
     def area(self) -> float:
         """Fundamental cell area ``Im(conj(omega1) * omega2)``."""
-        return (complex(self.omega1).conjugate() * complex(self.omega2)).imag
+        return (self.omega1.conjugate() * self.omega2).imag
 
     @property
     def density(self) -> float:
@@ -130,13 +132,6 @@ class Lattice:
         translated = Lattice(self.omega1, self.omega2, self.shift - w)
         assert translated.area == self.area
         return translated.is_liouville(alpha)
-
-    def to_json(self) -> dict:
-        return {
-            "omega1": [self.omega1.real, self.omega1.imag],
-            "omega2": [self.omega2.real, self.omega2.imag],
-            "shift": [self.shift.real, self.shift.imag],
-        }
 
     @classmethod
     def from_json(cls, data: dict) -> "Lattice":

@@ -390,6 +390,8 @@ def lifted_rows(points: Sequence[complex], N: int, alpha: float) -> np.ndarray:
     expressed in the orthonormal Hermitian basis.  The Gaussian weight is
     a positive row scaling: it changes conditioning, never the kernel.
     """
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
     pts = np.asarray(list(points), dtype=complex)
     dim = N + 1
     v = _moment_vectors(pts, dim, alpha)
@@ -432,6 +434,8 @@ def lifted_injectivity(
     point.  Evidence at truncation N only: a kernel-free truncation says
     nothing about the full space.
     """
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
     if N < 0 or N > 16:
         raise ValueError("degree truncation must be in [0, 16]")
     pts = np.asarray(list(points), dtype=complex)

@@ -345,14 +345,14 @@ class IndexedPointSet:
             {
                 "index": np.stack([c.m[rows], c.n[rows]], axis=1),
                 "tag": c.tag[rows],
-                "pos": _pairs(c.pos[rows]),
-                "delta": _pairs(c.delta[rows]),
-                "unit": _pairs(c.unit[rows]),
+                "pos": c.pos[rows],
+                "delta": c.delta[rows],
+                "unit": c.unit[rows],
             },
             present={"delta": c.has_delta[rows], "unit": c.has_unit[rows]},
         )
         out: dict = {
-            "lattice": self.lattice.to_json(),
+            "lattice": self.lattice,
             "window_radius": self.window_radius,
             "points": points,
         }
@@ -371,7 +371,9 @@ class IndexedPointSet:
         is a pair of integers and every ``pos``, ``delta`` and ``unit`` a
         pair of finite numbers.
         """
-        lat = Lattice.from_json(data["lattice"])
+        lat = data["lattice"]
+        if not isinstance(lat, Lattice):
+            lat = Lattice.from_json(lat)
         ps = cls(lat, float(data["window_radius"]), meta=data.get("meta"))
         points = data["points"]
         if not isinstance(points, jsonio.Table):
@@ -399,7 +401,7 @@ class IndexedPointSet:
     def to_csv(self, path) -> None:
         """Rows ``m,n,tag,re,im`` with 17-significant-digit floats."""
         rows, c = self._rows(), self._columns()
-        xy = _pairs(c.pos[rows]).ravel().tolist()
+        xy = c.pos[rows].view(np.float64).tolist()
         g17 = ("%.17g\n" * len(xy) % tuple(xy)).split("\n")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -436,10 +438,6 @@ def _optional(values, k: int) -> tuple[np.ndarray, np.ndarray]:
     if values is None:
         return np.zeros(k, dtype=complex), np.zeros(k, dtype=bool)
     return _broadcast(values, k), np.ones(k, dtype=bool)
-
-
-def _pairs(z: np.ndarray) -> np.ndarray:
-    return np.stack([z.real, z.imag], axis=1)
 
 
 def _presence(table: jsonio.Table, key: str) -> np.ndarray:
@@ -550,18 +548,6 @@ class ClosenessReport:
     window_radius: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "tag": self.tag,
-            "kappa": self.kappa,
-            "log_kappa": self.log_kappa,
-            "worst_index": None if self.worst_index is None else list(self.worst_index),
-            "count": self.count,
-            "window_radius": self.window_radius,
-            "passed": self.passed,
-        }
-
 
 def certify_f_closeness(
     ps: IndexedPointSet, gamma: float, tag: str, kappa_cap: float | None = None
@@ -610,21 +596,7 @@ class AngleReport:
     worst_index: tuple[int, int] | None
     count: int
     window_radius: float
-
-    @property
-    def passed(self) -> bool:
-        return math.isfinite(self.sup_ratio)
-
-    def to_json(self) -> dict:
-        return {
-            "beta": self.beta,
-            "theta_min": self.theta_min,
-            "sup_ratio": self.sup_ratio,
-            "worst_index": None if self.worst_index is None else list(self.worst_index),
-            "count": self.count,
-            "window_radius": self.window_radius,
-            "passed": self.passed,
-        }
+    passed: bool
 
 
 # Maps named by a set's ``triple_fold`` metadata; each is its own inverse.
@@ -713,6 +685,7 @@ def angle_condition(ps: IndexedPointSet, beta: float) -> AngleReport:
         worst_index=worst,
         count=len(indices),
         window_radius=ps.window_radius,
+        passed=math.isfinite(sup_ratio),
     )
 
 
@@ -721,13 +694,6 @@ class SeparationReport:
     delta: float
     pair: tuple[complex, complex]
     count: int
-
-    def to_json(self) -> dict:
-        return {
-            "delta": self.delta,
-            "pair": [[p.real, p.imag] for p in self.pair],
-            "count": self.count,
-        }
 
 
 def _as_points(obj) -> np.ndarray:
@@ -792,16 +758,6 @@ class DensityReport:
     estimates: tuple[float, ...]
     fitted_density: float
     max_residual: float
-
-    def to_json(self) -> dict:
-        return {
-            "center": [self.center.real, self.center.imag],
-            "radii": list(self.radii),
-            "counts": list(self.counts),
-            "estimates": list(self.estimates),
-            "fitted_density": self.fitted_density,
-            "max_residual": self.max_residual,
-        }
 
 
 def density_estimate(

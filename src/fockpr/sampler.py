@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice, window_arrays
-from .pointset import IndexedPointSet, TRIPLE_TAGS, median_angles
+from .pointset import IndexedPointSet, TRIPLE_TAGS, median_angles, sample_points
 from .rng import keyed_disk
 
 __all__ = [
@@ -389,8 +389,6 @@ def three_lines(angles, radius: float, pitch: float = 0.1) -> np.ndarray:
 def reflection_closure(obj, mode: str) -> np.ndarray:
     """Close a point family under conjugation ("half") or under
     conjugation and negation ("quarter"); exact duplicates collapse."""
-    from .pointset import sample_points
-
     pts = sample_points(obj) if isinstance(obj, IndexedPointSet) else np.asarray(obj, dtype=complex).ravel()
     if mode == "half":
         out = np.concatenate([pts, np.conj(pts)])
@@ -420,19 +418,6 @@ class McReport:
     stderr: float
     bound: float
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "trials": self.trials,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "hits": self.hits,
-            "p_hat": self.p_hat,
-            "stderr": self.stderr,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
 
 
 def _mc_run(variant: str, trials: int, epsilon: float, seed: int) -> McReport:

@@ -38,6 +38,7 @@ import numpy as np
 from .fock import fock_gram
 from .lattice import Lattice, window_arrays
 from .pointset import IndexedPointSet
+from .sampler import three_lines
 
 __all__ = [
     "SigmaEvaluator",
@@ -124,7 +125,7 @@ class SigmaEvaluator:
         if lat.shift != 0:
             raise ValueError("sigma evaluators require an unshifted lattice")
         self.lattice = lat
-        r1, r2, tau = _reduce_tau(complex(lat.omega1), complex(lat.omega2))
+        r1, r2, tau = _reduce_tau(lat.omega1, lat.omega2)
         self._r1, self._r2, self._tau = r1, r2, tau
         self._coeffs = _theta1_coefficients(tau)
         self._odd = 2.0 * np.arange(self._coeffs.size) + 1.0
@@ -633,8 +634,6 @@ def three_lines_liouville_note(
     grows only linearly.  The report records the sector geometry and a
     measured density trend; it makes no claim beyond density -> 0.
     """
-    from .sampler import three_lines
-
     ang = sorted(a % math.pi for a in angles)
     boundaries = sorted(ang + [a + math.pi for a in ang])
     openings = [

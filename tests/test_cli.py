@@ -270,6 +270,24 @@ def test_certify_bytes_match_pinned_digests(tmp_path, monkeypatch):
     assert got == GOLDEN_CERTIFY
 
 
+# sha256 of the montecarlo artifact of each variant, --trials 20000 --eps 0.05
+# --seed 1, written when McReport listed its fields in a hand-written to_json
+GOLDEN_MONTECARLO = {
+    "angles": "91b08c0e5927cc4987bc73f3f0ecbd90ce6979c7c2a174139082e3dcecf84c47",
+    "mirror": "f43d1a3de070aa6828a1f918459ef1a74b2930ab3920d00f0d217c282584d25a",
+}
+
+
+def test_montecarlo_bytes_match_pinned_digests(tmp_path):
+    got = {}
+    for variant in GOLDEN_MONTECARLO:
+        out = tmp_path / f"mc_{variant}.json"
+        assert run("montecarlo", variant, "--trials", 20000, "--eps", 0.05,
+                   "--seed", 1, "--out", out) == 0
+        got[variant] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == GOLDEN_MONTECARLO
+
+
 @pytest.mark.parametrize("command", ["certify", "render"])
 def test_a_point_record_without_pos_exits_2_and_names_it(det3_set, tmp_path, capsys, command):
     doc = json.loads(det3_set.read_text(encoding="ascii"))
@@ -350,6 +368,10 @@ def test_injectivity_reports_witness_when_underdetermined(tmp_path):
     row = jsonio.load_path(out)["subsets"][0]
     assert row["kernel_dim"] == 4
     assert "witness" in row and len(row["witness"]) == 2
+    # each side is the coefficient list of one polynomial, as [re, im] pairs
+    for side in row["witness"]:
+        assert len(side) == 3
+        assert all(len(c) == 2 and all(type(x) is float for x in c) for c in side)
 
 
 def test_injectivity_on_stored_set(det3_set, tmp_path):
@@ -364,6 +386,15 @@ def test_injectivity_on_stored_set(det3_set, tmp_path):
 def test_injectivity_bad_subsets_exit_2(tmp_path):
     assert run("injectivity", "--subsets", "0", "--out", tmp_path / "x.json") == 2
     assert run("injectivity", "--subsets", "99", "--out", tmp_path / "x.json") == 2
+
+
+@pytest.mark.parametrize("dim", [0, 2])
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_injectivity_non_positive_alpha_exits_2_and_names_it(tmp_path, capsys, alpha, dim):
+    out = tmp_path / "x.json"
+    assert run("injectivity", f"--alpha={alpha}", "--dim", dim, "--subsets", 5, "--out", out) == 2
+    assert "alpha must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- montecarlo --------------------------------------------------------------------

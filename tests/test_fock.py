@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from fockpr import jsonio
 from fockpr.fock import (
     FockPoly,
     TwoVarFockPoly,
@@ -107,7 +108,7 @@ def test_derivative_agrees_with_monomial_calculus(alpha, coeffs, z):
 
 def test_json_round_trip():
     F = FockPoly(1.5, (1.0 + 2.0j, -0.5))
-    back = FockPoly.from_json(F.to_json())
+    back = FockPoly.from_json(jsonio.loads(jsonio.dumps(F)))
     assert back.alpha == F.alpha
     assert np.array_equal(back.coeffs, F.coeffs)
 
@@ -274,7 +275,7 @@ def test_growth_check_detects_an_understated_norm():
     ok = growth_check(F, pts, norm_value=1.0)
     assert ok.passed
     assert ok.max_ratio == pytest.approx(true_peak_ratio, rel=1e-12)
-    assert set(rep.to_json()) == {"passed", "max_ratio", "worst_point"}
+    assert set(jsonio.loads(jsonio.dumps(rep))) == {"passed", "max_ratio", "worst_point"}
 
 
 # -- Wronskian and the conjugate-lowering identity -------------------------------------

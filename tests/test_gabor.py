@@ -17,7 +17,6 @@ from fockpr.gabor import (
     bargmann,
     bargmann_grid,
     fock_inner_quad,
-    fock_symmetry_check,
     gabor_transform,
     hardy_check,
     hermite_function,
@@ -387,14 +386,15 @@ def test_symmetry_class_tolerance_scales_with_norm():
 @pytest.mark.parametrize(
     "coeffs, expected",
     [
-        ((1.0, 0.0, -0.5), "both"),
-        ((1.0, 2.0, 3.0), "conjugation"),
+        ((1.0, 0.0, -0.5), "even_real"),
+        ((1.0, 2.0, 3.0), "real"),
         ((1.0j, 0.0, 2.0), "even"),
         ((1.0, 1.0j), "none"),
     ],
 )
 def test_fock_symmetry_check(coeffs, expected):
-    assert fock_symmetry_check(FockPoly(math.pi, coeffs)) == expected
+    # a Fock polynomial is classed in the vocabulary of the signals it lifts
+    assert symmetry_class(FockPoly(math.pi, coeffs)) == expected
 
 
 def test_symmetry_classes_commute_with_lift():

@@ -1,5 +1,6 @@
 """Round-trip and canonical-form tests for the JSON reader/writer."""
 
+import dataclasses
 import json
 import math
 import random
@@ -84,10 +85,55 @@ def test_bools_are_not_confused_with_ints():
 
 
 def test_unsupported_types_are_rejected():
-    with pytest.raises(TypeError):
-        jsonio.dumps({"z": 1 + 2j})
+    # a dataclass type (not an instance) is no record either
+    for value in ({1, 2}, np.int64(3), np.zeros((2, 2), dtype=complex), _Inner):
+        with pytest.raises(TypeError):
+            jsonio.dumps({"v": value})
     with pytest.raises(TypeError):
         jsonio.dumps({1: "non-string key"})
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    z: complex
+    k: int
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    name: str
+    inner: _Inner
+    coeffs: np.ndarray
+    worst: tuple[int, int] | None
+
+
+def test_complex_values_and_dataclasses_write_as_their_explicit_form():
+    z = np.array([complex(1.5, -0.0), complex(-0.0, 2.0), complex(1e-300, 3.0)])
+    pairs = [[1.5, -0.0], [-0.0, 2.0], [1e-300, 3.0]]
+    cases = [
+        (1 + 2j, [1.0, 2.0]),
+        (complex(-0.0, math.inf), [-0.0, math.inf]),
+        (np.complex128(0.5 - 1j), [0.5, -1.0]),
+        ([0j, 1j], [[0.0, 0.0], [0.0, 1.0]]),
+        (z, pairs),
+        (z[::2], pairs[::2]),  # not contiguous
+        (np.array([], dtype=complex), []),
+        (
+            jsonio.Table({"z": z, "k": np.arange(3)}, present={"z": np.array([True, False, True])}),
+            [{"k": 0, "z": pairs[0]}, {"k": 1}, {"k": 2, "z": pairs[2]}],
+        ),
+        (_Inner(1 - 1j, 4), {"z": [1.0, -1.0], "k": 4}),
+        (
+            _Outer("o", _Inner(1 - 1j, 4), z, (2, -3)),
+            {"name": "o", "inner": {"z": [1.0, -1.0], "k": 4}, "coeffs": pairs, "worst": [2, -3]},
+        ),
+        (
+            _Outer("e", _Inner(0j, 0), z[:0], None),
+            {"name": "e", "inner": {"z": [0.0, 0.0], "k": 0}, "coeffs": [], "worst": None},
+        ),
+    ]
+    for value, explicit in cases:
+        assert jsonio.dumps({"v": value}) == jsonio.dumps({"v": explicit}), explicit
 
 
 def test_file_round_trip(tmp_path):
@@ -417,12 +463,12 @@ def test_load_of_a_large_point_set_peaks_below_its_text(tmp_path):
     table.columns["index"] = np.stack([k % 130 - 65, k // 130 - 65], axis=1)
     table.columns["tag"] = np.array(["A", "B", "C"] * (n // 3))
     path = tmp_path / "set.json"
-    jsonio.dump_path({"lattice": lattice.to_json(), "window_radius": 100.0, "points": table}, path)
+    jsonio.dump_path({"lattice": lattice, "window_radius": 100.0, "points": table}, path)
     size = path.stat().st_size
     small = tmp_path / "small.json"
     head = jsonio.Table({key: col[:3] for key, col in table.columns.items()},
                         {key: mask[:3] for key, mask in table.present.items()})
-    jsonio.dump_path({"lattice": lattice.to_json(), "window_radius": 100.0, "points": head}, small)
+    jsonio.dump_path({"lattice": lattice, "window_radius": 100.0, "points": head}, small)
     IndexedPointSet.from_json(jsonio.load_path(small))  # lazy imports outside the trace
     tracemalloc.start()
     try:

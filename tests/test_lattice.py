@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fockpr import jsonio
 from fockpr.lattice import Lattice, enumerate_window, square_lattice, window_arrays
 
 
@@ -168,4 +169,4 @@ def test_json_round_trip(basis, sx, sy):
     w1, w2 = basis
     assume(oriented(w1, w2))
     lat = Lattice(w1, w2, complex(sx, sy))
-    assert Lattice.from_json(lat.to_json()) == lat
+    assert Lattice.from_json(jsonio.loads(jsonio.dumps(lat))) == lat

@@ -411,3 +411,12 @@ def test_lifted_injectivity_validation():
         lifted_injectivity([1.0], N=17, alpha=1.0)
     with pytest.raises(ValueError, match="at least one"):
         lifted_injectivity([], N=1, alpha=1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+def test_lifted_maps_reject_a_non_positive_alpha(alpha):
+    for N in (0, 2):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            lifted_rows([0.5, 1j], N, alpha)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            lifted_injectivity([0.5, 1j], N, alpha)

@@ -618,7 +618,7 @@ def test_streamed_points_load_like_parsed_points(records, rnd):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jsonio, "_ROW_BLOCK", 3)
         doc = {
-            "lattice": Lattice(1.0, 1.0j).to_json(),
+            "lattice": jsonio.loads(jsonio.dumps(Lattice(1.0, 1.0j))),
             "window_radius": 30.0,
             "points": records,
             "meta": {"gamma": 7.0},
@@ -655,7 +655,7 @@ def test_streamed_points_load_like_parsed_points(records, rnd):
 def test_streamed_points_reject_malformed_records(monkeypatch):
     monkeypatch.setattr(jsonio, "_ROW_BLOCK", 3)
     good = [{"index": [k, 0], "tag": "A", "pos": [float(k), 0.5]} for k in range(8)]
-    doc = {"lattice": Lattice(1.0, 1.0j).to_json(), "window_radius": 30.0}
+    doc = {"lattice": jsonio.loads(jsonio.dumps(Lattice(1.0, 1.0j))), "window_radius": 30.0}
     for row in (1, 6):  # in the first block and in a later one
         for field, bad, match in (
             ("pos", [1.0, 2.0, 3.0], "record|pairs"),  # not a pair, ragged against the rest
