@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .lattice import Lattice, square_lattice
+from .lattice import Lattice, modulus_order, square_lattice
 from .pointset import (
     IndexedPointSet,
     angle_condition,
@@ -278,7 +278,7 @@ def _cmd_injectivity(args: argparse.Namespace) -> int:
     else:
         obj = _load_set(args.inp)
         pts = sample_points(obj) if isinstance(obj, IndexedPointSet) else obj
-        pts = pts[np.lexsort((np.angle(pts), np.round(np.abs(pts), 12)))]
+        pts = pts[modulus_order(pts)]
         source = str(args.inp)
 
     if args.subsets is not None:

@@ -23,6 +23,7 @@ __all__ = [
     "square_lattice",
     "enumerate_window",
     "window_arrays",
+    "modulus_order",
 ]
 
 
@@ -176,6 +177,17 @@ def window_arrays(lat: Lattice, radius: float) -> tuple[np.ndarray, np.ndarray]:
     m, n, pts = m[keep], n[keep], pts[keep]
     order = np.lexsort((np.angle(pts), np.abs(pts)))
     return np.stack([m[order], n[order]], axis=1), pts[order]
+
+
+def modulus_order(points) -> np.ndarray:
+    """Permutation that sorts ``points`` by modulus, then by principal argument.
+
+    Moduli are rounded to 12 decimals first, so points whose moduli agree
+    up to rounding (the symmetric images of one lattice point) are ordered
+    by argument alone.
+    """
+    pts = np.asarray(points, dtype=complex)
+    return np.lexsort((np.angle(pts), np.round(np.abs(pts), 12)))
 
 
 def enumerate_window(lat: Lattice, radius: float) -> list[tuple[LatticeIndex, complex]]:

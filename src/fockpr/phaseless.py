@@ -7,9 +7,9 @@ evidence they do not:
 * ``uniqueness_product``: the weight-4a product F H (F H' - F' H) whose
   vanishing separates the two cases,
 * directional derivatives of ``|F|^2 - |H|^2`` along unit directions,
-  their recombination into the complex derivative, Rolle-point search on
-  equal-modulus segments, and the perturbed-zero bound check built from
-  those pieces,
+  their recombination into the complex derivative, the Rolle point of an
+  equal-modulus segment as a root of a real polynomial, and the
+  perturbed-zero bound check built from those pieces,
 * a finite-dimensional injectivity analyzer for the lifted (rank-one
   Hermitian) measurement map, with singular spectrum, kernel dimension,
   and a signature-(1,1) witness pair when the kernel is nontrivial.
@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from .fock import FockPoly, wronskian
+from .fock import FockPoly, shift, wronskian
 
 __all__ = [
     "uniqueness_product",
@@ -42,6 +43,16 @@ __all__ = [
     "hermitian_basis",
     "lifted_rows",
 ]
+
+# Relative gap between the moduli that ``phase_relation_decide`` accepts
+# as equal, and relative Wronskian norm it treats as zero.
+_MODULUS_TOL = 1e-8
+_WRONSKIAN_TOL = 1e-10
+# Largest coefficient of the derivative along a segment, relative to the
+# largest of the same sums taken in absolute value, that counts as rounding.
+_ROUNDING = 1e-12
+# Random kernel elements the witness search starts from.
+_WITNESS_ATTEMPTS = 8
 
 
 def uniqueness_product(F: FockPoly, H: FockPoly) -> FockPoly:
@@ -72,12 +83,10 @@ def phase_relation_decide(
     F: FockPoly,
     H: FockPoly,
     points: Sequence[complex],
-    modulus_tol: float = 1e-8,
-    wronskian_tol: float = 1e-10,
 ) -> PhaseDecision:
     """Decide whether equal moduli on ``points`` reflect a unimodular factor.
 
-    Requires |F| = |H| on the points (within ``modulus_tol`` relatively);
+    Requires |F| = |H| on the points (within 1e-8 relatively);
     then: a vanishing Wronskian means H = tau * F for a constant tau,
     recovered from the largest sample and certified unimodular; a
     nonvanishing product ``uniqueness_product`` shows the functions are
@@ -90,24 +99,24 @@ def phase_relation_decide(
     gap = float(np.max(np.abs(np.abs(fv) - np.abs(hv)))) if pts.size else 0.0
     w = wronskian(F, H)
     w_norm = float(np.linalg.norm(np.asarray(w.coeffs)))
-    if gap > modulus_tol * scale:
+    if gap > _MODULUS_TOL * scale:
         return PhaseDecision("precondition_failed", None, gap, w_norm)
     coeff_scale = max(
         float(np.linalg.norm(np.asarray(F.coeffs)))
         * float(np.linalg.norm(np.asarray(H.coeffs))),
         1e-300,
     )
-    if w_norm <= wronskian_tol * coeff_scale:
+    if w_norm <= _WRONSKIAN_TOL * coeff_scale:
         strength = np.minimum(np.abs(fv), np.abs(hv))
         j = int(np.argmax(strength)) if pts.size else -1
-        if j < 0 or strength[j] <= modulus_tol * scale:
+        if j < 0 or strength[j] <= _MODULUS_TOL * scale:
             return PhaseDecision("inconclusive", None, gap, w_norm)
         tau = complex(hv[j] / fv[j])
         if abs(abs(tau) - 1.0) <= 1e-8:
             return PhaseDecision("equivalent", tau, gap, w_norm)
         return PhaseDecision("inconclusive", tau, gap, w_norm)
     G = uniqueness_product(F, H)
-    if float(np.linalg.norm(np.asarray(G.coeffs))) > wronskian_tol * coeff_scale:
+    if float(np.linalg.norm(np.asarray(G.coeffs))) > _WRONSKIAN_TOL * coeff_scale:
         return PhaseDecision("distinct", None, gap, w_norm)
     return PhaseDecision("inconclusive", None, gap, w_norm)
 
@@ -144,17 +153,9 @@ def combine_directionals(
     return complex(re_w, im_w)
 
 
-def _segment_derivative_values(
-    F: FockPoly, H: FockPoly, a: complex, c: complex, ts: np.ndarray
-) -> np.ndarray:
-    """Vectorized delta_theta[|F|^2-|H|^2] along the segment c + t(a-c)."""
-    theta = cmath.phase(a - c)
-    zs = c + ts * (a - c)
-    fv = np.asarray(F(zs))
-    hv = np.asarray(H(zs))
-    fdv = np.asarray(F.derivative()(zs))
-    hdv = np.asarray(H.derivative()(zs))
-    return np.real(2.0 * cmath.exp(1j * theta) * (fdv * np.conj(fv) - hdv * np.conj(hv)))
+def _along(G: FockPoly, c: complex, d: complex) -> np.ndarray:
+    """Coefficients in t of G(c + t d), lowest degree first."""
+    return shift(G, c).monomial_coeffs() * d ** np.arange(len(G.coeffs))
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,6 @@ class RolleResult:
     point: complex
     theta: float
     residual: float
-    used_fallback: bool
 
 
 def rolle_point(
@@ -170,15 +170,18 @@ def rolle_point(
     H: FockPoly,
     endpoint_a: complex,
     endpoint_c: complex,
-    grid: int = 10001,
 ) -> RolleResult:
     """Point on [c, a] where the directional derivative of |F|^2-|H|^2 vanishes.
 
-    Both endpoints must carry equal moduli (within 1e-10 relative), which
-    forces a zero of the derivative of the real restriction between them.
-    Located by sign-change bisection on a uniform grid; if no sign change
-    is resolved, a golden-section minimum of the absolute value is
-    returned with ``used_fallback`` set.
+    Both endpoints must carry equal moduli (within 1e-10 relative).  With
+    ``f(t) = |F|^2 - |H|^2`` at ``c + t(a - c)``, the derivative along the
+    segment is ``f'(t) / |a - c|``, and ``f'`` is a real polynomial of
+    degree at most ``2N - 1``.  Since ``f(0) = f(1)``, Rolle puts a sign
+    change of ``f'`` in (0, 1); the point is the least root there at which
+    ``f'`` changes sign.  When the coefficients of ``f'`` vanish to
+    rounding (H a unimodular multiple of F), it is identically zero and
+    the midpoint is returned.  The residual is
+    :func:`directional_derivative` at the point.
     """
     a, c = complex(endpoint_a), complex(endpoint_c)
     if a == c:
@@ -188,55 +191,26 @@ def rolle_point(
         if abs(abs(F(pt)) - abs(H(pt))) > 1e-10 * scale:
             raise ValueError(f"moduli differ at endpoint {pt}")
     theta = cmath.phase(a - c)
-    if F.alpha == H.alpha and np.array_equal(np.asarray(F.coeffs), np.asarray(H.coeffs)):
-        return RolleResult(point=(a + c) / 2.0, theta=theta, residual=0.0, used_fallback=False)
-
-    def phi(t: float) -> float:
-        return float(
-            _segment_derivative_values(F, H, a, c, np.array([t]))[0]
-        )
-
-    ts = np.linspace(0.0, 1.0, grid)
-    vals = _segment_derivative_values(F, H, a, c, ts)
-    sign_flips = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    if sign_flips.size:
-        lo, hi = float(ts[sign_flips[0]]), float(ts[sign_flips[0] + 1])
-        flo = phi(lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = phi(mid)
-            if fm == 0.0 or hi - lo < 1e-16:
-                lo = hi = mid
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        t_star = 0.5 * (lo + hi)
-        point = c + t_star * (a - c)
-        return RolleResult(point=point, theta=theta, residual=phi(t_star), used_fallback=False)
-    # golden-section minimization of |phi| around the grid minimum
-    j = int(np.argmin(np.abs(vals)))
-    lo = float(ts[max(j - 1, 0)])
-    hi = float(ts[min(j + 1, grid - 1)])
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = abs(phi(x1)), abs(phi(x2))
-    for _ in range(200):
-        if hi - lo < 1e-15:
-            break
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = abs(phi(x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = abs(phi(x2))
-    t_star = 0.5 * (lo + hi)
+    p, q = _along(F, c, a - c), _along(H, c, a - c)
+    # for real t, |sum p_k t^k|^2 has the coefficients of p * conj(p)
+    f = npoly.polysub(npoly.polymul(p, p.conj()), npoly.polymul(q, q.conj())).real
+    size = npoly.polyadd(npoly.polymul(abs(p), abs(p)), npoly.polymul(abs(q), abs(q)))
+    slope, size = npoly.polyder(f), npoly.polyder(size)
+    if np.max(np.abs(slope)) <= _ROUNDING * np.max(size):
+        t_star = 0.5
+    else:
+        roots = npoly.polyroots(slope)
+        ts = np.unique(roots.real[(roots.imag == 0) & (roots.real > 0) & (roots.real < 1)])
+        # the sign of f' between consecutive roots, read at the midpoints
+        edges = np.concatenate(([0.0], ts, [1.0]))
+        signs = np.sign(npoly.polyval(0.5 * (edges[:-1] + edges[1:]), slope))
+        flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+        if not flips.size:
+            raise ValueError("the derivative keeps one sign along the segment: moduli differ")
+        t_star = float(ts[flips[0]])
     point = c + t_star * (a - c)
-    return RolleResult(point=point, theta=theta, residual=phi(t_star), used_fallback=True)
+    residual = directional_derivative(F, H, theta, point)
+    return RolleResult(point=point, theta=theta, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -421,7 +395,6 @@ def lifted_injectivity(
     N: int,
     alpha: float,
     rank_tol: float = 1e-10,
-    witness_attempts: int = 8,
     seed: int = 0,
 ) -> LiftedReport:
     """Injectivity analysis of modulus measurements at truncation degree N.
@@ -456,7 +429,7 @@ def lifted_injectivity(
         kernel_vecs = vt[rank:, :]
         rng = np.random.default_rng(seed)
         row_scale = max(float(np.abs(rows).max()), 1e-300)
-        for _ in range(witness_attempts):
+        for _ in range(_WITNESS_ATTEMPTS):
             coords = rng.standard_normal(kernel_vecs.shape[0]) @ kernel_vecs
             x_mat = _hermitian_from_coords(coords)
             # alternate between the kernel subspace and rank-2 matrices of

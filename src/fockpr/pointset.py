@@ -697,13 +697,14 @@ class SeparationReport:
 
 
 def _as_points(obj) -> np.ndarray:
+    """Positions of a point array, or of a set's samples (:func:`sample_points`)."""
     if isinstance(obj, IndexedPointSet):
-        return obj.points()
+        return sample_points(obj)
     return np.asarray(obj, dtype=complex).ravel()
 
 
 def separation(obj: IndexedPointSet | np.ndarray) -> SeparationReport:
-    """Minimal pairwise distance over all positions (coincidences give 0).
+    """Minimal pairwise distance over the points (coincidences give 0).
 
     An exact sort-and-sweep: the points are sorted along the axis of
     larger spread (then across it), and sorted row ``r`` is compared with

@@ -28,15 +28,14 @@ eagerly in ``__init__``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .fock import fock_gram
-from .lattice import Lattice, window_arrays
+from .lattice import Lattice, modulus_order, window_arrays
 from .pointset import IndexedPointSet
 from .sampler import three_lines
 
@@ -53,6 +52,11 @@ __all__ = [
 
 # Bound on the eager sigma residuals; breaching it is an internal fault.
 _CHECK_TOL = 1e-6
+# Circle of samples SigmaEvaluator.derivatives_at reads derivatives from.
+_CONTOUR_RADIUS = 0.3
+_CONTOUR_POINTS = 64
+# Distance from a removed zero within which CriticalQ expands the numerator.
+_PATCH_RADIUS = 1e-3
 
 
 def _reduce_tau(w1: complex, w2: complex) -> tuple[complex, complex, complex]:
@@ -225,19 +229,17 @@ class SigmaEvaluator:
         odd = np.mod(m + n + m * n, 2.0) != 0.0
         return 0.5 * eta * lam + 1j * math.pi * odd
 
-    def derivatives_at(
-        self, center: complex, count: int = 2, radius: float = 0.3, points: int = 64
-    ) -> list[complex]:
+    def derivatives_at(self, center: complex, count: int = 2) -> list[complex]:
         """First ``count`` derivatives at ``center`` via a circle of samples.
 
         Contour sampling keeps full accuracy at lattice zeros, where
         direct finite differences would divide cancellation noise.
         """
-        angles = 2.0 * math.pi * np.arange(points) / points
-        ring = center + radius * np.exp(1j * angles)
-        coeffs = np.fft.fft(self(ring)) / points
+        angles = 2.0 * math.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS
+        ring = center + _CONTOUR_RADIUS * np.exp(1j * angles)
+        coeffs = np.fft.fft(self(ring)) / _CONTOUR_POINTS
         out = [
-            complex(coeffs[k] * math.factorial(k) / radius ** k)
+            complex(coeffs[k] * math.factorial(k) / _CONTOUR_RADIUS ** k)
             for k in range(1, count + 1)
         ]
         _finite(out, "sigma derivative")
@@ -267,18 +269,12 @@ class CriticalQ:
 
     ``Q(z) = sigma_mod(z) / ((z - lam) (z - lam_prime))`` is entire (the
     removed zeros are simple), vanishes at every other lattice point, and
-    is bounded on the lattice without being constant.  Within
-    ``patch_radius`` of a removed zero the quotient is replaced by a
-    first-order expansion of the numerator to avoid 0/0 cancellation.
+    is bounded on the lattice without being constant.  Within 1e-3 of a
+    removed zero the quotient is replaced by a first-order expansion of
+    the numerator to avoid 0/0 cancellation.
     """
 
-    def __init__(
-        self,
-        ev: SigmaEvaluator,
-        lam: complex,
-        lam_prime: complex,
-        patch_radius: float = 1e-3,
-    ) -> None:
+    def __init__(self, ev: SigmaEvaluator, lam: complex, lam_prime: complex) -> None:
         lam = complex(lam)
         lam_prime = complex(lam_prime)
         if abs(lam - lam_prime) <= 1e-12:
@@ -289,7 +285,6 @@ class CriticalQ:
         self.ev = ev
         self.lam = lam
         self.lam_prime = lam_prime
-        self.patch_radius = float(patch_radius)
         self._expansions = {}
         for point in (lam, lam_prime):
             d1, d2 = ev.derivatives_at(point, count=2)
@@ -313,8 +308,8 @@ class CriticalQ:
         out = np.empty_like(flat)
         d_lam = np.abs(flat - self.lam)
         d_prime = np.abs(flat - self.lam_prime)
-        near_lam = d_lam <= self.patch_radius
-        near_prime = ~near_lam & (d_prime <= self.patch_radius)
+        near_lam = d_lam <= _PATCH_RADIUS
+        near_prime = ~near_lam & (d_prime <= _PATCH_RADIUS)
         plain = ~near_lam & ~near_prime
         if np.any(plain):
             vals = np.asarray(self.ev.sigma_mod(flat[plain]))
@@ -373,7 +368,11 @@ class GGammaEvaluator:
                (1 - z/gamma) exp(z/gamma + z^2 / (2 lam^2)),
 
     continued over the unperturbed lattice beyond the window, where the
-    anchor ``gamma00`` is the node homed at 0.  The quadratic convergence
+    anchor ``gamma00`` is the node homed at 0.  ``nodes`` holds the node
+    positions, read-only, ordered by modulus and then by argument
+    (:func:`~fockpr.lattice.modulus_order`); node values, as
+    :meth:`node_log_derivatives` returns and :func:`lagrange_interpolate`
+    takes them, are arrays aligned with it.  The quadratic convergence
     factor uses the home ``lam``, so it cancels against the same factor
     of sigma's product, and what is left is sigma times a finite
     correction:
@@ -419,14 +418,15 @@ class GGammaEvaluator:
             )
         self.sigma = SigmaEvaluator(lat)
         self.gamma00 = complex(gam[anchor[0]])
-        order = np.lexsort((np.angle(gam), np.round(np.abs(gam), 12)))
-        self._gam, self._lam = gam[order], lat.point((idx[:, 0], idx[:, 1]))[order]
-        self._moved = self._gam != self._lam
+        order = modulus_order(gam)
+        self.nodes, self._lam = gam[order], lat.point((idx[:, 0], idx[:, 1]))[order]
+        self.nodes.setflags(write=False)
+        self._moved = self.nodes != self._lam
 
         # Each moved factor as (z - gamma)/(z - lam) * c * exp(z * rate),
         # with c = lam/gamma and rate = 1/gamma - 1/lam; the anchor, homed
         # at 0, has no convergence factor (c = 1, rate = 0).
-        gm, lm = self._gam[self._moved], self._lam[self._moved]
+        gm, lm = self.nodes[self._moved], self._lam[self._moved]
         with np.errstate(divide="ignore", invalid="ignore"):
             self._log_c = np.where(lm != 0, np.log(lm / gm), 0.0)
             self._rate = np.where(lm != 0, 1.0 / gm - 1.0 / lm, 0.0)
@@ -456,7 +456,7 @@ class GGammaEvaluator:
         at_home = rel == 0
         with np.errstate(divide="ignore"):
             terms = (
-                np.log(d - self._gam[self._moved])
+                np.log(d - self.nodes[self._moved])
                 - np.log(np.where(at_home, 1.0, rel))
                 + self._log_c
                 + d * self._rate
@@ -490,22 +490,8 @@ class GGammaEvaluator:
             return complex(res)
         return res
 
-    def _locate(self, gamma_pt: complex) -> int:
-        gaps = np.abs(self._gam - complex(gamma_pt))
-        j = int(np.argmin(gaps))
-        if gaps[j] > 1e-9 * max(1.0, abs(gamma_pt)):
-            raise ValueError(f"{gamma_pt} is not a stored node")
-        return j
-
-    def log_g_derivative(self, gamma_pt: complex) -> complex:
-        """Complex log of g'(gamma) at a stored node."""
-        return complex(self.node_log_derivatives()[self._locate(gamma_pt)])
-
-    def g_derivative(self, gamma_pt: complex) -> complex:
-        return cmath.exp(self.log_g_derivative(gamma_pt))
-
     def node_log_derivatives(self) -> np.ndarray:
-        """log g' at every stored node, in the (modulus, argument) node order.
+        """log g' at every node, aligned with ``nodes``.
 
         At a simple zero the derivative is the slope of the vanishing
         factor times all the others, each in closed form.  At an unmoved
@@ -516,12 +502,12 @@ class GGammaEvaluator:
         """
         if self._node_log_derivatives is None:
             moved = self._moved
-            terms, _ = self._correction_terms(self._gam)
-            gm, lm = self._gam[moved], self._lam[moved]
+            terms, _ = self._correction_terms(self.nodes)
+            gm, lm = self.nodes[moved], self._lam[moved]
             terms[np.flatnonzero(moved), np.arange(gm.size)] = (
                 self._log_c + gm * self._rate - np.log(gm - lm)
             )
-            out = np.empty_like(self._gam)
+            out = np.empty_like(self.nodes)
             out[~moved] = self.sigma.log_derivative_on_lattice(self._lam[~moved])
             out[moved] = np.log(np.asarray(self.sigma(gm)))
             self._node_log_derivatives = out + terms.sum(axis=1)
@@ -535,7 +521,7 @@ class GGammaEvaluator:
         exp(beta |gamma|^2 / 2); the constants are fitted, not proven.
         """
         logs = self.node_log_derivatives().real
-        mods = np.abs(self._gam)
+        mods = np.abs(self.nodes)
         keep = mods >= 1.0
         y = logs[keep] - 0.5 * self.beta * mods[keep] ** 2
         t = mods[keep] * np.log(mods[keep])
@@ -568,39 +554,29 @@ class LagrangeResult:
     increments: tuple[float, ...] | None = None
 
 
-def _sample_values(samples: Mapping[complex, complex], nodes: np.ndarray) -> np.ndarray:
-    """``samples[node]`` for every node, matched in one sorted search."""
-    keys = np.fromiter(samples, dtype=complex, count=len(samples))
-    vals = np.fromiter(samples.values(), dtype=complex, count=len(samples))
-    found = np.zeros(nodes.size, dtype=bool)
-    slot = np.zeros(nodes.size, dtype=np.int64)
-    if keys.size:
-        order = np.argsort(keys)
-        slot = order[np.minimum(np.searchsorted(keys, nodes, sorter=order), keys.size - 1)]
-        found = keys[slot] == nodes
-    if not found.all():
-        raise ValueError(f"{int(np.count_nonzero(~found))} stored nodes have no sample value")
-    return vals[slot]
-
-
 def lagrange_interpolate(
     ev: GGammaEvaluator,
-    samples: Mapping[complex, complex],
+    values: np.ndarray,
     z: complex,
     alpha: float,
     return_trace: bool = False,
 ) -> LagrangeResult:
     """Reconstruct a Gaussian-weighted entire function from node samples.
 
-    Computes the partial sums of ``sum samples[gamma] * g(z) /
-    (g'(gamma) (z - gamma))`` in increasing node modulus.  Convergence
-    requires the sampled function to live at a strictly smaller weight
-    than the node density provides (``alpha < beta``).
+    ``values[j]`` is the sample at ``ev.nodes[j]``.  Computes the partial
+    sums of ``sum values[j] * g(z) / (g'(gamma_j) (z - gamma_j))`` in
+    increasing node modulus.  Convergence requires the sampled function
+    to live at a strictly smaller weight than the node density provides
+    (``alpha < beta``).
     """
     if not alpha < ev.beta:
         raise ValueError(f"alpha must be below beta = {ev.beta:.6g}")
-    nodes = ev._gam
-    vals = _sample_values(samples, nodes)
+    nodes = ev.nodes
+    vals = np.asarray(values, dtype=complex)
+    if vals.shape != nodes.shape:
+        raise ValueError(
+            f"values has shape {vals.shape}, but the nodes have shape {nodes.shape}"
+        )
     z = complex(z)
     hit = np.flatnonzero(np.abs(z - nodes) <= 1e-12 * np.maximum(1.0, np.abs(nodes)))
     if hit.size:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fock, gabor, phaseless, special
 from .fock import FockPoly
-from .lattice import Lattice, window_arrays
+from .lattice import Lattice, modulus_order, window_arrays
 from .pointset import IndexedPointSet
 from .rng import keyed_disk
 from .sampler import GeneratorConfig, random_triple
@@ -288,14 +288,14 @@ def verify_special(seed: int = 0) -> list[CheckResult]:
     moved = m % 2 == 0
     nodes.add_many(idx, "G", pos=homes + np.where(moved, 0.2 * keyed_disk(seed, m, n, 1), 0.0))
     kernel = special.GGammaEvaluator(nodes, tag="G")
-    near = kernel._gam + 2.0 ** -40 * _random_points(rng, 60, 4.5)[: kernel._gam.size]
-    slopes = (near - kernel._gam) * np.exp(kernel.node_log_derivatives())
+    near = kernel.nodes + 2.0 ** -40 * _random_points(rng, 60, 4.5)[: kernel.nodes.size]
+    slopes = (near - kernel.nodes) * np.exp(kernel.node_log_derivatives())
     out.append(
         _below(
             "interpolation kernel vanishes to first order at its nodes",
             float(np.max(np.abs(kernel(near) - slopes) / np.abs(slopes))),
             1e-8,
-            f"g(gamma + h) against h g'(gamma) at {kernel._gam.size} nodes, "
+            f"g(gamma + h) against h g'(gamma) at {kernel.nodes.size} nodes, "
             f"{np.count_nonzero(moved)} moved, |h| <= 4.5 * 2^-40",
         )
     )
@@ -312,9 +312,9 @@ def verify_special(seed: int = 0) -> list[CheckResult]:
     )
 
     g2 = special.GGammaEvaluator.from_lattice(2.0, sample_radius=6.0)
-    samples = {complex(gm): 1.0 + 0.0j for gm in g2._gam}
+    ones = np.ones(g2.nodes.size, dtype=complex)
     err = max(
-        abs(special.lagrange_interpolate(g2, samples, complex(zz), alpha=1.0).value - 1.0)
+        abs(special.lagrange_interpolate(g2, ones, complex(zz), alpha=1.0).value - 1.0)
         for zz in _random_points(rng, 5, 1.5)
     )
     out.append(
@@ -444,7 +444,7 @@ def pinned_injectivity_points(seed: int) -> np.ndarray:
         Lattice(1.0, 1.0j), window_radius=2.4, gamma=0.05, kappa_cap=0.45, seed=seed
     )
     pts = np.asarray(random_triple(cfg).points(), dtype=complex)
-    return pts[np.lexsort((np.angle(pts), np.round(np.abs(pts), 12)))]
+    return pts[modulus_order(pts)]
 
 
 def verify_phaseless(seed: int = 0) -> list[CheckResult]:

@@ -347,6 +347,25 @@ def test_verify_suites_pass(module, tmp_path, capsys):
     assert stdout.count("PASS") == len(data["checks"])
 
 
+# sha256 of each verify artifact written with --seed 1 by the code that found
+# the Rolle point by a grid search and looked node samples up by their value
+GOLDEN_VERIFY = {
+    "fock": "3a93a95de7b858e423d73098be883424647a6c208e832de7eb008313ccd68cd9",
+    "special": "d6899dcb5c77aef808c7c39156dfe0713d6ed201ffdc7a9f40194c707a02e387",
+    "gabor": "2a2210a2532793abecf3b1151f2c5189d7ea29650541ec111fd32320fbdd6047",
+    "phaseless": "57541e82d674a2cbd6ad7091618d544449b192e283f7499d4e8c5b4b92f79380",
+}
+
+
+def test_verify_bytes_match_pinned_digests(tmp_path):
+    got = {}
+    for module in GOLDEN_VERIFY:
+        out = tmp_path / f"verify_{module}.json"
+        assert run("verify", module, "--seed", 1, "--out", out) == 0
+        got[module] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == GOLDEN_VERIFY
+
+
 # -- injectivity -------------------------------------------------------------------
 
 

@@ -1,0 +1,53 @@
+"""Package hygiene: every exported name exists, no module imports a name it never uses."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import fockpr
+
+# the submodules; the package ``__init__``, which only re-exports, is not among them
+MODULES = sorted(info.name for info in pkgutil.iter_modules(fockpr.__path__))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with the line it is bound on."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module, plus the strings of its ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(f"fockpr.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_name_it_never_uses(name):
+    path = Path(fockpr.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = used_names(tree)
+    unused = {n: line for n, line in imported_names(tree).items() if n not in used}
+    assert unused == {}

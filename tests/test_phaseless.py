@@ -4,6 +4,7 @@ and the lifted injectivity analyzer."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -165,26 +166,73 @@ def test_combine_directionals_rejects_parallel_directions():
 # -- equal-modulus segments --------------------------------------------------------
 
 
-def equal_modulus_pair():
-    """Two genuinely different functions and two points where moduli agree,
-    found by bisecting the modulus gap along a circle."""
-    F = poly(1.0, 0.4, 0.2)
-    H = poly(0.8, 0.6j, 0.25)
+def equal_modulus_points(F: FockPoly, H: FockPoly, radius: float):
+    """Two points of the circle |z| = radius where |F| = |H|, found by
+    bisecting the modulus gap along it; None when it keeps one sign."""
     d = lambda z: abs(complex(F(z))) ** 2 - abs(complex(H(z))) ** 2
-    on_circle = lambda t: 1.3 * cmath.exp(1j * t)
+    on_circle = lambda t: radius * cmath.exp(1j * t)
     ang = np.linspace(0.0, 2.0 * math.pi, 4001)
     vals = np.array([d(on_circle(t)) for t in ang])
     flips = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    assert len(flips) >= 2
+    if len(flips) < 2:
+        return None
     a = bisect_on(d, on_circle, ang[flips[0]], ang[flips[0] + 1])
     c = bisect_on(d, on_circle, ang[flips[1]], ang[flips[1] + 1])
-    return F, H, a, c
+    return a, c
+
+
+def equal_modulus_pair():
+    """Two genuinely different functions and two points where moduli agree."""
+    F = poly(1.0, 0.4, 0.2)
+    H = poly(0.8, 0.6j, 0.25)
+    points = equal_modulus_points(F, H, 1.3)
+    assert points is not None
+    return (F, H, *points)
+
+
+def oracle_rolle_t(f_mono, h_mono, a: complex, c: complex) -> mp.mpf:
+    """Least root in (0, 1) at which d/dt (|F|^2 - |H|^2)(c + t(a - c))
+    changes sign, from the expanded polynomial in 40-digit arithmetic."""
+    with mp.workdps(40):
+        a, c = mp.mpc(a), mp.mpc(c)
+        d = a - c
+
+        def along(mono):
+            # coefficients in t of sum_j mono_j (c + t d)^j
+            return [
+                sum(mp.mpc(mono[j]) * mp.binomial(j, k) * c ** (j - k) for j in range(k, len(mono)))
+                * d ** k
+                for k in range(len(mono))
+            ]
+
+        def square(p):
+            n = len(p)
+            return [
+                sum(p[j] * mp.conj(p[s - j]) for j in range(max(0, s - n + 1), min(s, n - 1) + 1))
+                for s in range(2 * n - 1)
+            ]
+
+        fp, fh = square(along(f_mono)), square(along(h_mono))
+        size = max(len(fp), len(fh))
+        f = [
+            mp.re((fp[s] if s < len(fp) else 0) - (fh[s] if s < len(fh) else 0))
+            for s in range(size)
+        ]
+        slope = [s * f[s] for s in range(1, size)]
+        while slope[-1] == 0:
+            slope.pop()
+        value = lambda t: mp.polyval(slope[::-1], t)
+        roots = mp.polyroots(slope[::-1], maxsteps=200, extraprec=200)
+        real = sorted(
+            mp.re(r) for r in roots if abs(mp.im(r)) < mp.mpf(10) ** -30 and 0 < mp.re(r) < 1
+        )
+        step = mp.mpf(10) ** -15
+        return next(t for t in real if value(t - step) * value(t + step) < 0)
 
 
 def test_rolle_point_interior_zero():
     F, H, a, c = equal_modulus_pair()
     res = rolle_point(F, H, a, c)
-    assert not res.used_fallback
     t = (res.point - c) / (a - c)
     assert abs(t.imag) < 1e-12 and 0.0 < t.real < 1.0
     # residual small against the derivative's scale along the segment
@@ -196,18 +244,49 @@ def test_rolle_point_interior_zero():
     assert res.theta == pytest.approx(cmath.phase(a - c), rel=1e-12)
 
 
+def test_rolle_point_is_the_least_sign_changing_root_of_the_mpmath_oracle():
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 8:
+        degree = int(rng.integers(2, 5))
+        f_mono = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        h_mono = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        F, H = poly(*f_mono), poly(*h_mono)
+        points = equal_modulus_points(F, H, float(rng.uniform(0.6, 1.6)))
+        if points is None:
+            continue
+        a, c = points
+        res = rolle_point(F, H, a, c)
+        t = (res.point - c) / (a - c)
+        assert abs(t.real - float(oracle_rolle_t(f_mono, h_mono, a, c))) <= 1e-9
+        assert abs(t.imag) <= 1e-12
+        checked += 1
+
+
+def test_rolle_point_of_a_unimodular_multiple_is_the_midpoint():
+    F = poly(1.0, 0.5j, 0.2)
+    H = FockPoly(ALPHA, np.asarray(F.coeffs) * cmath.exp(0.7j))
+    a, c = 1.0 + 1.0j, -0.5
+    res = rolle_point(F, H, a, c)
+    assert res.point == pytest.approx((a + c) / 2.0, rel=1e-15)
+    assert res.residual == directional_derivative(F, H, res.theta, res.point)
+
+
 def test_rolle_point_identical_functions_use_midpoint():
     F = poly(1.0, 0.5j)
     res = rolle_point(F, F, 1.0 + 1.0j, -0.5)
     assert res.point == pytest.approx((1.0 + 1.0j - 0.5) / 2.0, rel=1e-12)
     assert res.residual == 0.0
-    assert not res.used_fallback
 
 
 def test_rolle_point_rejects_unequal_endpoints_and_degenerate_segment():
     F, H = poly(1.0, 0.4, 0.2), poly(0.8, 0.6j, 0.25)
     with pytest.raises(ValueError, match="moduli differ"):
         rolle_point(F, H, 2.0, -1.0)
+    # |H|^2 - |F|^2 = 2e-11 t + 1e-22 t^2 on [0, 1]: the endpoint moduli agree
+    # within the tolerance, but the derivative never vanishes between them
+    with pytest.raises(ValueError, match="keeps one sign"):
+        rolle_point(poly(1.0), poly(1.0, 1e-11), 1.0, 0.0)
     with pytest.raises(ValueError, match="coincide"):
         rolle_point(F, H, 1.0, 1.0)
 

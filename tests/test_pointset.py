@@ -17,6 +17,7 @@ import scipy.spatial
 
 from fockpr import jsonio, pointset
 from fockpr.lattice import Lattice, window_arrays
+from fockpr.sampler import GeneratorConfig, even_single, real_pair
 from fockpr.pointset import (
     IndexedPointSet,
     PointEntry,
@@ -468,6 +469,20 @@ def test_sample_points_follows_the_metadata():
     assert np.array_equal(sample_points(ps), np.array([0.1, 0.2]))
     ps.meta.pop("sample_tags")
     assert len(sample_points(ps)) == 3
+
+
+def test_certificates_on_a_set_count_its_samples_only():
+    # real2 and even1 store the A/B/C triples built from their samples
+    # beside them; the certificates must not count those derived copies.
+    cfg = GeneratorConfig(Lattice(0.3, 0.3j), window_radius=3.0, seed=1)
+    even1, real2 = even_single(cfg), real_pair(cfg)
+    assert set(even1.tags()) > set(even1.meta["sample_tags"])
+    assert separation(even1) == separation(sample_points(even1))
+    assert separation(even1).delta > 0.0
+    assert density_estimate(real2, radii=(1.0, 2.0)) == density_estimate(
+        sample_points(real2), radii=(1.0, 2.0)
+    )
+    assert relative_separation_bound(real2) == relative_separation_bound(sample_points(real2))
 
 
 def test_uniform_closeness_delta():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fockpr.fock import fock_gram
-from fockpr.lattice import Lattice, LatticeIndex, window_arrays
+from fockpr.lattice import Lattice, LatticeIndex, modulus_order, window_arrays
 from fockpr.pointset import IndexedPointSet
 from fockpr.special import (
     CriticalQ,
@@ -406,7 +406,7 @@ def test_kernel_on_the_acceptance_lattice_matches_the_theta_oracle():
 def test_perturbed_kernel_matches_the_product_oracle():
     ps = perturbed_nodes(seed=3)
     ev = GGammaEvaluator(ps, tag="G")
-    assert np.count_nonzero(ev._gam != ev._lam) == len(ev._gam)
+    assert np.count_nonzero(ev.nodes != ev._lam) == len(ev.nodes)
     # the disk |z| <= 5, and every node's home, where its pole meets sigma's zero
     zs = np.concatenate([spiral(5.0, count=200), ev._lam])
     assert log_gap(ev.log_g(zs), product_log_g(ps, zs, 15.0)) <= 1e-10
@@ -430,7 +430,7 @@ def test_anchor_is_the_node_homed_at_the_origin():
         ps.add((mm, nn), "G", pos=pt + shift.get((mm, nn), 0.0))
     ev = GGammaEvaluator(ps, tag="G")
     assert ev.gamma00 == 0.45 + 0.45j
-    assert abs(ev._gam[0]) < abs(ev.gamma00)
+    assert abs(ev.nodes[0]) < abs(ev.gamma00)
     z = 0.3 + 0.2j
     value = complex(ev(z))
     assert cmath.isfinite(value) and value != 0.0
@@ -457,24 +457,33 @@ def test_kernel_needs_a_node_at_every_window_point():
 def test_kernel_zeros_are_node_exact(g_plain):
     ps = perturbed_nodes()
     ev = GGammaEvaluator(ps, tag="G")
-    for node in (ev.gamma00, complex(ev._gam[5]), complex(ev._gam[-1])):
+    for node in (ev.gamma00, complex(ev.nodes[5]), complex(ev.nodes[-1])):
         assert complex(ev(node)) == 0.0
     assert complex(ev(0.4 + 0.3j)) != 0.0
     assert complex(g_plain(2.0 + 1.0j)) == 0.0
 
 
+def test_nodes_are_read_only_in_modulus_then_argument_order():
+    ev = GGammaEvaluator(perturbed_nodes(seed=3), tag="G")
+    assert np.array_equal(ev.nodes, ev.nodes[modulus_order(ev.nodes)])
+    assert sorted(ev.nodes.tolist(), key=lambda g: (g.real, g.imag)) == sorted(
+        ev.gamma_set.points(("G",)).tolist(), key=lambda g: (g.real, g.imag)
+    )
+    with pytest.raises(ValueError):
+        ev.nodes[0] = 0.0
+
+
 def test_node_derivative_matches_finite_differences():
     ev = GGammaEvaluator(perturbed_nodes(seed=3), tag="G")
     h = 1e-5
-    for node in (complex(ev._gam[1]), complex(ev._gam[7])):
-        exact = ev.g_derivative(node)
+    for j in (1, 7):
+        node = complex(ev.nodes[j])
+        exact = cmath.exp(ev.node_log_derivatives()[j])
         fd = (complex(ev(node + h)) - complex(ev(node - h))) / (2.0 * h)
         assert abs(exact - fd) < 1e-4 * abs(exact)
 
 
-def test_node_location_validation(g_plain):
-    with pytest.raises(ValueError):
-        g_plain.g_derivative(0.5 + 0.5j)
+def test_kernel_rejects_an_unknown_tag_and_an_oblique_lattice():
     with pytest.raises(ValueError):
         GGammaEvaluator(perturbed_nodes(), tag="H")
     oblique = IndexedPointSet(Lattice(1.0, 0.3 + 1.0j), 4.0)
@@ -500,10 +509,10 @@ def g_sparse() -> GGammaEvaluator:
 
 
 def test_lagrange_reconstructs_a_constant(g_sparse):
-    samples = {complex(g): 1.0 for g in g_sparse._gam}
-    res = lagrange_interpolate(g_sparse, samples, 0.37 + 0.21j, alpha=1.0, return_trace=True)
+    ones = np.ones(g_sparse.nodes.size)
+    res = lagrange_interpolate(g_sparse, ones, 0.37 + 0.21j, alpha=1.0, return_trace=True)
     assert abs(res.value - 1.0) < 1e-3
-    assert res.terms == len(g_sparse._gam)
+    assert res.terms == len(g_sparse.nodes)
     assert len(res.increments) == res.terms
     assert res.last_increment < 1e-6
 
@@ -512,43 +521,38 @@ def test_lagrange_reconstructs_a_gaussian_weighted_monomial(g_sparse):
     def f(z: complex) -> complex:
         return (0.8 + 0.3j) * z  # lives at every weight; alpha = 1 < beta = 2
 
-    samples = {complex(g): f(complex(g)) for g in g_sparse._gam}
     z = -0.52 + 0.66j
-    res = lagrange_interpolate(g_sparse, samples, z, alpha=1.0)
+    res = lagrange_interpolate(g_sparse, f(g_sparse.nodes), z, alpha=1.0)
     assert abs(res.value - f(z)) < 1e-3
 
 
 def test_lagrange_validation(g_sparse):
-    samples = {complex(g): 1.0 for g in g_sparse._gam}
+    values = np.arange(g_sparse.nodes.size) + 0.5j
     with pytest.raises(ValueError):
-        lagrange_interpolate(g_sparse, samples, 0.3, alpha=2.5)  # alpha >= beta
-    incomplete = dict(samples)
-    incomplete.pop(complex(g_sparse._gam[4]))
-    with pytest.raises(ValueError):
-        lagrange_interpolate(g_sparse, incomplete, 0.3, alpha=1.0)
-    node = complex(g_sparse._gam[2])
-    hit = lagrange_interpolate(g_sparse, samples, node, alpha=1.0)
-    assert hit.value == samples[node]
+        lagrange_interpolate(g_sparse, values, 0.3, alpha=2.5)  # alpha >= beta
+    size = g_sparse.nodes.size
+    with pytest.raises(ValueError, match=rf"\({size - 1},\).*\({size},\)"):
+        lagrange_interpolate(g_sparse, values[:-1], 0.3, alpha=1.0)
+    hit = lagrange_interpolate(g_sparse, values, g_sparse.nodes[2], alpha=1.0)
+    assert hit.value == values[2]
     assert hit.terms == 0
 
 
 def test_lagrange_matches_the_per_node_sum():
-    # perturbed nodes, sample keys in another order, plus keys that are no node
     ev = GGammaEvaluator(perturbed_nodes(seed=3), tag="G")
-    nodes = [complex(g) for g in ev._gam]
-    samples = {g: complex(math.cos(3.0 * g.real), g.imag) for g in reversed(nodes)}
-    samples.update({0.5 + 0.5j: 7.0, -9.0: 1.0})
+    nodes = [complex(g) for g in ev.nodes]
+    values = [complex(math.cos(3.0 * g.real), g.imag) for g in nodes]
     z = 0.61 - 0.27j
     log_dg = ev.node_log_derivatives()
     terms = [
-        samples[g] * cmath.exp(complex(ev.log_g(z)) - complex(log_dg[j]) - cmath.log(z - g))
-        for j, g in enumerate(nodes)
+        v * cmath.exp(complex(ev.log_g(z)) - complex(log_dg[j]) - cmath.log(z - g))
+        for j, (g, v) in enumerate(zip(nodes, values))
     ]
-    res = lagrange_interpolate(ev, samples, z, alpha=1.0, return_trace=True)
+    res = lagrange_interpolate(ev, values, z, alpha=1.0, return_trace=True)
     assert res.value == pytest.approx(sum(terms), rel=1e-13)
     assert res.increments == pytest.approx([abs(t) for t in terms], rel=1e-13)
-    with pytest.raises(ValueError, match=f"{len(nodes)} stored nodes"):
-        lagrange_interpolate(ev, {}, z, alpha=1.0)
+    with pytest.raises(ValueError, match="shape"):
+        lagrange_interpolate(ev, np.ones((len(nodes), 1)), z, alpha=1.0)
 
 
 # -- vanishing-density line families ---------------------------------------------------
