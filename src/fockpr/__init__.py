@@ -9,7 +9,7 @@ transform bridge, and phaseless comparison tools.
 
 __version__ = "0.1.0"
 
-from .lattice import Lattice, LatticeIndex, enumerate_window, square_lattice, window_arrays
+from .lattice import Lattice, LatticeIndex, square_lattice, window_arrays
 from .pointset import (
     AngleReport,
     ClosenessReport,

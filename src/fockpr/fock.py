@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 _LOG_SWITCH_DEGREE = 30
+# Largest |Re G(zeta)|, relative to max(1, ||G||), that counts as a real-part root.
+_ROOT_TOL = 1e-8
 
 
 def basis_scales(alpha: float, n_max: int) -> np.ndarray:
@@ -361,19 +363,17 @@ def extension_norm_bound_check(F: FockPoly, beta: float) -> tuple[bool, float, f
     return bool(lhs <= rhs * (1.0 + 1e-12)), lhs, rhs
 
 
-def real_part_lipschitz_check(
-    G: TwoVarFockPoly, zeta, zeta_prime, root_tol: float = 1e-8
-) -> tuple[bool, float, float]:
+def real_part_lipschitz_check(G: TwoVarFockPoly, zeta, zeta_prime) -> tuple[bool, float, float]:
     """At a real-part root ``zeta`` of G, check
     ``|Re G(zeta')| <= ||G|| * dist(zeta', zeta)``.
 
-    ``zeta`` must satisfy ``|Re G(zeta)| <= root_tol * max(1, ||G||)``;
+    ``zeta`` must satisfy ``|Re G(zeta)| <= 1e-8 * max(1, ||G||)``;
     the reproducing-kernel Lipschitz estimate then controls the real
     part nearby.  Returns (ok, lhs, bound).
     """
     gnorm = G.norm()
     at_root = abs(complex(G(zeta[0], zeta[1])).real)
-    if at_root > root_tol * max(1.0, gnorm):
+    if at_root > _ROOT_TOL * max(1.0, gnorm):
         raise ValueError(f"zeta is not a real-part root: |Re G| = {at_root}")
     lhs = abs(complex(G(zeta_prime[0], zeta_prime[1])).real)
     bound = gnorm * dist2(G.beta, zeta, zeta_prime) + at_root + 1e-12 * max(1.0, gnorm)

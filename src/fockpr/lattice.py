@@ -21,7 +21,6 @@ __all__ = [
     "LatticeIndex",
     "Lattice",
     "square_lattice",
-    "enumerate_window",
     "window_arrays",
     "modulus_order",
 ]
@@ -71,10 +70,10 @@ class Lattice:
         y = (w.imag * self.omega1.real - w.real * self.omega1.imag) / s
         return (x, y)
 
-    def contains(self, z: complex, tol: float = 1e-9) -> bool:
+    def contains(self, z, tol: float = 1e-9):
+        """Whether ``z`` lies within ``tol`` of a lattice point; elementwise on arrays."""
         x, y = self.coords(z)
-        m, n = round(x), round(y)
-        return abs(z - self.point((m, n))) <= tol
+        return np.abs(z - self.point((np.rint(x), np.rint(y)))) <= tol
 
     def index_of(self, z: complex, tol: float = 1e-9) -> LatticeIndex:
         m, n = self.indices_of([z], tol)[0].tolist()
@@ -109,19 +108,14 @@ class Lattice:
         """True when the unshifted lattice is closed under complex conjugation.
 
         Closure under negation is automatic for ``shift == 0``.  The check
-        verifies the conjugated generators are members and then confirms
-        closure pointwise on a window of five basis lengths.
+        confirms that the conjugated generators and the conjugated window
+        of five basis lengths are members.
         """
         if self.shift != 0:
             raise ValueError("conjugation closure is defined for unshifted lattices only")
-        for w in (self.omega1, self.omega2):
-            if not self.contains(np.conj(w), tol):
-                return False
-        radius = 5.0 * max(abs(self.omega1), abs(self.omega2))
-        for _, p in enumerate_window(self, radius):
-            if not self.contains(np.conj(p), tol):
-                return False
-        return True
+        _, pts = window_arrays(self, 5.0 * max(abs(self.omega1), abs(self.omega2)))
+        conjugates = np.conj(np.append([self.omega1, self.omega2], pts))
+        return bool(np.all(self.contains(conjugates, tol)))
 
     def liouville_after_shift(self, alpha: float, w: complex) -> bool:
         """Growth classification of the translate ``lattice - w``.
@@ -154,9 +148,8 @@ def window_arrays(lat: Lattice, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """All lattice points with ``|point| <= radius`` as arrays.
 
     Returns ``(indices, points)`` where ``indices`` has shape (k, 2) and
-    ``points`` shape (k,), ordered by increasing modulus with principal
-    argument breaking ties.  A 1e-9 slack keeps points that sit on the
-    window boundary up to rounding.
+    ``points`` shape (k,), in :func:`modulus_order`.  A 1e-9 slack keeps
+    points that sit on the window boundary up to rounding.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -175,7 +168,7 @@ def window_arrays(lat: Lattice, radius: float) -> tuple[np.ndarray, np.ndarray]:
     pts = m * lat.omega1 + n * lat.omega2 + lat.shift
     keep = np.abs(pts) <= radius + 1e-9
     m, n, pts = m[keep], n[keep], pts[keep]
-    order = np.lexsort((np.angle(pts), np.abs(pts)))
+    order = modulus_order(pts)
     return np.stack([m[order], n[order]], axis=1), pts[order]
 
 
@@ -189,10 +182,3 @@ def modulus_order(points) -> np.ndarray:
     pts = np.asarray(points, dtype=complex)
     return np.lexsort((np.angle(pts), np.round(np.abs(pts), 12)))
 
-
-def enumerate_window(lat: Lattice, radius: float) -> list[tuple[LatticeIndex, complex]]:
-    """Window enumeration as a list of ``(index, point)`` pairs."""
-    idx, pts = window_arrays(lat, radius)
-    return [
-        (LatticeIndex(int(a), int(b)), complex(p)) for (a, b), p in zip(idx, pts)
-    ]

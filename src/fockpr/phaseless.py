@@ -53,6 +53,9 @@ _WRONSKIAN_TOL = 1e-10
 _ROUNDING = 1e-12
 # Random kernel elements the witness search starts from.
 _WITNESS_ATTEMPTS = 8
+# Singular values of the lift above this fraction of the largest count
+# towards its rank.
+_RANK_TOL = 1e-10
 
 
 def uniqueness_product(F: FockPoly, H: FockPoly) -> FockPoly:
@@ -394,7 +397,6 @@ def lifted_injectivity(
     points: Sequence[complex],
     N: int,
     alpha: float,
-    rank_tol: float = 1e-10,
     seed: int = 0,
 ) -> LiftedReport:
     """Injectivity analysis of modulus measurements at truncation degree N.
@@ -419,7 +421,7 @@ def lifted_injectivity(
     rows = lifted_rows(pts, N, alpha)
     svals = np.linalg.svd(rows, compute_uv=False)
     sigma_max = float(svals[0]) if svals.size else 0.0
-    rank = int(np.count_nonzero(svals > rank_tol * sigma_max)) if sigma_max > 0 else 0
+    rank = int(np.count_nonzero(svals > _RANK_TOL * sigma_max)) if sigma_max > 0 else 0
     kernel_dim = d_real - rank
 
     witness = None
@@ -474,7 +476,7 @@ def lifted_injectivity(
         num_points=int(pts.size),
         singular_values=tuple(float(s) for s in svals),
         kernel_dim=kernel_dim,
-        rank_tol=rank_tol,
+        rank_tol=_RANK_TOL,
         witness=witness,
         witness_gap=witness_gap,
     )

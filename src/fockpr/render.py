@@ -34,6 +34,8 @@ TAG_COLORS: dict[str, str] = {
     "2": "#8c564b",
     "3": "#e377c2",
 }
+# radius of each sample's circle, in canvas units
+_POINT_RADIUS = 3.0
 _FALLBACK_COLORS = ("#ff7f0e", "#17becf", "#bcbd22", "#7f7f7f")
 _MESH_LINE = b'<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#dddddd" stroke-width="0.5"/>'
 # circles or mesh segments formatted into one string together
@@ -129,7 +131,6 @@ def render_points_svg(
     groups: Mapping[str, Iterable[complex]],
     radius: float,
     mesh_lattice: Lattice | None = None,
-    point_radius: float = 3.0,
     title: str | None = None,
 ) -> str:
     """SVG document for tagged point groups on the window ``[-R, R]^2``."""
@@ -168,7 +169,7 @@ def render_points_svg(
         z = z[~((np.abs(z.real) > radius) | (np.abs(z.imag) > radius))]
         body.extend(
             _fill(
-                f'<circle cx="%.2f" cy="%.2f" r="{_fmt(point_radius)}" '
+                f'<circle cx="%.2f" cy="%.2f" r="{_fmt(_POINT_RADIUS)}" '
                 f'fill="{color}" fill-opacity="0.85"/>',
                 *to(z),
             )

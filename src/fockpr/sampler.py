@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, window_arrays
+from .lattice import Lattice, modulus_order, window_arrays
 from .pointset import IndexedPointSet, TRIPLE_TAGS, median_angles, sample_points
 from .rng import keyed_disk
 
@@ -361,7 +361,7 @@ def three_lines(angles, radius: float, pitch: float = 0.1) -> np.ndarray:
     they cut must be strictly acute, which happens exactly when the three
     successive gaps (cyclically, summing to pi) are below pi/2.  Returns
     the origin plus ``t * exp(i*angle)`` for ``t = +-pitch, ..., +-K*pitch``
-    up to the radius, ordered by modulus then argument.
+    up to the radius, in :func:`~fockpr.lattice.modulus_order`.
     """
     angles = [float(a) % math.pi for a in angles]
     if len(angles) != 3:
@@ -382,8 +382,7 @@ def three_lines(angles, radius: float, pitch: float = 0.1) -> np.ndarray:
         chunks.append(t * e)
         chunks.append(-t * e)
     pts = np.concatenate(chunks)
-    order = np.lexsort((np.angle(pts), np.abs(pts)))
-    return pts[order]
+    return pts[modulus_order(pts)]
 
 
 def reflection_closure(obj, mode: str) -> np.ndarray:

@@ -55,8 +55,6 @@ _CHECK_TOL = 1e-6
 # Circle of samples SigmaEvaluator.derivatives_at reads derivatives from.
 _CONTOUR_RADIUS = 0.3
 _CONTOUR_POINTS = 64
-# Distance from a removed zero within which CriticalQ expands the numerator.
-_PATCH_RADIUS = 1e-3
 
 
 def _reduce_tau(w1: complex, w2: complex) -> tuple[complex, complex, complex]:
@@ -172,15 +170,16 @@ class SigmaEvaluator:
 
     # -- evaluation -----------------------------------------------------
 
-    def _reduce(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Integer coordinates (m, n) of the lattice point whose cell holds z."""
+    def _reduce(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reduced coordinates (m, n) of the lattice point whose cell holds z, and that point."""
         t = z / self._r1
         n = np.rint(t.imag / self._tau.imag)
-        return np.rint(t.real - n * self._tau.real), n
+        m = np.rint(t.real - n * self._tau.real)
+        return m, n, m * self._r1 + n * self._r2
 
     def _eta_of(self, w: complex) -> complex:
         """Quasi-period of a lattice vector, additive over the reduced pair."""
-        m, n = self._reduce(np.asarray(w, dtype=complex))
+        m, n, _ = self._reduce(np.asarray(w, dtype=complex))
         return complex(m * self._eta_r[0] + n * self._eta_r[1])
 
     def _series(self, z: np.ndarray) -> np.ndarray:
@@ -194,8 +193,7 @@ class SigmaEvaluator:
     def __call__(self, z):
         arr = np.asarray(z, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            m, n = self._reduce(arr)
-            lam = m * self._r1 + n * self._r2
+            m, n, lam = self._reduce(arr)
             z0 = arr - lam
             eta = m * self._eta_r[0] + n * self._eta_r[1]
             sign = np.where(np.mod(m + n + m * n, 2.0) == 0.0, 1.0, -1.0)
@@ -224,7 +222,7 @@ class SigmaEvaluator:
         the reduced coordinates give it as well as any others.
         """
         lam = np.asarray(lam, dtype=complex)
-        m, n = self._reduce(lam)
+        m, n, _ = self._reduce(lam)
         eta = m * self._eta_r[0] + n * self._eta_r[1]
         odd = np.mod(m + n + m * n, 2.0) != 0.0
         return 0.5 * eta * lam + 1j * math.pi * odd
@@ -269,62 +267,44 @@ class CriticalQ:
 
     ``Q(z) = sigma_mod(z) / ((z - lam) (z - lam_prime))`` is entire (the
     removed zeros are simple), vanishes at every other lattice point, and
-    is bounded on the lattice without being constant.  Within 1e-3 of a
-    removed zero the quotient is replaced by a first-order expansion of
-    the numerator to avoid 0/0 cancellation.
+    is bounded on the lattice without being constant.  ``lam`` and
+    ``lam_prime`` are snapped to the lattice points exactly as sigma's
+    cell reduction computes them, so near a removed zero the numerator and
+    the divisor share one float offset and the quotient keeps full
+    relative accuracy.  Exactly at a removed zero ``Q`` takes the closed
+    form ``sigma'(lam) exp(a lam^2) / (lam - lam_prime)``.
     """
 
     def __init__(self, ev: SigmaEvaluator, lam: complex, lam_prime: complex) -> None:
-        lam = complex(lam)
-        lam_prime = complex(lam_prime)
-        if abs(lam - lam_prime) <= 1e-12:
+        # raises ValueError naming any point off the lattice
+        idx = ev.lattice.indices_of([lam, lam_prime])
+        if np.array_equal(idx[0], idx[1]):
             raise ValueError("the two removed lattice points must differ")
-        for point in (lam, lam_prime):
-            if not ev.lattice.contains(point):
-                raise ValueError(f"{point} is not a lattice point")
+        _, _, zeros = ev._reduce(np.array([lam, lam_prime], dtype=complex))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.exp(
+                ev.log_derivative_on_lattice(zeros) + ev.a_const * zeros ** 2
+            ) / (zeros - zeros[::-1])
+        _finite(values, "sigma_mod derivative")
         self.ev = ev
-        self.lam = lam
-        self.lam_prime = lam_prime
-        self._expansions = {}
-        for point in (lam, lam_prime):
-            d1, d2 = ev.derivatives_at(point, count=2)
-            with np.errstate(over="ignore", invalid="ignore"):
-                scale = np.exp(ev.a_const * point ** 2)
-                # sigma vanishes at the point, so the chain rule collapses.
-                mod_d1 = complex(d1 * scale)
-                mod_d2 = complex((d2 + 4.0 * ev.a_const * point * d1) * scale)
-            _finite([mod_d1, mod_d2], "sigma_mod derivative")
-            self._expansions[point] = (mod_d1, mod_d2)
+        self.lam, self.lam_prime = complex(zeros[0]), complex(zeros[1])
+        self._at_removed = {tuple(i): complex(v) for i, v in zip(idx.tolist(), values)}
 
     def value_at_removed(self, point: complex) -> complex:
-        """Q at a removed zero: derivative of the numerator over the other factor."""
-        d1, _ = self._expansions[complex(point)]
-        other = self.lam_prime if complex(point) == self.lam else self.lam
-        return d1 / (complex(point) - other)
+        """Q at a removed zero, which ``point`` names up to the lattice tolerance."""
+        key = tuple(self.ev.lattice.indices_of([point])[0].tolist())
+        if key not in self._at_removed:
+            raise ValueError(f"{complex(point)} is not a removed zero of this quotient")
+        return self._at_removed[key]
 
     def __call__(self, z):
         arr = np.asarray(z, dtype=complex)
-        flat = arr.ravel()
-        out = np.empty_like(flat)
-        d_lam = np.abs(flat - self.lam)
-        d_prime = np.abs(flat - self.lam_prime)
-        near_lam = d_lam <= _PATCH_RADIUS
-        near_prime = ~near_lam & (d_prime <= _PATCH_RADIUS)
-        plain = ~near_lam & ~near_prime
-        if np.any(plain):
-            vals = np.asarray(self.ev.sigma_mod(flat[plain]))
-            out[plain] = vals / (
-                (flat[plain] - self.lam) * (flat[plain] - self.lam_prime)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = np.asarray(self.ev.sigma_mod(arr)) / (
+                (arr - self.lam) * (arr - self.lam_prime)
             )
-        for mask, center, other in (
-            (near_lam, self.lam, self.lam_prime),
-            (near_prime, self.lam_prime, self.lam),
-        ):
-            if np.any(mask):
-                d1, d2 = self._expansions[center]
-                t = flat[mask] - center
-                out[mask] = (d1 + 0.5 * d2 * t) / (flat[mask] - other)
-        res = out.reshape(arr.shape)
+        for point, value in zip((self.lam, self.lam_prime), self._at_removed.values()):
+            res = np.where(arr == point, value, res)
         if arr.ndim == 0:
             return complex(res)
         return res

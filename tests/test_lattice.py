@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fockpr import jsonio
-from fockpr.lattice import Lattice, enumerate_window, square_lattice, window_arrays
+from fockpr.lattice import Lattice, modulus_order, square_lattice, window_arrays
 
 
 small = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -140,12 +140,10 @@ def test_boundary_points_are_kept():
     assert 3 + 4j in set(pts)  # |3+4i| = 5 exactly
 
 
-def test_enumerate_window_agrees_with_arrays():
-    lat = Lattice(0.8, 0.2 + 0.7j)
-    pairs = enumerate_window(lat, 3.0)
-    idx, pts = window_arrays(lat, 3.0)
-    assert [(i.m, i.n) for i, _ in pairs] == [tuple(row) for row in idx.tolist()]
-    assert np.allclose([p for _, p in pairs], pts)
+def test_window_comes_out_in_modulus_order():
+    # the symmetric images of a point have moduli that differ by rounding only
+    _, pts = window_arrays(square_lattice(4.0 * math.pi), 12.0)
+    assert np.array_equal(modulus_order(pts), np.arange(pts.size))
 
 
 def test_conjugation_closure():

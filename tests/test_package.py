@@ -1,4 +1,5 @@
-"""Package hygiene: every exported name exists, no module imports a name it never uses."""
+"""Package hygiene: every exported name exists, no module imports a name it never uses
+or defines a private name it never reads."""
 
 import ast
 import importlib
@@ -51,3 +52,32 @@ def test_no_module_imports_a_name_it_never_uses(name):
     used = used_names(tree)
     unused = {n: line for n, line in imported_names(tree).items() if n not in used}
     assert unused == {}
+
+
+def private_module_names(tree: ast.Module) -> dict[str, int]:
+    """Each private name a module-level statement defines, with its line."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_defines_a_private_name_it_never_reads(name):
+    path = Path(fockpr.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {n: line for n, line in private_module_names(tree).items() if n not in read}
+    assert unread == {}

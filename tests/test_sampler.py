@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fockpr import sampler
-from fockpr.lattice import Lattice, window_arrays
+from fockpr.lattice import Lattice, modulus_order, window_arrays
 from fockpr.pointset import angle_condition, sample_points, separation, triple_vertices
 from fockpr.rng import keyed_disk
 from fockpr.sampler import (
@@ -236,6 +236,7 @@ def test_three_lines_geometry():
     assert len(pts) == 6 * 8 + 1
     assert 0j in set(pts)
     assert np.all(np.diff(np.abs(pts)) >= -1e-12)
+    assert np.array_equal(modulus_order(pts), np.arange(pts.size))
     assert len(np.unique(pts)) == len(pts)
     with pytest.raises(ValueError):
         three_lines((0.0, 0.3, 0.3 + math.pi), radius=1.0)  # coincident mod pi

@@ -206,6 +206,45 @@ def test_critical_quotient_structure(sigma_unit):
     assert abs(complex(Q(0.5 + 0.5j))) > 0
 
 
+def theta_quotient(z: complex, lat: Lattice, lam: complex, lam_prime: complex) -> complex:
+    """sigma_mod(z) / ((z - lam)(z - lam_prime)) in mpmath, a from the oracle's eta pair."""
+    with mp.workdps(40):
+        w1, w2 = mp.mpc(lat.omega1), mp.mpc(lat.omega2)
+        eta1, eta2 = oracle_eta(lat.omega1, lat.omega2), oracle_eta(lat.omega2, -lat.omega1)
+        a = (eta2 * mp.conj(w1) - eta1 * mp.conj(w2)) / (2 * (w1 * mp.conj(w2) - w2 * mp.conj(w1)))
+        zz = mp.mpc(z)
+        divisor = (zz - mp.mpc(lam)) * (zz - mp.mpc(lam_prime))
+        return complex(theta_sigma(z, lat) * mp.exp(a * zz**2) / divisor)
+
+
+@pytest.mark.parametrize(
+    "lat, lam, lam_prime",
+    [
+        (UNIT, 0.0, 1.0),
+        (UNIT, 1.0 + 1.0j, -2.0),
+        (Lattice(1.0, 1.3j), 2.0, 1.3j),
+        (Lattice(2.0 + 1.0j, 1.0 + 1.0j), 2.0 + 1.0j, 0.0),  # the basis needs reducing
+    ],
+)
+def test_critical_quotient_matches_the_theta_oracle_near_the_removed_zeros(lat, lam, lam_prime):
+    Q = CriticalQ(SigmaEvaluator(lat), lam, lam_prime)
+    for center in (lam, lam_prime):
+        for r in (1e-12, 1e-9, 1e-6, 1e-4, 1e-2):
+            for theta in (0.3, 1.9, 4.0):
+                z = center + r * cmath.exp(1j * theta)
+                expect = theta_quotient(z, lat, lam, lam_prime)
+                assert abs(complex(Q(z)) - expect) <= 1e-12 * abs(expect), (center, r, theta)
+
+
+def test_critical_quotient_finds_removed_zeros_by_lattice_index(sigma_unit):
+    Q = CriticalQ(sigma_unit, 0.0, 1.0)
+    assert Q.value_at_removed(1.0 + 1e-15) == Q.value_at_removed(1.0) == complex(Q(1.0))
+    with pytest.raises(ValueError, match=r"0\.5"):
+        Q.value_at_removed(0.5)  # off the lattice
+    with pytest.raises(ValueError, match=r"2"):
+        Q.value_at_removed(2.0)  # on the lattice, but not removed
+
+
 def test_critical_quotient_is_continuous_across_the_patch(sigma_unit):
     Q = CriticalQ(sigma_unit, 0.0, 1.0)
     for theta in (0.3, 2.1):
