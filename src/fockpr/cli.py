@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("render", help="SVG scatter of a stored set")
     r.add_argument("--in", dest="inp", required=True)
     r.add_argument("--out", type=str, default=None, help="default: input path with .svg suffix")
-    r.add_argument("--mesh", action="store_true", help="draw the lattice mesh")
+    r.add_argument("--mesh", action="store_true", help="draw the lattice mesh (indexed point sets only)")
     r.add_argument("--title", type=str, default=None)
     return p
 
@@ -157,6 +157,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.construction == "lines":
         if args.angles is None:
             raise ValueError("lines needs --angles a,b,c")
+        if args.csv:
+            raise ValueError("lines has no lattice indices to write as CSV; drop --csv")
         pts = three_lines(args.angles, radius=args.radius, pitch=args.pitch)
         artifact = {
             "kind": "lines",
@@ -282,7 +284,10 @@ def _cmd_injectivity(args: argparse.Namespace) -> int:
         source = str(args.inp)
 
     if args.subsets is not None:
-        subsets = sorted({int(s) for s in args.subsets.split(",")})
+        try:
+            subsets = sorted({int(s) for s in args.subsets.split(",")})
+        except ValueError as exc:
+            raise ValueError(f"--subsets: {exc}") from None
     elif args.inp is None:
         subsets = [30, 45, 49, 60]
     else:

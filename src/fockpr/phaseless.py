@@ -365,7 +365,8 @@ def lifted_rows(points: Sequence[complex], N: int, alpha: float) -> np.ndarray:
 
     Row for point u sends a Hermitian X to v(u)* X v(u) * exp(-alpha|u|^2)
     expressed in the orthonormal Hermitian basis.  The Gaussian weight is
-    a positive row scaling: it changes conditioning, never the kernel.
+    a positive row scaling: it leaves the exact kernel unchanged but can
+    move the numerical rank decision, a cut relative to sigma_max.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")

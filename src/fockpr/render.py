@@ -2,12 +2,12 @@
 
 Fixed 1000 x 1000 canvas; the square window ``[-R, R]^2`` maps linearly
 onto it with the imaginary axis pointing up.  Entries are colored by
-tag; the underlying lattice can be drawn as a mesh of basis-direction
-lines.  Output is a pure function of the inputs (coordinates are
-formatted to fixed precision), so identical runs produce identical
-bytes.  Circles and mesh segments are formatted into one string per
-block of ``_BLOCK`` elements, the document is joined once, and the file
-is written in slices.
+tag; the underlying lattice can be drawn as a mesh with one segment
+per lattice line along each basis direction.  Output is a pure function
+of the inputs (coordinates are formatted to fixed precision), so
+identical runs produce identical bytes.  Circles and mesh lines are
+formatted into one string per block of ``_BLOCK`` elements, the document
+is joined once, and the file is written in slices.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ TAG_COLORS: dict[str, str] = {
 # radius of each sample's circle, in canvas units
 _POINT_RADIUS = 3.0
 _FALLBACK_COLORS = ("#ff7f0e", "#17becf", "#bcbd22", "#7f7f7f")
-_MESH_LINE = b'<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#dddddd" stroke-width="0.5"/>'
-# circles or mesh segments formatted into one string together
+# circles or mesh lines formatted into one string together
 _BLOCK = 1 << 12
 
 
@@ -65,59 +64,42 @@ class _Mapper:
         )
 
 
-def _chunks(values: np.ndarray, size: int = _BLOCK):
-    return (values[s : s + size] for s in range(0, len(values), size))
-
-
 def _fill(template: str, *columns: np.ndarray) -> list[str]:
     """``template % row`` for each row of the equally long ``columns``, in blocks.
 
     Each block of ``_BLOCK`` rows is one string, its rows joined by ``"\n"``.
     """
+    rows = np.stack(columns, axis=1)
     return [
         "\n".join([template] * len(chunk)) % tuple(chunk.ravel().tolist())
-        for chunk in _chunks(np.stack(columns, axis=1))
+        for chunk in (rows[s : s + _BLOCK] for s in range(0, len(rows), _BLOCK))
     ]
-
-
-def _tokens(values: np.ndarray) -> np.ndarray:
-    """``%.2f`` tokens of a float array, as a bytes array of its shape.
-
-    A block of tokens is formatted at once, each padded to the width of
-    the longest; the padding becomes the NUL bytes a bytes array pads with.
-    """
-    finite = np.abs(values[np.isfinite(values)])
-    # the longest token: a sign, the digits of the largest magnitude, two decimals
-    width = len("%.2f" % -finite.max(initial=0.0))
-    text = b"".join(
-        (f"%-{width}.2f" * len(chunk) % tuple(chunk.tolist())).encode("ascii").replace(b" ", b"\0")
-        for chunk in _chunks(values.ravel(), 4 * _BLOCK)
-    )
-    return np.frombuffer(text, dtype=f"S{width}").reshape(values.shape)
 
 
 def _mesh_lines(lat: Lattice, radius: float, to: _Mapper) -> list[str]:
-    """Segments through every window point along both basis directions, sorted, in blocks."""
-    kept = []
-    _, pts = window_arrays(lat, radius * 1.5)
-    for direction in (lat.omega1, lat.omega2):
-        unit = direction / abs(direction)
-        half = 0.75 * abs(direction)
-        (x1, y1), (x2, y2) = to(pts - half * unit), to(pts + half * unit)
-        tokens = _tokens(np.stack([x1, y1, x2, y2], axis=1))
-        # segments that print alike are drawn once, the first as it printed;
-        # a coordinate printing as -0.00 counts as 0.00
-        keys = np.where(tokens == b"-0.00", b"0.00", tokens)
-        _, first = np.unique(keys, axis=0, return_index=True)
-        kept.append(tokens[first])
-    tokens = np.concatenate(kept)
-    # a token ends in exactly two decimals, so none is a prefix of another
-    # and the order of the token rows is the order of the lines
-    tokens = tokens[np.lexsort(tokens.T[::-1])]
-    return [
-        (b"\n".join([_MESH_LINE] * len(chunk)) % tuple(chunk.ravel().tolist())).decode("ascii")
-        for chunk in _chunks(tokens)
-    ]
+    """One segment along each lattice line through the window points, in blocks.
+
+    The lines along ``omega1`` come first, then those along ``omega2``, each
+    set in order of the index that stays fixed along them.  A line runs from
+    its least window point ``- 0.75 * omega`` to its greatest ``+ 0.75 * omega``;
+    the window is a disk, so its points on one line are one contiguous run.
+    """
+    idx, pts = window_arrays(lat, radius * 1.5)
+    starts, stops = [], []
+    for k, direction in enumerate((lat.omega1, lat.omega2)):
+        # 0.75 |omega| along the unit vector, so each end is bit for bit an end
+        # of the 1.5 |omega| segment centred on its window point
+        step = 0.75 * abs(direction) * (direction / abs(direction))
+        # by line, then along it
+        order = np.lexsort((idx[:, k], idx[:, 1 - k]))
+        _, first, count = np.unique(idx[order, 1 - k], return_index=True, return_counts=True)
+        starts.append(pts[order[first]] - step)
+        stops.append(pts[order[first + count - 1]] + step)
+    return _fill(
+        '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#dddddd" stroke-width="0.5"/>',
+        *to(np.concatenate(starts)),
+        *to(np.concatenate(stops)),
+    )
 
 
 def _color_for(tag: str, assigned: dict[str, str]) -> str:
@@ -197,12 +179,14 @@ def render_svg(
     mesh: bool = False,
     title: str | None = None,
 ) -> str:
-    """Render a point set (tag colors) or plain point array (one color)."""
+    """Render a point set (tag colors, optional lattice mesh) or plain point array (one color)."""
     if isinstance(obj, IndexedPointSet):
         groups = {tag: obj.points([tag]) for tag in obj.tags()}
         radius = obj.window_radius
         mesh_lat = obj.lattice if mesh else None
     else:
+        if mesh:
+            raise ValueError("a plain point array has no lattice to draw a mesh of")
         pts = np.asarray(obj, dtype=complex).ravel()
         if len(pts) == 0:
             raise ValueError("nothing to render")

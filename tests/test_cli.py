@@ -121,6 +121,14 @@ def test_generate_lines_artifact(tmp_path):
     assert len(data["points"]) == 6 * 6 + 1  # 2K+1 samples per line, shared origin
 
 
+def test_generate_lines_with_csv_exits_2_and_writes_nothing(tmp_path, capsys):
+    out, csv_path = tmp_path / "lines.json", tmp_path / "lines.csv"
+    assert run("generate", "--construction", "lines", "--radius", 3, "--angles", "0,1,2",
+               "--out", out, "--csv", csv_path) == 2
+    assert "--csv" in capsys.readouterr().err
+    assert not out.exists() and not csv_path.exists()
+
+
 def test_generate_opteven_set(tmp_path):
     path = tmp_path / "even.json"
     rc = run("generate", "--construction", "opteven", "--v", 0.4,
@@ -409,6 +417,14 @@ def test_injectivity_bad_subsets_exit_2(tmp_path):
     assert run("injectivity", "--subsets", "99", "--out", tmp_path / "x.json") == 2
 
 
+def test_injectivity_subsets_not_an_integer_exits_2_and_names_it(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run("injectivity", "--subsets", "3,x", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "--subsets" in err and "'x'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dim", [0, 2])
 @pytest.mark.parametrize("alpha", ["0", "-1"])
 def test_injectivity_non_positive_alpha_exits_2_and_names_it(tmp_path, capsys, alpha, dim):
@@ -463,16 +479,28 @@ def test_render_lines_artifact_array_route(tmp_path):
     assert out.read_text(encoding="ascii").count("<circle") == (6 * 4 + 1) + 1
 
 
-# sha256 of each SVG written by the per-point render loops this package had
-# before it formatted coordinates in bulk, for sets generated with --seed 1;
-# "lines" since three_lines sorts its points in modulus_order
+def test_render_mesh_of_a_set_without_lattice_exits_2(tmp_path, capsys):
+    lines = tmp_path / "lines.json"
+    assert run("generate", "--construction", "lines", "--radius", 2, "--angles", "0,1,2",
+               "--out", lines) == 0
+    out = tmp_path / "pic.svg"
+    assert run("render", "--in", lines, "--mesh", "--out", out) == 2
+    assert "no lattice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sha256 of each SVG written for sets generated with --seed 1 by the per-point
+# render loops this package had before it formatted coordinates in bulk;
+# "lines" since three_lines sorts its points in modulus_order, and the --mesh
+# ones since the mesh is one segment per lattice line (their mesh lines are
+# the only bytes that changed)
 GOLDEN_RENDER = {
     "rand3": (["--construction", "rand3", "--alpha", PI, "--radius", 4], ["--mesh"],
-              "4dde9a588ebf5a27f2ba34282133a5ac81a31d60ccbc406603bbfb2b8bc0a06b"),
+              "c029838777a80f9c043985d4acc1f739815588a42faebda0ae7c8d7b13a7666e"),
     "opteven": (["--construction", "opteven", "--v", 0.45, "--radius", 6], ["--mesh"],
-                "b8cd0f888ce7a7071a5053b35837bf2bea8cb0a81f298d65226df0b8c7eda02c"),
+                "af058fd3e49072beddbfbf546c0f8bf266dc2cbabd9ee3aec6f70260e6f263af"),
     "optreal": (["--construction", "optreal", "--v", 0.45, "--radius", 6], ["--mesh"],
-                "ab598ebdb35fd8c21af948bc116911d33440ff6665e6d7ec6c7176d65fbb35e8"),
+                "9fac2b5e289501817061d18581ee3f6e7e2ece751443b9ca9dbbeec0b70e8c0c"),
     "lines": (["--construction", "lines", "--angles", "0,1,2", "--pitch", 0.1,
                "--radius", 3], [],
               "c31b2362fec33b2d01c558cdeab061ba08c26b735e48fb2d23be6dfea645a74c"),

@@ -1,5 +1,7 @@
 """SVG rendering: structure, determinism, filtering, and file output."""
 
+import math
+import re
 import tracemalloc
 from xml.etree import ElementTree
 
@@ -10,6 +12,7 @@ from fockpr import render
 from fockpr.lattice import Lattice
 from fockpr.pointset import IndexedPointSet
 from fockpr.render import TAG_COLORS, render_points_svg, render_svg
+from fockpr.sampler import opt_real_lattices
 
 
 def circle_count(svg: str) -> int:
@@ -69,6 +72,8 @@ def test_validation():
         render_points_svg({"A": [0.0]}, radius=0.0)
     with pytest.raises(ValueError, match="nothing"):
         render_svg(np.array([], dtype=complex))
+    with pytest.raises(ValueError, match="no lattice"):
+        render_svg(np.array([1.0 + 1.0j]), mesh=True)
 
 
 def test_array_route_autoscales():
@@ -92,7 +97,7 @@ def test_point_set_route_with_mesh_and_file(tmp_path):
 
 
 def _mesh_lines_loop(lat, radius, to):
-    """The per-point mesh loop render used before it formatted in bulk (the oracle)."""
+    """The per-point mesh loop render used before it drew one segment per lattice line (the oracle)."""
     lines = []
     _, pts = render.window_arrays(lat, radius * 1.5)
     for direction in (lat.omega1, lat.omega2):
@@ -113,30 +118,42 @@ def _mesh_lines_loop(lat, radius, to):
     return sorted(lines)
 
 
-def test_mesh_lines_match_the_per_point_loop():
-    # at radius 4.6 the lattice row at Im = 5 maps to y = 960 - (5 + 4.6) * 100,
-    # just below 0 in floating point
-    lat = Lattice(1.0, 0.3 + 1.0j)
-    to = render._Mapper(4.6)
-    # _mesh_lines gives blocks of lines joined by newlines
-    lines = "\n".join(render._mesh_lines(lat, 4.6, to)).split("\n")
-    assert any('y1="-0.00"' in line for line in lines)
-    assert lines == _mesh_lines_loop(lat, 4.6, to)
+_LINE_ENDS = re.compile(r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"')
 
 
-def test_mesh_lines_merge_minus_zero_with_zero_like_the_loop(monkeypatch):
-    # two window points whose segments print alike but for -0.00 against 0.00:
-    # canvas y = 0 lies at imag = 960 / 460 - 1 on the window of radius 1
-    top = 960.0 / 460.0 - 1.0
-    pts = np.array([0.3 + (top + 1e-6) * 1j, 0.3 + (top - 1e-6) * 1j, -0.2 + 0.1j])
-    monkeypatch.setattr(render, "window_arrays", lambda lat, radius: (None, pts))
-    lat = Lattice(1.0, 1.0j)
-    to = render._Mapper(1.0)
+def _segment_ends(lines):
+    """The printed endpoints of ``<line>`` elements, as two complex arrays."""
+    xy = np.array([[float(v) for v in _LINE_ENDS.match(line).groups()] for line in lines])
+    return xy[:, 0] + 1j * xy[:, 1], xy[:, 2] + 1j * xy[:, 3]
+
+
+@pytest.mark.parametrize(
+    "lat, radius",
+    [
+        (Lattice(1.0, 1.0j), 3.0),
+        # the lattice row at Im = 5 maps to y = 960 - (5 + 4.6) * 100, just below 0
+        (Lattice(1.0, 0.3 + 1.0j), 4.6),
+        (opt_real_lattices(0.45)[1], 12.0),
+    ],
+    ids=["square", "skew", "optreal_frame"],
+)
+def test_mesh_lines_cover_the_per_point_segments(lat, radius):
+    to = render._Mapper(radius)
     # _mesh_lines gives blocks of lines joined by newlines
-    lines = "\n".join(render._mesh_lines(lat, 1.0, to)).split("\n")
-    assert sum('y1="-0.00"' in line for line in lines) == 1
-    assert not any('y1="0.00"' in line for line in lines)
-    assert lines == _mesh_lines_loop(lat, 1.0, to)
+    start, stop = _segment_ends("\n".join(render._mesh_lines(lat, radius, to)).split("\n"))
+    old = np.concatenate(_segment_ends(_mesh_lines_loop(lat, radius, to)))
+    # every old endpoint lies on a new segment; each printed coordinate is
+    # within 0.005 of its exact value, on both sides, so the printed points
+    # lie within 2 * 0.005 * sqrt(2) of the printed segments
+    d = stop - start
+    t = np.clip(((old[:, None] - start) * d.conj()).real / np.abs(d) ** 2, 0.0, 1.0)
+    gap = np.abs(old[:, None] - (start + t * d)).min(axis=1)
+    assert gap.max() <= 0.01 * math.sqrt(2) + 1e-9
+    # every new endpoint is an old one, as printed (-0.00 reads as 0.00)
+    assert set(np.concatenate([start, stop]).tolist()) <= set(old.tolist())
+    # one segment per lattice line through the window, in either direction
+    idx, _ = render.window_arrays(lat, 1.5 * radius)
+    assert len(start) == len(np.unique(idx[:, 0])) + len(np.unique(idx[:, 1]))
 
 
 def test_circles_match_the_per_point_route():
@@ -154,9 +171,7 @@ def test_circles_match_the_per_point_route():
 
 
 def test_render_with_mesh_peaks_near_twice_its_text():
-    # the text and the blocks it is joined from are both alive at the end;
-    # one string per circle and per segment, then two copies of the text,
-    # peaked at 3.7 times the text
+    # the text and the blocks it is joined from are both alive at the end
     lat = Lattice(0.45, 0.45j)
     ps = IndexedPointSet(lat, window_radius=25.0)
     idx, pts = render.window_arrays(lat, 25.0)
@@ -170,5 +185,6 @@ def test_render_with_mesh_peaks_near_twice_its_text():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text.count("<line") > 40_000
+    # 167 lattice lines through the window in each direction, and the two axes
+    assert text.count("<line") == 336
     assert peak < 2.5 * len(text)

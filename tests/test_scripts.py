@@ -12,12 +12,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # sha256 of each SVG written with --radius 2 by the per-point render loops
 # this package had before it formatted coordinates in bulk; three_lines.svg
-# since three_lines sorts its points in modulus_order
+# since three_lines sorts its points in modulus_order, and the meshed ones
+# since the mesh is one segment per lattice line (their mesh lines are the
+# only bytes that changed)
 GOLDEN_GALLERY = {
-    "even_optimal.svg": "fff6d464398517352002a9061e65ae5e22eca3775c827d59cc306862cb98b805",
-    "real_pair.svg": "96940032bdb1059607217b094d4847ced62ea52465080212cb6f93ab067b7c80",
+    "even_optimal.svg": "0c5849f13c6554a2e0a0117ad5391745d861a9ff3b71e824aa24a3602e2707ff",
+    "real_pair.svg": "f71da6018cc821c7554e779b16cd0caa39376cc835180a32da238ae4a76beb2e",
     "three_lines.svg": "c4f79960f5647ec78a7c54e49c25f4e2fd5d8f1b248b8435500d7269e697020f",
-    "triple.svg": "b3393833ac0e3fa6231eaa3ae7c4fef97c629644b51225cde7701ef1d7a17807",
+    "triple.svg": "bc0a4fbe9a07e2a667b5f88f660936c910ab448488736c9965398940dce2ead3",
 }
 
 
