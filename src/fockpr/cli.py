@@ -60,6 +60,16 @@ _LATTICE_CONSTRUCTIONS = {
     "even1": even_single,
 }
 
+# the optional generate flags (by argparse dest), and those each construction
+# reads; --radius, --seed and --out are read by all
+_GENERATE_OPTIONS = ("alpha", "v", "gamma", "kappa", "mode", "angles", "pitch", "csv")
+_GENERATE_FLAGS = {
+    **{name: ("alpha", "v", "gamma", "kappa", "csv") for name in _LATTICE_CONSTRUCTIONS},
+    "optreal": ("v", "gamma", "kappa", "mode", "csv"),
+    "opteven": ("v", "gamma", "kappa", "mode", "csv"),
+    "lines": ("angles", "pitch"),
+}
+
 
 def _finite_float(text: str) -> float:
     """argparse type: a float that is neither infinite nor NaN."""
@@ -88,11 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--alpha", type=_finite_float, help="weight; lattice is the square one of cell area pi/alpha")
     g.add_argument("--v", type=_finite_float, help="side length; lattice is v*(Z+iZ) (constructions pick their own frame for optreal/opteven)")
     g.add_argument("--radius", type=_finite_float, required=True, help="window radius")
-    g.add_argument("--gamma", type=_finite_float, default=7.0, help="closeness decay rate (default 7)")
+    g.add_argument("--gamma", type=_finite_float, default=None, help="closeness decay rate (default 7)")
     g.add_argument("--kappa", type=_finite_float, default=None, help="closeness budget cap (default 1, or v/4 for opteven)")
-    g.add_argument("--mode", choices=["random", "det"], default="random", help="offset mode for optreal/opteven")
+    g.add_argument("--mode", choices=["random", "det"], default=None, help="offset mode for optreal/opteven (default random)")
     g.add_argument("--angles", type=lambda text: [_finite_float(a) for a in text.split(",")], default=None, help="three line angles in radians, comma separated (lines only)")
-    g.add_argument("--pitch", type=_finite_float, default=0.1, help="sample spacing along lines (lines only)")
+    g.add_argument("--pitch", type=_finite_float, default=None, help="sample spacing along lines (lines only, default 0.1)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", type=str, default="set.json")
     g.add_argument("--csv", type=str, default=None, help="also write rows m,n,tag,re,im")
@@ -154,16 +164,21 @@ def _load_set(path: str) -> IndexedPointSet | np.ndarray:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    reads = _GENERATE_FLAGS[args.construction]
+    ignored = [f"--{dest}" for dest in _GENERATE_OPTIONS
+               if getattr(args, dest) is not None and dest not in reads]
+    if ignored:
+        raise ValueError(f"{args.construction} does not use {', '.join(ignored)}")
+    gamma = 7.0 if args.gamma is None else args.gamma
     if args.construction == "lines":
         if args.angles is None:
             raise ValueError("lines needs --angles a,b,c")
-        if args.csv:
-            raise ValueError("lines has no lattice indices to write as CSV; drop --csv")
-        pts = three_lines(args.angles, radius=args.radius, pitch=args.pitch)
+        pitch = 0.1 if args.pitch is None else args.pitch
+        pts = three_lines(args.angles, radius=args.radius, pitch=pitch)
         artifact = {
             "kind": "lines",
             "angles": args.angles,
-            "pitch": args.pitch,
+            "pitch": pitch,
             "radius": args.radius,
             "points": pts,
         }
@@ -175,7 +190,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         if args.v is None:
             raise ValueError(f"{args.construction} needs --v")
         maker = density_opt_real if args.construction == "optreal" else density_opt_even
-        kwargs = dict(window_radius=args.radius, gamma=args.gamma, seed=args.seed, mode=args.mode)
+        kwargs = dict(window_radius=args.radius, gamma=gamma, seed=args.seed,
+                      mode=args.mode or "random")
         if args.construction == "optreal":
             kwargs["kappa_cap"] = 1.0 if args.kappa is None else args.kappa
         elif args.kappa is not None:
@@ -186,7 +202,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         cfg = GeneratorConfig(
             lat,
             window_radius=args.radius,
-            gamma=args.gamma,
+            gamma=gamma,
             kappa_cap=1.0 if args.kappa is None else args.kappa,
             seed=args.seed,
         )
@@ -225,10 +241,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if all(t in obj.tags() for t in ("A", "B", "C")):
         angle_rep = angle_condition(obj, beta=args.beta)
 
-    pts = sample_points(obj)
     radii = tuple(obj.window_radius * f for f in (0.5, 0.75, 1.0))
-    dens = density_estimate(pts, center=0j, radii=radii)
-    sep = separation(pts)
+    dens = density_estimate(obj, center=0j, radii=radii)
+    sep = separation(obj)
 
     passed = closeness_passed and (angle_rep is None or angle_rep.passed)
     report = {
@@ -239,6 +254,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "sup_ratio": None if angle_rep is None else angle_rep.sup_ratio,
         "density": dens.fitted_density,
         "delta": sep.delta,
+        "log10_delta": sep.log10_delta,
         "passed": passed,
         "closeness": closeness,
         "angle": angle_rep,
@@ -249,7 +265,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     print(
         f"wrote {args.out}: kappa={kappa:.6g} "
         + ("" if angle_rep is None else f"sup_ratio={angle_rep.sup_ratio:.6g} ")
-        + f"density={dens.fitted_density:.6g} delta={sep.delta:.6g} passed={passed}"
+        + f"density={dens.fitted_density:.6g} delta={sep.delta:.6g} "
+        + f"log10_delta={sep.log10_delta:.6g} passed={passed}"
     )
     return 0 if passed else 1
 

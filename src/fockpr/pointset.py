@@ -1,11 +1,15 @@
 """Indexed point sets over a lattice and their geometric certificates.
 
-A point set stores, for each lattice index and tag, a position near the
-home lattice point.  The exact offset from the home point is kept
-alongside the absolute position: for Gaussian-decay offsets the absolute
-position collapses onto the lattice point in floating point once the
-offset drops below one ulp of the position, and the certificates below
-(triangle angles, closeness constants) must survive that regime.
+A point set stores one value per sample: its offset from the home
+lattice point in units of the set's closeness budget
+``s(home) = kappa_cap * exp(-gamma*|home|^2)``, a point ``unit`` of the
+closed unit disk.  The budget's ``gamma`` and ``kappa_cap`` come from the
+set's metadata; a set that records neither has the budget (0, 1), so its
+``unit`` is the plain offset.  The offset ``delta = s(home) * unit`` and
+the position ``pos = home + delta`` are derived where they are read.  For
+Gaussian budgets both collapse in floating point (``delta`` underflows,
+``pos`` rounds onto the lattice point) while ``unit`` and the budget stay
+exact, so the certificates below work from them in log scale.
 
 Certificates:
 
@@ -14,7 +18,8 @@ Certificates:
 * ``angle_condition`` -- median triangle angle of each (A, B, C) triple
   against the weighted ratio ``|home| * exp(-beta*|home|^2) / angle``;
 * ``separation`` -- minimal pairwise distance, found exactly by a
-  sort-and-sweep along the axis of larger spread (numpy only);
+  sort-and-sweep along the axis of larger spread (numpy only); on a set
+  also as ``log10_delta``, exact where positions collapse;
 * ``density_estimate`` -- disk-count density with residuals;
 * ``relative_separation_bound`` -- certified upper bound on points per
   unit disk.
@@ -54,7 +59,10 @@ __all__ = [
 
 TRIPLE_TAGS = ("A", "B", "C")
 # fields every point record of an artifact carries
-_REQUIRED_FIELDS = ("index", "tag", "pos")
+_REQUIRED_FIELDS = ("index", "tag", "unit")
+# fields a record may carry besides; they are derived from ``unit``, so
+# they are only checked to be finite [x, y] pairs
+_DERIVED_FIELDS = ("pos", "delta")
 
 # rows IndexedPointSet.add holds as tuples before packing them into columns
 _ADD_BLOCK = 1 << 12
@@ -64,19 +72,18 @@ _STENCIL_BLOCK = 1 << 10
 
 @dataclass(frozen=True)
 class PointEntry:
-    """Position of one sample.
+    """One sample: its position, its offset from home, and that offset in budget units.
 
-    ``delta`` is the offset from the home lattice point as a plain float
-    pair (it underflows to 0 once the offset drops below about 1e-308).
-    ``unit`` is the offset divided by the local closeness budget
-    ``kappa_cap * exp(-gamma*|home|^2)`` (a point of the closed unit
-    disk); together with the set metadata it represents Gaussian-small
-    offsets exactly in log scale, long after ``delta`` has collapsed.
+    ``unit`` is the stored value, a point of the closed unit disk; the
+    offset ``delta = s(home) * unit`` and ``pos = home + delta`` are
+    derived from it and the set's budget ``s``.  ``delta`` underflows to
+    0 once the offset drops below about 1e-308; ``unit`` with the budget
+    keeps Gaussian-small offsets exact in log scale.
     """
 
     pos: complex
-    delta: complex | None = None
-    unit: complex | None = None
+    delta: complex
+    unit: complex
 
 
 class _Columns(NamedTuple):
@@ -85,28 +92,25 @@ class _Columns(NamedTuple):
     m: np.ndarray
     n: np.ndarray
     tag: np.ndarray
-    pos: np.ndarray
-    delta: np.ndarray
-    has_delta: np.ndarray
     unit: np.ndarray
-    has_unit: np.ndarray
 
 
-_NO_ROWS = _Columns(
-    *(
-        np.empty(0, dtype=t)
-        for t in (np.int64, np.int64, str, complex, complex, bool, complex, bool)
-    )
-)
+_NO_ROWS = _Columns(*(np.empty(0, dtype=t) for t in (np.int64, np.int64, str, complex)))
+
+
+def _budgets(homes: np.ndarray, gamma: float, kappa_cap: float) -> np.ndarray:
+    """Float closeness budgets kappa_cap * exp(-gamma*|home|^2) (0 on underflow)."""
+    with np.errstate(under="ignore"):
+        return kappa_cap * np.exp(-gamma * np.abs(homes) ** 2)
 
 
 class IndexedPointSet:
     """Samples keyed by (lattice index, tag), stored as columns.
 
     One row per sample, in insertion order: the lattice index ``(m, n)``,
-    the ``tag``, the absolute position ``pos``, and the optional ``delta``
-    and ``unit`` offsets with their presence masks.  Rows inserted by
-    :meth:`add` wait in a buffer, packed into one block of columns every
+    the ``tag`` and the offset ``unit`` in budget units (see the module
+    docstring for what is derived from it).  Rows inserted by :meth:`add`
+    wait in a buffer, packed into one block of columns every
     ``_ADD_BLOCK`` rows; the next column read appends the blocks in one
     step.  A dict from key to row number backs :meth:`add`, :meth:`get`
     and ``in``; it is built from the columns on the first such lookup, so
@@ -129,15 +133,8 @@ class IndexedPointSet:
 
     # -- container ---------------------------------------------------------
 
-    def add(
-        self,
-        index: tuple[int, int],
-        tag: str,
-        pos: complex | None = None,
-        delta: complex | None = None,
-        unit: complex | None = None,
-    ) -> None:
-        """Insert a sample; give ``pos``, ``delta``, or both (consistent).
+    def add(self, index: tuple[int, int], tag: str, unit: complex) -> None:
+        """Insert a sample at offset ``unit`` (in budget units) from its home point.
 
         Costs amortized O(1): the row waits as a tuple until ``_ADD_BLOCK``
         rows have gathered, which are then packed into one block of columns,
@@ -148,39 +145,26 @@ class IndexedPointSet:
         home = self.lattice.point((m, n))
         if abs(home) > self.window_radius + 1e-9:
             raise ValueError(f"home point {home} of index {(m, n)} outside window")
-        if pos is None:
-            if delta is None:
-                raise ValueError("need pos or delta")
-            pos = home + delta
         key, row_of = (m, n, tag), self._index()
         if key in row_of:
             raise ValueError(f"duplicate entry for index {(m, n)} tag {tag!r}")
         row_of[key] = len(row_of)
-        self._buffer.append((m, n, tag, complex(pos), delta, unit))
+        self._buffer.append((m, n, tag, unit))
         if len(self._buffer) >= _ADD_BLOCK:
             self._pack()
 
-    def add_many(self, indices, tag: str, pos=None, delta=None, unit=None) -> None:
+    def add_many(self, indices, tag: str, unit) -> None:
         """Insert one ``tag`` sample at each lattice index of ``indices`` (shape (k, 2)).
 
-        ``pos``, ``delta`` and ``unit`` are complex arrays broadcast
-        against the k indices, or None, with the meaning they have in
-        :meth:`add`.  Nothing is inserted when a home point lies outside
-        the window or a key (index, tag) is already present or repeated
-        within the batch.
+        ``unit`` is a complex array broadcast against the k indices, with
+        the meaning it has in :meth:`add`.  Nothing is inserted when a home
+        point lies outside the window or a key (index, tag) is already
+        present or repeated within the batch.
         """
         idx = np.array(indices, dtype=np.int64).reshape(-1, 2)
         k = len(idx)
-        m, n = idx[:, 0], idx[:, 1]
-        if pos is None:
-            if delta is None:
-                raise ValueError("need pos or delta")
-            pos = self.lattice.point((m, n)) + np.asarray(delta, dtype=complex)
-        self._append(
-            _Columns(
-                m, n, np.full(k, tag), _broadcast(pos, k), *_optional(delta, k), *_optional(unit, k)
-            )
-        )
+        unit = np.broadcast_to(np.asarray(unit, dtype=complex), (k,)).copy()
+        self._append(_Columns(idx[:, 0], idx[:, 1], np.full(k, tag), unit))
 
     def _append(self, new: _Columns) -> None:
         """Check whole columns of new rows, then append them after every earlier row."""
@@ -207,20 +191,14 @@ class IndexedPointSet:
         """Move the rows buffered by :meth:`add` into one block of columns."""
         if not self._buffer:
             return
-        m, n, tag, pos, delta, unit = zip(*self._buffer)
+        m, n, tag, unit = zip(*self._buffer)
         self._buffer = []
-        delta, has_delta = _fill_absent(delta, 0j)
-        unit, has_unit = _fill_absent(unit, 0j)
         self._blocks.append(
             _Columns(
                 np.array(m, dtype=np.int64),
                 np.array(n, dtype=np.int64),
                 np.array(tag, dtype=str),
-                np.array(pos, dtype=complex),
-                np.array(delta, dtype=complex),
-                has_delta,
                 np.array(unit, dtype=complex),
-                has_unit,
             )
         )
 
@@ -252,13 +230,10 @@ class IndexedPointSet:
             raise KeyError((LatticeIndex(int(index[0]), int(index[1])), tag))
         return row
 
-    def _entry(self, row: int) -> PointEntry:
-        c = self._columns()
-        return PointEntry(
-            complex(c.pos[row]),
-            complex(c.delta[row]) if c.has_delta[row] else None,
-            complex(c.unit[row]) if c.has_unit[row] else None,
-        )
+    def _entries(self, rows: np.ndarray) -> list[PointEntry]:
+        homes, deltas = self._placed(rows)
+        units = self._columns().unit[rows]
+        return list(map(PointEntry, (homes + deltas).tolist(), deltas.tolist(), units.tolist()))
 
     def __len__(self) -> int:
         return len(self._cols.m) + sum(len(b.m) for b in self._blocks) + len(self._buffer)
@@ -268,13 +243,14 @@ class IndexedPointSet:
         return (int(m), int(n), tag) in self._index()
 
     def get(self, index: tuple[int, int], tag: str) -> PointEntry:
-        return self._entry(self._row(index, tag))
+        return self._entries(np.array([self._row(index, tag)]))[0]
 
     def items(self) -> list[tuple[tuple[LatticeIndex, str], PointEntry]]:
         """``((index, tag), entry)`` for every row, in insertion order."""
         c = self._columns()
         keys = zip(c.m.tolist(), c.n.tolist(), c.tag.tolist())
-        return [((LatticeIndex(m, n), t), self._entry(row)) for row, (m, n, t) in enumerate(keys)]
+        entries = self._entries(np.arange(len(c.m)))
+        return [((LatticeIndex(m, n), t), e) for (m, n, t), e in zip(keys, entries)]
 
     def tags(self) -> list[str]:
         return sorted(set(self._columns().tag.tolist()))
@@ -286,70 +262,77 @@ class IndexedPointSet:
         return [LatticeIndex(m, n) for m, n in pairs.tolist()]
 
     def points(self, tags: Sequence[str] | None = None) -> np.ndarray:
-        """Positions as a complex array, canonically ordered by (m, n, tag)."""
-        return self._columns().pos[self._rows(tags)]
+        """Positions ``home + delta`` as a complex array, canonically ordered by (m, n, tag)."""
+        homes, deltas = self._placed(self._rows(tags))
+        return homes + deltas
 
     def offset(self, index: tuple[int, int], tag: str) -> complex:
-        """Offset from home: stored delta when present, positional difference otherwise."""
-        return complex(self._offsets(np.array([self._row(index, tag)]))[0])
+        """Offset ``delta`` from home (0 once it underflows)."""
+        return self.get(index, tag).delta
 
     def log_offset_magnitude(self, index: tuple[int, int], tag: str) -> float:
         """Natural log of the offset magnitude, exact in the underflow regime.
 
-        When the entry carries a unit-disk offset and the set metadata
-        records ``gamma`` and ``kappa_cap``, the magnitude is
-        ``kappa_cap * |unit| * exp(-gamma*|home|^2)`` evaluated in the log
-        domain; otherwise it falls back to the float offset.
+        The magnitude ``kappa_cap * |unit| * exp(-gamma*|home|^2)`` is
+        evaluated in the log domain.
         """
         return float(self._log_offsets(np.array([self._row(index, tag)]))[0])
+
+    def budget(self) -> tuple[float, float]:
+        """``(gamma, kappa_cap)`` of the set's metadata; (0, 1) when it records neither."""
+        gamma, kappa_cap = self.meta.get("gamma"), self.meta.get("kappa_cap")
+        if (gamma is None) != (kappa_cap is None):
+            given = "gamma" if kappa_cap is None else "kappa_cap"
+            raise ValueError(
+                f"set metadata gives {given!r} alone; the closeness budget needs both"
+                " 'gamma' and 'kappa_cap', or neither"
+            )
+        return (0.0, 1.0) if gamma is None else (gamma, kappa_cap)
 
     def _homes(self, rows: np.ndarray) -> np.ndarray:
         """Home lattice points of ``rows``."""
         c = self._columns()
         return self.lattice.point((c.m[rows], c.n[rows]))
 
-    def _offsets(self, rows: np.ndarray) -> np.ndarray:
-        c = self._columns()
-        return np.where(c.has_delta[rows], c.delta[rows], c.pos[rows] - self._homes(rows))
+    def _placed(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Home points of ``rows`` and their offsets ``delta = s(home) * unit``."""
+        homes = self._homes(rows)
+        return homes, _budgets(homes, *self.budget()) * self._columns().unit[rows]
 
-    def _log_offsets(self, rows: np.ndarray) -> np.ndarray:
-        """:meth:`log_offset_magnitude` of each of ``rows``.
+    def _log_offsets(self, rows: np.ndarray, units: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`log_offset_magnitude` of each of ``rows``, or of ``units`` at their homes.
 
         Magnitudes and logs are taken with Python's ``abs`` and
         ``math.log``: numpy's vector ``abs`` and ``log`` differ from them
         in the last bit on some inputs, and certificate reports must not
         move.
         """
-        c = self._columns()
-        gamma = self.meta.get("gamma")
-        kappa_cap = self.meta.get("kappa_cap")
-        scaled = c.has_unit[rows] & (gamma is not None and kappa_cap is not None)
-        values = np.where(scaled, c.unit[rows], self._offsets(rows))
+        gamma, kappa_cap = self.budget()
+        values = self._columns().unit[rows] if units is None else units
         logs = np.array([math.log(abs(z)) if z != 0 else -math.inf for z in values.tolist()])
-        if scaled.any():
-            log_cap = math.log(kappa_cap) if kappa_cap != 0.0 else -math.inf
-            sq = _abs_squared(self._homes(rows[scaled]))
-            logs[scaled] = (log_cap + logs[scaled]) - gamma * sq
-        return logs
+        log_cap = math.log(kappa_cap) if kappa_cap != 0.0 else -math.inf
+        return (log_cap + logs) - gamma * _abs_squared(self._homes(rows))
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
         """The artifact document; its ``points`` are a :class:`jsonio.Table` in canonical order.
 
-        :meth:`from_json` reads it back as it is or after a round trip
-        through :func:`jsonio.dumps` and :func:`jsonio.loads`.
+        Each record carries the derived ``pos`` and ``delta`` beside the
+        stored ``unit``.  :meth:`from_json` reads the document back as it
+        is or after a round trip through :func:`jsonio.dumps` and
+        :func:`jsonio.loads`.
         """
         rows, c = self._rows(), self._columns()
+        homes, deltas = self._placed(rows)
         points = jsonio.Table(
             {
                 "index": np.stack([c.m[rows], c.n[rows]], axis=1),
                 "tag": c.tag[rows],
-                "pos": c.pos[rows],
-                "delta": c.delta[rows],
+                "pos": homes + deltas,
+                "delta": deltas,
                 "unit": c.unit[rows],
-            },
-            present={"delta": c.has_delta[rows], "unit": c.has_unit[rows]},
+            }
         )
         out: dict = {
             "lattice": self.lattice,
@@ -367,9 +350,10 @@ class IndexedPointSet:
         The points are a :class:`jsonio.Table` (as :func:`jsonio.load_path`
         and :meth:`to_json` give them) or a list of records, which is packed
         into one.  They are checked like a batch of :meth:`add_many`; every
-        record has an ``index``, a ``tag`` and a ``pos``, every ``index``
-        is a pair of integers and every ``pos``, ``delta`` and ``unit`` a
-        pair of finite numbers.
+        record has an ``index``, a ``tag`` and a ``unit``, every ``index``
+        is a pair of integers and every ``unit`` a pair of finite numbers.
+        A ``pos`` or ``delta`` a record carries must be a pair of finite
+        numbers too; the set derives both anew from ``unit``.
         """
         lat = data["lattice"]
         if not isinstance(lat, Lattice):
@@ -385,23 +369,25 @@ class IndexedPointSet:
             lacking = np.flatnonzero(~_presence(points, key))
             if lacking.size:
                 raise ValueError(f"point record {lacking[0]} lacks the field {key!r}")
+        for key in _DERIVED_FIELDS:
+            if key in cols:
+                complex_column(cols[key], key)
         idx = _index_pairs(cols["index"])
         ps._append(
             _Columns(
                 idx[:, 0],
                 idx[:, 1],
                 np.array(cols["tag"], dtype=str),
-                complex_column(cols["pos"], "pos"),
-                *_optional_pairs(points, "delta"),
-                *_optional_pairs(points, "unit"),
+                complex_column(cols["unit"], "unit"),
             )
         )
         return ps
 
     def to_csv(self, path) -> None:
-        """Rows ``m,n,tag,re,im`` with 17-significant-digit floats."""
+        """Rows ``m,n,tag,re,im`` of the positions, with 17-significant-digit floats."""
         rows, c = self._rows(), self._columns()
-        xy = c.pos[rows].view(np.float64).tolist()
+        homes, deltas = self._placed(rows)
+        xy = (homes + deltas).view(np.float64).tolist()
         g17 = ("%.17g\n" * len(xy) % tuple(xy)).split("\n")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -428,29 +414,9 @@ def _first_repeat(m: np.ndarray, n: np.ndarray, tag: np.ndarray) -> int | None:
     return int(order[1:][repeats].min()) if repeats.any() else None
 
 
-def _broadcast(values, k: int) -> np.ndarray:
-    """``values`` as a complex array of length ``k``, never a view of the caller's array."""
-    return np.broadcast_to(np.asarray(values, dtype=complex), (k,)).copy()
-
-
-def _optional(values, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column and presence mask of an optional per-row value (None: absent everywhere)."""
-    if values is None:
-        return np.zeros(k, dtype=complex), np.zeros(k, dtype=bool)
-    return _broadcast(values, k), np.ones(k, dtype=bool)
-
-
 def _presence(table: jsonio.Table, key: str) -> np.ndarray:
     """Which records of ``table`` have ``key``."""
     return table.present.get(key, np.full(len(table), key in table.columns))
-
-
-def _optional_pairs(table: jsonio.Table, key: str) -> tuple[np.ndarray, np.ndarray]:
-    """Complex column of an optional pair field of ``table`` and its presence mask, both new."""
-    has = np.array(_presence(table, key))
-    if not has.any():
-        return np.zeros(len(table), dtype=complex), has
-    return complex_column(table.columns[key], key), has
 
 
 def _pair_array(pairs, dtype, field: str) -> np.ndarray:
@@ -491,12 +457,6 @@ def complex_column(pairs, field: str) -> np.ndarray:
             f"point record {row}: field {field!r} must hold finite numbers, got {arr[row].tolist()}"
         )
     return np.ascontiguousarray(arr).view(complex).ravel()
-
-
-def _fill_absent(values, fill) -> tuple[list, np.ndarray]:
-    """``values`` with ``fill`` in place of each None, and the mask of the given ones."""
-    present = np.array([v is not None for v in values], dtype=bool)
-    return [fill if v is None else v for v in values], present
 
 
 def _abs_squared(z: np.ndarray) -> np.ndarray:
@@ -607,27 +567,27 @@ def triple_vertices(ps: IndexedPointSet) -> tuple[np.ndarray, np.ndarray]:
     """The (A, B, C) triples of the set as ``(indices, vertices)``.
 
     ``indices`` is the (k, 2) array of the triples' lattice indices in
-    (m, n) order; ``vertices[i]`` holds the A, B and C vertex of triple
-    ``i``: unit offsets where all three carry them, else deltas, else
-    positions.  A set whose tags are emitted at symmetric images of one
-    frame point names in ``meta["triple_fold"]`` the map of each tag
-    (see ``_FOLDS``); that map is applied to the home, ``pos``, ``delta``
-    and ``unit`` of the tag's samples alike before they are grouped.  An
-    index carrying only part of the triple is an error.
+    (m, n) order; ``vertices[i]`` holds the unit offsets of the A, B and C
+    vertex of triple ``i``.  The three share one home and so one budget,
+    so they span a triangle similar to the true one.  A set whose tags are
+    emitted at symmetric images of one frame point names in
+    ``meta["triple_fold"]`` the map of each tag (see ``_FOLDS``); that map
+    is applied to the home and ``unit`` of the tag's samples alike before
+    they are grouped.  An index carrying only part of the triple is an
+    error.
     """
     c = ps._columns()
     rows = np.flatnonzero(np.isin(c.tag, TRIPLE_TAGS))
     if not rows.size:
         raise ValueError("set has no A/B/C entries")
-    tag, m, n = c.tag[rows], c.m[rows], c.n[rows]
-    pos, delta, unit = c.pos[rows], c.delta[rows], c.unit[rows]
+    tag, m, n, unit = c.tag[rows], c.m[rows], c.n[rows], c.unit[rows]
     for t, name in ps.meta.get("triple_fold", {}).items():
         if name not in _FOLDS:
             raise ValueError(f"unknown triple fold {name!r} for tag {t!r}")
         fold, mine = _FOLDS[name], tag == t
         home = fold(ps.lattice.point((m[mine], n[mine])))
         m[mine], n[mine] = ps.lattice.indices_of(home).T
-        pos[mine], delta[mine], unit[mine] = fold(pos[mine]), fold(delta[mine]), fold(unit[mine])
+        unit[mine] = fold(unit[mine])
     indices, slot = np.unique(np.stack([m, n], axis=1), axis=0, return_inverse=True)
     # triple[i, t]: sample of index i with tag TRIPLE_TAGS[t], or -1
     triple = np.full((len(indices), len(TRIPLE_TAGS)), -1)
@@ -639,18 +599,15 @@ def triple_vertices(ps: IndexedPointSet) -> tuple[np.ndarray, np.ndarray]:
         i = incomplete[0]
         missing = [name for t, name in enumerate(TRIPLE_TAGS) if triple[i, t] < 0]
         raise ValueError(f"index {tuple(indices[i].tolist())} is missing triple tags {missing}")
-    use_unit = c.has_unit[rows][triple].all(axis=1, keepdims=True)
-    use_delta = c.has_delta[rows][triple].all(axis=1, keepdims=True)
-    return indices, np.where(use_unit, unit[triple], np.where(use_delta, delta[triple], pos[triple]))
+    return indices, unit[triple]
 
 
 def angle_condition(ps: IndexedPointSet, beta: float) -> AngleReport:
     """Median-angle condition over all (A, B, C) triples of the set.
 
     For each triple of :func:`triple_vertices` the median interior angle
-    ``theta`` of the triangle is computed from stored offsets (exact even
-    when positions collapse in floating point: unit-disk offsets span a
-    triangle similar to the true one, so the angles agree) and compared
+    ``theta`` of the triangle is computed from the stored unit offsets
+    (exact even when positions collapse in floating point) and compared
     against the weight: ``ratio = |home| * exp(-beta*|home|^2) / theta``.
     Conventions: home == 0 contributes ratio 0 regardless of the angle; a
     degenerate triangle at home != 0 contributes ratio +inf.  An index
@@ -692,6 +649,7 @@ def angle_condition(ps: IndexedPointSet, beta: float) -> AngleReport:
 @dataclass(frozen=True)
 class SeparationReport:
     delta: float
+    log10_delta: float
     pair: tuple[complex, complex]
     count: int
 
@@ -703,29 +661,101 @@ def _as_points(obj) -> np.ndarray:
     return np.asarray(obj, dtype=complex).ravel()
 
 
+def _log10(x: float) -> float:
+    return math.log10(x) if x > 0.0 else -math.inf
+
+
 def separation(obj: IndexedPointSet | np.ndarray) -> SeparationReport:
     """Minimal pairwise distance over the points (coincidences give 0).
 
-    An exact sort-and-sweep: the points are sorted along the axis of
-    larger spread (then across it), and sorted row ``r`` is compared with
-    row ``r + k`` for ``k = 1, 2, ...`` until no later row can come closer
-    than the smallest distance so far.  Later rows lie at least the gap
-    along the axis away, and, while they share the row's value along it,
-    at least the gap across it.  Distances are ``sqrt(dx*dx + dy*dy)``,
-    the sum a k-d tree forms, so ``delta`` is exact.  The pair is the
-    first row (in the order of the input) that has a partner at
-    ``delta``, and its lowest-row partner there.
+    An exact sort-and-sweep (:func:`_sweep`) over the positions gives
+    ``delta``, with ``log10_delta = log10(delta)``; ``pair`` is the first
+    point (in the order of the input) that has a partner at ``delta``, and
+    its lowest-row partner there.
+
+    On a set, the points are its samples (:func:`sample_points`), and
+    pairs that share a home are measured apart from the rest.  Their
+    distance is ``s(home) * |u_i - u_j|``; ``log10_delta`` takes it in
+    log scale from the stored unit offsets, so it stays exact where the
+    positions collapse in floating point.  The other pairs are swept over
+    the derived positions.  ``delta`` is the least float distance between
+    positions, the value the sweep over all samples gives; ``pair`` is
+    the pair that attains ``log10_delta``, the lower (first row, partner)
+    on a tie.
     """
-    pts = _as_points(obj)
+    if isinstance(obj, IndexedPointSet):
+        return _set_separation(obj)
+    pts = _checked(np.asarray(obj, dtype=complex).ravel())
+    delta, i, j = _sweep(pts)
+    return SeparationReport(delta, _log10(delta), (complex(pts[i]), complex(pts[j])), len(pts))
+
+
+def _checked(pts: np.ndarray) -> np.ndarray:
     if len(pts) < 2:
         raise ValueError("separation needs at least two points")
     if not np.all(np.isfinite(pts)):
         raise ValueError("separation needs finite positions")
+    return pts
+
+
+def _set_separation(ps: IndexedPointSet) -> SeparationReport:
+    tags = ps.meta.get("sample_tags")
+    rows = ps._rows(None if tags is None else tuple(tags))
+    homes, deltas = ps._placed(rows)
+    pts = _checked(homes + deltas)
+    c = ps._columns()
+    m, n = c.m[rows], c.n[rows]
+    # canonical order puts the samples of one home next to each other
+    home = np.cumsum(np.r_[True, (m[1:] != m[:-1]) | (n[1:] != n[:-1])])
+    a, b = _same_home_pairs(home)
+    # pairs of one home are not swept, so of a home's samples at one position
+    # (collapsed onto it) the first stands for all
+    keep = np.ones(len(pts), dtype=bool)
+    keep[b[pts[a] == pts[b]]] = False
+    keep = np.flatnonzero(keep)
+    between, i, j = _sweep(pts[keep], home[keep])
+    best = (_log10(between), int(keep[i]), int(keep[j]))
+    delta = between
+    if a.size:
+        du, dv = pts.real[a] - pts.real[b], pts.imag[a] - pts.imag[b]
+        delta = min(delta, float(np.sqrt(du * du + dv * dv).min()))
+        logs = ps._log_offsets(rows[a], c.unit[rows[a]] - c.unit[rows[b]]) / math.log(10.0)
+        w = int(np.argmin(logs))
+        best = min(best, (float(logs[w]), int(a[w]), int(b[w])))
+    log10_delta, i, j = best
+    return SeparationReport(delta, log10_delta, (complex(pts[i]), complex(pts[j])), len(pts))
+
+
+def _same_home_pairs(home: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``a < b`` of rows with one home id (ids in runs), in (a, b) order."""
+    none = np.empty(0, dtype=np.int64)
+    a = [np.flatnonzero(home[k:] == home[:-k]) for k in range(1, np.bincount(home).max())]
+    a, b = np.concatenate([none, *a]), np.concatenate([none, *(r + k for k, r in enumerate(a, 1))])
+    order = np.lexsort((b, a))
+    return a[order], b[order]
+
+
+def _sweep(pts: np.ndarray, home: np.ndarray | None = None) -> tuple[float, int, int]:
+    """Least distance between ``pts`` as ``(delta, i, j)``, skipping pairs of one ``home`` id.
+
+    The points are sorted along the axis of larger spread (then across
+    it), and sorted row ``r`` is compared with row ``r + k`` for ``k = 1,
+    2, ...`` until no later row can come closer than the smallest
+    distance so far.  Later rows lie at least the gap along the axis
+    away, and, while they share the row's value along it, at least the
+    gap across it.  Distances are ``sqrt(dx*dx + dy*dy)``, the sum a k-d
+    tree forms, so ``delta`` is exact.  ``i`` is the first row (in the
+    order of ``pts``) that has a partner at ``delta`` and ``j`` its
+    lowest-row partner there.  With no pair left, ``delta`` is infinite
+    and ``i = j = 0``.
+    """
     u, v = pts.real, pts.imag
     if np.ptp(v) > np.ptp(u):
         u, v = v, u
     order = np.lexsort((v, u))
     u, v = u[order], v[order]
+    if home is not None:
+        home = home[order]
     # gap from each row to the next larger value along the sort axis
     run_gap = np.append(u, math.inf)[np.searchsorted(u, u, side="right")] - u
     best = math.inf
@@ -734,6 +764,8 @@ def separation(obj: IndexedPointSet | np.ndarray) -> SeparationReport:
     while rows.size:
         du, dv = u[rows + k] - u[rows], v[rows + k] - v[rows]
         dist = np.sqrt(du * du + dv * dv)
+        if home is not None:
+            dist[home[rows] == home[rows + k]] = math.inf
         best = min(best, float(dist.min()))
         close = dist <= best
         near.append((rows[close], rows[close] + k, dist[close]))
@@ -744,11 +776,13 @@ def separation(obj: IndexedPointSet | np.ndarray) -> SeparationReport:
         reach = np.where(du == 0.0, np.minimum(np.abs(dv), run_gap[rows]), du)
         rows = rows[(np.sqrt(reach * reach) <= best) & (rows + k + 1 < len(pts))]
         k += 1
+    if best == math.inf:
+        return best, 0, 0
     a, b, dist = (np.concatenate(col) for col in zip(*near))
     a, b = order[a[dist == best]], order[b[dist == best]]
     i = int(min(a.min(), b.min()))
     j = int(np.concatenate([b[a == i], a[b == i]]).min())
-    return SeparationReport(delta=best, pair=(complex(pts[i]), complex(pts[j])), count=len(pts))
+    return best, i, j
 
 
 @dataclass(frozen=True)
@@ -852,7 +886,8 @@ def uniform_closeness_delta(
     square-lattice spacing at weight ``beta``:
     ``delta + sqrt(pi/(2*beta))``.
     """
-    delta = max([0.0] + [abs(z) for z in ps._offsets(np.arange(len(ps))).tolist()])
+    _, deltas = ps._placed(np.arange(len(ps)))
+    delta = max([0.0] + [abs(z) for z in deltas.tolist()])
     if beta is None:
         return delta
     if beta <= 0:

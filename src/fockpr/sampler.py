@@ -1,10 +1,12 @@
 """Perturbed-lattice point-set constructions and small-angle experiments.
 
 Each generator places samples inside Gaussian closeness budgets
-``kappa_cap * exp(-gamma*|home|^2)`` around lattice points and records,
-per sample, the absolute position, the float offset, and the offset in
-units of the local budget (exact in log scale; see
-:mod:`fockpr.pointset`).  Draws are addressed by ``(seed, index, label)``
+``kappa_cap * exp(-gamma*|home|^2)`` around lattice points.  It stores,
+per sample, only the offset in units of the local budget, a point of the
+unit disk; the set's metadata records ``gamma`` and ``kappa_cap``, from
+which :mod:`fockpr.pointset` derives the float offset and the position
+(the unit offset and the budget stay exact in log scale where those
+collapse).  Draws are addressed by ``(seed, index, label)``
 through the counter-based streams of :mod:`fockpr.rng`, so a sample's
 value does not depend on the window size.
 
@@ -97,38 +99,27 @@ class GeneratorConfig:
         }
 
 
-def _budgets(cfg: GeneratorConfig, pts: np.ndarray) -> np.ndarray:
-    """Float closeness budgets kappa_cap * exp(-gamma*|p|^2) (0 on underflow)."""
-    with np.errstate(under="ignore"):
-        return cfg.kappa_cap * np.exp(-cfg.gamma * np.abs(pts) ** 2)
-
-
 def deterministic_triple(cfg: GeneratorConfig) -> IndexedPointSet:
     """Equilateral triple at every window point: offsets are the cube roots
     of unity scaled by the local budget, so every median angle is pi/3."""
     cfg.validate()
-    idx, pts = window_arrays(cfg.lattice, cfg.window_radius)
-    scale = _budgets(cfg, pts)
+    idx, _ = window_arrays(cfg.lattice, cfg.window_radius)
     ps = IndexedPointSet(cfg.lattice, cfg.window_radius, meta=cfg._meta("det3", list(TRIPLE_TAGS)))
     for tag, root in zip(TRIPLE_TAGS, _CUBE_ROOTS):
-        d = scale * root
-        _add_each(ps, idx, tag, pts + d, d, root)
+        _add_each(ps, idx, tag, root)
     return ps
 
 
 def random_triple(cfg: GeneratorConfig) -> IndexedPointSet:
     """Three independent area-uniform disk draws per window point."""
     cfg.validate()
-    idx, pts = window_arrays(cfg.lattice, cfg.window_radius)
-    scale = _budgets(cfg, pts)
+    idx, _ = window_arrays(cfg.lattice, cfg.window_radius)
     m, n = idx[:, 0], idx[:, 1]
     ps = IndexedPointSet(
         cfg.lattice, cfg.window_radius, meta=cfg._meta("rand3", list(TRIPLE_TAGS))
     )
     for label, tag in zip((1, 2, 3), TRIPLE_TAGS):
-        units = keyed_disk(cfg.seed, m, n, label)
-        deltas = scale * units
-        _add_each(ps, idx, tag, pts + deltas, deltas, units)
+        _add_each(ps, idx, tag, keyed_disk(cfg.seed, m, n, label))
     return ps
 
 
@@ -155,20 +146,16 @@ def real_pair(cfg: GeneratorConfig) -> IndexedPointSet:
     cfg.validate()
     _require_conjugation_closed(cfg)
     idx, pts = window_arrays(cfg.lattice, cfg.window_radius)
-    scale = _budgets(cfg, pts)
     m, n = idx[:, 0], idx[:, 1]
     ps = IndexedPointSet(cfg.lattice, cfg.window_radius, meta=cfg._meta("real2", ["1", "2"]))
-    draws = []
-    for label in (1, 2):
-        units = keyed_disk(cfg.seed, m, n, label)
-        deltas = scale * units
-        draws.append((pts + deltas, deltas, units))
-        _add_each(ps, idx, str(label), *draws[-1])
+    draws = [keyed_disk(cfg.seed, m, n, label) for label in (1, 2)]
+    for label, units in zip("12", draws):
+        _add_each(ps, idx, label, units)
     here = np.flatnonzero(pts.imag >= -1e-9 * np.maximum(1.0, np.abs(pts)))
     bar = _window_rows(idx, cfg.lattice.indices_of(np.conj(pts[here])))
-    for tag, (pos, delta, unit) in zip("AB", draws):
-        _add_each(ps, idx[here], tag, pos[here], delta[here], unit[here])
-    _add_each(ps, idx[here], "C", *(np.conj(col[bar]) for col in draws[0]))
+    for tag, units in zip("AB", draws):
+        _add_each(ps, idx[here], tag, units[here])
+    _add_each(ps, idx[here], "C", np.conj(draws[0][bar]))
     return ps
 
 
@@ -188,36 +175,30 @@ def even_single(cfg: GeneratorConfig) -> IndexedPointSet:
     cfg.validate()
     _require_conjugation_closed(cfg)
     idx, pts = window_arrays(cfg.lattice, cfg.window_radius)
-    scale = _budgets(cfg, pts)
     m, n = idx[:, 0], idx[:, 1]
     ps = IndexedPointSet(cfg.lattice, cfg.window_radius, meta=cfg._meta("even1", ["1"]))
     units = keyed_disk(cfg.seed, m, n, 1)
-    deltas = scale * units
-    pos = pts + deltas
     nonzero = (m != 0) | (n != 0)
-    _add_each(ps, idx[nonzero], "1", pos[nonzero], deltas[nonzero], units[nonzero])
+    _add_each(ps, idx[nonzero], "1", units[nonzero])
     tol = 1e-9 * np.maximum(1.0, np.abs(pts))
     here = np.flatnonzero(nonzero & (pts.real >= -tol) & (pts.imag >= -tol))
     bar = _window_rows(idx, cfg.lattice.indices_of(np.conj(pts[here])))
     neg = _window_rows(idx, cfg.lattice.indices_of(-pts[here]))
-    _add_each(ps, idx[here], "A", pos[here], deltas[here], units[here])
-    _add_each(ps, idx[here], "B", np.conj(pos[bar]), np.conj(deltas[bar]), np.conj(units[bar]))
-    _add_each(ps, idx[here], "C", -pos[neg], -deltas[neg], -units[neg])
+    _add_each(ps, idx[here], "A", units[here])
+    _add_each(ps, idx[here], "B", np.conj(units[bar]))
+    _add_each(ps, idx[here], "C", -units[neg])
     return ps
 
 
-def _add_each(ps: IndexedPointSet, idx: np.ndarray, tag: str, pos, delta, unit) -> None:
-    """One ``ps.add`` per row of ``idx`` (shape (k, 2)), values taken row by row.
+def _add_each(ps: IndexedPointSet, idx: np.ndarray, tag: str, unit) -> None:
+    """One ``ps.add`` per row of ``idx`` (shape (k, 2)), unit offsets taken row by row.
 
-    ``unit`` may be one value for all rows, and a None ``pos`` means
-    home + delta.  Each sample is its own O(1) :meth:`IndexedPointSet.add`
-    call, the per-sample step that ``perfbench`` traces tally.
+    ``unit`` may be one value for all rows.  Each sample is its own O(1)
+    :meth:`IndexedPointSet.add` call, the per-sample step that
+    ``perfbench`` traces tally.
     """
-    k = len(idx)
-    pos = [None] * k if pos is None else pos.tolist()
-    unit = np.broadcast_to(unit, k).tolist()
-    for index, p, d, u in zip(idx.tolist(), pos, delta.tolist(), unit):
-        ps.add(index, tag, pos=p, delta=d, unit=u)
+    for index, u in zip(idx.tolist(), np.broadcast_to(unit, len(idx)).tolist()):
+        ps.add(index, tag, u)
 
 
 def _window_rows(idx: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -322,10 +303,8 @@ def density_opt_even(
         raise ValueError(f"kappa_cap = {kappa_cap} exceeds v/4 = {v / 4.0}")
     cfg = GeneratorConfig(lat, window_radius, gamma=gamma, kappa_cap=kappa_cap, seed=seed)
     cfg.validate()
-    idx, pts = window_arrays(lat, window_radius)
-    keep = opt_even_sublattice_mask(idx[:, 0], idx[:, 1])
-    idx, pts = idx[keep], pts[keep]
-    scale = _budgets(cfg, pts)
+    idx, _ = window_arrays(lat, window_radius)
+    idx = idx[opt_even_sublattice_mask(idx[:, 0], idx[:, 1])]
     m, n = idx[:, 0], idx[:, 1]
     meta = cfg._meta("opteven", list(TRIPLE_TAGS))
     meta["v"] = v
@@ -336,18 +315,18 @@ def density_opt_even(
         if mode == "random":
             units = keyed_disk(cfg.seed, m, n, label)
         elif mode == "det":
-            units = np.full(len(pts), _CUBE_ROOTS[label - 1], dtype=complex)
+            units = np.full(len(idx), _CUBE_ROOTS[label - 1], dtype=complex)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         draws.append(units)
     ua, ub, uc = draws
     emits = (
-        (m, -n - 1, "A", np.conj(scale * ua), np.conj(ua)),
-        (-m - 1, -n - 1, "B", -(scale * ub), -ub),
-        (-m - 1, n, "C", -np.conj(scale * uc), -np.conj(uc)),
+        (m, -n - 1, "A", np.conj(ua)),
+        (-m - 1, -n - 1, "B", -ub),
+        (-m - 1, n, "C", -np.conj(uc)),
     )
-    for out_m, out_n, tag, d, u in emits:
-        _add_each(ps, np.stack([out_m, out_n], axis=1), tag, None, d, u)
+    for out_m, out_n, tag, u in emits:
+        _add_each(ps, np.stack([out_m, out_n], axis=1), tag, u)
     return ps
 
 

@@ -419,8 +419,8 @@ class GGammaEvaluator:
         step = math.sqrt(math.pi / beta)
         lat = Lattice(step, step * 1j)
         ps = IndexedPointSet(lat, window_radius=sample_radius, meta={"beta": beta})
-        idx, pts = window_arrays(lat, sample_radius)
-        ps.add_many(idx, "G", pos=pts)
+        idx, _ = window_arrays(lat, sample_radius)
+        ps.add_many(idx, "G", 0.0)
         return cls(ps, tag="G")
 
     # -- log-domain evaluation -------------------------------------------

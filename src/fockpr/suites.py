@@ -282,11 +282,11 @@ def verify_special(seed: int = 0) -> list[CheckResult]:
     # Nodes with even m move by a keyed draw, the anchor among them; the
     # others stay on the lattice.  At a zero, g(gamma + h) = h g'(gamma)
     # (1 + O(h)), which tests both closed forms of the node derivative.
-    idx, homes = window_arrays(lat, 3.0)
+    idx, _ = window_arrays(lat, 3.0)
     m, n = idx[:, 0], idx[:, 1]
     nodes = IndexedPointSet(lat, window_radius=3.0)
     moved = m % 2 == 0
-    nodes.add_many(idx, "G", pos=homes + np.where(moved, 0.2 * keyed_disk(seed, m, n, 1), 0.0))
+    nodes.add_many(idx, "G", np.where(moved, 0.2 * keyed_disk(seed, m, n, 1), 0.0))
     kernel = special.GGammaEvaluator(nodes, tag="G")
     near = kernel.nodes + 2.0 ** -40 * _random_points(rng, 60, 4.5)[: kernel.nodes.size]
     slopes = (near - kernel.nodes) * np.exp(kernel.node_log_derivatives())

@@ -59,21 +59,28 @@ def test_generate_writes_a_loadable_set_and_csv(det3_set, tmp_path):
 # this package had before its point sets became columnar; the radii reach
 # the regime where Gaussian budgets underflow and offsets collapse to +-0.0.
 # opteven.json was re-pinned when its meta gained the triple_fold field,
-# the only bytes that changed.
+# the only bytes that changed.  real2 (json and csv), even1 and opteven were
+# re-pinned when a set came to store the unit offset alone and derive
+# delta = s(home) * unit and pos = home + delta from it: their mirrored
+# samples had been written as conj(s * u) and -(s * u), and where the
+# product underflows the zeros now carry the sign of s * conj(u) and
+# s * (-u) (equal values, opposite signed zeros); opteven's budget is now
+# taken at the sample's own home, not at the frame point before the fold,
+# so 456 of its deltas move in the last bit.
 GOLDEN_GENERATE = {
     "rand3": (["--alpha", PI, "--radius", 12], {
         "rand3.json": "9319173b413fa7056f8729466a0a6539b1a8440fefff9daafdb97c8937170af5"}),
     "det3": (["--alpha", PI, "--radius", 12], {
         "det3.json": "3ed3e2620447960c275f6cf620314019b3ef0c6bda5125e7db6a169c3a12c7f3"}),
     "real2": (["--v", 0.5, "--radius", 11, "--csv", "real2.csv"], {
-        "real2.json": "6782c6959f78376d4a434f1be74612fbd92ddb4de90359626bc7a876dcd8adfc",
-        "real2.csv": "b122d5870d42ff1ef0808c8464e9f5ebea7ffc5d807c1a532aa3829c266dff30"}),
+        "real2.json": "4b4c70c6226523cac04e877b1d22104f36f8b705e396e6b5c8b3547e51b53bd2",
+        "real2.csv": "7ba778c28ed3782e03c234747e4c1e69797a60d54d8bebd188d8075330c8685e"}),
     "even1": (["--v", 0.5, "--radius", 11], {
-        "even1.json": "d6bfdacb512afafa329aa38ee3b1036c8dfa7c527c17a5d55020558d46ec3af9"}),
+        "even1.json": "730ca2c26ab4c74bfa9ef816026690af047d62b13cd72a13e54921456b6f8270"}),
     "optreal": (["--v", 0.45, "--radius", 11], {
         "optreal.json": "435df3dba1fc62a40bd30d42221ba8629ccea924149042cf168fa7a39e07221a"}),
     "opteven": (["--v", 0.45, "--radius", 11], {
-        "opteven.json": "fdb336affa82a97ec436783d1bb695b087469bb7da2cbcdda79cb732f1f09ee7"}),
+        "opteven.json": "22153d8f8295d271d80884ea90c6e0712ae59b10093ac8ecaf93f80fd3b9f957"}),
 }
 
 
@@ -114,7 +121,7 @@ def test_generate_seed_changes_random_output(tmp_path):
 def test_generate_lines_artifact(tmp_path):
     path = tmp_path / "lines.json"
     rc = run("generate", "--construction", "lines", "--radius", 3,
-             "--angles", "0,1.0,2.0", "--pitch", 0.5, "--v", 1.0, "--out", path)
+             "--angles", "0,1.0,2.0", "--pitch", 0.5, "--out", path)
     assert rc == 0
     data = jsonio.load_path(path)
     assert data["kind"] == "lines"
@@ -145,14 +152,56 @@ def test_generate_opteven_set(tmp_path):
         ("generate", "--construction", "det3", "--radius", 3),
         ("generate", "--construction", "det3", "--alpha", PI, "--v", 1.0, "--radius", 3),
         # optreal needs --v, lines needs --angles
-        ("generate", "--construction", "optreal", "--alpha", PI, "--radius", 3),
-        ("generate", "--construction", "lines", "--v", 1.0, "--radius", 3),
+        ("generate", "--construction", "optreal", "--radius", 3),
+        ("generate", "--construction", "lines", "--radius", 3),
         # explicit weight must dominate the closeness rate
         ("generate", "--construction", "det3", "--alpha", PI, "--radius", 3, "--gamma", 1.0),
     ],
 )
 def test_generate_usage_errors_exit_2(tmp_path, argv):
     assert run(*argv, "--out", tmp_path / "x.json") == 2
+
+
+_CONSTRUCTION_ARGS = {
+    "lines": ("--angles", "0,1,2", "--radius", 3),
+    "det3": ("--alpha", PI, "--radius", 3),
+    "rand3": ("--alpha", PI, "--radius", 3),
+    "real2": ("--v", 0.5, "--radius", 3),
+    "even1": ("--v", 0.5, "--radius", 3),
+    "optreal": ("--v", 0.45, "--radius", 3),
+    "opteven": ("--v", 0.45, "--radius", 3),
+}
+
+
+@pytest.mark.parametrize(
+    "construction, flag",
+    [
+        ("lines", ("--alpha", PI)),
+        ("lines", ("--v", 1.0)),
+        ("lines", ("--gamma", 8.0)),
+        ("lines", ("--kappa", 0.5)),
+        ("lines", ("--mode", "det")),
+        ("lines", ("--csv", "x.csv")),
+        ("optreal", ("--alpha", PI)),
+        ("opteven", ("--alpha", PI)),
+        ("optreal", ("--angles", "0,1,2")),
+        ("opteven", ("--pitch", 0.5)),
+        ("det3", ("--mode", "random")),
+        ("rand3", ("--mode", "det")),
+        ("real2", ("--angles", "0,1,2")),
+        ("even1", ("--pitch", 0.1)),
+    ],
+)
+def test_generate_rejects_a_flag_its_construction_ignores(construction, flag, tmp_path, capsys):
+    # the construction's own flags are accepted, and --seed by every construction
+    out = tmp_path / "x.json"
+    argv = ("generate", "--construction", construction, *_CONSTRUCTION_ARGS[construction])
+    assert run(*argv, "--seed", 3, "--out", out) == 0
+    out.unlink()
+    assert run(*argv, *flag, "--out", out) == 2
+    assert f"does not use {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
 
 
 # every float flag, with the bad value in place of {}; SET is a stored det3 set
@@ -213,7 +262,7 @@ def test_certify_fails_under_stricter_rate(det3_set, tmp_path):
 
 def test_certify_rejects_plain_point_files(tmp_path):
     lines = tmp_path / "lines.json"
-    assert run("generate", "--construction", "lines", "--radius", 2, "--v", 1.0,
+    assert run("generate", "--construction", "lines", "--radius", 2,
                "--angles", "0,1,2", "--out", lines) == 0
     assert run("certify", "--in", lines, "--beta", PI,
                "--out", tmp_path / "r.json") == 2
@@ -253,14 +302,21 @@ def test_certify_missing_input_exits_2(tmp_path):
 
 
 # sha256 of the certify report of each set of GOLDEN_GENERATE, written with
-# --seed 1 by the code that read a set with json.loads and one dict per record
+# --seed 1 by the code that read a set with json.loads and one dict per record.
+# Re-pinned when separation came to measure pairs of one home from the unit
+# offsets: every report gained log10_delta (top level and separation_report),
+# and the separation pair became the pair that attains it, where positions
+# collapse: rand3 (-12, -12) -> (12j, 12j) at log10_delta -438.114, real2
+# (-11, -11) -> (11, 11) at -368.177, optreal (-8.1+7.425j, twice) ->
+# (-9.45-5.625j, twice) at -367.924.  det3 (-437.530), even1 (-0.464) and
+# opteven (-0.374) keep their pair; delta, passed and every other field stay.
 GOLDEN_CERTIFY = {
-    "rand3": "51365413e2a63cb5226567975c6ac77863976f74f806b303a03e4ba3de00b5b0",
-    "det3": "228e7dcd954a7502f5c4b5da6ff7ccefc70450e23438afc7d20f0d658354541a",
-    "real2": "a523698d888bc5a0dbd8fbfec2031bee256acc4c19762a9999c26aba1a2d8648",
-    "even1": "5c5b45da2f2521f4917bfdce1c60afd3a395ff37391f1032c46e06d0e18469c4",
-    "optreal": "eb04518d22af750f5752b51358be68a049dd4fc1cba33ee7ea0e5df0f91d4b44",
-    "opteven": "555b907a932ae714f0e821af8bedec0ed96593b429e73f5388d9b19d007eeefd",
+    "rand3": "0c316b0e88819da0a713ff2b6aef5107d68f3a37ecb11ebf55aeaf3f2b09bb31",
+    "det3": "b3c1830654f3d30e345181eccb44bfe3fa95251e90c4a89aa01cb4fd6a646a08",
+    "real2": "c3cc930d756ce402e93b07584141ad5ab04e001963a41b7920a649b358d1e42b",
+    "even1": "cc68a7333bd89c1934952a9140525e7d7cb9c214e62037fcde37faea6a764ad6",
+    "optreal": "afdc16622e2875cf7009db7e9d08f2d2d8f6368e5e38badd2f5d703afa31b92d",
+    "opteven": "21dd5ab445067f1cc97a26d1a2e0a17b40be90460f186a5307f458b818496aab",
 }
 
 
@@ -297,14 +353,28 @@ def test_montecarlo_bytes_match_pinned_digests(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["certify", "render"])
-def test_a_point_record_without_pos_exits_2_and_names_it(det3_set, tmp_path, capsys, command):
+def test_a_point_record_without_unit_exits_2_and_names_it(det3_set, tmp_path, capsys, command):
     doc = json.loads(det3_set.read_text(encoding="ascii"))
-    del doc["points"][5]["pos"]
+    del doc["points"][5]["unit"]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc), encoding="ascii")
     extra = ["--beta", PI] if command == "certify" else []
     assert run(command, "--in", path, *extra, "--out", tmp_path / "out") == 2
-    assert "point record 5 lacks the field 'pos'" in capsys.readouterr().err
+    assert "point record 5 lacks the field 'unit'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["gamma", "kappa_cap"])
+def test_a_set_with_half_a_budget_exits_2(det3_set, tmp_path, capsys, key):
+    # unit offsets mean nothing without both halves of the budget
+    doc = json.loads(det3_set.read_text(encoding="ascii"))
+    del doc["meta"][key]
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    out = tmp_path / "r.json"
+    assert run("certify", "--in", path, "--beta", PI, "--gamma", 7.0, "--out", out) == 2
+    kept = "kappa_cap" if key == "gamma" else "gamma"
+    assert f"gives '{kept}' alone" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_fractional_index_exits_2_and_names_it(det3_set, tmp_path, capsys):
@@ -377,6 +447,25 @@ def test_verify_bytes_match_pinned_digests(tmp_path):
 
 
 # -- injectivity -------------------------------------------------------------------
+
+
+# sha256 of the injectivity artifacts of the pinned scattered-triple
+# instance, written with --seed 1 by the code whose sets stored each
+# position beside its offsets
+GOLDEN_INJECTIVITY = {
+    ("--dim", "6"): "7323e05e053d0dc776bf711be6e4048809eaf4eb9413f4de5f51efa9a802e588",
+    ("--dim", "8", "--subsets", "30,45,60,63"):
+        "664429b2e7ada09b836103fbbf5dded6bcabf9dffd97318837bb3873b0ff35d1",
+}
+
+
+def test_injectivity_bytes_match_pinned_digests(tmp_path):
+    got = {}
+    for args in GOLDEN_INJECTIVITY:
+        out = tmp_path / "inj.json"
+        assert run("injectivity", *args, "--seed", 1, "--out", out) == 0
+        got[args] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == GOLDEN_INJECTIVITY
 
 
 def test_injectivity_pinned_instance(tmp_path):
@@ -472,7 +561,7 @@ def test_render_stored_set_default_path(det3_set):
 
 def test_render_lines_artifact_array_route(tmp_path):
     lines = tmp_path / "lines.json"
-    assert run("generate", "--construction", "lines", "--radius", 2, "--v", 1.0,
+    assert run("generate", "--construction", "lines", "--radius", 2,
                "--angles", "0,1,2", "--pitch", 0.5, "--out", lines) == 0
     out = tmp_path / "pic.svg"
     assert run("render", "--in", lines, "--out", out) == 0

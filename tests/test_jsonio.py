@@ -462,6 +462,7 @@ def test_load_of_a_large_point_set_peaks_below_its_text(tmp_path):
     table = _point_table(n, rng)
     table.columns["index"] = np.stack([k % 130 - 65, k // 130 - 65], axis=1)
     table.columns["tag"] = np.array(["A", "B", "C"] * (n // 3))
+    del table.present["unit"]  # every sample carries the one stored field
     path = tmp_path / "set.json"
     jsonio.dump_path({"lattice": lattice, "window_radius": 100.0, "points": table}, path)
     size = path.stat().st_size

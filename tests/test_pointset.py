@@ -6,6 +6,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -16,8 +17,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 import scipy.spatial
 
 from fockpr import jsonio, pointset
-from fockpr.lattice import Lattice, window_arrays
-from fockpr.sampler import GeneratorConfig, even_single, real_pair
+from fockpr.lattice import Lattice, square_lattice, window_arrays
+from fockpr.sampler import (
+    GeneratorConfig,
+    deterministic_triple,
+    even_single,
+    random_triple,
+    real_pair,
+)
 from fockpr.pointset import (
     IndexedPointSet,
     PointEntry,
@@ -92,13 +99,17 @@ def make_set(**meta) -> IndexedPointSet:
 
 
 def test_add_get_and_derived_offsets():
-    ps = make_set()
-    ps.add((2, 1), "A", delta=0.01 + 0.02j)
+    ps = make_set()  # no budget in the metadata: (gamma, kappa_cap) = (0, 1)
+    ps.add((2, 1), "A", 0.01 + 0.02j)
     e = ps.get((2, 1), "A")
-    assert e.pos == (2 + 1j) + (0.01 + 0.02j)
+    assert e == PointEntry((2 + 1j) + (0.01 + 0.02j), 0.01 + 0.02j, 0.01 + 0.02j)
     assert ps.offset((2, 1), "A") == 0.01 + 0.02j
-    ps.add((0, 0), "A", pos=0.05j)
-    assert ps.offset((0, 0), "A") == 0.05j  # positional fallback
+    ps.add((0, 0), "A", 0.05j)
+    assert ps.get((0, 0), "A").pos == 0.05j
+    budgeted = make_set(gamma=2.0, kappa_cap=0.5)
+    budgeted.add((1, 0), "A", 0.5j)
+    scale = 0.5 * math.exp(-2.0)
+    assert budgeted.get((1, 0), "A") == PointEntry(1.0 + 0.5j * scale, 0.5j * scale, 0.5j)
     assert ps.tags() == ["A"]
     assert ps.indices() == [(0, 0), (2, 1)]
     assert len(ps) == 2
@@ -107,13 +118,11 @@ def test_add_get_and_derived_offsets():
 
 def test_add_rejects_bad_entries():
     ps = make_set()
-    ps.add((1, 0), "A", pos=1.0)
+    ps.add((1, 0), "A", 0.0)
     with pytest.raises(ValueError):
-        ps.add((1, 0), "A", pos=1.0)  # duplicate key
+        ps.add((1, 0), "A", 0.0)  # duplicate key
     with pytest.raises(ValueError):
-        ps.add((40, 0), "A", pos=40.0)  # outside window
-    with pytest.raises(ValueError):
-        ps.add((2, 0), "A")  # neither pos nor delta
+        ps.add((40, 0), "A", 0.0)  # outside window
     with pytest.raises(ValueError):
         IndexedPointSet(Lattice(1.0, 1.0j), window_radius=0.0)
 
@@ -121,35 +130,34 @@ def test_add_rejects_bad_entries():
 def test_add_many_matches_single_adds_and_rejects_whole_batches():
     ps, one_by_one = make_set(), make_set()
     idx = [(0, 0), (1, 0), (0, 1)]
-    deltas = [0.01, 0.02j, -0.0]
-    ps.add_many(idx, "A", delta=deltas, unit=0.5)
-    for index, d in zip(idx, deltas):
-        one_by_one.add(index, "A", delta=d, unit=0.5)
+    units = [0.01, 0.02j, -0.0]
+    ps.add_many(idx, "A", units)
+    for index, u in zip(idx, units):
+        one_by_one.add(index, "A", u)
     assert ps.items() == one_by_one.items()
     rejected = [
-        ([(2, 0), (3, 0), (2, 0)], "A", {"pos": [2.0, 3.0, 2.0]}),  # duplicate within the batch
-        ([(2, 0), (1, 0)], "A", {"pos": [2.0, 1.0]}),  # duplicate of an existing row
-        ([(2, 0), (40, 0)], "B", {"pos": [2.0, 40.0]}),  # home outside the window
-        ([(2, 0), (3, 0)], "B", {"unit": [0.1, 0.2]}),  # neither pos nor delta
+        ([(2, 0), (3, 0), (2, 0)], "A"),  # duplicate within the batch
+        ([(2, 0), (1, 0)], "A"),  # duplicate of an existing row
+        ([(2, 0), (40, 0)], "B"),  # home outside the window
     ]
-    for indices, tag, values in rejected:
+    for indices, tag in rejected:
         with pytest.raises(ValueError):
-            ps.add_many(indices, tag, **values)
+            ps.add_many(indices, tag, 0.0)
         assert len(ps) == 3  # nothing of a rejected batch is inserted
     with pytest.raises(ValueError, match=r"duplicate entry for index \(2, 0\) tag 'A'"):
-        ps.add_many([(2, 0), (3, 0), (2, 0)], "A", pos=[2.0, 3.0, 2.0])
+        ps.add_many([(2, 0), (3, 0), (2, 0)], "A", [0.0, 0.1, 0.2])
 
 
 def test_single_adds_and_batches_share_one_row_order():
     ps = make_set()
-    ps.add((1, 0), "A", pos=1.0)
-    ps.add_many([(2, 0), (3, 0)], "A", pos=[2.0, 3.0])
-    ps.add((0, 0), "B", delta=0.5j)
+    ps.add((1, 0), "A", 0.0)
+    ps.add_many([(2, 0), (3, 0)], "A", 0.0)
+    ps.add((0, 0), "B", 0.5j)
     assert ps.get((0, 0), "B").pos == 0.5j
     keys = [key for key, _ in ps.items()]
     assert keys == [((1, 0), "A"), ((2, 0), "A"), ((3, 0), "A"), ((0, 0), "B")]
     with pytest.raises(ValueError, match="duplicate"):
-        ps.add_many([(4, 0), (0, 0)], "B", pos=[4.0, 0.0])  # repeats a row not yet appended
+        ps.add_many([(4, 0), (0, 0)], "B", 0.0)  # repeats a row not yet appended
     assert len(ps) == 4
     assert ps.get((3, 0), "A").pos == 3.0
     assert ((4, 0), "B") not in ps
@@ -158,26 +166,27 @@ def test_single_adds_and_batches_share_one_row_order():
 def test_rows_added_across_packed_blocks(monkeypatch):
     monkeypatch.setattr(pointset, "_ADD_BLOCK", 3)
     monkeypatch.setattr(jsonio, "_ROW_BLOCK", 3)
-    ps, entries = make_set(gamma=7.0, kappa_cap=0.3), {}
+    ps, entries = make_set(gamma=0.5, kappa_cap=0.3), {}
     for k in range(4):
-        unit = 0.25 * k if k % 2 else None
-        ps.add((k, 0), "A", pos=k + 0.5j, unit=unit)
-        entries[((k, 0), "A")] = PointEntry(k + 0.5j, None, unit)
-    ps.add_many([(0, 0), (1, 0)], "B", delta=[0.1j, -0.0])
-    entries[((0, 0), "B")] = PointEntry(0.1j, 0.1j, None)
-    entries[((1, 0), "B")] = PointEntry(1.0, -0.0, None)
+        entries[((k, 0), "A")] = complex(0.25 * k, 0.5)
+        ps.add((k, 0), "A", entries[((k, 0), "A")])
+    ps.add_many([(0, 0), (1, 0)], "B", [0.1j, -0.0])
+    entries[((0, 0), "B")], entries[((1, 0), "B")] = 0.1j, complex(-0.0)
     for k in range(7):  # 2 * 3 + 1 rows: two packed blocks and one buffered row
-        delta, unit = complex(-0.0, 0.1 * k), 0.1j if k % 3 else None
-        ps.add((k, 1), "C", delta=delta, unit=unit)
-        entries[((k, 1), "C")] = PointEntry(complex(k, 1) + delta, delta, unit)
+        entries[((k, 1), "C")] = complex(-0.0, 0.1 * k)
+        ps.add((k, 1), "C", entries[((k, 1), "C")])
     assert len(ps._blocks) == 2 and len(ps._buffer) == 1
     with pytest.raises(ValueError, match="duplicate"):
-        ps.add((0, 1), "C", pos=1.0j)  # the first row of the first packed block
+        ps.add((0, 1), "C", 0.0)  # the first row of the first packed block
     with pytest.raises(ValueError, match="duplicate"):
-        ps.add((1, 0), "B", pos=1.0)  # a row of the add_many batch
+        ps.add((1, 0), "B", 0.0)  # a row of the add_many batch
     assert len(ps) == len(entries) == 13
     assert all(key in ps for key in entries) and ((7, 1), "C") not in ps
-    assert all(ps.get(*key) == entry for key, entry in entries.items())
+    for (index, tag), unit in entries.items():
+        e, delta = ps.get(index, tag), 0.3 * math.exp(-0.5 * abs(complex(*index)) ** 2) * unit
+        assert _bits(e.unit) == _bits(unit)
+        assert e.delta == pytest.approx(delta, rel=1e-13, abs=0)
+        assert e.pos == pytest.approx(complex(*index) + delta, rel=1e-13, abs=0)
     assert [(tuple(index), tag) for (index, tag), _ in ps.items()] == list(entries)
     doc = ps.to_json()
     text = jsonio.dumps(doc)
@@ -189,9 +198,9 @@ def test_rows_added_across_packed_blocks(monkeypatch):
 
 def test_points_are_canonically_ordered():
     ps = make_set()
-    ps.add((1, 0), "B", pos=1.0)
-    ps.add((0, 1), "A", pos=1.0j)
-    ps.add((1, 0), "A", pos=1.0 + 0.1j)
+    ps.add((1, 0), "B", 0.0)
+    ps.add((0, 1), "A", 0.0)
+    ps.add((1, 0), "A", 0.1j)
     assert np.array_equal(ps.points(), np.array([1.0j, 1.0 + 0.1j, 1.0]))
     assert np.array_equal(ps.points(["B"]), np.array([1.0]))
 
@@ -200,15 +209,29 @@ def test_log_offset_magnitude_survives_float_collapse():
     gamma, cap = 7.0, 0.5
     ps = make_set(gamma=gamma, kappa_cap=cap)
     # at |home| = 25 the true offset ~ exp(-4375) is far below the float range
-    ps.add((25, 0), "A", pos=25.0, unit=0.3 + 0.4j)
+    ps.add((25, 0), "A", 0.3 + 0.4j)
     got = ps.log_offset_magnitude((25, 0), "A")
     assert math.isclose(got, math.log(cap) + math.log(0.5) - gamma * 625.0, rel_tol=1e-15)
     assert ps.offset((25, 0), "A") == 0.0  # the float view has collapsed
-
-    ps.add((3, 0), "A", pos=3.001)
-    assert math.isclose(ps.log_offset_magnitude((3, 0), "A"), math.log(0.001), rel_tol=1e-9)
-    ps.add((4, 0), "A", pos=4.0, unit=0.0)
+    assert ps.get((25, 0), "A").pos == 25.0
+    ps.add((4, 0), "A", 0.0)
     assert ps.log_offset_magnitude((4, 0), "A") == -math.inf
+
+    plain = make_set()  # budget (0, 1): the unit offset is the offset
+    plain.add((3, 0), "A", 0.001)
+    assert math.isclose(plain.log_offset_magnitude((3, 0), "A"), math.log(0.001), rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("meta", [{"gamma": 7.0}, {"kappa_cap": 0.5}])
+def test_a_budget_given_in_half_is_an_error(meta):
+    ps = make_set(**meta)
+    ps.add((1, 0), "A", 0.5)
+    given = next(iter(meta))
+    reads = (ps.points, ps.to_json, lambda: ps.get((1, 0), "A"),
+             lambda: certify_f_closeness(ps, 7.0, "A"), lambda: separation(ps))
+    for read in reads:
+        with pytest.raises(ValueError, match=f"gives '{given}' alone"):
+            read()
 
 
 # -- closeness ----------------------------------------------------------------
@@ -220,7 +243,7 @@ def test_closeness_constant_is_exact_in_the_log_domain():
     idx, pts = window_arrays(ps.lattice, 12.0)
     for (m, n), p in zip(idx, pts):
         # every offset saturates exactly 0.5 of the budget
-        ps.add((m, n), "A", pos=p, unit=0.5 * cmath.exp(1j * abs(p)))
+        ps.add((m, n), "A", 0.5 * cmath.exp(1j * abs(p)))
     rep = certify_f_closeness(ps, gamma, "A", kappa_cap=cap)
     assert math.isclose(rep.kappa, 0.5 * cap, rel_tol=1e-12)
     assert rep.passed
@@ -235,7 +258,7 @@ def test_closeness_from_plain_positions():
     ps = make_set()
     for m in range(6):
         home = complex(m, 0)
-        ps.add((m, 0), "A", pos=home + 0.25 * math.exp(-gamma * abs(home) ** 2))
+        ps.add((m, 0), "A", 0.25 * math.exp(-gamma * abs(home) ** 2))
     rep = certify_f_closeness(ps, gamma, "A")
     assert math.isclose(rep.kappa, 0.25, rel_tol=1e-9)
     assert rep.worst_index is not None
@@ -243,7 +266,7 @@ def test_closeness_from_plain_positions():
 
 def test_closeness_input_validation():
     ps = make_set()
-    ps.add((0, 0), "A", pos=0.0)
+    ps.add((0, 0), "A", 0.0)
     with pytest.raises(ValueError):
         certify_f_closeness(ps, -1.0, "A")
     with pytest.raises(ValueError):
@@ -267,7 +290,7 @@ def triple_set(radius=5.0, degenerate_at=None, skip_tag_at=None) -> IndexedPoint
                 unit = u * rot**k
             if skip_tag_at == (m, n) and tag == "C":
                 continue
-            ps.add((m, n), tag, pos=p, unit=unit)
+            ps.add((m, n), tag, unit)
     return ps
 
 
@@ -307,7 +330,7 @@ def test_angle_condition_preconditions():
     with pytest.raises(ValueError):
         angle_condition(triple_set(skip_tag_at=(1, 1)), beta=1.0)
     ps = make_set()
-    ps.add((0, 0), "1", pos=0.0)
+    ps.add((0, 0), "1", 0.0)
     with pytest.raises(ValueError):
         angle_condition(ps, beta=1.0)
 
@@ -406,7 +429,7 @@ def test_density_counts_on_the_integer_grid():
 
 def test_density_respects_the_window():
     ps = make_set()
-    ps.add((0, 0), "A", pos=0.0)
+    ps.add((0, 0), "A", 0.0)
     with pytest.raises(ValueError):
         density_estimate(ps, center=25.0, radii=(10.0,))
     with pytest.raises(ValueError):
@@ -463,9 +486,9 @@ def test_unit_disk_occupancy_bound_on_lattice_windows(lattice):
 
 def test_sample_points_follows_the_metadata():
     ps = IndexedPointSet(Lattice(1.0, 1.0j), 5.0, meta={"sample_tags": ["1", "2"]})
-    ps.add((0, 0), "1", pos=0.1)
-    ps.add((0, 0), "2", pos=0.2)
-    ps.add((0, 0), "A", pos=0.9)
+    ps.add((0, 0), "1", 0.1)
+    ps.add((0, 0), "2", 0.2)
+    ps.add((0, 0), "A", 0.9)
     assert np.array_equal(sample_points(ps), np.array([0.1, 0.2]))
     ps.meta.pop("sample_tags")
     assert len(sample_points(ps)) == 3
@@ -485,10 +508,69 @@ def test_certificates_on_a_set_count_its_samples_only():
     assert relative_separation_bound(real2) == relative_separation_bound(sample_points(real2))
 
 
+def _separation_oracle(ps: IndexedPointSet) -> tuple[float, tuple[complex, complex]]:
+    """log10 of the least distance between the samples of ``ps``, and the pair at it.
+
+    Pairs of one home: ``log10(kappa * exp(-gamma*|home|^2) * |u_i - u_j|)``
+    at 30 digits from the stored units; the other pairs: a brute-force
+    numpy minimum over the derived positions.
+    """
+    mpmath.mp.dps = 30
+    gamma, kappa = (mpmath.mpf(ps.meta[key]) for key in ("gamma", "kappa_cap"))
+    by_home: dict = {}
+    for (index, _tag), e in sorted(ps.items()):
+        by_home.setdefault(tuple(index), []).append(e)
+    within = []
+    for index, entries in by_home.items():
+        home = ps.lattice.point(index)
+        scale = kappa * mpmath.exp(-gamma * (mpmath.mpf(home.real) ** 2 + mpmath.mpf(home.imag) ** 2))
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                gap = abs(mpmath.mpc(entries[i].unit) - mpmath.mpc(entries[j].unit))
+                within.append((mpmath.log10(scale * gap), entries[i].pos, entries[j].pos))
+    best_within = min(within, key=lambda w: w[0])
+    pts = ps.points()
+    c = ps._columns()
+    homes = np.array(list(zip(c.m.tolist(), c.n.tolist())))[ps._rows()]
+    dx, dy = pts.real[:, None] - pts.real, pts.imag[:, None] - pts.imag
+    dist = np.sqrt(dx * dx + dy * dy)
+    dist[(homes[:, None, :] == homes[None, :, :]).all(axis=2)] = np.inf
+    between = float(dist.min())
+    if math.log10(between) < best_within[0]:
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        return math.log10(between), (complex(pts[i]), complex(pts[j]))
+    return float(best_within[0]), (best_within[1], best_within[2])
+
+
+@pytest.mark.parametrize("maker", [random_triple, deterministic_triple])
+def test_set_separation_matches_an_mpmath_oracle_where_positions_collapse(maker):
+    ps = maker(GeneratorConfig(square_lattice(math.pi), window_radius=12.0, seed=1))
+    assert len(np.unique(ps.points())) < len(ps)  # offsets below an ulp of the home
+    rep = separation(ps)
+    want, pair = _separation_oracle(ps)
+    assert rep.log10_delta == pytest.approx(want, abs=1e-9)
+    assert rep.pair == pair
+    assert rep.delta == 0.0 and rep.count == len(ps)
+    if maker is random_triple:
+        assert round(rep.log10_delta, 1) == -438.1
+
+
+def test_set_separation_without_collapse_keeps_the_positional_delta():
+    ps = random_triple(GeneratorConfig(Lattice(1.0, 1.0j), window_radius=4.0, gamma=0.5, seed=1))
+    pts = sample_points(ps)
+    assert len(np.unique(pts)) == len(pts)
+    rep, plain = separation(ps), separation(pts)
+    assert rep.delta.hex() == plain.delta.hex()
+    assert rep.log10_delta == pytest.approx(math.log10(plain.delta), abs=1e-9)
+    want, pair = _separation_oracle(ps)
+    assert rep.log10_delta == pytest.approx(want, abs=1e-9)
+    assert rep.pair == pair
+
+
 def test_uniform_closeness_delta():
     ps = make_set()
-    ps.add((0, 0), "A", delta=0.01)
-    ps.add((1, 0), "A", delta=0.03j)
+    ps.add((0, 0), "A", 0.01)
+    ps.add((1, 0), "A", 0.03j)
     assert uniform_closeness_delta(ps) == 0.03
     d, shifted = uniform_closeness_delta(ps, beta=math.pi / 2.0)
     assert d == 0.03
@@ -503,10 +585,10 @@ def test_uniform_closeness_delta():
 def test_json_round_trip_preserves_everything():
     gamma, cap = 7.0, 0.3
     ps = make_set(gamma=gamma, kappa_cap=cap, construction="demo", sample_tags=["A"])
-    ps.add((25, 0), "A", pos=25.0, unit=0.6 - 0.1j)
-    ps.add((1, 2), "A", delta=1e-3 + 2e-3j, unit=0.2j)
-    ps.add((0, 0), "B", pos=0.05)
-    ps.add((0, 1), "C", pos=complex(-0.0, 1.0), delta=complex(-0.0, 0.0))  # signed zeros
+    ps.add((25, 0), "A", 0.6 - 0.1j)
+    ps.add((1, 2), "A", 0.2j)
+    ps.add((0, 0), "B", 0.05)
+    ps.add((0, 1), "C", complex(-0.0, 0.0))  # signed zeros
     text = jsonio.dumps(ps.to_json())
     # in memory, and through the canonical text
     for doc in (ps.to_json(), jsonio.loads(text)):
@@ -515,6 +597,7 @@ def test_json_round_trip_preserves_everything():
         assert back.window_radius == ps.window_radius
         assert back.meta == ps.meta
         assert dict(back.items()) == dict(ps.items())
+        assert _bits(back.get((0, 1), "C").unit) == _bits(complex(-0.0, 0.0))
         # canonical text form is a fixed point
         assert jsonio.dumps(back.to_json()) == text
         # log-domain information survives the round trip
@@ -523,7 +606,7 @@ def test_json_round_trip_preserves_everything():
 
 def test_from_json_rejects_fields_that_are_not_pairs():
     doc = jsonio.loads(jsonio.dumps(make_set().to_json()))
-    good = {"index": [1, 0], "tag": "A", "pos": [1.0, 0.0], "delta": [0.0, 0.0]}
+    good = {"index": [1, 0], "tag": "A", "pos": [1.0, 0.0], "delta": [0.0, 0.0], "unit": [0.0, 0.0]}
     for field, bad in (
         ("index", [2, 0, 0]),
         ("pos", [2.0, 0.0, 0.0]),
@@ -541,10 +624,10 @@ def test_from_json_names_a_record_that_lacks_a_required_field(tmp_path, monkeypa
     monkeypatch.setattr(jsonio, "_ROW_BLOCK", 3)
     ps = make_set()
     for k in range(7):
-        ps.add((k, 0), "A", pos=k + 0.1j)
+        ps.add((k, 0), "A", 0.1j)
     doc = jsonio.loads(jsonio.dumps(ps.to_json()))
     for row in (0, 4):
-        for field in ("index", "tag", "pos"):
+        for field in ("index", "tag", "unit"):
             points = [dict(r) for r in doc["points"]]
             del points[row][field]
             path = tmp_path / "set.json"
@@ -557,6 +640,9 @@ def test_from_json_names_a_record_that_lacks_a_required_field(tmp_path, monkeypa
             points[row][field] = None  # null stands for an absent field
             with pytest.raises(ValueError, match=message):
                 IndexedPointSet.from_json({**doc, "points": points})
+    # pos and delta are derived: records without them load alike
+    bare = [{k: r[k] for k in ("index", "tag", "unit")} for r in doc["points"]]
+    assert dict(IndexedPointSet.from_json({**doc, "points": bare}).items()) == dict(ps.items())
 
 
 @pytest.mark.parametrize(
@@ -573,7 +659,7 @@ def test_from_json_names_a_record_that_lacks_a_required_field(tmp_path, monkeypa
 def test_from_json_rejects_values_outside_the_fields_domain(field, bad, message):
     ps = make_set()
     for k in range(5):
-        ps.add((k, 0), "A", pos=k + 0.1j, delta=0.1j, unit=0.5)
+        ps.add((k, 0), "A", 0.5)
     doc = jsonio.loads(jsonio.dumps(ps.to_json()))
     doc["points"][3][field] = bad
     for load in (json.loads, _load_text):  # parsed, and streamed into a table
@@ -591,6 +677,11 @@ def _load_text(text: str):
         return jsonio.load_path(path)
 
 
+def _bits(z: complex) -> list[int]:
+    """The bit patterns of a complex value's parts, so that signed zeros count."""
+    return np.array([z], dtype=complex).view(np.int64).tolist()
+
+
 def _column_bits(ps: IndexedPointSet) -> dict:
     """The columns of ``ps``, floats by bit pattern so that signed zeros count."""
     c = ps._columns()
@@ -598,12 +689,7 @@ def _column_bits(ps: IndexedPointSet) -> dict:
         "m": c.m.tolist(),
         "n": c.n.tolist(),
         "tag": c.tag.tolist(),
-        **{
-            key: np.asarray(getattr(c, key)).view(np.int64).tolist()
-            for key in ("pos", "delta", "unit")
-        },
-        "has_delta": c.has_delta.tolist(),
-        "has_unit": c.has_unit.tolist(),
+        "unit": c.unit.view(np.int64).tolist(),
     }
 
 
@@ -617,9 +703,9 @@ point_records = st.lists(
         {
             "index": st.lists(st.integers(-20, 20), min_size=2, max_size=2),
             "tag": st.sampled_from(["A", "B", "C", "1", "x%y"]),
-            "pos": pair_values,
+            "unit": pair_values,
         },
-        optional={"delta": pair_values, "unit": pair_values},
+        optional={"pos": pair_values, "delta": pair_values},
     ),
     max_size=14,
     unique_by=lambda r: (tuple(r["index"]), r["tag"]),
@@ -636,13 +722,12 @@ def test_streamed_points_load_like_parsed_points(records, rnd):
             "lattice": jsonio.loads(jsonio.dumps(Lattice(1.0, 1.0j))),
             "window_radius": 30.0,
             "points": records,
-            "meta": {"gamma": 7.0},
+            "meta": {"gamma": 7.0, "kappa_cap": 0.5},
         }
         # the same records through add, one at a time: the oracle for the columns
-        ps = make_set(gamma=7.0)
+        ps = make_set(gamma=7.0, kappa_cap=0.5)
         for r in records:
-            delta, unit = (complex(*r[k]) if k in r else None for k in ("delta", "unit"))
-            ps.add(tuple(r["index"]), r["tag"], pos=complex(*r["pos"]), delta=delta, unit=unit)
+            ps.add(tuple(r["index"]), r["tag"], complex(*r["unit"]))
         want = _column_bits(ps)
 
         def shuffled(obj):
@@ -663,13 +748,14 @@ def test_streamed_points_load_like_parsed_points(records, rnd):
             streamed = IndexedPointSet.from_json(loaded)
             parsed = IndexedPointSet.from_json(json.loads(text))
             assert _column_bits(streamed) == _column_bits(parsed) == want, layout
-            assert streamed.meta == {"gamma": 7.0} and streamed.window_radius == 30.0
+            assert streamed.meta == doc["meta"] and streamed.window_radius == 30.0
             assert jsonio.dumps(streamed.to_json()) == jsonio.dumps(ps.to_json())
 
 
 def test_streamed_points_reject_malformed_records(monkeypatch):
     monkeypatch.setattr(jsonio, "_ROW_BLOCK", 3)
-    good = [{"index": [k, 0], "tag": "A", "pos": [float(k), 0.5]} for k in range(8)]
+    good = [{"index": [k, 0], "tag": "A", "pos": [float(k), 0.5], "unit": [0.0, 0.5]}
+            for k in range(8)]
     doc = {"lattice": jsonio.loads(jsonio.dumps(Lattice(1.0, 1.0j))), "window_radius": 30.0}
     for row in (1, 6):  # in the first block and in a later one
         for field, bad, match in (
@@ -700,29 +786,29 @@ def test_streamed_points_reject_malformed_records(monkeypatch):
 def test_a_loaded_set_builds_its_key_index_on_the_first_lookup(tmp_path):
     ps = make_set(gamma=7.0, kappa_cap=0.3, sample_tags=["A"])
     for k in range(6):
-        ps.add((k, 0), "A", delta=0.01j * k, unit=0.5)
-        ps.add((k, 1), "B", pos=complex(k, 1.1))
+        ps.add((k, 0), "A", 0.5 * k)
+        ps.add((k, 1), "B", 0.1j)
     path = tmp_path / "set.json"
     jsonio.dump_path(ps.to_json(), path)
     back = IndexedPointSet.from_json(jsonio.load_path(path))
     # the bulk reads of certify and render need no index
     assert len(back) == 12 and back.tags() == ["A", "B"]
     certify_f_closeness(back, 7.0, "A", kappa_cap=0.3)
-    separation(sample_points(back))
+    separation(back), separation(sample_points(back))
     back.points(["B"]), back.indices(), back.to_json(), back.items()
     assert back._row_of is None
     assert back.get((2, 0), "A") == ps.get((2, 0), "A")
     assert back._row_of is not None
     assert ((5, 1), "B") in back and ((5, 1), "A") not in back
     with pytest.raises(ValueError, match=r"duplicate entry for index \(5, 1\) tag 'B'"):
-        back.add((5, 1), "B", pos=5.0)
+        back.add((5, 1), "B", 0.0)
     with pytest.raises(ValueError, match=r"duplicate entry for index \(0, 0\) tag 'A'"):
-        back.add_many([(7, 0), (0, 0)], "A", pos=[7.0, 0.0])
-    back.add((6, 0), "A", pos=6.0)
-    back.add_many([(7, 0), (8, 0)], "A", pos=[7.0, 8.0])
+        back.add_many([(7, 0), (0, 0)], "A", 0.0)
+    back.add((6, 0), "A", 0.0)
+    back.add_many([(7, 0), (8, 0)], "A", 0.0)
     assert len(back) == 15 and back.get((8, 0), "A").pos == 8.0
     with pytest.raises(ValueError, match="duplicate"):
-        back.add((7, 0), "A", pos=7.0)  # a batch row, entered into the built index
+        back.add((7, 0), "A", 0.0)  # a batch row, entered into the built index
     assert [key for key, _ in back.items()][-3:] == [((6, 0), "A"), ((7, 0), "A"), ((8, 0), "A")]
 
 
@@ -741,12 +827,10 @@ point_keys = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.sampled_from([
 
 def _key_columns(keys) -> pointset._Columns:
     """Columns of one row per (m, n, tag) key, at its home point."""
-    k = len(keys)
     m = np.array([key[0] for key in keys], dtype=np.int64)
     n = np.array([key[1] for key in keys], dtype=np.int64)
     tag = np.array([key[2] for key in keys], dtype=str)
-    return pointset._Columns(m, n, tag, m + 1j * n, np.zeros(k, complex), np.zeros(k, bool),
-                             np.zeros(k, complex), np.zeros(k, bool))
+    return pointset._Columns(m, n, tag, np.zeros(len(keys), complex))
 
 
 @settings(max_examples=200, deadline=None)
@@ -774,21 +858,22 @@ def _entry_dicts(ps):
     """The point records built one dict per entry, as the artifact writer once did."""
     out = []
     for (idx, tag), e in sorted(ps.items(), key=lambda kv: (kv[0][0].m, kv[0][0].n, kv[0][1])):
-        rec = {"index": [idx.m, idx.n], "tag": tag, "pos": [e.pos.real, e.pos.imag]}
-        if e.delta is not None:
-            rec["delta"] = [e.delta.real, e.delta.imag]
-        if e.unit is not None:
-            rec["unit"] = [e.unit.real, e.unit.imag]
-        out.append(rec)
+        out.append({
+            "index": [idx.m, idx.n],
+            "tag": tag,
+            "pos": [e.pos.real, e.pos.imag],
+            "delta": [e.delta.real, e.delta.imag],
+            "unit": [e.unit.real, e.unit.imag],
+        })
     return out
 
 
 def test_json_table_matches_the_dict_per_entry_writer():
     ps = make_set(gamma=7.0, kappa_cap=0.3)
-    ps.add((1, 0), "B", pos=1.0, delta=-0.0, unit=0.25)
-    ps.add((1, 0), "A", pos=1.0 + 0.5j)
-    ps.add((-2, 3), "A", delta=complex(-0.0, 1e-300), unit=-0.6j)
-    ps.add_many([(25, 0), (0, 0)], "C", pos=[25.0, 0.0], unit=[0.6 - 0.1j, 0.0])
+    ps.add((1, 0), "B", 0.25)
+    ps.add((1, 0), "A", complex(-0.0, 0.5))
+    ps.add((-2, 3), "A", -0.6j)
+    ps.add_many([(25, 0), (0, 0)], "C", [0.6 - 0.1j, 0.0])
     doc = ps.to_json()
     assert jsonio.dumps(doc) == jsonio.dumps({**doc, "points": _entry_dicts(ps)})
     empty = make_set().to_json()
@@ -797,8 +882,8 @@ def test_json_table_matches_the_dict_per_entry_writer():
 
 def test_csv_export(tmp_path):
     ps = make_set(gamma=1.0, kappa_cap=0.5)
-    ps.add((1, 0), "A", pos=1.01, unit=0.02)
-    ps.add((0, 1), "B", pos=1.0j)
+    ps.add((1, 0), "A", 0.02)
+    ps.add((0, 1), "B", 0.0)
     path = tmp_path / "points.csv"
     ps.to_csv(path)
     lines = path.read_text().strip().splitlines()

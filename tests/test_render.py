@@ -174,9 +174,9 @@ def test_render_with_mesh_peaks_near_twice_its_text():
     # the text and the blocks it is joined from are both alive at the end
     lat = Lattice(0.45, 0.45j)
     ps = IndexedPointSet(lat, window_radius=25.0)
-    idx, pts = render.window_arrays(lat, 25.0)
+    idx, _ = render.window_arrays(lat, 25.0)
     for k, tag in enumerate("ABC"):
-        ps.add_many(idx, tag, pos=pts + 0.1 * k * (1 + 1j))
+        ps.add_many(idx, tag, 0.1 * k * (1 + 1j))
     render_svg(ps.points()[:3])  # numpy's lazy imports outside the trace
     ps.points()  # the columns are packed before the trace starts
     tracemalloc.start()

@@ -414,11 +414,11 @@ def g_plain() -> GGammaEvaluator:
 def perturbed_nodes(seed=0, radius=4.0, spread=0.1) -> IndexedPointSet:
     lat = Lattice(1.0, 1.0j)
     ps = IndexedPointSet(lat, window_radius=radius, meta={})
-    idx, pts = window_arrays(lat, radius)
+    idx, _ = window_arrays(lat, radius)
     rng = np.random.default_rng(seed)
-    for (mm, nn), pt in zip(idx.tolist(), pts.tolist()):
+    for mm, nn in idx.tolist():
         d = spread * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-        ps.add(LatticeIndex(mm, nn), "G", pos=pt + d, delta=d)
+        ps.add(LatticeIndex(mm, nn), "G", d)
     return ps
 
 
@@ -463,10 +463,10 @@ def test_moved_anchor_value_at_the_origin():
 def test_anchor_is_the_node_homed_at_the_origin():
     # the (1, 0) node has the smallest modulus, but the anchor stays at home 0
     ps = IndexedPointSet(UNIT, window_radius=4.0)
-    idx, pts = window_arrays(UNIT, 4.0)
+    idx, _ = window_arrays(UNIT, 4.0)
     shift = {(0, 0): 0.45 + 0.45j, (1, 0): -0.45}
-    for (mm, nn), pt in zip(idx.tolist(), pts.tolist()):
-        ps.add((mm, nn), "G", pos=pt + shift.get((mm, nn), 0.0))
+    for mm, nn in idx.tolist():
+        ps.add((mm, nn), "G", shift.get((mm, nn), 0.0))
     ev = GGammaEvaluator(ps, tag="G")
     assert ev.gamma00 == 0.45 + 0.45j
     assert abs(ev.nodes[0]) < abs(ev.gamma00)
@@ -479,16 +479,16 @@ def test_anchor_is_the_node_homed_at_the_origin():
 
 def test_kernel_needs_a_node_homed_at_the_origin():
     ps = IndexedPointSet(UNIT, window_radius=3.0)
-    idx, pts = window_arrays(UNIT, 3.0)
-    ps.add_many(idx[1:], "G", pos=pts[1:])
+    idx, _ = window_arrays(UNIT, 3.0)
+    ps.add_many(idx[1:], "G", 0.0)
     with pytest.raises(ValueError, match="homed at"):
         GGammaEvaluator(ps, tag="G")
 
 
 def test_kernel_needs_a_node_at_every_window_point():
     ps = IndexedPointSet(UNIT, window_radius=3.0)
-    idx, pts = window_arrays(UNIT, 3.0)
-    ps.add_many(idx[:-1], "G", pos=pts[:-1])
+    idx, _ = window_arrays(UNIT, 3.0)
+    ps.add_many(idx[:-1], "G", 0.0)
     with pytest.raises(ValueError, match="window"):
         GGammaEvaluator(ps, tag="G")
 
@@ -526,7 +526,7 @@ def test_kernel_rejects_an_unknown_tag_and_an_oblique_lattice():
     with pytest.raises(ValueError):
         GGammaEvaluator(perturbed_nodes(), tag="H")
     oblique = IndexedPointSet(Lattice(1.0, 0.3 + 1.0j), 4.0)
-    oblique.add((0, 0), "G", pos=0.0)
+    oblique.add((0, 0), "G", 0.0)
     with pytest.raises(ValueError):
         GGammaEvaluator(oblique)
 
