@@ -16,22 +16,24 @@ a complex number (a ``complex`` scalar, an element of a 1-D complex array
 or of a complex :class:`Table` column) is written as its ``[re, im]``
 pair, and a dataclass instance as the object of its fields by name.
 
-Large uniform record lists (one record per point of a set) are handed to
-:func:`dumps` as a :class:`Table` of columns, and a list of equally long
-number lists as a 2-D array.  It renders both in bulk, in row blocks of
-``_ROW_BLOCK`` records: each block formats the tokens of its own rows
-(:func:`format_floats` takes a float column slice at once) and fills one
-template per presence pattern, so the working set stays that of one block
-whatever the length of the list.  A token depends only on its value, so
-the blocks write exactly the bytes the list of dicts or of lists would
-give.  :func:`dump_path` hands the text to the file in slices.
+Large uniform record lists (one record per point of a set, every record
+with the same keys) are handed to :func:`dumps` as a :class:`Table` of
+columns, and a list of equally long number lists as a 2-D array.  It
+renders both in bulk, in row blocks of ``_ROW_BLOCK`` records: each block
+formats the tokens of its own rows (:func:`format_floats` takes a float
+column slice at once) and fills the one record template, so the working
+set stays that of one block whatever the length of the list.  A token
+depends only on its value, so the blocks write exactly the bytes the list
+of dicts or of lists would give.  :func:`dump_path` hands the text to the
+file in slices.
 
 :func:`load_path` reads the same way round: the file is read in slices of
 ``_READ_SLICE`` characters, and only the unread tail of the text is held.
 A top-level ``points`` list of objects is decoded one record at a time
 with the stdlib decoder and packed into a :class:`Table` every
 ``_ROW_BLOCK`` records, so only one block of records is held as Python
-objects.  Every other member comes back as :func:`json.loads` gives it.
+objects.  A record that lacks a key another record of the list has is an
+error.  Every other member comes back as :func:`json.loads` gives it.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "format_floats",
     "Table",
     "dumps",
-    "loads",
     "write_text",
     "dump_path",
     "load_path",
@@ -103,38 +104,27 @@ def format_floats(values) -> list[str]:
 
 
 class Table:
-    """A list of records of one shape, stored by column.
+    """A list of records of one shape, stored by column; every record has every key.
 
     ``columns`` maps each key to an array with one row per record: a 1-D
     int, float or str array gives a scalar value, a 2-D int or float
     array (at least one column wide) a list, and a 1-D complex array the
     ``[re, im]`` pair of each value (it is held as that (k, 2) float
-    array).  ``present`` optionally maps a key of ``columns`` to a boolean
-    mask; records where it is False lack that key, and a record lacking
-    every key is written as ``{}``.
-    :func:`dumps` renders a table in bulk, byte-identical to the
-    recursive writer on the equivalent list of dicts; it encodes which
-    keys a record has as the bits of one int64, so a table has at most
-    63 columns.
+    array).  :func:`dumps` renders a table in bulk, byte-identical to the
+    recursive writer on the equivalent list of dicts.
     """
 
-    def __init__(self, columns: Mapping[str, Any], present: Mapping[str, Any] | None = None):
+    def __init__(self, columns: Mapping[str, Any]):
         self.columns = {key: _pairs_of(np.asarray(col)) for key, col in columns.items()}
-        self.present = {key: np.asarray(mask, dtype=bool) for key, mask in (present or {}).items()}
-        if len(self.columns) > 63:
-            raise ValueError(f"a table has at most 63 columns, not {len(self.columns)}")
         for key, col in self.columns.items():
             if col.ndim not in (1, 2) or col.ndim == 2 and col.shape[1] == 0:
                 raise ValueError(
                     f"column {key!r} has shape {col.shape}; a column is 1-D,"
                     " or 2-D and at least one column wide"
                 )
-        orphans = sorted(set(self.present) - set(self.columns))
-        if orphans:
-            raise ValueError(f"presence masks without a column: {orphans}")
-        lengths = {len(a) for a in (*self.columns.values(), *self.present.values())}
+        lengths = {len(col) for col in self.columns.values()}
         if len(lengths) > 1:
-            raise ValueError(f"columns and masks differ in length: {sorted(lengths)}")
+            raise ValueError(f"columns differ in length: {sorted(lengths)}")
         self.length = lengths.pop() if lengths else 0
 
     def __len__(self) -> int:
@@ -144,11 +134,12 @@ class Table:
     def from_records(cls, records) -> "Table":
         """The table of a list of JSON objects, packed ``_ROW_BLOCK`` records at a time.
 
-        A key becomes a column when every record that has it holds a
-        string, or a number, or a list of numbers of one length there; a
-        record where the key is absent or ``null`` lacks it.  Anything else
-        (a record that is not an object, ragged lists, mixed kinds) is a
-        ``ValueError`` naming the record.
+        Every record has the same keys (a ``null`` value counts as
+        lacking the key), and each key holds a string, or a number, or a
+        list of numbers of one length, throughout.  Anything else (a record
+        that is not an object, has no fields or lacks a key another record
+        has, ragged lists, mixed kinds) is a ``ValueError`` naming the
+        record.
         """
         records = list(records)
         return _joined(
@@ -163,8 +154,8 @@ def _pairs_of(col: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(col, dtype=complex).view(np.float64).reshape(len(col), 2)
 
 
-def _column(key: str, values: list, rows: list[int]) -> np.ndarray:
-    """The column of the given ``values`` of ``key``, held by records ``rows``."""
+def _column(key: str, values: list, first: int) -> np.ndarray:
+    """The column of the ``values`` of ``key``, held by the records from ``first`` on."""
     try:
         col = np.array(values)
     except (ValueError, TypeError, OverflowError):
@@ -175,9 +166,13 @@ def _column(key: str, values: list, rows: list[int]) -> np.ndarray:
     ):
         return col
     raise ValueError(
-        f"records {rows[0]} to {rows[-1]}: field {key!r} does not hold strings throughout,"
-        " numbers throughout, or lists of numbers of one length throughout"
+        f"records {first} to {first + len(values) - 1}: field {key!r} does not hold strings"
+        " throughout, numbers throughout, or lists of numbers of one length throughout"
     )
+
+
+def _lacking(row: int, key: str) -> ValueError:
+    return ValueError(f"point record {row} lacks the field {key!r}")
 
 
 def _packed(records: list, first: int) -> Table:
@@ -185,45 +180,40 @@ def _packed(records: list, first: int) -> Table:
     for row, record in enumerate(records, first):
         if not isinstance(record, dict):
             raise ValueError(f"record {row} is not an object: {json.dumps(record)[:60]}")
-    columns, present = {}, {}
+    columns = {}
     for key in sorted(set().union(*records)):
         values = [record.get(key) for record in records]
-        rows = [row for row, v in enumerate(values, first) if v is not None]
-        col = _column(key, [v for v in values if v is not None], rows) if rows else np.zeros(0)
-        if len(rows) < len(records):
-            present[key] = np.array([v is not None for v in values])
-            full = np.zeros((len(records),) + col.shape[1:], col.dtype)
-            full[present[key]] = col
-            col = full
-        columns[key] = col
-    return Table(columns, present)
+        nulls = values.count(None)  # a null value counts as lacking the key
+        if nulls == len(values):
+            continue  # null throughout: no record has the key
+        if nulls:
+            raise _lacking(first + values.index(None), key)
+        columns[key] = _column(key, values, first)
+    if not columns:  # a table without columns cannot hold a count of records
+        raise ValueError(f"point record {first} has no fields")
+    return Table(columns)
 
 
 def _joined(tables: list[Table]) -> Table:
     """The records of ``tables`` one after the other, as one table."""
     if len(tables) == 1:
         return tables[0]
+    keys = sorted(set().union(*(t.columns for t in tables)))
     starts = np.cumsum([0] + [len(t) for t in tables]).tolist()
-    columns, present = {}, {}
-    for key in sorted(set().union(*(t.columns for t in tables))):
-        masks = [t.present.get(key, np.full(len(t), key in t.columns)) for t in tables]
-        given = [(t.columns[key], start) for t, mask, start in zip(tables, masks, starts) if mask.any()]
-        like = given[0][0] if given else np.zeros(0)
-        for col, start in given:
+    for t, start in zip(tables, starts):
+        missing = [key for key in keys if key not in t.columns]
+        if missing:
+            raise _lacking(start, missing[0])
+    columns = {}
+    for key in keys:
+        like = tables[0].columns[key]
+        for t, start in zip(tables, starts):
+            col = t.columns[key]
             # ints and floats join as floats; strings join only with strings
             if col.shape[1:] != like.shape[1:] or (col.dtype.kind == "U") != (like.dtype.kind == "U"):
                 raise ValueError(f"records from {start} on: field {key!r} changes kind")
-        dtype = np.result_type(*(c for c, _ in given)) if given else like.dtype
-        columns[key] = np.concatenate(
-            [
-                t.columns[key] if mask.any() else np.zeros((len(t),) + like.shape[1:], dtype)
-                for t, mask in zip(tables, masks)
-            ]
-        )
-        mask = np.concatenate(masks)
-        if not mask.all():
-            present[key] = mask
-    return Table(columns, present)
+        columns[key] = np.concatenate([t.columns[key] for t in tables])
+    return Table(columns)
 
 
 def _tokens(col: np.ndarray) -> np.ndarray:
@@ -260,7 +250,7 @@ def _write_blocks(n: int, render, out: list[str], indent: int) -> None:
 
 
 def _write_table(table: Table, out: list[str], indent: int) -> None:
-    """Render ``table`` as the list of its records, one template per presence pattern."""
+    """Render ``table`` as the list of its records, all in one record template."""
     rec_pad = "  " * (indent + 1)
     key_pad = rec_pad + "  "
     keys = sorted(table.columns)
@@ -274,36 +264,11 @@ def _write_table(table: Table, out: list[str], indent: int) -> None:
         else:
             items = ",\n".join([key_pad + "  %s"] * col.shape[1])
             fragments.append(f"{head}[\n{items}\n{key_pad}]")
-    # rows lacking the same keys share one record template; a row's
-    # presence pattern is one int, bit j set when it has keys[j]
-    codes = np.zeros(len(table), dtype=np.int64)
-    for j, key in enumerate(keys):
-        mask = table.present.get(key)
-        codes |= (1 << j) if mask is None else mask.astype(np.int64) << j
-    templates: dict[int, tuple[str, list[int]]] = {}
-
-    def fill(code: int, tokens: list[np.ndarray], sep: str) -> str:
-        if code not in templates:
-            cols = [j for j in range(len(keys)) if code >> j & 1]
-            body = "{\n" + ",\n".join(fragments[j] for j in cols) + "\n" + rec_pad + "}"
-            templates[code] = (rec_pad + (body if cols else "{}"), cols)
-        template, cols = templates[code]
-        text = sep.join([template] * len(tokens[0]))
-        if not cols:
-            return text
-        args = np.concatenate([tokens[j] for j in cols], axis=1)
-        return text % tuple(args.ravel().tolist())
+    record = rec_pad + "{\n" + ",\n".join(fragments) + "\n" + rec_pad + "}"
 
     def render(block: slice) -> str:
-        tokens = [_tokens(table.columns[key][block]) for key in keys]
-        patterns, which = np.unique(codes[block], return_inverse=True)
-        if len(patterns) == 1:
-            return fill(int(patterns[0]), tokens, ",\n")
-        records = np.empty(len(which), dtype=object)
-        for p, code in enumerate(patterns.tolist()):
-            rows = np.flatnonzero(which == p)
-            records[rows] = fill(code, [toks[rows] for toks in tokens], "\0").split("\0")
-        return ",\n".join(records.tolist())
+        tokens = np.concatenate([_tokens(table.columns[key][block]) for key in keys], axis=1)
+        return ",\n".join([record] * len(tokens)) % tuple(tokens.ravel().tolist())
 
     _write_blocks(len(table), render, out, indent)
 
@@ -374,10 +339,6 @@ def dumps(obj: Any) -> str:
     out: list[str] = []
     _write(obj, out, 0)
     return "".join(out)
-
-
-def loads(text: str) -> Any:
-    return json.loads(text)
 
 
 def _write_slices(fh, text: str) -> None:

@@ -363,20 +363,22 @@ def _moment_vectors(points: np.ndarray, dim: int, alpha: float) -> np.ndarray:
 def lifted_rows(points: Sequence[complex], N: int, alpha: float) -> np.ndarray:
     """Real matrix of the lifted measurement map on Hermitian matrices.
 
-    Row for point u sends a Hermitian X to v(u)* X v(u) * exp(-alpha|u|^2)
-    expressed in the orthonormal Hermitian basis.  The Gaussian weight is
-    a positive row scaling: it leaves the exact kernel unchanged but can
-    move the numerical rank decision, a cut relative to sigma_max.
+    Row for point u sends a Hermitian X to v(u)* X v(u) / |v(u)|^2,
+    expressed in the orthonormal Hermitian basis: each row is scaled to
+    unit norm.  A positive row scaling leaves the exact kernel unchanged;
+    unit rows keep the rank decision, a cut relative to sigma_max, from
+    dropping far points (a Gaussian weight exp(-alpha|u|^2) in place of
+    the norm would put their rows below the cut).
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     pts = np.asarray(list(points), dtype=complex)
     dim = N + 1
     v = _moment_vectors(pts, dim, alpha)
-    weights = np.exp(-alpha * np.abs(pts) ** 2)
     # v* X v = <X, v v^H>: each row holds the coordinates of the rank-one lift
     lift = v[:, :, None] * np.conj(v)[:, None, :]
-    return _hermitian_coords(lift) * weights[:, None]
+    rows = _hermitian_coords(lift)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -420,7 +422,9 @@ def lifted_injectivity(
     dim = N + 1
     d_real = dim * dim
     rows = lifted_rows(pts, N, alpha)
-    svals = np.linalg.svd(rows, compute_uv=False)
+    # one SVD for the spectrum and the kernel; the full V^T spans the
+    # kernel also where there are fewer rows than unknowns
+    _u, svals, vt = np.linalg.svd(rows, full_matrices=True)
     sigma_max = float(svals[0]) if svals.size else 0.0
     rank = int(np.count_nonzero(svals > _RANK_TOL * sigma_max)) if sigma_max > 0 else 0
     kernel_dim = d_real - rank
@@ -428,7 +432,6 @@ def lifted_injectivity(
     witness = None
     witness_gap = None
     if kernel_dim > 0:
-        _u, _s, vt = np.linalg.svd(rows, full_matrices=True)
         kernel_vecs = vt[rank:, :]
         rng = np.random.default_rng(seed)
         row_scale = max(float(np.abs(rows).max()), 1e-300)

@@ -158,8 +158,8 @@ class IndexedPointSet:
 
         ``unit`` is a complex array broadcast against the k indices, with
         the meaning it has in :meth:`add`.  Nothing is inserted when a home
-        point lies outside the window or a key (index, tag) is already
-        present or repeated within the batch.
+        point lies outside the window or a key (index, tag) is already in
+        the set or repeated within the batch.
         """
         idx = np.array(indices, dtype=np.int64).reshape(-1, 2)
         k = len(idx)
@@ -321,7 +321,7 @@ class IndexedPointSet:
         Each record carries the derived ``pos`` and ``delta`` beside the
         stored ``unit``.  :meth:`from_json` reads the document back as it
         is or after a round trip through :func:`jsonio.dumps` and
-        :func:`jsonio.loads`.
+        :func:`json.loads`.
         """
         rows, c = self._rows(), self._columns()
         homes, deltas = self._placed(rows)
@@ -349,10 +349,11 @@ class IndexedPointSet:
 
         The points are a :class:`jsonio.Table` (as :func:`jsonio.load_path`
         and :meth:`to_json` give them) or a list of records, which is packed
-        into one.  They are checked like a batch of :meth:`add_many`; every
-        record has an ``index``, a ``tag`` and a ``unit``, every ``index``
-        is a pair of integers and every ``unit`` a pair of finite numbers.
-        A ``pos`` or ``delta`` a record carries must be a pair of finite
+        into one; every record has the keys of every other.  They are
+        checked like a batch of :meth:`add_many`; every record has an
+        ``index``, a ``tag`` and a ``unit``, every ``index`` is a pair of
+        integers and every ``unit`` a pair of finite numbers.  Where the
+        records carry ``pos`` or ``delta``, each must be a pair of finite
         numbers too; the set derives both anew from ``unit``.
         """
         lat = data["lattice"]
@@ -366,9 +367,8 @@ class IndexedPointSet:
             return ps
         cols = points.columns
         for key in _REQUIRED_FIELDS:
-            lacking = np.flatnonzero(~_presence(points, key))
-            if lacking.size:
-                raise ValueError(f"point record {lacking[0]} lacks the field {key!r}")
+            if key not in cols:  # every record shares its keys, so the first lacks it too
+                raise ValueError(f"point record 0 lacks the field {key!r}")
         for key in _DERIVED_FIELDS:
             if key in cols:
                 complex_column(cols[key], key)
@@ -412,11 +412,6 @@ def _first_repeat(m: np.ndarray, n: np.ndarray, tag: np.ndarray) -> int | None:
     m, n, tag = m[order], n[order], tag[order]
     repeats = (m[1:] == m[:-1]) & (n[1:] == n[:-1]) & (tag[1:] == tag[:-1])
     return int(order[1:][repeats].min()) if repeats.any() else None
-
-
-def _presence(table: jsonio.Table, key: str) -> np.ndarray:
-    """Which records of ``table`` have ``key``."""
-    return table.present.get(key, np.full(len(table), key in table.columns))
 
 
 def _pair_array(pairs, dtype, field: str) -> np.ndarray:

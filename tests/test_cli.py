@@ -363,6 +363,32 @@ def test_a_point_record_without_unit_exits_2_and_names_it(det3_set, tmp_path, ca
     assert "point record 5 lacks the field 'unit'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["certify", "render"])
+@pytest.mark.parametrize(
+    "block, rows",
+    [
+        (1 << 12, [5]),  # one record among many that have the key
+        (3, [6]),  # the record that opens a later block
+        (3, [3, 4, 5]),  # a later block that lacks the key throughout
+        (3, [0, 1, 2]),  # the first block lacks the key, the later ones have it
+    ],
+)
+def test_a_point_record_without_pos_exits_2_and_names_it(
+    det3_set, tmp_path, capsys, monkeypatch, command, block, rows
+):
+    # pos is derived, but the records of a set share their keys
+    monkeypatch.setattr(jsonio, "_ROW_BLOCK", block)
+    doc = json.loads(det3_set.read_text(encoding="ascii"))
+    for row in rows:
+        del doc["points"][row]["pos"]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    extra = ["--beta", PI] if command == "certify" else []
+    assert run(command, "--in", path, *extra, "--out", tmp_path / "out") == 2
+    assert f"point record {rows[0]} lacks the field 'pos'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["gamma", "kappa_cap"])
 def test_a_set_with_half_a_budget_exits_2(det3_set, tmp_path, capsys, key):
     # unit offsets mean nothing without both halves of the budget
@@ -428,12 +454,14 @@ def test_verify_suites_pass(module, tmp_path, capsys):
 # sha256 of each verify artifact written with --seed 1 by the code that found
 # the Rolle point by a grid search and looked node samples up by their value;
 # "special" since the critical quotient takes its closed form at the removed
-# zeros, where its value at 0 is exactly -1
+# zeros, where its value at 0 is exactly -1; "phaseless" since the lifted
+# rows are scaled to unit norm in place of the weight exp(-alpha|u|^2), which
+# moves the sigma_min of the 63-point check from 0.390 to 0.744
 GOLDEN_VERIFY = {
     "fock": "3a93a95de7b858e423d73098be883424647a6c208e832de7eb008313ccd68cd9",
     "special": "fdcddbc00eac54331d9bc1e228d2ab2866d8ea7c1b3745737422b24e70bb4c11",
     "gabor": "2a2210a2532793abecf3b1151f2c5189d7ea29650541ec111fd32320fbdd6047",
-    "phaseless": "57541e82d674a2cbd6ad7091618d544449b192e283f7499d4e8c5b4b92f79380",
+    "phaseless": "dc7f95c9e6ac890707df8c5624c268029cf90a6ca35ea1b9cd6abb6952dd3f85",
 }
 
 
@@ -450,12 +478,14 @@ def test_verify_bytes_match_pinned_digests(tmp_path):
 
 
 # sha256 of the injectivity artifacts of the pinned scattered-triple
-# instance, written with --seed 1 by the code whose sets stored each
-# position beside its offsets
+# instance, written with --seed 1.  Re-pinned when the lifted rows were
+# scaled to unit norm in place of the weight exp(-alpha|u|^2): every subset
+# keeps its kernel_dim and match, and the singular values move (sigma_min
+# rises 2.5 to 184 times)
 GOLDEN_INJECTIVITY = {
-    ("--dim", "6"): "7323e05e053d0dc776bf711be6e4048809eaf4eb9413f4de5f51efa9a802e588",
+    ("--dim", "6"): "b15bf3df319b75fcd7fc3dd3a84cec472717d96551091d829ad5bd44840b4da1",
     ("--dim", "8", "--subsets", "30,45,60,63"):
-        "664429b2e7ada09b836103fbbf5dded6bcabf9dffd97318837bb3873b0ff35d1",
+        "7eedf6be2d0a1867d0f829aa46fe6c01fa24658e2b1dbe4e0af92a64c2483f56",
 }
 
 

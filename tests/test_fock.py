@@ -1,5 +1,6 @@
 """Weighted polynomial space: evaluation, norms, growth, and extensions."""
 
+import json
 import math
 import tracemalloc
 
@@ -108,7 +109,7 @@ def test_derivative_agrees_with_monomial_calculus(alpha, coeffs, z):
 
 def test_json_round_trip():
     F = FockPoly(1.5, (1.0 + 2.0j, -0.5))
-    back = FockPoly.from_json(jsonio.loads(jsonio.dumps(F)))
+    back = FockPoly.from_json(json.loads(jsonio.dumps(F)))
     assert back.alpha == F.alpha
     assert np.array_equal(back.coeffs, F.coeffs)
 
@@ -275,7 +276,7 @@ def test_growth_check_detects_an_understated_norm():
     ok = growth_check(F, pts, norm_value=1.0)
     assert ok.passed
     assert ok.max_ratio == pytest.approx(true_peak_ratio, rel=1e-12)
-    assert set(jsonio.loads(jsonio.dumps(rep))) == {"passed", "max_ratio", "worst_point"}
+    assert set(json.loads(jsonio.dumps(rep))) == {"passed", "max_ratio", "worst_point"}
 
 
 # -- Wronskian and the conjugate-lowering identity -------------------------------------

@@ -46,31 +46,31 @@ def test_float_formatting_examples():
 
 @given(finite_floats)
 def test_floats_round_trip_exactly(x):
-    assert jsonio.loads(jsonio.dumps(x)) == x
+    assert json.loads(jsonio.dumps(x)) == x
 
 
 def test_extreme_floats_round_trip():
     for x in (5e-324, 1.7976931348623157e308, 2.2250738585072014e-308, -0.0):
-        back = jsonio.loads(jsonio.dumps(x))
+        back = json.loads(jsonio.dumps(x))
         assert back == x
         assert math.copysign(1.0, back) == math.copysign(1.0, x)
 
 
 def test_nonfinite_round_trip():
-    assert jsonio.loads(jsonio.dumps(math.inf)) == math.inf
-    assert jsonio.loads(jsonio.dumps(-math.inf)) == -math.inf
-    assert math.isnan(jsonio.loads(jsonio.dumps(math.nan)))
+    assert json.loads(jsonio.dumps(math.inf)) == math.inf
+    assert json.loads(jsonio.dumps(-math.inf)) == -math.inf
+    assert math.isnan(json.loads(jsonio.dumps(math.nan)))
 
 
 @given(json_values)
 def test_structures_round_trip(value):
-    assert jsonio.loads(jsonio.dumps(value)) == value
+    assert json.loads(jsonio.dumps(value)) == value
 
 
 @given(json_values)
 def test_serialization_is_idempotent(value):
     once = jsonio.dumps(value)
-    assert jsonio.dumps(jsonio.loads(once)) == once
+    assert jsonio.dumps(json.loads(once)) == once
 
 
 def test_keys_are_sorted():
@@ -81,7 +81,7 @@ def test_keys_are_sorted():
 def test_bools_are_not_confused_with_ints():
     assert jsonio.dumps(True) == "true"
     assert jsonio.dumps(1) == "1"
-    assert jsonio.loads(jsonio.dumps([True, 1])) == [True, 1]
+    assert json.loads(jsonio.dumps([True, 1])) == [True, 1]
 
 
 def test_unsupported_types_are_rejected():
@@ -119,8 +119,8 @@ def test_complex_values_and_dataclasses_write_as_their_explicit_form():
         (z[::2], pairs[::2]),  # not contiguous
         (np.array([], dtype=complex), []),
         (
-            jsonio.Table({"z": z, "k": np.arange(3)}, present={"z": np.array([True, False, True])}),
-            [{"k": 0, "z": pairs[0]}, {"k": 1}, {"k": 2, "z": pairs[2]}],
+            jsonio.Table({"z": z, "k": np.arange(3)}),
+            [{"k": 0, "z": pairs[0]}, {"k": 1, "z": pairs[1]}, {"k": 2, "z": pairs[2]}],
         ),
         (_Inner(1 - 1j, 4), {"z": [1.0, -1.0], "k": 4}),
         (
@@ -161,19 +161,15 @@ def test_format_floats_matches_format_float(xs):
     assert jsonio.format_floats(np.array(xs, dtype=float)) == [jsonio.format_float(x) for x in xs]
 
 
-def _table(columns, present):
+def _table(columns):
     """A table of the given columns and its list of dicts, built by hand as the oracle."""
     arrays = {
         key: np.array(col, dtype=np.int64 if key == "index" else (str if key == "tag" else float))
         for key, col in columns.items()
     }
     rows = {key: col.tolist() for key, col in arrays.items()}
-    n = len(columns["tag"])
-    records = [
-        {key: col[i] for key, col in rows.items() if present.get(key, [True] * n)[i]}
-        for i in range(n)
-    ]
-    return jsonio.Table(arrays, present=present), records
+    records = [{key: col[i] for key, col in rows.items()} for i in range(len(columns["tag"]))]
+    return jsonio.Table(arrays), records
 
 
 floats_with_edges = st.one_of(
@@ -186,7 +182,6 @@ floats_with_edges = st.one_of(
 def test_table_path_matches_the_recursive_writer(data):
     n = data.draw(st.integers(0, 20))
     pairs = st.lists(st.lists(floats_with_edges, min_size=2, max_size=2), min_size=n, max_size=n)
-    masks = st.lists(st.booleans(), min_size=n, max_size=n)
     columns = {
         "index": data.draw(st.lists(st.lists(st.integers(-99, 99), min_size=2, max_size=2),
                                     min_size=n, max_size=n)),
@@ -196,29 +191,23 @@ def test_table_path_matches_the_recursive_writer(data):
         "unit": data.draw(pairs),
         "w": data.draw(st.lists(floats_with_edges, min_size=n, max_size=n)),
     }
-    present = {"delta": data.draw(masks), "unit": data.draw(masks)}
-    table, records = _table(columns, present)
+    # the optional keys are on every record or on none
+    for key in ("delta", "unit"):
+        if not data.draw(st.booleans()):
+            del columns[key]
+    table, records = _table(columns)
     assert jsonio.dumps({"points": table, "n": n}) == jsonio.dumps({"points": records, "n": n})
 
 
 def test_table_path_across_row_blocks(monkeypatch):
-    # blocks of 3 records: presence patterns change inside and across blocks
+    # blocks of 3 records: a list of up to 20 spans several of them
     monkeypatch.setattr(jsonio, "_ROW_BLOCK", 3)
     test_table_path_matches_the_recursive_writer()
 
 
-def test_table_record_without_keys_is_an_empty_object():
-    table = jsonio.Table({"a": [1.0, 2.0]}, present={"a": [True, False]})
-    assert jsonio.dumps(table) == jsonio.dumps([{"a": 1.0}, {}])
-    assert jsonio.dumps({"p": table}) == jsonio.dumps({"p": [{"a": 1.0}, {}]})
-    assert jsonio.dumps(jsonio.Table({"a": [1.0, 2.0]}, present={"a": [False, False]})) == (
-        jsonio.dumps([{}, {}])
-    )
-
-
 def test_table_keys_may_hold_percent_signs():
-    table = jsonio.Table({"50%s": [1.0, 2.0], "%": [3, 4]}, present={"%": [False, True]})
-    records = [{"50%s": 1.0}, {"50%s": 2.0, "%": 4}]
+    table = jsonio.Table({"50%s": [1.0, 2.0], "%": [3, 4], "%%d": [[5, 6], [7, 8]]})
+    records = [{"50%s": 1.0, "%": 3, "%%d": [5, 6]}, {"50%s": 2.0, "%": 4, "%%d": [7, 8]}]
     assert jsonio.dumps(table) == jsonio.dumps(records)
 
 
@@ -229,9 +218,9 @@ def test_table_rejects_a_column_of_zero_width():
         jsonio.Table({"b": np.zeros((2, 2, 2))})
 
 
-def test_table_rejects_a_mask_without_a_column():
-    with pytest.raises(ValueError, match=r"without a column: \['b'\]"):
-        jsonio.Table({"a": [1.0, 2.0]}, present={"b": [True, False]})
+def test_table_rejects_columns_of_different_lengths():
+    with pytest.raises(ValueError, match=r"differ in length: \[2, 3\]"):
+        jsonio.Table({"a": [1.0, 2.0], "b": [1, 2, 3]})
 
 
 def test_table_path_on_point_records():
@@ -242,26 +231,13 @@ def test_table_path_on_point_records():
         "delta": [[-0.0, 0.0], [0.0, -0.0], [0.5, 0.25], [1e-300, -5e-324]],
         "unit": [[0.5, -0.5], [0.0, 1.0], [-1.0, 0.0], [0.3, 0.4]],
     }
-    present = {"delta": [True, True, False, True], "unit": [False, True, True, False]}
-    table, records = _table(columns, present)
+    table, records = _table(columns)
     text = jsonio.dumps({"points": table})
     assert text == jsonio.dumps({"points": records})
     assert jsonio.dumps(table) == jsonio.dumps(records)  # at the top level too
     assert '"delta": [\n        -0.0,\n        0.0\n      ]' in text
     empty = jsonio.Table({"tag": np.array([], dtype=str), "pos": np.empty((0, 2))})
     assert jsonio.dumps({"points": empty}) == jsonio.dumps({"points": []})
-
-
-def test_table_presence_bits_reach_the_last_of_63_columns():
-    columns = {f"k{j:02d}": np.array([float(j), -float(j)]) for j in range(63)}
-    present = {"k00": [False, True], "k62": [True, False]}
-    records = [
-        {key: float(col[i]) for key, col in columns.items() if present.get(key, [True, True])[i]}
-        for i in range(2)
-    ]
-    assert jsonio.dumps(jsonio.Table(columns, present)) == jsonio.dumps(records)
-    with pytest.raises(ValueError, match="at most 63 columns"):
-        jsonio.Table({f"k{j:02d}": np.zeros(2) for j in range(64)})
 
 
 @given(st.data())
@@ -312,7 +288,7 @@ def test_dump_path_calls_dumps_once_and_writes_its_text_and_a_newline(tmp_path, 
 
 
 def _point_table(n: int, rng) -> jsonio.Table:
-    """``n`` records shaped like a point set's, with both offsets present on some."""
+    """``n`` records shaped like a point set's."""
     return jsonio.Table(
         {
             "index": rng.integers(-200, 200, size=(n, 2)),
@@ -320,8 +296,7 @@ def _point_table(n: int, rng) -> jsonio.Table:
             "pos": rng.normal(scale=50.0, size=(n, 2)),
             "delta": rng.normal(scale=1e-3, size=(n, 2)),
             "unit": rng.uniform(-1.0, 1.0, size=(n, 2)),
-        },
-        present={"delta": rng.random(n) < 0.3, "unit": rng.random(n) < 0.7},
+        }
     )
 
 
@@ -356,8 +331,8 @@ def _bits(obj):
     if isinstance(obj, list):
         return ("list", [_bits(value) for value in obj])
     if isinstance(obj, jsonio.Table):
-        arrays = lambda d: sorted((k, a.dtype.str, a.shape, a.tobytes()) for k, a in d.items())
-        return ("table", arrays(obj.columns), arrays(obj.present))
+        arrays = sorted((k, a.dtype.str, a.shape, a.tobytes()) for k, a in obj.columns.items())
+        return ("table", arrays)
     return (type(obj).__name__, obj)
 
 
@@ -373,10 +348,12 @@ def _parsed(text: str):
 def _documents() -> dict[str, str]:
     """Small documents in four layouts, with values cut by some slice boundary at every size."""
     records = [
-        {"index": [0, -1], "tag": "A", "pos": [1e-05, -0.0], "delta": [-0.0, 2.5e-300]},
+        {"index": [0, -1], "tag": "A", "pos": [1e-05, -0.0], "delta": [-0.0, 2.5e-300],
+         "unit": [0.6, -0.8]},
         {"index": [12, 3], "tag": "b\"\\\n\u00e9", "pos": [1.5, -12000000000.0],
-         "unit": [0.125, -1e20]},
-        {"index": [-7, 0], "tag": "A", "pos": [-3.0, 1e-5], "delta": [1.0, -2.0]},
+         "delta": [0.5, 7], "unit": [0.125, -1e20]},
+        {"index": [-7, 0], "tag": "A", "pos": [-3.0, 1e-5], "delta": [1.0, -2.0],
+         "unit": [-0.0, 1]},
     ]
     docs = {
         "records": {
@@ -450,6 +427,42 @@ def test_load_path_rejects_bad_text_at_every_read_slice(tmp_path, monkeypatch):
                 jsonio.load_path(path)
 
 
+@pytest.mark.parametrize("block", [1, 2, 1 << 12])
+def test_records_that_differ_in_keys_are_rejected_at_every_read_slice(tmp_path, monkeypatch, block):
+    # blocks of 1 and 2 records put the lacking record in a block of its own
+    # or beside one that has the key, so both the packing and the joining
+    # of blocks meet it; each names the first record that lacks the key
+    monkeypatch.setattr(jsonio, "_ROW_BLOCK", block)
+    records = json.loads(_documents()["records-canonical"])["points"]
+    path = tmp_path / "mixed.json"
+    for row, key, edit in (
+        (1, "delta", lambda r: r[1].pop("delta")),  # one record lacks a key
+        (1, "delta", lambda r: r[1].update(delta=None)),  # a null value
+        (0, "unit", lambda r: r[0].pop("unit")),  # the first record lacks a key
+        (0, "w", lambda r: r[2].update(w=1.5)),  # one record has an extra key
+    ):
+        points = [dict(r) for r in records]
+        edit(points)
+        message = f"point record {row} lacks the field {key!r}"
+        with pytest.raises(ValueError, match=message):
+            jsonio.Table.from_records(points)
+        for text in (jsonio.dumps({"points": points}),
+                     json.dumps({"points": points}, separators=(",", ":"))):
+            path.write_text(text, encoding="ascii")
+            for size in range(1, len(text) + 2):
+                monkeypatch.setattr(jsonio, "_READ_SLICE", size)
+                with pytest.raises(ValueError, match=message):
+                    jsonio.load_path(path)
+    # null throughout is no key at all, so records without any other key are empty
+    nulls = [{**r, "w": None} for r in records]
+    assert _bits(jsonio.Table.from_records(nulls)) == _bits(jsonio.Table.from_records(records))
+    for empty in ([{}, {}, {}], [{"w": None}] * 3):
+        path.write_text(json.dumps({"points": empty}), encoding="ascii")
+        for load in (lambda: jsonio.Table.from_records(empty), lambda: jsonio.load_path(path)):
+            with pytest.raises(ValueError, match="point record 0 has no fields"):
+                load()
+
+
 def test_load_of_a_large_point_set_peaks_below_its_text(tmp_path):
     # the file is read in slices and never held whole; reading it whole as
     # bytes and as text, then decoding, peaked at 2.0 times the file
@@ -462,13 +475,11 @@ def test_load_of_a_large_point_set_peaks_below_its_text(tmp_path):
     table = _point_table(n, rng)
     table.columns["index"] = np.stack([k % 130 - 65, k // 130 - 65], axis=1)
     table.columns["tag"] = np.array(["A", "B", "C"] * (n // 3))
-    del table.present["unit"]  # every sample carries the one stored field
     path = tmp_path / "set.json"
     jsonio.dump_path({"lattice": lattice, "window_radius": 100.0, "points": table}, path)
     size = path.stat().st_size
     small = tmp_path / "small.json"
-    head = jsonio.Table({key: col[:3] for key, col in table.columns.items()},
-                        {key: mask[:3] for key, mask in table.present.items()})
+    head = jsonio.Table({key: col[:3] for key, col in table.columns.items()})
     jsonio.dump_path({"lattice": lattice, "window_radius": 100.0, "points": head}, small)
     IndexedPointSet.from_json(jsonio.load_path(small))  # lazy imports outside the trace
     tracemalloc.start()

@@ -1,6 +1,7 @@
 """Lattice enumeration, classification, and serialization."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -167,4 +168,4 @@ def test_json_round_trip(basis, sx, sy):
     w1, w2 = basis
     assume(oriented(w1, w2))
     lat = Lattice(w1, w2, complex(sx, sy))
-    assert Lattice.from_json(jsonio.loads(jsonio.dumps(lat))) == lat
+    assert Lattice.from_json(json.loads(jsonio.dumps(lat))) == lat

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fockpr.fock import FockPoly, wronskian
+from fockpr.lattice import square_lattice, window_arrays
 from fockpr.phaseless import (
     PhaseDecision,
     _hermitian_coords,
@@ -390,8 +391,8 @@ def test_coordinates_match_the_trace_inner_product_route(N):
     pts = rng.normal(size=12) + 1j * rng.normal(size=12)
     v = _moment_vectors(pts, dim, ALPHA)
     lifts = v[:, :, None] * np.conj(v)[:, None, :]
-    weights = np.exp(-ALPHA * np.abs(pts) ** 2)
-    expected = np.array([coords_of(P) for P in lifts]) * weights[:, None]
+    coords = np.array([coords_of(P) for P in lifts])
+    expected = coords / np.linalg.norm(coords, axis=1, keepdims=True)
     assert np.array_equal(lifted_rows(pts, N, ALPHA), expected)
     X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))  # not Hermitian
     coords = _hermitian_coords(X)
@@ -403,11 +404,11 @@ def test_coordinates_match_the_trace_inner_product_route(N):
 
 
 def test_lifted_rows_hand_check_single_point():
-    # N = 1, one point u: v = (1, sqrt(alpha) u), weight e^{-alpha |u|^2}
+    # N = 1, one point u: v = (1, sqrt(alpha) u), the row scaled by 1/|v|^2
     alpha, u = math.pi, 0.4 + 0.3j
     rows = lifted_rows([u], 1, alpha)
     v1 = math.sqrt(alpha) * u
-    w = math.exp(-alpha * abs(u) ** 2)
+    w = 1.0 / (1.0 + abs(v1) ** 2)
     # antisymmetric element: Re(i(v1 - conj v1))/sqrt(2) = -sqrt(2) Im(v1)
     expected = np.array(
         [
@@ -421,8 +422,9 @@ def test_lifted_rows_hand_check_single_point():
 
 
 def test_lifted_rows_measure_polynomial_moduli():
-    # row action on the rank-one lift of x equals |P(u)|^2 e^{-alpha|u|^2}
-    # for the polynomial P with basis coefficients conj(x)
+    # row action on the rank-one lift of x equals |P(u)|^2 / |v(u)|^2 for
+    # the polynomial P with basis coefficients conj(x), where
+    # |v(u)|^2 = sum_n (alpha |u|^2)^n / n! is the truncated exponential
     alpha, N = 1.5, 3
     rng = np.random.default_rng(2)
     pts = rng.normal(size=6) + 1j * rng.normal(size=6)
@@ -430,7 +432,9 @@ def test_lifted_rows_measure_polynomial_moduli():
     rows = lifted_rows(pts, N, alpha)
     measured = rows @ coords_of(np.outer(x, np.conj(x)))
     P = FockPoly(alpha, np.conj(x))
-    direct = np.abs(np.asarray(P(pts))) ** 2 * np.exp(-alpha * np.abs(pts) ** 2)
+    t = alpha * np.abs(pts) ** 2
+    norms = sum(t**n / math.factorial(n) for n in range(N + 1))
+    direct = np.abs(np.asarray(P(pts))) ** 2 / norms
     assert measured == pytest.approx(direct, rel=1e-10)
 
 
@@ -483,6 +487,40 @@ def test_lifted_injectivity_sigma_min_grows_with_extra_rows_once_injective():
     b = lifted_injectivity(extra, N=1, alpha=math.pi)
     assert a.kernel_dim == 0 and b.kernel_dim == 0
     assert b.sigma_min >= a.sigma_min
+
+
+def _mp_lifted_rows(points, N: int, alpha: float) -> mp.matrix:
+    """``lifted_rows`` at the working precision: the unit-norm coordinates of v v^H."""
+    rows = []
+    for z in points:
+        u = mp.mpc(z.real, z.imag)
+        v = [mp.sqrt(mp.mpf(alpha) ** n / mp.factorial(n)) * u**n for n in range(N + 1)]
+        row = [abs(c) ** 2 for c in v]
+        for j in range(N + 1):
+            for k in range(j + 1, N + 1):
+                p = v[j] * mp.conj(v[k])
+                row += [mp.sqrt(2) * p.real, mp.sqrt(2) * p.imag]
+        norm = mp.sqrt(mp.fsum(c**2 for c in row))
+        rows.append([c / norm for c in row])
+    return mp.matrix(rows)
+
+
+@pytest.mark.parametrize("M, kernel", [(49, 1), (61, 0)])
+def test_lifted_kernel_on_the_integer_lattice_matches_an_mpmath_oracle(M, kernel):
+    # the first M points of the integer lattice at alpha = pi, N = 6: with
+    # rows weighted by exp(-alpha|u|^2) in place of unit rows, the far rows
+    # fell under the relative cut and the kernel read 17 at both sizes
+    _, pts = window_arrays(square_lattice(math.pi), 6)
+    pts = pts[:M].tolist()
+    with mp.workdps(50):
+        oracle = _mp_lifted_rows(pts, 6, math.pi)
+        svals = mp.svd_r(oracle, compute_uv=False)
+        svals = [svals[i] for i in range(svals.rows)]
+        rank = sum(1 for s in svals if s > mp.mpf(10) ** -30 * max(svals))
+        rows = lifted_rows(pts, 6, math.pi)
+        assert np.abs(np.array(oracle.tolist(), dtype=float) - rows).max() < 1e-14
+    assert 49 - rank == kernel
+    assert lifted_injectivity(pts, 6, math.pi).kernel_dim == kernel
 
 
 def test_lifted_injectivity_validation():

@@ -191,7 +191,7 @@ def test_rows_added_across_packed_blocks(monkeypatch):
     doc = ps.to_json()
     text = jsonio.dumps(doc)
     assert text == jsonio.dumps({**doc, "points": _entry_dicts(ps)})
-    back = IndexedPointSet.from_json(jsonio.loads(text))
+    back = IndexedPointSet.from_json(json.loads(text))
     assert dict(back.items()) == dict(ps.items())
     assert jsonio.dumps(back.to_json()) == text
 
@@ -591,7 +591,7 @@ def test_json_round_trip_preserves_everything():
     ps.add((0, 1), "C", complex(-0.0, 0.0))  # signed zeros
     text = jsonio.dumps(ps.to_json())
     # in memory, and through the canonical text
-    for doc in (ps.to_json(), jsonio.loads(text)):
+    for doc in (ps.to_json(), json.loads(text)):
         back = IndexedPointSet.from_json(doc)
         assert back.lattice == ps.lattice
         assert back.window_radius == ps.window_radius
@@ -605,7 +605,7 @@ def test_json_round_trip_preserves_everything():
 
 
 def test_from_json_rejects_fields_that_are_not_pairs():
-    doc = jsonio.loads(jsonio.dumps(make_set().to_json()))
+    doc = json.loads(jsonio.dumps(make_set().to_json()))
     good = {"index": [1, 0], "tag": "A", "pos": [1.0, 0.0], "delta": [0.0, 0.0], "unit": [0.0, 0.0]}
     for field, bad in (
         ("index", [2, 0, 0]),
@@ -625,7 +625,7 @@ def test_from_json_names_a_record_that_lacks_a_required_field(tmp_path, monkeypa
     ps = make_set()
     for k in range(7):
         ps.add((k, 0), "A", 0.1j)
-    doc = jsonio.loads(jsonio.dumps(ps.to_json()))
+    doc = json.loads(jsonio.dumps(ps.to_json()))
     for row in (0, 4):
         for field in ("index", "tag", "unit"):
             points = [dict(r) for r in doc["points"]]
@@ -660,7 +660,7 @@ def test_from_json_rejects_values_outside_the_fields_domain(field, bad, message)
     ps = make_set()
     for k in range(5):
         ps.add((k, 0), "A", 0.5)
-    doc = jsonio.loads(jsonio.dumps(ps.to_json()))
+    doc = json.loads(jsonio.dumps(ps.to_json()))
     doc["points"][3][field] = bad
     for load in (json.loads, _load_text):  # parsed, and streamed into a table
         with pytest.raises(ValueError, match=f"point record 3: {message}"):
@@ -698,28 +698,29 @@ signed_floats = st.one_of(
     st.sampled_from([0.0, -0.0, 3.0, 1e17, 5e-324, -1e-300]),
 )
 pair_values = st.lists(signed_floats, min_size=2, max_size=2)
-point_records = st.lists(
-    st.fixed_dictionaries(
-        {
-            "index": st.lists(st.integers(-20, 20), min_size=2, max_size=2),
+
+
+@st.composite
+def point_records(draw):
+    """Point records that share their keys: ``pos`` and ``delta`` are on all or on none."""
+    keys = {"index": st.lists(st.integers(-20, 20), min_size=2, max_size=2),
             "tag": st.sampled_from(["A", "B", "C", "1", "x%y"]),
-            "unit": pair_values,
-        },
-        optional={"pos": pair_values, "delta": pair_values},
-    ),
-    max_size=14,
-    unique_by=lambda r: (tuple(r["index"]), r["tag"]),
-)
+            "unit": pair_values}
+    for key in ("pos", "delta"):
+        if draw(st.booleans()):
+            keys[key] = pair_values
+    return draw(st.lists(st.fixed_dictionaries(keys), max_size=14,
+                         unique_by=lambda r: (tuple(r["index"]), r["tag"])))
 
 
 @settings(max_examples=60, deadline=None)
-@given(point_records, st.randoms(use_true_random=False))
+@given(point_records(), st.randoms(use_true_random=False))
 def test_streamed_points_load_like_parsed_points(records, rnd):
     # blocks of 3 records, so a set of up to 14 spans several of them
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jsonio, "_ROW_BLOCK", 3)
         doc = {
-            "lattice": jsonio.loads(jsonio.dumps(Lattice(1.0, 1.0j))),
+            "lattice": json.loads(jsonio.dumps(Lattice(1.0, 1.0j))),
             "window_radius": 30.0,
             "points": records,
             "meta": {"gamma": 7.0, "kappa_cap": 0.5},
@@ -754,14 +755,14 @@ def test_streamed_points_load_like_parsed_points(records, rnd):
 
 def test_streamed_points_reject_malformed_records(monkeypatch):
     monkeypatch.setattr(jsonio, "_ROW_BLOCK", 3)
-    good = [{"index": [k, 0], "tag": "A", "pos": [float(k), 0.5], "unit": [0.0, 0.5]}
-            for k in range(8)]
-    doc = {"lattice": jsonio.loads(jsonio.dumps(Lattice(1.0, 1.0j))), "window_radius": 30.0}
+    good = [{"index": [k, 0], "tag": "A", "pos": [float(k), 0.5], "delta": [0.0, 0.5],
+             "unit": [0.0, 1.0]} for k in range(8)]
+    doc = {"lattice": json.loads(jsonio.dumps(Lattice(1.0, 1.0j))), "window_radius": 30.0}
     for row in (1, 6):  # in the first block and in a later one
         for field, bad, match in (
             ("pos", [1.0, 2.0, 3.0], "record|pairs"),  # not a pair, ragged against the rest
             ("index", [1], "record|pairs"),
-            ("delta", [0.5], "pairs"),  # the only delta: a column, but not of pairs
+            ("delta", [0.5], "record|pairs"),
             ("pos", 2.5, "record"),  # a number among pairs
             ("pos", [1.0, "a"], "record"),
             ("tag", True, "record"),
