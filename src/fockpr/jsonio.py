@@ -55,6 +55,7 @@ __all__ = [
     "write_text",
     "dump_path",
     "load_path",
+    "lacking",
 ]
 
 # records (or array rows) rendered or read together; bounds the tokens
@@ -171,7 +172,8 @@ def _column(key: str, values: list, first: int) -> np.ndarray:
     )
 
 
-def _lacking(row: int, key: str) -> ValueError:
+def lacking(row: int, key: str) -> ValueError:
+    """The error for point record ``row`` that lacks the field ``key``."""
     return ValueError(f"point record {row} lacks the field {key!r}")
 
 
@@ -187,7 +189,7 @@ def _packed(records: list, first: int) -> Table:
         if nulls == len(values):
             continue  # null throughout: no record has the key
         if nulls:
-            raise _lacking(first + values.index(None), key)
+            raise lacking(first + values.index(None), key)
         columns[key] = _column(key, values, first)
     if not columns:  # a table without columns cannot hold a count of records
         raise ValueError(f"point record {first} has no fields")
@@ -203,7 +205,7 @@ def _joined(tables: list[Table]) -> Table:
     for t, start in zip(tables, starts):
         missing = [key for key in keys if key not in t.columns]
         if missing:
-            raise _lacking(start, missing[0])
+            raise lacking(start, missing[0])
     columns = {}
     for key in keys:
         like = tables[0].columns[key]

@@ -422,9 +422,10 @@ def lifted_injectivity(
     dim = N + 1
     d_real = dim * dim
     rows = lifted_rows(pts, N, alpha)
-    # one SVD for the spectrum and the kernel; the full V^T spans the
-    # kernel also where there are fewer rows than unknowns
-    _u, svals, vt = np.linalg.svd(rows, full_matrices=True)
+    # one SVD for the spectrum and the kernel.  With at least d_real rows the
+    # reduced V^T is already square; with fewer, the full V^T spans the kernel
+    # and U is at most d_real x d_real.  A full U on many rows would be M x M.
+    _u, svals, vt = np.linalg.svd(rows, full_matrices=len(rows) < d_real)
     sigma_max = float(svals[0]) if svals.size else 0.0
     rank = int(np.count_nonzero(svals > _RANK_TOL * sigma_max)) if sigma_max > 0 else 0
     kernel_dim = d_real - rank

@@ -368,7 +368,7 @@ class IndexedPointSet:
         cols = points.columns
         for key in _REQUIRED_FIELDS:
             if key not in cols:  # every record shares its keys, so the first lacks it too
-                raise ValueError(f"point record 0 lacks the field {key!r}")
+                raise jsonio.lacking(0, key)
         for key in _DERIVED_FIELDS:
             if key in cols:
                 complex_column(cols[key], key)

@@ -3,6 +3,7 @@ and the lifted injectivity analyzer."""
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -487,6 +488,23 @@ def test_lifted_injectivity_sigma_min_grows_with_extra_rows_once_injective():
     b = lifted_injectivity(extra, N=1, alpha=math.pi)
     assert a.kernel_dim == 0 and b.kernel_dim == 0
     assert b.sigma_min >= a.sigma_min
+
+
+def test_lifted_injectivity_on_many_points_holds_no_full_left_factor():
+    # 4000 points at N = 1: a full U of the SVD would be 4000 x 4000 doubles,
+    # 128 MB, where the rows themselves take 128 kB
+    rng = np.random.default_rng(3)
+    pts = (rng.standard_normal(4000) + 1j * rng.standard_normal(4000)).tolist()
+    lifted_injectivity(pts[:8], N=1, alpha=math.pi)  # lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        rep = lifted_injectivity(pts, N=1, alpha=math.pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.num_points == 4000 and rep.kernel_dim == 0
+    assert len(rep.singular_values) == 4
+    assert peak < 4 << 20
 
 
 def _mp_lifted_rows(points, N: int, alpha: float) -> mp.matrix:
