@@ -82,6 +82,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type: an integer in [0, 2**64), the seeds the keyed draws tell apart."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fockpr",
@@ -103,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--mode", choices=["random", "det"], default=None, help="offset mode for optreal/opteven (default random)")
     g.add_argument("--angles", type=lambda text: [_finite_float(a) for a in text.split(",")], default=None, help="three line angles in radians, comma separated (lines only)")
     g.add_argument("--pitch", type=_finite_float, default=None, help="sample spacing along lines (lines only, default 0.1)")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--out", type=str, default="set.json")
     g.add_argument("--csv", type=str, default=None, help="also write rows m,n,tag,re,im")
 
@@ -111,12 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--in", dest="inp", required=True)
     c.add_argument("--beta", type=_finite_float, required=True, help="weight of the median-angle condition")
     c.add_argument("--gamma", type=_finite_float, default=None, help="closeness rate (default: the set's own)")
-    c.add_argument("--seed", type=int, default=0, help="unused; accepted for uniform invocation")
+    c.add_argument("--seed", type=_seed, default=0, help="unused; accepted for uniform invocation")
     c.add_argument("--out", type=str, default="report.json")
 
     v = sub.add_parser("verify", help="run one module's invariant suite")
     v.add_argument("module", choices=["fock", "special", "gabor", "phaseless"])
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--out", type=str, default=None, help="optional JSON artifact of the check list")
 
     i = sub.add_parser("injectivity", help="nested-rank analysis of modulus measurements")
@@ -124,14 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--dim", type=int, default=6, help="polynomial degree truncation N")
     i.add_argument("--alpha", type=_finite_float, default=math.pi)
     i.add_argument("--subsets", type=str, default=None, help="comma-separated prefix sizes (default 30,45,49,60 or the full set)")
-    i.add_argument("--seed", type=int, default=0)
+    i.add_argument("--seed", type=_seed, default=0)
     i.add_argument("--out", type=str, default="injectivity.json")
 
     m = sub.add_parser("montecarlo", help="small-angle probability vs the linear bound")
     m.add_argument("variant", choices=["angles", "mirror"])
     m.add_argument("--trials", type=int, required=True)
     m.add_argument("--eps", type=_finite_float, required=True)
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--seed", type=_seed, default=0)
     m.add_argument("--out", type=str, default="mc.json")
 
     r = sub.add_parser("render", help="SVG scatter of a stored set")

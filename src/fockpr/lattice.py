@@ -75,10 +75,6 @@ class Lattice:
         x, y = self.coords(z)
         return np.abs(z - self.point((np.rint(x), np.rint(y)))) <= tol
 
-    def index_of(self, z: complex, tol: float = 1e-9) -> LatticeIndex:
-        m, n = self.indices_of([z], tol)[0].tolist()
-        return LatticeIndex(m, n)
-
     def indices_of(self, z, tol: float = 1e-9) -> np.ndarray:
         """Indices of the lattice points ``z`` as a (k, 2) int array.
 
@@ -116,17 +112,6 @@ class Lattice:
         _, pts = window_arrays(self, 5.0 * max(abs(self.omega1), abs(self.omega2)))
         conjugates = np.conj(np.append([self.omega1, self.omega2], pts))
         return bool(np.all(self.contains(conjugates, tol)))
-
-    def liouville_after_shift(self, alpha: float, w: complex) -> bool:
-        """Growth classification of the translate ``lattice - w``.
-
-        Translation preserves the fundamental cell, so this always agrees
-        with :meth:`is_liouville`; the translate is materialized and
-        re-measured as a consistency check.
-        """
-        translated = Lattice(self.omega1, self.omega2, self.shift - w)
-        assert translated.area == self.area
-        return translated.is_liouville(alpha)
 
     @classmethod
     def from_json(cls, data: dict) -> "Lattice":

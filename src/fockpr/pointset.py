@@ -9,7 +9,9 @@ set's metadata; a set that records neither has the budget (0, 1), so its
 the position ``pos = home + delta`` are derived where they are read.  For
 Gaussian budgets both collapse in floating point (``delta`` underflows,
 ``pos`` rounds onto the lattice point) while ``unit`` and the budget stay
-exact, so the certificates below work from them in log scale.
+exact, so the certificates below work from them in log scale.  Samples
+enter a set one at a time through ``add``, or all at once when
+``from_json`` loads a document.
 
 Certificates:
 
@@ -54,6 +56,7 @@ __all__ = [
     "relative_separation_bound",
     "uniform_closeness_delta",
     "sample_points",
+    "sample_identities",
     "complex_column",
 ]
 
@@ -114,9 +117,10 @@ class IndexedPointSet:
     ``_ADD_BLOCK`` rows; the next column read appends the blocks in one
     step.  A dict from key to row number backs :meth:`add`, :meth:`get`
     and ``in``; it is built from the columns on the first such lookup, so
-    a set that is only read in bulk never holds it.  Batches
-    (:meth:`add_many`, :meth:`from_json`) are checked for duplicates by
-    sorting the key columns.  Outputs (``points``, ``to_json``,
+    a set that is only read in bulk never holds it.  :meth:`add` is the
+    one way to insert a sample and :meth:`from_json` the one way to load a
+    document, whose columns are taken whole once one lexsort of its key
+    columns finds no duplicate.  Outputs (``points``, ``to_json``,
     ``to_csv``) list rows in the canonical (m, n, tag) order.
     """
 
@@ -139,7 +143,6 @@ class IndexedPointSet:
         Costs amortized O(1): the row waits as a tuple until ``_ADD_BLOCK``
         rows have gathered, which are then packed into one block of columns,
         so the rows held as tuples stay few however large the set grows.
-        :meth:`add_many` checks and appends a whole batch at once.
         """
         m, n = int(index[0]), int(index[1])
         home = self.lattice.point((m, n))
@@ -153,39 +156,23 @@ class IndexedPointSet:
         if len(self._buffer) >= _ADD_BLOCK:
             self._pack()
 
-    def add_many(self, indices, tag: str, unit) -> None:
-        """Insert one ``tag`` sample at each lattice index of ``indices`` (shape (k, 2)).
+    def _load(self, cols: _Columns) -> None:
+        """Take the columns of a document as the rows of this fresh set, after checking them.
 
-        ``unit`` is a complex array broadcast against the k indices, with
-        the meaning it has in :meth:`add`.  Nothing is inserted when a home
-        point lies outside the window or a key (index, tag) is already in
-        the set or repeated within the batch.
+        Every home must lie in the window and no key (m, n, tag) may
+        repeat; one lexsort of the key columns finds the first repeat.
         """
-        idx = np.array(indices, dtype=np.int64).reshape(-1, 2)
-        k = len(idx)
-        unit = np.broadcast_to(np.asarray(unit, dtype=complex), (k,)).copy()
-        self._append(_Columns(idx[:, 0], idx[:, 1], np.full(k, tag), unit))
-
-    def _append(self, new: _Columns) -> None:
-        """Check whole columns of new rows, then append them after every earlier row."""
-        homes = self.lattice.point((new.m, new.n))
+        homes = self.lattice.point((cols.m, cols.n))
         outside = np.flatnonzero(np.abs(homes) > self.window_radius + 1e-9)
         if outside.size:
             i = outside[0]
-            index = (int(new.m[i]), int(new.n[i]))
+            index = (int(cols.m[i]), int(cols.n[i]))
             raise ValueError(f"home point {complex(homes[i])} of index {index} outside window")
-        old = self._columns()
-        row = _first_repeat(*(np.concatenate([a, b]) for a, b in zip(old[:3], new[:3])))
-        if row is not None:
-            i = row - len(old.m)
-            index = (int(new.m[i]), int(new.n[i]))
-            raise ValueError(f"duplicate entry for index {index} tag {str(new.tag[i])!r}")
-        if self._row_of is not None:
-            keys = zip(new.m.tolist(), new.n.tolist(), new.tag.tolist())
-            self._row_of.update(zip(keys, range(len(old.m), len(old.m) + len(new.m))))
-        # the first batch is taken as it is: its arrays belong to the caller
-        # (add_many, from_json), which hands them over
-        self._cols = _joined(old, new) if len(old.m) else new
+        i = _first_repeat(cols.m, cols.n, cols.tag)
+        if i is not None:
+            index = (int(cols.m[i]), int(cols.n[i]))
+            raise ValueError(f"duplicate entry for index {index} tag {str(cols.tag[i])!r}")
+        self._cols = cols
 
     def _pack(self) -> None:
         """Move the rows buffered by :meth:`add` into one block of columns."""
@@ -349,12 +336,13 @@ class IndexedPointSet:
 
         The points are a :class:`jsonio.Table` (as :func:`jsonio.load_path`
         and :meth:`to_json` give them) or a list of records, which is packed
-        into one; every record has the keys of every other.  They are
-        checked like a batch of :meth:`add_many`; every record has an
-        ``index``, a ``tag`` and a ``unit``, every ``index`` is a pair of
-        integers and every ``unit`` a pair of finite numbers.  Where the
-        records carry ``pos`` or ``delta``, each must be a pair of finite
-        numbers too; the set derives both anew from ``unit``.
+        into one; every record has the keys of every other.  Every record
+        has an ``index``, a ``tag`` and a ``unit``, every ``index`` is a
+        pair of integers and every ``unit`` a pair of finite numbers.  Where
+        the records carry ``pos`` or ``delta``, each must be a pair of
+        finite numbers too; the set derives both anew from ``unit``.  Every
+        home lies in the window and no (index, tag) repeats, which one
+        lexsort of the key columns checks.
         """
         lat = data["lattice"]
         if not isinstance(lat, Lattice):
@@ -373,7 +361,7 @@ class IndexedPointSet:
             if key in cols:
                 complex_column(cols[key], key)
         idx = _index_pairs(cols["index"])
-        ps._append(
+        ps._load(
             _Columns(
                 idx[:, 0],
                 idx[:, 1],
@@ -868,8 +856,18 @@ def sample_points(ps: IndexedPointSet) -> np.ndarray:
     names the tags that constitute the actual point set (for density and
     separation), with all tags as the fallback.
     """
+    return ps.points(_sample_tags(ps))
+
+
+def sample_identities(ps: IndexedPointSet) -> tuple[np.ndarray, np.ndarray]:
+    """Home points and unit offsets of the samples, aligned with :func:`sample_points`."""
+    rows = ps._rows(_sample_tags(ps))
+    return ps._homes(rows), ps._columns().unit[rows]
+
+
+def _sample_tags(ps: IndexedPointSet) -> tuple[str, ...] | None:
     tags = ps.meta.get("sample_tags")
-    return ps.points(None if tags is None else tuple(tags))
+    return None if tags is None else tuple(tags)
 
 
 def uniform_closeness_delta(

@@ -33,7 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice, modulus_order, window_arrays
-from .pointset import IndexedPointSet, TRIPLE_TAGS, median_angles, sample_points
+from .pointset import (
+    IndexedPointSet,
+    TRIPLE_TAGS,
+    median_angles,
+    sample_identities,
+    sample_points,
+)
 from .rng import keyed_disk
 
 __all__ = [
@@ -366,15 +372,29 @@ def three_lines(angles, radius: float, pitch: float = 0.1) -> np.ndarray:
 
 def reflection_closure(obj, mode: str) -> np.ndarray:
     """Close a point family under conjugation ("half") or under
-    conjugation and negation ("quarter"); exact duplicates collapse."""
-    pts = sample_points(obj) if isinstance(obj, IndexedPointSet) else np.asarray(obj, dtype=complex).ravel()
-    if mode == "half":
-        out = np.concatenate([pts, np.conj(pts)])
-    elif mode == "quarter":
-        out = np.concatenate([pts, np.conj(pts), -pts, -np.conj(pts)])
-    else:
+    conjugation and negation ("quarter").
+
+    On a set each sample and each image is the pair (home point, unit
+    offset) under the map, and an image collapses only onto a sample or
+    an earlier image with an equal pair, compared by value.  Samples whose
+    float positions coincide, as far ones on a Gaussian budget do, all
+    stay.  The positions come out samples first, then each map's new
+    images.  On a plain array exact duplicates collapse, in sorted order.
+    """
+    if mode not in ("half", "quarter"):
         raise ValueError(f"unknown mode {mode!r}")
-    return np.unique(out)
+
+    def closed(z: np.ndarray) -> np.ndarray:
+        images = [z, np.conj(z)] + ([-z, -np.conj(z)] if mode == "quarter" else [])
+        return np.concatenate(images)
+
+    if not isinstance(obj, IndexedPointSet):
+        return np.unique(closed(np.asarray(obj, dtype=complex).ravel()))
+    homes, units = map(closed, sample_identities(obj))
+    # adding 0.0 turns -0.0 into 0.0, so the pairs compare by value
+    pairs = np.stack([homes.real, homes.imag, units.real, units.imag], axis=1) + 0.0
+    _, first = np.unique(pairs, axis=0, return_index=True)
+    return closed(sample_points(obj))[np.sort(first)]
 
 
 # -- Monte Carlo small-angle experiments --------------------------------------

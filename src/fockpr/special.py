@@ -15,6 +15,7 @@ This module builds numerically validated evaluators for:
 * a bounded-but-nonconstant quotient with two lattice zeros removed
   (the critical-density counterexample),
 * an interpolation kernel ``g`` built from a perturbed square lattice,
+  given as the lattice, a window radius and one offset per window point,
   as sigma times a finite correction over the nodes that moved off the
   lattice (anchored at the node homed at 0, no truncation, no domain
   radius but sigma's overflow), its derivative on the node set in closed
@@ -35,8 +36,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .fock import fock_gram
-from .lattice import Lattice, modulus_order, window_arrays
-from .pointset import IndexedPointSet
+from .lattice import Lattice, modulus_order, square_lattice, window_arrays
 from .sampler import three_lines
 
 __all__ = [
@@ -340,15 +340,18 @@ def _is_square_lattice(lat: Lattice) -> bool:
 class GGammaEvaluator:
     """Interpolation kernel built from a (possibly perturbed) square lattice.
 
-    The node set holds one node ``gamma`` for each point ``lam`` of the
-    square lattice of cell area ``pi/beta`` in its window.  The kernel is
+    The nodes are ``gamma = lam + offset``, one for each point ``lam`` of
+    the unshifted square ``lattice`` within ``window_radius``; ``offsets``
+    is aligned with the points of ``window_arrays(lattice,
+    window_radius)``, and a scalar moves every node alike.  The kernel is
     the Hadamard-type product
 
         g(z) = (z - gamma00) * prod over the other nodes of
                (1 - z/gamma) exp(z/gamma + z^2 / (2 lam^2)),
 
     continued over the unperturbed lattice beyond the window, where the
-    anchor ``gamma00`` is the node homed at 0.  ``nodes`` holds the node
+    anchor ``gamma00`` is the node homed at 0, the first one
+    :func:`~fockpr.lattice.window_arrays` lists.  ``nodes`` holds the node
     positions, read-only, ordered by modulus and then by argument
     (:func:`~fockpr.lattice.modulus_order`); node values, as
     :meth:`node_log_derivatives` returns and :func:`lagrange_interpolate`
@@ -360,46 +363,30 @@ class GGammaEvaluator:
         g(z) = sigma(z) * (z - gamma00)/z * prod over moved nodes of
                (1 - z/gamma) e^(z/gamma) / ((1 - z/lam) e^(z/lam)).
 
-    A node has moved when its stored position differs from its home as
-    floats; every other factor, including every lattice point beyond the
-    window, is exactly 1.  Sigma is :class:`SigmaEvaluator`'s theta
-    series, so there is no truncation and no domain radius: evaluation
-    raises ValueError only where sigma overflows.  The node set must hold
-    a node at every lattice point of its window, since sigma supplies a
-    zero at each of them.
+    A node has moved when its position differs from its home as floats;
+    every other factor, including every lattice point beyond the window,
+    is exactly 1.  Sigma is :class:`SigmaEvaluator`'s theta series, so
+    there is no truncation and no domain radius: evaluation raises
+    ValueError only where sigma overflows.
     """
 
-    def __init__(self, gamma_set: IndexedPointSet, tag: str | None = None) -> None:
-        lat = gamma_set.lattice
-        if lat.shift != 0 or not _is_square_lattice(lat):
-            raise ValueError("node sets must live over an unshifted square lattice")
-        tags = gamma_set.tags()
-        if tag is None:
-            if len(tags) != 1:
-                raise ValueError(f"tag must be given when several exist: {tags}")
-            tag = tags[0]
-        elif tag not in tags:
-            raise ValueError(f"tag {tag!r} not present (have {tags})")
-        self.gamma_set = gamma_set
-        self.tag = tag
-        self.beta = math.pi / lat.area
-
-        # sorted (m, n) homes, aligned with the canonically ordered points
-        idx = np.array(gamma_set.indices((tag,)))
-        gam = np.asarray(gamma_set.points((tag,)), dtype=complex)
-        anchor = np.flatnonzero((idx[:, 0] == 0) & (idx[:, 1] == 0))
-        if not anchor.size:
-            raise ValueError(f"tag {tag!r} has no node homed at (0, 0) to anchor the kernel")
-        window, _ = window_arrays(lat, gamma_set.window_radius)
-        if not np.array_equal(idx, np.unique(window, axis=0)):
+    def __init__(self, lattice: Lattice, window_radius: float, offsets=0.0) -> None:
+        if lattice.shift != 0 or not _is_square_lattice(lattice):
+            raise ValueError("the kernel needs an unshifted square lattice")
+        _, lam = window_arrays(lattice, window_radius)
+        offsets = np.asarray(offsets, dtype=complex)
+        if offsets.ndim and offsets.shape != lam.shape:
             raise ValueError(
-                f"tag {tag!r} has {len(idx)} homes, not the {len(window)} lattice points "
-                f"of the window: sigma puts a zero at every one of them"
+                f"offsets has shape {offsets.shape}, but the window has {lam.size} lattice points"
             )
-        self.sigma = SigmaEvaluator(lat)
-        self.gamma00 = complex(gam[anchor[0]])
+        self.lattice = lattice
+        self.beta = math.pi / lattice.area
+
+        gam = lam + offsets
+        self.sigma = SigmaEvaluator(lattice)
+        self.gamma00 = complex(gam[0])
         order = modulus_order(gam)
-        self.nodes, self._lam = gam[order], lat.point((idx[:, 0], idx[:, 1]))[order]
+        self.nodes, self._lam = gam[order], lam[order]
         self.nodes.setflags(write=False)
         self._moved = self.nodes != self._lam
 
@@ -416,12 +403,7 @@ class GGammaEvaluator:
     @classmethod
     def from_lattice(cls, beta: float, sample_radius: float) -> "GGammaEvaluator":
         """Unperturbed instance: nodes are exactly the square lattice of area pi/beta."""
-        step = math.sqrt(math.pi / beta)
-        lat = Lattice(step, step * 1j)
-        ps = IndexedPointSet(lat, window_radius=sample_radius, meta={"beta": beta})
-        idx, _ = window_arrays(lat, sample_radius)
-        ps.add_many(idx, "G", 0.0)
-        return cls(ps, tag="G")
+        return cls(square_lattice(beta), sample_radius)
 
     # -- log-domain evaluation -------------------------------------------
 

@@ -18,7 +18,6 @@ import numpy as np
 from . import fock, gabor, phaseless, special
 from .fock import FockPoly
 from .lattice import Lattice, modulus_order, window_arrays
-from .pointset import IndexedPointSet
 from .rng import keyed_disk
 from .sampler import GeneratorConfig, random_triple
 
@@ -284,10 +283,10 @@ def verify_special(seed: int = 0) -> list[CheckResult]:
     # (1 + O(h)), which tests both closed forms of the node derivative.
     idx, _ = window_arrays(lat, 3.0)
     m, n = idx[:, 0], idx[:, 1]
-    nodes = IndexedPointSet(lat, window_radius=3.0)
     moved = m % 2 == 0
-    nodes.add_many(idx, "G", np.where(moved, 0.2 * keyed_disk(seed, m, n, 1), 0.0))
-    kernel = special.GGammaEvaluator(nodes, tag="G")
+    kernel = special.GGammaEvaluator(
+        lat, 3.0, np.where(moved, 0.2 * keyed_disk(seed, m, n, 1), 0.0)
+    )
     near = kernel.nodes + 2.0 ** -40 * _random_points(rng, 60, 4.5)[: kernel.nodes.size]
     slopes = (near - kernel.nodes) * np.exp(kernel.node_log_derivatives())
     out.append(

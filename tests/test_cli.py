@@ -237,6 +237,29 @@ def test_non_finite_float_flags_exit_2_and_write_nothing(flag, value, det3_set, 
     assert not out.exists()
 
 
+# each subcommand that takes --seed, with the rest of a command line that runs
+_SEEDED = {
+    "generate": ("generate", "--construction", "rand3", "--alpha", PI, "--radius", 2),
+    "certify": ("certify", "--in", "SET", "--beta", PI),
+    "verify": ("verify", "fock"),
+    "injectivity": ("injectivity", "--dim", 2, "--subsets", 9),
+    "montecarlo": ("montecarlo", "angles", "--trials", 100, "--eps", 0.1),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", sorted(_SEEDED))
+def test_seeds_outside_64_bits_exit_2_naming_the_flag(command, seed, det3_set, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    argv = [det3_set if a == "SET" else a for a in _SEEDED[command]]
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--seed", seed, "--out", out)
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*argv, "--seed", 2**64 - 1, "--out", out) == 0
+
+
 # -- certify -----------------------------------------------------------------------
 
 

@@ -14,6 +14,11 @@ import fockpr
 MODULES = sorted(info.name for info in pkgutil.iter_modules(fockpr.__path__))
 
 
+def module_tree(name: str) -> ast.Module:
+    path = Path(fockpr.__file__).with_name(f"{name}.py")
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def imported_names(tree: ast.Module) -> dict[str, int]:
     """Each name an import statement binds, with the line it is bound on."""
     bound = {}
@@ -47,11 +52,40 @@ def test_every_exported_name_exists(name):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_imports_a_name_it_never_uses(name):
-    path = Path(fockpr.__file__).with_name(f"{name}.py")
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = module_tree(name)
     used = used_names(tree)
     unused = {n: line for n, line in imported_names(tree).items() if n not in used}
     assert unused == {}
+
+
+def imported_submodules(tree: ast.Module) -> set[str]:
+    """The fockpr submodules a module imports from, by relative or absolute name."""
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative to the package
+                base = f"fockpr.{base}".rstrip(".")
+            if base == "fockpr":  # ``from . import x`` binds the submodule x
+                dotted += [f"fockpr.{alias.name}" for alias in node.names]
+            else:
+                dotted.append(base)
+        elif isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("fockpr.")}
+
+
+@pytest.mark.parametrize("name", ["fock", "special", "gabor", "phaseless"])
+def test_analytic_modules_do_not_import_the_set_layer(name):
+    assert "pointset" not in imported_submodules(module_tree(name))
+
+
+def test_submodule_imports_are_read_in_every_form():
+    tree = ast.parse(
+        "from . import a\nfrom .b import x\nfrom fockpr.c import y\n"
+        "from fockpr import d\nimport fockpr.e\nimport numpy\nfrom math import pi"
+    )
+    assert imported_submodules(tree) == {"a", "b", "c", "d", "e"}
 
 
 def private_module_names(tree: ast.Module) -> dict[str, int]:
@@ -73,8 +107,7 @@ def private_module_names(tree: ast.Module) -> dict[str, int]:
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_defines_a_private_name_it_never_reads(name):
-    path = Path(fockpr.__file__).with_name(f"{name}.py")
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = module_tree(name)
     read = {
         node.id for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)

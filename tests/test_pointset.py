@@ -98,6 +98,19 @@ def make_set(**meta) -> IndexedPointSet:
     return IndexedPointSet(Lattice(1.0, 1.0j), window_radius=30.0, meta=meta)
 
 
+def make_document(keys, units=None) -> dict:
+    """The document of ``make_set()`` holding one record per (m, n, tag) key, in order."""
+    units = [0.0] * len(keys) if units is None else units
+    return {
+        "lattice": Lattice(1.0, 1.0j),
+        "window_radius": 30.0,
+        "points": [
+            {"index": [m, n], "tag": tag, "unit": [complex(u).real, complex(u).imag]}
+            for (m, n, tag), u in zip(keys, units)
+        ],
+    }
+
+
 def test_add_get_and_derived_offsets():
     ps = make_set()  # no budget in the metadata: (gamma, kappa_cap) = (0, 1)
     ps.add((2, 1), "A", 0.01 + 0.02j)
@@ -127,40 +140,33 @@ def test_add_rejects_bad_entries():
         IndexedPointSet(Lattice(1.0, 1.0j), window_radius=0.0)
 
 
-def test_add_many_matches_single_adds_and_rejects_whole_batches():
-    ps, one_by_one = make_set(), make_set()
-    idx = [(0, 0), (1, 0), (0, 1)]
-    units = [0.01, 0.02j, -0.0]
-    ps.add_many(idx, "A", units)
-    for index, u in zip(idx, units):
-        one_by_one.add(index, "A", u)
+def test_a_loaded_document_matches_single_adds_and_rejects_bad_keys():
+    one_by_one = make_set()
+    keys = [(0, 0, "A"), (1, 0, "A"), (0, 1, "A")]
+    units = [0.01, 0.02j, complex(-0.0, 0.0)]
+    for (m, n, tag), u in zip(keys, units):
+        one_by_one.add((m, n), tag, u)
+    ps = IndexedPointSet.from_json(make_document(keys, units))
     assert ps.items() == one_by_one.items()
-    rejected = [
-        ([(2, 0), (3, 0), (2, 0)], "A"),  # duplicate within the batch
-        ([(2, 0), (1, 0)], "A"),  # duplicate of an existing row
-        ([(2, 0), (40, 0)], "B"),  # home outside the window
-    ]
-    for indices, tag in rejected:
-        with pytest.raises(ValueError):
-            ps.add_many(indices, tag, 0.0)
-        assert len(ps) == 3  # nothing of a rejected batch is inserted
+    assert _column_bits(ps) == _column_bits(one_by_one)
     with pytest.raises(ValueError, match=r"duplicate entry for index \(2, 0\) tag 'A'"):
-        ps.add_many([(2, 0), (3, 0), (2, 0)], "A", [0.0, 0.1, 0.2])
+        IndexedPointSet.from_json(make_document([(2, 0, "A"), (3, 0, "A"), (2, 0, "A")]))
+    with pytest.raises(ValueError, match=r"home point \(40\+0j\) of index \(40, 0\) outside window"):
+        IndexedPointSet.from_json(make_document([(2, 0, "B"), (40, 0, "B")]))
 
 
 def test_single_adds_and_batches_share_one_row_order():
-    ps = make_set()
-    ps.add((1, 0), "A", 0.0)
-    ps.add_many([(2, 0), (3, 0)], "A", 0.0)
+    ps = IndexedPointSet.from_json(make_document([(1, 0, "A"), (2, 0, "A"), (3, 0, "A")]))
     ps.add((0, 0), "B", 0.5j)
     assert ps.get((0, 0), "B").pos == 0.5j
     keys = [key for key, _ in ps.items()]
     assert keys == [((1, 0), "A"), ((2, 0), "A"), ((3, 0), "A"), ((0, 0), "B")]
     with pytest.raises(ValueError, match="duplicate"):
-        ps.add_many([(4, 0), (0, 0)], "B", 0.0)  # repeats a row not yet appended
+        ps.add((0, 0), "B", 0.0)  # repeats a row not yet appended
+    with pytest.raises(ValueError, match="duplicate"):
+        ps.add((2, 0), "A", 0.0)  # repeats a row of the document
     assert len(ps) == 4
     assert ps.get((3, 0), "A").pos == 3.0
-    assert ((4, 0), "B") not in ps
 
 
 def test_rows_added_across_packed_blocks(monkeypatch):
@@ -170,8 +176,10 @@ def test_rows_added_across_packed_blocks(monkeypatch):
     for k in range(4):
         entries[((k, 0), "A")] = complex(0.25 * k, 0.5)
         ps.add((k, 0), "A", entries[((k, 0), "A")])
-    ps.add_many([(0, 0), (1, 0)], "B", [0.1j, -0.0])
     entries[((0, 0), "B")], entries[((1, 0), "B")] = 0.1j, complex(-0.0)
+    ps.add((0, 0), "B", 0.1j)
+    ps.add((1, 0), "B", complex(-0.0))
+    ps.points()  # a column read joins the six rows so far into the columns
     for k in range(7):  # 2 * 3 + 1 rows: two packed blocks and one buffered row
         entries[((k, 1), "C")] = complex(-0.0, 0.1 * k)
         ps.add((k, 1), "C", entries[((k, 1), "C")])
@@ -179,7 +187,7 @@ def test_rows_added_across_packed_blocks(monkeypatch):
     with pytest.raises(ValueError, match="duplicate"):
         ps.add((0, 1), "C", 0.0)  # the first row of the first packed block
     with pytest.raises(ValueError, match="duplicate"):
-        ps.add((1, 0), "B", 0.0)  # a row of the add_many batch
+        ps.add((1, 0), "B", 0.0)  # a row of the joined columns
     assert len(ps) == len(entries) == 13
     assert all(key in ps for key in entries) and ((7, 1), "C") not in ps
     for (index, tag), unit in entries.items():
@@ -803,56 +811,35 @@ def test_a_loaded_set_builds_its_key_index_on_the_first_lookup(tmp_path):
     assert ((5, 1), "B") in back and ((5, 1), "A") not in back
     with pytest.raises(ValueError, match=r"duplicate entry for index \(5, 1\) tag 'B'"):
         back.add((5, 1), "B", 0.0)
-    with pytest.raises(ValueError, match=r"duplicate entry for index \(0, 0\) tag 'A'"):
-        back.add_many([(7, 0), (0, 0)], "A", 0.0)
-    back.add((6, 0), "A", 0.0)
-    back.add_many([(7, 0), (8, 0)], "A", 0.0)
+    for k in (6, 7, 8):
+        back.add((k, 0), "A", 0.0)
     assert len(back) == 15 and back.get((8, 0), "A").pos == 8.0
     with pytest.raises(ValueError, match="duplicate"):
-        back.add((7, 0), "A", 0.0)  # a batch row, entered into the built index
+        back.add((7, 0), "A", 0.0)  # a row added after the index was built
     assert [key for key, _ in back.items()][-3:] == [((6, 0), "A"), ((7, 0), "A"), ((8, 0), "A")]
-
-
-def _first_duplicate_by_loop(existing, batch):
-    """The duplicate check batches had before the sort: the oracle for ``_append``."""
-    seen: set = set()
-    for key in batch:
-        if key in seen or key in existing:
-            return key
-        seen.add(key)
-    return None
 
 
 point_keys = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.sampled_from(["A", "B", "AB"]))
 
 
-def _key_columns(keys) -> pointset._Columns:
-    """Columns of one row per (m, n, tag) key, at its home point."""
-    m = np.array([key[0] for key in keys], dtype=np.int64)
-    n = np.array([key[1] for key in keys], dtype=np.int64)
-    tag = np.array([key[2] for key in keys], dtype=str)
-    return pointset._Columns(m, n, tag, np.zeros(len(keys), complex))
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.lists(point_keys, unique=True, max_size=12), st.lists(point_keys, max_size=12),
-       st.booleans())
-def test_batch_duplicate_check_matches_the_loop(existing, batch, indexed):
-    ps = make_set()
-    ps._append(_key_columns(existing))
-    if indexed:
-        assert ((9, 9), "A") not in ps  # the lookup builds the key index before the batch
-    assert (ps._row_of is not None) == indexed
-    want = _first_duplicate_by_loop(set(existing), batch)
-    if want is None:
-        ps._append(_key_columns(batch))
-        assert len(ps) == len(existing) + len(batch)
-        assert all(ps.get(key[:2], key[2]).pos == complex(*key[:2]) for key in existing + batch)
+@given(st.lists(point_keys, max_size=24))
+def test_batch_duplicate_check_matches_the_loop(keys):
+    """A document with duplicate keys fails at the key where a loop of ``add`` first fails."""
+    one_by_one, error = make_set(), None
+    for m, n, tag in keys:
+        try:
+            one_by_one.add((m, n), tag, 0.0)
+        except ValueError as exc:
+            error = str(exc)
+            break
+    if error is None:
+        ps = IndexedPointSet.from_json(make_document(keys))
+        assert ps.items() == one_by_one.items()
     else:
         with pytest.raises(ValueError) as info:
-            ps._append(_key_columns(batch))
-        assert str(info.value) == f"duplicate entry for index {want[:2]} tag {want[2]!r}"
-        assert len(ps) == len(existing)
+            IndexedPointSet.from_json(make_document(keys))
+        assert str(info.value) == error
 
 
 def _entry_dicts(ps):
@@ -874,7 +861,8 @@ def test_json_table_matches_the_dict_per_entry_writer():
     ps.add((1, 0), "B", 0.25)
     ps.add((1, 0), "A", complex(-0.0, 0.5))
     ps.add((-2, 3), "A", -0.6j)
-    ps.add_many([(25, 0), (0, 0)], "C", [0.6 - 0.1j, 0.0])
+    ps.add((25, 0), "C", 0.6 - 0.1j)
+    ps.add((0, 0), "C", 0.0)
     doc = ps.to_json()
     assert jsonio.dumps(doc) == jsonio.dumps({**doc, "points": _entry_dicts(ps)})
     empty = make_set().to_json()

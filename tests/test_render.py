@@ -176,7 +176,8 @@ def test_render_with_mesh_peaks_near_twice_its_text():
     ps = IndexedPointSet(lat, window_radius=25.0)
     idx, _ = render.window_arrays(lat, 25.0)
     for k, tag in enumerate("ABC"):
-        ps.add_many(idx, tag, 0.1 * k * (1 + 1j))
+        for index in idx.tolist():
+            ps.add(index, tag, 0.1 * k * (1 + 1j))
     render_svg(ps.points()[:3])  # numpy's lazy imports outside the trace
     ps.points()  # the columns are packed before the trace starts
     tracemalloc.start()

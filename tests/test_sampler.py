@@ -256,6 +256,23 @@ def test_reflection_closure_modes():
         reflection_closure(pts, "diagonal")
 
 
+def test_reflection_closure_of_a_set_collapses_by_identity():
+    # at alpha = pi the lattice is Z + iZ, and far samples sit on their lattice
+    # point in float64, so the positions of distinct samples coincide
+    setup = GeneratorConfig(Lattice(1.0, 1.0j), 12.0, seed=1)
+    rand3 = random_triple(setup)
+    assert len(rand3) == 1323 and len(np.unique(sample_points(rand3))) < 1323
+    half, quarter = (reflection_closure(rand3, mode) for mode in ("half", "quarter"))
+    assert (len(half), len(quarter)) == (2646, 5292)
+    assert np.array_equal(half[:1323], sample_points(rand3))
+    assert np.array_equal(half[1323:], np.conj(sample_points(rand3)))
+    # det3's A offset is 1, so each A image is the A sample at the mirrored
+    # home; conj(w) and w^2 differ in the last bit, so the B and C images stay
+    det3 = deterministic_triple(setup)
+    assert len(reflection_closure(det3, "half")) == 2646 - 441
+    assert len(reflection_closure(det3, "quarter")) == 5292 - 2 * 441
+
+
 # -- Monte Carlo experiments ---------------------------------------------------------
 
 

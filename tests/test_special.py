@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from fockpr.fock import fock_gram
-from fockpr.lattice import Lattice, LatticeIndex, modulus_order, window_arrays
-from fockpr.pointset import IndexedPointSet
+from fockpr.lattice import Lattice, modulus_order, window_arrays
 from fockpr.special import (
     CriticalQ,
     GGammaEvaluator,
@@ -343,21 +342,22 @@ def tail_coefficients(lat: Lattice, radius: float, zmax: float) -> dict[int, com
     return coeffs
 
 
-def product_log_g(ps: IndexedPointSet, z, product_radius: float, tag: str = "G") -> np.ndarray:
-    """log g as the Hadamard product over the nodes, then the unperturbed
-    lattice out to ``product_radius``, then the tail sums beyond it.
+def product_log_g(
+    lat: Lattice, radius: float, offsets, z, product_radius: float
+) -> np.ndarray:
+    """log g as the Hadamard product over the nodes ``lam + offsets`` of the
+    window of ``radius``, then the unperturbed lattice out to
+    ``product_radius``, then the tail sums beyond it.
 
     Reliable for |z| <= product_radius / 3; shares nothing with the theta
     series behind GGammaEvaluator.
     """
-    lat = ps.lattice
-    idx = np.array(ps.indices((tag,)))
-    gam = np.asarray(ps.points((tag,)), dtype=complex)
-    lam = lat.point((idx[:, 0], idx[:, 1]))
+    _, lam = window_arrays(lat, radius)
+    gam = lam + offsets
     anchor = lam == 0
     zz = np.asarray(z, dtype=complex).ravel()[:, None]
     x = zz / gam[~anchor]
-    y = zz / annulus(lat, ps.window_radius, product_radius)
+    y = zz / annulus(lat, radius, product_radius)
     tail = tail_coefficients(lat, product_radius, zmax=product_radius / 3.0)
     ks = np.array(sorted(tail), dtype=float)
     s = np.array([tail[int(k)] for k in ks])
@@ -411,15 +411,17 @@ def g_plain() -> GGammaEvaluator:
     return GGammaEvaluator.from_lattice(math.pi, 5.0)
 
 
-def perturbed_nodes(seed=0, radius=4.0, spread=0.1) -> IndexedPointSet:
-    lat = Lattice(1.0, 1.0j)
-    ps = IndexedPointSet(lat, window_radius=radius, meta={})
-    idx, _ = window_arrays(lat, radius)
+def perturbed_offsets(seed=0, radius=4.0, spread=0.1) -> np.ndarray:
+    """One offset per point of the window of ``radius`` on Z + iZ, in window order."""
+    _, lam = window_arrays(UNIT, radius)
     rng = np.random.default_rng(seed)
-    for mm, nn in idx.tolist():
-        d = spread * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-        ps.add(LatticeIndex(mm, nn), "G", d)
-    return ps
+    return np.array(
+        [spread * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) for _ in range(lam.size)]
+    )
+
+
+def perturbed_kernel(seed=0) -> GGammaEvaluator:
+    return GGammaEvaluator(UNIT, 4.0, perturbed_offsets(seed))
 
 
 def test_unperturbed_kernel_reduces_to_sigma(g_plain, sigma_unit):
@@ -429,32 +431,32 @@ def test_unperturbed_kernel_reduces_to_sigma(g_plain, sigma_unit):
     gv = np.asarray(g_plain(zs))
     sv = np.asarray(sigma_unit(zs))
     assert np.max(np.abs(gv - sv) / np.abs(sv)) < 1e-9
-    assert log_gap(g_plain.log_g(zs), product_log_g(g_plain.gamma_set, zs, 15.0)) < 1e-10
+    assert log_gap(g_plain.log_g(zs), product_log_g(g_plain.lattice, 5.0, 0.0, zs, 15.0)) < 1e-10
 
 
 def test_kernel_on_the_acceptance_lattice_matches_the_theta_oracle():
     # The product route with its ring and tail split by two rules was off by
     # 1.2e-2 here; the closed form carries only sigma's rounding.
     ev = GGammaEvaluator.from_lattice(2.0 * math.pi, 12.0)
-    lat = ev.gamma_set.lattice
+    lat = ev.lattice
     zs = spiral(11.9, count=24)
     expect = np.array([theta_sigma(z, lat) for z in zs])
     assert np.max(np.abs(np.asarray(ev(zs)) - expect) / np.abs(expect)) <= 1e-11
 
 
 def test_perturbed_kernel_matches_the_product_oracle():
-    ps = perturbed_nodes(seed=3)
-    ev = GGammaEvaluator(ps, tag="G")
+    offsets = perturbed_offsets(seed=3)
+    ev = GGammaEvaluator(UNIT, 4.0, offsets)
     assert np.count_nonzero(ev.nodes != ev._lam) == len(ev.nodes)
     # the disk |z| <= 5, and every node's home, where its pole meets sigma's zero
     zs = np.concatenate([spiral(5.0, count=200), ev._lam])
-    assert log_gap(ev.log_g(zs), product_log_g(ps, zs, 15.0)) <= 1e-10
+    assert log_gap(ev.log_g(zs), product_log_g(UNIT, 4.0, offsets, zs, 15.0)) <= 1e-10
 
 
 def test_moved_anchor_value_at_the_origin():
-    ps = perturbed_nodes()
-    ev = GGammaEvaluator(ps, tag="G")
-    assert ev.gamma00 == ps.get((0, 0), "G").pos != 0.0
+    offsets = perturbed_offsets()
+    ev = GGammaEvaluator(UNIT, 4.0, offsets)
+    assert ev.gamma00 == offsets[0] != 0.0  # the window lists the origin first
     # sigma(z)/z -> sigma'(0) = 1, so g(0) = -gamma00
     assert complex(ev(0.0)) == pytest.approx(-ev.gamma00, rel=1e-13)
     assert complex(ev(1e-14 + 1e-14j)) == pytest.approx(-ev.gamma00, rel=1e-11)
@@ -462,40 +464,33 @@ def test_moved_anchor_value_at_the_origin():
 
 def test_anchor_is_the_node_homed_at_the_origin():
     # the (1, 0) node has the smallest modulus, but the anchor stays at home 0
-    ps = IndexedPointSet(UNIT, window_radius=4.0)
     idx, _ = window_arrays(UNIT, 4.0)
     shift = {(0, 0): 0.45 + 0.45j, (1, 0): -0.45}
-    for mm, nn in idx.tolist():
-        ps.add((mm, nn), "G", shift.get((mm, nn), 0.0))
-    ev = GGammaEvaluator(ps, tag="G")
+    offsets = np.array([shift.get((mm, nn), 0.0) for mm, nn in idx.tolist()])
+    ev = GGammaEvaluator(UNIT, 4.0, offsets)
     assert ev.gamma00 == 0.45 + 0.45j
     assert abs(ev.nodes[0]) < abs(ev.gamma00)
     z = 0.3 + 0.2j
     value = complex(ev(z))
     assert cmath.isfinite(value) and value != 0.0
-    assert log_gap(ev.log_g([z]), product_log_g(ps, [z], 15.0)) <= 1e-10
+    assert log_gap(ev.log_g([z]), product_log_g(UNIT, 4.0, offsets, [z], 15.0)) <= 1e-10
     assert ev.derivative_lower_probe().passed
 
 
-def test_kernel_needs_a_node_homed_at_the_origin():
-    ps = IndexedPointSet(UNIT, window_radius=3.0)
-    idx, _ = window_arrays(UNIT, 3.0)
-    ps.add_many(idx[1:], "G", 0.0)
-    with pytest.raises(ValueError, match="homed at"):
-        GGammaEvaluator(ps, tag="G")
-
-
 def test_kernel_needs_a_node_at_every_window_point():
-    ps = IndexedPointSet(UNIT, window_radius=3.0)
-    idx, _ = window_arrays(UNIT, 3.0)
-    ps.add_many(idx[:-1], "G", 0.0)
+    _, lam = window_arrays(UNIT, 3.0)
     with pytest.raises(ValueError, match="window"):
-        GGammaEvaluator(ps, tag="G")
+        GGammaEvaluator(UNIT, 3.0, np.zeros(lam.size - 1))
+
+
+def test_kernel_names_both_sizes_when_the_offsets_do_not_fit():
+    _, lam = window_arrays(UNIT, 3.0)
+    with pytest.raises(ValueError, match=rf"\({lam.size + 1},\).*\b{lam.size}\b"):
+        GGammaEvaluator(UNIT, 3.0, np.zeros(lam.size + 1))
 
 
 def test_kernel_zeros_are_node_exact(g_plain):
-    ps = perturbed_nodes()
-    ev = GGammaEvaluator(ps, tag="G")
+    ev = perturbed_kernel()
     for node in (ev.gamma00, complex(ev.nodes[5]), complex(ev.nodes[-1])):
         assert complex(ev(node)) == 0.0
     assert complex(ev(0.4 + 0.3j)) != 0.0
@@ -503,17 +498,19 @@ def test_kernel_zeros_are_node_exact(g_plain):
 
 
 def test_nodes_are_read_only_in_modulus_then_argument_order():
-    ev = GGammaEvaluator(perturbed_nodes(seed=3), tag="G")
+    offsets = perturbed_offsets(seed=3)
+    ev = GGammaEvaluator(UNIT, 4.0, offsets)
     assert np.array_equal(ev.nodes, ev.nodes[modulus_order(ev.nodes)])
+    _, lam = window_arrays(UNIT, 4.0)
     assert sorted(ev.nodes.tolist(), key=lambda g: (g.real, g.imag)) == sorted(
-        ev.gamma_set.points(("G",)).tolist(), key=lambda g: (g.real, g.imag)
+        (lam + offsets).tolist(), key=lambda g: (g.real, g.imag)
     )
     with pytest.raises(ValueError):
         ev.nodes[0] = 0.0
 
 
 def test_node_derivative_matches_finite_differences():
-    ev = GGammaEvaluator(perturbed_nodes(seed=3), tag="G")
+    ev = perturbed_kernel(seed=3)
     h = 1e-5
     for j in (1, 7):
         node = complex(ev.nodes[j])
@@ -522,13 +519,9 @@ def test_node_derivative_matches_finite_differences():
         assert abs(exact - fd) < 1e-4 * abs(exact)
 
 
-def test_kernel_rejects_an_unknown_tag_and_an_oblique_lattice():
-    with pytest.raises(ValueError):
-        GGammaEvaluator(perturbed_nodes(), tag="H")
-    oblique = IndexedPointSet(Lattice(1.0, 0.3 + 1.0j), 4.0)
-    oblique.add((0, 0), "G", 0.0)
-    with pytest.raises(ValueError):
-        GGammaEvaluator(oblique)
+def test_kernel_rejects_an_oblique_lattice():
+    with pytest.raises(ValueError, match="square"):
+        GGammaEvaluator(Lattice(1.0, 0.3 + 1.0j), 4.0)
 
 
 def test_derivative_lower_probe(g_plain):
@@ -578,7 +571,7 @@ def test_lagrange_validation(g_sparse):
 
 
 def test_lagrange_matches_the_per_node_sum():
-    ev = GGammaEvaluator(perturbed_nodes(seed=3), tag="G")
+    ev = perturbed_kernel(seed=3)
     nodes = [complex(g) for g in ev.nodes]
     values = [complex(math.cos(3.0 * g.real), g.imag) for g in nodes]
     z = 0.61 - 0.27j
