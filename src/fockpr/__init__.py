@@ -26,7 +26,6 @@ from .pointset import (
     sample_points,
     separation,
     triple_vertices,
-    uniform_closeness_delta,
 )
 from .sampler import (
     GeneratorConfig,
@@ -49,11 +48,9 @@ from .fock import (
     close_pair_bound_check,
     derivative_growth_check,
     dist,
-    dist2,
     extension_norm_bound_check,
     fock_gram,
     growth_check,
-    kernel,
     polyanalytic_residual,
     quad_norm,
     two_var_extension,
@@ -65,7 +62,6 @@ from .special import (
     SigmaEvaluator,
     fock_annulus_increments,
     lagrange_interpolate,
-    three_lines_liouville_note,
 )
 from .gabor import (
     HardyReport,
@@ -75,7 +71,6 @@ from .gabor import (
     fock_inner_quad,
     gabor_transform,
     hardy_check,
-    hermite_function,
     symmetry_class,
 )
 from .phaseless import (

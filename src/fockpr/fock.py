@@ -35,15 +35,12 @@ __all__ = [
     "FockPoly",
     "TwoVarFockPoly",
     "basis_scales",
-    "kernel",
     "dist",
-    "dist2",
     "close_pair_bound_check",
     "wronskian",
     "polyanalytic_residual",
     "two_var_extension",
     "extension_norm_bound_check",
-    "real_part_lipschitz_check",
     "GrowthReport",
     "growth_check",
     "derivative_growth_check",
@@ -53,8 +50,6 @@ __all__ = [
 ]
 
 _LOG_SWITCH_DEGREE = 30
-# Largest |Re G(zeta)|, relative to max(1, ||G||), that counts as a real-part root.
-_ROOT_TOL = 1e-8
 
 
 def basis_scales(alpha: float, n_max: int) -> np.ndarray:
@@ -130,54 +125,35 @@ class FockPoly:
         mono = np.atleast_1d(np.asarray(mono, dtype=complex))
         return cls(alpha, mono / basis_scales(alpha, len(mono) - 1))
 
-    @classmethod
-    def from_json(cls, data: dict) -> "FockPoly":
-        return cls(float(data["alpha"]), [complex(r, i) for r, i in data["coeffs"]])
-
 
 # -- kernel geometry ----------------------------------------------------------
 
 
-def kernel(alpha: float, z: complex, w: complex) -> complex:
-    """Reproducing kernel ``k_w(z) = exp(alpha * z * conj(w))``."""
-    return np.exp(alpha * np.asarray(z, dtype=complex) * np.conj(w))
+def dist(alpha: float, z, w) -> float | np.ndarray:
+    """Kernel distance ``||k_z - k_w||`` at weight ``alpha``, elementwise.
 
-
-def _dist_squared(a: float, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``||k_z - k_w||^2`` at weight ``a``, coordinates along the last axis.
-
-    With ``delta = z - w``, ``s = a|delta|^2/2``,
-    ``d = a Re(delta . conj(z+w))/2`` and ``theta = a Im(z . conj(w-z))``
-    the radicand ``e^{a|z|^2} - 2 Re e^{a z.conj(w)} + e^{a|w|^2}`` equals
-    ``e^{a Re(z.conj(w))} [2 expm1(s) cosh d + 4 sinh^2(d/2) + 4 sin^2(theta/2)]``,
+    With ``delta = z - w``, ``s = alpha|delta|^2/2``,
+    ``d = alpha Re(delta conj(z+w))/2`` and ``theta = alpha Im(z conj(w-z))``
+    the radicand ``e^{alpha|z|^2} - 2 Re e^{alpha z conj(w)} + e^{alpha|w|^2}``
+    equals ``e^{alpha Re(z conj(w))} [2 expm1(s) cosh d + 4 sinh^2(d/2) + 4 sin^2(theta/2)]``,
     a sum of nonnegative terms that keeps full relative accuracy for
     close pairs and vanishes exactly on the diagonal.
     """
+    # a trailing axis of length 1 runs scalars through the loops arrays take,
+    # which differ from numpy's scalar paths in the last bit
+    z = np.asarray(z, dtype=complex)[..., None]
+    w = np.asarray(w, dtype=complex)[..., None]
     delta = z - w
-    s = 0.5 * a * np.sum(np.abs(delta) ** 2, axis=-1)
-    d = 0.5 * a * np.sum((delta * np.conj(z + w)).real, axis=-1)
-    theta = a * np.sum((z * np.conj(w - z)).imag, axis=-1)
+    s = 0.5 * alpha * np.abs(delta) ** 2
+    d = 0.5 * alpha * (delta * np.conj(z + w)).real
+    theta = alpha * (z * np.conj(w - z)).imag
     bracket = (
         2.0 * np.expm1(s) * np.cosh(d)
         + 4.0 * np.sinh(0.5 * d) ** 2
         + 4.0 * np.sin(0.5 * theta) ** 2
     )
-    return np.exp(a * np.sum((z * np.conj(w)).real, axis=-1)) * bracket
-
-
-def dist(alpha: float, z, w) -> float | np.ndarray:
-    """Kernel distance ``||k_z - k_w||`` at weight ``alpha``."""
-    z = np.asarray(z, dtype=complex)[..., None]
-    w = np.asarray(w, dtype=complex)[..., None]
-    out = np.sqrt(_dist_squared(alpha, z, w))
+    out = np.sqrt(np.exp(alpha * (z * np.conj(w)).real) * bracket)[..., 0]
     return out if out.shape else float(out)
-
-
-def dist2(beta: float, zeta, zeta_prime) -> float:
-    """Kernel distance in the two-variable space at weight ``beta``."""
-    z = np.array([complex(zeta[0]), complex(zeta[1])])
-    w = np.array([complex(zeta_prime[0]), complex(zeta_prime[1])])
-    return math.sqrt(_dist_squared(beta, z, w))
 
 
 def close_pair_bound_check(alpha: float, z, w) -> np.ndarray:
@@ -361,23 +337,6 @@ def extension_norm_bound_check(F: FockPoly, beta: float) -> tuple[bool, float, f
     lhs = G.norm()
     rhs = beta**2 / (beta - 2.0 * F.alpha) ** 1.5 * F.norm() ** 2
     return bool(lhs <= rhs * (1.0 + 1e-12)), lhs, rhs
-
-
-def real_part_lipschitz_check(G: TwoVarFockPoly, zeta, zeta_prime) -> tuple[bool, float, float]:
-    """At a real-part root ``zeta`` of G, check
-    ``|Re G(zeta')| <= ||G|| * dist(zeta', zeta)``.
-
-    ``zeta`` must satisfy ``|Re G(zeta)| <= 1e-8 * max(1, ||G||)``;
-    the reproducing-kernel Lipschitz estimate then controls the real
-    part nearby.  Returns (ok, lhs, bound).
-    """
-    gnorm = G.norm()
-    at_root = abs(complex(G(zeta[0], zeta[1])).real)
-    if at_root > _ROOT_TOL * max(1.0, gnorm):
-        raise ValueError(f"zeta is not a real-part root: |Re G| = {at_root}")
-    lhs = abs(complex(G(zeta_prime[0], zeta_prime[1])).real)
-    bound = gnorm * dist2(G.beta, zeta, zeta_prime) + at_root + 1e-12 * max(1.0, gnorm)
-    return bool(lhs <= bound), lhs, float(bound)
 
 
 # -- re-expansion and quadrature ------------------------------------------------

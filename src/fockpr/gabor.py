@@ -34,7 +34,6 @@ from .lattice import Lattice, window_arrays
 
 __all__ = [
     "HermiteSignal",
-    "hermite_function",
     "gabor_transform",
     "bargmann",
     "HardyReport",
@@ -87,21 +86,6 @@ def _hermite_series(coeffs: Sequence[complex], u: np.ndarray) -> np.ndarray:
     for c, row in zip(coeffs, _hermite_rows(len(coeffs) - 1, u)):
         acc += c * row
     return acc
-
-
-def hermite_function(n: int, t) -> np.ndarray:
-    """L2-normalized Hermite function h_n evaluated at real t."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    tt = np.asarray(t, dtype=float)
-    u = _SQRT_2PI * tt.ravel()
-    for row in _hermite_rows(n, u):
-        pass
-    vals = _QUARTER * row * np.exp(-0.5 * u * u)
-    res = vals.reshape(tt.shape)
-    if tt.ndim == 0:
-        return float(res)
-    return res
 
 
 @dataclass(frozen=True)

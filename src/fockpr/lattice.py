@@ -1,4 +1,4 @@
-"""Planar lattices: enumeration, density, and growth classification.
+"""Planar lattices: enumeration, cell area, and growth classification.
 
 A lattice is ``{m*omega1 + n*omega2 + shift : m, n integers}`` with the
 basis oriented so the fundamental cell has positive area
@@ -12,6 +12,7 @@ a *uniqueness threshold* case when ``s <= pi/alpha``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,11 +52,6 @@ class Lattice:
     def area(self) -> float:
         """Fundamental cell area ``Im(conj(omega1) * omega2)``."""
         return (self.omega1.conjugate() * self.omega2).imag
-
-    @property
-    def density(self) -> float:
-        """Points per unit area, ``1/area``."""
-        return 1.0 / self.area
 
     def point(self, index: tuple[int, int]) -> complex:
         m, n = index
@@ -115,10 +111,33 @@ class Lattice:
 
     @classmethod
     def from_json(cls, data: dict) -> "Lattice":
-        def c(pair) -> complex:
+        """Lattice from its document: an object whose ``omega1``, ``omega2`` and
+        optional ``shift`` are each a pair ``[x, y]`` of finite numbers."""
+        if not isinstance(data, dict):
+            raise ValueError(f"field 'lattice' must be an object, got {type(data).__name__}")
+
+        def vector(key: str, default=None) -> complex:
+            pair = data.get(key, default)
+            if not (
+                isinstance(pair, (list, tuple))
+                and len(pair) == 2
+                and all(_finite_number(x) for x in pair)
+            ):
+                raise ValueError(
+                    f"lattice field {key!r} must be a pair [x, y] of finite numbers, got {pair!r}"
+                )
             return complex(pair[0], pair[1])
 
-        return cls(c(data["omega1"]), c(data["omega2"]), c(data.get("shift", [0.0, 0.0])))
+        return cls(vector("omega1"), vector("omega2"), vector("shift", (0.0, 0.0)))
+
+
+def _finite_number(value) -> bool:
+    """Whether ``value`` is an int or a float (not a bool) of finite float value."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def square_lattice(beta: float) -> Lattice:

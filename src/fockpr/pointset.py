@@ -11,7 +11,8 @@ Gaussian budgets both collapse in floating point (``delta`` underflows,
 ``pos`` rounds onto the lattice point) while ``unit`` and the budget stay
 exact, so the certificates below work from them in log scale.  Samples
 enter a set one at a time through ``add``, or all at once when
-``from_json`` loads a document.
+``from_json`` loads a document; ``get`` is the one read of a single
+sample, and every other read takes whole columns.
 
 Certificates:
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -54,7 +56,6 @@ __all__ = [
     "separation",
     "density_estimate",
     "relative_separation_bound",
-    "uniform_closeness_delta",
     "sample_points",
     "sample_identities",
     "complex_column",
@@ -115,8 +116,8 @@ class IndexedPointSet:
     docstring for what is derived from it).  Rows inserted by :meth:`add`
     wait in a buffer, packed into one block of columns every
     ``_ADD_BLOCK`` rows; the next column read appends the blocks in one
-    step.  A dict from key to row number backs :meth:`add`, :meth:`get`
-    and ``in``; it is built from the columns on the first such lookup, so
+    step.  A dict from key to row number backs :meth:`add` and
+    :meth:`get`; it is built from the columns on the first such lookup, so
     a set that is only read in bulk never holds it.  :meth:`add` is the
     one way to insert a sample and :meth:`from_json` the one way to load a
     document, whose columns are taken whole once one lexsort of its key
@@ -225,45 +226,16 @@ class IndexedPointSet:
     def __len__(self) -> int:
         return len(self._cols.m) + sum(len(b.m) for b in self._blocks) + len(self._buffer)
 
-    def __contains__(self, key: tuple[tuple[int, int], str]) -> bool:
-        (m, n), tag = key
-        return (int(m), int(n), tag) in self._index()
-
     def get(self, index: tuple[int, int], tag: str) -> PointEntry:
         return self._entries(np.array([self._row(index, tag)]))[0]
 
-    def items(self) -> list[tuple[tuple[LatticeIndex, str], PointEntry]]:
-        """``((index, tag), entry)`` for every row, in insertion order."""
-        c = self._columns()
-        keys = zip(c.m.tolist(), c.n.tolist(), c.tag.tolist())
-        entries = self._entries(np.arange(len(c.m)))
-        return [((LatticeIndex(m, n), t), e) for (m, n, t), e in zip(keys, entries)]
-
     def tags(self) -> list[str]:
         return sorted(set(self._columns().tag.tolist()))
-
-    def indices(self, tags: Sequence[str] | None = None) -> list[LatticeIndex]:
-        """Distinct indices carrying at least one entry (of the given tags), sorted."""
-        rows, c = self._rows(tags), self._columns()
-        pairs = np.unique(np.stack([c.m[rows], c.n[rows]], axis=1), axis=0)
-        return [LatticeIndex(m, n) for m, n in pairs.tolist()]
 
     def points(self, tags: Sequence[str] | None = None) -> np.ndarray:
         """Positions ``home + delta`` as a complex array, canonically ordered by (m, n, tag)."""
         homes, deltas = self._placed(self._rows(tags))
         return homes + deltas
-
-    def offset(self, index: tuple[int, int], tag: str) -> complex:
-        """Offset ``delta`` from home (0 once it underflows)."""
-        return self.get(index, tag).delta
-
-    def log_offset_magnitude(self, index: tuple[int, int], tag: str) -> float:
-        """Natural log of the offset magnitude, exact in the underflow regime.
-
-        The magnitude ``kappa_cap * |unit| * exp(-gamma*|home|^2)`` is
-        evaluated in the log domain.
-        """
-        return float(self._log_offsets(np.array([self._row(index, tag)]))[0])
 
     def budget(self) -> tuple[float, float]:
         """``(gamma, kappa_cap)`` of the set's metadata; (0, 1) when it records neither."""
@@ -287,8 +259,10 @@ class IndexedPointSet:
         return homes, _budgets(homes, *self.budget()) * self._columns().unit[rows]
 
     def _log_offsets(self, rows: np.ndarray, units: np.ndarray | None = None) -> np.ndarray:
-        """:meth:`log_offset_magnitude` of each of ``rows``, or of ``units`` at their homes.
+        """Natural log of the offset magnitude of each of ``rows``, or of ``units`` at their homes.
 
+        The magnitude ``kappa_cap * |unit| * exp(-gamma*|home|^2)`` is taken
+        in the log domain, so it stays exact where the offset underflows.
         Magnitudes and logs are taken with Python's ``abs`` and
         ``math.log``: numpy's vector ``abs`` and ``log`` differ from them
         in the last bit on some inputs, and certificate reports must not
@@ -342,12 +316,26 @@ class IndexedPointSet:
         the records carry ``pos`` or ``delta``, each must be a pair of
         finite numbers too; the set derives both anew from ``unit``.  Every
         home lies in the window and no (index, tag) repeats, which one
-        lexsort of the key columns checks.
+        lexsort of the key columns checks.  The header is checked too:
+        ``window_radius`` is a finite positive number, ``meta`` an object,
+        and its ``gamma`` and ``kappa_cap`` are both absent or lie where the
+        generators put them, ``0 < gamma < inf`` and ``0 < kappa_cap <= 1``.
         """
         lat = data["lattice"]
         if not isinstance(lat, Lattice):
             lat = Lattice.from_json(lat)
-        ps = cls(lat, float(data["window_radius"]), meta=data.get("meta"))
+        meta = data.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"field 'meta' must be an object, got {type(meta).__name__}")
+        ps = cls(lat, _number(data["window_radius"], "window_radius"), meta=meta)
+        gamma, kappa_cap = ps.budget()  # a budget given in half is an error
+        if meta.get("gamma") is not None and not (
+            _number(gamma, "meta.gamma") > 0.0 and 0.0 < _number(kappa_cap, "meta.kappa_cap") <= 1.0
+        ):
+            raise ValueError(
+                f"set metadata must give 0 < gamma < inf and 0 < kappa_cap <= 1,"
+                f" got gamma = {gamma!r}, kappa_cap = {kappa_cap!r}"
+            )
         points = data["points"]
         if not isinstance(points, jsonio.Table):
             points = jsonio.Table.from_records(points)
@@ -426,6 +414,15 @@ def _index_pairs(pairs) -> np.ndarray:
                 f"point record {row}: field 'index' must hold integers, got {arr[row].tolist()}"
             )
     return arr.astype(np.int64)
+
+
+def _number(value, field: str) -> float:
+    """``value`` as a float when it is an int or a float (not a bool) of finite value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        raise ValueError(f"field {field!r} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def complex_column(pairs, field: str) -> np.ndarray:
@@ -869,20 +866,3 @@ def _sample_tags(ps: IndexedPointSet) -> tuple[str, ...] | None:
     tags = ps.meta.get("sample_tags")
     return None if tags is None else tuple(tags)
 
-
-def uniform_closeness_delta(
-    ps: IndexedPointSet, beta: float | None = None
-) -> float | tuple[float, float]:
-    """Largest offset magnitude over all entries.
-
-    With ``beta`` given, also returns the offset shifted by half the
-    square-lattice spacing at weight ``beta``:
-    ``delta + sqrt(pi/(2*beta))``.
-    """
-    _, deltas = ps._placed(np.arange(len(ps)))
-    delta = max([0.0] + [abs(z) for z in deltas.tolist()])
-    if beta is None:
-        return delta
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    return delta, delta + math.sqrt(math.pi / (2.0 * beta))

@@ -19,25 +19,23 @@ This module builds numerically validated evaluators for:
   as sigma times a finite correction over the nodes that moved off the
   lattice (anchored at the node homed at 0, no truncation, no domain
   radius but sigma's overflow), its derivative on the node set in closed
-  form, and Lagrange-type reconstruction,
-* a small report describing union-of-lines witness sets whose planar
-  density vanishes.
+  form, and Lagrange-type reconstruction.
 
 Evaluators are immutable after construction; all validation happens
-eagerly in ``__init__``.
+eagerly in ``__init__``.  The module imports only ``fock`` and
+``lattice``, never the set layer (``pointset``, ``sampler``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .fock import fock_gram
 from .lattice import Lattice, modulus_order, square_lattice, window_arrays
-from .sampler import three_lines
 
 __all__ = [
     "SigmaEvaluator",
@@ -47,7 +45,6 @@ __all__ = [
     "DerivativeBoundProbe",
     "LagrangeResult",
     "lagrange_interpolate",
-    "three_lines_liouville_note",
 ]
 
 # Bound on the eager sigma residuals; breaching it is an internal fault.
@@ -557,46 +554,3 @@ def lagrange_interpolate(
         increments=tuple(increments.tolist()) if return_trace else None,
     )
 
-
-def three_lines_liouville_note(
-    angles: Iterable[float] = (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0),
-    pitch: float = 1.0,
-    radius: float = 50.0,
-) -> dict:
-    """Report on a union-of-lines point family with vanishing planar density.
-
-    The family of equally spaced points on finitely many lines through
-    the origin splits the plane into sectors; when every sector opening
-    stays below pi/2, order-two growth bounded on the boundary rays
-    propagates to each sector, while the point count inside radius r
-    grows only linearly.  The report records the sector geometry and a
-    measured density trend; it makes no claim beyond density -> 0.
-    """
-    ang = sorted(a % math.pi for a in angles)
-    boundaries = sorted(ang + [a + math.pi for a in ang])
-    openings = [
-        (boundaries[(i + 1) % len(boundaries)] - boundaries[i]) % (2.0 * math.pi)
-        for i in range(len(boundaries))
-    ]
-    pts = three_lines(angles=tuple(angles), pitch=pitch, radius=radius)
-    arr = np.asarray(pts, dtype=complex)
-    radii = [radius / 5.0, radius / 2.5, radius]
-    densities = [
-        float(np.count_nonzero(np.abs(arr) <= r)) / (math.pi * r * r) for r in radii
-    ]
-    return {
-        "line_angles": tuple(ang),
-        "sector_boundaries": tuple(boundaries),
-        "sector_openings": tuple(openings),
-        "sector_count": len(openings),
-        "max_sector_opening": max(openings),
-        "all_openings_below_half_pi": max(openings) < math.pi / 2.0,
-        "pitch": pitch,
-        "radius": radius,
-        "point_count": int(arr.size),
-        "density_radii": tuple(radii),
-        "densities": tuple(densities),
-        "density_trend_decreasing": all(
-            densities[i + 1] < densities[i] for i in range(len(densities) - 1)
-        ),
-    }

@@ -426,6 +426,41 @@ def test_a_set_with_half_a_budget_exits_2(det3_set, tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("window_radius",), [1]),
+        (("window_radius",), None),
+        (("window_radius",), math.nan),
+        (("window_radius",), -2.0),
+        (("lattice",), [[1.0, 0.0], [0.0, 1.0]]),
+        (("lattice", "omega1"), [1.0]),
+        (("lattice", "omega1"), ["1", "0"]),
+        (("lattice", "shift"), [0.0, math.inf]),
+        (("meta",), []),
+        (("meta", "gamma"), "x"),
+        (("meta", "gamma"), math.inf),
+        (("meta", "kappa_cap"), -1),
+        (("meta", "kappa_cap"), 1.5),
+    ],
+    ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v),
+)
+def test_a_bad_set_header_exits_2_and_names_the_field(det3_set, tmp_path, capsys, keys, value):
+    # each once raised a TypeError or IndexError, or ran on a meaningless number
+    doc = json.loads(det3_set.read_text(encoding="ascii"))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    for command, extra in (("certify", ["--beta", PI]), ("injectivity", []), ("render", [])):
+        out = tmp_path / "out"
+        assert run(command, "--in", path, *extra, "--out", out) == 2
+        assert keys[-1] in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_a_fractional_index_exits_2_and_names_it(det3_set, tmp_path, capsys):
     # a cast to int64 alone would load [0.7, 0] as index (0, 0)
     doc = json.loads(det3_set.read_text(encoding="ascii"))

@@ -16,14 +16,11 @@ from fockpr.fock import (
     close_pair_bound_check,
     derivative_growth_check,
     dist,
-    dist2,
     extension_norm_bound_check,
     fock_gram,
     growth_check,
-    kernel,
     polyanalytic_residual,
     quad_norm,
-    real_part_lipschitz_check,
     shift,
     two_var_extension,
     wronskian,
@@ -105,13 +102,6 @@ def test_derivative_agrees_with_monomial_calculus(alpha, coeffs, z):
         assert np.allclose(got, [0.0])
     else:
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
-
-
-def test_json_round_trip():
-    F = FockPoly(1.5, (1.0 + 2.0j, -0.5))
-    back = FockPoly.from_json(json.loads(jsonio.dumps(F)))
-    assert back.alpha == F.alpha
-    assert np.array_equal(back.coeffs, F.coeffs)
 
 
 # -- inner product and norms -------------------------------------------------------
@@ -199,10 +189,6 @@ def test_inner_product_against_quadrature():
 # -- kernel distance ---------------------------------------------------------------
 
 
-def test_kernel_closed_form():
-    assert kernel(2.0, 1.0 + 1.0j, 0.5j) == pytest.approx(np.exp(2.0 * (1 + 1j) * (-0.5j)))
-
-
 def series_dist(alpha, z, w, n_max=140):
     """Independent route: partial sums of the basis expansion."""
     scales = basis_scales(alpha, n_max)
@@ -224,13 +210,6 @@ def test_distance_is_a_metric(alpha, z, w, u):
     assert dist(alpha, z, z) == 0.0
     assert dist(alpha, z, w) == pytest.approx(dist(alpha, w, z))
     assert dist(alpha, z, w) <= dist(alpha, z, u) + dist(alpha, u, w) + 1e-9
-
-
-def test_two_variable_distance_restricts_to_one_variable():
-    beta = 2.5
-    z, w = 0.7 + 0.2j, -0.3 + 0.5j
-    assert dist2(beta, (z, 0), (w, 0)) == pytest.approx(dist(beta, z, w), rel=1e-12)
-    assert dist2(beta, (z, w), (z, w)) == 0.0
 
 
 @given(st.floats(min_value=0.3, max_value=2.0), cpx, cpx)
@@ -373,16 +352,6 @@ def test_extension_norm_bound():
         ok, lhs, rhs = extension_norm_bound_check(F, beta=2.6)
         assert ok
         assert lhs <= rhs
-
-
-def test_real_part_lipschitz_at_a_root():
-    G = TwoVarFockPoly(3.0, np.array([[0.0, 0.0], [1.0, 0.0]]))  # G = z1
-    ok, lhs, bound = real_part_lipschitz_check(G, (0.0, 0.7), (0.3, 0.5))
-    assert ok
-    assert lhs == pytest.approx(0.3)
-    assert lhs <= bound
-    with pytest.raises(ValueError):
-        real_part_lipschitz_check(G, (1.0, 0.0), (0.3, 0.5))  # not a root
 
 
 # -- recentering ---------------------------------------------------------------------

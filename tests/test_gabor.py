@@ -19,7 +19,6 @@ from fockpr.gabor import (
     fock_inner_quad,
     gabor_transform,
     hardy_check,
-    hermite_function,
     symmetry_class,
 )
 from fockpr.lattice import Lattice, window_arrays
@@ -46,22 +45,17 @@ def classical_hermite(n: int, t: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
 def test_hermite_function_matches_classical_formula(n):
     t = np.linspace(-3.0, 3.0, 41)
-    assert hermite_function(n, t) == pytest.approx(classical_hermite(n, t), rel=1e-12, abs=1e-12)
+    h = basis_signal(n)(t)
+    assert h.real == pytest.approx(classical_hermite(n, t), rel=1e-12, abs=1e-12)
+    assert np.all(h.imag == 0.0)
 
 
 def test_hermite_orthonormality_by_quadrature():
     # trapezoid on a wide grid; the integrand decays like exp(-2 pi t^2)
     t = np.linspace(-6.0, 6.0, 4001)
-    h = np.stack([hermite_function(n, t) for n in range(7)])
+    h = np.stack([basis_signal(n)(t).real for n in range(7)])
     gram = h @ h.T * (t[1] - t[0])
     assert gram == pytest.approx(np.eye(7), abs=1e-10)
-
-
-def test_hermite_function_scalar_and_validation():
-    assert hermite_function(0, 0.0) == pytest.approx(2.0**0.25, rel=1e-15)
-    assert isinstance(hermite_function(3, 0.5), float)
-    with pytest.raises(ValueError):
-        hermite_function(-1, 0.0)
 
 
 def test_gaussian_signal_closed_form():
@@ -149,7 +143,10 @@ def test_two_row_recurrence_is_bit_equal_to_materialized_rows(degree):
     expected = (materialized_poly_part(f, t).ravel() * np.exp(-0.5 * u * u)).reshape(t.shape)
     assert bits_equal(f(t), expected)
     row = materialized_rows(degree, u)[degree]
-    assert bits_equal(hermite_function(degree, t), (2.0**0.25 * row * np.exp(-0.5 * u * u)).reshape(t.shape))
+    h = basis_signal(degree)(t)
+    # the series sums onto +0, which turns the row's -0 into +0
+    assert bits_equal(h.real, (2.0**0.25 * (0.0 + row) * np.exp(-0.5 * u * u)).reshape(t.shape))
+    assert np.all(h.imag == 0.0)
 
 
 # -- entire lift -------------------------------------------------------------------

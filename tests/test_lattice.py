@@ -64,7 +64,6 @@ def test_square_lattice_sits_exactly_on_the_threshold():
 def test_square_lattice_area(beta):
     lat = square_lattice(beta)
     assert math.isclose(lat.area, math.pi / beta, rel_tol=1e-12)
-    assert math.isclose(lat.density, beta / math.pi, rel_tol=1e-12)
 
 
 def test_degenerate_or_flipped_bases_are_rejected():

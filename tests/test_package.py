@@ -1,12 +1,14 @@
 """Package hygiene: every exported name exists, no module imports a name it never uses
-or defines a private name it never reads."""
+or defines a private name it never reads, and every public function has a caller."""
 
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from test_perfbench_layers import load_layers
 
 import fockpr
 
@@ -75,9 +77,23 @@ def imported_submodules(tree: ast.Module) -> set[str]:
     return {name.split(".")[1] for name in dotted if name.startswith("fockpr.")}
 
 
+# the modules that build and hold point sets
+SET_LAYER = {"pointset", "sampler"}
+
+
+def reachable_submodules(name: str) -> set[str]:
+    """The fockpr submodules ``name`` imports, directly or through other submodules."""
+    seen, todo = set(), [name]
+    while todo:
+        for dep in imported_submodules(module_tree(todo.pop())) - seen:
+            seen.add(dep)
+            todo.append(dep)
+    return seen
+
+
 @pytest.mark.parametrize("name", ["fock", "special", "gabor", "phaseless"])
 def test_analytic_modules_do_not_import_the_set_layer(name):
-    assert "pointset" not in imported_submodules(module_tree(name))
+    assert reachable_submodules(name) & SET_LAYER == set()
 
 
 def test_submodule_imports_are_read_in_every_form():
@@ -114,3 +130,68 @@ def test_no_module_defines_a_private_name_it_never_reads(name):
     }
     unread = {n: line for n, line in private_module_names(tree).items() if n not in read}
     assert unread == {}
+
+
+# Public functions without a caller yet, each with the ROADMAP direction that
+# gives it one.
+PENDING = {
+    "pointset.relative_separation_bound": "Direction 1: certify reports it",
+    "sampler.reflection_closure": "Direction 3: the real and even-real class rows use it",
+}
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+
+
+def public_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """Module-level public functions and public methods of module-level classes.
+
+    Keyed ``name`` or ``Class.name``.  Dunder methods are left out: syntax
+    calls them, not a name.
+    """
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    found[f"{node.name}.{item.name}"] = item
+    return found
+
+
+def read_names(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a bare name or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def unreached_functions() -> list[str]:
+    """Public functions and methods of ``src/fockpr`` that nothing reaches, as ``module.name``.
+
+    A function is reached when ``src/`` reads its name outside its own
+    definition, when a benchmark layer of ``perfbench/spans.py`` wraps it,
+    or when ``tests/test_acceptance.py`` reads it.  The match is by name
+    alone, so a function that shares its name with anything read elsewhere
+    (a local variable, a dict's ``items``, another class's ``from_json``)
+    counts as reached: the check is blind to it.
+    """
+    src = Path(fockpr.__file__).parent
+    in_src = sum((read_names(ast.parse(p.read_text())) for p in src.glob("*.py")), Counter())
+    wrapped = {layer.attr.split(".")[-1] for layer in load_layers()}
+    accepted = read_names(ast.parse(ACCEPTANCE.read_text()))
+    unreached = []
+    for name in MODULES:
+        for qualname, node in public_functions(module_tree(name)).items():
+            elsewhere = in_src[node.name] - read_names(node)[node.name]
+            if elsewhere <= 0 and node.name not in wrapped and node.name not in accepted:
+                unreached.append(f"{name}.{qualname}")
+    return sorted(unreached)
+
+
+def test_every_public_function_has_a_caller():
+    """A public function no subcommand, benchmark layer or acceptance criterion
+    reaches is deleted, or named in ``PENDING``; a pending one that gains a
+    caller leaves it."""
+    assert unreached_functions() == sorted(PENDING)

@@ -36,7 +36,6 @@ from fockpr.pointset import (
     relative_separation_bound,
     sample_points,
     separation,
-    uniform_closeness_delta,
 )
 
 
@@ -98,6 +97,19 @@ def make_set(**meta) -> IndexedPointSet:
     return IndexedPointSet(Lattice(1.0, 1.0j), window_radius=30.0, meta=meta)
 
 
+def read_entries(ps: IndexedPointSet) -> list:
+    """``((m, n), tag, entry)`` for every sample of ``ps``, each read by ``get``, in (m, n, tag) order."""
+    c = ps._columns()
+    keys = sorted(zip(c.m.tolist(), c.n.tolist(), c.tag.tolist()))
+    return [((m, n), tag, ps.get((m, n), tag)) for m, n, tag in keys]
+
+
+def insertion_keys(ps: IndexedPointSet) -> list:
+    """The (m, n, tag) key of every row of ``ps``, in insertion order."""
+    c = ps._columns()
+    return list(zip(c.m.tolist(), c.n.tolist(), c.tag.tolist()))
+
+
 def make_document(keys, units=None) -> dict:
     """The document of ``make_set()`` holding one record per (m, n, tag) key, in order."""
     units = [0.0] * len(keys) if units is None else units
@@ -116,7 +128,6 @@ def test_add_get_and_derived_offsets():
     ps.add((2, 1), "A", 0.01 + 0.02j)
     e = ps.get((2, 1), "A")
     assert e == PointEntry((2 + 1j) + (0.01 + 0.02j), 0.01 + 0.02j, 0.01 + 0.02j)
-    assert ps.offset((2, 1), "A") == 0.01 + 0.02j
     ps.add((0, 0), "A", 0.05j)
     assert ps.get((0, 0), "A").pos == 0.05j
     budgeted = make_set(gamma=2.0, kappa_cap=0.5)
@@ -124,9 +135,10 @@ def test_add_get_and_derived_offsets():
     scale = 0.5 * math.exp(-2.0)
     assert budgeted.get((1, 0), "A") == PointEntry(1.0 + 0.5j * scale, 0.5j * scale, 0.5j)
     assert ps.tags() == ["A"]
-    assert ps.indices() == [(0, 0), (2, 1)]
+    assert np.array_equal(ps.points(), [0.05j, (2 + 1j) + (0.01 + 0.02j)])
     assert len(ps) == 2
-    assert ((2, 1), "A") in ps
+    with pytest.raises(KeyError):
+        ps.get((2, 1), "B")
 
 
 def test_add_rejects_bad_entries():
@@ -147,7 +159,7 @@ def test_a_loaded_document_matches_single_adds_and_rejects_bad_keys():
     for (m, n, tag), u in zip(keys, units):
         one_by_one.add((m, n), tag, u)
     ps = IndexedPointSet.from_json(make_document(keys, units))
-    assert ps.items() == one_by_one.items()
+    assert jsonio.dumps(ps.to_json()) == jsonio.dumps(one_by_one.to_json())
     assert _column_bits(ps) == _column_bits(one_by_one)
     with pytest.raises(ValueError, match=r"duplicate entry for index \(2, 0\) tag 'A'"):
         IndexedPointSet.from_json(make_document([(2, 0, "A"), (3, 0, "A"), (2, 0, "A")]))
@@ -159,8 +171,7 @@ def test_single_adds_and_batches_share_one_row_order():
     ps = IndexedPointSet.from_json(make_document([(1, 0, "A"), (2, 0, "A"), (3, 0, "A")]))
     ps.add((0, 0), "B", 0.5j)
     assert ps.get((0, 0), "B").pos == 0.5j
-    keys = [key for key, _ in ps.items()]
-    assert keys == [((1, 0), "A"), ((2, 0), "A"), ((3, 0), "A"), ((0, 0), "B")]
+    assert insertion_keys(ps) == [(1, 0, "A"), (2, 0, "A"), (3, 0, "A"), (0, 0, "B")]
     with pytest.raises(ValueError, match="duplicate"):
         ps.add((0, 0), "B", 0.0)  # repeats a row not yet appended
     with pytest.raises(ValueError, match="duplicate"):
@@ -189,18 +200,19 @@ def test_rows_added_across_packed_blocks(monkeypatch):
     with pytest.raises(ValueError, match="duplicate"):
         ps.add((1, 0), "B", 0.0)  # a row of the joined columns
     assert len(ps) == len(entries) == 13
-    assert all(key in ps for key in entries) and ((7, 1), "C") not in ps
+    with pytest.raises(KeyError):
+        ps.get((7, 1), "C")
     for (index, tag), unit in entries.items():
         e, delta = ps.get(index, tag), 0.3 * math.exp(-0.5 * abs(complex(*index)) ** 2) * unit
         assert _bits(e.unit) == _bits(unit)
         assert e.delta == pytest.approx(delta, rel=1e-13, abs=0)
         assert e.pos == pytest.approx(complex(*index) + delta, rel=1e-13, abs=0)
-    assert [(tuple(index), tag) for (index, tag), _ in ps.items()] == list(entries)
+    assert insertion_keys(ps) == [(*index, tag) for index, tag in entries]
     doc = ps.to_json()
     text = jsonio.dumps(doc)
     assert text == jsonio.dumps({**doc, "points": _entry_dicts(ps)})
     back = IndexedPointSet.from_json(json.loads(text))
-    assert dict(back.items()) == dict(ps.items())
+    assert all(back.get(index, tag) == ps.get(index, tag) for index, tag in entries)
     assert jsonio.dumps(back.to_json()) == text
 
 
@@ -218,16 +230,19 @@ def test_log_offset_magnitude_survives_float_collapse():
     ps = make_set(gamma=gamma, kappa_cap=cap)
     # at |home| = 25 the true offset ~ exp(-4375) is far below the float range
     ps.add((25, 0), "A", 0.3 + 0.4j)
-    got = ps.log_offset_magnitude((25, 0), "A")
-    assert math.isclose(got, math.log(cap) + math.log(0.5) - gamma * 625.0, rel_tol=1e-15)
-    assert ps.offset((25, 0), "A") == 0.0  # the float view has collapsed
+    assert ps.get((25, 0), "A").delta == 0.0  # the float view has collapsed
     assert ps.get((25, 0), "A").pos == 25.0
-    ps.add((4, 0), "A", 0.0)
-    assert ps.log_offset_magnitude((4, 0), "A") == -math.inf
+    # at rate 1 the constant is |offset| * exp(625), still far below the float range
+    rep = certify_f_closeness(ps, 1.0, "A")
+    assert rep.kappa == 0.0 and rep.worst_index == (25, 0)
+    assert math.isclose(rep.log_kappa, math.log(cap * 0.5) - (gamma - 1.0) * 625.0, rel_tol=1e-15)
+    ps.add((4, 0), "B", 0.0)
+    assert certify_f_closeness(ps, 1.0, "B").log_kappa == -math.inf
 
     plain = make_set()  # budget (0, 1): the unit offset is the offset
     plain.add((3, 0), "A", 0.001)
-    assert math.isclose(plain.log_offset_magnitude((3, 0), "A"), math.log(0.001), rel_tol=1e-15)
+    rep = certify_f_closeness(plain, 1.0, "A")
+    assert math.isclose(rep.log_kappa, math.log(0.001) + 9.0, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("meta", [{"gamma": 7.0}, {"kappa_cap": 0.5}])
@@ -526,8 +541,8 @@ def _separation_oracle(ps: IndexedPointSet) -> tuple[float, tuple[complex, compl
     mpmath.mp.dps = 30
     gamma, kappa = (mpmath.mpf(ps.meta[key]) for key in ("gamma", "kappa_cap"))
     by_home: dict = {}
-    for (index, _tag), e in sorted(ps.items()):
-        by_home.setdefault(tuple(index), []).append(e)
+    for index, _tag, e in read_entries(ps):
+        by_home.setdefault(index, []).append(e)
     within = []
     for index, entries in by_home.items():
         home = ps.lattice.point(index)
@@ -575,18 +590,6 @@ def test_set_separation_without_collapse_keeps_the_positional_delta():
     assert rep.pair == pair
 
 
-def test_uniform_closeness_delta():
-    ps = make_set()
-    ps.add((0, 0), "A", 0.01)
-    ps.add((1, 0), "A", 0.03j)
-    assert uniform_closeness_delta(ps) == 0.03
-    d, shifted = uniform_closeness_delta(ps, beta=math.pi / 2.0)
-    assert d == 0.03
-    assert math.isclose(shifted, 0.03 + 1.0, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        uniform_closeness_delta(ps, beta=-1.0)
-
-
 # -- serialization ----------------------------------------------------------------
 
 
@@ -604,12 +607,14 @@ def test_json_round_trip_preserves_everything():
         assert back.lattice == ps.lattice
         assert back.window_radius == ps.window_radius
         assert back.meta == ps.meta
-        assert dict(back.items()) == dict(ps.items())
+        assert read_entries(back) == read_entries(ps)
         assert _bits(back.get((0, 1), "C").unit) == _bits(complex(-0.0, 0.0))
         # canonical text form is a fixed point
         assert jsonio.dumps(back.to_json()) == text
         # log-domain information survives the round trip
-        assert back.log_offset_magnitude((25, 0), "A") == ps.log_offset_magnitude((25, 0), "A")
+        rep = certify_f_closeness(back, gamma, "A")
+        assert rep.worst_index == (25, 0)
+        assert rep.log_kappa == certify_f_closeness(ps, gamma, "A").log_kappa
 
 
 def test_from_json_rejects_fields_that_are_not_pairs():
@@ -650,7 +655,8 @@ def test_from_json_names_a_record_that_lacks_a_required_field(tmp_path, monkeypa
                 IndexedPointSet.from_json({**doc, "points": points})
     # pos and delta are derived: records without them load alike
     bare = [{k: r[k] for k in ("index", "tag", "unit")} for r in doc["points"]]
-    assert dict(IndexedPointSet.from_json({**doc, "points": bare}).items()) == dict(ps.items())
+    back = IndexedPointSet.from_json({**doc, "points": bare})
+    assert jsonio.dumps(back.to_json()) == jsonio.dumps(ps.to_json())
 
 
 @pytest.mark.parametrize(
@@ -674,7 +680,7 @@ def test_from_json_rejects_values_outside_the_fields_domain(field, bad, message)
         with pytest.raises(ValueError, match=f"point record 3: {message}"):
             IndexedPointSet.from_json(load(json.dumps(doc)))
     doc["points"][3][field] = [3.0, -0.0] if field == "index" else [0.5, 0.0]
-    assert ((3, 0), "A") in IndexedPointSet.from_json(doc)  # integral floats are indices
+    assert IndexedPointSet.from_json(doc).get((3, 0), "A").unit == 0.5  # integral floats are indices
 
 
 def _load_text(text: str):
@@ -804,11 +810,13 @@ def test_a_loaded_set_builds_its_key_index_on_the_first_lookup(tmp_path):
     assert len(back) == 12 and back.tags() == ["A", "B"]
     certify_f_closeness(back, 7.0, "A", kappa_cap=0.3)
     separation(back), separation(sample_points(back))
-    back.points(["B"]), back.indices(), back.to_json(), back.items()
+    back.points(["B"]), back.to_json()
     assert back._row_of is None
     assert back.get((2, 0), "A") == ps.get((2, 0), "A")
     assert back._row_of is not None
-    assert ((5, 1), "B") in back and ((5, 1), "A") not in back
+    assert back.get((5, 1), "B").unit == 0.1j
+    with pytest.raises(KeyError):
+        back.get((5, 1), "A")
     with pytest.raises(ValueError, match=r"duplicate entry for index \(5, 1\) tag 'B'"):
         back.add((5, 1), "B", 0.0)
     for k in (6, 7, 8):
@@ -816,7 +824,7 @@ def test_a_loaded_set_builds_its_key_index_on_the_first_lookup(tmp_path):
     assert len(back) == 15 and back.get((8, 0), "A").pos == 8.0
     with pytest.raises(ValueError, match="duplicate"):
         back.add((7, 0), "A", 0.0)  # a row added after the index was built
-    assert [key for key, _ in back.items()][-3:] == [((6, 0), "A"), ((7, 0), "A"), ((8, 0), "A")]
+    assert insertion_keys(back)[-3:] == [(6, 0, "A"), (7, 0, "A"), (8, 0, "A")]
 
 
 point_keys = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.sampled_from(["A", "B", "AB"]))
@@ -835,7 +843,7 @@ def test_batch_duplicate_check_matches_the_loop(keys):
             break
     if error is None:
         ps = IndexedPointSet.from_json(make_document(keys))
-        assert ps.items() == one_by_one.items()
+        assert _column_bits(ps) == _column_bits(one_by_one)
     else:
         with pytest.raises(ValueError) as info:
             IndexedPointSet.from_json(make_document(keys))
@@ -845,9 +853,9 @@ def test_batch_duplicate_check_matches_the_loop(keys):
 def _entry_dicts(ps):
     """The point records built one dict per entry, as the artifact writer once did."""
     out = []
-    for (idx, tag), e in sorted(ps.items(), key=lambda kv: (kv[0][0].m, kv[0][0].n, kv[0][1])):
+    for (m, n), tag, e in read_entries(ps):
         out.append({
-            "index": [idx.m, idx.n],
+            "index": [m, n],
             "tag": tag,
             "pos": [e.pos.real, e.pos.imag],
             "delta": [e.delta.real, e.delta.imag],

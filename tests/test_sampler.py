@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fockpr import sampler
+from fockpr import jsonio, sampler
 from fockpr.lattice import Lattice, modulus_order, window_arrays
 from fockpr.pointset import angle_condition, sample_points, separation, triple_vertices
 from fockpr.rng import keyed_disk
@@ -72,7 +72,7 @@ def test_deterministic_triples_are_equilateral_with_saturated_budgets():
         home = UNIT.point(index)
         budget = c.kappa_cap * math.exp(-c.gamma * abs(home) ** 2)
         for tag in "ABC":
-            assert math.isclose(abs(ps.offset(index, tag)), budget, rel_tol=1e-12)
+            assert math.isclose(abs(ps.get(index, tag).delta), budget, rel_tol=1e-12)
             assert abs(abs(ps.get(index, tag).unit) - 1.0) < 1e-12
 
 
@@ -80,9 +80,9 @@ def test_random_triples_respect_budgets_and_are_deterministic():
     c = cfg()
     ps = random_triple(c)
     again = random_triple(cfg())
-    assert dict(ps.items()) == dict(again.items())
+    assert jsonio.dumps(ps.to_json()) == jsonio.dumps(again.to_json())
     other = random_triple(cfg(seed=1))
-    assert dict(ps.items()) != dict(other.items())
+    assert jsonio.dumps(ps.to_json()) != jsonio.dumps(other.to_json())
     idx, pts = window_arrays(UNIT, c.window_radius)
     assert len(ps) == 3 * len(pts)
     for (m, n), p in zip(idx[:40], pts[:40]):
@@ -90,14 +90,17 @@ def test_random_triples_respect_budgets_and_are_deterministic():
         for tag in "ABC":
             e = ps.get((m, n), tag)
             assert abs(e.unit) <= 1.0 + 1e-12
-            assert abs(ps.offset((m, n), tag)) <= budget * (1 + 1e-12)
+            assert abs(e.delta) <= budget * (1 + 1e-12)
 
 
 def test_window_extension_preserves_existing_draws():
     small = random_triple(cfg(radius=3.0))
     large = random_triple(cfg(radius=5.0))
-    for key, entry in small.items():
-        assert large.get(key[0], key[1]).unit == entry.unit
+    idx, _ = window_arrays(UNIT, 3.0)
+    assert len(small) == 3 * len(idx)
+    for index in idx.tolist():
+        for tag in "ABC":
+            assert large.get(index, tag).unit == small.get(index, tag).unit
 
 
 # -- mirror constructions --------------------------------------------------------
@@ -110,7 +113,7 @@ def test_real_pair_relations():
     assert len(sample_points(ps)) == 2 * len(pts)
     # triples exist exactly on the closed upper half plane
     uppers = [tuple(i) for i, p in zip(idx, pts) if p.imag >= -1e-12]
-    assert sorted(map(tuple, ps.indices(tags=["A"]))) == sorted(uppers)
+    assert sorted(map(tuple, triple_vertices(ps)[0].tolist())) == sorted(uppers)
     # C is the reflected first draw of the conjugate home
     assert ps.get((2, 1), "C").unit == np.conj(ps.get((2, -1), "1").unit)
     assert ps.get((2, 1), "A").unit == ps.get((2, 1), "1").unit
@@ -124,14 +127,15 @@ def test_real_pair_relations():
 def test_even_single_relations():
     ps = even_single(cfg())
     assert ps.meta["sample_tags"] == ["1"]
-    assert ((0, 0), "1") not in ps
+    with pytest.raises(KeyError):
+        ps.get((0, 0), "1")
     assert ps.get((1, 2), "B").unit == np.conj(ps.get((1, -2), "1").unit)
     assert ps.get((1, 2), "C").unit == -ps.get((-1, -2), "1").unit
     assert ps.get((1, 2), "A").unit == ps.get((1, 2), "1").unit
     # real-axis homes mirror
     assert ps.get((2, 0), "B").pos == np.conj(ps.get((2, 0), "A").pos)
     # triples only on the closed first quadrant, origin excluded
-    quad = [tuple(i) for i in ps.indices(tags=["A"])]
+    quad = [tuple(i) for i in triple_vertices(ps)[0].tolist()]
     assert all(m >= 0 and n >= 0 for m, n in quad)
     assert (0, 0) not in quad
     assert angle_condition(ps, beta=1.0).passed

@@ -15,7 +15,6 @@ from fockpr.special import (
     SigmaEvaluator,
     fock_annulus_increments,
     lagrange_interpolate,
-    three_lines_liouville_note,
 )
 
 
@@ -586,15 +585,3 @@ def test_lagrange_matches_the_per_node_sum():
     with pytest.raises(ValueError, match="shape"):
         lagrange_interpolate(ev, np.ones((len(nodes), 1)), z, alpha=1.0)
 
-
-# -- vanishing-density line families ---------------------------------------------------
-
-
-def test_three_lines_note_reports_acute_sectors_and_falling_density():
-    note = three_lines_liouville_note()
-    assert note["sector_count"] == 6
-    assert note["all_openings_below_half_pi"]
-    assert note["max_sector_opening"] < math.pi / 2.0
-    assert note["density_trend_decreasing"]
-    assert note["point_count"] == 6 * 50 + 1
-    assert math.isclose(sum(note["sector_openings"]), 2 * math.pi, rel_tol=1e-12)
