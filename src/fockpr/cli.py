@@ -344,7 +344,8 @@ def _cmd_injectivity(args: argparse.Namespace) -> int:
         rows.append(row)
         print(
             f"M={m_count}: kernel_dim={rep.kernel_dim} (expected {expected}) "
-            f"sigma_min={rep.sigma_min:.6g} {'ok' if match else 'MISMATCH'}"
+            f"sigma_min={rep.sigma_min:.6g} {'ok' if match else 'MISMATCH'} "
+            f"witness_search={'run' if rep.witness_searched else 'skipped'}"
         )
     artifact = {
         "source": source,

@@ -356,8 +356,9 @@ def shift(F: FockPoly, s: complex) -> FockPoly:
     return FockPoly.from_monomial(F.alpha, out)
 
 
-# grid points per block of radial rows in ``fock_gram``: 256 KB per complex temporary
-_GRAM_BLOCK = 1 << 14
+# grid points per block of radial rows in ``fock_gram``: 64 KiB per complex
+# temporary, below the allocator's 128 KiB mmap threshold (see ``gabor._LIFT_BLOCK``)
+_GRAM_BLOCK = 1 << 12
 
 
 def fock_gram(

@@ -44,9 +44,11 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _QUARTER = 2.0 ** 0.25
-# (point, Gauss-Hermite node) pairs per block of ``bargmann_grid``: 1 MB
-# per complex temporary, 512 points at the default 128 nodes
-_LIFT_BLOCK = 1 << 16
+# (point, Gauss-Hermite node) pairs per block of ``bargmann_grid``: 64 KiB
+# per complex temporary, 32 points at the default 128 nodes.  Below the
+# allocator's 128 KiB mmap threshold, the temporaries reuse heap memory in
+# place of fresh pages mapped (and faulted in) on every block.
+_LIFT_BLOCK = 1 << 12
 
 
 @functools.lru_cache(maxsize=8)

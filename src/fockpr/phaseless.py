@@ -12,7 +12,9 @@ evidence they do not:
   perturbed-zero bound check built from those pieces,
 * a finite-dimensional injectivity analyzer for the lifted (rank-one
   Hermitian) measurement map, with singular spectrum, kernel dimension,
-  and a signature-(1,1) witness pair when the kernel is nontrivial.
+  and a signature-(1,1) witness pair when the kernel is nontrivial,
+  searched for only where one can exist: below the 4d - 4 injectivity
+  count of generic measurements, or on a kernel larger than generic.
 """
 
 from __future__ import annotations
@@ -390,6 +392,7 @@ class LiftedReport:
     rank_tol: float
     witness: tuple[tuple[complex, ...], tuple[complex, ...]] | None
     witness_gap: float | None
+    witness_searched: bool
 
     @property
     def sigma_min(self) -> float:
@@ -411,6 +414,13 @@ def lifted_injectivity(
     into a concrete pair of polynomials with equal moduli on every
     point.  Evidence at truncation N only: a kernel-free truncation says
     nothing about the full space.
+
+    The witness search runs only where a witness can exist.  For d = N + 1
+    coefficients, M >= 4d - 4 generic measurements are injective (Conca,
+    Edidin, Hering and Vinzant, ACHA 2015), so on M >= 4d - 4 points whose
+    kernel has its generic size d^2 - M the search is skipped and
+    ``witness_searched`` is false.  Below 4d - 4, or where the kernel is
+    larger than generic (repeated or structured points), it runs.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
@@ -432,7 +442,10 @@ def lifted_injectivity(
 
     witness = None
     witness_gap = None
-    if kernel_dim > 0:
+    searched = kernel_dim > 0 and (
+        pts.size < 4 * dim - 4 or kernel_dim != max(0, d_real - pts.size)
+    )
+    if searched:
         kernel_vecs = vt[rank:, :]
         rng = np.random.default_rng(seed)
         row_scale = max(float(np.abs(rows).max()), 1e-300)
@@ -484,4 +497,5 @@ def lifted_injectivity(
         rank_tol=_RANK_TOL,
         witness=witness,
         witness_gap=witness_gap,
+        witness_searched=searched,
     )

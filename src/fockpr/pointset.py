@@ -320,6 +320,8 @@ class IndexedPointSet:
         ``window_radius`` is a finite positive number, ``meta`` an object,
         and its ``gamma`` and ``kappa_cap`` are both absent or lie where the
         generators put them, ``0 < gamma < inf`` and ``0 < kappa_cap <= 1``.
+        Where present, ``meta.sample_tags`` is a list of distinct strings and
+        ``meta.triple_fold`` an object mapping tags to names of ``_FOLDS``.
         """
         lat = data["lattice"]
         if not isinstance(lat, Lattice):
@@ -327,6 +329,23 @@ class IndexedPointSet:
         meta = data.get("meta", {})
         if not isinstance(meta, dict):
             raise ValueError(f"field 'meta' must be an object, got {type(meta).__name__}")
+        tags = meta.get("sample_tags", [])
+        if not (
+            isinstance(tags, list)
+            and all(isinstance(t, str) for t in tags)
+            and len(set(tags)) == len(tags)
+        ):
+            raise ValueError(
+                f"field 'meta.sample_tags' must be a list of distinct strings, got {tags!r}"
+            )
+        folds = meta.get("triple_fold", {})
+        if not (
+            isinstance(folds, dict)
+            and all(isinstance(name, str) and name in _FOLDS for name in folds.values())
+        ):
+            raise ValueError(
+                f"field 'meta.triple_fold' must map tags to names in {sorted(_FOLDS)}, got {folds!r}"
+            )
         ps = cls(lat, _number(data["window_radius"], "window_radius"), meta=meta)
         gamma, kappa_cap = ps.budget()  # a budget given in half is an error
         if meta.get("gamma") is not None and not (

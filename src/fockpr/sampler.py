@@ -23,6 +23,11 @@ Constructions:
   symmetry used by the mirror constructions;
 * ``three_lines`` -- equispaced samples on three concurrent lines with
   all sectors acute.
+
+The Monte Carlo experiments (``mc_angle_bound``, ``mc_mirror_angle_bound``)
+count exactly the trials whose float64 median angle is below epsilon; an
+exact float32 prefilter (``_maybe_hits``) spares the float64 test the
+trials that cannot be hits.
 """
 
 from __future__ import annotations
@@ -418,27 +423,85 @@ class McReport:
     passed: bool
 
 
+# The prefilter of ``_maybe_hits``: its angle margin (radians), the
+# shortest float32 side it decides on, and the least ``epsilon + margin``
+# at which it keeps every row.
+_MC_MARGIN = 2e-3
+_MC_SHORT_SIDE = 1e-2
+_MC_FILTER_LIMIT = 1.4
+
+
+def _mc_vertices(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triangle vertices of draws ``u``: columns (r^2, turns) per disk point.
+
+    Six columns give three independent points; four give a and b, with
+    ``c = conj(a)`` (the mirror variant).
+    """
+    a = np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    b = np.sqrt(u[:, 2]) * np.exp(2j * np.pi * u[:, 3])
+    c = np.sqrt(u[:, 4]) * np.exp(2j * np.pi * u[:, 5]) if u.shape[1] == 6 else np.conj(a)
+    return a, b, c
+
+
+def _maybe_hits(u: np.ndarray, epsilon: float) -> np.ndarray:
+    """Mask of the rows of draws ``u`` that can be hits, decided in float32.
+
+    The median angle is below ``epsilon`` exactly when two of the three
+    vertex angles are.  Each vertex with arms p, q passes when
+    ``|cross(p, q)| < tan(epsilon + m) * dot(p, q)``, its float32 angle
+    below ``epsilon + m`` (m = ``_MC_MARGIN``); a row is kept when two
+    vertices pass or a side is shorter than ``s = _MC_SHORT_SIDE``.
+
+    No hit is dropped.  The float32 points lie within about 1e-6 of the
+    float64 ones (casting u, the square root, the argument 2*pi*u <= 2*pi
+    and a few-ulp cos and sin, each a few times 2**-24), which lie within
+    1e-15 of the true ones.  An arm of a dropped row is at least s - 3e-6
+    long in truth, so its float32 copy (both ends moved, then rounded on
+    subtraction) turns it by at most asin(2.3e-6 / 0.99e-2) < 2.4e-4, and a
+    vertex angle moves by at most twice that.  Forming the cross and dot
+    products and ``tan(epsilon + m) * dot`` in float32 moves the decided
+    angle by about 1e-6 more: in all below 6e-4 < m.  So a vertex whose
+    float64 angle is below ``epsilon`` passes, and a true hit is kept.
+    At ``epsilon + m >= _MC_FILTER_LIMIT`` every row is kept.
+    """
+    if epsilon + _MC_MARGIN >= _MC_FILTER_LIMIT:
+        return np.ones(len(u), dtype=bool)
+    u32 = u.astype(np.float32)
+
+    def vertex(j: int) -> tuple[np.ndarray, np.ndarray]:
+        r = np.sqrt(u32[:, j])
+        turn = np.float32(2.0 * np.pi) * u32[:, j + 1]
+        return r * np.cos(turn), r * np.sin(turn)
+
+    ax, ay = vertex(0)
+    bx, by = vertex(2)
+    cx, cy = vertex(4) if u.shape[1] == 6 else (ax, -ay)
+    abx, aby, acx, acy, bcx, bcy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
+    t = np.float32(math.tan(epsilon + _MC_MARGIN))
+    # the arms of a, b and c are (ab, ac), (-ab, bc) and (-ac, -bc)
+    pass_a = np.abs(abx * acy - aby * acx) < t * (abx * acx + aby * acy)
+    pass_b = np.abs(abx * bcy - aby * bcx) < -t * (abx * bcx + aby * bcy)
+    pass_c = np.abs(acx * bcy - acy * bcx) < t * (acx * bcx + acy * bcy)
+    s2 = np.float32(_MC_SHORT_SIDE**2)
+    short = (
+        (abx * abx + aby * aby < s2) | (acx * acx + acy * acy < s2) | (bcx * bcx + bcy * bcy < s2)
+    )
+    return (pass_a & (pass_b | pass_c)) | (pass_b & pass_c) | short
+
+
 def _mc_run(variant: str, trials: int, epsilon: float, seed: int) -> McReport:
     if trials < 1:
         raise ValueError("trials must be positive")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     rng = np.random.Generator(np.random.Philox(key=seed))
+    columns = 6 if variant == "independent" else 4
     hits = 0
     remaining = trials
     while remaining > 0:
         count = min(remaining, _MC_BATCH)
-        if variant == "independent":
-            u = rng.random((count, 6))
-            a = np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
-            b = np.sqrt(u[:, 2]) * np.exp(2j * np.pi * u[:, 3])
-            c = np.sqrt(u[:, 4]) * np.exp(2j * np.pi * u[:, 5])
-        else:
-            u = rng.random((count, 4))
-            a = np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
-            b = np.sqrt(u[:, 2]) * np.exp(2j * np.pi * u[:, 3])
-            c = np.conj(a)
-        ang = median_angles(a, b, c)
+        u = rng.random((count, columns))
+        ang = median_angles(*_mc_vertices(u[_maybe_hits(u, epsilon)]))
         hits += int(np.count_nonzero(ang < epsilon))
         remaining -= count
     p_hat = hits / trials

@@ -442,6 +442,11 @@ def test_a_set_with_half_a_budget_exits_2(det3_set, tmp_path, capsys, key):
         (("meta", "gamma"), math.inf),
         (("meta", "kappa_cap"), -1),
         (("meta", "kappa_cap"), 1.5),
+        (("meta", "sample_tags"), 5),
+        (("meta", "sample_tags"), "AB"),
+        (("meta", "sample_tags"), ["A", "A"]),
+        (("meta", "triple_fold"), [1]),
+        (("meta", "triple_fold"), {"A": "rotate"}),
     ],
     ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v),
 )
@@ -567,11 +572,16 @@ def test_injectivity_pinned_instance(tmp_path):
     assert all(row["match"] for row in data["subsets"])
 
 
-def test_injectivity_reports_witness_when_underdetermined(tmp_path):
+def test_injectivity_reports_witness_when_underdetermined(tmp_path, capsys):
     out = tmp_path / "inj.json"
-    rc = run("injectivity", "--dim", 2, "--subsets", "5", "--out", out)
+    rc = run("injectivity", "--dim", 2, "--subsets", "5,8", "--out", out)
     assert rc == 0  # kernel dim 4 = 9 - 5 matches the counting expectation
-    row = jsonio.load_path(out)["subsets"][0]
+    # M = 8 reaches 4d - 4 with its generic kernel of 1: no search
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("M=5:") and lines[0].endswith("witness_search=run")
+    assert lines[1].startswith("M=8:") and lines[1].endswith("witness_search=skipped")
+    row, generic = jsonio.load_path(out)["subsets"]
+    assert "witness" not in generic
     assert row["kernel_dim"] == 4
     assert "witness" in row and len(row["witness"]) == 2
     # each side is the coefficient list of one polynomial, as [re, im] pairs
@@ -625,6 +635,30 @@ def test_montecarlo_angles_artifact_and_determinism(tmp_path):
     assert data["trials"] == 20000
     assert data["passed"] is True
     assert data["p_hat"] + 3.0 * data["stderr"] <= data["bound"]
+
+
+@pytest.mark.parametrize(
+    "lowered",
+    [("X86_V4", "AVX512_ICL", "AVX512_SPR"), ("X86_V4", "AVX512_ICL", "AVX512_SPR", "X86_V3")],
+    ids=["below-X86_V4", "below-X86_V3"],
+)
+def test_montecarlo_bytes_do_not_depend_on_numpys_simd_level(tmp_path, lowered):
+    # the float32 prefilter rounds differently per SIMD level; the hit count may not
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    disabled = [f for f in lowered if f in __cpu_dispatch__ and __cpu_features__.get(f)]
+    if not disabled:
+        pytest.skip(f"this CPU dispatches none of {lowered}")
+    src = str(Path(fockpr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    for variant in ("angles", "mirror"):
+        args = (variant, "--trials", 1_000_000, "--eps", 0.05, "--seed", 1)
+        default, lowered_out = tmp_path / f"{variant}.json", tmp_path / f"{variant}-low.json"
+        assert run("montecarlo", *args, "--out", default) == 0
+        child = [sys.executable, "-m", "fockpr", "montecarlo", *map(str, args),
+                 "--out", str(lowered_out)]
+        assert subprocess.run(child, env=env, capture_output=True).returncode == 0
+        assert lowered_out.read_bytes() == default.read_bytes()
 
 
 def test_montecarlo_mirror_variant(tmp_path):

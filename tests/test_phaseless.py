@@ -480,6 +480,30 @@ def test_lifted_injectivity_witness_is_a_true_counterexample():
     # and the two polynomials are not proportional
     assert np.linalg.norm(wronskian(x, y).coeffs) > 1e-6
     assert rep.witness_gap is not None and rep.witness_gap <= 1e-8
+    assert rep.witness_searched  # M = 3 < 4d - 4 = 4
+
+
+def test_the_witness_search_is_skipped_where_generic_points_are_injective():
+    # d = 4 coefficients: from M = 4d - 4 = 12 points on, a generic kernel
+    # holds no signature-(1,1) element
+    rng = np.random.default_rng(4)
+    pts = 0.8 * (rng.standard_normal(15) + 1j * rng.standard_normal(15))
+    for m in (11, 12, 13, 15):
+        rep = lifted_injectivity(pts[:m], N=3, alpha=math.pi)
+        assert rep.kernel_dim == 16 - m
+        assert rep.witness_searched == (m < 12)
+        if m >= 12:
+            assert rep.witness is None
+
+
+def test_the_witness_search_runs_where_repeated_points_shrink_the_rank():
+    # five rows at d = 2 reach 4d - 4 = 4, but only three are distinct, so
+    # the kernel is 1 where generic rows leave none, and a witness exists
+    pts = GENERIC_POINTS[:3] + GENERIC_POINTS[:2]
+    rep = lifted_injectivity(pts, N=1, alpha=math.pi)
+    assert rep.kernel_dim == 1
+    assert rep.witness_searched
+    assert rep.witness is not None and rep.witness_gap <= 1e-8
 
 
 def test_lifted_injectivity_sigma_min_grows_with_extra_rows_once_injective():

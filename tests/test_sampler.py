@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockpr import jsonio, sampler
 from fockpr.lattice import Lattice, modulus_order, window_arrays
-from fockpr.pointset import angle_condition, sample_points, separation, triple_vertices
+from fockpr.pointset import (
+    angle_condition,
+    median_angles,
+    sample_points,
+    separation,
+    triple_vertices,
+)
 from fockpr.rng import keyed_disk
 from fockpr.sampler import (
     GeneratorConfig,
@@ -309,6 +316,97 @@ def test_mc_report_does_not_depend_on_the_batch_size(run, monkeypatch):
         monkeypatch.setattr(sampler, "_MC_BATCH", batch)
         reports.append(run(50_001, 0.05, seed=3))
     assert reports[0] == reports[1] == reports[2]
+
+
+def _whole_batch_hits(u: np.ndarray, epsilon: float) -> np.ndarray:
+    """The hit mask of every row of ``u``: the loop before the prefilter."""
+    a = np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    b = np.sqrt(u[:, 2]) * np.exp(2j * np.pi * u[:, 3])
+    if u.shape[1] == 6:
+        c = np.sqrt(u[:, 4]) * np.exp(2j * np.pi * u[:, 5])
+    else:
+        c = np.conj(a)
+    return median_angles(a, b, c) < epsilon
+
+
+def _draws_of(points: np.ndarray) -> np.ndarray:
+    """(r^2, turns) columns of each row of complex points in the unit disk."""
+    turns = np.mod(np.angle(points) / (2.0 * np.pi), 1.0)
+    turns[turns >= 1.0] = 0.0  # a turn of -0.0 or -1e-300 rounds up to 1
+    return np.stack([np.abs(points) ** 2, turns], axis=-1).reshape(len(points), -1)
+
+
+def _boundary_rows(rng: np.random.Generator, epsilon: float, columns: int) -> np.ndarray:
+    """Rows whose median angle is ``epsilon * (1 +- t)``, 1e-12 <= t <= 1e-3.
+
+    Each is an isosceles triangle, whose two equal angles are its median.
+    Independent: on a random base.  Mirror: the base is a and conj(a), so
+    the apex b lies on the real axis.  Bases from 1e-2 to 1e-1 long: the
+    shorter an arm, the more float32 turns it.
+    """
+    count = 400
+    theta = epsilon * (1.0 + rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-12, -3, count))
+    base = 10.0 ** rng.uniform(-2, -1, count)
+    if columns == 6:
+        a = 0.3 * np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
+        side = base * np.exp(2j * np.pi * rng.random(count))
+        b = a + side
+        c = a + 0.5 * side * (1.0 + 1j * np.tan(theta))
+        return _draws_of(np.stack([a, b, c], axis=1))
+    a = rng.uniform(-0.3, 0.3, count) + 0.5j * base
+    b = a.real + rng.choice([-1.0, 1.0], count) * a.imag * np.tan(theta) + 0j
+    return _draws_of(np.stack([a, b], axis=1))
+
+
+_UNIT = st.floats(0.0, 1.0, exclude_max=True)
+_TURN = _UNIT | st.sampled_from([0.0, 0.25, 0.5, 0.75])
+
+
+@st.composite
+def _degenerate_rows(draw, columns: int) -> np.ndarray:
+    """Rows with a radius 0, one turn for every point (collinear with the
+    origin), every point on the real axis (turns 0 and 1/2) or free turns."""
+    points = columns // 2
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        radii = draw(st.lists(_UNIT | st.sampled_from([0.0, 1e-12, 0.5]),
+                              min_size=points, max_size=points))
+        turns = draw(st.one_of(
+            _TURN.map(lambda t: [t] * points),
+            st.lists(st.sampled_from([0.0, 0.5]), min_size=points, max_size=points),
+            st.lists(_TURN, min_size=points, max_size=points),
+        ))
+        rows.append([v for pair in zip(radii, turns) for v in pair])
+    return np.array(rows, dtype=float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    epsilon=st.sampled_from([1e-6, 0.01, 0.05, 0.5, 1.39, 1.5, 3.2]),
+    columns=st.sampled_from([6, 4]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_the_prefilter_keeps_every_hit(epsilon, columns, seed, data):
+    rng = np.random.default_rng(seed)
+    u = np.concatenate([
+        rng.random((2000, columns)),
+        data.draw(_degenerate_rows(columns)),
+        _boundary_rows(rng, min(epsilon, 1.39), columns),
+    ])
+    assert ((0.0 <= u) & (u < 1.0)).all()
+    hits = _whole_batch_hits(u, epsilon)
+    kept = sampler._maybe_hits(u, epsilon)
+    assert not (hits & ~kept).any()
+    filtered = median_angles(*sampler._mc_vertices(u[kept])) < epsilon
+    assert np.count_nonzero(filtered) == np.count_nonzero(hits)
+
+
+# hit counts at the bench size, read off the whole-batch loop
+@pytest.mark.parametrize("seed, angles, mirror", [(1, 47911, 38612), (5, 47537, 39149)])
+def test_mc_hit_counts_at_the_bench_size(seed, angles, mirror):
+    assert mc_angle_bound(2_000_000, 0.05, seed=seed).hits == angles
+    assert mc_mirror_angle_bound(2_000_000, 0.05, seed=seed).hits == mirror
 
 
 def test_mc_bound_is_vacuous_for_large_epsilon():
