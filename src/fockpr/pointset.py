@@ -11,8 +11,9 @@ Gaussian budgets both collapse in floating point (``delta`` underflows,
 ``pos`` rounds onto the lattice point) while ``unit`` and the budget stay
 exact, so the certificates below work from them in log scale.  Samples
 enter a set one at a time through ``add``, or all at once when
-``from_json`` loads a document; ``get`` is the one read of a single
-sample, and every other read takes whole columns.
+``from_json`` loads a document; either way one vectorized check of the
+columns admits them.  ``get`` is the one read of a single sample, and
+every other read takes whole columns.
 
 Certificates:
 
@@ -68,8 +69,6 @@ _REQUIRED_FIELDS = ("index", "tag", "unit")
 # they are only checked to be finite [x, y] pairs
 _DERIVED_FIELDS = ("pos", "delta")
 
-# rows IndexedPointSet.add holds as tuples before packing them into columns
-_ADD_BLOCK = 1 << 12
 # points relative_separation_bound buckets together
 _STENCIL_BLOCK = 1 << 10
 
@@ -113,16 +112,14 @@ class IndexedPointSet:
 
     One row per sample, in insertion order: the lattice index ``(m, n)``,
     the ``tag`` and the offset ``unit`` in budget units (see the module
-    docstring for what is derived from it).  Rows inserted by :meth:`add`
-    wait in a buffer, packed into one block of columns every
-    ``_ADD_BLOCK`` rows; the next column read appends the blocks in one
-    step.  A dict from key to row number backs :meth:`add` and
-    :meth:`get`; it is built from the columns on the first such lookup, so
-    a set that is only read in bulk never holds it.  :meth:`add` is the
-    one way to insert a sample and :meth:`from_json` the one way to load a
-    document, whose columns are taken whole once one lexsort of its key
-    columns finds no duplicate.  Outputs (``points``, ``to_json``,
-    ``to_csv``) list rows in the canonical (m, n, tag) order.
+    docstring for what is derived from it).  :meth:`add` appends a row to
+    a buffer; the next column read packs the buffer into columns, joins
+    them to the set's columns and checks the whole in one pass, the check
+    :meth:`from_json` runs on a document: every home lies in the window
+    and one lexsort of the key columns finds no repeated key.  :meth:`get`
+    finds its row by one match over the key columns.  Outputs
+    (``points``, ``to_json``, ``to_csv``) list rows in the canonical
+    (m, n, tag) order.
     """
 
     def __init__(self, lattice: Lattice, window_radius: float, meta: dict | None = None):
@@ -132,33 +129,21 @@ class IndexedPointSet:
         self.window_radius = float(window_radius)
         self.meta: dict = dict(meta or {})
         self._cols = _NO_ROWS
-        self._blocks: list[_Columns] = []
         self._buffer: list[tuple] = []
-        self._row_of: dict[tuple[int, int, str], int] | None = None
 
     # -- container ---------------------------------------------------------
 
     def add(self, index: tuple[int, int], tag: str, unit: complex) -> None:
         """Insert a sample at offset ``unit`` (in budget units) from its home point.
 
-        Costs amortized O(1): the row waits as a tuple until ``_ADD_BLOCK``
-        rows have gathered, which are then packed into one block of columns,
-        so the rows held as tuples stay few however large the set grows.
+        The row waits in a buffer; the next column read checks it with the
+        rest (see :meth:`_columns`), so a home outside the window or a
+        repeated key raises there.
         """
-        m, n = int(index[0]), int(index[1])
-        home = self.lattice.point((m, n))
-        if abs(home) > self.window_radius + 1e-9:
-            raise ValueError(f"home point {home} of index {(m, n)} outside window")
-        key, row_of = (m, n, tag), self._index()
-        if key in row_of:
-            raise ValueError(f"duplicate entry for index {(m, n)} tag {tag!r}")
-        row_of[key] = len(row_of)
-        self._buffer.append((m, n, tag, unit))
-        if len(self._buffer) >= _ADD_BLOCK:
-            self._pack()
+        self._buffer.append((index[0], index[1], tag, unit))
 
     def _load(self, cols: _Columns) -> None:
-        """Take the columns of a document as the rows of this fresh set, after checking them.
+        """Take ``cols`` as the rows of this set, after checking them.
 
         Every home must lie in the window and no key (m, n, tag) may
         repeat; one lexsort of the key columns finds the first repeat.
@@ -175,27 +160,22 @@ class IndexedPointSet:
             raise ValueError(f"duplicate entry for index {index} tag {str(cols.tag[i])!r}")
         self._cols = cols
 
-    def _pack(self) -> None:
-        """Move the rows buffered by :meth:`add` into one block of columns."""
-        if not self._buffer:
-            return
-        m, n, tag, unit = zip(*self._buffer)
-        self._buffer = []
-        self._blocks.append(
-            _Columns(
+    def _columns(self) -> _Columns:
+        """The columns, with the rows added since the last read joined and checked in one step.
+
+        The buffer is emptied only once the joined columns pass
+        :meth:`_load`'s check, so a bad row raises again at every later read.
+        """
+        if self._buffer:
+            m, n, tag, unit = zip(*self._buffer)
+            added = _Columns(
                 np.array(m, dtype=np.int64),
                 np.array(n, dtype=np.int64),
                 np.array(tag, dtype=str),
                 np.array(unit, dtype=complex),
             )
-        )
-
-    def _columns(self) -> _Columns:
-        """The columns, with the rows added since the last read appended in one step."""
-        self._pack()
-        if self._blocks:
-            self._cols = _joined(self._cols, *self._blocks)
-            self._blocks = []
+            self._load(_joined(self._cols, added))
+            self._buffer = []
         return self._cols
 
     def _rows(self, tags: Sequence[str] | None = None) -> np.ndarray:
@@ -204,30 +184,21 @@ class IndexedPointSet:
         rows = np.arange(len(c.m)) if tags is None else np.flatnonzero(np.isin(c.tag, list(tags)))
         return rows[np.lexsort((c.tag[rows], c.n[rows], c.m[rows]))]
 
-    def _index(self) -> dict[tuple[int, int, str], int]:
-        """The dict from key (m, n, tag) to row number, built on first use."""
-        if self._row_of is None:
-            c = self._columns()
-            keys = zip(c.m.tolist(), c.n.tolist(), c.tag.tolist())
-            self._row_of = dict(zip(keys, range(len(c.m))))
-        return self._row_of
-
-    def _row(self, index: tuple[int, int], tag: str) -> int:
-        row = self._index().get((int(index[0]), int(index[1]), tag))
-        if row is None:
-            raise KeyError((LatticeIndex(int(index[0]), int(index[1])), tag))
-        return row
-
     def _entries(self, rows: np.ndarray) -> list[PointEntry]:
         homes, deltas = self._placed(rows)
         units = self._columns().unit[rows]
         return list(map(PointEntry, (homes + deltas).tolist(), deltas.tolist(), units.tolist()))
 
     def __len__(self) -> int:
-        return len(self._cols.m) + sum(len(b.m) for b in self._blocks) + len(self._buffer)
+        return len(self._cols.m) + len(self._buffer)
 
     def get(self, index: tuple[int, int], tag: str) -> PointEntry:
-        return self._entries(np.array([self._row(index, tag)]))[0]
+        """The sample of key (index, tag), found by one match over the key columns."""
+        c, m, n = self._columns(), int(index[0]), int(index[1])
+        rows = np.flatnonzero((c.m == m) & (c.n == n) & (c.tag == tag))
+        if not rows.size:
+            raise KeyError((LatticeIndex(m, n), tag))
+        return self._entries(rows)[0]
 
     def tags(self) -> list[str]:
         return sorted(set(self._columns().tag.tolist()))

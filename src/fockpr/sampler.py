@@ -204,9 +204,10 @@ def even_single(cfg: GeneratorConfig) -> IndexedPointSet:
 def _add_each(ps: IndexedPointSet, idx: np.ndarray, tag: str, unit) -> None:
     """One ``ps.add`` per row of ``idx`` (shape (k, 2)), unit offsets taken row by row.
 
-    ``unit`` may be one value for all rows.  Each sample is its own O(1)
-    :meth:`IndexedPointSet.add` call, the per-sample step that
-    ``perfbench`` traces tally.
+    ``unit`` may be one value for all rows.  Each sample is its own
+    :meth:`IndexedPointSet.add` call, one append to the set's buffer and
+    the per-sample step that ``perfbench`` traces tally; the set checks
+    the rows at its next column read.
     """
     for index, u in zip(idx.tolist(), np.broadcast_to(unit, len(idx)).tolist()):
         ps.add(index, tag, u)

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 # numpy alone).
 import scipy.spatial
 
-from fockpr import jsonio, pointset
+from fockpr import jsonio
 from fockpr.lattice import Lattice, square_lattice, window_arrays
 from fockpr.sampler import (
     GeneratorConfig,
@@ -141,13 +142,22 @@ def test_add_get_and_derived_offsets():
         ps.get((2, 1), "B")
 
 
-def test_add_rejects_bad_entries():
-    ps = make_set()
-    ps.add((1, 0), "A", 0.0)
-    with pytest.raises(ValueError):
-        ps.add((1, 0), "A", 0.0)  # duplicate key
-    with pytest.raises(ValueError):
-        ps.add((40, 0), "A", 0.0)  # outside window
+def test_a_bad_add_raises_at_every_later_read():
+    bad = (
+        ((1, 0), r"duplicate entry for index \(1, 0\) tag 'A'"),  # repeats a read row
+        ((2, 0), r"duplicate entry for index \(2, 0\) tag 'A'"),  # repeats a buffered row
+        ((40, 0), r"home point \(40\+0j\) of index \(40, 0\) outside window"),
+    )
+    for index, match in bad:
+        ps = make_set()
+        ps.add((1, 0), "A", 0.0)
+        assert len(ps.points()) == 1
+        ps.add((2, 0), "A", 0.0)
+        ps.add(index, "A", 0.0)  # accepted into the buffer; the next read checks it
+        assert len(ps) == 3
+        for read in (ps.points, ps.to_json, ps.tags, lambda: ps.get((1, 0), "A")):
+            with pytest.raises(ValueError, match=match):
+                read()
     with pytest.raises(ValueError):
         IndexedPointSet(Lattice(1.0, 1.0j), window_radius=0.0)
 
@@ -172,17 +182,17 @@ def test_single_adds_and_batches_share_one_row_order():
     ps.add((0, 0), "B", 0.5j)
     assert ps.get((0, 0), "B").pos == 0.5j
     assert insertion_keys(ps) == [(1, 0, "A"), (2, 0, "A"), (3, 0, "A"), (0, 0, "B")]
-    with pytest.raises(ValueError, match="duplicate"):
-        ps.add((0, 0), "B", 0.0)  # repeats a row not yet appended
-    with pytest.raises(ValueError, match="duplicate"):
-        ps.add((2, 0), "A", 0.0)  # repeats a row of the document
     assert len(ps) == 4
     assert ps.get((3, 0), "A").pos == 3.0
+    for index, tag in (((0, 0), "B"), ((2, 0), "A")):  # a row added by hand, a row of the document
+        again = IndexedPointSet.from_json(ps.to_json())
+        again.add(index, tag, 0.0)
+        message = f"duplicate entry for index {index} tag '{tag}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            again.points()
 
 
-def test_rows_added_across_packed_blocks(monkeypatch):
-    monkeypatch.setattr(pointset, "_ADD_BLOCK", 3)
-    monkeypatch.setattr(jsonio, "_ROW_BLOCK", 3)
+def test_rows_added_across_reads():
     ps, entries = make_set(gamma=0.5, kappa_cap=0.3), {}
     for k in range(4):
         entries[((k, 0), "A")] = complex(0.25 * k, 0.5)
@@ -191,14 +201,9 @@ def test_rows_added_across_packed_blocks(monkeypatch):
     ps.add((0, 0), "B", 0.1j)
     ps.add((1, 0), "B", complex(-0.0))
     ps.points()  # a column read joins the six rows so far into the columns
-    for k in range(7):  # 2 * 3 + 1 rows: two packed blocks and one buffered row
+    for k in range(7):
         entries[((k, 1), "C")] = complex(-0.0, 0.1 * k)
         ps.add((k, 1), "C", entries[((k, 1), "C")])
-    assert len(ps._blocks) == 2 and len(ps._buffer) == 1
-    with pytest.raises(ValueError, match="duplicate"):
-        ps.add((0, 1), "C", 0.0)  # the first row of the first packed block
-    with pytest.raises(ValueError, match="duplicate"):
-        ps.add((1, 0), "B", 0.0)  # a row of the joined columns
     assert len(ps) == len(entries) == 13
     with pytest.raises(KeyError):
         ps.get((7, 1), "C")
@@ -798,7 +803,7 @@ def test_streamed_points_reject_malformed_records(monkeypatch):
             _load_text(text[:cut])
 
 
-def test_a_loaded_set_builds_its_key_index_on_the_first_lookup(tmp_path):
+def test_a_loaded_set_takes_lookups_and_more_adds(tmp_path):
     ps = make_set(gamma=7.0, kappa_cap=0.3, sample_tags=["A"])
     for k in range(6):
         ps.add((k, 0), "A", 0.5 * k)
@@ -806,47 +811,60 @@ def test_a_loaded_set_builds_its_key_index_on_the_first_lookup(tmp_path):
     path = tmp_path / "set.json"
     jsonio.dump_path(ps.to_json(), path)
     back = IndexedPointSet.from_json(jsonio.load_path(path))
-    # the bulk reads of certify and render need no index
     assert len(back) == 12 and back.tags() == ["A", "B"]
-    certify_f_closeness(back, 7.0, "A", kappa_cap=0.3)
-    separation(back), separation(sample_points(back))
-    back.points(["B"]), back.to_json()
-    assert back._row_of is None
     assert back.get((2, 0), "A") == ps.get((2, 0), "A")
-    assert back._row_of is not None
     assert back.get((5, 1), "B").unit == 0.1j
     with pytest.raises(KeyError):
         back.get((5, 1), "A")
-    with pytest.raises(ValueError, match=r"duplicate entry for index \(5, 1\) tag 'B'"):
-        back.add((5, 1), "B", 0.0)
     for k in (6, 7, 8):
         back.add((k, 0), "A", 0.0)
     assert len(back) == 15 and back.get((8, 0), "A").pos == 8.0
-    with pytest.raises(ValueError, match="duplicate"):
-        back.add((7, 0), "A", 0.0)  # a row added after the index was built
     assert insertion_keys(back)[-3:] == [(6, 0, "A"), (7, 0, "A"), (8, 0, "A")]
+    back.add((7, 0), "A", 0.0)  # a row that a read has already joined
+    back.add((5, 1), "B", 0.0)  # a row of the document
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"duplicate entry for index \(7, 0\) tag 'A'"):
+            back.get((8, 0), "A")
 
 
 point_keys = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.sampled_from(["A", "B", "AB"]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(point_keys, max_size=24))
-def test_batch_duplicate_check_matches_the_loop(keys):
-    """A document with duplicate keys fails at the key where a loop of ``add`` first fails."""
-    one_by_one, error = make_set(), None
+def _first_bad_key(lattice: Lattice, radius: float, keys) -> str | None:
+    """The error for ``keys``: the first home outside the window, else the first repeat."""
+    for m, n, _tag in keys:
+        home = lattice.point((m, n))
+        if abs(home) > radius + 1e-9:
+            return f"home point {home} of index {(m, n)} outside window"
+    seen = set()
     for m, n, tag in keys:
-        try:
-            one_by_one.add((m, n), tag, 0.0)
-        except ValueError as exc:
-            error = str(exc)
-            break
+        if (m, n, tag) in seen:
+            return f"duplicate entry for index {(m, n)} tag {tag!r}"
+        seen.add((m, n, tag))
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(point_keys, max_size=24), st.integers(0, 24))
+def test_batch_duplicate_check_matches_the_loop(keys, split):
+    """Rows added one by one, with a read after the first ``split``, and a document of the same
+    keys fail with the error of a plain loop over the keys, at every read."""
+    lattice, radius = Lattice(1.0, 1.0j), 2.5  # (±3, 0), (2, ±2), ... lie outside
+    error = _first_bad_key(lattice, radius, keys)
+    one_by_one = IndexedPointSet(lattice, radius)
+    for k, (m, n, tag) in enumerate(keys):
+        if k == split and _first_bad_key(lattice, radius, keys[:k]) is None:
+            one_by_one.points()
+        one_by_one.add((m, n), tag, 0.0)
+    doc = {**make_document(keys), "window_radius": radius}
     if error is None:
-        ps = IndexedPointSet.from_json(make_document(keys))
+        ps = IndexedPointSet.from_json(doc)
         assert _column_bits(ps) == _column_bits(one_by_one)
-    else:
+        assert insertion_keys(ps) == keys
+        return
+    for read in (one_by_one.points, one_by_one.points, lambda: IndexedPointSet.from_json(doc)):
         with pytest.raises(ValueError) as info:
-            IndexedPointSet.from_json(make_document(keys))
+            read()
         assert str(info.value) == error
 
 
