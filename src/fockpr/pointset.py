@@ -102,9 +102,12 @@ _NO_ROWS = _Columns(*(np.empty(0, dtype=t) for t in (np.int64, np.int64, str, co
 
 
 def _budgets(homes: np.ndarray, gamma: float, kappa_cap: float) -> np.ndarray:
-    """Float closeness budgets kappa_cap * exp(-gamma*|home|^2) (0 on underflow)."""
-    with np.errstate(under="ignore"):
-        return kappa_cap * np.exp(-gamma * np.abs(homes) ** 2)
+    """Float closeness budgets kappa_cap * exp(-gamma*|home|^2) (0 on underflow).
+
+    Taken with ``math.exp`` per element: numpy's vector ``exp`` rounds the
+    last bit differently per SIMD level, and artifact bytes must not.
+    """
+    return np.array([kappa_cap * math.exp(-gamma * h) for h in _abs_squared(homes).tolist()])
 
 
 class IndexedPointSet:
@@ -225,9 +228,16 @@ class IndexedPointSet:
         return self.lattice.point((c.m[rows], c.n[rows]))
 
     def _placed(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Home points of ``rows`` and their offsets ``delta = s(home) * unit``."""
-        homes = self._homes(rows)
-        return homes, _budgets(homes, *self.budget()) * self._columns().unit[rows]
+        """Home points of ``rows`` and their offsets ``delta = s(home) * unit``.
+
+        ``delta`` scales the real and imaginary part of ``unit`` apart: a
+        complex product would add ``0 * unit`` terms whose signed zeros
+        depend on numpy's SIMD loop.
+        """
+        homes, units = self._homes(rows), self._columns().unit[rows]
+        s, deltas = _budgets(homes, *self.budget()), np.empty_like(units)
+        deltas.real, deltas.imag = s * units.real, s * units.imag
+        return homes, deltas
 
     def _log_offsets(self, rows: np.ndarray, units: np.ndarray | None = None) -> np.ndarray:
         """Natural log of the offset magnitude of each of ``rows``, or of ``units`` at their homes.
@@ -291,7 +301,8 @@ class IndexedPointSet:
         ``window_radius`` is a finite positive number, ``meta`` an object,
         and its ``gamma`` and ``kappa_cap`` are both absent or lie where the
         generators put them, ``0 < gamma < inf`` and ``0 < kappa_cap <= 1``.
-        Where present, ``meta.sample_tags`` is a list of distinct strings and
+        Where present, ``meta.sample_tags`` is a list of distinct strings
+        naming at least one tag, and only tags the set holds, and
         ``meta.triple_fold`` an object mapping tags to names of ``_FOLDS``.
         """
         lat = data["lattice"]
@@ -329,24 +340,28 @@ class IndexedPointSet:
         points = data["points"]
         if not isinstance(points, jsonio.Table):
             points = jsonio.Table.from_records(points)
-        if not len(points):
-            return ps
-        cols = points.columns
-        for key in _REQUIRED_FIELDS:
-            if key not in cols:  # every record shares its keys, so the first lacks it too
-                raise jsonio.lacking(0, key)
-        for key in _DERIVED_FIELDS:
-            if key in cols:
-                complex_column(cols[key], key)
-        idx = _index_pairs(cols["index"])
-        ps._load(
-            _Columns(
-                idx[:, 0],
-                idx[:, 1],
-                np.array(cols["tag"], dtype=str),
-                complex_column(cols["unit"], "unit"),
+        if len(points):
+            cols = points.columns
+            for key in _REQUIRED_FIELDS:
+                if key not in cols:  # every record shares its keys, so the first lacks it too
+                    raise jsonio.lacking(0, key)
+            for key in _DERIVED_FIELDS:
+                if key in cols:
+                    complex_column(cols[key], key)
+            idx = _index_pairs(cols["index"])
+            ps._load(
+                _Columns(
+                    idx[:, 0],
+                    idx[:, 1],
+                    np.array(cols["tag"], dtype=str),
+                    complex_column(cols["unit"], "unit"),
+                )
             )
-        )
+        if "sample_tags" in meta and not (tags and set(tags) <= set(ps.tags())):
+            raise ValueError(
+                f"field 'meta.sample_tags' must name one or more of the set's tags"
+                f" {ps.tags()}, got {tags!r}"
+            )
         return ps
 
     def to_csv(self, path) -> None:
@@ -447,9 +462,13 @@ def median_angles(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=complex)
 
     def vertex_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        w = np.conj(u) * v
-        # a vanishing arm must give 0, not arctan2(+0, -0.0) = pi
-        return np.where(np.abs(w) == 0.0, 0.0, np.arctan2(np.abs(w.imag), w.real))
+        # conj(u) * v from real parts and math.atan2 per element, so that no
+        # SIMD loop of numpy's moves the last bit
+        x = u.real * v.real + u.imag * v.imag
+        y = np.abs(u.real * v.imag - u.imag * v.real)
+        # a vanishing arm must give 0, not atan2(+0, -0.0) = pi
+        pairs = zip(x.tolist(), y.tolist())
+        return np.array([0.0 if p == q == 0.0 else math.atan2(q, p) for p, q in pairs])
 
     ang_a = vertex_angle(b - a, c - a)
     ang_b = vertex_angle(a - b, c - b)

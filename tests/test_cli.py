@@ -66,21 +66,30 @@ def test_generate_writes_a_loadable_set_and_csv(det3_set, tmp_path):
 # product underflows the zeros now carry the sign of s * conj(u) and
 # s * (-u) (equal values, opposite signed zeros); opteven's budget is now
 # taken at the sample's own home, not at the frame point before the fold,
-# so 456 of its deltas move in the last bit.
+# so 456 of its deltas move in the last bit.  All six json files were
+# re-pinned when delta came to be formed without numpy's SIMD loops (budgets
+# by math.exp per element, delta from the real and imaginary part of unit
+# apart), so the bytes no longer depend on the CPU's SIMD level: pos and
+# unit keep their bits (but 9 positions of optreal), while deltas move in
+# the last bit or in the sign of a zero.  Old -> new, first 12 hex digits:
+# rand3 9319173b413f -> 3189db05f839, det3 3ed3e2620447 -> ea9ca3c72b05,
+# real2 4b4c70c62265 -> 4bc5953b136e, even1 730ca2c26ab4 -> 77f233f3be3e,
+# optreal 435df3dba1fc -> 4f11e989a49a, opteven 22153d8f8295 -> 97ffa2572774;
+# real2.csv kept its digest.
 GOLDEN_GENERATE = {
     "rand3": (["--alpha", PI, "--radius", 12], {
-        "rand3.json": "9319173b413fa7056f8729466a0a6539b1a8440fefff9daafdb97c8937170af5"}),
+        "rand3.json": "3189db05f83938b6bb49826e3a97c5b5c2ff28a6ab85f1ab47f2e01255f97aaf"}),
     "det3": (["--alpha", PI, "--radius", 12], {
-        "det3.json": "3ed3e2620447960c275f6cf620314019b3ef0c6bda5125e7db6a169c3a12c7f3"}),
+        "det3.json": "ea9ca3c72b05fe2d3c2b8bc48b7aa17e981f646eefd77c07aa5f2977cd47c819"}),
     "real2": (["--v", 0.5, "--radius", 11, "--csv", "real2.csv"], {
-        "real2.json": "4b4c70c6226523cac04e877b1d22104f36f8b705e396e6b5c8b3547e51b53bd2",
+        "real2.json": "4bc5953b136e682805bb917e6943acd0300ed8ce941e2e553699925630f2371b",
         "real2.csv": "7ba778c28ed3782e03c234747e4c1e69797a60d54d8bebd188d8075330c8685e"}),
     "even1": (["--v", 0.5, "--radius", 11], {
-        "even1.json": "730ca2c26ab4c74bfa9ef816026690af047d62b13cd72a13e54921456b6f8270"}),
+        "even1.json": "77f233f3be3e47c3031666813599a03d644d019a37ee35f88aeb46c9679e9a1f"}),
     "optreal": (["--v", 0.45, "--radius", 11], {
-        "optreal.json": "435df3dba1fc62a40bd30d42221ba8629ccea924149042cf168fa7a39e07221a"}),
+        "optreal.json": "4f11e989a49a06d8f564a512cd17ab3ddad768971af223a134fef74a2e190944"}),
     "opteven": (["--v", 0.45, "--radius", 11], {
-        "opteven.json": "22153d8f8295d271d80884ea90c6e0712ae59b10093ac8ecaf93f80fd3b9f957"}),
+        "opteven.json": "97ffa2572774bcf998aa74acd25df6adb185e01310dd6b43858a3974486d58ca"}),
 }
 
 
@@ -333,13 +342,20 @@ def test_certify_missing_input_exits_2(tmp_path):
 # (-11, -11) -> (11, 11) at -368.177, optreal (-8.1+7.425j, twice) ->
 # (-9.45-5.625j, twice) at -367.924.  det3 (-437.530), even1 (-0.464) and
 # opteven (-0.374) keep their pair; delta, passed and every other field stay.
+# Re-pinned when triangle angles came to be taken with math.atan2 from real
+# parts: theta_min moves in the 14th digit (rand3, real2, even1, optreal,
+# opteven) and sup_ratio in its last two digits (real2, optreal, opteven).  Old -> new,
+# first 12 hex digits: rand3 0c316b0e8881 -> 94f2871a720a, real2
+# c3cc930d756c -> 30433c35da18, even1 cc68a7333bd8 -> d7df6853af2f, optreal
+# afdc16622e28 -> bcc165b3fa28, opteven 21dd5ab44506 -> 91283c6fd3fc; det3
+# kept its digest.
 GOLDEN_CERTIFY = {
-    "rand3": "0c316b0e88819da0a713ff2b6aef5107d68f3a37ecb11ebf55aeaf3f2b09bb31",
+    "rand3": "94f2871a720a71b7a8b5d9ef69837e0147b19933b47c54366d223667bd4ce2f0",
     "det3": "b3c1830654f3d30e345181eccb44bfe3fa95251e90c4a89aa01cb4fd6a646a08",
-    "real2": "c3cc930d756ce402e93b07584141ad5ab04e001963a41b7920a649b358d1e42b",
-    "even1": "cc68a7333bd89c1934952a9140525e7d7cb9c214e62037fcde37faea6a764ad6",
-    "optreal": "afdc16622e2875cf7009db7e9d08f2d2d8f6368e5e38badd2f5d703afa31b92d",
-    "opteven": "21dd5ab445067f1cc97a26d1a2e0a17b40be90460f186a5307f458b818496aab",
+    "real2": "30433c35da1802d8fd97641d63273202e95af08ba7cec8baccbb523269c2917c",
+    "even1": "d7df6853af2f70275e5abd0389553b1f541b2ff84ae2b95d9f56df7c2b1d160a",
+    "optreal": "bcc165b3fa282b8752bf07270fac94cfe0e95e31ae813ede52ee0d4a31bbdfc0",
+    "opteven": "91283c6fd3fc8d450c85f690da7eef4b1cf7f2bcfe602438d8b0a6d45d2f776c",
 }
 
 
@@ -445,6 +461,8 @@ def test_a_set_with_half_a_budget_exits_2(det3_set, tmp_path, capsys, key):
         (("meta", "sample_tags"), 5),
         (("meta", "sample_tags"), "AB"),
         (("meta", "sample_tags"), ["A", "A"]),
+        (("meta", "sample_tags"), []),
+        (("meta", "sample_tags"), ["Z"]),
         (("meta", "triple_fold"), [1]),
         (("meta", "triple_fold"), {"A": "rotate"}),
     ],
@@ -637,13 +655,20 @@ def test_montecarlo_angles_artifact_and_determinism(tmp_path):
     assert data["p_hat"] + 3.0 * data["stderr"] <= data["bound"]
 
 
-@pytest.mark.parametrize(
+# numpy's dispatch lowered as on an AVX2 machine, then to the SSE baseline
+LOWERED_SIMD = pytest.mark.parametrize(
     "lowered",
     [("X86_V4", "AVX512_ICL", "AVX512_SPR"), ("X86_V4", "AVX512_ICL", "AVX512_SPR", "X86_V3")],
     ids=["below-X86_V4", "below-X86_V3"],
 )
-def test_montecarlo_bytes_do_not_depend_on_numpys_simd_level(tmp_path, lowered):
-    # the float32 prefilter rounds differently per SIMD level; the hit count may not
+
+
+def run_below_simd_level(lowered, cwd, *commands) -> None:
+    """Run each command through ``cli.main`` in one child whose numpy dispatches below ``lowered``.
+
+    Features of ``lowered`` the CPU lacks are dropped from the list given
+    to ``NPY_DISABLE_CPU_FEATURES``; with none left the test is skipped.
+    """
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     disabled = [f for f in lowered if f in __cpu_dispatch__ and __cpu_features__.get(f)]
@@ -651,14 +676,49 @@ def test_montecarlo_bytes_do_not_depend_on_numpys_simd_level(tmp_path, lowered):
         pytest.skip(f"this CPU dispatches none of {lowered}")
     src = str(Path(fockpr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    code = ("import json, sys; from fockpr import cli;"
+            " sys.exit(any(map(cli.main, json.load(sys.stdin))))")
+    argv = json.dumps([[str(a) for a in command] for command in commands])
+    child = subprocess.run([sys.executable, "-c", code], input=argv, text=True, cwd=cwd, env=env,
+                           capture_output=True)
+    assert child.returncode == 0, child.stderr
+
+
+@LOWERED_SIMD
+def test_montecarlo_bytes_do_not_depend_on_numpys_simd_level(tmp_path, monkeypatch, lowered):
+    # the float32 prefilter rounds differently per SIMD level; the hit count may not
+    monkeypatch.chdir(tmp_path)
+    commands = [("montecarlo", variant, "--trials", 1_000_000, "--eps", 0.05, "--seed", 1,
+                 "--out", f"{variant}.json") for variant in ("angles", "mirror")]
+    for command in commands:
+        assert run(*command) == 0
+    (tmp_path / "lowered").mkdir()
+    run_below_simd_level(lowered, tmp_path / "lowered", *commands)
     for variant in ("angles", "mirror"):
-        args = (variant, "--trials", 1_000_000, "--eps", 0.05, "--seed", 1)
-        default, lowered_out = tmp_path / f"{variant}.json", tmp_path / f"{variant}-low.json"
-        assert run("montecarlo", *args, "--out", default) == 0
-        child = [sys.executable, "-m", "fockpr", "montecarlo", *map(str, args),
-                 "--out", str(lowered_out)]
-        assert subprocess.run(child, env=env, capture_output=True).returncode == 0
-        assert lowered_out.read_bytes() == default.read_bytes()
+        name = f"{variant}.json"
+        assert (tmp_path / "lowered" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@LOWERED_SIMD
+def test_generate_and_certify_bytes_do_not_depend_on_numpys_simd_level(
+    tmp_path, monkeypatch, lowered
+):
+    # budgets, offsets and triangle angles are taken without numpy's SIMD
+    # transcendentals and complex products, whose last bits move per level
+    monkeypatch.chdir(tmp_path)
+    commands, names = [], []
+    for construction, (args, digests) in GOLDEN_GENERATE.items():
+        commands.append(("generate", "--construction", construction, *args, "--seed", 1,
+                         "--out", f"{construction}.json"))
+        commands.append(("certify", "--in", f"{construction}.json", "--beta", "12.566",
+                         "--seed", 1, "--out", f"certify_{construction}.json"))
+        names += [*digests, f"certify_{construction}.json"]
+    for command in commands:
+        assert run(*command) == 0
+    (tmp_path / "lowered").mkdir()
+    run_below_simd_level(lowered, tmp_path / "lowered", *commands)
+    low = tmp_path / "lowered"
+    assert [n for n in names if (low / n).read_bytes() != (tmp_path / n).read_bytes()] == []
 
 
 def test_montecarlo_mirror_variant(tmp_path):
