@@ -171,13 +171,13 @@ class IndexedPointSet:
         """
         if self._buffer:
             m, n, tag, unit = zip(*self._buffer)
-            added = _Columns(
+            added = (
                 np.array(m, dtype=np.int64),
                 np.array(n, dtype=np.int64),
                 np.array(tag, dtype=str),
                 np.array(unit, dtype=complex),
             )
-            self._load(_joined(self._cols, added))
+            self._load(_Columns(*map(np.concatenate, zip(self._cols, added))))
             self._buffer = []
         return self._cols
 
@@ -377,10 +377,6 @@ class IndexedPointSet:
                 zip(c.m[rows].tolist(), c.n[rows].tolist(), c.tag[rows].tolist(),
                     g17[0:-1:2], g17[1::2])
             )
-
-
-def _joined(*parts: _Columns) -> _Columns:
-    return _Columns(*map(np.concatenate, zip(*parts)))
 
 
 def _first_repeat(m: np.ndarray, n: np.ndarray, tag: np.ndarray) -> int | None:

@@ -344,11 +344,11 @@ def test_certify_missing_input_exits_2(tmp_path):
 # opteven (-0.374) keep their pair; delta, passed and every other field stay.
 # Re-pinned when triangle angles came to be taken with math.atan2 from real
 # parts: theta_min moves in the 14th digit (rand3, real2, even1, optreal,
-# opteven) and sup_ratio in its last two digits (real2, optreal, opteven).  Old -> new,
-# first 12 hex digits: rand3 0c316b0e8881 -> 94f2871a720a, real2
-# c3cc930d756c -> 30433c35da18, even1 cc68a7333bd8 -> d7df6853af2f, optreal
-# afdc16622e28 -> bcc165b3fa28, opteven 21dd5ab44506 -> 91283c6fd3fc; det3
-# kept its digest.
+# opteven) and sup_ratio in its last two digits (real2, optreal, opteven).
+# Old -> new, first 12 hex digits: rand3 0c316b0e8881 -> 94f2871a720a,
+# real2 c3cc930d756c -> 30433c35da18, even1 cc68a7333bd8 -> d7df6853af2f,
+# optreal afdc16622e28 -> bcc165b3fa28, opteven 21dd5ab44506 -> 91283c6fd3fc;
+# det3 kept its digest.
 GOLDEN_CERTIFY = {
     "rand3": "94f2871a720a71b7a8b5d9ef69837e0147b19933b47c54366d223667bd4ce2f0",
     "det3": "b3c1830654f3d30e345181eccb44bfe3fa95251e90c4a89aa01cb4fd6a646a08",
@@ -692,11 +692,11 @@ def test_montecarlo_bytes_do_not_depend_on_numpys_simd_level(tmp_path, monkeypat
                  "--out", f"{variant}.json") for variant in ("angles", "mirror")]
     for command in commands:
         assert run(*command) == 0
-    (tmp_path / "lowered").mkdir()
-    run_below_simd_level(lowered, tmp_path / "lowered", *commands)
-    for variant in ("angles", "mirror"):
-        name = f"{variant}.json"
-        assert (tmp_path / "lowered" / name).read_bytes() == (tmp_path / name).read_bytes()
+    low = tmp_path / "lowered"
+    low.mkdir()
+    run_below_simd_level(lowered, low, *commands)
+    for name in ("angles.json", "mirror.json"):
+        assert (low / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 @LOWERED_SIMD
@@ -715,9 +715,9 @@ def test_generate_and_certify_bytes_do_not_depend_on_numpys_simd_level(
         names += [*digests, f"certify_{construction}.json"]
     for command in commands:
         assert run(*command) == 0
-    (tmp_path / "lowered").mkdir()
-    run_below_simd_level(lowered, tmp_path / "lowered", *commands)
     low = tmp_path / "lowered"
+    low.mkdir()
+    run_below_simd_level(lowered, low, *commands)
     assert [n for n in names if (low / n).read_bytes() != (tmp_path / n).read_bytes()] == []
 
 

@@ -178,21 +178,24 @@ def test_a_loaded_document_matches_single_adds_and_rejects_bad_keys():
 
 
 def test_single_adds_and_batches_share_one_row_order():
-    ps = IndexedPointSet.from_json(make_document([(1, 0, "A"), (2, 0, "A"), (3, 0, "A")]))
+    document = make_document([(1, 0, "A"), (2, 0, "A"), (3, 0, "A")])
+    ps = IndexedPointSet.from_json(document)
     ps.add((0, 0), "B", 0.5j)
     assert ps.get((0, 0), "B").pos == 0.5j
     assert insertion_keys(ps) == [(1, 0, "A"), (2, 0, "A"), (3, 0, "A"), (0, 0, "B")]
     assert len(ps) == 4
     assert ps.get((3, 0), "A").pos == 3.0
-    for index, tag in (((0, 0), "B"), ((2, 0), "A")):  # a row added by hand, a row of the document
-        again = IndexedPointSet.from_json(ps.to_json())
+    for index, tag in (((0, 0), "B"), ((2, 0), "A")):  # repeats a buffered row, a document row
+        again = IndexedPointSet.from_json(document)
+        again.add((0, 0), "B", 0.5j)
         again.add(index, tag, 0.0)
         message = f"duplicate entry for index {index} tag '{tag}'"
         with pytest.raises(ValueError, match=re.escape(message)):
             again.points()
 
 
-def test_rows_added_across_reads():
+def test_rows_added_across_reads(monkeypatch):
+    monkeypatch.setattr(jsonio, "_ROW_BLOCK", 3)
     ps, entries = make_set(gamma=0.5, kappa_cap=0.3), {}
     for k in range(4):
         entries[((k, 0), "A")] = complex(0.25 * k, 0.5)
