@@ -28,6 +28,8 @@ from . import jsonio
 from .lattice import Lattice, modulus_order, square_lattice
 from .pointset import (
     IndexedPointSet,
+    TRIPLE_TAGS,
+    _sample_tags,
     angle_condition,
     certify_f_closeness,
     complex_column,
@@ -220,6 +222,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         # a weight given explicitly must dominate the closeness rate
         cfg.validate(args.alpha)
         ps = _LATTICE_CONSTRUCTIONS[args.construction](cfg)
+    if not len(ps):
+        raise ValueError(f"{args.construction} holds no sample within radius {args.radius:g}")
 
     jsonio.dump_path(ps.to_json(), args.out)
     if args.csv:
@@ -239,7 +243,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if gamma is None:
         raise ValueError("no closeness rate: pass --gamma (the set carries none)")
     kappa_cap = obj.meta.get("kappa_cap")
-    sample_tags = obj.meta.get("sample_tags", obj.tags())
+    tags = obj.tags()
+    sample_tags = _sample_tags(obj) or tags
 
     closeness = {
         tag: certify_f_closeness(obj, float(gamma), tag, kappa_cap=kappa_cap)
@@ -249,7 +254,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     closeness_passed = all(rep.passed for rep in closeness.values())
 
     angle_rep = None
-    if all(t in obj.tags() for t in ("A", "B", "C")):
+    if set(TRIPLE_TAGS) <= set(tags):
         angle_rep = angle_condition(obj, beta=args.beta)
 
     radii = tuple(obj.window_radius * f for f in (0.5, 0.75, 1.0))

@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import jsonio
-from .lattice import Lattice, LatticeIndex
+from .lattice import Lattice, LatticeIndex, _finite_number
 
 __all__ = [
     "PointEntry",
@@ -63,6 +62,9 @@ __all__ = [
 ]
 
 TRIPLE_TAGS = ("A", "B", "C")
+# The symmetry maps of the plane that triples are built from, by the name a
+# set's ``triple_fold`` metadata gives them; each is its own inverse.
+FOLDS = {"conj": np.conj, "neg": np.negative, "negconj": lambda z: -np.conj(z)}
 # fields every point record of an artifact carries
 _REQUIRED_FIELDS = ("index", "tag", "unit")
 # fields a record may carry besides; they are derived from ``unit``, so
@@ -303,7 +305,7 @@ class IndexedPointSet:
         generators put them, ``0 < gamma < inf`` and ``0 < kappa_cap <= 1``.
         Where present, ``meta.sample_tags`` is a list of distinct strings
         naming at least one tag, and only tags the set holds, and
-        ``meta.triple_fold`` an object mapping tags to names of ``_FOLDS``.
+        ``meta.triple_fold`` an object mapping tags to names of ``FOLDS``.
         """
         lat = data["lattice"]
         if not isinstance(lat, Lattice):
@@ -323,10 +325,10 @@ class IndexedPointSet:
         folds = meta.get("triple_fold", {})
         if not (
             isinstance(folds, dict)
-            and all(isinstance(name, str) and name in _FOLDS for name in folds.values())
+            and all(isinstance(name, str) and name in FOLDS for name in folds.values())
         ):
             raise ValueError(
-                f"field 'meta.triple_fold' must map tags to names in {sorted(_FOLDS)}, got {folds!r}"
+                f"field 'meta.triple_fold' must map tags to names in {sorted(FOLDS)}, got {folds!r}"
             )
         ps = cls(lat, _number(data["window_radius"], "window_radius"), meta=meta)
         gamma, kappa_cap = ps.budget()  # a budget given in half is an error
@@ -419,9 +421,7 @@ def _index_pairs(pairs) -> np.ndarray:
 
 def _number(value, field: str) -> float:
     """``value`` as a float when it is an int or a float (not a bool) of finite value."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-        abs(value) <= sys.float_info.max
-    ):
+    if not _finite_number(value):
         raise ValueError(f"field {field!r} must be a finite number, got {value!r}")
     return float(value)
 
@@ -544,10 +544,6 @@ class AngleReport:
     passed: bool
 
 
-# Maps named by a set's ``triple_fold`` metadata; each is its own inverse.
-_FOLDS = {"conj": np.conj, "neg": np.negative, "negconj": lambda z: -np.conj(z)}
-
-
 def triple_vertices(ps: IndexedPointSet) -> tuple[np.ndarray, np.ndarray]:
     """The (A, B, C) triples of the set as ``(indices, vertices)``.
 
@@ -556,7 +552,7 @@ def triple_vertices(ps: IndexedPointSet) -> tuple[np.ndarray, np.ndarray]:
     vertex of triple ``i``.  The three share one home and so one budget,
     so they span a triangle similar to the true one.  A set whose tags are
     emitted at symmetric images of one frame point names in
-    ``meta["triple_fold"]`` the map of each tag (see ``_FOLDS``); that map
+    ``meta["triple_fold"]`` the map of each tag (see ``FOLDS``); that map
     is applied to the home and ``unit`` of the tag's samples alike before
     they are grouped.  An index carrying only part of the triple is an
     error.
@@ -567,9 +563,9 @@ def triple_vertices(ps: IndexedPointSet) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("set has no A/B/C entries")
     tag, m, n, unit = c.tag[rows], c.m[rows], c.n[rows], c.unit[rows]
     for t, name in ps.meta.get("triple_fold", {}).items():
-        if name not in _FOLDS:
+        if name not in FOLDS:
             raise ValueError(f"unknown triple fold {name!r} for tag {t!r}")
-        fold, mine = _FOLDS[name], tag == t
+        fold, mine = FOLDS[name], tag == t
         home = fold(ps.lattice.point((m[mine], n[mine])))
         m[mine], n[mine] = ps.lattice.indices_of(home).T
         unit[mine] = fold(unit[mine])
@@ -684,8 +680,7 @@ def _checked(pts: np.ndarray) -> np.ndarray:
 
 
 def _set_separation(ps: IndexedPointSet) -> SeparationReport:
-    tags = ps.meta.get("sample_tags")
-    rows = ps._rows(None if tags is None else tuple(tags))
+    rows = ps._rows(_sample_tags(ps))
     homes, deltas = ps._placed(rows)
     pts = _checked(homes + deltas)
     c = ps._columns()
@@ -868,6 +863,7 @@ def sample_identities(ps: IndexedPointSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sample_tags(ps: IndexedPointSet) -> tuple[str, ...] | None:
+    """The tags ``meta.sample_tags`` names, or None (all tags) where the set has none."""
     tags = ps.meta.get("sample_tags")
     return None if tags is None else tuple(tags)
 

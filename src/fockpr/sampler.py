@@ -8,7 +8,9 @@ which :mod:`fockpr.pointset` derives the float offset and the position
 (the unit offset and the budget stay exact in log scale where those
 collapse).  Draws are addressed by ``(seed, index, label)``
 through the counter-based streams of :mod:`fockpr.rng`, so a sample's
-value does not depend on the window size.
+value does not depend on the window size.  A mirrored sample is drawn by
+its key too: the fold (``pointset.FOLDS``) of the draw at the folded
+lattice index.
 
 Constructions:
 
@@ -39,6 +41,7 @@ import numpy as np
 
 from .lattice import Lattice, modulus_order, window_arrays
 from .pointset import (
+    FOLDS,
     IndexedPointSet,
     TRIPLE_TAGS,
     median_angles,
@@ -113,25 +116,36 @@ class GeneratorConfig:
 def deterministic_triple(cfg: GeneratorConfig) -> IndexedPointSet:
     """Equilateral triple at every window point: offsets are the cube roots
     of unity scaled by the local budget, so every median angle is pi/3."""
-    cfg.validate()
-    idx, _ = window_arrays(cfg.lattice, cfg.window_radius)
-    ps = IndexedPointSet(cfg.lattice, cfg.window_radius, meta=cfg._meta("det3", list(TRIPLE_TAGS)))
-    for tag, root in zip(TRIPLE_TAGS, _CUBE_ROOTS):
-        _add_each(ps, idx, tag, root)
-    return ps
+    return _triples(cfg, "det3", "det")
 
 
 def random_triple(cfg: GeneratorConfig) -> IndexedPointSet:
     """Three independent area-uniform disk draws per window point."""
+    return _triples(cfg, "rand3", "random")
+
+
+def _triples(cfg: GeneratorConfig, construction: str, mode: str, **meta) -> IndexedPointSet:
+    """A, B and C samples at every window point, their offsets by ``mode`` (see ``_units``)."""
     cfg.validate()
     idx, _ = window_arrays(cfg.lattice, cfg.window_radius)
-    m, n = idx[:, 0], idx[:, 1]
-    ps = IndexedPointSet(
-        cfg.lattice, cfg.window_radius, meta=cfg._meta("rand3", list(TRIPLE_TAGS))
-    )
-    for label, tag in zip((1, 2, 3), TRIPLE_TAGS):
-        _add_each(ps, idx, tag, keyed_disk(cfg.seed, m, n, label))
+    meta = {**cfg._meta(construction, list(TRIPLE_TAGS)), **meta}
+    ps = IndexedPointSet(cfg.lattice, cfg.window_radius, meta=meta)
+    for tag, units in zip(TRIPLE_TAGS, _units(cfg, idx, mode)):
+        _add_each(ps, idx, tag, units)
     return ps
+
+
+def _units(cfg: GeneratorConfig, idx: np.ndarray, mode: str) -> list[np.ndarray]:
+    """The A, B and C unit offsets at each lattice index of ``idx`` (shape (k, 2)).
+
+    ``"random"`` takes the keyed draws of labels 1, 2 and 3, ``"det"`` the
+    cube roots of unity.
+    """
+    if mode == "random":
+        return [keyed_disk(cfg.seed, idx[:, 0], idx[:, 1], label) for label in (1, 2, 3)]
+    if mode == "det":
+        return [np.full(len(idx), root) for root in _CUBE_ROOTS]
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _require_conjugation_closed(cfg: GeneratorConfig) -> None:
@@ -163,10 +177,9 @@ def real_pair(cfg: GeneratorConfig) -> IndexedPointSet:
     for label, units in zip("12", draws):
         _add_each(ps, idx, label, units)
     here = np.flatnonzero(pts.imag >= -1e-9 * np.maximum(1.0, np.abs(pts)))
-    bar = _window_rows(idx, cfg.lattice.indices_of(np.conj(pts[here])))
     for tag, units in zip("AB", draws):
         _add_each(ps, idx[here], tag, units[here])
-    _add_each(ps, idx[here], "C", np.conj(draws[0][bar]))
+    _add_each(ps, idx[here], "C", _mirrored(cfg, idx[here], "conj", 1))
     return ps
 
 
@@ -193,36 +206,33 @@ def even_single(cfg: GeneratorConfig) -> IndexedPointSet:
     _add_each(ps, idx[nonzero], "1", units[nonzero])
     tol = 1e-9 * np.maximum(1.0, np.abs(pts))
     here = np.flatnonzero(nonzero & (pts.real >= -tol) & (pts.imag >= -tol))
-    bar = _window_rows(idx, cfg.lattice.indices_of(np.conj(pts[here])))
-    neg = _window_rows(idx, cfg.lattice.indices_of(-pts[here]))
     _add_each(ps, idx[here], "A", units[here])
-    _add_each(ps, idx[here], "B", np.conj(units[bar]))
-    _add_each(ps, idx[here], "C", -units[neg])
+    _add_each(ps, idx[here], "B", _mirrored(cfg, idx[here], "conj", 1))
+    _add_each(ps, idx[here], "C", _mirrored(cfg, idx[here], "neg", 1))
     return ps
 
 
-def _add_each(ps: IndexedPointSet, idx: np.ndarray, tag: str, unit) -> None:
-    """One ``ps.add`` per row of ``idx`` (shape (k, 2)), unit offsets taken row by row.
+def _folded(lattice: Lattice, fold: str, idx: np.ndarray) -> np.ndarray:
+    """Lattice indices (shape (k, 2)) of the ``FOLDS[fold]`` images of the points at ``idx``."""
+    return lattice.indices_of(FOLDS[fold](lattice.point(idx.T)))
 
-    ``unit`` may be one value for all rows.  Each sample is its own
-    :meth:`IndexedPointSet.add` call, one append to the set's buffer and
-    the per-sample step that ``perfbench`` traces tally; the set checks
-    the rows at its next column read.
+
+def _mirrored(cfg: GeneratorConfig, idx: np.ndarray, fold: str, label: int) -> np.ndarray:
+    """``fold(Z(fold(home), label))`` at each home index of ``idx``: the draw at
+    the folded index, taken by its key, then folded back."""
+    m, n = _folded(cfg.lattice, fold, idx).T
+    return FOLDS[fold](keyed_disk(cfg.seed, m, n, label))
+
+
+def _add_each(ps: IndexedPointSet, idx: np.ndarray, tag: str, units: np.ndarray) -> None:
+    """One ``ps.add`` per row of ``idx`` (shape (k, 2)) with the unit offset of that row.
+
+    Each sample is its own :meth:`IndexedPointSet.add` call, one append to
+    the set's buffer and the per-sample step that ``perfbench`` traces
+    tally; the set checks the rows at its next column read.
     """
-    for index, u in zip(idx.tolist(), np.broadcast_to(unit, len(idx)).tolist()):
+    for index, u in zip(idx.tolist(), units.tolist()):
         ps.add(index, tag, u)
-
-
-def _window_rows(idx: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Row of each wanted lattice index (shape (k, 2)) in a window's index array."""
-    pairs, inverse = np.unique(np.concatenate([idx, wanted]), axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    row_of = np.full(len(pairs), -1)
-    row_of[inverse[: len(idx)]] = np.arange(len(idx))
-    rows = row_of[inverse[len(idx):]]
-    if (rows < 0).any():
-        raise KeyError(f"index {tuple(wanted[np.argmin(rows)].tolist())} is outside the window")
-    return rows
 
 
 # -- density-optimal variants -------------------------------------------------
@@ -257,15 +267,7 @@ def density_opt_real(
     """
     _, sub = opt_real_lattices(v)
     cfg = GeneratorConfig(sub, window_radius, gamma=gamma, kappa_cap=kappa_cap, seed=seed)
-    if mode == "random":
-        ps = random_triple(cfg)
-    elif mode == "det":
-        ps = deterministic_triple(cfg)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    ps.meta["construction"] = "optreal"
-    ps.meta["v"] = v
-    return ps
+    return _triples(cfg, "optreal", mode, v=v)
 
 
 def opt_even_lattice(v: float) -> Lattice:
@@ -317,28 +319,12 @@ def density_opt_even(
     cfg.validate()
     idx, _ = window_arrays(lat, window_radius)
     idx = idx[opt_even_sublattice_mask(idx[:, 0], idx[:, 1])]
-    m, n = idx[:, 0], idx[:, 1]
     meta = cfg._meta("opteven", list(TRIPLE_TAGS))
     meta["v"] = v
     meta["triple_fold"] = {"A": "conj", "B": "neg", "C": "negconj"}
     ps = IndexedPointSet(lat, window_radius, meta=meta)
-    draws = []
-    for label in (1, 2, 3):
-        if mode == "random":
-            units = keyed_disk(cfg.seed, m, n, label)
-        elif mode == "det":
-            units = np.full(len(idx), _CUBE_ROOTS[label - 1], dtype=complex)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        draws.append(units)
-    ua, ub, uc = draws
-    emits = (
-        (m, -n - 1, "A", np.conj(ua)),
-        (-m - 1, -n - 1, "B", -ub),
-        (-m - 1, n, "C", -np.conj(uc)),
-    )
-    for out_m, out_n, tag, u in emits:
-        _add_each(ps, np.stack([out_m, out_n], axis=1), tag, u)
+    for (tag, fold), units in zip(meta["triple_fold"].items(), _units(cfg, idx, mode)):
+        _add_each(ps, _folded(lat, fold, idx), tag, FOLDS[fold](units))
     return ps
 
 
@@ -389,10 +375,10 @@ def reflection_closure(obj, mode: str) -> np.ndarray:
     """
     if mode not in ("half", "quarter"):
         raise ValueError(f"unknown mode {mode!r}")
+    folds = ["conj"] + (["neg", "negconj"] if mode == "quarter" else [])
 
     def closed(z: np.ndarray) -> np.ndarray:
-        images = [z, np.conj(z)] + ([-z, -np.conj(z)] if mode == "quarter" else [])
-        return np.concatenate(images)
+        return np.concatenate([z] + [FOLDS[fold](z) for fold in folds])
 
     if not isinstance(obj, IndexedPointSet):
         return np.unique(closed(np.asarray(obj, dtype=complex).ravel()))

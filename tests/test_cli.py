@@ -77,28 +77,32 @@ def test_generate_writes_a_loadable_set_and_csv(det3_set, tmp_path):
 # optreal 435df3dba1fc -> 4f11e989a49a, opteven 22153d8f8295 -> 97ffa2572774;
 # real2.csv kept its digest.
 GOLDEN_GENERATE = {
-    "rand3": (["--alpha", PI, "--radius", 12], {
+    "rand3": (["--construction", "rand3", "--alpha", PI, "--radius", 12], {
         "rand3.json": "3189db05f83938b6bb49826e3a97c5b5c2ff28a6ab85f1ab47f2e01255f97aaf"}),
-    "det3": (["--alpha", PI, "--radius", 12], {
+    "det3": (["--construction", "det3", "--alpha", PI, "--radius", 12], {
         "det3.json": "ea9ca3c72b05fe2d3c2b8bc48b7aa17e981f646eefd77c07aa5f2977cd47c819"}),
-    "real2": (["--v", 0.5, "--radius", 11, "--csv", "real2.csv"], {
+    "real2": (["--construction", "real2", "--v", 0.5, "--radius", 11, "--csv", "real2.csv"], {
         "real2.json": "4bc5953b136e682805bb917e6943acd0300ed8ce941e2e553699925630f2371b",
         "real2.csv": "7ba778c28ed3782e03c234747e4c1e69797a60d54d8bebd188d8075330c8685e"}),
-    "even1": (["--v", 0.5, "--radius", 11], {
+    "even1": (["--construction", "even1", "--v", 0.5, "--radius", 11], {
         "even1.json": "77f233f3be3e47c3031666813599a03d644d019a37ee35f88aeb46c9679e9a1f"}),
-    "optreal": (["--v", 0.45, "--radius", 11], {
+    "optreal": (["--construction", "optreal", "--v", 0.45, "--radius", 11], {
         "optreal.json": "4f11e989a49a06d8f564a512cd17ab3ddad768971af223a134fef74a2e190944"}),
-    "opteven": (["--v", 0.45, "--radius", 11], {
+    "opteven": (["--construction", "opteven", "--v", 0.45, "--radius", 11], {
         "opteven.json": "97ffa2572774bcf998aa74acd25df6adb185e01310dd6b43858a3974486d58ca"}),
+    # pinned when the fold maps of opteven came to be read from one table
+    "optreal_det": (["--construction", "optreal", "--v", 0.45, "--radius", 11, "--mode", "det"], {
+        "optreal_det.json": "f6c60c3484afc8c8d8544b28aac60e4c57922eeba1b28a58bf3eac1849067a5d"}),
+    "opteven_det": (["--construction", "opteven", "--v", 0.45, "--radius", 11, "--mode", "det"], {
+        "opteven_det.json": "27d4a47c6ed5655d104d8adefcc053c5306ab0d87c5d35ea638b63ae07189728"}),
 }
 
 
 def test_generate_bytes_match_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got, want = {}, {}
-    for construction, (args, digests) in GOLDEN_GENERATE.items():
-        rc = run("generate", "--construction", construction, *args, "--seed", 1,
-                 "--out", f"{construction}.json")
+    for name, (args, digests) in GOLDEN_GENERATE.items():
+        rc = run("generate", *args, "--seed", 1, "--out", f"{name}.json")
         assert rc == 0
         for name, digest in digests.items():
             got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -165,10 +169,16 @@ def test_generate_opteven_set(tmp_path):
         ("generate", "--construction", "lines", "--radius", 3),
         # explicit weight must dominate the closeness rate
         ("generate", "--construction", "det3", "--alpha", PI, "--radius", 3, "--gamma", 1.0),
+        # a window that holds no sample
+        ("generate", "--construction", "even1", "--v", 0.5, "--radius", 0.3),
+        ("generate", "--construction", "optreal", "--v", 0.45, "--radius", 0.1),
+        ("generate", "--construction", "opteven", "--v", 0.45, "--radius", 0.1),
     ],
 )
 def test_generate_usage_errors_exit_2(tmp_path, argv):
-    assert run(*argv, "--out", tmp_path / "x.json") == 2
+    out = tmp_path / "x.json"
+    assert run(*argv, "--out", out) == 2
+    assert not out.exists()
 
 
 _CONSTRUCTION_ARGS = {
@@ -364,7 +374,7 @@ def test_certify_bytes_match_pinned_digests(tmp_path, monkeypatch):
     got = {}
     for construction in GOLDEN_CERTIFY:
         args = GOLDEN_GENERATE[construction][0]
-        assert run("generate", "--construction", construction, *args, "--seed", 1,
+        assert run("generate", *args, "--seed", 1,
                    "--out", f"{construction}.json") == 0
         assert run("certify", "--in", f"{construction}.json", "--beta", "12.566",
                    "--seed", 1, "--out", f"certify_{construction}.json") == 0
@@ -707,12 +717,11 @@ def test_generate_and_certify_bytes_do_not_depend_on_numpys_simd_level(
     # transcendentals and complex products, whose last bits move per level
     monkeypatch.chdir(tmp_path)
     commands, names = [], []
-    for construction, (args, digests) in GOLDEN_GENERATE.items():
-        commands.append(("generate", "--construction", construction, *args, "--seed", 1,
-                         "--out", f"{construction}.json"))
-        commands.append(("certify", "--in", f"{construction}.json", "--beta", "12.566",
-                         "--seed", 1, "--out", f"certify_{construction}.json"))
-        names += [*digests, f"certify_{construction}.json"]
+    for name, (args, digests) in GOLDEN_GENERATE.items():
+        commands.append(("generate", *args, "--seed", 1, "--out", f"{name}.json"))
+        commands.append(("certify", "--in", f"{name}.json", "--beta", "12.566",
+                         "--seed", 1, "--out", f"certify_{name}.json"))
+        names += [*digests, f"certify_{name}.json"]
     for command in commands:
         assert run(*command) == 0
     low = tmp_path / "lowered"

@@ -1,5 +1,7 @@
 """Point-set generators: symmetry relations, budgets, and determinism."""
 
+import cmath
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fockpr import jsonio, sampler
 from fockpr.lattice import Lattice, modulus_order, window_arrays
 from fockpr.pointset import (
+    IndexedPointSet,
     angle_condition,
     median_angles,
     sample_points,
@@ -35,6 +38,7 @@ from fockpr.sampler import (
 
 
 UNIT = Lattice(1.0, 1.0j)
+HEXAGONAL = Lattice(1.0, cmath.exp(1j * math.pi / 3.0))
 
 
 def cfg(radius=4.5, gamma=7.0, cap=0.4, seed=0, lat=UNIT) -> GeneratorConfig:
@@ -118,13 +122,6 @@ def test_real_pair_relations():
     assert ps.meta["sample_tags"] == ["1", "2"]
     idx, pts = window_arrays(UNIT, 4.5)
     assert len(sample_points(ps)) == 2 * len(pts)
-    # triples exist exactly on the closed upper half plane
-    uppers = [tuple(i) for i, p in zip(idx, pts) if p.imag >= -1e-12]
-    assert sorted(map(tuple, triple_vertices(ps)[0].tolist())) == sorted(uppers)
-    # C is the reflected first draw of the conjugate home
-    assert ps.get((2, 1), "C").unit == np.conj(ps.get((2, -1), "1").unit)
-    assert ps.get((2, 1), "A").unit == ps.get((2, 1), "1").unit
-    assert ps.get((2, 1), "B").unit == ps.get((2, 1), "2").unit
     # on the real axis the triple is an actual mirror pair
     assert ps.get((3, 0), "C").pos == np.conj(ps.get((3, 0), "A").pos)
     rep = angle_condition(ps, beta=1.0)
@@ -136,16 +133,56 @@ def test_even_single_relations():
     assert ps.meta["sample_tags"] == ["1"]
     with pytest.raises(KeyError):
         ps.get((0, 0), "1")
-    assert ps.get((1, 2), "B").unit == np.conj(ps.get((1, -2), "1").unit)
-    assert ps.get((1, 2), "C").unit == -ps.get((-1, -2), "1").unit
-    assert ps.get((1, 2), "A").unit == ps.get((1, 2), "1").unit
     # real-axis homes mirror
     assert ps.get((2, 0), "B").pos == np.conj(ps.get((2, 0), "A").pos)
-    # triples only on the closed first quadrant, origin excluded
-    quad = [tuple(i) for i in triple_vertices(ps)[0].tolist()]
-    assert all(m >= 0 and n >= 0 for m, n in quad)
-    assert (0, 0) not in quad
     assert angle_condition(ps, beta=1.0).passed
+
+
+def units_by_key(ps) -> dict:
+    """Every sample's unit offset, keyed by (m, n, tag)."""
+    cols = ps.to_json()["points"].columns
+    keys = zip(cols["index"].tolist(), cols["tag"].tolist())
+    units = cols["unit"].tolist()
+    return {(m, n, tag): complex(*u) for ((m, n), tag), u in zip(keys, units)}
+
+
+def folded_index(lat: Lattice, fold, m: int, n: int) -> tuple[int, int]:
+    (fm, fn), = lat.indices_of(fold(lat.point((m, n)))).tolist()
+    return fm, fn
+
+
+MIRROR_LATTICES = pytest.mark.parametrize("lat", [UNIT, HEXAGONAL], ids=["square", "hexagonal"])
+
+
+@MIRROR_LATTICES
+@pytest.mark.parametrize("seed", [1, 7])
+def test_every_real_pair_triple_is_folded_from_the_raw_draws(lat, seed):
+    ps = real_pair(cfg(seed=seed, lat=lat))
+    unit = units_by_key(ps)
+    idx, pts = window_arrays(lat, 4.5)
+    uppers = {(m, n) for (m, n), p in zip(idx.tolist(), pts) if p.imag >= -1e-12}
+    assert {(m, n) for m, n, tag in unit if tag in "ABC"} == uppers
+    for m, n in uppers:
+        assert unit[m, n, "A"] == unit[m, n, "1"]
+        assert unit[m, n, "B"] == unit[m, n, "2"]
+        assert unit[m, n, "C"] == np.conj(unit[(*folded_index(lat, np.conj, m, n), "1")])
+
+
+@MIRROR_LATTICES
+@pytest.mark.parametrize("seed", [1, 7])
+def test_every_even_single_triple_is_folded_from_the_raw_draws(lat, seed):
+    ps = even_single(cfg(seed=seed, lat=lat))
+    unit = units_by_key(ps)
+    idx, pts = window_arrays(lat, 4.5)
+    quadrant = {
+        (m, n) for (m, n), p in zip(idx.tolist(), pts)
+        if (m, n) != (0, 0) and p.real >= -1e-12 and p.imag >= -1e-12
+    }
+    assert {(m, n) for m, n, tag in unit if tag in "ABC"} == quadrant
+    for m, n in quadrant:
+        assert unit[m, n, "A"] == unit[m, n, "1"]
+        assert unit[m, n, "B"] == np.conj(unit[(*folded_index(lat, np.conj, m, n), "1")])
+        assert unit[m, n, "C"] == -unit[(*folded_index(lat, np.negative, m, n), "1")]
 
 
 def test_mirror_constructions_need_conjugation_closure():
@@ -237,6 +274,23 @@ def test_opteven_triples_fold_back_to_the_generator_draws():
     ps.meta["triple_fold"] = {"A": "rotate"}
     with pytest.raises(ValueError, match="fold"):
         triple_vertices(ps)
+
+
+def test_opteven_det_triples_regroup_after_a_round_trip():
+    v = 0.45
+    ps = density_opt_even(v, window_radius=8.0, mode="det")
+    back = IndexedPointSet.from_json(json.loads(jsonio.dumps(ps.to_json())))
+    idx, _ = window_arrays(opt_even_lattice(v), 8.0)
+    m, n = idx[opt_even_sublattice_mask(idx[:, 0], idx[:, 1])].T
+    # each tag is emitted at the conjugate, negative and negated conjugate
+    # of the subfamily point, in frame indices
+    emitted = {"A": (m, -n - 1), "B": (-m - 1, -n - 1), "C": (-m - 1, n)}
+    unit = units_by_key(back)
+    for tag, (em, en) in emitted.items():
+        assert {key[:2] for key in unit if key[2] == tag} == set(zip(em.tolist(), en.tolist()))
+    indices, verts = triple_vertices(back)
+    assert sorted(map(tuple, indices.tolist())) == sorted(zip(m.tolist(), n.tolist()))
+    assert np.array_equal(verts, np.broadcast_to(sampler._CUBE_ROOTS, verts.shape))
 
 
 # -- line families ------------------------------------------------------------------
