@@ -168,12 +168,17 @@ def _resolve_lattice(args: argparse.Namespace) -> Lattice:
 
 
 def _load_set(path: str) -> IndexedPointSet | np.ndarray:
+    """The set or plain point array stored at ``path``; one without samples is an error."""
     data = jsonio.load_path(path)
     if isinstance(data, dict) and "lattice" in data:
-        return IndexedPointSet.from_json(data)
-    if isinstance(data, dict) and isinstance(data.get("points"), list):
-        return complex_column(data["points"], "points")
-    raise ValueError(f"{path} is not a recognized point-set artifact")
+        obj = IndexedPointSet.from_json(data)
+    elif isinstance(data, dict) and isinstance(data.get("points"), list):
+        obj = complex_column(data["points"], "points")
+    else:
+        raise ValueError(f"{path} is not a recognized point-set artifact")
+    if not len(obj):
+        raise ValueError(f"{path}: field 'points' holds no samples")
+    return obj
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

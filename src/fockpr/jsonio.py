@@ -60,11 +60,11 @@ __all__ = [
 
 # records (or array rows) rendered or read together; bounds the tokens
 # or decoded records alive at once
-_ROW_BLOCK = 1 << 12
+_ROW_BLOCK = 1 << 10
 # characters handed to the file per write in dump_path
-_WRITE_SLICE = 1 << 20
+_WRITE_SLICE = 1 << 16
 # characters read from the file at a time in load_path
-_READ_SLICE = 1 << 20
+_READ_SLICE = 1 << 16
 
 
 def format_float(x: float) -> str:
@@ -197,7 +197,10 @@ def _packed(records: list, first: int) -> Table:
 
 
 def _joined(tables: list[Table]) -> Table:
-    """The records of ``tables`` one after the other, as one table."""
+    """The records of ``tables`` one after the other, as one table.
+
+    The columns of ``tables`` are taken out as they are joined.
+    """
     if len(tables) == 1:
         return tables[0]
     keys = sorted(set().union(*(t.columns for t in tables)))
@@ -206,7 +209,6 @@ def _joined(tables: list[Table]) -> Table:
         missing = [key for key in keys if key not in t.columns]
         if missing:
             raise lacking(start, missing[0])
-    columns = {}
     for key in keys:
         like = tables[0].columns[key]
         for t, start in zip(tables, starts):
@@ -214,8 +216,9 @@ def _joined(tables: list[Table]) -> Table:
             # ints and floats join as floats; strings join only with strings
             if col.shape[1:] != like.shape[1:] or (col.dtype.kind == "U") != (like.dtype.kind == "U"):
                 raise ValueError(f"records from {start} on: field {key!r} changes kind")
-        columns[key] = np.concatenate([t.columns[key] for t in tables])
-    return Table(columns)
+    # each key's block columns are let go once joined, so the blocks and the
+    # joined table overlap by one key only
+    return Table({key: np.concatenate([t.columns.pop(key) for t in tables]) for key in keys})
 
 
 def _tokens(col: np.ndarray) -> np.ndarray:

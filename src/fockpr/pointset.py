@@ -73,6 +73,9 @@ _DERIVED_FIELDS = ("pos", "delta")
 
 # points relative_separation_bound buckets together
 _STENCIL_BLOCK = 1 << 10
+# elements taken per Python list by _elementwise, and same-home pairs whose
+# offset logs _set_separation forms together
+_ELEMENT_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -103,13 +106,25 @@ class _Columns(NamedTuple):
 _NO_ROWS = _Columns(*(np.empty(0, dtype=t) for t in (np.int64, np.int64, str, complex)))
 
 
-def _budgets(homes: np.ndarray, gamma: float, kappa_cap: float) -> np.ndarray:
-    """Float closeness budgets kappa_cap * exp(-gamma*|home|^2) (0 on underflow).
+def _elementwise(f, values: np.ndarray) -> np.ndarray:
+    """``f`` of every element of ``values``, as a float array, ``_ELEMENT_BLOCK`` at a time.
 
-    Taken with ``math.exp`` per element: numpy's vector ``exp`` rounds the
-    last bit differently per SIMD level, and artifact bytes must not.
+    ``f`` takes Python scalars and uses Python's ``abs``, ``math.exp``,
+    ``math.log`` or ``math.atan2``: numpy's vector loops for these round
+    the last bit differently per SIMD level, and artifact bytes must not.
+    Only one block of elements is held as Python objects at a time.
     """
-    return np.array([kappa_cap * math.exp(-gamma * h) for h in _abs_squared(homes).tolist()])
+    out = np.empty(len(values))
+    for start in range(0, len(values), _ELEMENT_BLOCK):
+        out[start : start + _ELEMENT_BLOCK] = list(
+            map(f, values[start : start + _ELEMENT_BLOCK].tolist())
+        )
+    return out
+
+
+def _log_abs(z: complex) -> float:
+    """``log|z|``, and ``-inf`` at 0."""
+    return math.log(abs(z)) if z != 0 else -math.inf
 
 
 class IndexedPointSet:
@@ -125,6 +140,11 @@ class IndexedPointSet:
     finds its row by one match over the key columns.  Outputs
     (``points``, ``to_json``, ``to_csv``) list rows in the canonical
     (m, n, tag) order.
+
+    The per-row values that the reads share, ``|home|^2``, ``log|unit|``
+    and the budget ``s(home)``, are each formed once per column state
+    (:meth:`_derived`); the budget is keyed on its ``(gamma, kappa_cap)``
+    too, so a change of the metadata gives new budgets.
     """
 
     def __init__(self, lattice: Lattice, window_radius: float, meta: dict | None = None):
@@ -135,6 +155,7 @@ class IndexedPointSet:
         self.meta: dict = dict(meta or {})
         self._cols = _NO_ROWS
         self._buffer: list[tuple] = []
+        self._derivations: dict[tuple, np.ndarray] = {}
 
     # -- container ---------------------------------------------------------
 
@@ -164,6 +185,7 @@ class IndexedPointSet:
             index = (int(cols.m[i]), int(cols.n[i]))
             raise ValueError(f"duplicate entry for index {index} tag {str(cols.tag[i])!r}")
         self._cols = cols
+        self._derivations = {}
 
     def _columns(self) -> _Columns:
         """The columns, with the rows added since the last read joined and checked in one step.
@@ -229,6 +251,35 @@ class IndexedPointSet:
         c = self._columns()
         return self.lattice.point((c.m[rows], c.n[rows]))
 
+    def _derived(self, key: tuple, make) -> np.ndarray:
+        """The per-row column ``make(columns)``, formed once per column state and ``key``.
+
+        Reading the columns joins any rows added since (see :meth:`_columns`),
+        and :meth:`_load` drops every derived column, so the next read
+        forms it anew.
+        """
+        c = self._columns()
+        if key not in self._derivations:
+            column = make(c)
+            column.flags.writeable = False  # every read shares it
+            self._derivations[key] = column
+        return self._derivations[key]
+
+    def _home_norms(self) -> np.ndarray:
+        """``|home|^2`` of every row."""
+        return self._derived(
+            ("|home|^2",),
+            lambda c: _elementwise(lambda h: abs(h) ** 2, self.lattice.point((c.m, c.n))),
+        )
+
+    def _budgets(self) -> np.ndarray:
+        """The budget ``kappa_cap * exp(-gamma*|home|^2)`` of every row (0 on underflow)."""
+        gamma, kappa_cap = self.budget()
+        return self._derived(
+            ("s(home)", gamma, kappa_cap),
+            lambda c: _elementwise(lambda h: kappa_cap * math.exp(-gamma * h), self._home_norms()),
+        )
+
     def _placed(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Home points of ``rows`` and their offsets ``delta = s(home) * unit``.
 
@@ -237,7 +288,7 @@ class IndexedPointSet:
         depend on numpy's SIMD loop.
         """
         homes, units = self._homes(rows), self._columns().unit[rows]
-        s, deltas = _budgets(homes, *self.budget()), np.empty_like(units)
+        s, deltas = self._budgets()[rows], np.empty_like(units)
         deltas.real, deltas.imag = s * units.real, s * units.imag
         return homes, deltas
 
@@ -246,16 +297,14 @@ class IndexedPointSet:
 
         The magnitude ``kappa_cap * |unit| * exp(-gamma*|home|^2)`` is taken
         in the log domain, so it stays exact where the offset underflows.
-        Magnitudes and logs are taken with Python's ``abs`` and
-        ``math.log``: numpy's vector ``abs`` and ``log`` differ from them
-        in the last bit on some inputs, and certificate reports must not
-        move.
         """
         gamma, kappa_cap = self.budget()
-        values = self._columns().unit[rows] if units is None else units
-        logs = np.array([math.log(abs(z)) if z != 0 else -math.inf for z in values.tolist()])
+        if units is None:
+            logs = self._derived(("log|unit|",), lambda c: _elementwise(_log_abs, c.unit))[rows]
+        else:
+            logs = _elementwise(_log_abs, units)
         log_cap = math.log(kappa_cap) if kappa_cap != 0.0 else -math.inf
-        return (log_cap + logs) - gamma * _abs_squared(self._homes(rows))
+        return (log_cap + logs) - gamma * self._home_norms()[rows]
 
     # -- serialization ------------------------------------------------------
 
@@ -306,6 +355,8 @@ class IndexedPointSet:
         Where present, ``meta.sample_tags`` is a list of distinct strings
         naming at least one tag, and only tags the set holds, and
         ``meta.triple_fold`` an object mapping tags to names of ``FOLDS``.
+        The set keeps the table's ``index``, ``tag`` and ``unit`` columns
+        as its own where they have the column types, without copying them.
         """
         lat = data["lattice"]
         if not isinstance(lat, Lattice):
@@ -355,7 +406,7 @@ class IndexedPointSet:
                 _Columns(
                     idx[:, 0],
                     idx[:, 1],
-                    np.array(cols["tag"], dtype=str),
+                    np.asarray(cols["tag"], dtype=str),
                     complex_column(cols["unit"], "unit"),
                 )
             )
@@ -394,8 +445,8 @@ def _first_repeat(m: np.ndarray, n: np.ndarray, tag: np.ndarray) -> int | None:
 
 
 def _pair_array(pairs, dtype, field: str) -> np.ndarray:
-    """``[x, y]`` pairs as a (k, 2) array; any other shape is an error."""
-    arr = np.array(pairs, dtype=dtype)
+    """``[x, y]`` pairs as a (k, 2) array, not copied where they are one; else an error."""
+    arr = np.asarray(pairs, dtype=dtype)
     if arr.shape != (len(pairs), 2) and len(pairs):
         raise ValueError(f"point field {field!r} must hold [x, y] pairs, got shape {arr.shape}")
     return arr.reshape(-1, 2)
@@ -416,7 +467,7 @@ def _index_pairs(pairs) -> np.ndarray:
             raise ValueError(
                 f"point record {row}: field 'index' must hold integers, got {arr[row].tolist()}"
             )
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def _number(value, field: str) -> float:
@@ -440,11 +491,6 @@ def complex_column(pairs, field: str) -> np.ndarray:
     return np.ascontiguousarray(arr).view(complex).ravel()
 
 
-def _abs_squared(z: np.ndarray) -> np.ndarray:
-    """``abs(z) ** 2`` per element in Python floats (see ``_log_offsets``)."""
-    return np.array([abs(v) ** 2 for v in z.tolist()], dtype=float)
-
-
 # -- triangle angles ---------------------------------------------------------
 
 
@@ -460,11 +506,11 @@ def median_angles(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     def vertex_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         # conj(u) * v from real parts and math.atan2 per element, so that no
         # SIMD loop of numpy's moves the last bit
-        x = u.real * v.real + u.imag * v.imag
-        y = np.abs(u.real * v.imag - u.imag * v.real)
+        w = np.empty(len(u), dtype=complex)
+        w.real = u.real * v.real + u.imag * v.imag
+        w.imag = np.abs(u.real * v.imag - u.imag * v.real)
         # a vanishing arm must give 0, not atan2(+0, -0.0) = pi
-        pairs = zip(x.tolist(), y.tolist())
-        return np.array([0.0 if p == q == 0.0 else math.atan2(q, p) for p, q in pairs])
+        return _elementwise(lambda z: 0.0 if z == 0 else math.atan2(z.imag, z.real), w)
 
     ang_a = vertex_angle(b - a, c - a)
     ang_b = vertex_angle(a - b, c - b)
@@ -510,7 +556,7 @@ def certify_f_closeness(
     rows = np.flatnonzero(c.tag == tag)
     if not rows.size:
         raise ValueError(f"no entries with tag {tag!r}")
-    log_terms = ps._log_offsets(rows) + gamma * _abs_squared(ps._homes(rows))
+    log_terms = ps._log_offsets(rows) + gamma * ps._home_norms()[rows]
     best = int(np.argmax(log_terms))
     log_kappa = float(log_terms[best])
     kappa = math.exp(log_kappa) if log_kappa < 709.0 else math.inf
@@ -569,12 +615,17 @@ def triple_vertices(ps: IndexedPointSet) -> tuple[np.ndarray, np.ndarray]:
         home = fold(ps.lattice.point((m[mine], n[mine])))
         m[mine], n[mine] = ps.lattice.indices_of(home).T
         unit[mine] = fold(unit[mine])
-    indices, slot = np.unique(np.stack([m, n], axis=1), axis=0, return_inverse=True)
+    # the distinct indices in (m, n) order, and the slot of each sample's among them
+    order = np.lexsort((n, m))
+    first = _run_starts(m[order], n[order])
+    indices = np.stack([m[order[first]], n[order[first]]], axis=1)
+    slot = np.empty(len(order), dtype=np.int64)
+    slot[order] = np.cumsum(first) - 1
     # triple[i, t]: sample of index i with tag TRIPLE_TAGS[t], or -1
     triple = np.full((len(indices), len(TRIPLE_TAGS)), -1)
     for t, name in enumerate(TRIPLE_TAGS):
         mine = np.flatnonzero(tag == name)
-        triple[slot.ravel()[mine], t] = mine
+        triple[slot[mine], t] = mine
     incomplete = np.flatnonzero((triple < 0).any(axis=1))
     if incomplete.size:
         i = incomplete[0]
@@ -683,10 +734,12 @@ def _set_separation(ps: IndexedPointSet) -> SeparationReport:
     rows = ps._rows(_sample_tags(ps))
     homes, deltas = ps._placed(rows)
     pts = _checked(homes + deltas)
+    del homes, deltas
     c = ps._columns()
     m, n = c.m[rows], c.n[rows]
     # canonical order puts the samples of one home next to each other
-    home = np.cumsum(np.r_[True, (m[1:] != m[:-1]) | (n[1:] != n[:-1])])
+    home = np.cumsum(_run_starts(m, n))
+    del m, n
     a, b = _same_home_pairs(home)
     # pairs of one home are not swept, so of a home's samples at one position
     # (collapsed onto it) the first stands for all
@@ -694,16 +747,24 @@ def _set_separation(ps: IndexedPointSet) -> SeparationReport:
     keep[b[pts[a] == pts[b]]] = False
     keep = np.flatnonzero(keep)
     between, i, j = _sweep(pts[keep], home[keep])
+    del home
     best = (_log10(between), int(keep[i]), int(keep[j]))
+    del keep
     delta = between
-    if a.size:
-        du, dv = pts.real[a] - pts.real[b], pts.imag[a] - pts.imag[b]
+    for start in range(0, len(a), _ELEMENT_BLOCK):
+        pa, pb = a[start : start + _ELEMENT_BLOCK], b[start : start + _ELEMENT_BLOCK]
+        du, dv = pts.real[pa] - pts.real[pb], pts.imag[pa] - pts.imag[pb]
         delta = min(delta, float(np.sqrt(du * du + dv * dv).min()))
-        logs = ps._log_offsets(rows[a], c.unit[rows[a]] - c.unit[rows[b]]) / math.log(10.0)
+        logs = ps._log_offsets(rows[pa], c.unit[rows[pa]] - c.unit[rows[pb]]) / math.log(10.0)
         w = int(np.argmin(logs))
-        best = min(best, (float(logs[w]), int(a[w]), int(b[w])))
+        best = min(best, (float(logs[w]), int(pa[w]), int(pb[w])))
     log10_delta, i, j = best
     return SeparationReport(delta, log10_delta, (complex(pts[i]), complex(pts[j])), len(pts))
+
+
+def _run_starts(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Whether each row of sorted index columns starts a run of equal ``(m, n)``."""
+    return np.r_[True, (m[1:] != m[:-1]) | (n[1:] != n[:-1])]
 
 
 def _same_home_pairs(home: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,14 +6,15 @@ tag; the underlying lattice can be drawn as a mesh with one segment
 per lattice line along each basis direction.  Output is a pure function
 of the inputs (coordinates are formatted to fixed precision), so
 identical runs produce identical bytes.  Circles and mesh lines are
-formatted into one string per block of ``_BLOCK`` elements, the document
-is joined once, and the file is written in slices.
+formatted into one string per block of ``_BLOCK`` elements, each block is
+appended to the document as it is formed, and the file is written in
+slices.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -64,19 +65,18 @@ class _Mapper:
         )
 
 
-def _fill(template: str, *columns: np.ndarray) -> list[str]:
+def _fill(template: str, *columns: np.ndarray) -> Iterator[str]:
     """``template % row`` for each row of the equally long ``columns``, in blocks.
 
-    Each block of ``_BLOCK`` rows is one string, its rows joined by ``"\n"``.
+    Each block of ``_BLOCK`` rows is one string, its rows joined by ``"\n"``;
+    a block is formatted when it is asked for.
     """
     rows = np.stack(columns, axis=1)
-    return [
-        "\n".join([template] * len(chunk)) % tuple(chunk.ravel().tolist())
-        for chunk in (rows[s : s + _BLOCK] for s in range(0, len(rows), _BLOCK))
-    ]
+    for chunk in (rows[s : s + _BLOCK] for s in range(0, len(rows), _BLOCK)):
+        yield "\n".join([template] * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
-def _mesh_lines(lat: Lattice, radius: float, to: _Mapper) -> list[str]:
+def _mesh_lines(lat: Lattice, radius: float, to: _Mapper) -> Iterator[str]:
     """One segment along each lattice line through the window points, in blocks.
 
     The lines along ``omega1`` come first, then those along ``omega2``, each
@@ -118,27 +118,43 @@ def render_points_svg(
     """SVG document for tagged point groups on the window ``[-R, R]^2``."""
     if radius <= 0:
         raise ValueError("radius must be positive")
+    # each line or block is appended as it is formed, not joined from a list at
+    # the end: CPython grows a string only this name holds in place, so the
+    # blocks are not held beside the document
+    text = ""
+    for line in _document(groups, radius, mesh_lattice, title):
+        text += line
+        text += "\n"
+    return text
+
+
+def _document(
+    groups: Mapping[str, Iterable[complex]],
+    radius: float,
+    mesh_lattice: Lattice | None,
+    title: str | None,
+) -> Iterator[str]:
+    """The lines and line blocks of the document, in order, each to be ended by a newline."""
     to = _Mapper(radius)
-    # the document is joined once from its lines and line blocks
-    body: list[str] = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(CANVAS)}" '
-        f'height="{_fmt(CANVAS)}" viewBox="0 0 {_fmt(CANVAS)} {_fmt(CANVAS)}">',
-        f'<rect x="0" y="0" width="{_fmt(CANVAS)}" height="{_fmt(CANVAS)}" fill="#ffffff"/>',
-    ]
+        f'height="{_fmt(CANVAS)}" viewBox="0 0 {_fmt(CANVAS)} {_fmt(CANVAS)}">'
+    )
+    yield f'<rect x="0" y="0" width="{_fmt(CANVAS)}" height="{_fmt(CANVAS)}" fill="#ffffff"/>'
     if mesh_lattice is not None:
-        body.extend(_mesh_lines(mesh_lattice, radius, to))
+        yield from _mesh_lines(mesh_lattice, radius, to)
     # window frame and axes
     lo, hi = to(complex(-radius, radius)), to(complex(radius, -radius))
-    body.append(
+    yield (
         f'<rect x="{_fmt(lo[0])}" y="{_fmt(lo[1])}" width="{_fmt(hi[0] - lo[0])}" '
         f'height="{_fmt(hi[1] - lo[1])}" fill="none" stroke="#888888" stroke-width="1"/>'
     )
     cx, cy = to(0j)
-    body.append(
+    yield (
         f'<line x1="{_fmt(lo[0])}" y1="{_fmt(cy)}" x2="{_fmt(hi[0])}" y2="{_fmt(cy)}" '
         f'stroke="#bbbbbb" stroke-width="0.7"/>'
     )
-    body.append(
+    yield (
         f'<line x1="{_fmt(cx)}" y1="{_fmt(lo[1])}" x2="{_fmt(cx)}" y2="{_fmt(hi[1])}" '
         f'stroke="#bbbbbb" stroke-width="0.7"/>'
     )
@@ -149,28 +165,25 @@ def render_points_svg(
         z = groups[tag]
         z = np.asarray(z if isinstance(z, np.ndarray) else list(z), dtype=complex).ravel()
         z = z[~((np.abs(z.real) > radius) | (np.abs(z.imag) > radius))]
-        body.extend(
-            _fill(
-                f'<circle cx="%.2f" cy="%.2f" r="{_fmt(_POINT_RADIUS)}" '
-                f'fill="{color}" fill-opacity="0.85"/>',
-                *to(z),
-            )
+        yield from _fill(
+            f'<circle cx="%.2f" cy="%.2f" r="{_fmt(_POINT_RADIUS)}" '
+            f'fill="{color}" fill-opacity="0.85"/>',
+            *to(z),
         )
-        body.append(
+        yield (
             f'<circle cx="{_fmt(CANVAS - 3 * MARGIN)}" cy="{_fmt(legend_y)}" r="5.00" fill="{color}"/>'
         )
-        body.append(
+        yield (
             f'<text x="{_fmt(CANVAS - 3 * MARGIN + 12)}" y="{_fmt(legend_y + 4)}" '
             f'font-family="monospace" font-size="14">{_escape(tag)}</text>'
         )
         legend_y += 22.0
     if title:
-        body.append(
+        yield (
             f'<text x="{_fmt(MARGIN)}" y="{_fmt(MARGIN - 14)}" '
             f'font-family="monospace" font-size="16">{_escape(title)}</text>'
         )
-    body.append("</svg>\n")
-    return "\n".join(body)
+    yield "</svg>"
 
 
 def render_svg(

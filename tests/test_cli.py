@@ -526,6 +526,27 @@ def test_a_directory_for_a_file_exits_2(det3_set, tmp_path, capsys, flag):
                    "--out", tmp_path) == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("certify", "--gamma", 7, "--beta", 12.566), ("injectivity", "--dim", 2), ("render",)],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize(
+    "doc",
+    [{"lattice": {"omega1": [1, 0], "omega2": [0, 1]}, "window_radius": 3, "points": []},
+     {"points": []}],
+    ids=["set", "plain"],
+)
+def test_a_file_without_samples_exits_2_and_names_it(tmp_path, capsys, command, doc):
+    # a set may be empty in memory; the commands that read one need a sample
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    out = tmp_path / "out"
+    assert run(command[0], "--in", path, *command[1:], "--out", out) == 2
+    assert f"error: {path}: field 'points' holds no samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -796,6 +817,24 @@ def test_render_bytes_match_pinned_digests(tmp_path, monkeypatch):
         got[name] = hashlib.sha256((tmp_path / f"{name}.svg").read_bytes()).hexdigest()
         want[name] = digest
     assert got == want
+
+
+@LOWERED_SIMD
+def test_render_bytes_do_not_depend_on_numpys_simd_level(tmp_path, monkeypatch, lowered):
+    # render places each sample by the set's budgets, which are taken without
+    # numpy's SIMD transcendentals
+    monkeypatch.chdir(tmp_path)
+    commands = []
+    for name, (generate_args, render_args, _) in GOLDEN_RENDER.items():
+        commands.append(("generate", *generate_args, "--seed", 1, "--out", f"{name}.json"))
+        commands.append(("render", "--in", f"{name}.json", *render_args, "--out", f"{name}.svg"))
+    for command in commands:
+        assert run(*command) == 0
+    low = tmp_path / "lowered"
+    low.mkdir()
+    run_below_simd_level(lowered, low, *commands)
+    names = [f"{name}.svg" for name in GOLDEN_RENDER]
+    assert [n for n in names if (low / n).read_bytes() != (tmp_path / n).read_bytes()] == []
 
 
 @pytest.mark.parametrize("points", [[[0.0, 1.0], [2.0]], [[0.0, 1.0, 2.0]], [1.0, 2.0]])

@@ -465,7 +465,10 @@ def test_records_that_differ_in_keys_are_rejected_at_every_read_slice(tmp_path, 
 
 def test_load_of_a_large_point_set_peaks_below_its_text(tmp_path):
     # the file is read in slices and never held whole; reading it whole as
-    # bytes and as text, then decoding, peaked at 2.0 times the file
+    # bytes and as text, then decoding, peaked at 2.0 times the file.  The
+    # set takes the table's columns without copying them, and the blocks are
+    # let go key by key as they are joined; the copies and 1 MB slices of
+    # before peaked at 0.68 times the file
     from fockpr.lattice import Lattice
     from fockpr.pointset import IndexedPointSet
 
@@ -489,4 +492,4 @@ def test_load_of_a_large_point_set_peaks_below_its_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(ps) == n
-    assert peak < 1.0 * size
+    assert peak < 0.5 * size

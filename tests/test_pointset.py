@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -539,6 +540,52 @@ def test_certificates_on_a_set_count_its_samples_only():
     assert relative_separation_bound(real2) == relative_separation_bound(sample_points(real2))
 
 
+def _certificates(ps: IndexedPointSet) -> tuple:
+    """The four certificates ``certify`` runs on ``ps``, at the set's own rate."""
+    return (
+        [certify_f_closeness(ps, ps.meta["gamma"], tag) for tag in ps.meta["sample_tags"]],
+        angle_condition(ps, beta=12.566),
+        density_estimate(ps, radii=(1.0, 2.0, 3.0)),
+        separation(ps),
+    )
+
+
+def _reloaded(ps: IndexedPointSet) -> IndexedPointSet:
+    return IndexedPointSet.from_json(json.loads(jsonio.dumps(ps.to_json())))
+
+
+def test_derived_columns_are_formed_once_per_column_state(monkeypatch):
+    made = []
+    derived = IndexedPointSet._derived
+
+    def counted(self, key, make):
+        return derived(self, key, lambda c: made.append(key) or make(c))
+
+    monkeypatch.setattr(IndexedPointSet, "_derived", counted)
+    whole = random_triple(GeneratorConfig(Lattice(0.5, 0.5j), window_radius=3.0, gamma=0.5, seed=1))
+    doc = json.loads(jsonio.dumps(whole.to_json()))
+    # the set less its last triple, which add puts back after a first certify
+    last, doc["points"] = doc["points"][-3:], doc["points"][:-3]
+    ps = IndexedPointSet.from_json(doc)
+    made.clear()
+    first = _certificates(ps)
+    every = [("log|unit|",), ("s(home)", 0.5, 1.0), ("|home|^2",)]
+    assert sorted(made) == every
+    assert _certificates(ps) == first and sorted(made) == every
+    made.clear()
+    for record in last:
+        ps.add(tuple(record["index"]), record["tag"], complex(*record["unit"]))
+    again = _certificates(ps)
+    assert sorted(made) == every
+    assert again == _certificates(_reloaded(whole)) != first
+    # the budget is keyed on its values: a new rate gives new budgets, not stale ones
+    made.clear()
+    ps.meta["gamma"] = whole.meta["gamma"] = 0.25
+    slower = _certificates(ps)
+    assert made == [("s(home)", 0.25, 1.0)]
+    assert slower == _certificates(_reloaded(whole)) != again
+
+
 def _separation_oracle(ps: IndexedPointSet) -> tuple[float, tuple[complex, complex]]:
     """log10 of the least distance between the samples of ``ps``, and the pair at it.
 
@@ -596,6 +643,49 @@ def test_set_separation_without_collapse_keeps_the_positional_delta():
     want, pair = _separation_oracle(ps)
     assert rep.log10_delta == pytest.approx(want, abs=1e-9)
     assert rep.pair == pair
+
+
+def _triples(n: int) -> IndexedPointSet:
+    """A set of ``n`` samples, an A, B and C on each of ``n // 3`` homes, at random unit offsets."""
+    rng = np.random.default_rng(5)
+    k, side = np.arange(n) // 3, math.isqrt(n // 3) + 1
+    unit = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    points = jsonio.Table({
+        "index": np.stack([k % side - side // 2, k // side - side // 2], axis=1),
+        "tag": np.array(["A", "B", "C"] * (n // 3)),
+        "unit": unit,
+    })
+    meta = {"gamma": 0.5, "kappa_cap": 1.0, "sample_tags": ["A", "B", "C"]}
+    return IndexedPointSet.from_json(
+        {"lattice": Lattice(0.5, 0.5j), "window_radius": 0.5 * side, "points": points, "meta": meta}
+    )
+
+
+def test_certificates_of_a_large_set_peak_below_three_times_its_columns():
+    # each certificate holds the set's columns once, its derived columns and
+    # bounded blocks; per-element Python lists over whole columns, np.unique
+    # over the triples' indices and every temporary of separation kept to its
+    # end traced 3.1 (density) to 6.8 (separation) times the columns
+    _certificates(_triples(300))  # lazy imports outside the trace
+    ps = _triples(50_001)
+    columns = sum(col.nbytes for col in ps._columns())
+    runs = {
+        "closeness": lambda: [certify_f_closeness(ps, 0.5, tag) for tag in "ABC"],
+        "angle": lambda: angle_condition(ps, beta=12.566),
+        "density": lambda: density_estimate(ps, radii=(10.0, 20.0, 30.0)),
+        "separation": lambda: separation(ps),
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, run in runs.items():
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - held) / columns
+    finally:
+        tracemalloc.stop()
+    assert {name: peak for name, peak in peaks.items() if peak >= 3.0} == {}
 
 
 # -- serialization ----------------------------------------------------------------

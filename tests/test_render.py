@@ -171,7 +171,8 @@ def test_circles_match_the_per_point_route():
 
 
 def test_render_with_mesh_peaks_near_twice_its_text():
-    # the text and the blocks it is joined from are both alive at the end
+    # each block is appended to the text as it is formed; joining a list of
+    # all the blocks at the end held both, and peaked at 2.27 times the text
     lat = Lattice(0.45, 0.45j)
     ps = IndexedPointSet(lat, window_radius=25.0)
     idx, _ = render.window_arrays(lat, 25.0)
@@ -188,4 +189,4 @@ def test_render_with_mesh_peaks_near_twice_its_text():
         tracemalloc.stop()
     # 167 lattice lines through the window in each direction, and the two axes
     assert text.count("<line") == 336
-    assert peak < 2.5 * len(text)
+    assert peak < 2.0 * len(text)
