@@ -168,16 +168,22 @@ def _resolve_lattice(args: argparse.Namespace) -> Lattice:
 
 
 def _load_set(path: str) -> IndexedPointSet | np.ndarray:
-    """The set or plain point array stored at ``path``; one without samples is an error."""
-    data = jsonio.load_path(path)
-    if isinstance(data, dict) and "lattice" in data:
-        obj = IndexedPointSet.from_json(data)
-    elif isinstance(data, dict) and isinstance(data.get("points"), list):
-        obj = complex_column(data["points"], "points")
-    else:
-        raise ValueError(f"{path} is not a recognized point-set artifact")
-    if not len(obj):
-        raise ValueError(f"{path}: field 'points' holds no samples")
+    """The set or plain point array stored at ``path``; one without samples is an error.
+
+    A file that does not parse or load is an error that names ``path``.
+    """
+    try:
+        data = jsonio.load_path(path)
+        if isinstance(data, dict) and "lattice" in data:
+            obj = IndexedPointSet.from_json(data)
+        elif isinstance(data, dict) and isinstance(data.get("points"), list):
+            obj = complex_column(data["points"], "points")
+        else:
+            raise ValueError("not a recognized point-set artifact")
+        if not len(obj):
+            raise ValueError("field 'points' holds no samples")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return obj
 
 

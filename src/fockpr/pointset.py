@@ -13,7 +13,10 @@ exact, so the certificates below work from them in log scale.  Samples
 enter a set one at a time through ``add``, or all at once when
 ``from_json`` loads a document; either way one vectorized check of the
 columns admits them.  ``get`` is the one read of a single sample, and
-every other read takes whole columns.
+every other read takes whole columns.  A set's file holds the same
+columns: its ``points`` are the equally long lists ``m``, ``n``, ``tag``,
+``unit_re`` and ``unit_im`` (:data:`POINT_COLUMNS`), one row per sample
+in canonical (m, n, tag) order, and nothing derived.
 
 Certificates:
 
@@ -38,7 +41,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import jsonio
 from .lattice import Lattice, LatticeIndex, _finite_number
 
 __all__ = [
@@ -65,11 +67,14 @@ TRIPLE_TAGS = ("A", "B", "C")
 # The symmetry maps of the plane that triples are built from, by the name a
 # set's ``triple_fold`` metadata gives them; each is its own inverse.
 FOLDS = {"conj": np.conj, "neg": np.negative, "negconj": lambda z: -np.conj(z)}
-# fields every point record of an artifact carries
-_REQUIRED_FIELDS = ("index", "tag", "unit")
-# fields a record may carry besides; they are derived from ``unit``, so
-# they are only checked to be finite [x, y] pairs
-_DERIVED_FIELDS = ("pos", "delta")
+# the columns of an artifact's ``points``, each with what its values must be
+POINT_COLUMNS = {
+    "m": "integers",
+    "n": "integers",
+    "tag": "strings",
+    "unit_re": "finite numbers",
+    "unit_im": "finite numbers",
+}
 
 # points relative_separation_bound buckets together
 _STENCIL_BLOCK = 1 << 10
@@ -309,24 +314,23 @@ class IndexedPointSet:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        """The artifact document; its ``points`` are a :class:`jsonio.Table` in canonical order.
+        """The artifact document; its ``points`` are the columns of :data:`POINT_COLUMNS`.
 
-        Each record carries the derived ``pos`` and ``delta`` beside the
-        stored ``unit``.  :meth:`from_json` reads the document back as it
-        is or after a round trip through :func:`jsonio.dumps` and
-        :func:`json.loads`.
+        Each column is an array with one row per sample, in canonical
+        order, which :func:`jsonio.dumps` writes as a list.  The offset
+        ``unit`` is split into ``unit_re`` and ``unit_im``; ``pos`` and
+        ``delta`` are not written, as the set derives them where read.
         """
+        self.budget()  # a budget given in half is an error
         rows, c = self._rows(), self._columns()
-        homes, deltas = self._placed(rows)
-        points = jsonio.Table(
-            {
-                "index": np.stack([c.m[rows], c.n[rows]], axis=1),
-                "tag": c.tag[rows],
-                "pos": homes + deltas,
-                "delta": deltas,
-                "unit": c.unit[rows],
-            }
-        )
+        unit = c.unit[rows]
+        points = {
+            "m": c.m[rows],
+            "n": c.n[rows],
+            "tag": c.tag[rows],
+            "unit_re": unit.real,
+            "unit_im": unit.imag,
+        }
         out: dict = {
             "lattice": self.lattice,
             "window_radius": self.window_radius,
@@ -338,25 +342,24 @@ class IndexedPointSet:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "IndexedPointSet":
-        """Set from an artifact document, parsed or as :meth:`to_json` returns it.
+        """Set from a parsed artifact document, as :func:`jsonio.load_path` gives it.
 
-        The points are a :class:`jsonio.Table` (as :func:`jsonio.load_path`
-        and :meth:`to_json` give them) or a list of records, which is packed
-        into one; every record has the keys of every other.  Every record
-        has an ``index``, a ``tag`` and a ``unit``, every ``index`` is a
-        pair of integers and every ``unit`` a pair of finite numbers.  Where
-        the records carry ``pos`` or ``delta``, each must be a pair of
-        finite numbers too; the set derives both anew from ``unit``.  Every
-        home lies in the window and no (index, tag) repeats, which one
-        lexsort of the key columns checks.  The header is checked too:
-        ``window_radius`` is a finite positive number, ``meta`` an object,
-        and its ``gamma`` and ``kappa_cap`` are both absent or lie where the
-        generators put them, ``0 < gamma < inf`` and ``0 < kappa_cap <= 1``.
-        Where present, ``meta.sample_tags`` is a list of distinct strings
-        naming at least one tag, and only tags the set holds, and
+        The points are an object of the equally long lists of
+        :data:`POINT_COLUMNS`: integers ``m`` and ``n`` (integral floats
+        count), strings ``tag``, and finite numbers ``unit_re`` and
+        ``unit_im``.  A list of point records, the layout of older files,
+        is an error that asks for the set to be generated anew.  Each list
+        is taken out of ``data["points"]`` as its array forms, so that the
+        parsed list is let go; a value outside its column's domain is an
+        error naming the column and its first bad row.  Every home lies in
+        the window and no (index, tag) repeats, which one lexsort of the
+        key columns checks.  The header is checked too: ``window_radius``
+        is a finite positive number, ``meta`` an object, and its ``gamma``
+        and ``kappa_cap`` are both absent or lie where the generators put
+        them, ``0 < gamma < inf`` and ``0 < kappa_cap <= 1``.  Where
+        present, ``meta.sample_tags`` is a list of distinct strings naming
+        at least one tag, and only tags the set holds, and
         ``meta.triple_fold`` an object mapping tags to names of ``FOLDS``.
-        The set keeps the table's ``index``, ``tag`` and ``unit`` columns
-        as its own where they have the column types, without copying them.
         """
         lat = data["lattice"]
         if not isinstance(lat, Lattice):
@@ -390,26 +393,12 @@ class IndexedPointSet:
                 f"set metadata must give 0 < gamma < inf and 0 < kappa_cap <= 1,"
                 f" got gamma = {gamma!r}, kappa_cap = {kappa_cap!r}"
             )
-        points = data["points"]
-        if not isinstance(points, jsonio.Table):
-            points = jsonio.Table.from_records(points)
-        if len(points):
-            cols = points.columns
-            for key in _REQUIRED_FIELDS:
-                if key not in cols:  # every record shares its keys, so the first lacks it too
-                    raise jsonio.lacking(0, key)
-            for key in _DERIVED_FIELDS:
-                if key in cols:
-                    complex_column(cols[key], key)
-            idx = _index_pairs(cols["index"])
-            ps._load(
-                _Columns(
-                    idx[:, 0],
-                    idx[:, 1],
-                    np.asarray(cols["tag"], dtype=str),
-                    complex_column(cols["unit"], "unit"),
-                )
-            )
+        points = _point_columns(data["points"])
+        m, n, tag = (_column(points, key) for key in ("m", "n", "tag"))
+        unit = np.empty(len(m), dtype=complex)
+        unit.real = _column(points, "unit_re")
+        unit.imag = _column(points, "unit_im")
+        ps._load(_Columns(m, n, tag, unit))
         if "sample_tags" in meta and not (tags and set(tags) <= set(ps.tags())):
             raise ValueError(
                 f"field 'meta.sample_tags' must name one or more of the set's tags"
@@ -444,30 +433,72 @@ def _first_repeat(m: np.ndarray, n: np.ndarray, tag: np.ndarray) -> int | None:
     return int(order[1:][repeats].min()) if repeats.any() else None
 
 
-def _pair_array(pairs, dtype, field: str) -> np.ndarray:
-    """``[x, y]`` pairs as a (k, 2) array, not copied where they are one; else an error."""
-    arr = np.asarray(pairs, dtype=dtype)
-    if arr.shape != (len(pairs), 2) and len(pairs):
-        raise ValueError(f"point field {field!r} must hold [x, y] pairs, got shape {arr.shape}")
-    return arr.reshape(-1, 2)
+def _point_columns(points) -> dict:
+    """``points`` after checking that it holds every column of :data:`POINT_COLUMNS` as a list.
+
+    A list of samples is the per-record layout of older files; each of its
+    records carried the derived ``pos`` and ``delta`` too.  The columns
+    must be of one length: the error names a column that lacks a row and
+    the first row it lacks.
+    """
+    if isinstance(points, list):
+        raise ValueError("field 'points' holds per-record samples; regenerate the set")
+    if not isinstance(points, dict):
+        raise ValueError(f"field 'points' must be an object of columns, got {type(points).__name__}")
+    for key in POINT_COLUMNS:
+        if key not in points:
+            raise ValueError(f"field 'points' lacks the column {key!r}")
+        if not isinstance(points[key], list):
+            raise ValueError(f"column {key!r} of field 'points' must be a list")
+    rows = {key: len(points[key]) for key in POINT_COLUMNS}
+    short, long = min(rows, key=rows.get), max(rows, key=rows.get)
+    if rows[short] != rows[long]:
+        raise ValueError(
+            f"point row {rows[short]}: column {short!r} lacks it,"
+            f" while column {long!r} has {rows[long]} rows"
+        )
+    return points
 
 
-def _first_bad_row(ok: np.ndarray) -> int | None:
-    """The first row of a (k, 2) mask with a False in it, or None."""
-    bad = np.flatnonzero(~ok.all(axis=1))
-    return int(bad[0]) if bad.size else None
+def _converts(value, dtype) -> bool:
+    """Whether the int or float ``value`` converts to ``dtype`` without overflow."""
+    try:
+        dtype(value)
+    except OverflowError:
+        return False
+    return True
 
 
-def _index_pairs(pairs) -> np.ndarray:
-    """``index`` pairs as a (k, 2) int64 array; a value that is no int64 integer is an error."""
-    arr = _pair_array(pairs, None, "index")
-    if arr.dtype.kind == "f":
-        row = _first_bad_row((np.floor(arr) == arr) & (np.abs(arr) < 2.0**63))
-        if row is not None:
-            raise ValueError(
-                f"point record {row}: field 'index' must hold integers, got {arr[row].tolist()}"
-            )
-    return arr.astype(np.int64, copy=False)
+def _column(points: dict, key: str) -> np.ndarray:
+    """Column ``key`` of :data:`POINT_COLUMNS`, taken out of ``points``, as an array.
+
+    ``m`` and ``n`` give int64 arrays, ``tag`` a str array and the unit
+    parts float arrays (bit-exact, signed zeros included).  A value of the
+    wrong type or outside the column's domain is an error naming the first
+    row that holds one.
+    """
+    values, want = points.pop(key), POINT_COLUMNS[key]
+    allowed = {str} if want == "strings" else {int, float}
+    kinds = set(map(type, values))
+    dtype = str if want == "strings" else np.int64 if kinds <= {int} else float
+    try:
+        col = np.array(values, dtype=dtype) if kinds <= allowed else None
+    except OverflowError:  # an int beyond the dtype; the scan below finds it
+        col = None
+    if col is not None and col.dtype.kind != "f":
+        return col
+    if col is not None:
+        bad = ~np.isfinite(col)
+        if want == "integers":
+            bad |= (np.floor(col) != col) | (np.abs(col) >= 2.0**63)
+        if not bad.any():
+            return col.astype(np.int64) if want == "integers" else col
+        row = int(np.argmax(bad))
+    else:
+        row = next(
+            i for i, v in enumerate(values) if type(v) not in allowed or not _converts(v, dtype)
+        )
+    raise ValueError(f"point row {row}: column {key!r} must hold {want}, got {values[row]!r}")
 
 
 def _number(value, field: str) -> float:
@@ -480,13 +511,18 @@ def _number(value, field: str) -> float:
 def complex_column(pairs, field: str) -> np.ndarray:
     """Complex column from ``[re, im]`` pairs, bit-exact (signed zeros included).
 
-    A pair holding an infinity or NaN is an error naming its row.
+    Anything but a list of pairs is an error, and so is a pair holding an
+    infinity or NaN, named by its row.
     """
-    arr = _pair_array(pairs, float, field)
-    row = _first_bad_row(np.isfinite(arr))
-    if row is not None:
+    arr = np.asarray(pairs, dtype=float)
+    if arr.shape != (len(pairs), 2) and len(pairs):
+        raise ValueError(f"point field {field!r} must hold [x, y] pairs, got shape {arr.shape}")
+    arr = arr.reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
         raise ValueError(
-            f"point record {row}: field {field!r} must hold finite numbers, got {arr[row].tolist()}"
+            f"point record {bad[0]}: field {field!r} must hold finite numbers,"
+            f" got {arr[bad[0]].tolist()}"
         )
     return np.ascontiguousarray(arr).view(complex).ravel()
 

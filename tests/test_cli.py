@@ -75,26 +75,34 @@ def test_generate_writes_a_loadable_set_and_csv(det3_set, tmp_path):
 # rand3 9319173b413f -> 3189db05f839, det3 3ed3e2620447 -> ea9ca3c72b05,
 # real2 4b4c70c62265 -> 4bc5953b136e, even1 730ca2c26ab4 -> 77f233f3be3e,
 # optreal 435df3dba1fc -> 4f11e989a49a, opteven 22153d8f8295 -> 97ffa2572774;
-# real2.csv kept its digest.
+# real2.csv kept its digest.  All eight json files were re-pinned when a
+# set's points became five columns (m, n, tag, unit_re, unit_im) in place
+# of one record per sample; decoding the old and the new file of each gave
+# the same m, n, tag and unit bits on every row.  Old -> new: rand3
+# 3189db05f839 -> 660ff8cd75dd, det3 ea9ca3c72b05 -> 32653cf8c5b0, real2
+# 4bc5953b136e -> 2b6dde39a851, even1 77f233f3be3e -> 45398be03944, optreal
+# 4f11e989a49a -> 97d29b68be7e, opteven 97ffa2572774 -> a9a42271e131,
+# optreal_det f6c60c3484af -> 3a03731916b5, opteven_det 27d4a47c6ed5 ->
+# f70416fb6028; real2.csv kept its digest again.
 GOLDEN_GENERATE = {
     "rand3": (["--construction", "rand3", "--alpha", PI, "--radius", 12], {
-        "rand3.json": "3189db05f83938b6bb49826e3a97c5b5c2ff28a6ab85f1ab47f2e01255f97aaf"}),
+        "rand3.json": "660ff8cd75dd4391229816f089aa3ffff9b6fed93e96cf27eeff0642d7a1a9db"}),
     "det3": (["--construction", "det3", "--alpha", PI, "--radius", 12], {
-        "det3.json": "ea9ca3c72b05fe2d3c2b8bc48b7aa17e981f646eefd77c07aa5f2977cd47c819"}),
+        "det3.json": "32653cf8c5b03d5a256396ffcf84e2946745ab96326d0af5d0e68d35a3bd6f2e"}),
     "real2": (["--construction", "real2", "--v", 0.5, "--radius", 11, "--csv", "real2.csv"], {
-        "real2.json": "4bc5953b136e682805bb917e6943acd0300ed8ce941e2e553699925630f2371b",
+        "real2.json": "2b6dde39a85107181d6ffed3b89fa9f6bc91c2a0763548e43f31ebc89deb8df3",
         "real2.csv": "7ba778c28ed3782e03c234747e4c1e69797a60d54d8bebd188d8075330c8685e"}),
     "even1": (["--construction", "even1", "--v", 0.5, "--radius", 11], {
-        "even1.json": "77f233f3be3e47c3031666813599a03d644d019a37ee35f88aeb46c9679e9a1f"}),
+        "even1.json": "45398be0394448ac0a40a959c10d1b27abd40e46105c0cc18ff68153140f6375"}),
     "optreal": (["--construction", "optreal", "--v", 0.45, "--radius", 11], {
-        "optreal.json": "4f11e989a49a06d8f564a512cd17ab3ddad768971af223a134fef74a2e190944"}),
+        "optreal.json": "97d29b68be7ec2c2afee904df0c3fc66976cf3fe5540fdc3a6095a21e24cced8"}),
     "opteven": (["--construction", "opteven", "--v", 0.45, "--radius", 11], {
-        "opteven.json": "97ffa2572774bcf998aa74acd25df6adb185e01310dd6b43858a3974486d58ca"}),
-    # pinned when the fold maps of opteven came to be read from one table
+        "opteven.json": "a9a42271e13166273fa8af0a4af743c830a085b397e2441345f5b135316520c3"}),
+    # first pinned when the fold maps of opteven came to be read from one table
     "optreal_det": (["--construction", "optreal", "--v", 0.45, "--radius", 11, "--mode", "det"], {
-        "optreal_det.json": "f6c60c3484afc8c8d8544b28aac60e4c57922eeba1b28a58bf3eac1849067a5d"}),
+        "optreal_det.json": "3a03731916b5ef906ff1fdb82179ffccd3c9c4001838df864a84caad14739b70"}),
     "opteven_det": (["--construction", "opteven", "--v", 0.45, "--radius", 11, "--mode", "det"], {
-        "opteven_det.json": "27d4a47c6ed5655d104d8adefcc053c5306ab0d87c5d35ea638b63ae07189728"}),
+        "opteven_det.json": "f70416fb602816dfe7d1106e2d3bcd8f2089d4b72dbba0507a837c339b59a1a0"}),
 }
 
 
@@ -401,40 +409,48 @@ def test_montecarlo_bytes_match_pinned_digests(tmp_path):
     assert got == GOLDEN_MONTECARLO
 
 
-@pytest.mark.parametrize("command", ["certify", "render"])
-def test_a_point_record_without_unit_exits_2_and_names_it(det3_set, tmp_path, capsys, command):
+_READERS = (("certify", ["--beta", PI]), ("injectivity", []), ("render", []))
+
+
+def test_a_per_record_set_file_exits_2_and_names_it(det3_set, tmp_path, capsys):
+    # the layout of older files: one record per sample, with its derived pos
+    # and delta; it is not read, so the set must be generated anew
     doc = json.loads(det3_set.read_text(encoding="ascii"))
-    del doc["points"][5]["unit"]
-    path = tmp_path / "broken.json"
+    cols = doc["points"]
+    doc["points"] = [
+        {"index": [m, n], "tag": tag, "pos": [0.0, 0.0], "delta": [0.0, 0.0], "unit": [re, im]}
+        for m, n, tag, re, im in zip(cols["m"], cols["n"], cols["tag"], cols["unit_re"],
+                                     cols["unit_im"])
+    ]
+    path = tmp_path / "old.json"
     path.write_text(json.dumps(doc), encoding="ascii")
-    extra = ["--beta", PI] if command == "certify" else []
-    assert run(command, "--in", path, *extra, "--out", tmp_path / "out") == 2
-    assert "point record 5 lacks the field 'unit'" in capsys.readouterr().err
+    for command, extra in _READERS:
+        out = tmp_path / "out"
+        assert run(command, "--in", path, *extra, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: field 'points' holds per-record samples; regenerate the set" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["certify", "render"])
 @pytest.mark.parametrize(
-    "block, rows",
+    "edit, message",
     [
-        (1 << 12, [5]),  # one record among many that have the key
-        (3, [6]),  # the record that opens a later block
-        (3, [3, 4, 5]),  # a later block that lacks the key throughout
-        (3, [0, 1, 2]),  # the first block lacks the key, the later ones have it
+        (lambda p: p.pop("unit_re"), "field 'points' lacks the column 'unit_re'"),
+        (lambda p: p["tag"].pop(), "point row 146: column 'tag' lacks it, while column 'm' has 147"),
     ],
+    ids=["missing", "short"],
 )
-def test_a_point_record_without_pos_exits_2_and_names_it(
-    det3_set, tmp_path, capsys, monkeypatch, command, block, rows
+def test_a_missing_or_short_point_column_exits_2_and_names_it(
+    det3_set, tmp_path, capsys, command, edit, message
 ):
-    # pos is derived, but the records of a set share their keys
-    monkeypatch.setattr(jsonio, "_ROW_BLOCK", block)
     doc = json.loads(det3_set.read_text(encoding="ascii"))
-    for row in rows:
-        del doc["points"][row]["pos"]
+    edit(doc["points"])
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc), encoding="ascii")
     extra = ["--beta", PI] if command == "certify" else []
     assert run(command, "--in", path, *extra, "--out", tmp_path / "out") == 2
-    assert f"point record {rows[0]} lacks the field 'pos'" in capsys.readouterr().err
+    assert f"error: {path}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -487,7 +503,7 @@ def test_a_bad_set_header_exits_2_and_names_the_field(det3_set, tmp_path, capsys
     target[keys[-1]] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="ascii")
-    for command, extra in (("certify", ["--beta", PI]), ("injectivity", []), ("render", [])):
+    for command, extra in _READERS:
         out = tmp_path / "out"
         assert run(command, "--in", path, *extra, "--out", out) == 2
         assert keys[-1] in capsys.readouterr().err
@@ -497,22 +513,23 @@ def test_a_bad_set_header_exits_2_and_names_the_field(det3_set, tmp_path, capsys
 def test_a_fractional_index_exits_2_and_names_it(det3_set, tmp_path, capsys):
     # a cast to int64 alone would load [0.7, 0] as index (0, 0)
     doc = json.loads(det3_set.read_text(encoding="ascii"))
-    doc["points"][3]["index"] = [0.7, 0]
+    doc["points"]["m"][3] = 0.7
     path = tmp_path / "fractional.json"
     path.write_text(json.dumps(doc), encoding="ascii")
     assert run("certify", "--in", path, "--beta", PI, "--out", tmp_path / "r.json") == 2
-    assert "point record 3: field 'index' must hold integers" in capsys.readouterr().err
+    assert "point row 3: column 'm' must hold integers, got 0.7" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 
 def test_a_nan_position_exits_2_and_names_it(det3_set, tmp_path, capsys):
-    # unchecked, a NaN position renders as cx="nan"
+    # unchecked, a NaN unit offset gives a NaN position, which renders as cx="nan"
     doc = json.loads(det3_set.read_text(encoding="ascii"))
-    doc["points"][4]["pos"] = [math.nan, 0.1]
+    doc["points"]["unit_re"][4] = math.nan
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(doc), encoding="ascii")
     assert run("render", "--in", path, "--out", tmp_path / "p.svg") == 2
-    assert "point record 4: field 'pos' must hold finite numbers" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "point row 4: column 'unit_re' must hold finite numbers, got nan" in err
     assert not (tmp_path / "p.svg").exists()
 
 
@@ -533,7 +550,8 @@ def test_a_directory_for_a_file_exits_2(det3_set, tmp_path, capsys, flag):
 )
 @pytest.mark.parametrize(
     "doc",
-    [{"lattice": {"omega1": [1, 0], "omega2": [0, 1]}, "window_radius": 3, "points": []},
+    [{"lattice": {"omega1": [1, 0], "omega2": [0, 1]}, "window_radius": 3,
+      "points": {"m": [], "n": [], "tag": [], "unit_re": [], "unit_im": []}},
      {"points": []}],
     ids=["set", "plain"],
 )

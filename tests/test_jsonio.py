@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import random
 import tracemalloc
 
 import numpy as np
@@ -86,7 +85,8 @@ def test_bools_are_not_confused_with_ints():
 
 def test_unsupported_types_are_rejected():
     # a dataclass type (not an instance) is no record either
-    for value in ({1, 2}, np.int64(3), np.zeros((2, 2), dtype=complex), _Inner):
+    for value in ({1, 2}, np.int64(3), np.zeros((2, 2), dtype=complex), np.zeros((2, 2, 2)),
+                  np.array([True, False]), _Inner):
         with pytest.raises(TypeError):
             jsonio.dumps({"v": value})
     with pytest.raises(TypeError):
@@ -118,10 +118,7 @@ def test_complex_values_and_dataclasses_write_as_their_explicit_form():
         (z, pairs),
         (z[::2], pairs[::2]),  # not contiguous
         (np.array([], dtype=complex), []),
-        (
-            jsonio.Table({"z": z, "k": np.arange(3)}),
-            [{"k": 0, "z": pairs[0]}, {"k": 1, "z": pairs[1]}, {"k": 2, "z": pairs[2]}],
-        ),
+        ({"z": z, "k": np.arange(3)}, {"z": pairs, "k": [0, 1, 2]}),
         (_Inner(1 - 1j, 4), {"z": [1.0, -1.0], "k": 4}),
         (
             _Outer("o", _Inner(1 - 1j, 4), z, (2, -3)),
@@ -145,7 +142,7 @@ def test_file_round_trip(tmp_path):
     assert jsonio.load_path(path) == doc
 
 
-# -- bulk formatting and the table path -------------------------------------------
+# -- bulk formatting and the array path -------------------------------------------
 
 
 @given(st.lists(st.floats(), max_size=40))
@@ -161,83 +158,10 @@ def test_format_floats_matches_format_float(xs):
     assert jsonio.format_floats(np.array(xs, dtype=float)) == [jsonio.format_float(x) for x in xs]
 
 
-def _table(columns):
-    """A table of the given columns and its list of dicts, built by hand as the oracle."""
-    arrays = {
-        key: np.array(col, dtype=np.int64 if key == "index" else (str if key == "tag" else float))
-        for key, col in columns.items()
-    }
-    rows = {key: col.tolist() for key, col in arrays.items()}
-    records = [{key: col[i] for key, col in rows.items()} for i in range(len(columns["tag"]))]
-    return jsonio.Table(arrays), records
-
-
 floats_with_edges = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 3.0, -25.0, 1e17, 5e-324]),
 )
-
-
-@given(st.data())
-def test_table_path_matches_the_recursive_writer(data):
-    n = data.draw(st.integers(0, 20))
-    pairs = st.lists(st.lists(floats_with_edges, min_size=2, max_size=2), min_size=n, max_size=n)
-    columns = {
-        "index": data.draw(st.lists(st.lists(st.integers(-99, 99), min_size=2, max_size=2),
-                                    min_size=n, max_size=n)),
-        "tag": data.draw(st.lists(st.text(max_size=3), min_size=n, max_size=n)),
-        "pos": data.draw(pairs),
-        "delta": data.draw(pairs),
-        "unit": data.draw(pairs),
-        "w": data.draw(st.lists(floats_with_edges, min_size=n, max_size=n)),
-    }
-    # the optional keys are on every record or on none
-    for key in ("delta", "unit"):
-        if not data.draw(st.booleans()):
-            del columns[key]
-    table, records = _table(columns)
-    assert jsonio.dumps({"points": table, "n": n}) == jsonio.dumps({"points": records, "n": n})
-
-
-def test_table_path_across_row_blocks(monkeypatch):
-    # blocks of 3 records: a list of up to 20 spans several of them
-    monkeypatch.setattr(jsonio, "_ROW_BLOCK", 3)
-    test_table_path_matches_the_recursive_writer()
-
-
-def test_table_keys_may_hold_percent_signs():
-    table = jsonio.Table({"50%s": [1.0, 2.0], "%": [3, 4], "%%d": [[5, 6], [7, 8]]})
-    records = [{"50%s": 1.0, "%": 3, "%%d": [5, 6]}, {"50%s": 2.0, "%": 4, "%%d": [7, 8]}]
-    assert jsonio.dumps(table) == jsonio.dumps(records)
-
-
-def test_table_rejects_a_column_of_zero_width():
-    with pytest.raises(ValueError, match="at least one column wide"):
-        jsonio.Table({"b": np.zeros((2, 0))})
-    with pytest.raises(ValueError, match="at least one column wide"):
-        jsonio.Table({"b": np.zeros((2, 2, 2))})
-
-
-def test_table_rejects_columns_of_different_lengths():
-    with pytest.raises(ValueError, match=r"differ in length: \[2, 3\]"):
-        jsonio.Table({"a": [1.0, 2.0], "b": [1, 2, 3]})
-
-
-def test_table_path_on_point_records():
-    columns = {
-        "index": [[0, 0], [1, 0], [1, 0], [2, -1]],
-        "tag": ["A", "A", "B", "1"],
-        "pos": [[0.0, 0.0], [1.0, -0.0], [1.5, 0.25], [2.0, -1.0]],
-        "delta": [[-0.0, 0.0], [0.0, -0.0], [0.5, 0.25], [1e-300, -5e-324]],
-        "unit": [[0.5, -0.5], [0.0, 1.0], [-1.0, 0.0], [0.3, 0.4]],
-    }
-    table, records = _table(columns)
-    text = jsonio.dumps({"points": table})
-    assert text == jsonio.dumps({"points": records})
-    assert jsonio.dumps(table) == jsonio.dumps(records)  # at the top level too
-    assert '"delta": [\n        -0.0,\n        0.0\n      ]' in text
-    empty = jsonio.Table({"tag": np.array([], dtype=str), "pos": np.empty((0, 2))})
-    assert jsonio.dumps({"points": empty}) == jsonio.dumps({"points": []})
 
 
 @given(st.data())
@@ -251,6 +175,21 @@ def test_array_path_matches_the_list_of_lists_writer(data):
     arr = np.array(rows).reshape(shape)
     assert jsonio.dumps({"points": arr, "n": 1}) == jsonio.dumps({"points": rows, "n": 1})
     assert jsonio.dumps([arr]) == jsonio.dumps([rows])
+    # 1-D int, float and str arrays, as a point set's columns are written
+    n = shape[0]
+    columns = {
+        "m": data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)),
+        "unit_re": data.draw(st.lists(values, min_size=n, max_size=n)),
+        "tag": data.draw(st.lists(st.text(max_size=3), min_size=n, max_size=n)),
+    }
+    arrays = {
+        "m": np.array(columns["m"], dtype=np.int64),
+        "unit_re": np.array(columns["unit_re"], dtype=float),
+        "tag": np.array(columns["tag"], dtype=str),
+    }
+    lists = {key: col.tolist() for key, col in arrays.items()}
+    assert jsonio.dumps({"points": arrays}) == jsonio.dumps({"points": lists})
+    assert jsonio.dumps(arrays["unit_re"][::2]) == jsonio.dumps(lists["unit_re"][::2])
 
 
 def test_array_path_across_row_blocks(monkeypatch):
@@ -263,8 +202,11 @@ def test_array_path_examples():
     assert jsonio.dumps({"p": arr}) == jsonio.dumps({"p": arr.tolist()})
     assert jsonio.dumps(np.empty((0, 2))) == "[]"
     assert jsonio.dumps(np.empty((2, 0))) == "[\n  [],\n  []\n]"
-    with pytest.raises(TypeError):
-        jsonio.dumps(np.zeros(3))  # only 2-D arrays stand for lists of lists
+    # a 1-D array stands for the list of its values, signed zeros kept
+    assert jsonio.dumps(np.array([-0.0, 1e17, 3.0])) == "[\n  -0.0,\n  1e+17,\n  3.0\n]"
+    assert jsonio.dumps({"m": np.array([-2, 7])}) == '{\n  "m": [\n    -2,\n    7\n  ]\n}'
+    assert jsonio.dumps(np.array(["A", "\u00e9%s"])) == '[\n  "A",\n  "\\u00e9%s"\n]'
+    assert jsonio.dumps(np.empty(0)) == jsonio.dumps(np.array([], dtype=str)) == "[]"
 
 
 # -- the write path ----------------------------------------------------------------
@@ -287,28 +229,26 @@ def test_dump_path_calls_dumps_once_and_writes_its_text_and_a_newline(tmp_path, 
     assert path.read_bytes() == (real(doc) + "\n").encode("ascii")
 
 
-def _point_table(n: int, rng) -> jsonio.Table:
-    """``n`` records shaped like a point set's."""
-    return jsonio.Table(
-        {
-            "index": rng.integers(-200, 200, size=(n, 2)),
-            "tag": rng.choice(np.array(["A", "B", "C"]), size=n),
-            "pos": rng.normal(scale=50.0, size=(n, 2)),
-            "delta": rng.normal(scale=1e-3, size=(n, 2)),
-            "unit": rng.uniform(-1.0, 1.0, size=(n, 2)),
-        }
-    )
+def _point_columns(n: int, rng) -> dict:
+    """The five columns of a point set's ``points``, ``n`` rows of random values."""
+    return {
+        "m": rng.integers(-200, 200, size=n),
+        "n": rng.integers(-200, 200, size=n),
+        "tag": rng.choice(np.array(["A", "B", "C"]), size=n),
+        "unit_re": rng.uniform(-1.0, 1.0, size=n),
+        "unit_im": rng.uniform(-1.0, 1.0, size=n),
+    }
 
 
 def test_dumps_of_a_large_table_peaks_near_twice_its_text():
     # the text and the blocks it is joined from are both alive at the end;
     # rendering every record at once peaked at 4.15 times the text
     rng = np.random.default_rng(3)
-    table = _point_table(50_000, rng)
-    jsonio.dumps(_point_table(10, rng))  # numpy's lazy imports outside the trace
+    columns = _point_columns(50_000, rng)
+    jsonio.dumps(_point_columns(10, rng))  # numpy's lazy imports outside the trace
     tracemalloc.start()
     try:
-        text = jsonio.dumps({"points": table})
+        text = jsonio.dumps({"points": columns})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -318,171 +258,26 @@ def test_dumps_of_a_large_table_peaks_near_twice_its_text():
 # -- the read path -----------------------------------------------------------------
 
 
-def _bits(obj):
-    """``obj`` with floats by their hex form and tables by their arrays' bytes.
-
-    Two loads are equal bit for bit when their ``_bits`` are equal: signed
-    zeros differ in hex, and ``True`` stays apart from ``1``.
-    """
-    if isinstance(obj, float):
-        return ("float", obj.hex())
-    if isinstance(obj, dict):
-        return ("dict", [(key, _bits(value)) for key, value in obj.items()])
-    if isinstance(obj, list):
-        return ("list", [_bits(value) for value in obj])
-    if isinstance(obj, jsonio.Table):
-        arrays = sorted((k, a.dtype.str, a.shape, a.tobytes()) for k, a in obj.columns.items())
-        return ("table", arrays)
-    return (type(obj).__name__, obj)
-
-
-def _parsed(text: str):
-    """The load of ``text`` built from ``json.loads``: the oracle for ``load_path``."""
-    doc = json.loads(text)
-    points = doc.get("points") if isinstance(doc, dict) else None
-    if points and isinstance(points[0], dict):
-        doc["points"] = jsonio.Table.from_records(points)
-    return doc
-
-
-def _documents() -> dict[str, str]:
-    """Small documents in four layouts, with values cut by some slice boundary at every size."""
-    records = [
-        {"index": [0, -1], "tag": "A", "pos": [1e-05, -0.0], "delta": [-0.0, 2.5e-300],
-         "unit": [0.6, -0.8]},
-        {"index": [12, 3], "tag": "b\"\\\n\u00e9", "pos": [1.5, -12000000000.0],
-         "delta": [0.5, 7], "unit": [0.125, -1e20]},
-        {"index": [-7, 0], "tag": "A", "pos": [-3.0, 1e-5], "delta": [1.0, -2.0],
-         "unit": [-0.0, 1]},
-    ]
-    docs = {
-        "records": {
-            "lattice": {"w1": [1.0, 0.0], "w2": [0.0, 1.0]},
-            "meta": {"flags": [True, False, None], "note": "tab\t \"q\" \ud83d\ude00",
-                     "rate": -1.5e-7, "n": 12},
-            "points": records,
-            "window_radius": 1e-5,
-        },
-        "plain": {"kind": "lines", "points": [[1e-05, -0.0], [2.5, 1e22]], "pitch": 0.5},
-        "empty": {"points": [], "radius": -0.0, "ok": True},
-    }
-    rnd = random.Random(11)
-
-    def shuffled(obj):
-        if isinstance(obj, dict):
-            keys = list(obj)
-            rnd.shuffle(keys)
-            return {k: shuffled(obj[k]) for k in keys}
-        return [shuffled(v) for v in obj] if isinstance(obj, list) else obj
-
-    texts = {}
-    for name, doc in docs.items():
-        texts[f"{name}-canonical"] = jsonio.dumps(doc)
-        texts[f"{name}-compact"] = json.dumps(doc, separators=(",", ":"))
-        texts[f"{name}-indent"] = json.dumps(doc, indent=2)
-        texts[f"{name}-shuffled"] = json.dumps(shuffled(doc))
-    # hand-written exponent forms json.dumps never writes
-    texts["exponents"] = (
-        '{"points": [{"index": [1, 2], "tag": "A", "pos": [1E+2, -2.5e-3]},'
-        '{"index": [0, 0], "tag": "A", "pos": [12e0, -0e0]}], "x": 1.0e-1}'
-    )
-    return texts
-
-
-def test_load_path_is_the_same_at_every_read_slice(tmp_path, monkeypatch):
-    for name, text in _documents().items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(text + "\n", encoding="ascii")
-        want = _bits(jsonio.load_path(path))
-        assert want == _bits(_parsed(text)), name
-        for size in range(1, len(text) + 2):
-            monkeypatch.setattr(jsonio, "_READ_SLICE", size)
-            assert _bits(jsonio.load_path(path)) == want, (name, size)
-        monkeypatch.undo()
-
-
-def test_load_path_rejects_bad_text_at_every_read_slice(tmp_path, monkeypatch):
-    good = _documents()["records-canonical"]
-    bad = [
-        good[:-1],  # no closing brace
-        good[: good.index("1.0000000000000001e-05") + 4],  # inside a number
-        good[: good.index('"tag"') + 3],  # inside a key
-        good[: good.index("}", good.index('"points"')) + 1],  # after a record
-        good.replace("},\n    {", "}\n    {", 1),  # records without a comma
-        good.replace("\n    }\n  ]", "\n    },\n  ]"),  # a comma before the end of the list
-        good.replace('"meta":', '"meta"', 1),  # a key without a colon
-        good + " 1",  # extra data
-        good.replace("true", "ture"),
-        "",
-        "[1.5",
-    ]
-    compact = json.dumps(json.loads(good), separators=(",", ":"))
-    bad += [compact[:cut] for cut in range(0, len(compact), 7)]
-    for k, text in enumerate(bad):
-        path = tmp_path / f"bad{k}.json"
-        path.write_text(text, encoding="ascii")
-        for size in range(1, len(text) + 2):
-            monkeypatch.setattr(jsonio, "_READ_SLICE", size)
-            with pytest.raises(ValueError):
-                jsonio.load_path(path)
-
-
-@pytest.mark.parametrize("block", [1, 2, 1 << 12])
-def test_records_that_differ_in_keys_are_rejected_at_every_read_slice(tmp_path, monkeypatch, block):
-    # blocks of 1 and 2 records put the lacking record in a block of its own
-    # or beside one that has the key, so both the packing and the joining
-    # of blocks meet it; each names the first record that lacks the key
-    monkeypatch.setattr(jsonio, "_ROW_BLOCK", block)
-    records = json.loads(_documents()["records-canonical"])["points"]
-    path = tmp_path / "mixed.json"
-    for row, key, edit in (
-        (1, "delta", lambda r: r[1].pop("delta")),  # one record lacks a key
-        (1, "delta", lambda r: r[1].update(delta=None)),  # a null value
-        (0, "unit", lambda r: r[0].pop("unit")),  # the first record lacks a key
-        (0, "w", lambda r: r[2].update(w=1.5)),  # one record has an extra key
-    ):
-        points = [dict(r) for r in records]
-        edit(points)
-        message = f"point record {row} lacks the field {key!r}"
-        with pytest.raises(ValueError, match=message):
-            jsonio.Table.from_records(points)
-        for text in (jsonio.dumps({"points": points}),
-                     json.dumps({"points": points}, separators=(",", ":"))):
-            path.write_text(text, encoding="ascii")
-            for size in range(1, len(text) + 2):
-                monkeypatch.setattr(jsonio, "_READ_SLICE", size)
-                with pytest.raises(ValueError, match=message):
-                    jsonio.load_path(path)
-    # null throughout is no key at all, so records without any other key are empty
-    nulls = [{**r, "w": None} for r in records]
-    assert _bits(jsonio.Table.from_records(nulls)) == _bits(jsonio.Table.from_records(records))
-    for empty in ([{}, {}, {}], [{"w": None}] * 3):
-        path.write_text(json.dumps({"points": empty}), encoding="ascii")
-        for load in (lambda: jsonio.Table.from_records(empty), lambda: jsonio.load_path(path)):
-            with pytest.raises(ValueError, match="point record 0 has no fields"):
-                load()
-
-
-def test_load_of_a_large_point_set_peaks_below_its_text(tmp_path):
-    # the file is read in slices and never held whole; reading it whole as
-    # bytes and as text, then decoding, peaked at 2.0 times the file.  The
-    # set takes the table's columns without copying them, and the blocks are
-    # let go key by key as they are joined; the copies and 1 MB slices of
-    # before peaked at 0.68 times the file
+def test_load_of_a_large_point_set_peaks_below_two_and_a_half_times_its_text(tmp_path):
+    # json.load holds the whole text and then its parse; from_json takes each
+    # parsed column out of the document as its array forms (2.37 times the
+    # file).  A json.loads of the same set written one record per sample
+    # peaked at 11.3 times this file; the record reader that streamed that
+    # layout peaked at 0.35 times its own, 3.8 times larger, file
     from fockpr.lattice import Lattice
     from fockpr.pointset import IndexedPointSet
 
     n, rng = 50_001, np.random.default_rng(5)
     k = np.arange(n) // 3
     lattice = Lattice(1.0, 1.0j)
-    table = _point_table(n, rng)
-    table.columns["index"] = np.stack([k % 130 - 65, k // 130 - 65], axis=1)
-    table.columns["tag"] = np.array(["A", "B", "C"] * (n // 3))
+    columns = _point_columns(n, rng)
+    columns["m"], columns["n"] = k % 130 - 65, k // 130 - 65
+    columns["tag"] = np.array(["A", "B", "C"] * (n // 3))
     path = tmp_path / "set.json"
-    jsonio.dump_path({"lattice": lattice, "window_radius": 100.0, "points": table}, path)
+    jsonio.dump_path({"lattice": lattice, "window_radius": 100.0, "points": columns}, path)
     size = path.stat().st_size
     small = tmp_path / "small.json"
-    head = jsonio.Table({key: col[:3] for key, col in table.columns.items()})
+    head = {key: col[:3] for key, col in columns.items()}
     jsonio.dump_path({"lattice": lattice, "window_radius": 100.0, "points": head}, small)
     IndexedPointSet.from_json(jsonio.load_path(small))  # lazy imports outside the trace
     tracemalloc.start()
@@ -492,4 +287,4 @@ def test_load_of_a_large_point_set_peaks_below_its_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(ps) == n
-    assert peak < 0.5 * size
+    assert peak < 2.5 * size

@@ -4,9 +4,7 @@ import cmath
 import json
 import math
 import re
-import tempfile
 import tracemalloc
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -113,15 +111,18 @@ def insertion_keys(ps: IndexedPointSet) -> list:
 
 
 def make_document(keys, units=None) -> dict:
-    """The document of ``make_set()`` holding one record per (m, n, tag) key, in order."""
-    units = [0.0] * len(keys) if units is None else units
+    """The document of ``make_set()`` holding one row per (m, n, tag) key, in order."""
+    units = [complex(u) for u in ([0.0] * len(keys) if units is None else units)]
     return {
         "lattice": Lattice(1.0, 1.0j),
         "window_radius": 30.0,
-        "points": [
-            {"index": [m, n], "tag": tag, "unit": [complex(u).real, complex(u).imag]}
-            for (m, n, tag), u in zip(keys, units)
-        ],
+        "points": {
+            "m": [m for m, _n, _tag in keys],
+            "n": [n for _m, n, _tag in keys],
+            "tag": [tag for _m, _n, tag in keys],
+            "unit_re": [u.real for u in units],
+            "unit_im": [u.imag for u in units],
+        },
     }
 
 
@@ -179,15 +180,15 @@ def test_a_loaded_document_matches_single_adds_and_rejects_bad_keys():
 
 
 def test_single_adds_and_batches_share_one_row_order():
-    document = make_document([(1, 0, "A"), (2, 0, "A"), (3, 0, "A")])
-    ps = IndexedPointSet.from_json(document)
+    keys = [(1, 0, "A"), (2, 0, "A"), (3, 0, "A")]
+    ps = IndexedPointSet.from_json(make_document(keys))
     ps.add((0, 0), "B", 0.5j)
     assert ps.get((0, 0), "B").pos == 0.5j
     assert insertion_keys(ps) == [(1, 0, "A"), (2, 0, "A"), (3, 0, "A"), (0, 0, "B")]
     assert len(ps) == 4
     assert ps.get((3, 0), "A").pos == 3.0
     for index, tag in (((0, 0), "B"), ((2, 0), "A")):  # repeats a buffered row, a document row
-        again = IndexedPointSet.from_json(document)
+        again = IndexedPointSet.from_json(make_document(keys))
         again.add((0, 0), "B", 0.5j)
         again.add(index, tag, 0.0)
         message = f"duplicate entry for index {index} tag '{tag}'"
@@ -219,7 +220,7 @@ def test_rows_added_across_reads(monkeypatch):
     assert insertion_keys(ps) == [(*index, tag) for index, tag in entries]
     doc = ps.to_json()
     text = jsonio.dumps(doc)
-    assert text == jsonio.dumps({**doc, "points": _entry_dicts(ps)})
+    assert text == jsonio.dumps({**doc, "points": _entry_columns(ps)})
     back = IndexedPointSet.from_json(json.loads(text))
     assert all(back.get(index, tag) == ps.get(index, tag) for index, tag in entries)
     assert jsonio.dumps(back.to_json()) == text
@@ -565,7 +566,9 @@ def test_derived_columns_are_formed_once_per_column_state(monkeypatch):
     whole = random_triple(GeneratorConfig(Lattice(0.5, 0.5j), window_radius=3.0, gamma=0.5, seed=1))
     doc = json.loads(jsonio.dumps(whole.to_json()))
     # the set less its last triple, which add puts back after a first certify
-    last, doc["points"] = doc["points"][-3:], doc["points"][:-3]
+    columns = doc["points"]
+    last = zip(*(columns[key][-3:] for key in ("m", "n", "tag", "unit_re", "unit_im")))
+    doc["points"] = {key: col[:-3] for key, col in columns.items()}
     ps = IndexedPointSet.from_json(doc)
     made.clear()
     first = _certificates(ps)
@@ -573,8 +576,8 @@ def test_derived_columns_are_formed_once_per_column_state(monkeypatch):
     assert sorted(made) == every
     assert _certificates(ps) == first and sorted(made) == every
     made.clear()
-    for record in last:
-        ps.add(tuple(record["index"]), record["tag"], complex(*record["unit"]))
+    for m, n, tag, unit_re, unit_im in last:
+        ps.add((m, n), tag, complex(unit_re, unit_im))
     again = _certificates(ps)
     assert sorted(made) == every
     assert again == _certificates(_reloaded(whole)) != first
@@ -650,11 +653,13 @@ def _triples(n: int) -> IndexedPointSet:
     rng = np.random.default_rng(5)
     k, side = np.arange(n) // 3, math.isqrt(n // 3) + 1
     unit = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-    points = jsonio.Table({
-        "index": np.stack([k % side - side // 2, k // side - side // 2], axis=1),
-        "tag": np.array(["A", "B", "C"] * (n // 3)),
-        "unit": unit,
-    })
+    points = {
+        "m": (k % side - side // 2).tolist(),
+        "n": (k // side - side // 2).tolist(),
+        "tag": ["A", "B", "C"] * (n // 3),
+        "unit_re": unit.real.tolist(),
+        "unit_im": unit.imag.tolist(),
+    }
     meta = {"gamma": 0.5, "kappa_cap": 1.0, "sample_tags": ["A", "B", "C"]}
     return IndexedPointSet.from_json(
         {"lattice": Lattice(0.5, 0.5j), "window_radius": 0.5 * side, "points": points, "meta": meta}
@@ -699,94 +704,90 @@ def test_json_round_trip_preserves_everything():
     ps.add((0, 0), "B", 0.05)
     ps.add((0, 1), "C", complex(-0.0, 0.0))  # signed zeros
     text = jsonio.dumps(ps.to_json())
-    # in memory, and through the canonical text
-    for doc in (ps.to_json(), json.loads(text)):
-        back = IndexedPointSet.from_json(doc)
-        assert back.lattice == ps.lattice
-        assert back.window_radius == ps.window_radius
-        assert back.meta == ps.meta
-        assert read_entries(back) == read_entries(ps)
-        assert _bits(back.get((0, 1), "C").unit) == _bits(complex(-0.0, 0.0))
-        # canonical text form is a fixed point
-        assert jsonio.dumps(back.to_json()) == text
-        # log-domain information survives the round trip
-        rep = certify_f_closeness(back, gamma, "A")
-        assert rep.worst_index == (25, 0)
-        assert rep.log_kappa == certify_f_closeness(ps, gamma, "A").log_kappa
+    back = IndexedPointSet.from_json(json.loads(text))
+    assert back.lattice == ps.lattice
+    assert back.window_radius == ps.window_radius
+    assert back.meta == ps.meta
+    assert read_entries(back) == read_entries(ps)
+    assert _bits(back.get((0, 1), "C").unit) == _bits(complex(-0.0, 0.0))
+    # canonical text form is a fixed point
+    assert jsonio.dumps(back.to_json()) == text
+    # log-domain information survives the round trip
+    rep = certify_f_closeness(back, gamma, "A")
+    assert rep.worst_index == (25, 0)
+    assert rep.log_kappa == certify_f_closeness(ps, gamma, "A").log_kappa
 
 
-def test_from_json_rejects_fields_that_are_not_pairs():
-    doc = json.loads(jsonio.dumps(make_set().to_json()))
-    good = {"index": [1, 0], "tag": "A", "pos": [1.0, 0.0], "delta": [0.0, 0.0], "unit": [0.0, 0.0]}
-    for field, bad in (
-        ("index", [2, 0, 0]),
-        ("pos", [2.0, 0.0, 0.0]),
-        ("delta", [0.1, 0.2, 0.3]),
-        ("unit", [0.5]),
-    ):
-        with pytest.raises(ValueError, match="pairs"):
-            IndexedPointSet.from_json({**doc, "points": [{**good, field: bad}]})
-        with pytest.raises(ValueError):  # ragged against a well-formed record
-            points = [good, {**good, "index": [2, 0], field: bad}]
-            IndexedPointSet.from_json({**doc, "points": points})
-
-
-def test_from_json_names_a_record_that_lacks_a_required_field(tmp_path, monkeypatch):
-    monkeypatch.setattr(jsonio, "_ROW_BLOCK", 3)
+def _seven_rows() -> str:
+    """The text of a set of seven rows, (k, 0, "A") at unit 0.5 for k < 7."""
     ps = make_set()
     for k in range(7):
-        ps.add((k, 0), "A", 0.1j)
-    doc = json.loads(jsonio.dumps(ps.to_json()))
-    for row in (0, 4):
-        for field in ("index", "tag", "unit"):
-            points = [dict(r) for r in doc["points"]]
-            del points[row][field]
-            path = tmp_path / "set.json"
-            path.write_text(json.dumps({**doc, "points": points}), encoding="ascii")
-            message = f"point record {row} lacks the field {field!r}"
-            with pytest.raises(ValueError, match=message):
-                IndexedPointSet.from_json({**doc, "points": points})  # parsed
-            with pytest.raises(ValueError, match=message):
-                IndexedPointSet.from_json(jsonio.load_path(path))  # streamed
-            points[row][field] = None  # null stands for an absent field
-            with pytest.raises(ValueError, match=message):
-                IndexedPointSet.from_json({**doc, "points": points})
-    # pos and delta are derived: records without them load alike
-    bare = [{k: r[k] for k in ("index", "tag", "unit")} for r in doc["points"]]
-    back = IndexedPointSet.from_json({**doc, "points": bare})
-    assert jsonio.dumps(back.to_json()) == jsonio.dumps(ps.to_json())
+        ps.add((k, 0), "A", 0.5)
+    return jsonio.dumps(ps.to_json())
+
+
+def _with_points(text: str, edit) -> dict:
+    """The document of ``text`` after ``edit(points)``, parsed anew from JSON text."""
+    doc = json.loads(text)
+    doc["points"] = edit(doc["points"])
+    return json.loads(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
-    "field, bad, message",
+    "edit, message",
     [
-        ("index", [0.7, 0], "field 'index' must hold integers"),
-        ("index", [1e19, 0], "field 'index' must hold integers"),  # beyond int64
-        ("index", [math.inf, 0], "field 'index' must hold integers"),
-        ("pos", [math.nan, 0.1], "field 'pos' must hold finite numbers"),
-        ("delta", [0.0, -math.inf], "field 'delta' must hold finite numbers"),
-        ("unit", [math.inf, 0.5], "field 'unit' must hold finite numbers"),
+        (lambda p: {k: v for k, v in p.items() if k != "unit_re"},
+         "field 'points' lacks the column 'unit_re'"),
+        (lambda p: {**p, "n": p["n"][:-1]},
+         "point row 6: column 'n' lacks it, while column 'm' has 7 rows"),
+        (lambda p: {**p, "tag": p["tag"] + ["A"]},
+         "point row 7: column 'm' lacks it, while column 'tag' has 8 rows"),
+        (lambda p: {**p, "unit_im": 0.5}, "column 'unit_im' of field 'points' must be a list"),
+        (lambda p: [{"index": [0, 0], "tag": "A", "unit": [0.5, 0.0]}],
+         "field 'points' holds per-record samples; regenerate the set"),
+        (lambda p: "m n tag", "field 'points' must be an object of columns, got str"),
+    ],
+    ids=["missing", "short", "long", "not-a-list", "per-record", "not-an-object"],
+)
+def test_from_json_names_a_missing_or_short_column(edit, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        IndexedPointSet.from_json(_with_points(_seven_rows(), edit))
+
+
+def test_from_json_loads_an_empty_set_and_ignores_other_columns():
+    empty = IndexedPointSet.from_json(json.loads(jsonio.dumps(make_set().to_json())))
+    assert len(empty) == 0 and empty.points().size == 0
+    # a column besides the five, say pos, is not read
+    doc = _with_points(_seven_rows(), lambda p: {**p, "pos": [[float(k), 0.5] for k in range(7)]})
+    assert jsonio.dumps(IndexedPointSet.from_json(doc).to_json()) == _seven_rows()
+
+
+@pytest.mark.parametrize(
+    "column, bad, message",
+    [
+        ("m", 0.7, "column 'm' must hold integers, got 0.7"),
+        ("n", 1e19, "column 'n' must hold integers, got 1e+19"),  # beyond int64
+        ("m", 2**63, "column 'm' must hold integers, got 9223372036854775808"),
+        ("n", math.inf, "column 'n' must hold integers, got inf"),
+        ("m", True, "column 'm' must hold integers, got True"),
+        ("unit_re", math.nan, "column 'unit_re' must hold finite numbers, got nan"),
+        ("unit_im", -math.inf, "column 'unit_im' must hold finite numbers, got -inf"),
+        ("unit_re", 10**400, "column 'unit_re' must hold finite numbers, got 1000"),
+        ("unit_im", "0.5", "column 'unit_im' must hold finite numbers, got '0.5'"),
+        ("tag", None, "column 'tag' must hold strings, got None"),
     ],
 )
-def test_from_json_rejects_values_outside_the_fields_domain(field, bad, message):
-    ps = make_set()
-    for k in range(5):
-        ps.add((k, 0), "A", 0.5)
-    doc = json.loads(jsonio.dumps(ps.to_json()))
-    doc["points"][3][field] = bad
-    for load in (json.loads, _load_text):  # parsed, and streamed into a table
-        with pytest.raises(ValueError, match=f"point record 3: {message}"):
-            IndexedPointSet.from_json(load(json.dumps(doc)))
-    doc["points"][3][field] = [3.0, -0.0] if field == "index" else [0.5, 0.0]
-    assert IndexedPointSet.from_json(doc).get((3, 0), "A").unit == 0.5  # integral floats are indices
+def test_from_json_rejects_values_outside_the_fields_domain(column, bad, message):
+    def put(value):
+        return lambda p: {**p, column: p[column][:3] + [value] + p[column][4:]}
 
-
-def _load_text(text: str):
-    """``jsonio.load_path`` of a file holding ``text``."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "set.json"
-        path.write_text(text, encoding="ascii")
-        return jsonio.load_path(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'point row 3: {message}')}"):
+        IndexedPointSet.from_json(_with_points(_seven_rows(), put(bad)))
+    # integral floats are indices, and ints are numbers
+    good = {"m": 3.0, "n": -0.0, "tag": "A", "unit_re": 0.5, "unit_im": 0}[column]
+    ps = IndexedPointSet.from_json(_with_points(_seven_rows(), put(good)))
+    assert ps.get((3, 0), "A").unit == 0.5
+    assert jsonio.dumps(ps.to_json()) == _seven_rows()
 
 
 def _bits(z: complex) -> list[int]:
@@ -803,97 +804,6 @@ def _column_bits(ps: IndexedPointSet) -> dict:
         "tag": c.tag.tolist(),
         "unit": c.unit.view(np.int64).tolist(),
     }
-
-
-signed_floats = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 3.0, 1e17, 5e-324, -1e-300]),
-)
-pair_values = st.lists(signed_floats, min_size=2, max_size=2)
-
-
-@st.composite
-def point_records(draw):
-    """Point records that share their keys: ``pos`` and ``delta`` are on all or on none."""
-    keys = {"index": st.lists(st.integers(-20, 20), min_size=2, max_size=2),
-            "tag": st.sampled_from(["A", "B", "C", "1", "x%y"]),
-            "unit": pair_values}
-    for key in ("pos", "delta"):
-        if draw(st.booleans()):
-            keys[key] = pair_values
-    return draw(st.lists(st.fixed_dictionaries(keys), max_size=14,
-                         unique_by=lambda r: (tuple(r["index"]), r["tag"])))
-
-
-@settings(max_examples=60, deadline=None)
-@given(point_records(), st.randoms(use_true_random=False))
-def test_streamed_points_load_like_parsed_points(records, rnd):
-    # blocks of 3 records, so a set of up to 14 spans several of them
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jsonio, "_ROW_BLOCK", 3)
-        doc = {
-            "lattice": json.loads(jsonio.dumps(Lattice(1.0, 1.0j))),
-            "window_radius": 30.0,
-            "points": records,
-            "meta": {"gamma": 7.0, "kappa_cap": 0.5},
-        }
-        # the same records through add, one at a time: the oracle for the columns
-        ps = make_set(gamma=7.0, kappa_cap=0.5)
-        for r in records:
-            ps.add(tuple(r["index"]), r["tag"], complex(*r["unit"]))
-        want = _column_bits(ps)
-
-        def shuffled(obj):
-            if isinstance(obj, dict):
-                keys = list(obj)
-                rnd.shuffle(keys)
-                return {k: shuffled(obj[k]) for k in keys}
-            return [shuffled(v) for v in obj] if isinstance(obj, list) else obj
-
-        texts = {
-            "canonical": jsonio.dumps(doc),
-            "compact": json.dumps(doc, separators=(",", ":")),
-            "shuffled": json.dumps(shuffled(doc), indent=rnd.choice([None, 1, 3])),
-        }
-        for layout, text in texts.items():
-            loaded = _load_text(text)
-            assert jsonio.dumps(loaded) == texts["canonical"], layout  # the table is faithful
-            streamed = IndexedPointSet.from_json(loaded)
-            parsed = IndexedPointSet.from_json(json.loads(text))
-            assert _column_bits(streamed) == _column_bits(parsed) == want, layout
-            assert streamed.meta == doc["meta"] and streamed.window_radius == 30.0
-            assert jsonio.dumps(streamed.to_json()) == jsonio.dumps(ps.to_json())
-
-
-def test_streamed_points_reject_malformed_records(monkeypatch):
-    monkeypatch.setattr(jsonio, "_ROW_BLOCK", 3)
-    good = [{"index": [k, 0], "tag": "A", "pos": [float(k), 0.5], "delta": [0.0, 0.5],
-             "unit": [0.0, 1.0]} for k in range(8)]
-    doc = {"lattice": json.loads(jsonio.dumps(Lattice(1.0, 1.0j))), "window_radius": 30.0}
-    for row in (1, 6):  # in the first block and in a later one
-        for field, bad, match in (
-            ("pos", [1.0, 2.0, 3.0], "record|pairs"),  # not a pair, ragged against the rest
-            ("index", [1], "record|pairs"),
-            ("delta", [0.5], "record|pairs"),
-            ("pos", 2.5, "record"),  # a number among pairs
-            ("pos", [1.0, "a"], "record"),
-            ("tag", True, "record"),
-        ):
-            points = [dict(r) for r in good]
-            points[row][field] = bad
-            text = json.dumps({**doc, "points": points})
-            for load in (_load_text, json.loads):
-                with pytest.raises(ValueError, match=match):
-                    IndexedPointSet.from_json(load(text))
-        for bad in (3, [1.0, 0.0], "A", None):  # a record that is not an object
-            text = json.dumps({**doc, "points": good[:row] + [bad] + good[row:]})
-            for load in (_load_text, json.loads):
-                with pytest.raises(ValueError, match=f"record {row} is not an object"):
-                    IndexedPointSet.from_json(load(text))
-    text = jsonio.dumps({**doc, "points": good, "meta": {"gamma": 7.0}})
-    for cut in range(len(text)):  # every proper prefix is truncated JSON
-        with pytest.raises(ValueError):
-            _load_text(text[:cut])
 
 
 def test_a_loaded_set_takes_lookups_and_more_adds(tmp_path):
@@ -961,21 +871,16 @@ def test_batch_duplicate_check_matches_the_loop(keys, split):
         assert str(info.value) == error
 
 
-def _entry_dicts(ps):
-    """The point records built one dict per entry, as the artifact writer once did."""
-    out = []
+def _entry_columns(ps):
+    """The five point columns built one sample at a time from ``get``: the oracle for ``to_json``."""
+    out = {key: [] for key in ("m", "n", "tag", "unit_re", "unit_im")}
     for (m, n), tag, e in read_entries(ps):
-        out.append({
-            "index": [m, n],
-            "tag": tag,
-            "pos": [e.pos.real, e.pos.imag],
-            "delta": [e.delta.real, e.delta.imag],
-            "unit": [e.unit.real, e.unit.imag],
-        })
+        for key, value in zip(out, (m, n, tag, e.unit.real, e.unit.imag)):
+            out[key].append(value)
     return out
 
 
-def test_json_table_matches_the_dict_per_entry_writer():
+def test_json_columns_match_a_per_entry_oracle():
     ps = make_set(gamma=7.0, kappa_cap=0.3)
     ps.add((1, 0), "B", 0.25)
     ps.add((1, 0), "A", complex(-0.0, 0.5))
@@ -983,9 +888,11 @@ def test_json_table_matches_the_dict_per_entry_writer():
     ps.add((25, 0), "C", 0.6 - 0.1j)
     ps.add((0, 0), "C", 0.0)
     doc = ps.to_json()
-    assert jsonio.dumps(doc) == jsonio.dumps({**doc, "points": _entry_dicts(ps)})
+    text = jsonio.dumps(doc)
+    assert text == jsonio.dumps({**doc, "points": _entry_columns(ps)})
+    assert '"unit_re": [\n      -0.0,' in text  # (1, 0, "A") leads, its signed zero kept
     empty = make_set().to_json()
-    assert jsonio.dumps(empty) == jsonio.dumps({**empty, "points": []})
+    assert jsonio.dumps(empty) == jsonio.dumps({**empty, "points": _entry_columns(make_set())})
 
 
 def test_csv_export(tmp_path):

@@ -140,10 +140,9 @@ def test_even_single_relations():
 
 def units_by_key(ps) -> dict:
     """Every sample's unit offset, keyed by (m, n, tag)."""
-    cols = ps.to_json()["points"].columns
-    keys = zip(cols["index"].tolist(), cols["tag"].tolist())
-    units = cols["unit"].tolist()
-    return {(m, n, tag): complex(*u) for ((m, n), tag), u in zip(keys, units)}
+    cols = {key: col.tolist() for key, col in ps.to_json()["points"].items()}
+    keys = zip(cols["m"], cols["n"], cols["tag"])
+    return {key: complex(*u) for key, u in zip(keys, zip(cols["unit_re"], cols["unit_im"]))}
 
 
 def folded_index(lat: Lattice, fold, m: int, n: int) -> tuple[int, int]:
