@@ -776,6 +776,8 @@ def test_from_json_loads_an_empty_set_and_ignores_other_columns():
         ("unit_im", "0.5", "column 'unit_im' must hold finite numbers, got '0.5'"),
         ("tag", None, "column 'tag' must hold strings, got None"),
     ],
+    ids=["m-fraction", "n-beyond-int64-float", "m-beyond-int64", "n-inf", "m-bool",
+         "unit_re-nan", "unit_im-inf", "unit_re-beyond-float", "unit_im-str", "tag-null"],
 )
 def test_from_json_rejects_values_outside_the_fields_domain(column, bad, message):
     def put(value):
