@@ -29,12 +29,13 @@ from .lattice import Lattice, modulus_order, square_lattice
 from .pointset import (
     IndexedPointSet,
     TRIPLE_TAGS,
-    _sample_tags,
     angle_condition,
     certify_f_closeness,
-    complex_column,
     density_estimate,
+    plain_to_json,
+    points_from_json,
     sample_points,
+    sample_tags,
     separation,
 )
 from .render import render_svg
@@ -173,13 +174,7 @@ def _load_set(path: str) -> IndexedPointSet | np.ndarray:
     A file that does not parse or load is an error that names ``path``.
     """
     try:
-        data = jsonio.load_path(path)
-        if isinstance(data, dict) and "lattice" in data:
-            obj = IndexedPointSet.from_json(data)
-        elif isinstance(data, dict) and isinstance(data.get("points"), list):
-            obj = complex_column(data["points"], "points")
-        else:
-            raise ValueError("not a recognized point-set artifact")
+        obj = points_from_json(jsonio.load_path(path))
         if not len(obj):
             raise ValueError("field 'points' holds no samples")
     except ValueError as exc:
@@ -199,13 +194,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             raise ValueError("lines needs --angles a,b,c")
         pitch = 0.1 if args.pitch is None else args.pitch
         pts = three_lines(args.angles, radius=args.radius, pitch=pitch)
-        artifact = {
-            "kind": "lines",
-            "angles": args.angles,
-            "pitch": pitch,
-            "radius": args.radius,
-            "points": pts,
-        }
+        artifact = plain_to_json(
+            pts, kind="lines", angles=args.angles, pitch=pitch, radius=args.radius
+        )
         jsonio.dump_path(artifact, args.out)
         print(f"wrote {args.out}: {len(pts)} points on three concurrent lines")
         return 0
@@ -223,6 +214,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         ps = maker(args.v, **kwargs)
     else:
         lat = _resolve_lattice(args)
+        # the closeness rate must exceed twice a weight given explicitly, for
+        # the perturbed set to inherit the lattice's uniqueness behaviour
+        if args.alpha is not None and gamma <= 2.0 * args.alpha:
+            raise ValueError(
+                f"gamma = {gamma} must exceed twice the weight 2*alpha = {2 * args.alpha}"
+            )
         cfg = GeneratorConfig(
             lat,
             window_radius=args.radius,
@@ -230,8 +227,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             kappa_cap=1.0 if args.kappa is None else args.kappa,
             seed=args.seed,
         )
-        # a weight given explicitly must dominate the closeness rate
-        cfg.validate(args.alpha)
         ps = _LATTICE_CONSTRUCTIONS[args.construction](cfg)
     if not len(ps):
         raise ValueError(f"{args.construction} holds no sample within radius {args.radius:g}")
@@ -255,11 +250,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise ValueError("no closeness rate: pass --gamma (the set carries none)")
     kappa_cap = obj.meta.get("kappa_cap")
     tags = obj.tags()
-    sample_tags = _sample_tags(obj) or tags
 
     closeness = {
         tag: certify_f_closeness(obj, float(gamma), tag, kappa_cap=kappa_cap)
-        for tag in sample_tags
+        for tag in sample_tags(obj) or tags
     }
     kappa = max(rep.kappa for rep in closeness.values())
     closeness_passed = all(rep.passed for rep in closeness.values())

@@ -12,18 +12,18 @@ that :func:`json.loads` accepts, so reports carrying an infinite
 certificate constant still round-trip.
 
 Two encoding rules hold for every artifact, so no caller spells them out:
-a complex number (a ``complex`` scalar or an element of a 1-D complex
-array) is written as its ``[re, im]`` pair, and a dataclass instance as
-the object of its fields by name.
+a ``complex`` scalar is written as its ``[re, im]`` pair, and a dataclass
+instance as the object of its fields by name.
 
 Long lists are handed to :func:`dumps` as numpy arrays: a 1-D int, float
-or str array stands for the list of its values (a point set's columns), a
-2-D int or float array for the list of its rows.  It renders them in bulk,
-in blocks of ``_ROW_BLOCK`` rows: each block formats the tokens of its own
-rows (:func:`format_floats` takes a float slice at once) and fills the one
+or str array stands for the list of its values (a point-set column, see
+:mod:`fockpr.pointset`).  Any other array, complex or of more than one
+dimension, is an error.  Arrays are rendered in bulk, in blocks of
+``_ROW_BLOCK`` values: each block formats its own tokens
+(:func:`format_floats` takes a float slice at once) and fills the one
 row template, so the working set stays that of one block whatever the
 length of the list.  A token depends only on its value, so the blocks
-write exactly the bytes the list of values or of lists would give.
+write exactly the bytes the list of values would give.
 :func:`dump_path` hands the text to the file in slices, and
 :func:`load_path` reads a file back with :func:`json.load`.
 """
@@ -34,7 +34,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -90,53 +90,33 @@ def format_floats(values) -> list[str]:
     return tokens[inverse.ravel()].tolist()
 
 
-def _tokens(col: np.ndarray) -> np.ndarray:
-    """Tokens of a column as an object array of shape (rows, values per row)."""
-    flat = col.reshape(len(col), -1)
+def _tokens(col: np.ndarray) -> list[str]:
+    """Tokens of the values of a 1-D int, float or str array."""
     if col.dtype.kind == "f":
-        toks = format_floats(flat)
-    elif col.dtype.kind in "iu":
-        toks = list(map(str, flat.ravel().tolist()))
-    elif col.dtype.kind == "U":
-        distinct, inverse = np.unique(flat.ravel(), return_inverse=True)
-        quoted = np.array([json.dumps(s, ensure_ascii=True) for s in distinct.tolist()], object)
-        toks = quoted[inverse.ravel()].tolist()
-    else:
-        raise TypeError(f"cannot serialize a {col.dtype} column into an artifact")
-    return np.array(toks, dtype=object).reshape(flat.shape)
+        return format_floats(col)
+    if col.dtype.kind in "iu":
+        return list(map(str, col.tolist()))
+    distinct, inverse = np.unique(col, return_inverse=True)
+    quoted = np.array([json.dumps(s, ensure_ascii=True) for s in distinct.tolist()], object)
+    return quoted[inverse].tolist()
 
 
-def _write_blocks(n: int, render, out: list[str], indent: int) -> None:
-    """Render a list of ``n`` rows, ``_ROW_BLOCK`` at a time.
+def _write_array(arr: np.ndarray, out: list[str], indent: int) -> None:
+    """Render a 1-D array as the list of its values, ``_ROW_BLOCK`` at a time.
 
-    ``render(block)`` gives the text of the rows in the slice ``block``,
-    joined by ``",\n"``; only one block's tokens are alive at a time.
+    Only one block's tokens are alive at a time.
     """
-    if n == 0:
+    if len(arr) == 0:
         out.append("[]")
         return
+    row = "  " * (indent + 1) + "%s"
     out.append("[\n")
-    for start in range(0, n, _ROW_BLOCK):
+    for start in range(0, len(arr), _ROW_BLOCK):
         if start:
             out.append(",\n")
-        out.append(render(slice(start, start + _ROW_BLOCK)))
+        tokens = _tokens(arr[start : start + _ROW_BLOCK])
+        out.append(",\n".join([row] * len(tokens)) % tuple(tokens))
     out.append("\n" + "  " * indent + "]")
-
-
-def _write_rows(arr: np.ndarray, out: list[str], indent: int) -> None:
-    """Render a 1-D array as the list of its values, a 2-D one as the list of its rows."""
-    row_pad = "  " * (indent + 1)
-    if arr.ndim == 1:
-        row = row_pad + "%s"
-    else:
-        items = ",\n".join([row_pad + "  %s"] * arr.shape[1])
-        row = row_pad + (f"[\n{items}\n{row_pad}]" if items else "[]")
-
-    def render(block: slice) -> str:
-        tokens = _tokens(arr[block])
-        return ",\n".join([row] * len(tokens)) % tuple(tokens.ravel().tolist())
-
-    _write_blocks(len(arr), render, out, indent)
 
 
 def _write(obj: Any, out: list[str], indent: int) -> None:
@@ -153,7 +133,7 @@ def _write(obj: Any, out: list[str], indent: int) -> None:
         out.append(json.dumps(obj, ensure_ascii=True))
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         _write({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out, indent)
-    elif isinstance(obj, dict):
+    elif isinstance(obj, Mapping):
         if any(not isinstance(k, str) for k in obj):
             raise TypeError("artifact keys must be strings")
         if not obj:
@@ -166,11 +146,8 @@ def _write(obj: Any, out: list[str], indent: int) -> None:
             _write(obj[key], out, indent + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "c":
-        pairs = np.ascontiguousarray(obj, dtype=complex).view(np.float64).reshape(len(obj), 2)
-        _write_rows(pairs, out, indent)
-    elif isinstance(obj, np.ndarray) and obj.ndim in (1, 2):
-        _write_rows(obj, out, indent)
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "fiuU":
+        _write_array(obj, out, indent)
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.append("[]")

@@ -23,6 +23,7 @@ __all__ = [
     "Lattice",
     "square_lattice",
     "window_arrays",
+    "finite_number",
     "modulus_order",
 ]
 
@@ -121,7 +122,7 @@ class Lattice:
             if not (
                 isinstance(pair, (list, tuple))
                 and len(pair) == 2
-                and all(_finite_number(x) for x in pair)
+                and all(finite_number(x) for x in pair)
             ):
                 raise ValueError(
                     f"lattice field {key!r} must be a pair [x, y] of finite numbers, got {pair!r}"
@@ -131,7 +132,7 @@ class Lattice:
         return cls(vector("omega1"), vector("omega2"), vector("shift", (0.0, 0.0)))
 
 
-def _finite_number(value) -> bool:
+def finite_number(value) -> bool:
     """Whether ``value`` is an int or a float (not a bool) of finite float value."""
     return (
         isinstance(value, (int, float))

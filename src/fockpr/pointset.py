@@ -9,14 +9,19 @@ set's metadata; a set that records neither has the budget (0, 1), so its
 the position ``pos = home + delta`` are derived where they are read.  For
 Gaussian budgets both collapse in floating point (``delta`` underflows,
 ``pos`` rounds onto the lattice point) while ``unit`` and the budget stay
-exact, so the certificates below work from them in log scale.  Samples
-enter a set one at a time through ``add``, or all at once when
-``from_json`` loads a document; either way one vectorized check of the
-columns admits them.  ``get`` is the one read of a single sample, and
-every other read takes whole columns.  A set's file holds the same
-columns: its ``points`` are the equally long lists ``m``, ``n``, ``tag``,
-``unit_re`` and ``unit_im`` (:data:`POINT_COLUMNS`), one row per sample
-in canonical (m, n, tag) order, and nothing derived.
+exact, so the certificates below work from them in log scale.  A set's
+header is checked once, when the set is made, and its metadata is
+read-only from then on.  Samples enter a set one at a time through
+``add``, or all at once when ``from_json`` loads a document; either way
+one vectorized check of the columns admits them.  ``get`` is the one
+read of a single sample, and every other read takes whole columns.
+
+This module owns the point-set files too: their ``points`` are equally
+long columns, read by one column reader.  A set's are ``m``, ``n``,
+``tag``, ``unit_re`` and ``unit_im`` (:data:`POINT_COLUMNS`), one row per
+sample in canonical (m, n, tag) order, and nothing derived; a plain
+point array's (the ``lines`` artifact) are ``re`` and ``im``
+(:data:`PLAIN_COLUMNS`).  :func:`points_from_json` reads either.
 
 Certificates:
 
@@ -37,11 +42,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .lattice import Lattice, LatticeIndex, _finite_number
+from .lattice import Lattice, LatticeIndex, finite_number
 
 __all__ = [
     "PointEntry",
@@ -60,14 +66,16 @@ __all__ = [
     "relative_separation_bound",
     "sample_points",
     "sample_identities",
-    "complex_column",
+    "sample_tags",
+    "points_from_json",
+    "plain_to_json",
 ]
 
 TRIPLE_TAGS = ("A", "B", "C")
 # The symmetry maps of the plane that triples are built from, by the name a
 # set's ``triple_fold`` metadata gives them; each is its own inverse.
 FOLDS = {"conj": np.conj, "neg": np.negative, "negconj": lambda z: -np.conj(z)}
-# the columns of an artifact's ``points``, each with what its values must be
+# the columns of a set's ``points``, each with what its values must be
 POINT_COLUMNS = {
     "m": "integers",
     "n": "integers",
@@ -75,6 +83,8 @@ POINT_COLUMNS = {
     "unit_re": "finite numbers",
     "unit_im": "finite numbers",
 }
+# the columns of a plain point array's ``points``
+PLAIN_COLUMNS = {"re": "finite numbers", "im": "finite numbers"}
 
 # points relative_separation_bound buckets together
 _STENCIL_BLOCK = 1 << 10
@@ -138,29 +148,41 @@ class IndexedPointSet:
     One row per sample, in insertion order: the lattice index ``(m, n)``,
     the ``tag`` and the offset ``unit`` in budget units (see the module
     docstring for what is derived from it).  :meth:`add` appends a row to
-    a buffer; the next column read packs the buffer into columns, joins
-    them to the set's columns and checks the whole in one pass, the check
-    :meth:`from_json` runs on a document: every home lies in the window
-    and one lexsort of the key columns finds no repeated key.  :meth:`get`
-    finds its row by one match over the key columns.  Outputs
-    (``points``, ``to_json``, ``to_csv``) list rows in the canonical
-    (m, n, tag) order.
+    a buffer; the next column read packs the buffer into columns (no tag
+    may end in NUL), joins them to the set's columns and checks the whole
+    in one pass, the check :meth:`from_json` runs on a document: every
+    home lies in the window and one lexsort of the key columns finds no
+    repeated key.  :meth:`get` finds its row by one match over the key
+    columns.  Outputs (``points``, ``to_json``, ``to_csv``) list rows in
+    the canonical (m, n, tag) order.
+
+    The constructor is the one check of the header: ``window_radius`` is
+    a finite positive number, and ``meta`` passes :func:`_checked_meta`.
+    ``meta`` is held read-only, so the check holds for the set's life.
 
     The per-row values that the reads share, ``|home|^2``, ``log|unit|``
     and the budget ``s(home)``, are each formed once per column state
-    (:meth:`_derived`); the budget is keyed on its ``(gamma, kappa_cap)``
-    too, so a change of the metadata gives new budgets.
+    (:meth:`_derived`).
     """
 
-    def __init__(self, lattice: Lattice, window_radius: float, meta: dict | None = None):
-        if window_radius <= 0:
-            raise ValueError("window_radius must be positive")
+    def __init__(
+        self, lattice: Lattice, window_radius: float, meta: Mapping = MappingProxyType({})
+    ):
+        if not (finite_number(window_radius) and window_radius > 0):
+            raise ValueError(
+                f"field 'window_radius' must be a finite positive number, got {window_radius!r}"
+            )
         self.lattice = lattice
         self.window_radius = float(window_radius)
-        self.meta: dict = dict(meta or {})
+        self._meta = _checked_meta(meta)
         self._cols = _NO_ROWS
         self._buffer: list[tuple] = []
         self._derivations: dict[tuple, np.ndarray] = {}
+
+    @property
+    def meta(self) -> Mapping:
+        """The metadata, as checked when the set was made; read-only."""
+        return self._meta
 
     # -- container ---------------------------------------------------------
 
@@ -168,8 +190,8 @@ class IndexedPointSet:
         """Insert a sample at offset ``unit`` (in budget units) from its home point.
 
         The row waits in a buffer; the next column read checks it with the
-        rest (see :meth:`_columns`), so a home outside the window or a
-        repeated key raises there.
+        rest (see :meth:`_columns`), so a tag that ends in NUL, a home
+        outside the window or a repeated key raises there.
         """
         self._buffer.append((index[0], index[1], tag, unit))
 
@@ -200,6 +222,7 @@ class IndexedPointSet:
         """
         if self._buffer:
             m, n, tag, unit = zip(*self._buffer)
+            _reject_nul_ends(tag, "tag", len(self._cols.m))
             added = (
                 np.array(m, dtype=np.int64),
                 np.array(n, dtype=np.int64),
@@ -241,15 +264,10 @@ class IndexedPointSet:
         return homes + deltas
 
     def budget(self) -> tuple[float, float]:
-        """``(gamma, kappa_cap)`` of the set's metadata; (0, 1) when it records neither."""
-        gamma, kappa_cap = self.meta.get("gamma"), self.meta.get("kappa_cap")
-        if (gamma is None) != (kappa_cap is None):
-            given = "gamma" if kappa_cap is None else "kappa_cap"
-            raise ValueError(
-                f"set metadata gives {given!r} alone; the closeness budget needs both"
-                " 'gamma' and 'kappa_cap', or neither"
-            )
-        return (0.0, 1.0) if gamma is None else (gamma, kappa_cap)
+        """``(gamma, kappa_cap)`` of the set's metadata, checked when the set was made;
+        (0, 1) when it records neither."""
+        gamma = self.meta.get("gamma")
+        return (0.0, 1.0) if gamma is None else (gamma, self.meta["kappa_cap"])
 
     def _homes(self, rows: np.ndarray) -> np.ndarray:
         """Home lattice points of ``rows``."""
@@ -281,7 +299,7 @@ class IndexedPointSet:
         """The budget ``kappa_cap * exp(-gamma*|home|^2)`` of every row (0 on underflow)."""
         gamma, kappa_cap = self.budget()
         return self._derived(
-            ("s(home)", gamma, kappa_cap),
+            ("s(home)",),
             lambda c: _elementwise(lambda h: kappa_cap * math.exp(-gamma * h), self._home_norms()),
         )
 
@@ -308,8 +326,7 @@ class IndexedPointSet:
             logs = self._derived(("log|unit|",), lambda c: _elementwise(_log_abs, c.unit))[rows]
         else:
             logs = _elementwise(_log_abs, units)
-        log_cap = math.log(kappa_cap) if kappa_cap != 0.0 else -math.inf
-        return (log_cap + logs) - gamma * self._home_norms()[rows]
+        return (math.log(kappa_cap) + logs) - gamma * self._home_norms()[rows]
 
     # -- serialization ------------------------------------------------------
 
@@ -321,7 +338,6 @@ class IndexedPointSet:
         ``unit`` is split into ``unit_re`` and ``unit_im``; ``pos`` and
         ``delta`` are not written, as the set derives them where read.
         """
-        self.budget()  # a budget given in half is an error
         rows, c = self._rows(), self._columns()
         unit = c.unit[rows]
         points = {
@@ -337,72 +353,33 @@ class IndexedPointSet:
             "points": points,
         }
         if self.meta:
-            out["meta"] = dict(sorted(self.meta.items()))
+            out["meta"] = self.meta
         return out
 
     @classmethod
     def from_json(cls, data: Mapping) -> "IndexedPointSet":
         """Set from a parsed artifact document, as :func:`jsonio.load_path` gives it.
 
-        The points are an object of the equally long lists of
-        :data:`POINT_COLUMNS`: integers ``m`` and ``n`` (integral floats
+        The header is checked as the set is made (see the class docstring).
+        The points are the columns of :data:`POINT_COLUMNS`, read by
+        :func:`_read_columns`: integers ``m`` and ``n`` (integral floats
         count), strings ``tag``, and finite numbers ``unit_re`` and
-        ``unit_im``.  A list of point records, the layout of older files,
-        is an error that asks for the set to be generated anew.  Each list
-        is taken out of ``data["points"]`` as its array forms, so that the
-        parsed list is let go; a value outside its column's domain is an
-        error naming the column and its first bad row.  Every home lies in
-        the window and no (index, tag) repeats, which one lexsort of the
-        key columns checks.  The header is checked too: ``window_radius``
-        is a finite positive number, ``meta`` an object, and its ``gamma``
-        and ``kappa_cap`` are both absent or lie where the generators put
-        them, ``0 < gamma < inf`` and ``0 < kappa_cap <= 1``.  Where
-        present, ``meta.sample_tags`` is a list of distinct strings naming
-        at least one tag, and only tags the set holds, and
-        ``meta.triple_fold`` an object mapping tags to names of ``FOLDS``.
+        ``unit_im``.  Every home lies in the window and no (index, tag)
+        repeats, which one lexsort of the key columns checks, and
+        ``meta.sample_tags`` names only tags the set holds.
         """
         lat = data["lattice"]
         if not isinstance(lat, Lattice):
             lat = Lattice.from_json(lat)
-        meta = data.get("meta", {})
-        if not isinstance(meta, dict):
-            raise ValueError(f"field 'meta' must be an object, got {type(meta).__name__}")
-        tags = meta.get("sample_tags", [])
-        if not (
-            isinstance(tags, list)
-            and all(isinstance(t, str) for t in tags)
-            and len(set(tags)) == len(tags)
-        ):
-            raise ValueError(
-                f"field 'meta.sample_tags' must be a list of distinct strings, got {tags!r}"
-            )
-        folds = meta.get("triple_fold", {})
-        if not (
-            isinstance(folds, dict)
-            and all(isinstance(name, str) and name in FOLDS for name in folds.values())
-        ):
-            raise ValueError(
-                f"field 'meta.triple_fold' must map tags to names in {sorted(FOLDS)}, got {folds!r}"
-            )
-        ps = cls(lat, _number(data["window_radius"], "window_radius"), meta=meta)
-        gamma, kappa_cap = ps.budget()  # a budget given in half is an error
-        if meta.get("gamma") is not None and not (
-            _number(gamma, "meta.gamma") > 0.0 and 0.0 < _number(kappa_cap, "meta.kappa_cap") <= 1.0
-        ):
-            raise ValueError(
-                f"set metadata must give 0 < gamma < inf and 0 < kappa_cap <= 1,"
-                f" got gamma = {gamma!r}, kappa_cap = {kappa_cap!r}"
-            )
-        points = _point_columns(data["points"])
-        m, n, tag = (_column(points, key) for key in ("m", "n", "tag"))
-        unit = np.empty(len(m), dtype=complex)
-        unit.real = _column(points, "unit_re")
-        unit.imag = _column(points, "unit_im")
-        ps._load(_Columns(m, n, tag, unit))
-        if "sample_tags" in meta and not (tags and set(tags) <= set(ps.tags())):
+        ps = cls(lat, data["window_radius"], meta=data.get("meta", {}))
+        cols = _read_columns(data["points"], POINT_COLUMNS)
+        unit = _complex(cols.pop("unit_re"), cols.pop("unit_im"))
+        ps._load(_Columns(cols["m"], cols["n"], cols["tag"], unit))
+        tags = sample_tags(ps)
+        if tags is not None and not set(tags) <= set(ps.tags()):
             raise ValueError(
                 f"field 'meta.sample_tags' must name one or more of the set's tags"
-                f" {ps.tags()}, got {tags!r}"
+                f" {ps.tags()}, got {list(tags)!r}"
             )
         return ps
 
@@ -433,31 +410,85 @@ def _first_repeat(m: np.ndarray, n: np.ndarray, tag: np.ndarray) -> int | None:
     return int(order[1:][repeats].min()) if repeats.any() else None
 
 
-def _point_columns(points) -> dict:
-    """``points`` after checking that it holds every column of :data:`POINT_COLUMNS` as a list.
+def _checked_meta(meta) -> Mapping:
+    """``meta`` as a read-only mapping, after checking the fields a set reads.
 
-    A list of samples is the per-record layout of older files; each of its
-    records carried the derived ``pos`` and ``delta`` too.  The columns
-    must be of one length: the error names a column that lacks a row and
-    the first row it lacks.
+    ``meta`` is an object.  Its ``gamma`` and ``kappa_cap`` are both absent
+    or lie where the generators put them, ``0 < gamma < inf`` and ``0 <
+    kappa_cap <= 1``.  Where present, ``sample_tags`` is a list of one or
+    more distinct strings, held as a tuple, and ``triple_fold`` an object
+    mapping tags to names of ``FOLDS``, held read-only.
+    """
+    if not isinstance(meta, Mapping):
+        raise ValueError(f"field 'meta' must be an object, got {type(meta).__name__}")
+    meta = dict(meta)
+    gamma, kappa_cap = meta.get("gamma"), meta.get("kappa_cap")
+    if (gamma is None) != (kappa_cap is None):
+        given = "gamma" if kappa_cap is None else "kappa_cap"
+        raise ValueError(
+            f"set metadata gives {given!r} alone; the closeness budget needs both"
+            " 'gamma' and 'kappa_cap', or neither"
+        )
+    if gamma is not None and not (
+        finite_number(gamma) and gamma > 0 and finite_number(kappa_cap) and 0 < kappa_cap <= 1
+    ):
+        raise ValueError(
+            f"set metadata must give 0 < gamma < inf and 0 < kappa_cap <= 1,"
+            f" got gamma = {gamma!r}, kappa_cap = {kappa_cap!r}"
+        )
+    if "sample_tags" in meta:
+        tags = meta["sample_tags"]
+        if not (
+            isinstance(tags, (list, tuple))
+            and tags
+            and all(isinstance(t, str) for t in tags)
+            and len(set(tags)) == len(tags)
+        ):
+            raise ValueError(
+                f"field 'meta.sample_tags' must be a list of one or more distinct strings,"
+                f" got {tags!r}"
+            )
+        meta["sample_tags"] = tuple(tags)
+    if "triple_fold" in meta:
+        folds = meta["triple_fold"]
+        if not (
+            isinstance(folds, Mapping)
+            and all(isinstance(name, str) and name in FOLDS for name in folds.values())
+        ):
+            raise ValueError(
+                f"field 'meta.triple_fold' must map tags to names in {sorted(FOLDS)}, got {folds!r}"
+            )
+        meta["triple_fold"] = MappingProxyType(dict(folds))
+    return MappingProxyType(meta)
+
+
+def _read_columns(points, spec: Mapping[str, str]) -> dict[str, np.ndarray]:
+    """The columns that ``spec`` names, each taken out of ``points`` and read by :func:`_column`.
+
+    ``points`` must be an object holding every column of ``spec`` as a
+    list, all of one length: the error names a column that lacks a row and
+    the first row it lacks.  A list is the per-sample layout of older files
+    (records of a set, ``[re, im]`` pairs of a plain point array), which
+    must be generated anew.  Each list is popped out of ``points`` as it is
+    read, so the parsed lists are let go one at a time.
     """
     if isinstance(points, list):
         raise ValueError("field 'points' holds per-record samples; regenerate the set")
     if not isinstance(points, dict):
         raise ValueError(f"field 'points' must be an object of columns, got {type(points).__name__}")
-    for key in POINT_COLUMNS:
+    for key in spec:
         if key not in points:
             raise ValueError(f"field 'points' lacks the column {key!r}")
         if not isinstance(points[key], list):
             raise ValueError(f"column {key!r} of field 'points' must be a list")
-    rows = {key: len(points[key]) for key in POINT_COLUMNS}
+    rows = {key: len(points[key]) for key in spec}
     short, long = min(rows, key=rows.get), max(rows, key=rows.get)
     if rows[short] != rows[long]:
         raise ValueError(
             f"point row {rows[short]}: column {short!r} lacks it,"
             f" while column {long!r} has {rows[long]} rows"
         )
-    return points
+    return {key: _column(points.pop(key), key, want) for key, want in spec.items()}
 
 
 def _converts(value, dtype) -> bool:
@@ -469,15 +500,14 @@ def _converts(value, dtype) -> bool:
     return True
 
 
-def _column(points: dict, key: str) -> np.ndarray:
-    """Column ``key`` of :data:`POINT_COLUMNS`, taken out of ``points``, as an array.
+def _column(values: list, key: str, want: str) -> np.ndarray:
+    """Column ``key`` as an array, after checking that ``values`` are all ``want``.
 
-    ``m`` and ``n`` give int64 arrays, ``tag`` a str array and the unit
-    parts float arrays (bit-exact, signed zeros included).  A value of the
-    wrong type or outside the column's domain is an error naming the first
-    row that holds one.
+    ``"integers"`` give an int64 array, ``"strings"`` a str array and
+    ``"finite numbers"`` a float array (bit-exact, signed zeros included).
+    A value of the wrong type or outside the column's domain, or a string
+    that ends in NUL, is an error naming the first row that holds one.
     """
-    values, want = points.pop(key), POINT_COLUMNS[key]
     allowed = {str} if want == "strings" else {int, float}
     kinds = set(map(type, values))
     dtype = str if want == "strings" else np.int64 if kinds <= {int} else float
@@ -485,6 +515,8 @@ def _column(points: dict, key: str) -> np.ndarray:
         col = np.array(values, dtype=dtype) if kinds <= allowed else None
     except OverflowError:  # an int beyond the dtype; the scan below finds it
         col = None
+    if col is not None and want == "strings":
+        _reject_nul_ends(values, key)
     if col is not None and col.dtype.kind != "f":
         return col
     if col is not None:
@@ -501,30 +533,43 @@ def _column(points: dict, key: str) -> np.ndarray:
     raise ValueError(f"point row {row}: column {key!r} must hold {want}, got {values[row]!r}")
 
 
-def _number(value, field: str) -> float:
-    """``value`` as a float when it is an int or a float (not a bool) of finite value."""
-    if not _finite_number(value):
-        raise ValueError(f"field {field!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def complex_column(pairs, field: str) -> np.ndarray:
-    """Complex column from ``[re, im]`` pairs, bit-exact (signed zeros included).
-
-    Anything but a list of pairs is an error, and so is a pair holding an
-    infinity or NaN, named by its row.
-    """
-    arr = np.asarray(pairs, dtype=float)
-    if arr.shape != (len(pairs), 2) and len(pairs):
-        raise ValueError(f"point field {field!r} must hold [x, y] pairs, got shape {arr.shape}")
-    arr = arr.reshape(-1, 2)
-    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
-    if bad.size:
+def _reject_nul_ends(values: Sequence, key: str, offset: int = 0) -> None:
+    """Raise on the first of ``values`` that ends in NUL, naming its row, ``offset`` on:
+    a numpy str array drops trailing NULs, so it would hold that tag as another."""
+    if any(str(v).endswith("\0") for v in set(values)):
+        row = next(i for i, v in enumerate(values) if str(v).endswith("\0"))
         raise ValueError(
-            f"point record {bad[0]}: field {field!r} must hold finite numbers,"
-            f" got {arr[bad[0]].tolist()}"
+            f"point row {offset + row}: column {key!r} must hold strings that do not end"
+            f" in NUL, got {values[row]!r}"
         )
-    return np.ascontiguousarray(arr).view(complex).ravel()
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex column of parts ``re`` and ``im``, bit-exact (signed zeros included)."""
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def points_from_json(data) -> IndexedPointSet | np.ndarray:
+    """The set or the plain point array that a parsed artifact document holds.
+
+    A document with a ``lattice`` is a set (:meth:`IndexedPointSet.from_json`);
+    any other document with ``points`` is a plain point array, whose
+    ``points`` are the columns of :data:`PLAIN_COLUMNS`.
+    """
+    if isinstance(data, dict) and "lattice" in data:
+        return IndexedPointSet.from_json(data)
+    if not (isinstance(data, dict) and "points" in data):
+        raise ValueError("not a recognized point-set artifact")
+    cols = _read_columns(data["points"], PLAIN_COLUMNS)
+    return _complex(cols["re"], cols["im"])
+
+
+def plain_to_json(points: np.ndarray, **header) -> dict:
+    """The artifact document of the plain point array ``points``: the fields of
+    ``header`` beside ``points``, the columns of :data:`PLAIN_COLUMNS`."""
+    return {**header, "points": {"re": points.real, "im": points.imag}}
 
 
 # -- triangle angles ---------------------------------------------------------
@@ -645,8 +690,6 @@ def triple_vertices(ps: IndexedPointSet) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("set has no A/B/C entries")
     tag, m, n, unit = c.tag[rows], c.m[rows], c.n[rows], c.unit[rows]
     for t, name in ps.meta.get("triple_fold", {}).items():
-        if name not in FOLDS:
-            raise ValueError(f"unknown triple fold {name!r} for tag {t!r}")
         fold, mine = FOLDS[name], tag == t
         home = fold(ps.lattice.point((m[mine], n[mine])))
         m[mine], n[mine] = ps.lattice.indices_of(home).T
@@ -767,7 +810,7 @@ def _checked(pts: np.ndarray) -> np.ndarray:
 
 
 def _set_separation(ps: IndexedPointSet) -> SeparationReport:
-    rows = ps._rows(_sample_tags(ps))
+    rows = ps._rows(sample_tags(ps))
     homes, deltas = ps._placed(rows)
     pts = _checked(homes + deltas)
     del homes, deltas
@@ -950,17 +993,16 @@ def sample_points(ps: IndexedPointSet) -> np.ndarray:
     names the tags that constitute the actual point set (for density and
     separation), with all tags as the fallback.
     """
-    return ps.points(_sample_tags(ps))
+    return ps.points(sample_tags(ps))
 
 
 def sample_identities(ps: IndexedPointSet) -> tuple[np.ndarray, np.ndarray]:
     """Home points and unit offsets of the samples, aligned with :func:`sample_points`."""
-    rows = ps._rows(_sample_tags(ps))
+    rows = ps._rows(sample_tags(ps))
     return ps._homes(rows), ps._columns().unit[rows]
 
 
-def _sample_tags(ps: IndexedPointSet) -> tuple[str, ...] | None:
+def sample_tags(ps: IndexedPointSet) -> tuple[str, ...] | None:
     """The tags ``meta.sample_tags`` names, or None (all tags) where the set has none."""
-    tags = ps.meta.get("sample_tags")
-    return None if tags is None else tuple(tags)
+    return ps.meta.get("sample_tags")
 

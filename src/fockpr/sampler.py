@@ -6,11 +6,12 @@ per sample, only the offset in units of the local budget, a point of the
 unit disk; the set's metadata records ``gamma`` and ``kappa_cap``, from
 which :mod:`fockpr.pointset` derives the float offset and the position
 (the unit offset and the budget stay exact in log scale where those
-collapse).  Draws are addressed by ``(seed, index, label)``
-through the counter-based streams of :mod:`fockpr.rng`, so a sample's
-value does not depend on the window size.  A mirrored sample is drawn by
-its key too: the fold (``pointset.FOLDS``) of the draw at the folded
-lattice index.
+collapse).  Each generator makes its set before it enumerates the window,
+so the set's one header check refuses a bad budget or radius first.
+Draws are addressed by ``(seed, index, label)`` through the counter-based
+streams of :mod:`fockpr.rng`, so a sample's value does not depend on the
+window size.  A mirrored sample is drawn by its key too: the fold
+(``pointset.FOLDS``) of the draw at the folded lattice index.
 
 Constructions:
 
@@ -77,31 +78,14 @@ _CUBE_ROOTS = (
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Shared knobs of the perturbation generators."""
+    """Shared knobs of the perturbation generators; the set a generator makes checks
+    the window and the budget."""
 
     lattice: Lattice
     window_radius: float
     gamma: float = 7.0
     kappa_cap: float = 1.0
     seed: int = 0
-
-    def validate(self, alpha: float | None = None) -> None:
-        """Sanity-check the budget; with ``alpha``, require ``gamma > 2*alpha``.
-
-        The closeness weight must decay strictly faster than twice the
-        space weight for the perturbed set to inherit the lattice's
-        uniqueness behaviour; generators themselves only need positivity.
-        """
-        if not 0.0 < self.gamma < math.inf:
-            raise ValueError("gamma must be positive and finite")
-        if not (0.0 < self.kappa_cap <= 1.0):
-            raise ValueError("kappa_cap must lie in (0, 1]")
-        if not 0.0 < self.window_radius < math.inf:
-            raise ValueError("window_radius must be positive and finite")
-        if alpha is not None and self.gamma <= 2.0 * alpha:
-            raise ValueError(
-                f"gamma = {self.gamma} must exceed twice the weight 2*alpha = {2 * alpha}"
-            )
 
     def _meta(self, construction: str, sample_tags: list[str]) -> dict:
         return {
@@ -126,10 +110,9 @@ def random_triple(cfg: GeneratorConfig) -> IndexedPointSet:
 
 def _triples(cfg: GeneratorConfig, construction: str, mode: str, **meta) -> IndexedPointSet:
     """A, B and C samples at every window point, their offsets by ``mode`` (see ``_units``)."""
-    cfg.validate()
-    idx, _ = window_arrays(cfg.lattice, cfg.window_radius)
     meta = {**cfg._meta(construction, list(TRIPLE_TAGS)), **meta}
     ps = IndexedPointSet(cfg.lattice, cfg.window_radius, meta=meta)
+    idx, _ = window_arrays(cfg.lattice, cfg.window_radius)
     for tag, units in zip(TRIPLE_TAGS, _units(cfg, idx, mode)):
         _add_each(ps, idx, tag, units)
     return ps
@@ -168,11 +151,10 @@ def real_pair(cfg: GeneratorConfig) -> IndexedPointSet:
     mirror image of A.  Requires a conjugation-closed lattice so the
     conjugated draw exists in the family.
     """
-    cfg.validate()
+    ps = IndexedPointSet(cfg.lattice, cfg.window_radius, meta=cfg._meta("real2", ["1", "2"]))
     _require_conjugation_closed(cfg)
     idx, pts = window_arrays(cfg.lattice, cfg.window_radius)
     m, n = idx[:, 0], idx[:, 1]
-    ps = IndexedPointSet(cfg.lattice, cfg.window_radius, meta=cfg._meta("real2", ["1", "2"]))
     draws = [keyed_disk(cfg.seed, m, n, label) for label in (1, 2)]
     for label, units in zip("12", draws):
         _add_each(ps, idx, label, units)
@@ -196,11 +178,10 @@ def even_single(cfg: GeneratorConfig) -> IndexedPointSet:
     is recorded; for real-axis home points B mirrors A.  Requires a
     conjugation-closed lattice (closure under negation included).
     """
-    cfg.validate()
+    ps = IndexedPointSet(cfg.lattice, cfg.window_radius, meta=cfg._meta("even1", ["1"]))
     _require_conjugation_closed(cfg)
     idx, pts = window_arrays(cfg.lattice, cfg.window_radius)
     m, n = idx[:, 0], idx[:, 1]
-    ps = IndexedPointSet(cfg.lattice, cfg.window_radius, meta=cfg._meta("even1", ["1"]))
     units = keyed_disk(cfg.seed, m, n, 1)
     nonzero = (m != 0) | (n != 0)
     _add_each(ps, idx[nonzero], "1", units[nonzero])
@@ -316,14 +297,12 @@ def density_opt_even(
     if kappa_cap > v / 4.0:
         raise ValueError(f"kappa_cap = {kappa_cap} exceeds v/4 = {v / 4.0}")
     cfg = GeneratorConfig(lat, window_radius, gamma=gamma, kappa_cap=kappa_cap, seed=seed)
-    cfg.validate()
+    folds = {"A": "conj", "B": "neg", "C": "negconj"}
+    meta = {**cfg._meta("opteven", list(TRIPLE_TAGS)), "v": v, "triple_fold": folds}
+    ps = IndexedPointSet(lat, window_radius, meta=meta)
     idx, _ = window_arrays(lat, window_radius)
     idx = idx[opt_even_sublattice_mask(idx[:, 0], idx[:, 1])]
-    meta = cfg._meta("opteven", list(TRIPLE_TAGS))
-    meta["v"] = v
-    meta["triple_fold"] = {"A": "conj", "B": "neg", "C": "negconj"}
-    ps = IndexedPointSet(lat, window_radius, meta=meta)
-    for (tag, fold), units in zip(meta["triple_fold"].items(), _units(cfg, idx, mode)):
+    for (tag, fold), units in zip(folds.items(), _units(cfg, idx, mode)):
         _add_each(ps, _folded(lat, fold, idx), tag, FOLDS[fold](units))
     return ps
 

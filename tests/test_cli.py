@@ -145,8 +145,11 @@ def test_generate_lines_artifact(tmp_path):
              "--angles", "0,1.0,2.0", "--pitch", 0.5, "--out", path)
     assert rc == 0
     data = jsonio.load_path(path)
-    assert data["kind"] == "lines"
-    assert len(data["points"]) == 6 * 6 + 1  # 2K+1 samples per line, shared origin
+    assert {key: data[key] for key in ("kind", "angles", "pitch", "radius")} == {
+        "kind": "lines", "angles": [0.0, 1.0, 2.0], "pitch": 0.5, "radius": 3.0
+    }
+    # two columns of 2K+1 samples per line, with a shared origin
+    assert {key: len(col) for key, col in data["points"].items()} == {"re": 37, "im": 37}
 
 
 def test_generate_lines_with_csv_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -521,6 +524,18 @@ def test_a_fractional_index_exits_2_and_names_it(det3_set, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_a_tag_that_ends_in_nul_exits_2_and_names_it(det3_set, tmp_path, capsys):
+    # a numpy str column would drop the NUL and read the tag as 'B'
+    doc = json.loads(det3_set.read_text(encoding="ascii"))
+    doc["points"]["tag"][5] = "B\u0000"
+    path = tmp_path / "nul.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    assert run("certify", "--in", path, "--beta", PI, "--out", tmp_path / "r.json") == 2
+    message = "point row 5: column 'tag' must hold strings that do not end in NUL, got 'B\\x00'"
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_a_nan_position_exits_2_and_names_it(det3_set, tmp_path, capsys):
     # unchecked, a NaN unit offset gives a NaN position, which renders as cx="nan"
     doc = json.loads(det3_set.read_text(encoding="ascii"))
@@ -552,7 +567,7 @@ def test_a_directory_for_a_file_exits_2(det3_set, tmp_path, capsys, flag):
     "doc",
     [{"lattice": {"omega1": [1, 0], "omega2": [0, 1]}, "window_radius": 3,
       "points": {"m": [], "n": [], "tag": [], "unit_re": [], "unit_im": []}},
-     {"points": []}],
+     {"points": {"re": [], "im": []}}],
     ids=["set", "plain"],
 )
 def test_a_file_without_samples_exits_2_and_names_it(tmp_path, capsys, command, doc):
@@ -856,18 +871,71 @@ def test_render_bytes_do_not_depend_on_numpys_simd_level(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("points", [[[0.0, 1.0], [2.0]], [[0.0, 1.0, 2.0]], [1.0, 2.0]])
-def test_render_rejects_point_records_that_are_not_pairs(tmp_path, points):
+def test_render_rejects_point_records_that_are_not_pairs(tmp_path, capsys, points):
+    # a list of point records, of pairs or of any other shape, is no longer read
     path = tmp_path / "pts.json"
     jsonio.dump_path({"points": points}, path)
     assert run("render", "--in", path, "--out", tmp_path / "p.svg") == 2
+    assert "regenerate" in capsys.readouterr().err
+    assert not (tmp_path / "p.svg").exists()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_render_rejects_plain_points_that_are_not_finite(tmp_path, capsys, bad):
     path = tmp_path / "pts.json"
-    jsonio.dump_path({"points": [[0.0, 1.0], [2.0, 3.0], [1.0, bad]]}, path)
+    jsonio.dump_path({"points": {"re": [0.0, 2.0, 1.0], "im": [1.0, 3.0, bad]}}, path)
     assert run("render", "--in", path, "--out", tmp_path / "p.svg") == 2
-    assert "point record 2: field 'points' must hold finite numbers" in capsys.readouterr().err
+    message = f"point row 2: column 'im' must hold finite numbers, got {bad!r}"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "p.svg").exists()
+
+
+@pytest.fixture()
+def lines_file(tmp_path):
+    path = tmp_path / "lines.json"
+    assert run("generate", "--construction", "lines", "--radius", 2, "--angles", "0,1,2",
+               "--pitch", 0.5, "--out", path) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", ["render", "injectivity"])
+def test_a_pair_list_lines_file_exits_2_and_asks_to_regenerate(lines_file, tmp_path, capsys,
+                                                                command):
+    # the layout of older lines files: one [re, im] pair per point
+    doc = json.loads(lines_file.read_text(encoding="ascii"))
+    doc["points"] = [list(pair) for pair in zip(doc["points"]["re"], doc["points"]["im"])]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    out = tmp_path / "out"
+    extra = ["--dim", 2] if command == "injectivity" else []
+    assert run(command, "--in", path, *extra, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: field 'points' holds per-record samples; regenerate the set" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p.pop("re"), "field 'points' lacks the column 're'"),
+        (lambda p: p["re"].pop(),
+         "point row 24: column 're' lacks it, while column 'im' has 25 rows"),
+    ],
+    ids=["missing-re", "short-re"],
+)
+@pytest.mark.parametrize("command", ["render", "injectivity"])
+def test_a_missing_or_short_lines_column_exits_2_and_names_it(
+    lines_file, tmp_path, capsys, command, edit, message
+):
+    doc = json.loads(lines_file.read_text(encoding="ascii"))
+    edit(doc["points"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    out = tmp_path / "out"
+    extra = ["--dim", 2] if command == "injectivity" else []
+    assert run(command, "--in", path, *extra, "--out", out) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_render_escapes_the_title(det3_set, tmp_path):

@@ -84,9 +84,11 @@ def test_bools_are_not_confused_with_ints():
 
 
 def test_unsupported_types_are_rejected():
-    # a dataclass type (not an instance) is no record either
-    for value in ({1, 2}, np.int64(3), np.zeros((2, 2), dtype=complex), np.zeros((2, 2, 2)),
-                  np.array([True, False]), _Inner):
+    # a dataclass type (not an instance) is no record either; an array is
+    # written only as a 1-D int, float or str column
+    for value in ({1, 2}, np.int64(3), np.zeros(2, dtype=complex), np.zeros(0, dtype=complex),
+                  np.zeros((2, 2)), np.zeros((0, 2)), np.zeros((2, 2), dtype=complex),
+                  np.zeros((2, 2, 2)), np.array([True, False]), _Inner):
         with pytest.raises(TypeError):
             jsonio.dumps({"v": value})
     with pytest.raises(TypeError):
@@ -108,24 +110,22 @@ class _Outer:
 
 
 def test_complex_values_and_dataclasses_write_as_their_explicit_form():
-    z = np.array([complex(1.5, -0.0), complex(-0.0, 2.0), complex(1e-300, 3.0)])
-    pairs = [[1.5, -0.0], [-0.0, 2.0], [1e-300, 3.0]]
+    x = np.array([1.5, -0.0, 1e-300])
     cases = [
         (1 + 2j, [1.0, 2.0]),
         (complex(-0.0, math.inf), [-0.0, math.inf]),
         (np.complex128(0.5 - 1j), [0.5, -1.0]),
         ([0j, 1j], [[0.0, 0.0], [0.0, 1.0]]),
-        (z, pairs),
-        (z[::2], pairs[::2]),  # not contiguous
-        (np.array([], dtype=complex), []),
-        ({"z": z, "k": np.arange(3)}, {"z": pairs, "k": [0, 1, 2]}),
+        ((complex(1.5, -0.0), complex(0.0, -0.0)), [[1.5, -0.0], [0.0, -0.0]]),
+        ({"z": 1j, "k": np.arange(3)}, {"z": [0.0, 1.0], "k": [0, 1, 2]}),
         (_Inner(1 - 1j, 4), {"z": [1.0, -1.0], "k": 4}),
         (
-            _Outer("o", _Inner(1 - 1j, 4), z, (2, -3)),
-            {"name": "o", "inner": {"z": [1.0, -1.0], "k": 4}, "coeffs": pairs, "worst": [2, -3]},
+            _Outer("o", _Inner(1 - 1j, 4), x, (2, -3)),
+            {"name": "o", "inner": {"z": [1.0, -1.0], "k": 4}, "coeffs": [1.5, -0.0, 1e-300],
+             "worst": [2, -3]},
         ),
         (
-            _Outer("e", _Inner(0j, 0), z[:0], None),
+            _Outer("e", _Inner(0j, 0), x[:0], None),
             {"name": "e", "inner": {"z": [0.0, 0.0], "k": 0}, "coeffs": [], "worst": None},
         ),
     ]
@@ -166,17 +166,10 @@ floats_with_edges = st.one_of(
 
 @given(st.data())
 def test_array_path_matches_the_list_of_lists_writer(data):
-    shape = (data.draw(st.integers(0, 20)), data.draw(st.integers(0, 3)))
+    # 1-D int, float and str arrays, as a point set's columns are written,
+    # against the lists of their values
     values = st.one_of(floats_with_edges, st.sampled_from([math.inf, -math.inf, math.nan]))
-    if data.draw(st.booleans()):
-        values = st.integers(-(2**53), 2**53)
-    rows = data.draw(st.lists(st.lists(values, min_size=shape[1], max_size=shape[1]),
-                              min_size=shape[0], max_size=shape[0]))
-    arr = np.array(rows).reshape(shape)
-    assert jsonio.dumps({"points": arr, "n": 1}) == jsonio.dumps({"points": rows, "n": 1})
-    assert jsonio.dumps([arr]) == jsonio.dumps([rows])
-    # 1-D int, float and str arrays, as a point set's columns are written
-    n = shape[0]
+    n = data.draw(st.integers(0, 20))
     columns = {
         "m": data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)),
         "unit_re": data.draw(st.lists(values, min_size=n, max_size=n)),
@@ -198,10 +191,9 @@ def test_array_path_across_row_blocks(monkeypatch):
 
 
 def test_array_path_examples():
-    arr = np.array([[-0.0, 3.0], [math.inf, math.nan], [1e17, 0.5]])
+    arr = np.array([-0.0, 3.0, math.inf, math.nan, 1e17, 0.5])
     assert jsonio.dumps({"p": arr}) == jsonio.dumps({"p": arr.tolist()})
-    assert jsonio.dumps(np.empty((0, 2))) == "[]"
-    assert jsonio.dumps(np.empty((2, 0))) == "[\n  [],\n  []\n]"
+    assert jsonio.dumps({"p": arr[::2]}) == jsonio.dumps({"p": arr[::2].tolist()})  # strided
     # a 1-D array stands for the list of its values, signed zeros kept
     assert jsonio.dumps(np.array([-0.0, 1e17, 3.0])) == "[\n  -0.0,\n  1e+17,\n  3.0\n]"
     assert jsonio.dumps({"m": np.array([-2, 7])}) == '{\n  "m": [\n    -2,\n    7\n  ]\n}'
@@ -214,7 +206,7 @@ def test_array_path_examples():
 
 def test_dump_path_calls_dumps_once_and_writes_its_text_and_a_newline(tmp_path, monkeypatch):
     # perfbench counts the bytes jsonio.dumps returns as the size of each artifact
-    doc = {"points": np.arange(40.0).reshape(20, 2), "name": "window"}
+    doc = {"points": np.arange(40.0), "name": "window"}
     real, calls = jsonio.dumps, []
 
     def counting(obj):

@@ -104,6 +104,33 @@ def test_submodule_imports_are_read_in_every_form():
     assert imported_submodules(tree) == {"a", "b", "c", "d", "e"}
 
 
+def private_imports(tree: ast.Module) -> dict[str, int]:
+    """Each private name the module imports from a fockpr module, with its line."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "fockpr"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found[alias.name] = node.lineno
+    return found
+
+
+def test_private_imports_are_read_in_every_form():
+    tree = ast.parse(
+        "from .a import _x, y\nfrom . import _b\nfrom fockpr.c import _z\n"
+        "from fockpr import __version__\nfrom math import _d\nfrom fockprx import _e"
+    )
+    assert private_imports(tree) == {"_x": 1, "_b": 2, "_z": 3}
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_module_imports_a_private_name_of_another(name):
+    # a name another module needs is public in the module that owns it
+    assert private_imports(module_tree(name)) == {}
+
+
 def private_module_names(tree: ast.Module) -> dict[str, int]:
     """Each private name a module-level statement defines, with its line."""
     defined = {}

@@ -257,14 +257,72 @@ def test_log_offset_magnitude_survives_float_collapse():
 
 @pytest.mark.parametrize("meta", [{"gamma": 7.0}, {"kappa_cap": 0.5}])
 def test_a_budget_given_in_half_is_an_error(meta):
-    ps = make_set(**meta)
-    ps.add((1, 0), "A", 0.5)
+    # refused when the set is made, so no read meets it
     given = next(iter(meta))
-    reads = (ps.points, ps.to_json, lambda: ps.get((1, 0), "A"),
-             lambda: certify_f_closeness(ps, 7.0, "A"), lambda: separation(ps))
-    for read in reads:
-        with pytest.raises(ValueError, match=f"gives '{given}' alone"):
-            read()
+    with pytest.raises(ValueError, match=f"gives '{given}' alone"):
+        make_set(**meta)
+
+
+@pytest.mark.parametrize(
+    "radius, meta, message",
+    [
+        (0.0, {}, "field 'window_radius' must be a finite positive number, got 0.0"),
+        (math.inf, {}, "field 'window_radius' must be a finite positive number, got inf"),
+        (True, {}, "field 'window_radius' must be a finite positive number, got True"),
+        (3.0, [], "field 'meta' must be an object, got list"),
+        (3.0, {"gamma": 7.0, "kappa_cap": 0.0},
+         "must give 0 < gamma < inf and 0 < kappa_cap <= 1"),
+        (3.0, {"gamma": math.nan, "kappa_cap": 1.0}, "0 < gamma < inf and 0 < kappa_cap <= 1"),
+        (3.0, {"sample_tags": []}, "field 'meta.sample_tags' must be a list of one or more"),
+        (3.0, {"sample_tags": ["A", "A"]},
+         "field 'meta.sample_tags' must be a list of one or more"),
+        (3.0, {"triple_fold": {"A": "rotate"}}, "field 'meta.triple_fold' must map tags to names"),
+        (3.0, {"triple_fold": ["conj"]}, "field 'meta.triple_fold' must map tags to names"),
+    ],
+    ids=["radius-zero", "radius-inf", "radius-bool", "meta-list", "kappa-zero", "gamma-nan",
+         "sample-tags-empty", "sample-tags-repeat", "fold-unknown", "fold-list"],
+)
+def test_a_bad_header_is_refused_when_the_set_is_made(radius, meta, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        IndexedPointSet(Lattice(1.0, 1.0j), radius, meta)
+
+
+def test_meta_is_read_only():
+    ps = make_set(gamma=7.0, kappa_cap=0.5, sample_tags=["A"], triple_fold={"A": "conj"})
+    with pytest.raises(TypeError):
+        ps.meta["gamma"] = 0.25
+    with pytest.raises(TypeError):
+        del ps.meta["kappa_cap"]
+    with pytest.raises(TypeError):
+        ps.meta["triple_fold"]["A"] = "rotate"
+    with pytest.raises(AttributeError):
+        ps.meta["sample_tags"].append("Z")
+    with pytest.raises(AttributeError):
+        ps.meta = {}
+    assert ps.budget() == (7.0, 0.5)
+    assert ps.meta["sample_tags"] == ("A",)
+    assert dict(ps.meta["triple_fold"]) == {"A": "conj"}
+
+
+def test_a_tag_that_ends_in_nul_is_refused_and_its_row_named():
+    # a numpy str column drops trailing NULs: "B\0" would read back as "B", and
+    # "A" beside "A\0" as a repeated key
+    ps = make_set()
+    ps.add((0, 0), "A", 0.0)
+    ps.points()
+    ps.add((1, 0), "A", 0.0)
+    ps.add((0, 0), "A\0", 0.0)
+    for _ in range(2):  # the bad row stays in the buffer, and raises at every read
+        with pytest.raises(ValueError, match=re.escape(
+            "point row 2: column 'tag' must hold strings that do not end in NUL, got 'A\\x00'"
+        )):
+            ps.tags()
+    for keys, row in (([(0, 0, "B\0")], 0), ([(0, 0, "A"), (1, 0, "B"), (0, 0, "A\0")], 2)):
+        with pytest.raises(ValueError, match=f"^point row {row}: column 'tag' must hold strings"):
+            IndexedPointSet.from_json(json.loads(jsonio.dumps(make_document(keys))))
+    # a NUL inside a tag is kept
+    inner = IndexedPointSet.from_json(make_document([(0, 0, "A\0B")]))
+    assert inner.tags() == ["A\0B"]
 
 
 # -- closeness ----------------------------------------------------------------
@@ -518,13 +576,14 @@ def test_unit_disk_occupancy_bound_on_lattice_windows(lattice):
 
 
 def test_sample_points_follows_the_metadata():
-    ps = IndexedPointSet(Lattice(1.0, 1.0j), 5.0, meta={"sample_tags": ["1", "2"]})
-    ps.add((0, 0), "1", 0.1)
-    ps.add((0, 0), "2", 0.2)
-    ps.add((0, 0), "A", 0.9)
-    assert np.array_equal(sample_points(ps), np.array([0.1, 0.2]))
-    ps.meta.pop("sample_tags")
-    assert len(sample_points(ps)) == 3
+    named = IndexedPointSet(Lattice(1.0, 1.0j), 5.0, meta={"sample_tags": ["1", "2"]})
+    unnamed = IndexedPointSet(Lattice(1.0, 1.0j), 5.0)
+    for ps in (named, unnamed):
+        ps.add((0, 0), "1", 0.1)
+        ps.add((0, 0), "2", 0.2)
+        ps.add((0, 0), "A", 0.9)
+    assert np.array_equal(sample_points(named), np.array([0.1, 0.2]))
+    assert len(sample_points(unnamed)) == 3
 
 
 def test_certificates_on_a_set_count_its_samples_only():
@@ -572,7 +631,7 @@ def test_derived_columns_are_formed_once_per_column_state(monkeypatch):
     ps = IndexedPointSet.from_json(doc)
     made.clear()
     first = _certificates(ps)
-    every = [("log|unit|",), ("s(home)", 0.5, 1.0), ("|home|^2",)]
+    every = [("log|unit|",), ("s(home)",), ("|home|^2",)]
     assert sorted(made) == every
     assert _certificates(ps) == first and sorted(made) == every
     made.clear()
@@ -581,12 +640,11 @@ def test_derived_columns_are_formed_once_per_column_state(monkeypatch):
     again = _certificates(ps)
     assert sorted(made) == every
     assert again == _certificates(_reloaded(whole)) != first
-    # the budget is keyed on its values: a new rate gives new budgets, not stale ones
+    # the budget cannot change under the derived columns: the metadata is read-only
+    with pytest.raises(TypeError):
+        ps.meta["gamma"] = 0.25
     made.clear()
-    ps.meta["gamma"] = whole.meta["gamma"] = 0.25
-    slower = _certificates(ps)
-    assert made == [("s(home)", 0.25, 1.0)]
-    assert slower == _certificates(_reloaded(whole)) != again
+    assert _certificates(ps) == again and made == []
 
 
 def _separation_oracle(ps: IndexedPointSet) -> tuple[float, tuple[complex, complex]]:

@@ -48,24 +48,26 @@ def cfg(radius=4.5, gamma=7.0, cap=0.4, seed=0, lat=UNIT) -> GeneratorConfig:
 # -- configuration ---------------------------------------------------------------
 
 
-def test_config_validation():
-    cfg().validate()
-    cfg().validate(alpha=3.0)  # gamma = 7 > 2*alpha = 6
-    with pytest.raises(ValueError):
-        cfg(gamma=0.0).validate()
-    with pytest.raises(ValueError):
-        cfg(cap=0.0).validate()
-    with pytest.raises(ValueError):
-        cfg(cap=1.5).validate()
-    with pytest.raises(ValueError):
-        GeneratorConfig(UNIT, -1.0).validate()
-    with pytest.raises(ValueError):
-        cfg(gamma=7.0).validate(alpha=3.5)  # gamma must exceed 2*alpha
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            cfg(gamma=bad).validate()
-        with pytest.raises(ValueError):
-            cfg(radius=bad).validate()
+def test_config_validation(monkeypatch):
+    # each generator makes its set first, and the set refuses a bad budget or
+    # window before any lattice point is enumerated
+    def no_window(*_args):
+        raise AssertionError("window_arrays ran on a bad configuration")
+
+    bad = [cfg(gamma=0.0), cfg(cap=0.0), cfg(cap=1.5), GeneratorConfig(UNIT, -1.0)]
+    for value in (math.nan, math.inf):
+        bad += [cfg(gamma=value), cfg(cap=value), cfg(radius=value)]
+    makers = [deterministic_triple, random_triple, real_pair, even_single]
+    assert all(len(make(cfg(radius=2.0))) for make in makers)
+    monkeypatch.setattr(sampler, "window_arrays", no_window)
+    for make in makers:
+        for c in bad:
+            with pytest.raises(ValueError):
+                make(c)
+    for make in (density_opt_real, density_opt_even):
+        for kwargs in ({"gamma": 0.0}, {"kappa_cap": math.nan}, {"window_radius": math.inf}):
+            with pytest.raises(ValueError):
+                make(0.45, **{"window_radius": 8.0, **kwargs})
 
 
 # -- triple generators --------------------------------------------------------------
@@ -78,7 +80,7 @@ def test_deterministic_triples_are_equilateral_with_saturated_budgets():
     assert math.isclose(rep.theta_min, math.pi / 3.0, rel_tol=1e-12)
     assert rep.passed
     assert ps.meta["construction"] == "det3"
-    assert ps.meta["sample_tags"] == ["A", "B", "C"]
+    assert ps.meta["sample_tags"] == ("A", "B", "C")
     for index in [(0, 0), (1, 0), (2, -1)]:
         home = UNIT.point(index)
         budget = c.kappa_cap * math.exp(-c.gamma * abs(home) ** 2)
@@ -119,7 +121,7 @@ def test_window_extension_preserves_existing_draws():
 
 def test_real_pair_relations():
     ps = real_pair(cfg())
-    assert ps.meta["sample_tags"] == ["1", "2"]
+    assert ps.meta["sample_tags"] == ("1", "2")
     idx, pts = window_arrays(UNIT, 4.5)
     assert len(sample_points(ps)) == 2 * len(pts)
     # on the real axis the triple is an actual mirror pair
@@ -130,7 +132,7 @@ def test_real_pair_relations():
 
 def test_even_single_relations():
     ps = even_single(cfg())
-    assert ps.meta["sample_tags"] == ["1"]
+    assert ps.meta["sample_tags"] == ("1",)
     with pytest.raises(KeyError):
         ps.get((0, 0), "1")
     # real-axis homes mirror
@@ -269,10 +271,14 @@ def test_opteven_triples_fold_back_to_the_generator_draws():
     assert len(indices) == np.count_nonzero(opt_even_sublattice_mask(idx[:, 0], idx[:, 1]))
     for t, label in enumerate((1, 2, 3)):
         assert np.array_equal(verts[:, t], keyed_disk(3, m, n, label))
-    # a fold the set cannot name is refused, not skipped
-    ps.meta["triple_fold"] = {"A": "rotate"}
-    with pytest.raises(ValueError, match="fold"):
-        triple_vertices(ps)
+    # a fold the set cannot name is refused when a set is made, and a made
+    # set's folds cannot be changed
+    with pytest.raises(ValueError, match="triple_fold"):
+        IndexedPointSet(ps.lattice, ps.window_radius, {**ps.meta, "triple_fold": {"A": "rotate"}})
+    with pytest.raises(TypeError):
+        ps.meta["triple_fold"] = {"A": "rotate"}
+    with pytest.raises(TypeError):
+        ps.meta["triple_fold"]["A"] = "rotate"
 
 
 def test_opteven_det_triples_regroup_after_a_round_trip():
