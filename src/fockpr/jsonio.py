@@ -24,8 +24,13 @@ dimension, is an error.  Arrays are rendered in bulk, in blocks of
 row template, so the working set stays that of one block whatever the
 length of the list.  A token depends only on its value, so the blocks
 write exactly the bytes the list of values would give.
-:func:`dump_path` hands the text to the file in slices, and
-:func:`load_path` reads a file back with :func:`json.load`.
+
+:func:`dumps` appends each piece of the text, a block or a token, to one
+string as a generator yields it.  CPython grows a string that only one
+name holds in place, so the pieces are never held beside the text and
+the peak stays near the size of the text.  :func:`dump_path` hands the
+text to the file in slices, and :func:`load_path` reads a file back with
+:func:`json.load`.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -101,73 +106,78 @@ def _tokens(col: np.ndarray) -> list[str]:
     return quoted[inverse].tolist()
 
 
-def _write_array(arr: np.ndarray, out: list[str], indent: int) -> None:
+def _array_pieces(arr: np.ndarray, indent: int) -> Iterator[str]:
     """Render a 1-D array as the list of its values, ``_ROW_BLOCK`` at a time.
 
     Only one block's tokens are alive at a time.
     """
     if len(arr) == 0:
-        out.append("[]")
+        yield "[]"
         return
     row = "  " * (indent + 1) + "%s"
-    out.append("[\n")
+    yield "[\n"
     for start in range(0, len(arr), _ROW_BLOCK):
         if start:
-            out.append(",\n")
+            yield ",\n"
         tokens = _tokens(arr[start : start + _ROW_BLOCK])
-        out.append(",\n".join([row] * len(tokens)) % tuple(tokens))
-    out.append("\n" + "  " * indent + "]")
+        yield ",\n".join([row] * len(tokens)) % tuple(tokens)
+    yield "\n" + "  " * indent + "]"
 
 
-def _write(obj: Any, out: list[str], indent: int) -> None:
+def _pieces(obj: Any, indent: int) -> Iterator[str]:
+    """The text of ``obj`` at ``indent``, piece by piece."""
     pad = "  " * indent
     if obj is None or isinstance(obj, bool):
-        out.append("null" if obj is None else ("true" if obj else "false"))
+        yield "null" if obj is None else ("true" if obj else "false")
     elif isinstance(obj, int):
-        out.append(str(obj))
+        yield str(obj)
     elif isinstance(obj, float):
-        out.append(format_float(obj))
+        yield format_float(obj)
     elif isinstance(obj, complex):
-        _write([obj.real, obj.imag], out, indent)
+        yield from _pieces([obj.real, obj.imag], indent)
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        yield json.dumps(obj, ensure_ascii=True)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        _write({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out, indent)
+        yield from _pieces({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent)
     elif isinstance(obj, Mapping):
         if any(not isinstance(k, str) for k in obj):
             raise TypeError("artifact keys must be strings")
         if not obj:
-            out.append("{}")
+            yield "{}"
             return
-        out.append("{\n")
+        yield "{\n"
         inner = "  " * (indent + 1)
         for i, key in enumerate(sorted(obj)):
-            out.append(f"{inner}{json.dumps(key, ensure_ascii=True)}: ")
-            _write(obj[key], out, indent + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "}")
+            yield f"{inner}{json.dumps(key, ensure_ascii=True)}: "
+            yield from _pieces(obj[key], indent + 1)
+            yield ",\n" if i + 1 < len(obj) else "\n"
+        yield pad + "}"
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "fiuU":
-        _write_array(obj, out, indent)
+        yield from _array_pieces(obj, indent)
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
-            out.append("[]")
+            yield "[]"
             return
-        out.append("[\n")
+        yield "[\n"
         inner = "  " * (indent + 1)
         for i, item in enumerate(obj):
-            out.append(inner)
-            _write(item, out, indent + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
+            yield inner
+            yield from _pieces(item, indent + 1)
+            yield ",\n" if i + 1 < len(obj) else "\n"
+        yield pad + "]"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} into an artifact")
 
 
 def dumps(obj: Any) -> str:
     """Canonical JSON text (no trailing newline)."""
-    out: list[str] = []
-    _write(obj, out, 0)
-    return "".join(out)
+    # each piece is appended as it is formed, not joined from a list at the
+    # end: CPython grows a string only this name holds in place, so the
+    # pieces are not held beside the text
+    text = ""
+    for piece in _pieces(obj, 0):
+        text += piece
+    return text
 
 
 def _write_slices(fh, text: str) -> None:

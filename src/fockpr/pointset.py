@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import csv
 import math
+import struct
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -88,9 +89,12 @@ PLAIN_COLUMNS = {"re": "finite numbers", "im": "finite numbers"}
 
 # points relative_separation_bound buckets together
 _STENCIL_BLOCK = 1 << 10
-# elements taken per Python list by _elementwise, and same-home pairs whose
-# offset logs _set_separation forms together
+# elements taken per Python list by _elementwise and to_csv, and same-home
+# pairs whose offset logs _set_separation forms together
 _ELEMENT_BLOCK = 1 << 12
+# the bytes add appends for a row's (m, n) and for its unit's two parts
+_INDEX_PAIR = struct.Struct("=qq")
+_UNIT_PARTS = struct.Struct("=dd")
 
 
 @dataclass(frozen=True)
@@ -148,13 +152,15 @@ class IndexedPointSet:
     One row per sample, in insertion order: the lattice index ``(m, n)``,
     the ``tag`` and the offset ``unit`` in budget units (see the module
     docstring for what is derived from it).  :meth:`add` appends a row to
-    a buffer; the next column read packs the buffer into columns (no tag
-    may end in NUL), joins them to the set's columns and checks the whole
-    in one pass, the check :meth:`from_json` runs on a document: every
-    home lies in the window and one lexsort of the key columns finds no
-    repeated key.  :meth:`get` finds its row by one match over the key
-    columns.  Outputs (``points``, ``to_json``, ``to_csv``) list rows in
-    the canonical (m, n, tag) order.
+    typed buffers, one value per column and no Python object per row: the
+    ``(m, n)`` pairs as int64 and the parts of ``unit`` as float64, each
+    packed into a ``bytearray``, and a list of the tags.  The next column
+    read wraps the buffers with ``np.frombuffer`` (no tag may end in NUL),
+    joins them to the set's columns and checks the whole in one pass, the
+    check :meth:`from_json` runs on a document: every home lies in the
+    window and one lexsort of the key columns finds no repeated key.  :meth:`get`
+    finds its row by one match over the key columns.  Outputs (``points``,
+    ``to_json``, ``to_csv``) list rows in the canonical (m, n, tag) order.
 
     The constructor is the one check of the header: ``window_radius`` is
     a finite positive number, and ``meta`` passes :func:`_checked_meta`.
@@ -176,7 +182,7 @@ class IndexedPointSet:
         self.window_radius = float(window_radius)
         self._meta = _checked_meta(meta)
         self._cols = _NO_ROWS
-        self._buffer: list[tuple] = []
+        self._added_index, self._added_tag, self._added_unit = bytearray(), [], bytearray()
         self._derivations: dict[tuple, np.ndarray] = {}
 
     @property
@@ -189,11 +195,18 @@ class IndexedPointSet:
     def add(self, index: tuple[int, int], tag: str, unit: complex) -> None:
         """Insert a sample at offset ``unit`` (in budget units) from its home point.
 
-        The row waits in a buffer; the next column read checks it with the
-        rest (see :meth:`_columns`), so a tag that ends in NUL, a home
+        The row is appended to the typed buffers, 40 bytes of them: ``(m,
+        n)`` as two int64 values, ``unit`` as two float64 parts and a
+        reference to ``tag``.  An index that is not a pair of int64 integers
+        (``struct.error``), or a ``unit`` that is not a number, raises here,
+        before any buffer grows.  The next column read checks the row with
+        the rest (see :meth:`_columns`), so a tag that ends in NUL, a home
         outside the window or a repeated key raises there.
         """
-        self._buffer.append((index[0], index[1], tag, unit))
+        unit = complex(unit)
+        self._added_index += _INDEX_PAIR.pack(index[0], index[1])
+        self._added_unit += _UNIT_PARTS.pack(unit.real, unit.imag)
+        self._added_tag.append(tag)
 
     def _load(self, cols: _Columns) -> None:
         """Take ``cols`` as the rows of this set, after checking them.
@@ -217,21 +230,29 @@ class IndexedPointSet:
     def _columns(self) -> _Columns:
         """The columns, with the rows added since the last read joined and checked in one step.
 
-        The buffer is emptied only once the joined columns pass
+        The buffers are emptied only once the joined columns pass
         :meth:`_load`'s check, so a bad row raises again at every later read.
         """
-        if self._buffer:
-            m, n, tag, unit = zip(*self._buffer)
-            _reject_nul_ends(tag, "tag", len(self._cols.m))
-            added = (
-                np.array(m, dtype=np.int64),
-                np.array(n, dtype=np.int64),
-                np.array(tag, dtype=str),
-                np.array(unit, dtype=complex),
-            )
-            self._load(_Columns(*map(np.concatenate, zip(self._cols, added))))
-            self._buffer = []
+        if self._added_tag:
+            _reject_nul_ends(self._added_tag, "tag", len(self._cols.m))
+            self._load(self._joined())
+            self._added_index, self._added_tag, self._added_unit = bytearray(), [], bytearray()
         return self._cols
+
+    def _joined(self) -> _Columns:
+        """The columns followed by the buffered rows, as new arrays.
+
+        The buffers are read in place through ``np.frombuffer``; those views
+        end with this call, so a failed check leaves the buffers free to grow.
+        """
+        index = np.frombuffer(self._added_index, dtype=np.int64).reshape(-1, 2)
+        added = (
+            index[:, 0],
+            index[:, 1],
+            np.array(self._added_tag, dtype=str),
+            np.frombuffer(self._added_unit, dtype=complex),
+        )
+        return _Columns(*map(np.concatenate, zip(self._cols, added)))
 
     def _rows(self, tags: Sequence[str] | None = None) -> np.ndarray:
         """Rows carrying one of ``tags`` (all rows for None) in canonical (m, n, tag) order."""
@@ -245,7 +266,7 @@ class IndexedPointSet:
         return list(map(PointEntry, (homes + deltas).tolist(), deltas.tolist(), units.tolist()))
 
     def __len__(self) -> int:
-        return len(self._cols.m) + len(self._buffer)
+        return len(self._cols.m) + len(self._added_tag)
 
     def get(self, index: tuple[int, int], tag: str) -> PointEntry:
         """The sample of key (index, tag), found by one match over the key columns."""
@@ -360,19 +381,20 @@ class IndexedPointSet:
     def from_json(cls, data: Mapping) -> "IndexedPointSet":
         """Set from a parsed artifact document, as :func:`jsonio.load_path` gives it.
 
-        The header is checked as the set is made (see the class docstring).
-        The points are the columns of :data:`POINT_COLUMNS`, read by
-        :func:`_read_columns`: integers ``m`` and ``n`` (integral floats
-        count), strings ``tag``, and finite numbers ``unit_re`` and
-        ``unit_im``.  Every home lies in the window and no (index, tag)
-        repeats, which one lexsort of the key columns checks, and
-        ``meta.sample_tags`` names only tags the set holds.
+        A missing ``lattice``, ``window_radius`` or ``points`` is an error
+        that names the field.  The header is checked as the set is made (see
+        the class docstring).  The points are the columns of
+        :data:`POINT_COLUMNS`, read by :func:`_read_columns`: integers ``m``
+        and ``n`` (integral floats count), strings ``tag``, and finite
+        numbers ``unit_re`` and ``unit_im``.  Every home lies in the window
+        and no (index, tag) repeats, which one lexsort of the key columns
+        checks, and ``meta.sample_tags`` names only tags the set holds.
         """
-        lat = data["lattice"]
+        lat = _field(data, "lattice")
         if not isinstance(lat, Lattice):
             lat = Lattice.from_json(lat)
-        ps = cls(lat, data["window_radius"], meta=data.get("meta", {}))
-        cols = _read_columns(data["points"], POINT_COLUMNS)
+        ps = cls(lat, _field(data, "window_radius"), meta=data.get("meta", {}))
+        cols = _read_columns(_field(data, "points"), POINT_COLUMNS)
         unit = _complex(cols.pop("unit_re"), cols.pop("unit_im"))
         ps._load(_Columns(cols["m"], cols["n"], cols["tag"], unit))
         tags = sample_tags(ps)
@@ -384,18 +406,31 @@ class IndexedPointSet:
         return ps
 
     def to_csv(self, path) -> None:
-        """Rows ``m,n,tag,re,im`` of the positions, with 17-significant-digit floats."""
+        """Rows ``m,n,tag,re,im`` of the positions, with 17-significant-digit floats.
+
+        The rows are formed and written ``_ELEMENT_BLOCK`` at a time, so only
+        one block of them is held as Python objects and text.
+        """
         rows, c = self._rows(), self._columns()
-        homes, deltas = self._placed(rows)
-        xy = (homes + deltas).view(np.float64).tolist()
-        g17 = ("%.17g\n" * len(xy) % tuple(xy)).split("\n")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["m", "n", "tag", "re", "im"])
-            writer.writerows(
-                zip(c.m[rows].tolist(), c.n[rows].tolist(), c.tag[rows].tolist(),
-                    g17[0:-1:2], g17[1::2])
-            )
+            for start in range(0, len(rows), _ELEMENT_BLOCK):
+                block = rows[start : start + _ELEMENT_BLOCK]
+                homes, deltas = self._placed(block)
+                xy = (homes + deltas).view(np.float64).tolist()
+                g17 = ("%.17g\n" * len(xy) % tuple(xy)).split("\n")
+                writer.writerows(
+                    zip(c.m[block].tolist(), c.n[block].tolist(), c.tag[block].tolist(),
+                        g17[0:-1:2], g17[1::2])
+                )
+
+
+def _field(data: Mapping, key: str):
+    """``data[key]``; a document without it is an error that names the field."""
+    if key not in data:
+        raise ValueError(f"field {key!r} is missing")
+    return data[key]
 
 
 def _first_repeat(m: np.ndarray, n: np.ndarray, tag: np.ndarray) -> int | None:

@@ -74,6 +74,8 @@ _CUBE_ROOTS = (
     complex(math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0)),
     complex(math.cos(4.0 * math.pi / 3.0), math.sin(4.0 * math.pi / 3.0)),
 )
+# rows of a tag that _add_each takes per Python list
+_ADD_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -209,11 +211,16 @@ def _add_each(ps: IndexedPointSet, idx: np.ndarray, tag: str, units: np.ndarray)
     """One ``ps.add`` per row of ``idx`` (shape (k, 2)) with the unit offset of that row.
 
     Each sample is its own :meth:`IndexedPointSet.add` call, one append to
-    the set's buffer and the per-sample step that ``perfbench`` traces
-    tally; the set checks the rows at its next column read.
+    the set's typed buffers and the per-sample step that ``perfbench``
+    traces tally; the set checks the rows at its next column read.  The
+    columns ``m``, ``n`` and ``units`` are walked as flat ``.tolist()``
+    slices of ``_ADD_BLOCK`` rows, so only one block of them is held as
+    Python objects at a time.
     """
-    for index, u in zip(idx.tolist(), units.tolist()):
-        ps.add(index, tag, u)
+    for start in range(0, len(idx), _ADD_BLOCK):
+        block = slice(start, start + _ADD_BLOCK)
+        for m, n, u in zip(idx[block, 0].tolist(), idx[block, 1].tolist(), units[block].tolist()):
+            ps.add((m, n), tag, u)
 
 
 # -- density-optimal variants -------------------------------------------------

@@ -580,6 +580,24 @@ def test_a_file_without_samples_exits_2_and_names_it(tmp_path, capsys, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("certify", "--gamma", 7, "--beta", 12.566), ("injectivity", "--dim", 2), ("render",)],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("field", ["points", "window_radius"])
+def test_a_set_file_without_a_field_exits_2_and_names_it(tmp_path, capsys, command, field):
+    doc = {"lattice": {"omega1": [1, 0], "omega2": [0, 1]}, "window_radius": 3,
+           "points": {"m": [0], "n": [0], "tag": ["A"], "unit_re": [0.0], "unit_im": [0.0]}}
+    del doc[field]
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    out = tmp_path / "out"
+    assert run(command[0], "--in", path, *command[1:], "--out", out) == 2
+    assert f"error: {path}: field '{field}' is missing" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- verify ------------------------------------------------------------------------
 
 

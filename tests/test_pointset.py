@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import re
+import struct
 import tracemalloc
 
 import mpmath
@@ -19,6 +20,7 @@ import scipy.spatial
 from fockpr import jsonio
 from fockpr.lattice import Lattice, square_lattice, window_arrays
 from fockpr.sampler import (
+    _add_each,
     GeneratorConfig,
     deterministic_triple,
     even_single,
@@ -162,6 +164,19 @@ def test_a_bad_add_raises_at_every_later_read():
                 read()
     with pytest.raises(ValueError):
         IndexedPointSet(Lattice(1.0, 1.0j), window_radius=0.0)
+
+
+def test_an_add_that_does_not_convert_raises_and_buffers_nothing():
+    ps = make_set()
+    ps.add((1, 0), "A", 0.5)
+    bad = (((1.5, 0), 0.0, struct.error), ((0, 2**63), 0.0, struct.error), ((2, 0), "x", ValueError))
+    for index, unit, error in bad:
+        with pytest.raises(error):
+            ps.add(index, "B", unit)
+    assert len(ps) == 1
+    ps.add((2, 0), "B", 0.25j)
+    assert insertion_keys(ps) == [(1, 0, "A"), (2, 0, "B")]
+    assert ps.get((2, 0), "B").unit == 0.25j
 
 
 def test_a_loaded_document_matches_single_adds_and_rejects_bad_keys():
@@ -812,6 +827,14 @@ def test_from_json_names_a_missing_or_short_column(edit, message):
         IndexedPointSet.from_json(_with_points(_seven_rows(), edit))
 
 
+@pytest.mark.parametrize("field", ["lattice", "window_radius", "points"])
+def test_from_json_names_a_missing_field(field):
+    doc = make_document([(0, 0, "A")])
+    del doc[field]
+    with pytest.raises(ValueError, match=f"^field '{field}' is missing$"):
+        IndexedPointSet.from_json(doc)
+
+
 def test_from_json_loads_an_empty_set_and_ignores_other_columns():
     empty = IndexedPointSet.from_json(json.loads(jsonio.dumps(make_set().to_json())))
     assert len(empty) == 0 and empty.points().size == 0
@@ -965,3 +988,80 @@ def test_csv_export(tmp_path):
     assert len(lines) == 3  # header + 2 entries
     assert lines[0].split(",")[:3] == ["m", "n", "tag"]
     assert any(row.startswith("1,0,A") for row in lines[1:])
+
+
+def test_added_rows_hold_under_fifty_bytes_each():
+    # add appends an int64 pair, two float64 parts and a tag reference (41
+    # bytes a row with the buffers' spare room); a tuple per row, with the
+    # complex it held, took 140
+    n = 50_000
+    k = np.arange(n)
+    idx = np.stack([k % 200 - 100, k // 200 - 100], axis=1)
+    units = np.exp(0.001j * k) * 0.5
+    ps = IndexedPointSet(Lattice(1.0, 1.0j), window_radius=300.0)
+    _add_each(ps, idx[:3], "B", units[:3])  # the buffers exist before the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _add_each(ps, idx, "A", units)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ps) == n + 3
+    assert held / n < 50
+
+
+def test_to_csv_of_a_large_set_peaks_below_one_and_a_half_times_its_file(tmp_path):
+    # the rows are formed and written one block at a time (1.16 times the
+    # file); the positions, their Python floats and their text for every row
+    # at once peaked at 7.8 times the file
+    cfg = GeneratorConfig(Lattice(0.3, 0.3j), window_radius=20.0, gamma=7.0, kappa_cap=1.0, seed=3)
+    ps = real_pair(cfg)  # 49,077 samples
+    ps.points()  # joins the rows and forms the derived columns that the set keeps
+    make_set().to_csv(tmp_path / "empty.csv")  # lazy imports outside the trace
+    path = tmp_path / "set.csv"
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        ps.to_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(path.read_text().splitlines()) == len(ps) + 1
+    assert peak < 1.5 * path.stat().st_size
+
+
+def _real2_outputs(tmp_path, name: str) -> tuple:
+    """The JSON text, the CSV bytes and the column bits of a small ``real2`` set."""
+    ps = real_pair(GeneratorConfig(Lattice(0.3, 0.3j), window_radius=4.0, seed=3))
+    path = tmp_path / f"{name}.csv"
+    ps.to_csv(path)
+    return jsonio.dumps(ps.to_json()), path.read_bytes(), _column_bits(ps)
+
+
+def test_added_rows_and_csv_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    whole = _real2_outputs(tmp_path, "whole")  # 1,976 rows, one block each way
+    monkeypatch.setattr("fockpr.sampler._ADD_BLOCK", 3)
+    monkeypatch.setattr("fockpr.pointset._ELEMENT_BLOCK", 3)
+    assert _real2_outputs(tmp_path, "blocks") == whole
+
+
+@pytest.mark.parametrize("tag, message", [
+    ("A\0", "point row 14: column 'tag' must hold strings that do not end in NUL, got 'A\\x00'"),
+    ("A", "duplicate entry for index (0, 0) tag 'A'"),
+])
+def test_a_bad_row_added_after_a_read_is_named_across_blocks(monkeypatch, tag, message):
+    monkeypatch.setattr("fockpr.sampler._ADD_BLOCK", 3)
+    monkeypatch.setattr("fockpr.pointset._ELEMENT_BLOCK", 3)
+    idx, units = np.array([(k, 0) for k in range(7)]), np.linspace(0.0, 0.5, 7).astype(complex)
+    ps = make_set()
+    _add_each(ps, idx, "A", units)  # rows 0 to 6
+    ps.points()
+    _add_each(ps, idx + (0, 1), "B", units)  # rows 7 to 13
+    _add_each(ps, idx[:1], tag, units[:1])  # row 14, at the home of row 0
+    _add_each(ps, idx + (0, 2), "C", units)
+    for _ in range(2):  # the bad row stays in the buffers, and raises at every read
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            ps.tags()
+    ps.add((9, 9), "D", 0.0)  # the buffers still grow while a failed read's traceback is held
+    assert info.value is not None and len(ps) == 23
