@@ -25,11 +25,9 @@ Key analytic facts exercised here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "FockPoly",
@@ -70,20 +68,23 @@ def basis_scales(alpha: float, n_max: int) -> np.ndarray:
     return np.exp(logs)
 
 
-@dataclass(frozen=True)
-class FockPoly:
-    """Polynomial with coefficients in the orthonormal basis at ``alpha``."""
-
+class _FockPolyFields(NamedTuple):
     alpha: float
     coeffs: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.alpha <= 0:
+
+class FockPoly(_FockPolyFields):
+    """Polynomial with coefficients in the orthonormal basis at ``alpha``."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: float, coeffs) -> "FockPoly":
+        if alpha <= 0:
             raise ValueError("alpha must be positive")
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
+        arr = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
-        object.__setattr__(self, "coeffs", arr)
+        return super().__new__(cls, alpha, arr)
 
     @property
     def degree(self) -> int:
@@ -182,8 +183,7 @@ def close_pair_bound_check(alpha: float, z, w) -> np.ndarray:
 # -- growth -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     passed: bool
     max_ratio: float
     worst_point: complex
@@ -239,6 +239,7 @@ def wronskian(F: FockPoly, H: FockPoly) -> FockPoly:
     """
     if F.alpha != H.alpha:
         raise ValueError("weights must match")
+    npoly = np.polynomial.polynomial  # loaded on first use, not at import
     a = F.monomial_coeffs()
     b = H.monomial_coeffs()
     da = npoly.polyder(a) if len(a) > 1 else np.zeros(1, dtype=complex)
@@ -268,25 +269,27 @@ def polyanalytic_residual(F: FockPoly, H: FockPoly, z) -> float:
 # -- two-variable extension ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoVarFockPoly:
-    """Polynomial in two variables at weight ``beta``; ``coeffs[a, b]``
-    multiplies ``z1^a z2^b`` (monomial form)."""
-
+class _TwoVarFockPolyFields(NamedTuple):
     beta: float
     coeffs: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.beta <= 0:
+
+class TwoVarFockPoly(_TwoVarFockPolyFields):
+    """Polynomial in two variables at weight ``beta``; ``coeffs[a, b]``
+    multiplies ``z1^a z2^b`` (monomial form)."""
+
+    __slots__ = ()
+
+    def __new__(cls, beta: float, coeffs) -> "TwoVarFockPoly":
+        if beta <= 0:
             raise ValueError("beta must be positive")
-        arr = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
-        object.__setattr__(self, "coeffs", arr)
+        return super().__new__(cls, beta, np.atleast_2d(np.asarray(coeffs, dtype=complex)))
 
     def __call__(self, z1, z2):
         a, b = np.broadcast_arrays(
             np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
         )
-        return npoly.polyval2d(a, b, self.coeffs)
+        return np.polynomial.polynomial.polyval2d(a, b, self.coeffs)
 
     def norm(self) -> float:
         """``||z1^a z2^b||^2 = a! b! / beta^(a+b)`` summed against |c|^2."""

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,8 +89,11 @@ def _hermite_series(coeffs: Sequence[complex], u: np.ndarray) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True)
-class HermiteSignal:
+class _HermiteSignalFields(NamedTuple):
+    coeffs: tuple[complex, ...]
+
+
+class HermiteSignal(_HermiteSignalFields):
     """Finite expansion sum coeffs[n] * h_n in normalized Hermite functions.
 
     Evaluation runs the normalized Hermite recurrence over the flattened
@@ -99,13 +101,13 @@ class HermiteSignal:
     is two recurrence rows and one accumulator, whatever the degree.
     """
 
-    coeffs: tuple[complex, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(complex(c) for c in self.coeffs)
+    def __new__(cls, coeffs) -> "HermiteSignal":
+        coeffs = tuple(complex(c) for c in coeffs)
         if not coeffs:
             raise ValueError("need at least one coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
+        return super().__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:
@@ -193,8 +195,7 @@ def bargmann_grid(
     return out.reshape(z.shape) if z.ndim else out[0]
 
 
-@dataclass(frozen=True)
-class HardyReport:
+class HardyReport(NamedTuple):
     c_value: float
     max_ratio: float
     worst_point: complex

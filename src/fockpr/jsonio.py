@@ -12,8 +12,9 @@ that :func:`json.loads` accepts, so reports carrying an infinite
 certificate constant still round-trip.
 
 Two encoding rules hold for every artifact, so no caller spells them out:
-a ``complex`` scalar is written as its ``[re, im]`` pair, and a dataclass
-instance as the object of its fields by name.
+a ``complex`` scalar is written as its ``[re, im]`` pair, and a record (a
+``NamedTuple`` instance, a tuple with ``_fields``) as the object of its
+fields by name.  Any other tuple is written as a list.
 
 Long lists are handed to :func:`dumps` as numpy arrays: a 1-D int, float
 or str array stands for the list of its values (a point-set column, see
@@ -35,7 +36,6 @@ text to the file in slices, and :func:`load_path` reads a file back with
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -137,8 +137,8 @@ def _pieces(obj: Any, indent: int) -> Iterator[str]:
         yield from _pieces([obj.real, obj.imag], indent)
     elif isinstance(obj, str):
         yield json.dumps(obj, ensure_ascii=True)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        yield from _pieces({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent)
+    elif isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        yield from _pieces(obj._asdict(), indent)
     elif isinstance(obj, Mapping):
         if any(not isinstance(k, str) for k in obj):
             raise TypeError("artifact keys must be strings")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,21 +32,24 @@ class LatticeIndex(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """Oriented lattice ``omega1*Z + omega2*Z + shift``; the three are stored as ``complex``."""
-
+class _LatticeFields(NamedTuple):
     omega1: complex
     omega2: complex
     shift: complex = 0j
 
-    def __post_init__(self) -> None:
-        for name in ("omega1", "omega2", "shift"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+
+class Lattice(_LatticeFields):
+    """Oriented lattice ``omega1*Z + omega2*Z + shift``; the three are stored as ``complex``."""
+
+    __slots__ = ()
+
+    def __new__(cls, omega1: complex, omega2: complex, shift: complex = 0j) -> "Lattice":
+        self = super().__new__(cls, complex(omega1), complex(omega2), complex(shift))
         if not (self.area > 0.0):
             raise ValueError(
                 f"basis must be positively oriented: Im(conj(omega1)*omega2) = {self.area}"
             )
+        return self
 
     @property
     def area(self) -> float:

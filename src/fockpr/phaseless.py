@@ -22,11 +22,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .fock import FockPoly, shift, wronskian
 
@@ -76,8 +74,7 @@ def uniqueness_product(F: FockPoly, H: FockPoly) -> FockPoly:
     return FockPoly.from_monomial(4.0 * F.alpha, mono)
 
 
-@dataclass(frozen=True)
-class PhaseDecision:
+class PhaseDecision(NamedTuple):
     status: str  # equivalent | distinct | inconclusive | precondition_failed
     tau: complex | None
     max_modulus_gap: float
@@ -163,8 +160,7 @@ def _along(G: FockPoly, c: complex, d: complex) -> np.ndarray:
     return shift(G, c).monomial_coeffs() * d ** np.arange(len(G.coeffs))
 
 
-@dataclass(frozen=True)
-class RolleResult:
+class RolleResult(NamedTuple):
     point: complex
     theta: float
     residual: float
@@ -195,6 +191,7 @@ def rolle_point(
     for pt in (a, c):
         if abs(abs(F(pt)) - abs(H(pt))) > 1e-10 * scale:
             raise ValueError(f"moduli differ at endpoint {pt}")
+    npoly = np.polynomial.polynomial  # loaded on first use, not at import
     theta = cmath.phase(a - c)
     p, q = _along(F, c, a - c), _along(H, c, a - c)
     # for real t, |sum p_k t^k|^2 has the coefficients of p * conj(p)
@@ -218,8 +215,7 @@ def rolle_point(
     return RolleResult(point=point, theta=theta, residual=residual)
 
 
-@dataclass(frozen=True)
-class PerturbationBoundReport:
+class PerturbationBoundReport(NamedTuple):
     ok: bool
     lhs: float
     bound: float
@@ -383,8 +379,7 @@ def lifted_rows(points: Sequence[complex], N: int, alpha: float) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class LiftedReport:
+class LiftedReport(NamedTuple):
     dim: int
     num_points: int
     singular_values: tuple[float, ...]

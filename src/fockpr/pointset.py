@@ -39,10 +39,8 @@ Certificates:
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -97,8 +95,7 @@ _INDEX_PAIR = struct.Struct("=qq")
 _UNIT_PARTS = struct.Struct("=dd")
 
 
-@dataclass(frozen=True)
-class PointEntry:
+class PointEntry(NamedTuple):
     """One sample: its position, its offset from home, and that offset in budget units.
 
     ``unit`` is the stored value, a point of the closed unit disk; the
@@ -139,6 +136,17 @@ def _elementwise(f, values: np.ndarray) -> np.ndarray:
             map(f, values[start : start + _ELEMENT_BLOCK].tolist())
         )
     return out
+
+
+def _per_distinct(f, values: np.ndarray) -> np.ndarray:
+    """:func:`_elementwise` of ``f``, with ``f`` called once per distinct value.
+
+    ``np.unique`` merges values that compare equal (``0.0`` and ``-0.0``),
+    so ``f`` must give them one result; the bytes are then those of the
+    per-element loop.
+    """
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return _elementwise(f, distinct)[inverse]
 
 
 def _log_abs(z: complex) -> float:
@@ -317,11 +325,12 @@ class IndexedPointSet:
         )
 
     def _budgets(self) -> np.ndarray:
-        """The budget ``kappa_cap * exp(-gamma*|home|^2)`` of every row (0 on underflow)."""
+        """The budget ``kappa_cap * exp(-gamma*|home|^2)`` of every row (0 on underflow),
+        formed once per distinct ``|home|^2``."""
         gamma, kappa_cap = self.budget()
         return self._derived(
             ("s(home)",),
-            lambda c: _elementwise(lambda h: kappa_cap * math.exp(-gamma * h), self._home_norms()),
+            lambda c: _per_distinct(lambda h: kappa_cap * math.exp(-gamma * h), self._home_norms()),
         )
 
     def _placed(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -411,6 +420,8 @@ class IndexedPointSet:
         The rows are formed and written ``_ELEMENT_BLOCK`` at a time, so only
         one block of them is held as Python objects and text.
         """
+        import csv  # only this method writes csv; not loaded by every run
+
         rows, c = self._rows(), self._columns()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -610,22 +621,31 @@ def plain_to_json(points: np.ndarray, **header) -> dict:
 # -- triangle angles ---------------------------------------------------------
 
 
-def median_angles(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+def median_angles(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, exact: bool = True
+) -> np.ndarray:
     """Median interior angle of the triangles (a, b, c), elementwise.
 
     Degenerate triangles (collinear or with coincident vertices) yield 0.
+    Each vertex angle is ``math.atan2`` per element, the same bits on every
+    machine.  ``exact=False`` takes numpy's ``arctan2`` loop on the same
+    parts instead: much faster, but its last bit depends on the SIMD level,
+    so a median may differ from the exact one by a few ulp (well below 1e-13).
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     c = np.asarray(c, dtype=complex)
 
     def vertex_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # conj(u) * v from real parts and math.atan2 per element, so that no
-        # SIMD loop of numpy's moves the last bit
-        w = np.empty(len(u), dtype=complex)
-        w.real = u.real * v.real + u.imag * v.imag
-        w.imag = np.abs(u.real * v.imag - u.imag * v.real)
+        # conj(u) * v from real parts, so that no complex loop of numpy's
+        # moves the last bit
+        re = u.real * v.real + u.imag * v.imag
+        im = np.abs(u.real * v.imag - u.imag * v.real)
         # a vanishing arm must give 0, not atan2(+0, -0.0) = pi
+        if not exact:
+            return np.where((re == 0) & (im == 0), 0.0, np.arctan2(im, re))
+        w = np.empty(len(u), dtype=complex)
+        w.real, w.imag = re, im
         return _elementwise(lambda z: 0.0 if z == 0 else math.atan2(z.imag, z.real), w)
 
     ang_a = vertex_angle(b - a, c - a)
@@ -644,8 +664,7 @@ def median_angle(a: complex, b: complex, c: complex) -> float:
 # -- certificates -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosenessReport:
+class ClosenessReport(NamedTuple):
     gamma: float
     tag: str
     kappa: float
@@ -695,8 +714,7 @@ def certify_f_closeness(
     )
 
 
-@dataclass(frozen=True)
-class AngleReport:
+class AngleReport(NamedTuple):
     beta: float
     theta_min: float
     sup_ratio: float
@@ -792,8 +810,7 @@ def angle_condition(ps: IndexedPointSet, beta: float) -> AngleReport:
     )
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     delta: float
     log10_delta: float
     pair: tuple[complex, complex]
@@ -940,8 +957,7 @@ def _sweep(pts: np.ndarray, home: np.ndarray | None = None) -> tuple[float, int,
     return best, i, j
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     center: complex
     radii: tuple[float, ...]
     counts: tuple[int, ...]

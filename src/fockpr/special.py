@@ -29,8 +29,7 @@ eagerly in ``__init__``.  The module imports only ``fock`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -496,8 +495,7 @@ class GGammaEvaluator:
         )
 
 
-@dataclass(frozen=True)
-class DerivativeBoundProbe:
+class DerivativeBoundProbe(NamedTuple):
     c: float
     intercept: float
     min_log_margin: float
@@ -505,8 +503,7 @@ class DerivativeBoundProbe:
     passed: bool
 
 
-@dataclass(frozen=True)
-class LagrangeResult:
+class LagrangeResult(NamedTuple):
     value: complex
     last_increment: float
     terms: int

@@ -39,6 +39,37 @@ def test_cli_import_leaves_scipy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_import_leaves_dataclasses_csv_and_numpy_polynomial_unloaded():
+    # records are NamedTuples; csv and numpy.polynomial load where they are used
+    src = str(Path(fockpr.__file__).resolve().parents[1])
+    code = (
+        "import sys, fockpr.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'csv', 'numpy.polynomial') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == []
+
+
+def test_generate_certify_and_render_leave_numpy_random_unloaded(tmp_path):
+    # the set constructions draw from fockpr.rng's keyed streams, not numpy.random
+    src = str(Path(fockpr.__file__).resolve().parents[1])
+    code = (
+        "import sys; from fockpr import cli; s, c, r, svg = sys.argv[1:]; "
+        f"rc = cli.main(['generate', '--construction', 'rand3', '--alpha', '{PI}', "
+        "'--radius', '4', '--out', s, '--csv', c]); "
+        "rc = rc or cli.main(['certify', '--in', s, '--beta', '3.0', '--out', r]); "
+        "rc = rc or cli.main(['render', '--in', s, '--mesh', '--out', svg]); "
+        "sys.exit(rc or 3 * ('numpy.random' in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    names = ("set.json", "set.csv", "r.json", "r.svg")
+    argv = [sys.executable, "-c", code, *(str(tmp_path / n) for n in names)]
+    assert subprocess.run(argv, env=env).returncode == 0
+    assert all((tmp_path / n).stat().st_size for n in names)
+
+
 # -- generate ----------------------------------------------------------------------
 
 

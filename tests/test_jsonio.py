@@ -1,9 +1,9 @@
 """Round-trip and canonical-form tests for the JSON reader/writer."""
 
-import dataclasses
 import json
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -84,7 +84,7 @@ def test_bools_are_not_confused_with_ints():
 
 
 def test_unsupported_types_are_rejected():
-    # a dataclass type (not an instance) is no record either; an array is
+    # a record type (not an instance) is no record either; an array is
     # written only as a 1-D int, float or str column
     for value in ({1, 2}, np.int64(3), np.zeros(2, dtype=complex), np.zeros(0, dtype=complex),
                   np.zeros((2, 2)), np.zeros((0, 2)), np.zeros((2, 2), dtype=complex),
@@ -95,21 +95,19 @@ def test_unsupported_types_are_rejected():
         jsonio.dumps({1: "non-string key"})
 
 
-@dataclasses.dataclass(frozen=True)
-class _Inner:
+class _Inner(NamedTuple):
     z: complex
     k: int
 
 
-@dataclasses.dataclass(frozen=True)
-class _Outer:
+class _Outer(NamedTuple):
     name: str
     inner: _Inner
     coeffs: np.ndarray
     worst: tuple[int, int] | None
 
 
-def test_complex_values_and_dataclasses_write_as_their_explicit_form():
+def test_complex_values_and_records_write_as_their_explicit_form():
     x = np.array([1.5, -0.0, 1e-300])
     cases = [
         (1 + 2j, [1.0, 2.0]),

@@ -84,6 +84,16 @@ def test_median_angle_is_permutation_invariant_and_bounded(a, b, c):
     assert -1e-12 <= median_angle(a, b, c) <= math.pi / 2.0 + 1e-9
 
 
+def test_median_angles_exact_false_lies_within_a_few_ulp():
+    rng = np.random.default_rng(7)
+    a, b, c = (rng.standard_normal(5000) + 1j * rng.standard_normal(5000) for _ in range(3))
+    b[:50] = a[:50]  # coincident vertices give 0 in both forms
+    c[50:100] = 2 * b[50:100] - a[50:100]  # collinear
+    exact, fast = median_angles(a, b, c), median_angles(a, b, c, exact=False)
+    assert np.abs(fast - exact).max() <= 1e-14
+    assert (fast[:50] == 0.0).all() and (exact[:50] == 0.0).all()
+
+
 def test_median_angles_is_elementwise():
     a = np.array([0.0, 0.0])
     b = np.array([1.0, 1.0])
@@ -660,6 +670,20 @@ def test_derived_columns_are_formed_once_per_column_state(monkeypatch):
         ps.meta["gamma"] = 0.25
     made.clear()
     assert _certificates(ps) == again and made == []
+
+
+@pytest.mark.parametrize("make", [deterministic_triple, real_pair])
+def test_home_norms_and_budgets_match_the_per_row_loop(make):
+    # three (det3) or four (real2) rows share each home, and |home|^2 repeats
+    # across the symmetric images of a lattice point
+    ps = make(GeneratorConfig(Lattice(0.5, 0.5j), window_radius=4.0, gamma=0.5, kappa_cap=0.4))
+    c = ps._columns()
+    homes = ps.lattice.point((c.m, c.n)).tolist()
+    norms = [abs(h) ** 2 for h in homes]
+    budgets = [0.4 * math.exp(-0.5 * h) for h in norms]
+    assert len(set(homes)) < len(homes) and len(set(norms)) < len(set(homes))
+    assert ps._home_norms().tobytes() == np.array(norms).tobytes()
+    assert ps._budgets().tobytes() == np.array(budgets).tobytes()
 
 
 def _separation_oracle(ps: IndexedPointSet) -> tuple[float, tuple[complex, complex]]:

@@ -395,8 +395,10 @@ def _draws_of(points: np.ndarray) -> np.ndarray:
     return np.stack([np.abs(points) ** 2, turns], axis=-1).reshape(len(points), -1)
 
 
-def _boundary_rows(rng: np.random.Generator, epsilon: float, columns: int) -> np.ndarray:
-    """Rows whose median angle is ``epsilon * (1 +- t)``, 1e-12 <= t <= 1e-3.
+def _boundary_rows(
+    rng: np.random.Generator, epsilon: float, columns: int, exponents=(-12, -3)
+) -> np.ndarray:
+    """Rows whose median angle is ``epsilon * (1 +- t)``, ``10**exponents[0] <= t <= 10**exponents[1]``.
 
     Each is an isosceles triangle, whose two equal angles are its median.
     Independent: on a random base.  Mirror: the base is a and conj(a), so
@@ -404,7 +406,8 @@ def _boundary_rows(rng: np.random.Generator, epsilon: float, columns: int) -> np
     shorter an arm, the more float32 turns it.
     """
     count = 400
-    theta = epsilon * (1.0 + rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-12, -3, count))
+    t = 10.0 ** rng.uniform(*exponents, count)
+    theta = epsilon * (1.0 + rng.choice([-1.0, 1.0], count) * t)
     base = 10.0 ** rng.uniform(-2, -1, count)
     if columns == 6:
         a = 0.3 * np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
@@ -459,6 +462,45 @@ def test_the_prefilter_keeps_every_hit(epsilon, columns, seed, data):
     assert not (hits & ~kept).any()
     filtered = median_angles(*sampler._mc_vertices(u[kept])) < epsilon
     assert np.count_nonzero(filtered) == np.count_nonzero(hits)
+
+
+@pytest.mark.parametrize("columns", [6, 4])
+@pytest.mark.parametrize("epsilon", [1e-6, 0.01, 0.05, 0.5, 1.39, 1.4, 3.2])
+def test_mc_hits_equal_the_exact_whole_batch_count(epsilon, columns):
+    for seed in range(3):
+        rng = np.random.default_rng([seed, columns])
+        degenerate = rng.random((40, columns))
+        degenerate[:20, 0] = 0.0  # a = 0, which is also c = conj(a) in the mirror variant
+        degenerate[20:, 2:4] = degenerate[20:, 0:2]  # b = a
+        u = np.concatenate([
+            rng.random((3000, columns)),
+            degenerate,
+            _boundary_rows(rng, min(epsilon, 1.39), columns),
+            # float64 median angles within 1e-13 of epsilon, where numpy's
+            # arctan2 and math.atan2 may part in the last bit
+            _boundary_rows(rng, min(epsilon, 1.39), columns, exponents=(-16, -13.5)),
+        ])
+        expected = np.count_nonzero(_whole_batch_hits(u, epsilon))
+        assert sampler._mc_hits(u, epsilon) == expected
+
+
+@pytest.mark.parametrize("columns", [6, 4])
+def test_mc_hits_at_an_epsilon_equal_to_a_median_angle(columns):
+    # rows sitting exactly on epsilon, or one ulp either side of it, are
+    # decided on the exact median angle
+    u = np.random.default_rng(columns).random((4000, columns))
+    exact = median_angles(*sampler._mc_vertices(u))
+    for angle in np.sort(exact[(exact > 0.01) & (exact < 1.3)])[::97].tolist():
+        for epsilon in (math.nextafter(angle, 0.0), angle, math.nextafter(angle, 4.0)):
+            assert sampler._mc_hits(u, epsilon) == np.count_nonzero(exact < epsilon)
+
+
+@pytest.mark.parametrize("run, columns", [(mc_angle_bound, 6), (mc_mirror_angle_bound, 4)])
+@pytest.mark.parametrize("epsilon", [0.3, 1.0, 1.5])
+def test_a_one_trial_run_counts_its_one_draw(run, columns, epsilon):
+    for seed in range(12):
+        u = np.random.Generator(np.random.Philox(key=seed)).random((1, columns))
+        assert run(1, epsilon, seed=seed).hits == np.count_nonzero(_whole_batch_hits(u, epsilon))
 
 
 # hit counts at the bench size, read off the whole-batch loop
