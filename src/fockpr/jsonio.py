@@ -20,11 +20,12 @@ Long lists are handed to :func:`dumps` as numpy arrays: a 1-D int, float
 or str array stands for the list of its values (a point-set column, see
 :mod:`fockpr.pointset`).  Any other array, complex or of more than one
 dimension, is an error.  Arrays are rendered in bulk, in blocks of
-``_ROW_BLOCK`` values: each block formats its own tokens
-(:func:`format_floats` takes a float slice at once) and fills the one
-row template, so the working set stays that of one block whatever the
-length of the list.  A token depends only on its value, so the blocks
-write exactly the bytes the list of values would give.
+``_ROW_BLOCK`` values: each block formats its own tokens, once per
+distinct value (:func:`format_floats` takes a float slice at once), and
+joins them with the row separator, so the working set stays that of one
+block whatever the length of the list.  A token depends only on its
+value, so the blocks write exactly the bytes the list of values would
+give.
 
 :func:`dumps` appends each piece of the text, a block or a token, to one
 string as a generator yields it.  CPython grows a string that only one
@@ -96,14 +97,12 @@ def format_floats(values) -> list[str]:
 
 
 def _tokens(col: np.ndarray) -> list[str]:
-    """Tokens of the values of a 1-D int, float or str array."""
+    """Tokens of the values of a 1-D int, float or str array; each distinct value is formatted once."""
     if col.dtype.kind == "f":
         return format_floats(col)
-    if col.dtype.kind in "iu":
-        return list(map(str, col.tolist()))
+    token = str if col.dtype.kind in "iu" else lambda s: json.dumps(s, ensure_ascii=True)
     distinct, inverse = np.unique(col, return_inverse=True)
-    quoted = np.array([json.dumps(s, ensure_ascii=True) for s in distinct.tolist()], object)
-    return quoted[inverse].tolist()
+    return np.array(list(map(token, distinct.tolist())), object)[inverse].tolist()
 
 
 def _array_pieces(arr: np.ndarray, indent: int) -> Iterator[str]:
@@ -114,13 +113,12 @@ def _array_pieces(arr: np.ndarray, indent: int) -> Iterator[str]:
     if len(arr) == 0:
         yield "[]"
         return
-    row = "  " * (indent + 1) + "%s"
-    yield "[\n"
+    sep = ",\n" + "  " * (indent + 1)
+    yield "[\n" + "  " * (indent + 1)
     for start in range(0, len(arr), _ROW_BLOCK):
         if start:
-            yield ",\n"
-        tokens = _tokens(arr[start : start + _ROW_BLOCK])
-        yield ",\n".join([row] * len(tokens)) % tuple(tokens)
+            yield sep
+        yield sep.join(_tokens(arr[start : start + _ROW_BLOCK]))
     yield "\n" + "  " * indent + "]"
 
 

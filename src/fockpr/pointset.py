@@ -13,8 +13,9 @@ exact, so the certificates below work from them in log scale.  A set's
 header is checked once, when the set is made, and its metadata is
 read-only from then on.  Samples enter a set one at a time through
 ``add``, or all at once when ``from_json`` loads a document; either way
-one vectorized check of the columns admits them.  ``get`` is the one
-read of a single sample, and every other read takes whole columns.
+one vectorized check of the columns admits them, and the set holds them
+in canonical (m, n, tag) order.  ``get`` is the one read of a single
+sample, and every other read takes whole columns.
 
 This module owns the point-set files too: their ``points`` are equally
 long columns, read by one column reader.  A set's are ``m``, ``n``,
@@ -39,6 +40,7 @@ Certificates:
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from types import MappingProxyType
@@ -157,18 +159,21 @@ def _log_abs(z: complex) -> float:
 class IndexedPointSet:
     """Samples keyed by (lattice index, tag), stored as columns.
 
-    One row per sample, in insertion order: the lattice index ``(m, n)``,
-    the ``tag`` and the offset ``unit`` in budget units (see the module
-    docstring for what is derived from it).  :meth:`add` appends a row to
-    typed buffers, one value per column and no Python object per row: the
-    ``(m, n)`` pairs as int64 and the parts of ``unit`` as float64, each
-    packed into a ``bytearray``, and a list of the tags.  The next column
-    read wraps the buffers with ``np.frombuffer`` (no tag may end in NUL),
-    joins them to the set's columns and checks the whole in one pass, the
-    check :meth:`from_json` runs on a document: every home lies in the
-    window and one lexsort of the key columns finds no repeated key.  :meth:`get`
-    finds its row by one match over the key columns.  Outputs (``points``,
-    ``to_json``, ``to_csv``) list rows in the canonical (m, n, tag) order.
+    One row per sample, held in canonical (m, n, tag) order: the lattice
+    index ``(m, n)``, the ``tag`` and the offset ``unit`` in budget units
+    (see the module docstring for what is derived from it).  :meth:`add`
+    appends a row to typed buffers, one value per column and no Python
+    object per row: the ``(m, n)`` pairs as int64 and the parts of
+    ``unit`` as float64, each packed into a ``bytearray``, and a list of
+    the tags.  The next column read wraps the buffers with
+    ``np.frombuffer`` (no tag may end in NUL), joins them to the set's
+    columns and checks the whole in one pass, the check :meth:`from_json`
+    runs on a document: every home lies in the window, and one lexsort of
+    the key columns puts the rows in canonical order and finds no
+    repeated key.  :meth:`get` finds its row by one match over the key
+    columns.  Every read (``points``, the certificates, ``to_json``,
+    ``to_csv``) walks the rows in the held order, so a set reads the same
+    whether its rows were added or loaded.
 
     The constructor is the one check of the header: ``window_radius`` is
     a finite positive number, and ``meta`` passes :func:`_checked_meta`.
@@ -217,10 +222,14 @@ class IndexedPointSet:
         self._added_tag.append(tag)
 
     def _load(self, cols: _Columns) -> None:
-        """Take ``cols`` as the rows of this set, after checking them.
+        """Take ``cols`` as the rows of this set, in canonical (m, n, tag) order, after checking them.
 
         Every home must lie in the window and no key (m, n, tag) may
-        repeat; one lexsort of the key columns finds the first repeat.
+        repeat.  One stable lexsort of the key columns orders the rows and
+        brings equal keys together; the error names the first repeating row
+        of ``cols``.  Columns already in canonical order (a file that
+        :meth:`to_json` wrote) are kept as they are, not copied.  The held
+        columns are read-only, as :meth:`to_json` hands them out.
         """
         homes = self.lattice.point((cols.m, cols.n))
         outside = np.flatnonzero(np.abs(homes) > self.window_radius + 1e-9)
@@ -228,11 +237,18 @@ class IndexedPointSet:
             i = outside[0]
             index = (int(cols.m[i]), int(cols.n[i]))
             raise ValueError(f"home point {complex(homes[i])} of index {index} outside window")
-        i = _first_repeat(cols.m, cols.n, cols.tag)
-        if i is not None:
+        del homes
+        order = np.lexsort((cols.tag, cols.n, cols.m))
+        held = cols if (order[1:] > order[:-1]).all() else _Columns(*(c[order] for c in cols))
+        m, n, tag = held.m, held.n, held.tag
+        repeats = (m[1:] == m[:-1]) & (n[1:] == n[:-1]) & (tag[1:] == tag[:-1])
+        if repeats.any():
+            i = int(order[1:][repeats].min())
             index = (int(cols.m[i]), int(cols.n[i]))
             raise ValueError(f"duplicate entry for index {index} tag {str(cols.tag[i])!r}")
-        self._cols = cols
+        for column in held:
+            column.flags.writeable = False
+        self._cols = held
         self._derivations = {}
 
     def _columns(self) -> _Columns:
@@ -263,10 +279,9 @@ class IndexedPointSet:
         return _Columns(*map(np.concatenate, zip(self._cols, added)))
 
     def _rows(self, tags: Sequence[str] | None = None) -> np.ndarray:
-        """Rows carrying one of ``tags`` (all rows for None) in canonical (m, n, tag) order."""
+        """Rows carrying one of ``tags`` (all rows for None), in the held canonical order."""
         c = self._columns()
-        rows = np.arange(len(c.m)) if tags is None else np.flatnonzero(np.isin(c.tag, list(tags)))
-        return rows[np.lexsort((c.tag[rows], c.n[rows], c.m[rows]))]
+        return np.arange(len(c.m)) if tags is None else np.flatnonzero(np.isin(c.tag, list(tags)))
 
     def _entries(self, rows: np.ndarray) -> list[PointEntry]:
         homes, deltas = self._placed(rows)
@@ -298,7 +313,7 @@ class IndexedPointSet:
         gamma = self.meta.get("gamma")
         return (0.0, 1.0) if gamma is None else (gamma, self.meta["kappa_cap"])
 
-    def _homes(self, rows: np.ndarray) -> np.ndarray:
+    def _homes(self, rows: np.ndarray | slice) -> np.ndarray:
         """Home lattice points of ``rows``."""
         c = self._columns()
         return self.lattice.point((c.m[rows], c.n[rows]))
@@ -333,7 +348,7 @@ class IndexedPointSet:
             lambda c: _per_distinct(lambda h: kappa_cap * math.exp(-gamma * h), self._home_norms()),
         )
 
-    def _placed(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _placed(self, rows: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
         """Home points of ``rows`` and their offsets ``delta = s(home) * unit``.
 
         ``delta`` scales the real and imaginary part of ``unit`` apart: a
@@ -364,19 +379,13 @@ class IndexedPointSet:
         """The artifact document; its ``points`` are the columns of :data:`POINT_COLUMNS`.
 
         Each column is an array with one row per sample, in canonical
-        order, which :func:`jsonio.dumps` writes as a list.  The offset
-        ``unit`` is split into ``unit_re`` and ``unit_im``; ``pos`` and
+        order, which :func:`jsonio.dumps` writes as a list: the set's own
+        read-only columns, not copies.  The offset ``unit`` is split into
+        ``unit_re`` and ``unit_im``, views of its parts; ``pos`` and
         ``delta`` are not written, as the set derives them where read.
         """
-        rows, c = self._rows(), self._columns()
-        unit = c.unit[rows]
-        points = {
-            "m": c.m[rows],
-            "n": c.n[rows],
-            "tag": c.tag[rows],
-            "unit_re": unit.real,
-            "unit_im": unit.imag,
-        }
+        c = self._columns()
+        points = {"m": c.m, "n": c.n, "tag": c.tag, "unit_re": c.unit.real, "unit_im": c.unit.imag}
         out: dict = {
             "lattice": self.lattice,
             "window_radius": self.window_radius,
@@ -417,24 +426,42 @@ class IndexedPointSet:
     def to_csv(self, path) -> None:
         """Rows ``m,n,tag,re,im`` of the positions, with 17-significant-digit floats.
 
-        The rows are formed and written ``_ELEMENT_BLOCK`` at a time, so only
-        one block of them is held as Python objects and text.
+        The rows are written in the held order, ``_ELEMENT_BLOCK`` at a time,
+        each block by one fill of a row template, so only one block of them
+        is held as Python objects and text.  Each distinct tag of a block is
+        quoted once, as ``csv.writer`` writes it (:func:`_csv_fields`), and
+        its rows share that string.
         """
-        import csv  # only this method writes csv; not loaded by every run
-
-        rows, c = self._rows(), self._columns()
+        c = self._columns()
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "n", "tag", "re", "im"])
-            for start in range(0, len(rows), _ELEMENT_BLOCK):
-                block = rows[start : start + _ELEMENT_BLOCK]
+            fh.write("m,n,tag,re,im\r\n")
+            for start in range(0, len(c.m), _ELEMENT_BLOCK):
+                block = slice(start, start + _ELEMENT_BLOCK)
                 homes, deltas = self._placed(block)
-                xy = (homes + deltas).view(np.float64).tolist()
-                g17 = ("%.17g\n" * len(xy) % tuple(xy)).split("\n")
-                writer.writerows(
-                    zip(c.m[block].tolist(), c.n[block].tolist(), c.tag[block].tolist(),
-                        g17[0:-1:2], g17[1::2])
-                )
+                pos = homes + deltas
+                distinct, inverse = np.unique(c.tag[block], return_inverse=True)
+                cells = np.empty((len(pos), 5), dtype=object)
+                cells[:, 0], cells[:, 1] = c.m[block], c.n[block]
+                cells[:, 2] = np.array(_csv_fields(distinct.tolist()), dtype=object)[inverse]
+                cells[:, 3], cells[:, 4] = pos.real, pos.imag
+                fh.write("%d,%d,%s,%.17g,%.17g\r\n" * len(pos) % tuple(cells.ravel().tolist()))
+
+
+def _csv_fields(tags: list[str]) -> list[str]:
+    """Each of ``tags`` as ``csv.writer`` writes it as the third field of a row of five.
+
+    The row is as wide as a row of :meth:`IndexedPointSet.to_csv`, so the
+    writer quotes the tag by the same rule (a lone empty field, for one,
+    is quoted where one of five is not).
+    """
+    import csv  # only to_csv writes csv; not loaded by every run
+
+    fields = []
+    for tag in tags:
+        buf = io.StringIO()
+        csv.writer(buf).writerow(("", "", tag, "", ""))
+        fields.append(buf.getvalue()[2:-4])  # drop ",," before and ",,\r\n" after
+    return fields
 
 
 def _field(data: Mapping, key: str):
@@ -442,18 +469,6 @@ def _field(data: Mapping, key: str):
     if key not in data:
         raise ValueError(f"field {key!r} is missing")
     return data[key]
-
-
-def _first_repeat(m: np.ndarray, n: np.ndarray, tag: np.ndarray) -> int | None:
-    """The first row whose key (m, n, tag) an earlier row has, or None.
-
-    One stable lexsort brings equal keys together in row order; every row
-    of a run of equal keys but the first repeats an earlier one.
-    """
-    order = np.lexsort((tag, n, m))
-    m, n, tag = m[order], n[order], tag[order]
-    repeats = (m[1:] == m[:-1]) & (n[1:] == n[:-1]) & (tag[1:] == tag[:-1])
-    return int(order[1:][repeats].min()) if repeats.any() else None
 
 
 def _checked_meta(meta) -> Mapping:

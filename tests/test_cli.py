@@ -70,6 +70,58 @@ def test_generate_certify_and_render_leave_numpy_random_unloaded(tmp_path):
     assert all((tmp_path / n).stat().st_size for n in names)
 
 
+# -- program entry -------------------------------------------------------------------
+
+
+def _child(entry: list[str], *argv) -> subprocess.CompletedProcess:
+    """``python`` run on ``entry`` (``-m`` or ``-c`` and its operand) and ``argv``."""
+    src = str(Path(fockpr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *entry, *map(str, argv)], env=env,
+                          capture_output=True, text=True)
+
+
+# the three ways in: ``python -m fockpr``, ``python -m fockpr.cli`` and the
+# console script, which calls ``fockpr.cli.run``
+ENTRIES = [["-m", "fockpr"], ["-m", "fockpr.cli"], ["-c", "from fockpr.cli import run; run()"]]
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=["package", "module", "script"])
+def test_every_entry_exits_with_mains_code(entry, tmp_path):
+    ok = _child(entry, "generate", "--construction", "det3", "--alpha", PI, "--radius", 4,
+                "--out", tmp_path / "set.json")
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.startswith(f"wrote {tmp_path / 'set.json'}: construction 'det3'")
+    bad = _child(entry, "certify", "--in", tmp_path / "absent.json", "--beta", 3.0,
+                 "--out", tmp_path / "r.json")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: ")
+
+
+def test_the_program_entry_freezes_the_heap_only_after_main(tmp_path):
+    # main() called in a process that lives on keeps its heap collectable;
+    # python -m fockpr freezes it before the shutdown collections run
+    code = (
+        "import atexit, gc, runpy, sys; from fockpr import cli; "
+        "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0)); "
+        "sys.argv[1:] = ['montecarlo', 'angles', '--trials', '200', '--eps', '0.1', "
+        "'--out', sys.argv[1]]; "
+        "print('after main', cli.main(sys.argv[1:]), gc.get_freeze_count()); "
+        "runpy.run_module('fockpr', run_name='__main__')"
+    )
+    child = _child(["-c", code], tmp_path / "mc.json")
+    assert child.returncode == 0, child.stderr
+    probes = [line for line in child.stdout.splitlines() if not line.startswith("wrote ")]
+    assert probes == ["after main 0 0", "at exit True"]
+
+
+def test_the_console_script_is_the_program_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"fockpr": "fockpr.cli:run"}
+
+
 # -- generate ----------------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Triangle angles, geometric certificates, and the indexed container."""
 
 import cmath
+import csv
+import io
 import json
 import math
 import re
@@ -116,8 +118,8 @@ def read_entries(ps: IndexedPointSet) -> list:
     return [((m, n), tag, ps.get((m, n), tag)) for m, n, tag in keys]
 
 
-def insertion_keys(ps: IndexedPointSet) -> list:
-    """The (m, n, tag) key of every row of ``ps``, in insertion order."""
+def row_keys(ps: IndexedPointSet) -> list:
+    """The (m, n, tag) key of every row of ``ps``, in the order the set holds its rows."""
     c = ps._columns()
     return list(zip(c.m.tolist(), c.n.tolist(), c.tag.tolist()))
 
@@ -185,7 +187,7 @@ def test_an_add_that_does_not_convert_raises_and_buffers_nothing():
             ps.add(index, "B", unit)
     assert len(ps) == 1
     ps.add((2, 0), "B", 0.25j)
-    assert insertion_keys(ps) == [(1, 0, "A"), (2, 0, "B")]
+    assert row_keys(ps) == [(1, 0, "A"), (2, 0, "B")]
     assert ps.get((2, 0), "B").unit == 0.25j
 
 
@@ -209,7 +211,7 @@ def test_single_adds_and_batches_share_one_row_order():
     ps = IndexedPointSet.from_json(make_document(keys))
     ps.add((0, 0), "B", 0.5j)
     assert ps.get((0, 0), "B").pos == 0.5j
-    assert insertion_keys(ps) == [(1, 0, "A"), (2, 0, "A"), (3, 0, "A"), (0, 0, "B")]
+    assert row_keys(ps) == [(0, 0, "B"), (1, 0, "A"), (2, 0, "A"), (3, 0, "A")]
     assert len(ps) == 4
     assert ps.get((3, 0), "A").pos == 3.0
     for index, tag in (((0, 0), "B"), ((2, 0), "A")):  # repeats a buffered row, a document row
@@ -242,7 +244,7 @@ def test_rows_added_across_reads(monkeypatch):
         assert _bits(e.unit) == _bits(unit)
         assert e.delta == pytest.approx(delta, rel=1e-13, abs=0)
         assert e.pos == pytest.approx(complex(*index) + delta, rel=1e-13, abs=0)
-    assert insertion_keys(ps) == [(*index, tag) for index, tag in entries]
+    assert row_keys(ps) == sorted((*index, tag) for index, tag in entries)
     doc = ps.to_json()
     text = jsonio.dumps(doc)
     assert text == jsonio.dumps({**doc, "points": _entry_columns(ps)})
@@ -913,6 +915,19 @@ def _column_bits(ps: IndexedPointSet) -> dict:
     }
 
 
+def test_a_set_certifies_the_same_in_memory_and_after_a_file_round_trip():
+    # every budget saturates, so each tag's closeness is a tie over all its
+    # rows; the report names the first row of the order the set holds, which
+    # must not depend on whether the rows were added or read from a file
+    ps = deterministic_triple(GeneratorConfig(square_lattice(math.pi), window_radius=3.0, seed=5))
+    back = IndexedPointSet.from_json(json.loads(jsonio.dumps(ps.to_json())))
+    for tag in ps.tags():
+        assert certify_f_closeness(back, 7.0, tag) == certify_f_closeness(ps, 7.0, tag)
+    assert certify_f_closeness(ps, 7.0, "A").worst_index == (-3, 0)
+    assert angle_condition(back, 4.0 * math.pi) == angle_condition(ps, 4.0 * math.pi)
+    assert separation(back) == separation(ps)
+
+
 def test_a_loaded_set_takes_lookups_and_more_adds(tmp_path):
     ps = make_set(gamma=7.0, kappa_cap=0.3, sample_tags=["A"])
     for k in range(6):
@@ -929,7 +944,7 @@ def test_a_loaded_set_takes_lookups_and_more_adds(tmp_path):
     for k in (6, 7, 8):
         back.add((k, 0), "A", 0.0)
     assert len(back) == 15 and back.get((8, 0), "A").pos == 8.0
-    assert insertion_keys(back)[-3:] == [(6, 0, "A"), (7, 0, "A"), (8, 0, "A")]
+    assert row_keys(back)[-3:] == [(6, 0, "A"), (7, 0, "A"), (8, 0, "A")]
     back.add((7, 0), "A", 0.0)  # a row that a read has already joined
     back.add((5, 1), "B", 0.0)  # a row of the document
     for _ in range(2):
@@ -970,7 +985,7 @@ def test_batch_duplicate_check_matches_the_loop(keys, split):
     if error is None:
         ps = IndexedPointSet.from_json(doc)
         assert _column_bits(ps) == _column_bits(one_by_one)
-        assert insertion_keys(ps) == keys
+        assert row_keys(ps) == sorted(keys)
         return
     for read in (one_by_one.points, one_by_one.points, lambda: IndexedPointSet.from_json(doc)):
         with pytest.raises(ValueError) as info:
@@ -1012,6 +1027,31 @@ def test_csv_export(tmp_path):
     assert len(lines) == 3  # header + 2 entries
     assert lines[0].split(",")[:3] == ["m", "n", "tag"]
     assert any(row.startswith("1,0,A") for row in lines[1:])
+
+
+def _csv_writer_reference(ps: IndexedPointSet) -> bytes:
+    """The CSV of ``ps`` written row by row by ``csv.writer``: the oracle for ``to_csv``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["m", "n", "tag", "re", "im"])
+    for (m, n), tag, e in read_entries(ps):
+        writer.writerow([m, n, tag, "%.17g" % e.pos.real, "%.17g" % e.pos.imag])
+    return buf.getvalue().encode()
+
+
+def test_csv_quotes_tags_as_csv_writer_does_across_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr("fockpr.pointset._ELEMENT_BLOCK", 3)
+    ps = make_set(gamma=1.0, kappa_cap=0.5)
+    tags = ["a,b", 'q"t', "x\ny", " lead", "long tag", "", "A"]
+    for k, tag in enumerate(tags):
+        ps.add((k, 0), tag, complex(0.1 * k, -0.05))
+        ps.add((2, 1), tag, complex(-0.0, 0.2))  # one home with every tag, across blocks
+    path = tmp_path / "points.csv"
+    ps.to_csv(path)
+    assert path.read_bytes() == _csv_writer_reference(ps)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert sorted(row[2] for row in rows[1:]) == sorted(tags * 2)
 
 
 def test_added_rows_hold_under_fifty_bytes_each():
