@@ -53,7 +53,7 @@ from .sampler import (
     three_lines,
 )
 from .suites import pinned_injectivity_points, run_suite
-from .phaseless import lifted_injectivity
+from .phaseless import lifted_injectivity, lifted_rows
 
 __all__ = ["main", "build_parser"]
 
@@ -334,12 +334,13 @@ def _cmd_injectivity(args: argparse.Namespace) -> int:
     if any(s < 1 or s > len(pts) for s in subsets):
         raise ValueError(f"subset sizes must lie in [1, {len(pts)}]")
 
-    d_real = (args.dim + 1) ** 2
+    # a row depends on its own point only: each subset reads a prefix of one build
+    lifted = lifted_rows(pts[: subsets[-1]], args.dim, args.alpha)
     rows = []
     all_match = True
     for m_count in subsets:
-        rep = lifted_injectivity(pts[:m_count], args.dim, args.alpha, seed=args.seed)
-        expected = max(0, d_real - m_count)
+        rep = lifted_injectivity(lifted[:m_count], args.alpha, seed=args.seed)
+        expected = rep.generic_kernel_dim
         match = rep.kernel_dim == expected and (rep.kernel_dim > 0 or rep.sigma_min > 0)
         all_match = all_match and match
         row = {

@@ -10,11 +10,13 @@ evidence they do not:
   their recombination into the complex derivative, the Rolle point of an
   equal-modulus segment as a root of a real polynomial, and the
   perturbed-zero bound check built from those pieces,
-* a finite-dimensional injectivity analyzer for the lifted (rank-one
-  Hermitian) measurement map, with singular spectrum, kernel dimension,
-  and a signature-(1,1) witness pair when the kernel is nontrivial,
-  searched for only where one can exist: below the 4d - 4 injectivity
-  count of generic measurements, or on a kernel larger than generic.
+* the rows of the lifted (rank-one Hermitian) measurement map, each
+  written straight into Hermitian coordinates, and a finite-dimensional
+  injectivity analyzer that reads those rows: singular spectrum, kernel
+  dimension, and a signature-(1,1) witness pair when the kernel is
+  nontrivial, searched for only where one can exist: below the 4d - 4
+  injectivity count of generic measurements, or on a kernel larger than
+  generic.
 """
 
 from __future__ import annotations
@@ -307,17 +309,17 @@ def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return j, k
 
 
-def _hermitian_coords(x: np.ndarray) -> np.ndarray:
-    """Coordinates Re sum(conj(B) * x) of x over the ``hermitian_basis`` B.
+def _hermitian_coords(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Coordinates Re sum(conj(B) * x) over the ``hermitian_basis`` B of x given by its parts.
 
-    Works on the last two axes.  Each off-diagonal coordinate is formed
-    term by term, rounding exactly as the trace inner product does.
+    ``diag`` is the real part of x's diagonal, and ``upper`` and ``lower``
+    are its entries x[j, k] and x[k, j] for the pairs j < k of
+    ``_upper_pairs``, each on the last axis.  Each off-diagonal coordinate
+    is formed term by term, rounding exactly as the trace inner product does.
     """
-    dim = x.shape[-1]
-    j, k = _upper_pairs(dim)
-    upper, lower = x[..., j, k], x[..., k, j]
-    out = np.empty(x.shape[:-2] + (dim * dim,))
-    out[..., :dim] = np.diagonal(x, axis1=-2, axis2=-1).real
+    dim = diag.shape[-1]
+    out = np.empty(diag.shape[:-1] + (dim * dim,))
+    out[..., :dim] = diag
     out[..., dim::2] = upper.real * _INV_SQRT2 + lower.real * _INV_SQRT2
     out[..., dim + 1 :: 2] = upper.imag * _INV_SQRT2 - lower.imag * _INV_SQRT2
     return out
@@ -366,17 +368,28 @@ def lifted_rows(points: Sequence[complex], N: int, alpha: float) -> np.ndarray:
     unit norm.  A positive row scaling leaves the exact kernel unchanged;
     unit rows keep the rank decision, a cut relative to sigma_max, from
     dropping far points (a Gaussian weight exp(-alpha|u|^2) in place of
-    the norm would put their rows below the cut).
+    the norm would put their rows below the cut).  Each row is written
+    from the products of the moment vector's entries, with no d x d lift;
+    a row depends on its own point only, so the rows of a prefix of the
+    points are that prefix of the rows.  Needs alpha > 0, N in [0, 16]
+    and at least one point.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    pts = np.asarray(list(points), dtype=complex)
-    dim = N + 1
-    v = _moment_vectors(pts, dim, alpha)
-    # v* X v = <X, v v^H>: each row holds the coordinates of the rank-one lift
-    lift = v[:, :, None] * np.conj(v)[:, None, :]
-    rows = _hermitian_coords(lift)
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    if N < 0 or N > 16:
+        raise ValueError("degree truncation must be in [0, 16]")
+    pts = np.asarray(points, dtype=complex)
+    if pts.size < 1:
+        raise ValueError("need at least one point")
+    v = _moment_vectors(pts, N + 1, alpha)
+    vc = np.conj(v)
+    j, k = _upper_pairs(N + 1)
+    # v* X v = <X, v v^H>: each row holds the coordinates of the rank-one lift,
+    # whose (k, j) entries are formed as products, not as conjugates of the
+    # (j, k) entries, so they round as the lift's own entries do
+    rows = _hermitian_coords((v * vc).real, v[:, j] * vc[:, k], v[:, k] * vc[:, j])
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows
 
 
 class LiftedReport(NamedTuple):
@@ -393,55 +406,52 @@ class LiftedReport(NamedTuple):
     def sigma_min(self) -> float:
         return self.singular_values[-1] if self.singular_values else 0.0
 
+    @property
+    def generic_kernel_dim(self) -> int:
+        """Kernel dimension of ``num_points`` generic rows: d^2 - M, or 0."""
+        return max(0, self.dim * self.dim - self.num_points)
 
-def lifted_injectivity(
-    points: Sequence[complex],
-    N: int,
-    alpha: float,
-    seed: int = 0,
-) -> LiftedReport:
-    """Injectivity analysis of modulus measurements at truncation degree N.
 
-    Equal moduli of degree-N polynomials on the points is a linear
-    condition on the rank-one lift; the report gives the singular
-    spectrum of that real-linear map, the kernel dimension, and, when
-    the kernel is nontrivial, a signature-(1,1) kernel element split
-    into a concrete pair of polynomials with equal moduli on every
-    point.  Evidence at truncation N only: a kernel-free truncation says
-    nothing about the full space.
+def lifted_injectivity(rows: np.ndarray, alpha: float, seed: int = 0) -> LiftedReport:
+    """Injectivity analysis of modulus measurements, given by their unit-norm rows.
 
-    The witness search runs only where a witness can exist.  For d = N + 1
-    coefficients, M >= 4d - 4 generic measurements are injective (Conca,
-    Edidin, Hering and Vinzant, ACHA 2015), so on M >= 4d - 4 points whose
-    kernel has its generic size d^2 - M the search is skipped and
-    ``witness_searched`` is false.  Below 4d - 4, or where the kernel is
-    larger than generic (repeated or structured points), it runs.
+    ``rows`` is a non-empty (M, d^2) array from :func:`lifted_rows`, one
+    row per measurement; ``alpha`` is the weight of the polynomials the
+    witness pair is read as.  Equal moduli of polynomials with d = N + 1
+    coefficients on the points is a linear condition on the rank-one
+    lift; the report gives the singular spectrum of that real-linear map,
+    the kernel dimension, and, when the kernel is nontrivial, a
+    signature-(1,1) kernel element split into a concrete pair of
+    polynomials with equal moduli on every point.  Evidence at truncation
+    N only: a kernel-free truncation says nothing about the full space.
+
+    The witness search runs only where a witness can exist.  M >= 4d - 4
+    generic measurements are injective (Conca, Edidin, Hering and
+    Vinzant, ACHA 2015), so on M >= 4d - 4 rows whose kernel has its
+    generic size d^2 - M (the rows are independent) the search is
+    skipped and ``witness_searched`` is false.  Below 4d - 4, or where
+    the kernel is larger than generic (dependent rows, from repeated or
+    structured points), it runs.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    if N < 0 or N > 16:
-        raise ValueError("degree truncation must be in [0, 16]")
-    pts = np.asarray(list(points), dtype=complex)
-    if pts.size < 1:
-        raise ValueError("need at least one point")
-    dim = N + 1
-    d_real = dim * dim
-    rows = lifted_rows(pts, N, alpha)
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or not rows.size or math.isqrt(rows.shape[1]) ** 2 != rows.shape[1]:
+        raise ValueError("rows must be a non-empty 2-D array whose width is a perfect square")
+    d_real = rows.shape[1]
+    dim = math.isqrt(d_real)
     # one SVD for the spectrum and the kernel.  With at least d_real rows the
     # reduced V^T is already square; with fewer, the full V^T spans the kernel
     # and U is at most d_real x d_real.  A full U on many rows would be M x M.
     _u, svals, vt = np.linalg.svd(rows, full_matrices=len(rows) < d_real)
-    sigma_max = float(svals[0]) if svals.size else 0.0
-    rank = int(np.count_nonzero(svals > _RANK_TOL * sigma_max)) if sigma_max > 0 else 0
+    rank = int(np.count_nonzero(svals > _RANK_TOL * svals[0]))
     kernel_dim = d_real - rank
 
     witness = None
     witness_gap = None
-    searched = kernel_dim > 0 and (
-        pts.size < 4 * dim - 4 or kernel_dim != max(0, d_real - pts.size)
-    )
+    # given a nonzero kernel, it exceeds the generic size exactly when rank < M
+    searched = kernel_dim > 0 and (len(rows) < 4 * dim - 4 or rank < len(rows))
     if searched:
         kernel_vecs = vt[rank:, :]
+        j, k = _upper_pairs(dim)
         rng = np.random.default_rng(seed)
         row_scale = max(float(np.abs(rows).max()), 1e-300)
         for _ in range(_WITNESS_ATTEMPTS):
@@ -458,7 +468,7 @@ def lifted_injectivity(
                     eigvals[-1] * np.outer(eigvecs[:, -1], np.conj(eigvecs[:, -1]))
                     + eigvals[0] * np.outer(eigvecs[:, 0], np.conj(eigvecs[:, 0]))
                 )
-                t_coords = _hermitian_coords(trunc)
+                t_coords = _hermitian_coords(trunc.diagonal().real, trunc[j, k], trunc[k, j])
                 coords = (t_coords @ kernel_vecs.T) @ kernel_vecs
                 drift = float(np.linalg.norm(coords - t_coords))
                 x_mat = _hermitian_from_coords(coords)
@@ -474,7 +484,7 @@ def lifted_injectivity(
             # polynomial coefficients are the conjugated eigenvectors
             x_vec = np.conj(x_vec)
             y_vec = np.conj(y_vec)
-            coords = _hermitian_coords(pair)
+            coords = _hermitian_coords(pair.diagonal().real, pair[j, k], pair[k, j])
             gap = float(np.max(np.abs(rows @ coords)))
             wron = wronskian(FockPoly(alpha, x_vec), FockPoly(alpha, y_vec))
             if gap <= 1e-8 * row_scale and float(np.linalg.norm(wron.coeffs)) > 1e-6:
@@ -486,7 +496,7 @@ def lifted_injectivity(
                 break
     return LiftedReport(
         dim=dim,
-        num_points=int(pts.size),
+        num_points=len(rows),
         singular_values=tuple(float(s) for s in svals),
         kernel_dim=kernel_dim,
         rank_tol=_RANK_TOL,

@@ -278,10 +278,17 @@ class IndexedPointSet:
         )
         return _Columns(*map(np.concatenate, zip(self._cols, added)))
 
-    def _rows(self, tags: Sequence[str] | None = None) -> np.ndarray:
-        """Rows carrying one of ``tags`` (all rows for None), in the held canonical order."""
+    def _rows(self, tags: Sequence[str] | None = None) -> np.ndarray | slice:
+        """Rows carrying one of ``tags`` (all rows for None), in the held canonical order.
+
+        ``slice(None)`` where that is every row, so that reads through it
+        take views of the columns, not copies.
+        """
         c = self._columns()
-        return np.arange(len(c.m)) if tags is None else np.flatnonzero(np.isin(c.tag, list(tags)))
+        if tags is None:
+            return slice(None)
+        rows = np.isin(c.tag, list(tags))
+        return slice(None) if rows.all() else np.flatnonzero(rows)
 
     def _entries(self, rows: np.ndarray) -> list[PointEntry]:
         homes, deltas = self._placed(rows)
@@ -883,6 +890,7 @@ def _set_separation(ps: IndexedPointSet) -> SeparationReport:
     del homes, deltas
     c = ps._columns()
     m, n = c.m[rows], c.n[rows]
+    rows = np.arange(len(c.m))[rows]  # row numbers, as rows[pa] reads them
     # canonical order puts the samples of one home next to each other
     home = np.cumsum(_run_starts(m, n))
     del m, n

@@ -523,8 +523,8 @@ def verify_phaseless(seed: int = 0) -> list[CheckResult]:
     )
 
     pts = pinned_injectivity_points(seed)
-    rep_full = phaseless.lifted_injectivity(pts, N=2, alpha=1.0)
-    rep_small = phaseless.lifted_injectivity(pts[:2], N=1, alpha=1.0)
+    rep_full = phaseless.lifted_injectivity(phaseless.lifted_rows(pts, 2, 1.0), 1.0)
+    rep_small = phaseless.lifted_injectivity(phaseless.lifted_rows(pts[:2], 1, 1.0), 1.0)
     out.append(
         _flag(
             "enough scattered points force an empty kernel",

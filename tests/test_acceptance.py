@@ -30,6 +30,7 @@ from fockpr.lattice import Lattice, window_arrays
 from fockpr.phaseless import (
     directional_derivative,
     lifted_injectivity,
+    lifted_rows,
     rolle_point,
     zero_perturbation_bound_check,
 )
@@ -380,7 +381,7 @@ def test_14_lifted_injectivity_rank_counting():
     details = []
     sigma_min_60 = 0.0
     for m in (30, 45, 49, 60):
-        rep = lifted_injectivity(pts[:m], N=6, alpha=PI)
+        rep = lifted_injectivity(lifted_rows(pts[:m], 6, PI), PI)
         expected = max(0, 49 - m)
         ok = ok and rep.kernel_dim == expected
         details.append(f"M={m}: kernel {rep.kernel_dim}")

@@ -14,6 +14,7 @@ import pytest
 
 import fockpr
 from fockpr import cli, jsonio
+from fockpr.phaseless import lifted_rows
 from fockpr.pointset import IndexedPointSet
 
 PI = repr(math.pi)
@@ -802,6 +803,26 @@ def test_injectivity_non_positive_alpha_exits_2_and_names_it(tmp_path, capsys, a
     assert run("injectivity", f"--alpha={alpha}", "--dim", dim, "--subsets", 5, "--out", out) == 2
     assert "alpha must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dim", [17, -1])
+def test_injectivity_dim_outside_the_cap_exits_2_and_names_it(tmp_path, capsys, dim):
+    out = tmp_path / "x.json"
+    assert run("injectivity", "--dim", dim, "--subsets", 5, "--out", out) == 2
+    assert "[0, 16]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_injectivity_builds_its_rows_once_for_every_subset(tmp_path, monkeypatch):
+    built = []
+
+    def counted(points, N, alpha):
+        built.append(len(points))
+        return lifted_rows(points, N, alpha)
+
+    monkeypatch.setattr(cli, "lifted_rows", counted)
+    assert run("injectivity", "--dim", 2, "--subsets", "5,8,9,12", "--out", tmp_path / "x.json") == 0
+    assert built == [12]
 
 
 # -- montecarlo --------------------------------------------------------------------

@@ -385,23 +385,57 @@ def test_upper_pairs_are_cached_read_only_triu_indices():
     assert np.array_equal(j, want_j) and np.array_equal(k, want_k)
 
 
-@pytest.mark.parametrize("N", [0, 1, 6, 8])
+def matrix_parts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real diagonal, the (j, k) and the (k, j) entries (j < k) of a square matrix."""
+    j, k = np.triu_indices(X.shape[0], 1)
+    return np.diagonal(X).real, X[j, k], X[k, j]
+
+
+@pytest.mark.parametrize("N", [0, 1, 6, 8, 16])
 def test_coordinates_match_the_trace_inner_product_route(N):
+    # the rows are written from the moment vectors; the reference forms the
+    # d x d lift of each point and takes its trace inner products
     dim = N + 1
     rng = np.random.default_rng(N)
     pts = rng.normal(size=12) + 1j * rng.normal(size=12)
+    pts[-4:] *= np.array([5.0, 20.0, 35.0, 50.0]) / np.abs(pts[-4:])
     v = _moment_vectors(pts, dim, ALPHA)
     lifts = v[:, :, None] * np.conj(v)[:, None, :]
     coords = np.array([coords_of(P) for P in lifts])
     expected = coords / np.linalg.norm(coords, axis=1, keepdims=True)
     assert np.array_equal(lifted_rows(pts, N, ALPHA), expected)
     X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))  # not Hermitian
-    coords = _hermitian_coords(X)
+    coords = _hermitian_coords(*matrix_parts(X))
     assert np.array_equal(coords, coords_of(X))
     assembled = np.zeros((dim, dim), dtype=complex)
     for c, b in zip(coords, hermitian_basis(dim)):
         assembled += c * b
     assert np.array_equal(_hermitian_from_coords(coords), assembled)
+
+
+def test_the_rows_of_a_prefix_are_that_prefix_of_the_rows():
+    rng = np.random.default_rng(6)
+    pts = 4.0 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+    for N in (0, 2, 8, 16):
+        rows = lifted_rows(pts, N, math.pi)
+        for m in (1, 7, 39):
+            assert lifted_rows(pts[:m], N, math.pi).tobytes() == rows[:m].tobytes()
+
+
+def test_lifted_rows_form_no_lift_per_point():
+    # 20,000 points at N = 8: the rows take 13 MB.  An M x d x d complex lift
+    # alone would be 26 MB, and the route through it peaked at 5.9 times the rows
+    rng = np.random.default_rng(8)
+    pts = 3.0 * (rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000))
+    lifted_rows(pts[:4], 8, math.pi)  # lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        rows = lifted_rows(pts, 8, math.pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (20_000, 81)
+    assert peak <= 4.5 * rows.nbytes
 
 
 def test_lifted_rows_hand_check_single_point():
@@ -454,7 +488,7 @@ GENERIC_POINTS = [0.3, 1.1j, -0.7 + 0.2j, 0.9 - 0.5j]
 
 
 def test_lifted_injectivity_trivial_degree_zero():
-    rep = lifted_injectivity([0.7], N=0, alpha=math.pi)
+    rep = lifted_injectivity(lifted_rows([0.7], 0, math.pi), math.pi)
     assert rep.dim == 1 and rep.num_points == 1
     assert rep.kernel_dim == 0
     assert rep.witness is None
@@ -463,14 +497,14 @@ def test_lifted_injectivity_trivial_degree_zero():
 
 def test_lifted_injectivity_kernel_shrinks_with_points():
     kernels = [
-        lifted_injectivity(GENERIC_POINTS[:m], N=1, alpha=math.pi).kernel_dim
+        lifted_injectivity(lifted_rows(GENERIC_POINTS[:m], 1, math.pi), math.pi).kernel_dim
         for m in range(1, 5)
     ]
     assert kernels == [3, 2, 1, 0]
 
 
 def test_lifted_injectivity_witness_is_a_true_counterexample():
-    rep = lifted_injectivity(GENERIC_POINTS[:3], N=1, alpha=math.pi)
+    rep = lifted_injectivity(lifted_rows(GENERIC_POINTS[:3], 1, math.pi), math.pi)
     assert rep.kernel_dim == 1
     assert rep.witness is not None
     x, y = (FockPoly(math.pi, c) for c in rep.witness)
@@ -489,8 +523,8 @@ def test_the_witness_search_is_skipped_where_generic_points_are_injective():
     rng = np.random.default_rng(4)
     pts = 0.8 * (rng.standard_normal(15) + 1j * rng.standard_normal(15))
     for m in (11, 12, 13, 15):
-        rep = lifted_injectivity(pts[:m], N=3, alpha=math.pi)
-        assert rep.kernel_dim == 16 - m
+        rep = lifted_injectivity(lifted_rows(pts[:m], 3, math.pi), math.pi)
+        assert rep.kernel_dim == rep.generic_kernel_dim == 16 - m
         assert rep.witness_searched == (m < 12)
         if m >= 12:
             assert rep.witness is None
@@ -500,16 +534,16 @@ def test_the_witness_search_runs_where_repeated_points_shrink_the_rank():
     # five rows at d = 2 reach 4d - 4 = 4, but only three are distinct, so
     # the kernel is 1 where generic rows leave none, and a witness exists
     pts = GENERIC_POINTS[:3] + GENERIC_POINTS[:2]
-    rep = lifted_injectivity(pts, N=1, alpha=math.pi)
-    assert rep.kernel_dim == 1
+    rep = lifted_injectivity(lifted_rows(pts, 1, math.pi), math.pi)
+    assert rep.kernel_dim == 1 and rep.generic_kernel_dim == 0
     assert rep.witness_searched
     assert rep.witness is not None and rep.witness_gap <= 1e-8
 
 
 def test_lifted_injectivity_sigma_min_grows_with_extra_rows_once_injective():
     extra = GENERIC_POINTS + [0.2 + 0.8j, -1.0 - 0.4j, 1.3, 0.6j]
-    a = lifted_injectivity(GENERIC_POINTS, N=1, alpha=math.pi)
-    b = lifted_injectivity(extra, N=1, alpha=math.pi)
+    a = lifted_injectivity(lifted_rows(GENERIC_POINTS, 1, math.pi), math.pi)
+    b = lifted_injectivity(lifted_rows(extra, 1, math.pi), math.pi)
     assert a.kernel_dim == 0 and b.kernel_dim == 0
     assert b.sigma_min >= a.sigma_min
 
@@ -519,10 +553,10 @@ def test_lifted_injectivity_on_many_points_holds_no_full_left_factor():
     # 128 MB, where the rows themselves take 128 kB
     rng = np.random.default_rng(3)
     pts = (rng.standard_normal(4000) + 1j * rng.standard_normal(4000)).tolist()
-    lifted_injectivity(pts[:8], N=1, alpha=math.pi)  # lazy imports outside the trace
+    lifted_injectivity(lifted_rows(pts[:8], 1, math.pi), math.pi)  # lazy imports outside the trace
     tracemalloc.start()
     try:
-        rep = lifted_injectivity(pts, N=1, alpha=math.pi)
+        rep = lifted_injectivity(lifted_rows(pts, 1, math.pi), math.pi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -562,14 +596,22 @@ def test_lifted_kernel_on_the_integer_lattice_matches_an_mpmath_oracle(M, kernel
         rows = lifted_rows(pts, 6, math.pi)
         assert np.abs(np.array(oracle.tolist(), dtype=float) - rows).max() < 1e-14
     assert 49 - rank == kernel
-    assert lifted_injectivity(pts, 6, math.pi).kernel_dim == kernel
+    assert lifted_injectivity(rows, math.pi).kernel_dim == kernel
+
+
+def test_lifted_rows_validation():
+    for N in (-1, 17):
+        with pytest.raises(ValueError, match=r"\[0, 16\]"):
+            lifted_rows([1.0], N, 1.0)
+    with pytest.raises(ValueError, match="at least one"):
+        lifted_rows([], 1, 1.0)
 
 
 def test_lifted_injectivity_validation():
-    with pytest.raises(ValueError, match=r"\[0, 16\]"):
-        lifted_injectivity([1.0], N=17, alpha=1.0)
-    with pytest.raises(ValueError, match="at least one"):
-        lifted_injectivity([], N=1, alpha=1.0)
+    # no rows, no columns, 1-D, 3-D, and a width that is not a square
+    for rows in (np.empty((0, 4)), np.empty((3, 0)), np.ones(4), np.ones((2, 2, 4)), np.ones((3, 5))):
+        with pytest.raises(ValueError, match="non-empty 2-D array whose width is a perfect square"):
+            lifted_injectivity(rows, 1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
@@ -577,5 +619,3 @@ def test_lifted_maps_reject_a_non_positive_alpha(alpha):
     for N in (0, 2):
         with pytest.raises(ValueError, match="alpha must be positive"):
             lifted_rows([0.5, 1j], N, alpha)
-        with pytest.raises(ValueError, match="alpha must be positive"):
-            lifted_injectivity([0.5, 1j], N, alpha)

@@ -39,8 +39,8 @@ RECORDS = [
     PhaseDecision(status="equivalent", tau=1j, max_modulus_gap=0.0, wronskian_norm=1e-17),
     RolleResult(point=0.5 + 0.5j, theta=0.25, residual=1e-13),
     PerturbationBoundReport(ok=True, lhs=0.1, bound=0.2, eta=0.3, m_const=4.0, sin_gap=0.5),
-    LiftedReport(dim=2, num_points=9, singular_values=(2.0, 0.5), kernel_dim=0,
-                 rank_tol=1e-10, witness=((1 + 0j,), (1j,)), witness_gap=math.inf,
+    LiftedReport(dim=2, num_points=3, singular_values=(2.0, 1.0, 0.5), kernel_dim=1,
+                 rank_tol=1e-10, witness=((1 + 0j, 0j), (1j, 0j)), witness_gap=math.inf,
                  witness_searched=True),
     PointEntry(pos=1 + 1j, delta=0.1j, unit=0.5j),
     ClosenessReport(gamma=7.0, tag="A", kappa=0.5, log_kappa=math.log(0.5),
